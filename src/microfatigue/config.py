@@ -158,6 +158,9 @@ _POSITIVE = {
     "campaign": {"step_V", "n_specimens", "strength_mean_V"},
 }
 
+# Cycle counts: a JSON float such as 1e5 is accepted when it is whole.
+_WHOLE = {"model": {"detection_interval_cycles", "reference_cycles"}}
+
 
 def _coerce(section: str, name: str, value, problems: list) -> object:
     path = f"{section}.{name}"
@@ -221,6 +224,9 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
             value = getattr(block, name)
             if not isinstance(value, (int, float)) or value <= 0:
                 problems.append((f"{section}.{name}", f"must be a positive number, got {value!r}"))
+            elif (name in _WHOLE.get(section, ())
+                  and isinstance(value, float) and not value.is_integer()):
+                problems.append((f"{section}.{name}", f"must be a whole number, got {value!r}"))
     if not 0.0 <= config.material.nu < 0.5:
         problems.append(("material.nu", f"must lie in [0, 0.5), got {config.material.nu}"))
     if not 0.0 < config.model.drop_fraction < 1.0:

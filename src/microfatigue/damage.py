@@ -9,6 +9,10 @@ pull-in-only control test non-damaging.
 
 Damage is stored as an exact Fraction so that accumulating a batch of
 cycles in several calls is bit-identical to accumulating it in one.
+``accumulate`` is the primitive for sums whose amplitude varies. At a
+constant amplitude the Miner sum after n cycles is exactly n/life, so a
+fatigue run (``protocols.run_fatigue_test``) computes it in integers and
+gets the same damage without calling ``accumulate`` per batch.
 """
 
 from __future__ import annotations

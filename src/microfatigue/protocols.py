@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .damage import (DamageModelParams, DamageState, SpecimenStrength,
-                     accumulate, cycles_to_failure, degraded_pull_in)
+from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
+                     cycles_to_failure, effective_stiffness_factor)
 from .device import Device
 from .electromech import pull_in_voltage_closed_form
 from .errors import CalibrationError
@@ -99,6 +100,19 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
                               std_strength_V=std_V, specimens=scales)
 
 
+def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams,
+                     step_V: float) -> float:
+    """Degraded pull-in V_PI(0)*sqrt(k_eff/k) rounded up to the step_V grid."""
+    v = pristine_V * math.sqrt(effective_stiffness_factor(damage, params))
+    # Guard against ceil pushing an exact grid value up one extra step.
+    return math.ceil(v / step_V - 1e-9) * step_V
+
+
+def _is_whole(value) -> bool:
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+
+
 def run_pull_in_detection(state: DamageState, device: Device,
                           params: DamageModelParams,
                           step_V: float = DEFAULT_DETECTION_STEP_V) -> float:
@@ -109,9 +123,8 @@ def run_pull_in_detection(state: DamageState, device: Device,
     """
     if step_V <= 0:
         raise ValueError(f"detection step must be > 0, got {step_V}")
-    v = degraded_pull_in(state, device.mechanics, device.geometry, params)
-    # Guard against ceil pushing an exact grid value up one extra step.
-    return math.ceil(v / step_V - 1e-9) * step_V
+    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    return _stepped_reading(pristine, float(state.damage), params, step_V)
 
 
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
@@ -124,29 +137,50 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
                      ) -> FatigueRunRecord:
     """One constant-amplitude fatigue run with periodic pull-in monitoring.
 
-    Load cycles are accumulated in detection-interval batches; after each
+    Load cycles are applied in detection-interval batches; after each
     batch the pull-in voltage is measured. The run ends on the failure
     rule (collapse, a >= drop_fraction step-to-step drop, or pull-in below
     min_pullin_fraction of pristine), on the reference cycle count
     (survived), or when the measured pull-in reaches the drive amplitude
     (invalid: the test has become displacement-imposed).
-    """
-    if detection_interval <= 0:
-        raise ValueError(f"detection interval must be > 0, got {detection_interval}")
-    tension, _ = fatigue_parameters(V_a, device.mechanics, device.geometry)
-    sigma_alt = tension.sigma_alt_Pa
 
-    state = DamageState.pristine()
-    pristine_meas = run_pull_in_detection(state, device, params, detection_step_V)
+    The amplitude is constant, so the Miner sum after n cycles is exactly
+    n/life: the run computes it in integers, with the first collapsing
+    count ceil(collapse_threshold*life) fixed before the first batch. Its
+    readings and outcome equal those of accumulating each batch with
+    ``damage.accumulate``, the primitive for sums whose amplitude varies,
+    and measuring with ``run_pull_in_detection``. Both cycle counts must
+    be whole numbers, the interval at least 1.
+    """
+    if not _is_whole(detection_interval) or detection_interval < 1:
+        raise ValueError(
+            f"detection interval must be a whole number >= 1, got {detection_interval}")
+    if not _is_whole(reference_cycles):
+        raise ValueError(f"reference cycles must be a whole number, got {reference_cycles}")
+    if detection_step_V <= 0:
+        raise ValueError(f"detection step must be > 0, got {detection_step_V}")
+    tension, _ = fatigue_parameters(V_a, device.mechanics, device.geometry)
+    life = cycles_to_failure(tension.sigma_alt_Pa, params, specimen)
+    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    interval, reference = int(detection_interval), int(reference_cycles)
+    if life is UNBOUNDED:
+        collapse_cycles = math.inf  # no damage accrues below the endurance
+    else:
+        # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
+        p, q = params.collapse_threshold.as_integer_ratio()
+        collapse_cycles = -(-p * life // q)
+
+    pristine_meas = _stepped_reading(pristine, 0.0, params, detection_step_V)
     detections: list[tuple[int, float]] = [(0, pristine_meas)]
     outcome = OUTCOME_SURVIVED
-    while state.cycles_applied < reference_cycles:
-        batch = min(detection_interval, reference_cycles - state.cycles_applied)
-        state = accumulate(state, sigma_alt, batch, params, specimen)
-        v = run_pull_in_detection(state, device, params, detection_step_V)
+    n = 0
+    while n < reference:
+        n = min(n + interval, reference)
+        damage = 0.0 if life is UNBOUNDED else min(n, life) / life
+        v = _stepped_reading(pristine, damage, params, detection_step_V)
         previous = detections[-1][1]
-        detections.append((state.cycles_applied, v))
-        if (state.failed or v <= (1.0 - drop_fraction) * previous
+        detections.append((n, v))
+        if (n >= collapse_cycles or v <= (1.0 - drop_fraction) * previous
                 or v < min_pullin_fraction * pristine_meas):
             outcome = OUTCOME_FAILED
             break

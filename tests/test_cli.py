@@ -70,6 +70,36 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert "geometry.gap_um" in err
 
 
+EXPLICIT_DAMAGE = {"basquin_coefficient_Pa": 1e9, "basquin_exponent": -0.3,
+                   "endurance_stress_Pa": 12e6}
+
+
+@pytest.mark.parametrize("name, value", [("detection_interval_cycles", 0.5),
+                                         ("detection_interval_cycles", 1000.5),
+                                         ("reference_cycles", 2500.5)])
+def test_fatigue_rejects_fractional_cycle_counts(tmp_path, capsys, name, value):
+    # Explicit damage parameters skip calibration, so the config check alone
+    # makes this a config error (exit 2) rather than a failed run.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model": {name: value}, "damage": EXPLICIT_DAMAGE}))
+    code, _, err = run_cli(capsys, "--config", str(bad), "--out", str(tmp_path),
+                           "fatigue", "--va", "15")
+    assert code == 2
+    assert f"model.{name}" in err
+
+
+def test_fatigue_whole_float_interval_same_bytes(tmp_path, capsys):
+    cfg = tmp_path / "float.json"
+    cfg.write_text(json.dumps({"model": {"detection_interval_cycles": 1e5}}))
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "float"),
+                         "fatigue", "--va", "14")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "--out", str(tmp_path / "int"), "fatigue", "--va", "14")
+    assert code == 0
+    assert (tmp_path / "float" / "fatigue_run.csv").read_bytes() == \
+        (tmp_path / "int" / "fatigue_run.csv").read_bytes()
+
+
 def test_missing_config_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "--config", "/nonexistent/config.json", "pullin")
     assert code == 2

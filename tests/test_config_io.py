@@ -58,6 +58,21 @@ def test_multiple_errors_collected():
     assert {"geometry.gap_um", "material.nu"} <= paths
 
 
+@pytest.mark.parametrize("name", ["detection_interval_cycles", "reference_cycles"])
+@pytest.mark.parametrize("value", [0.5, 1000.5, float("inf"), float("nan")])
+def test_cycle_counts_must_be_whole(name, value):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"model": {name: value}}))
+    assert [path for path, _ in excinfo.value.problems] == [f"model.{name}"]
+
+
+def test_whole_float_cycle_counts_accepted():
+    config = parse_config(json.dumps({"model": {"detection_interval_cycles": 1e5,
+                                                "reference_cycles": 2e6}}))
+    assert config.model.detection_interval_cycles == 100_000
+    assert config.model.reference_cycles == 2_000_000
+
+
 def test_invalid_json():
     with pytest.raises(ConfigError):
         parse_config("{not json")

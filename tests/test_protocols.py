@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from microfatigue.damage import DamageState, SpecimenStrength, cycles_to_failure
+from microfatigue.damage import (DamageState, SpecimenStrength, accumulate,
+                                 cycles_to_failure, degraded_pull_in)
 from microfatigue.electromech import pull_in_voltage_closed_form
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
@@ -26,6 +30,17 @@ def test_detection_rounds_up_to_grid(nominal_device, calibrated_params):
     assert measured >= pristine
     assert measured - pristine < 0.05 + 1e-9
     assert measured / 0.05 == pytest.approx(round(measured / 0.05), abs=1e-6)
+
+
+@pytest.mark.parametrize("damage", [Fraction(1, 3), Fraction(4, 5), Fraction(1)])
+def test_damaged_detection_rounds_degraded_pull_in_up(nominal_device, calibrated_params,
+                                                      damage):
+    d = nominal_device
+    state = replace(DamageState.pristine(), damage=damage)
+    degraded = degraded_pull_in(state, d.mechanics, d.geometry, calibrated_params)
+    measured = run_pull_in_detection(state, d, calibrated_params, 0.05)
+    assert measured >= degraded
+    assert measured - degraded < 0.05 + 1e-9
 
 
 def test_detection_adds_no_damage(nominal_device, calibrated_params):
@@ -108,6 +123,96 @@ def test_displacement_imposed_guard(nominal_device, calibrated_params):
 def test_run_rejects_amplitude_at_pull_in(nominal_device, calibrated_params):
     with pytest.raises(ValueError):
         run_fatigue_test(27.0, SpecimenStrength(1.0), nominal_device, calibrated_params)
+
+
+@pytest.mark.parametrize("counts", [
+    {"detection_interval": 0.5}, {"detection_interval": 1000.5},
+    {"detection_interval": 0}, {"detection_interval": math.nan},
+    {"reference_cycles": 2500.5}, {"reference_cycles": math.inf},
+])
+def test_run_rejects_counts_that_are_not_whole(nominal_device, calibrated_params, counts):
+    with pytest.raises(ValueError):
+        run_fatigue_test(14.0, SpecimenStrength(1.0), nominal_device, calibrated_params,
+                         **counts)
+
+
+def reference_fatigue_run(V_a, specimen, device, params, detection_interval,
+                          reference_cycles, detection_step_V, drop_fraction,
+                          min_pullin_fraction):
+    """The batch-by-batch loop: accumulate each batch, then measure."""
+    sigma_alt = fatigue_parameters(V_a, device.mechanics, device.geometry)[0].sigma_alt_Pa
+    state = DamageState.pristine()
+    pristine_meas = run_pull_in_detection(state, device, params, detection_step_V)
+    detections = [(0, pristine_meas)]
+    outcome = OUTCOME_SURVIVED
+    while state.cycles_applied < reference_cycles:
+        batch = min(detection_interval, reference_cycles - state.cycles_applied)
+        state = accumulate(state, sigma_alt, batch, params, specimen)
+        v = run_pull_in_detection(state, device, params, detection_step_V)
+        previous = detections[-1][1]
+        detections.append((state.cycles_applied, v))
+        if (state.failed or v <= (1.0 - drop_fraction) * previous
+                or v < min_pullin_fraction * pristine_meas):
+            outcome = OUTCOME_FAILED
+            break
+        if v <= V_a:
+            outcome = OUTCOME_INVALID
+            break
+    return detections, outcome
+
+
+@given(rnd=st.randoms(use_true_random=True),
+       as_float=st.booleans(),
+       onset=st.floats(0.05, 0.9),
+       collapse=st.floats(0.0, 1.0),
+       hardening_amplitude=st.sampled_from([0.0, 0.3, 1.5]),
+       softening_exponent=st.sampled_from([0.05, 0.2, 1.0]),
+       step_V=st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+       drop_fraction=st.sampled_from([0.05, 0.2, 0.5]),
+       min_pullin_fraction=st.sampled_from([0.1, 0.5, 0.9]))
+@settings(max_examples=300, deadline=None)
+def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params, rnd,
+                                              as_float, onset, collapse,
+                                              hardening_amplitude, softening_exponent,
+                                              step_V, drop_fraction, min_pullin_fraction):
+    # Amplitude, strength and counts are drawn uniformly: hypothesis' own
+    # number strategies favour small values, which here mostly means runs
+    # below the endurance. At most 300 batches per run, and a reference
+    # count the interval need not divide, including 0 and 1.
+    d = nominal_device
+    params = replace(calibrated_params, hardening_onset=onset,
+                     collapse_threshold=1.0 if collapse <= onset else collapse,
+                     hardening_amplitude=hardening_amplitude,
+                     softening_exponent=softening_exponent)
+    V_a = rnd.random() * 0.999 * pull_in_voltage_closed_form(
+        d.mechanics, d.geometry).pull_in_voltage_V
+    specimen = SpecimenStrength(rnd.uniform(0.5, 2.0))
+    life = cycles_to_failure(sigma_alt(d, V_a), params, specimen)
+    interval = rnd.randint(1, 300_000)
+    choice = rnd.random()
+    if choice < 0.1:
+        reference = rnd.choice([0, 1])
+    elif choice < 0.4 and life is not None:
+        # End the run on, or next to, the first count whose Miner sum
+        # reaches the collapse threshold.
+        collapse_cycles = math.ceil(Fraction(params.collapse_threshold) * life)
+        reference = max(0, collapse_cycles + rnd.choice([-1, 0, 1]))
+        interval = rnd.randint(max(1, reference // 300), max(1, reference))
+    else:
+        reference = rnd.randint(0, 300) * interval + rnd.randrange(interval)
+    if as_float:
+        interval, reference = float(interval), float(reference)
+    kwargs = dict(detection_interval=interval, reference_cycles=reference,
+                  detection_step_V=step_V, drop_fraction=drop_fraction,
+                  min_pullin_fraction=min_pullin_fraction)
+    record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
+    detections, outcome = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+    assert record.detections == tuple(detections)
+    assert [type(n) for n, _ in record.detections] == [type(n) for n, _ in detections]
+    assert record.outcome == outcome
+    assert record.drive_amplitude_V == V_a
+    assert record.reference_cycles == reference
+    assert type(record.reference_cycles) is type(reference)
 
 
 def test_staircase_reproduces_published_sequence(nominal_device, calibrated_params):
