@@ -10,7 +10,8 @@ from .damage import (DamageModelParams, DamageState, SpecimenStrength,
 from .device import (Device, DeviceGeometry, DerivedMechanics, Material,
                      C_K_RESONANCE_PRESET, derive_mechanics, validate_geometry)
 from .electromech import (EquilibriumPoint, PullInResult, electrostatic_force,
-                          natural_frequency, pull_in_voltage, static_equilibrium,
+                          natural_frequency, pull_in_voltage_closed_form,
+                          pull_in_voltage_sweep, static_equilibrium,
                           stress_conversion_curve)
 from .errors import (CalibrationError, ConfigError, EstimationError,
                      MicrofatigueError, SolverError)

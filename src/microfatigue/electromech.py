@@ -1,8 +1,9 @@
 """Reduced-order electrostatic actuator physics.
 
-Parallel-plate force balance, static deflection vs DC voltage, pull-in
-instability (closed form and numerical voltage sweep), natural frequency
-and the drive-voltage -> bending-stress conversion curve.
+Parallel-plate force balance, static deflection vs DC voltage (closed-form
+cubic root with Newton polish), pull-in instability (closed form and
+numerical voltage sweep), natural frequency and the drive-voltage ->
+bending-stress conversion curve.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .device import DeviceGeometry, DerivedMechanics
 from .errors import SolverError
@@ -55,43 +55,51 @@ def _bending_stress(x: float, mech: DerivedMechanics, geom: DeviceGeometry) -> f
             / (4.0 * mech.area_moment_m4 * mech.stiffness_calibration))
 
 
+def _drive_scale_and_capacity(mech: DerivedMechanics,
+                              geom: DeviceGeometry) -> tuple[float, float]:
+    # eps0*A, so that the drive at voltage V is eps0*A*V*V/2, and the
+    # restoring-force capacity k*x*(g-x)^2 at the stability bound x = g/3
+    # (= 4*k*g^3/27): a stable root exists iff the drive stays below it.
+    g = geom.gap_m
+    x_limit = g * STABLE_FRACTION
+    return (EPSILON_0 * mech.effective_area_m2,
+            mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
+
+
 def static_equilibrium(V: float, mech: DerivedMechanics,
                        geom: DeviceGeometry) -> EquilibriumPoint | None:
     """Stable static deflection under DC voltage V, or None at/above pull-in.
 
     Solves k*x*(g-x)^2 = eps0*A*V^2/2 for the root on the stable branch
-    x < g/3 by bracketed root finding.
+    x < g/3 by the closed-form cubic root with Newton polish.
     """
     if V < 0:
         raise ValueError(f"voltage must be >= 0, got {V}")
     if V == 0.0:
         return EquilibriumPoint(0.0, 0.0, 0.0, stable=True)
 
-    g = geom.gap_m
-    k = mech.suspension_stiffness_N_m
-    drive = EPSILON_0 * mech.effective_area_m2 * V * V / 2.0
-    x_limit = g * STABLE_FRACTION
-    capacity = k * x_limit * (g - x_limit) ** 2  # = 4*k*g^3/27
+    drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
+    drive = drive_scale * V * V / 2.0
     if drive >= capacity:
         return None  # pull-in: no stable equilibrium exists
 
-    def residual(x: float) -> float:
-        return k * x * (g - x) ** 2 - drive
-
-    try:
-        x = brentq(residual, 0.0, x_limit, xtol=g * 1e-15, rtol=1e-13, maxiter=200)
-    except RuntimeError as exc:  # pragma: no cover - brentq converges for this bracket
-        raise SolverError(f"static equilibrium solve failed at V={V}: {exc}") from exc
-    return EquilibriumPoint(V, x, _bending_stress(x, mech, geom), stable=True)
-
-
-def _equilibrium_exists(V: float, mech: DerivedMechanics, geom: DeviceGeometry) -> bool:
-    # A stable root exists iff the drive term stays below the restoring-force
-    # capacity at the stability bound x = g/3; cheap check used by the sweep.
+    # With u = x/g the balance is u*(1-u)^2 = q, q in [0, 4/27). Its root on
+    # [0, 1/3] is Viete's trigonometric solution; rounding can push the acos
+    # argument just past 1 below pull-in. Newton steps remove the cancellation
+    # of 2 + 2*cos(...) at small q. They stop where the slope falls to 0.1
+    # (u near 0.29): closer to pull-in a step is rounding noise over a flat
+    # residual, less accurate than Viete's root and not monotone in V.
     g = geom.gap_m
-    x_limit = g * STABLE_FRACTION
-    capacity = mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2
-    return EPSILON_0 * mech.effective_area_m2 * V * V / 2.0 < capacity
+    q = drive / (mech.suspension_stiffness_N_m * g**3)
+    u = (2.0 + 2.0 * math.cos(math.acos(min(13.5 * q - 1.0, 1.0)) / 3.0
+                              - 4.0 * math.pi / 3.0)) / 3.0
+    for _ in range(3):
+        slope = (1.0 - u) * (1.0 - 3.0 * u)
+        if slope <= 0.1:
+            break
+        u -= (u * (1.0 - u) ** 2 - q) / slope
+    x = min(max(u, 0.0), STABLE_FRACTION) * g
+    return EquilibriumPoint(V, x, _bending_stress(x, mech, geom), stable=True)
 
 
 def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) -> PullInResult:
@@ -111,41 +119,30 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     """
     if step_V <= 0:
         raise ValueError(f"sweep step must be > 0, got {step_V}")
+    drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
     v = step_V
     steps = 0
-    while _equilibrium_exists(v, mech, geom):
+    while drive_scale * v * v / 2.0 < capacity:
         v += step_V
         steps += 1
         if steps > max_steps:
             raise SolverError(f"pull-in sweep exceeded {max_steps} steps at {v} V")
     lo, hi = max(v - step_V, 0.0), v
-    while hi - lo > tol_V:
+    detected = None
+    # The deflection approaches its instability value like sqrt(V_PI - V), so
+    # the bracket is refined past tol_V (the detected voltage) before reading it.
+    while detected is None or hi - lo > 1e-8 * hi:
+        if detected is None and hi - lo <= tol_V:
+            detected = 0.5 * (lo + hi)
+            continue
         mid = 0.5 * (lo + hi)
-        if _equilibrium_exists(mid, mech, geom):
-            lo = mid
-        else:
-            hi = mid
-    detected = 0.5 * (lo + hi)
-    # The deflection approaches its instability value like sqrt(V_PI - V),
-    # so the voltage bracket is refined further before reading it off.
-    while hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if _equilibrium_exists(mid, mech, geom):
+        if drive_scale * mid * mid / 2.0 < capacity:
             lo = mid
         else:
             hi = mid
     eq = static_equilibrium(lo, mech, geom)
     deflection = eq.deflection_m if eq is not None else geom.gap_m * STABLE_FRACTION
     return PullInResult(detected, deflection, method="sweep")
-
-
-def pull_in_voltage(mech: DerivedMechanics, geom: DeviceGeometry,
-                    method: str = "closed-form", step_V: float = 0.05) -> PullInResult:
-    if method == "closed-form":
-        return pull_in_voltage_closed_form(mech, geom)
-    if method == "sweep":
-        return pull_in_voltage_sweep(mech, geom, step_V=step_V)
-    raise ValueError(f"unknown pull-in method {method!r}")
 
 
 def natural_frequency(mech: DerivedMechanics) -> float:

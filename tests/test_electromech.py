@@ -1,12 +1,18 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import microfatigue
 from microfatigue.device import Device, DeviceGeometry, Material, derive_mechanics
-from microfatigue.electromech import (EPSILON_0, electrostatic_force,
+from microfatigue.electromech import (EPSILON_0, STABLE_FRACTION, electrostatic_force,
                                       natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
@@ -205,3 +211,115 @@ def test_conversion_curve_rejects_vmax_above_pull_in(nominal_device):
     d = nominal_device
     with pytest.raises(ValueError):
         stress_conversion_curve(d.mechanics, d.geometry, V_max=30.0)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(microfatigue.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, microfatigue; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
+# The nominal device, or one varied the way the benchmark's device
+# characterisation varies it; every variant keeps pull-in above 21 V.
+DEVICES = st.one_of(
+    st.just(Device.nominal()),
+    st.builds(lambda gap_um, thickness_um, c_k: Device.assemble(
+        DeviceGeometry(gap_um=gap_um, specimen_thickness_um=thickness_um), Material(),
+        c_k=c_k),
+        st.floats(2.85, 3.3), st.floats(1.75, 2.0), st.floats(1.0, 2.5)))
+
+
+def drive_and_capacity(V, mech, geom):
+    g = geom.gap_m
+    x_limit = g * STABLE_FRACTION
+    return (EPSILON_0 * mech.effective_area_m2 * V * V / 2.0,
+            mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
+
+
+@given(device=DEVICES, fraction=st.floats(0.0, 0.9, exclude_min=True))
+@settings(max_examples=300, deadline=None)
+def test_equilibrium_within_16_ulp_of_exact_root(device, fraction):
+    mech, geom = device.mechanics, device.geometry
+    V = fraction * pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+    x = static_equilibrium(V, mech, geom).deflection_m
+    k, g = Fraction(mech.suspension_stiffness_N_m), Fraction(geom.gap_m)
+    drive = Fraction(drive_and_capacity(V, mech, geom)[0])
+
+    def residual(y):
+        return k * y * (g - y) ** 2 - drive
+
+    # Exact residual on the float inputs: the true root lies within 16 ulp.
+    margin = 16 * Fraction(math.ulp(x))
+    assert residual(Fraction(x) - margin) <= 0 <= residual(Fraction(x) + margin)
+
+
+# Only stiffness, area and gap enter the solve. On the first float below this
+# device's pull-in, 13.5*q - 1 rounds to just above 1, outside acos' domain.
+ACOS_ARGUMENT_PAST_ONE = Device(
+    geometry=DeviceGeometry(gap_um=1.6628004442445596), material=Material(),
+    mechanics=dataclasses.replace(Device.nominal().mechanics,
+                                  suspension_stiffness_N_m=75.72536804548639,
+                                  effective_area_m2=1.4749716561769721e-08))
+
+
+@given(device=DEVICES)
+@example(device=ACOS_ARGUMENT_PAST_ONE)
+@settings(max_examples=100, deadline=None)
+def test_equilibrium_robust_in_last_floats_below_pull_in(device):
+    mech, geom = device.mechanics, device.geometry
+    V = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+    deflections = []
+    for _ in range(60):
+        V = math.nextafter(V, 0.0)
+        eq = static_equilibrium(V, mech, geom)
+        drive, capacity = drive_and_capacity(V, mech, geom)
+        if drive >= capacity:
+            assert eq is None
+            continue
+        assert 0.0 <= eq.deflection_m <= geom.gap_m / 3.0
+        deflections.append(eq.deflection_m)
+    assert deflections
+    # V steps down, so the deflection may not grow.
+    assert all(b <= a for a, b in zip(deflections, deflections[1:]))
+
+
+def two_loop_sweep(mech, geom, step_V, tol_V):
+    """Reference: the step-and-bisect sweep as two separate bisection loops."""
+    def exists(v):
+        drive, capacity = drive_and_capacity(v, mech, geom)
+        return drive < capacity
+
+    v = step_V
+    while exists(v):
+        v += step_V
+    lo, hi = max(v - step_V, 0.0), v
+    while hi - lo > tol_V:
+        mid = 0.5 * (lo + hi)
+        if exists(mid):
+            lo = mid
+        else:
+            hi = mid
+    detected = 0.5 * (lo + hi)
+    while hi - lo > 1e-8 * hi:
+        mid = 0.5 * (lo + hi)
+        if exists(mid):
+            lo = mid
+        else:
+            hi = mid
+    eq = static_equilibrium(lo, mech, geom)
+    deflection = eq.deflection_m if eq is not None else geom.gap_m * STABLE_FRACTION
+    return detected, deflection
+
+
+@given(device=DEVICES, step_V=st.floats(0.01, 60.0), tol_V=st.floats(1e-12, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_two_loop_reference(device, step_V, tol_V):
+    mech, geom = device.mechanics, device.geometry
+    res = pull_in_voltage_sweep(mech, geom, step_V=step_V, tol_V=tol_V)
+    assert (res.pull_in_voltage_V, res.deflection_at_instability_m) == \
+        two_loop_sweep(mech, geom, step_V, tol_V)
