@@ -5,6 +5,8 @@ drivers, stair-case fatigue-limit estimation (Dixon-Mood) and Basquin
 S-N fitting, behind a deterministic config/CSV/JSON command line.
 """
 
+__version__ = "0.1.0"  # set before the submodules import it
+
 from .damage import (DamageModelParams, DamageState, SpecimenStrength,
                      accumulate, cycles_to_failure, degraded_pull_in)
 from .device import (Device, DeviceGeometry, DerivedMechanics, Material,
@@ -22,5 +24,3 @@ from .protocols import (FatigueRunRecord, SpecimenPopulation, StairCaseSequence,
                         run_fatigue_test, run_pull_in_detection, run_stair_case)
 from .stats import (BasquinFit, StairCaseEstimate, WohlerPoint, dixon_mood,
                     estimator_recovery_trial, fit_basquin)
-
-__version__ = "0.1.0"

@@ -130,13 +130,8 @@ def _cmd_fatigue(args, config) -> int:
         else config.damage.calibrate_target_V_D
     specimen = SpecimenStrength(
         protocols.strength_scale_from_threshold(threshold, device, params))
-    record = protocols.run_fatigue_test(
-        args.va, specimen, device, params,
-        detection_interval=config.model.detection_interval_cycles,
-        reference_cycles=config.model.reference_cycles,
-        detection_step_V=config.model.detection_step_V,
-        drop_fraction=config.model.drop_fraction,
-        min_pullin_fraction=config.model.min_pullin_fraction)
+    record = protocols.run_fatigue_test(args.va, specimen, device, params,
+                                        **config.model.run_kwargs())
     out = _out_dir(args, config)
     path = out / "fatigue_run.csv"
     path.write_text(emit_fatigue_run(record))
@@ -154,6 +149,7 @@ def _cmd_fatigue(args, config) -> int:
 def _cmd_staircase(args, config) -> int:
     device = config.device()
     params = config.damage_params(device)
+    config.check_campaign(device)
     camp = config.campaign
     population = protocols.build_population(
         camp.master_seed, camp.strength_mean_V, camp.strength_std_V,
@@ -161,12 +157,7 @@ def _cmd_staircase(args, config) -> int:
         thresholds_V=list(camp.strengths_V) if camp.strengths_V else None)
     sequence, records = protocols.run_stair_case(
         list(camp.levels_V), camp.step_V, camp.start_level_V,
-        camp.n_specimens, population, device, params,
-        detection_interval=config.model.detection_interval_cycles,
-        reference_cycles=config.model.reference_cycles,
-        detection_step_V=config.model.detection_step_V,
-        drop_fraction=config.model.drop_fraction,
-        min_pullin_fraction=config.model.min_pullin_fraction)
+        camp.n_specimens, population, device, params, **config.model.run_kwargs())
     estimate = stats.dixon_mood(sequence)
 
     out = _out_dir(args, config)
@@ -229,10 +220,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.show_defaults:

@@ -3,33 +3,32 @@
 Unit conversion happens here and only here: geometry arrives in microns,
 the Young modulus in GPa and the density in kg/um^3, matching the device
 data sheet. An empty config resolves to the nominal device and the
-published protocol constants.
+published protocol constants. Each default and bound is stated once, by
+its owner (``device.DeviceGeometry`` is the geometry section). A value is
+checked against its field annotation, then against the owners'
+validators; every fault is a ConfigError naming its field path.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import typing
 from dataclasses import asdict, dataclass, field, fields
 
 from .damage import DamageModelParams
 from .device import Device, DeviceGeometry, Material, validate_geometry, validate_material
-from .errors import ConfigError
-from .protocols import calibrate_defaults
+from .errors import CalibrationError, ConfigError
+from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
+                        DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
+                        DEFAULT_REFERENCE_CYCLES, calibrate_defaults, validate_stair_case)
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    specimen_length_um: float = 50.0
-    specimen_width_um: float = 10.0
-    specimen_thickness_um: float = 1.8
-    plate_length_um: float = 420.0
-    plate_width_um: float = 180.0
-    plate_thickness_um: float = 4.8
-    gap_um: float = 3.0
-    hole_side_um: float = 20.0
-    hole_count: int = 40
-    electrode_length_um: float = 420.0
-    electrode_width_um: float = 460.0
+# Field metadata of a range that no owner checks before a run: (test, rule).
+_ABOVE_ZERO = {"bound": (lambda v: v > 0, "> 0")}
+_NOT_NEGATIVE = {"bound": (lambda v: v >= 0, ">= 0")}
+_AT_LEAST_ONE = {"bound": (lambda v: v >= 1, ">= 1")}
+_FRACTION = {"bound": (lambda v: 0 < v < 1, "in (0, 1)")}
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,22 @@ class MaterialConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    c_k: float = 1.0
-    sweep_step_V: float = 0.05
-    detection_step_V: float = 0.05
-    detection_interval_cycles: int = 100_000
-    reference_cycles: int = 2_000_000
-    drop_fraction: float = 0.2
-    min_pullin_fraction: float = 0.5
+    c_k: float = field(default=1.0, metadata=_ABOVE_ZERO)
+    sweep_step_V: float = field(default=0.05, metadata=_ABOVE_ZERO)
+    detection_step_V: float = field(default=DEFAULT_DETECTION_STEP_V, metadata=_ABOVE_ZERO)
+    detection_interval_cycles: int = field(default=DEFAULT_DETECTION_INTERVAL,
+                                           metadata=_AT_LEAST_ONE)
+    reference_cycles: int = field(default=DEFAULT_REFERENCE_CYCLES, metadata=_AT_LEAST_ONE)
+    drop_fraction: float = field(default=DEFAULT_DROP_FRACTION, metadata=_FRACTION)
+    min_pullin_fraction: float = field(default=DEFAULT_MIN_PULLIN_FRACTION, metadata=_FRACTION)
+
+    def run_kwargs(self) -> dict:
+        """Keyword arguments of ``protocols.run_fatigue_test`` set by this section."""
+        return dict(detection_interval=self.detection_interval_cycles,
+                    reference_cycles=self.reference_cycles,
+                    detection_step_V=self.detection_step_V,
+                    drop_fraction=self.drop_fraction,
+                    min_pullin_fraction=self.min_pullin_fraction)
 
 
 @dataclass(frozen=True)
@@ -64,16 +72,10 @@ class DamageConfig:
     basquin_coefficient_Pa: float | None = None
     basquin_exponent: float | None = None
     endurance_stress_Pa: float | None = None
-    hardening_amplitude: float = 0.3
-    hardening_onset: float = 0.7
-    collapse_threshold: float = 1.0
-    softening_exponent: float = 0.2
-
-    @property
-    def explicit(self) -> bool:
-        return (self.basquin_coefficient_Pa is not None
-                and self.basquin_exponent is not None
-                and self.endurance_stress_Pa is not None)
+    hardening_amplitude: float = DamageModelParams.hardening_amplitude
+    hardening_onset: float = DamageModelParams.hardening_onset
+    collapse_threshold: float = DamageModelParams.collapse_threshold
+    softening_exponent: float = DamageModelParams.softening_exponent
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,9 @@ class CampaignConfig:
     step_V: float = 1.0
     start_level_V: float = 15.0
     n_specimens: int = 6
-    strength_mean_V: float = 13.0
-    strength_std_V: float = 0.55
-    master_seed: int = 20080409
+    strength_mean_V: float = field(default=13.0, metadata=_ABOVE_ZERO)
+    strength_std_V: float = field(default=0.55, metadata=_NOT_NEGATIVE)
+    master_seed: int = field(default=20080409, metadata=_NOT_NEGATIVE)
     strengths_V: tuple[float, ...] | None = None  # explicit thresholds override the draw
 
 
@@ -96,7 +98,7 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
+    geometry: DeviceGeometry = field(default_factory=DeviceGeometry)
     material: MaterialConfig = field(default_factory=MaterialConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     damage: DamageConfig = field(default_factory=DamageConfig)
@@ -104,77 +106,85 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def device(self) -> Device:
-        geom = DeviceGeometry(**asdict(self.geometry))
-        mat = Material.from_paper_units(self.material.E_GPa, self.material.nu,
-                                        self.material.rho_kg_per_um3)
-        return Device.assemble(geom, mat, c_k=self.model.c_k)
+        mat = Material.from_paper_units(**vars(self.material))
+        return Device.assemble(self.geometry, mat, c_k=self.model.c_k)
+
+    def check_campaign(self, device: Device) -> None:
+        """Raise ConfigError for the campaign faults that span fields or need the device."""
+        camp = self.campaign
+        n_available = len(camp.strengths_V) if camp.strengths_V else camp.n_specimens
+        problems = validate_stair_case(camp.levels_V, camp.step_V, camp.start_level_V,
+                                       camp.n_specimens, n_available, device)
+        if problems:
+            raise ConfigError(_located("campaign", problems))
 
     def damage_params(self, device: Device | None = None) -> DamageModelParams:
-        shape = dict(
-            hardening_amplitude=self.damage.hardening_amplitude,
-            hardening_onset=self.damage.hardening_onset,
-            collapse_threshold=self.damage.collapse_threshold,
-            softening_exponent=self.damage.softening_exponent,
-        )
-        if self.damage.explicit:
-            return DamageModelParams(
-                basquin_coefficient_Pa=self.damage.basquin_coefficient_Pa,
-                basquin_exponent=self.damage.basquin_exponent,
-                endurance_stress_Pa=self.damage.endurance_stress_Pa,
-                **shape)
-        if device is None:
+        """The explicit Basquin fields, or a calibration to the damage targets;
+        ConfigError names the damage or model field at fault."""
+        d = self.damage
+        values = {f.name: getattr(d, f.name) for f in fields(DamageModelParams)}
+        calibrate = None in values.values()  # only the Basquin fields may be None
+        if calibrate and device is None:
             device = self.device()
-        calibrated = calibrate_defaults(
-            device,
-            target_V_D=self.damage.calibrate_target_V_D,
-            target_immediate_V=self.damage.calibrate_immediate_V,
-            detection_interval=self.model.detection_interval_cycles,
-            reference_cycles=self.model.reference_cycles)
-        return DamageModelParams(
-            basquin_coefficient_Pa=calibrated.basquin_coefficient_Pa,
-            basquin_exponent=calibrated.basquin_exponent,
-            endurance_stress_Pa=calibrated.endurance_stress_Pa,
-            **shape)
+        try:
+            if calibrate:
+                calibrated = calibrate_defaults(
+                    device, target_V_D=d.calibrate_target_V_D,
+                    target_immediate_V=d.calibrate_immediate_V,
+                    detection_interval=self.model.detection_interval_cycles,
+                    reference_cycles=self.model.reference_cycles)
+                values.update((name, getattr(calibrated, name)) for name in _BASQUIN)
+            return DamageModelParams(**values)
+        except (CalibrationError, ValueError) as exc:
+            raise ConfigError(_located("damage", [str(exc)])) from exc
 
 
-_SECTIONS = {
-    "geometry": GeometryConfig,
-    "material": MaterialConfig,
-    "model": ModelConfig,
-    "damage": DamageConfig,
-    "campaign": CampaignConfig,
-    "output": OutputConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
+_BOUNDS = [(key, f.name, *f.metadata["bound"]) for key, cls in _SECTIONS.items()
+           for f in fields(cls) if f.metadata]
 
-_TUPLE_FIELDS = {"levels_V", "strengths_V", "formats"}
+# Field annotations resolved once: the type every supplied value is checked against.
+_HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
-_POSITIVE = {
-    "geometry": {"specimen_length_um", "specimen_width_um", "specimen_thickness_um",
-                 "plate_length_um", "plate_width_um", "plate_thickness_um", "gap_um",
-                 "electrode_length_um", "electrode_width_um"},
-    "material": {"E_GPa", "rho_kg_per_um3"},
-    "model": {"c_k", "sweep_step_V", "detection_step_V",
-              "detection_interval_cycles", "reference_cycles"},
-    "campaign": {"step_V", "n_specimens", "strength_mean_V"},
-}
+_BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
-# Cycle counts: a JSON float such as 1e5 is accepted when it is whole.
-_WHOLE = {"model": {"detection_interval_cycles", "reference_cycles"}}
+# Config paths of the names that owners' "name: text" messages start with,
+# where the name is not a field of the section being checked.
+_PATHS = {"youngs_modulus_Pa": "material.E_GPa", "poisson_ratio": "material.nu",
+          "density_kg_m3": "material.rho_kg_per_um3",
+          "target_V_D": "damage.calibrate_target_V_D",
+          "target_immediate_V": "damage.calibrate_immediate_V",
+          "detection_interval": "model.detection_interval_cycles",
+          "reference_cycles": "model.reference_cycles", "population": "campaign.strengths_V"}
 
 
-def _coerce(section: str, name: str, value, problems: list) -> object:
-    path = f"{section}.{name}"
-    if name in _TUPLE_FIELDS:
+def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:
+    """(config path, text) pairs of an owner's "name: text" messages."""
+    return [(_PATHS.get(name, f"{section}.{name}"), text)
+            for name, _, text in (message.partition(": ") for message in messages)]
+
+
+def _typed(hint, path: str, value, problems: list):
+    """value checked against its field annotation hint, faults added to problems:
+    float takes a finite number, int a whole one (a whole float becomes an int),
+    tuple[X, ...] a JSON list, str a string; ``| None`` also takes null."""
+    if type(None) in typing.get_args(hint):
         if value is None:
             return None
-        if not isinstance(value, (list, tuple)):
-            problems.append((path, f"expected a list, got {type(value).__name__}"))
-            return None
-        return tuple(value)
-    if isinstance(value, bool):
-        problems.append((path, "expected a number or string, got a boolean"))
-        return None
-    return value
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(item, f"{path}[{i}]", v, problems) for i, v in enumerate(value))
+    # Within the float range, so NaN and +-Infinity fail; bool is not a number here.
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    if (hint is str and isinstance(value, str)) or (hint is float and number):
+        return value
+    if hint is int and number and float(value).is_integer():
+        return int(value)
+    expected = {str: "a string", float: "a finite number", int: "a whole number"}
+    problems.append((path, f"expected {expected.get(hint, 'a list')}, got {value!r}"))
+    return None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -192,61 +202,37 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SECTIONS:
             problems.append((key, f"unknown section (expected one of {sorted(_SECTIONS)})"))
             continue
-        cls = _SECTIONS[key]
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
         if not isinstance(value, dict):
             problems.append((key, "section must be a JSON object"))
             continue
+        hints = _HINTS[key]
+        kwargs = {}
         for name, field_value in value.items():
-            if name not in known:
+            if name not in hints:
                 problems.append((f"{key}.{name}", "unknown key"))
                 continue
-            kwargs[name] = _coerce(key, name, field_value, problems)
-        try:
-            sections[key] = cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            problems.append((key, str(exc)))
+            kwargs[name] = _typed(hints[name], f"{key}.{name}", field_value, problems)
+        sections[key] = _SECTIONS[key](**kwargs)
 
-    config = RunConfig(**sections) if not problems else None
-    if config is not None:
-        problems.extend(_range_check(config))
+    if not problems:
+        config = RunConfig(**sections)
+        problems = _range_check(config)
     if problems:
         raise ConfigError(problems)
     return config
 
 
 def _range_check(config: RunConfig) -> list[tuple[str, str]]:
-    problems = []
-    for section, names in _POSITIVE.items():
-        block = getattr(config, section)
-        for name in names:
-            value = getattr(block, name)
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append((f"{section}.{name}", f"must be a positive number, got {value!r}"))
-            elif (name in _WHOLE.get(section, ())
-                  and isinstance(value, float) and not value.is_integer()):
-                problems.append((f"{section}.{name}", f"must be a whole number, got {value!r}"))
-    if not 0.0 <= config.material.nu < 0.5:
-        problems.append(("material.nu", f"must lie in [0, 0.5), got {config.material.nu}"))
-    if not 0.0 < config.model.drop_fraction < 1.0:
-        problems.append(("model.drop_fraction",
-                         f"must lie in (0, 1), got {config.model.drop_fraction}"))
-    if not 0.0 < config.model.min_pullin_fraction < 1.0:
-        problems.append(("model.min_pullin_fraction",
-                         f"must lie in (0, 1), got {config.model.min_pullin_fraction}"))
-    if config.campaign.strength_std_V < 0:
-        problems.append(("campaign.strength_std_V",
-                         f"must be >= 0, got {config.campaign.strength_std_V}"))
-    if not problems:
-        # Device-level invariants (hole area, gap regime) on the assembled geometry.
-        geom = DeviceGeometry(**asdict(config.geometry))
-        for msg in validate_geometry(geom):
-            problems.append((f"geometry.{msg.split(':')[0]}", msg.split(':', 1)[1].strip()))
-        mat = Material.from_paper_units(config.material.E_GPa, config.material.nu,
-                                        config.material.rho_kg_per_um3)
-        for msg in validate_material(mat):
-            problems.append((f"material.{msg.split(':')[0]}", msg.split(':', 1)[1].strip()))
+    problems = _located("geometry", validate_geometry(config.geometry))
+    mat = Material.from_paper_units(**vars(config.material))
+    problems += _located("material", validate_material(mat))
+    for key, name, holds, rule in _BOUNDS:
+        value = getattr(getattr(config, key), name)
+        if not holds(value):
+            problems.append((f"{key}.{name}", f"must be {rule}, got {value!r}"))
+    given = [name for name in _BASQUIN if getattr(config.damage, name) is not None]
+    if 0 < len(given) < len(_BASQUIN):
+        problems.append(("damage", f"give all three Basquin fields or none, got only {given}"))
     return problems
 
 

@@ -37,19 +37,21 @@ class DamageModelParams:
 
     def __post_init__(self):
         if self.basquin_coefficient_Pa <= 0:
-            raise ValueError(f"basquin_coefficient_Pa must be > 0, got {self.basquin_coefficient_Pa}")
+            raise ValueError(f"basquin_coefficient_Pa: must be > 0, got {self.basquin_coefficient_Pa}")
         if self.basquin_exponent >= 0:
-            raise ValueError(f"basquin_exponent must be < 0, got {self.basquin_exponent}")
-        if self.endurance_stress_Pa < 0:
-            raise ValueError(f"endurance_stress_Pa must be >= 0, got {self.endurance_stress_Pa}")
+            raise ValueError(f"basquin_exponent: must be < 0, got {self.basquin_exponent}")
+        if self.endurance_stress_Pa <= 0:  # specimen strength scales are ratios to it
+            raise ValueError(f"endurance_stress_Pa: must be > 0, got {self.endurance_stress_Pa}")
         if self.hardening_amplitude < 0:
-            raise ValueError(f"hardening_amplitude must be >= 0, got {self.hardening_amplitude}")
-        if not 0.0 < self.hardening_onset < self.collapse_threshold <= 1.0:
+            raise ValueError(f"hardening_amplitude: must be >= 0, got {self.hardening_amplitude}")
+        if not 0.0 < self.collapse_threshold <= 1.0:
+            raise ValueError(f"collapse_threshold: must lie in (0, 1], got {self.collapse_threshold}")
+        if not 0.0 < self.hardening_onset < self.collapse_threshold:
             raise ValueError(
-                f"need 0 < hardening_onset < collapse_threshold <= 1, "
+                f"hardening_onset: need 0 < hardening_onset < collapse_threshold, "
                 f"got {self.hardening_onset}, {self.collapse_threshold}")
         if self.softening_exponent <= 0:
-            raise ValueError(f"softening_exponent must be > 0, got {self.softening_exponent}")
+            raise ValueError(f"softening_exponent: must be > 0, got {self.softening_exponent}")
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,22 @@ class DamageState:
         return cls(damage=Fraction(0), cycles_applied=0, hardened=False, failed=False)
 
 
-UNBOUNDED = None  # marker returned by cycles_to_failure below the endurance
+UNBOUNDED = None  # marker returned by cycles_to_failure: no cycle count fails the specimen
 
 
 def cycles_to_failure(sigma_alt_Pa: float, params: DamageModelParams,
                       specimen: SpecimenStrength = SpecimenStrength()) -> int | None:
-    """Basquin life at stress amplitude sigma_alt, or None below the endurance."""
+    """Basquin life at stress amplitude sigma_alt, or None below the endurance
+    or beyond the float range (no cycle count reaches it)."""
     if sigma_alt_Pa < 0:
         raise ValueError(f"stress amplitude must be >= 0, got {sigma_alt_Pa}")
     s = specimen.strength_scale
     if sigma_alt_Pa <= s * params.endurance_stress_Pa:
         return UNBOUNDED
-    n = (sigma_alt_Pa / (s * params.basquin_coefficient_Pa)) ** (1.0 / params.basquin_exponent)
+    try:
+        n = (sigma_alt_Pa / (s * params.basquin_coefficient_Pa)) ** (1.0 / params.basquin_exponent)
+    except (OverflowError, ZeroDivisionError):  # ratio 0 when s*coefficient overflowed
+        return UNBOUNDED
     return max(1, round(n))
 
 

@@ -18,7 +18,8 @@ class DeviceGeometry:
     """Nominal layout dimensions in microns.
 
     Defaults are the nominal gold test structure: a 50 um suspension beam
-    carrying a 420x180 um perforated plate over a 3 um gap.
+    carrying a 420x180 um perforated plate over a 3 um gap. This class is
+    also the ``geometry`` section of the run config: its fields are the keys.
     """
 
     specimen_length_um: float = 50.0
@@ -116,11 +117,11 @@ def validate_geometry(geom: DeviceGeometry) -> list[str]:
 def validate_material(mat: Material) -> list[str]:
     problems: list[str] = []
     if not (math.isfinite(mat.youngs_modulus_Pa) and mat.youngs_modulus_Pa > 0):
-        problems.append(f"youngs_modulus_Pa: must be positive, got {mat.youngs_modulus_Pa}")
+        problems.append(f"youngs_modulus_Pa: must be positive, got {mat.youngs_modulus_Pa} Pa")
     if not (0.0 <= mat.poisson_ratio < 0.5):
         problems.append(f"poisson_ratio: must lie in [0, 0.5), got {mat.poisson_ratio}")
     if not (math.isfinite(mat.density_kg_m3) and mat.density_kg_m3 > 0):
-        problems.append(f"density_kg_m3: must be positive, got {mat.density_kg_m3}")
+        problems.append(f"density_kg_m3: must be positive, got {mat.density_kg_m3} kg/m^3")
     return problems
 
 

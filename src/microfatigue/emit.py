@@ -8,11 +8,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
+from . import __version__
 from .electromech import EquilibriumPoint
 from .protocols import FatigueRunRecord, StairCaseSequence
 from .stats import BasquinFit, StairCaseEstimate, WohlerPoint
 
-TOOL_STAMP = "microfatigue 0.1.0"
+TOOL_STAMP = f"microfatigue {__version__}"
 
 
 def _num(x: float) -> str:

@@ -195,6 +195,25 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     )
 
 
+def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
+                        n_specimens: int, n_available: int, device: Device) -> list[str]:
+    """Stair-case argument faults as "name: message" strings, for a population
+    of n_available; a level at or above pristine pull-in is displacement-imposed."""
+    pull_in = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    problems = []
+    if step_V <= 0:
+        problems.append(f"step_V: must be > 0, got {step_V}")
+    if n_specimens < 1:
+        problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
+    if n_specimens > n_available:
+        problems.append(f"population: holds {n_available} specimens, {n_specimens} requested")
+    if not levels_V or not all(0.0 <= v < pull_in for v in levels_V):
+        problems.append(f"levels_V: need levels in [0, {pull_in:.3f}) V, the pristine pull-in")
+    if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
+        problems.append(f"start_level_V: {start_level_V} V not among levels {list(levels_V)}")
+    return problems
+
+
 def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                    n_specimens: int, population: SpecimenPopulation,
                    device: Device, params: DamageModelParams,
@@ -206,16 +225,10 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     level transition and logged; it cannot feed a stress-imposed comparison.
     """
     levels = sorted(float(v) for v in levels_V)
-    if step_V <= 0:
-        raise ValueError(f"step must be > 0, got {step_V}")
-    if n_specimens < 1:
-        raise ValueError(f"need at least one specimen, got {n_specimens}")
-    if n_specimens > len(population.specimens):
-        raise ValueError(
-            f"population holds {len(population.specimens)} specimens, "
-            f"{n_specimens} requested")
-    if not any(math.isclose(start_level_V, v) for v in levels):
-        raise ValueError(f"start level {start_level_V} V not among levels {levels}")
+    problems = validate_stair_case(levels, step_V, start_level_V, n_specimens,
+                                   len(population.specimens), device)
+    if problems:
+        raise ValueError("invalid stair case: " + "; ".join(problems))
 
     level = float(start_level_V)
     trials: list[StairCaseTrial] = []
@@ -253,19 +266,20 @@ def calibrate_defaults(device: Device, target_V_D: float = 13.0,
     sits exactly on the fatigue limit. The Basquin line is drawn through
     two anchors: life of 60% of the reference count one level step above
     the limit, and life of half a detection interval at the amplitude that
-    collapses immediately.
+    collapses immediately. A CalibrationError message starts with the name
+    of the argument at fault.
     """
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if not 0 < target_V_D < target_immediate_V:
-        raise CalibrationError(
-            f"need 0 < target_V_D < target_immediate, got {target_V_D}, {target_immediate_V}")
+        raise CalibrationError(f"target_V_D: need 0 < target_V_D < target_immediate_V, "
+                               f"got {target_V_D}, {target_immediate_V}")
     if target_immediate_V >= pristine:
         raise CalibrationError(
-            f"target_immediate {target_immediate_V} V must stay below pull-in {pristine:.3f} V")
+            f"target_immediate_V: {target_immediate_V} V must stay below pull-in {pristine:.3f} V")
     if target_V_D + 1.0 >= target_immediate_V:
         raise CalibrationError(
-            f"target_V_D + 1 V ({target_V_D + 1.0}) must stay below target_immediate "
-            f"({target_immediate_V}) for a well-posed Basquin slope")
+            f"target_V_D: target_V_D + 1 V ({target_V_D + 1.0}) must stay below "
+            f"target_immediate_V ({target_immediate_V}) for a well-posed Basquin slope")
 
     def sigma_alt(v):
         return fatigue_parameters(v, device.mechanics, device.geometry)[0].sigma_alt_Pa
@@ -276,6 +290,9 @@ def calibrate_defaults(device: Device, target_V_D: float = 13.0,
 
     n_step = 0.6 * reference_cycles        # finite life one step above the limit
     n_imm = 0.5 * detection_interval       # collapse within the first interval
+    if not n_imm < n_step:
+        raise CalibrationError(f"detection_interval: half an interval ({n_imm:g} cycles) must "
+                               f"stay below 60% of reference_cycles ({n_step:g})")
     b = math.log(sigma_imm / sigma_step) / math.log(n_imm / n_step)
     coefficient = sigma_step / n_step**b
 
@@ -288,8 +305,8 @@ def calibrate_defaults(device: Device, target_V_D: float = 13.0,
     if cycles_to_failure(sigma_step, params) is None or \
             cycles_to_failure(sigma_step, params) >= reference_cycles:
         raise CalibrationError(
-            f"calibration violated N(sigma({target_V_D + 1.0} V)) < {reference_cycles}")
+            f"reference_cycles: need N(sigma({target_V_D + 1.0} V)) < {reference_cycles}")
     if cycles_to_failure(sigma_imm, params) > detection_interval:
         raise CalibrationError(
-            f"calibration violated N(sigma({target_immediate_V} V)) <= {detection_interval}")
+            f"detection_interval: need N(sigma({target_immediate_V} V)) <= {detection_interval}")
     return params

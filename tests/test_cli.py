@@ -1,8 +1,18 @@
+import dataclasses
 import json
+import math
+import tempfile
+import typing
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from microfatigue import stats
 from microfatigue.cli import cli_dispatch
+from microfatigue.config import RunConfig, default_config
+from microfatigue.errors import EstimationError
 
 TABLE_CONFIG = {
     "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
@@ -189,3 +199,156 @@ def test_recovery_summary(capsys):
     payload = json.loads(out)
     assert abs(payload["mean_bias_V"]) < 0.3
     assert payload["valid_replications"] > 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"model": {"drop_fraction": "0.5"}}, "model.drop_fraction"),
+    ({"damage": {"calibrate_target_V_D": "13"}}, "damage.calibrate_target_V_D"),
+    ({"campaign": {"n_specimens": 2.5}}, "campaign.n_specimens"),
+    ({"geometry": {"hole_count": 2.5}}, "geometry.hole_count"),
+    ({"campaign": {"master_seed": 1.5}}, "campaign.master_seed"),
+    ({"campaign": {"levels_V": ["x", 13]}}, "campaign.levels_V[0]"),
+    ({"campaign": {"strength_std_V": NAN}}, "campaign.strength_std_V"),
+    ({"material": {"E_GPa": INF}}, "material.E_GPa"),
+    ({"geometry": {"gap_um": True}}, "geometry.gap_um"),
+    ({"output": {"formats": "csv"}}, "output.formats"),
+    ({"damage": {"basquin_exponent": -0.3}}, "damage"),
+    ({"campaign": {"start_level_V": 16}}, "campaign.start_level_V"),
+    ({"campaign": {"levels_V": []}}, "campaign.levels_V"),
+    ({"campaign": {"strengths_V": [13, 14]}}, "campaign.strengths_V"),
+    ({"campaign": {"levels_V": [12, 13, 14, 15, 30]}}, "campaign.levels_V"),
+    ({"damage": {"hardening_onset": 1.5}}, "damage.hardening_onset"),
+    ({"damage": {**EXPLICIT_DAMAGE, "basquin_exponent": 0.3}}, "damage.basquin_exponent"),
+    ({"damage": {**EXPLICIT_DAMAGE, "endurance_stress_Pa": 0}}, "damage.endurance_stress_Pa"),
+    ({"damage": {"calibrate_target_V_D": 20}}, "damage.calibrate_target_V_D"),
+    ({"geometry": {"gap_um": 2.5}}, "damage.calibrate_immediate_V"),  # pull-in 20.1 V
+    ({"model": {"reference_cycles": 50_000}}, "model.detection_interval_cycles"),
+])
+def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "staircase")
+    assert code == 2
+    assert f" {path}: " in err
+
+
+def test_whole_float_specimen_count_runs(tmp_path, capsys):
+    cfg = tmp_path / "six.json"
+    cfg.write_text(json.dumps({"campaign": {"n_specimens": 6.0}}))
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "staircase")
+    assert code == 0
+    echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+    assert echo["campaign"]["n_specimens"] == 6 and isinstance(echo["campaign"]["n_specimens"], int)
+
+
+# Wrong-typed values and the JSON specials (null is valid for optional fields only).
+ODD_VALUES = st.sampled_from([True, False, None, NAN, INF, -INF, "13", "", [], {}, [1.0]])
+MAX_DETECTIONS = 20_000
+MAX_SPECIMENS = 50
+BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
+
+
+def _values(hint, typical, good: bool):
+    """In-range values of a field near typical, or out-of-range and wrong-typed ones."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        hint = args[0]
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        lists = st.lists(_values(item, typical[0], good), min_size=0 if good else 1, max_size=8)
+        return lists if good else st.one_of(lists, ODD_VALUES)
+    if hint is str:
+        return st.text(max_size=4) if good else ODD_VALUES
+    near = st.floats(0.8, 1.25).map(lambda f: typical * f)
+    if hint is int:
+        near = st.one_of(near.map(round), near.map(lambda v: float(round(v))))
+        far = st.one_of(st.sampled_from([0, -1, round(typical * 1e3)]), st.floats(0.1, 0.9))
+    else:
+        far = st.sampled_from([0.0, -1.0, -typical, typical * 1e3, typical * 1e-3])
+    return near if good else st.one_of(far, ODD_VALUES)
+
+
+CALIBRATED = default_config().damage_params()
+
+
+def _typical(section, name):
+    value = getattr(getattr(default_config(), section), name)
+    if value is None:  # explicit damage and strengths: start from the default campaign
+        value = getattr(CALIBRATED, name, (13.0,) * 6)
+    return value
+
+
+SECTION_HINTS = {f.name: typing.get_type_hints(type(getattr(default_config(), f.name)))
+                 for f in dataclasses.fields(RunConfig)}
+FIELDS = sorted((section, name) for section, hints in SECTION_HINTS.items() for name in hints)
+
+
+def _field_values(section, name, good):
+    return _values(SECTION_HINTS[section][name], _typical(section, name), good)
+
+
+@st.composite
+def json_configs(draw):
+    """JSON-shaped configs: in-range overrides, then up to two faulty fields.
+
+    A faulty number is zero, negative, or 1e3 or 1e-3 times a typical value;
+    values near the ends of the float range are an open defect of the device
+    model (ROADMAP item 3), not drawn here.
+    """
+    config = {}
+    for section, name in draw(st.lists(st.sampled_from(FIELDS), unique=True, max_size=6)):
+        config.setdefault(section, {})[name] = draw(_field_values(section, name, good=True))
+    if draw(st.booleans()):  # a campaign on its own step grid, so runs start
+        step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        levels = [draw(st.floats(5.0, 20.0)) + k * step for k in range(draw(st.integers(1, 5)))]
+        config.setdefault("campaign", {}).update(
+            levels_V=levels, step_V=step, start_level_V=draw(st.sampled_from(levels)))
+    if draw(st.booleans()):  # explicit damage parameters instead of the calibration
+        config.setdefault("damage", {}).update(
+            {name: draw(_field_values("damage", name, good=True)) for name in BASQUIN})
+    for section, name in draw(st.lists(st.sampled_from(FIELDS), max_size=2)):
+        config.setdefault(section, {})[name] = draw(_field_values(section, name, good=False))
+    return config
+
+
+def _resolved(config, section, name):
+    return config.get(section, {}).get(name, getattr(getattr(default_config(), section), name))
+
+
+def _finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+@given(config=json_configs())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_json_config_runs_or_names_its_fault(config):
+    interval = _resolved(config, "model", "detection_interval_cycles")
+    reference = _resolved(config, "model", "reference_cycles")
+    n = _resolved(config, "campaign", "n_specimens")
+    if _finite_number(interval) and _finite_number(reference) and interval >= 1:
+        assume(reference / interval <= MAX_DETECTIONS)
+    if _finite_number(n):
+        assume(n <= MAX_SPECIMENS)
+
+    # Exit 3 is a result of the run only when the sequence admits no estimate.
+    estimation_failed = []
+    real_dixon_mood = stats.dixon_mood
+
+    def dixon_mood(sequence):
+        try:
+            return real_dixon_mood(sequence)
+        except EstimationError:
+            estimation_failed.append(True)
+            raise
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(stats, "dixon_mood", dixon_mood):
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "staircase"])
+    assert code in (0, 2) or (code == 3 and estimation_failed), (code, config)

@@ -4,9 +4,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import microfatigue
 from microfatigue.config import (CampaignConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
-from microfatigue.emit import (emit_conversion_curve, emit_fatigue_run,
+from microfatigue.emit import (TOOL_STAMP, emit_conversion_curve, emit_fatigue_run,
                                emit_staircase_sequence, emit_wohler_points,
                                parse_fatigue_run, parse_wohler_points,
                                wohler_points_from_records)
@@ -111,6 +112,17 @@ def test_explicit_damage_block():
     params = config.damage_params()
     assert params.basquin_coefficient_Pa == 1e9
     assert params.basquin_exponent == -0.3
+
+
+def test_material_faults_name_the_config_key():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"material": {"E_GPa": -1, "rho_kg_per_um3": 0}}))
+    assert [path for path, _ in excinfo.value.problems] == ["material.E_GPa",
+                                                            "material.rho_kg_per_um3"]
+
+
+def test_tool_stamp_carries_the_package_version():
+    assert TOOL_STAMP == f"microfatigue {microfatigue.__version__}" == "microfatigue 0.1.0"
 
 
 RECORD = FatigueRunRecord(

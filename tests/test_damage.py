@@ -27,6 +27,16 @@ def test_below_endurance_unbounded():
     assert cycles_to_failure(0.999 * PARAMS.endurance_stress_Pa, PARAMS) is None
 
 
+def test_life_beyond_the_float_range_is_unbounded():
+    flat = DamageModelParams(basquin_coefficient_Pa=1.0e9, basquin_exponent=-3e-4,
+                             endurance_stress_Pa=12.0e6)
+    assert cycles_to_failure(15e6, flat) is None  # (15e6/1e9)**(1/-3e-4) overflows
+    weak_limit = DamageModelParams(basquin_coefficient_Pa=1.0e9, basquin_exponent=-0.3,
+                                   endurance_stress_Pa=1e-300)
+    # strength scale * coefficient overflows to inf, so the stress ratio is 0
+    assert cycles_to_failure(2.0, weak_limit, SpecimenStrength(1e300)) is None
+
+
 def test_scale_equivariance():
     # doubling both the coefficient and the amplitude leaves the life unchanged
     doubled = DamageModelParams(
