@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,7 +33,22 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _number(kind, low=-math.inf):
+    """argparse type: a finite ``kind`` (int or float) >= low."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= low):
+            bound = f" >= {low}" if low > -math.inf else ""
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__}{bound}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Virtual MEMS fatigue rig: pull-in physics, "
                                  "fatigue runs and stair-case statistics.")
     parser.add_argument("--config", type=Path, help="JSON run-config file")
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=_number(int, 0),
                         help=f"campaign master seed (fallback: ${SEED_ENV_VAR})")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--show-defaults", action="store_true",
@@ -66,10 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV with level_V,cycles,censored (e.g. the staircase output)")
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials")
-    p_rec.add_argument("--true-mean", type=float, default=13.0)
-    p_rec.add_argument("--true-std", type=float, default=0.55)
-    p_rec.add_argument("--n-specimens", type=int, default=6)
-    p_rec.add_argument("--replications", type=int, default=200)
+    p_rec.add_argument("--true-mean", type=_number(float), default=13.0)
+    p_rec.add_argument("--true-std", type=_number(float, 0.0), default=0.55)
+    p_rec.add_argument("--n-specimens", type=_number(int, 1), default=6)
+    p_rec.add_argument("--replications", type=_number(int, 1), default=200)
 
     return parser
 
@@ -81,7 +97,10 @@ def _load_config(args):
         config = default_config()
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
+        try:
+            seed = _number(int, 0)(os.environ[SEED_ENV_VAR])
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError([(SEED_ENV_VAR, str(exc))]) from None
     if seed is not None:
         from dataclasses import replace
         config = replace(config, campaign=replace(config.campaign, master_seed=seed))

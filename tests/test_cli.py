@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tempfile
@@ -199,6 +200,47 @@ def test_recovery_summary(capsys):
     payload = json.loads(out)
     assert abs(payload["mean_bias_V"]) < 0.3
     assert payload["valid_replications"] > 0
+
+
+# sha256 of stdout, recorded from the per-replication implementation.
+@pytest.mark.parametrize("argv, digest", [
+    (["--seed", "42", "recovery", "--replications", "2000"],
+     "f51cd4eaea7b0a6c7b810843f4e7df1de52701debd9c94523a05c17fc953ccaf"),
+    (["--seed", "42", "recovery", "--replications", "2000", "--n-specimens", "24",
+      "--true-std", "0.8"],
+     "85522b1916eefad764f47196ff77e65b6171b491e09702d798043f787407ba5f"),
+])
+def test_recovery_stdout_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["recovery", "--replications", "0"], "--replications"),
+    (["recovery", "--replications", "abc"], "--replications"),
+    (["recovery", "--n-specimens", "0"], "--n-specimens"),
+    (["recovery", "--n-specimens", "-3"], "--n-specimens"),
+    (["recovery", "--true-std", "nan"], "--true-std"),
+    (["recovery", "--true-std", "-1"], "--true-std"),
+    (["recovery", "--true-mean", "nan"], "--true-mean"),
+    (["recovery", "--true-mean", "inf"], "--true-mean"),
+    (["--seed", "-1", "recovery"], "--seed"),
+    (["--seed", "abc", "staircase"], "--seed"),
+])
+def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert f"argument {flag}: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+def test_bad_seed_env_exit_2_naming_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("MICROFATIGUE_SEED", value)
+    code, _, err = run_cli(capsys, "recovery", "--replications", "5")
+    assert code == 2
+    assert "MICROFATIGUE_SEED: " in err
 
 
 NAN, INF = float("nan"), float("inf")

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microfatigue import stats
 from microfatigue.errors import EstimationError
 from microfatigue.protocols import StairCaseSequence, StairCaseTrial
 from microfatigue.stats import (WohlerPoint, dixon_mood, estimator_recovery_trial,
@@ -172,3 +174,125 @@ def test_recovery_doubling_levels_doubles_estimate():
                                    [24, 26, 28, 30], 2.0, 26.0)
     est = dixon_mood(doubled)
     assert est.mean_V == pytest.approx(2 * base.mean_V, rel=1e-12)
+
+
+def scalar_stair_case(strengths_V, levels_V, step_V, start_level_V):
+    """One specimen at a time: the stepping rule synthetic_stair_case must keep."""
+    levels = sorted(float(v) for v in levels_V)
+    level = float(start_level_V)
+    trials = []
+    for idx, strength in enumerate(strengths_V):
+        failure = level >= strength
+        trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
+        level = level - step_V if failure else level + step_V
+        level = min(max(level, levels[0]), levels[-1])
+    return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels))
+
+
+def recovery_by_replication(true_mean_V, true_std_V, n_specimens, replications, seed,
+                            levels_V=None, step_V=1.0):
+    """Reference: one synthetic_stair_case and one dixon_mood per replication."""
+    if levels_V is None:
+        base = round(true_mean_V)
+        levels_V = [base - 1.0 + i * step_V for i in range(4)]
+    levels = sorted(float(v) for v in levels_V)
+    start = min(levels, key=lambda v: abs(v - true_mean_V))
+    estimates = []
+    skipped = 0
+    for rep in range(replications):
+        rng = np.random.default_rng((int(seed), rep))
+        strengths = true_mean_V + true_std_V * rng.standard_normal(n_specimens)
+        seq = synthetic_stair_case(list(strengths), levels, step_V, start)
+        try:
+            estimates.append(dixon_mood(seq).mean_V)
+        except EstimationError:
+            skipped += 1
+    if not estimates:
+        raise EstimationError("every replication produced a single-outcome sequence")
+    biases = np.array(estimates) - true_mean_V
+    return {
+        "true_mean_V": true_mean_V,
+        "true_std_V": true_std_V,
+        "n_specimens": n_specimens,
+        "replications": replications,
+        "valid_replications": len(estimates),
+        "skipped_replications": skipped,
+        "mean_bias_V": float(np.mean(biases)),
+        "std_bias_V": float(np.std(biases)),
+        "max_abs_bias_V": float(np.max(np.abs(biases))),
+    }
+
+
+STEPS_V = st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.0])
+
+
+@st.composite
+def recovery_trials(draw):
+    # Means ending in .5 tie the two nearest default levels for the start.
+    true_mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
+                     | st.floats(8.0, 18.0, allow_subnormal=False))
+    step = draw(STEPS_V)
+    kind = draw(st.sampled_from(["default", "grid", "off-grid"]))
+    levels = None
+    if kind == "grid":    # on the step grid, unsorted
+        base = draw(st.floats(true_mean - 2.0, true_mean))
+        levels = draw(st.permutations([base + i * step for i in range(draw(st.integers(1, 6)))]))
+    elif kind == "off-grid":
+        levels = draw(st.lists(st.floats(true_mean - 3.0, true_mean + 3.0), min_size=1,
+                               max_size=6))
+    return dict(
+        true_mean_V=true_mean,
+        true_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
+        n_specimens=draw(st.integers(1, 30)),
+        replications=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**32)),
+        levels_V=levels,
+        step_V=step,
+    )
+
+
+def _summary_or_error(fn, kwargs):
+    try:
+        return fn(**kwargs)
+    except EstimationError as exc:
+        return ("EstimationError", str(exc))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(trial=recovery_trials(), block_elements=st.sampled_from([1, 7, stats._BLOCK_ELEMENTS]))
+@settings(max_examples=300, deadline=None)
+def test_batched_recovery_equals_replication_loop(trial, block_elements):
+    with mock.patch.object(stats, "_BLOCK_ELEMENTS", block_elements):
+        batched = _summary_or_error(estimator_recovery_trial, trial)
+    assert batched == _summary_or_error(recovery_by_replication, trial)
+
+
+@given(strengths=st.lists(st.floats(9.0, 17.0), max_size=30),
+       levels=st.lists(st.floats(10.0, 16.0), min_size=1, max_size=6),
+       step=STEPS_V, start=st.floats(10.0, 16.0))
+@settings(max_examples=200, deadline=None)
+def test_synthetic_stair_case_steps_one_specimen_at_a_time(strengths, levels, step, start):
+    assert (synthetic_stair_case(strengths, levels, step, start)
+            == scalar_stair_case(strengths, levels, step, start))
+
+
+@pytest.mark.parametrize("fault, name", [
+    ({"replications": 0}, "replications"),
+    ({"n_specimens": 0}, "n_specimens"),
+    ({"n_specimens": -3}, "n_specimens"),
+    ({"n_specimens": 2.5}, "n_specimens"),
+    ({"seed": -1}, "seed"),
+    ({"true_std_V": -1.0}, "true_std_V"),
+    ({"true_std_V": math.nan}, "true_std_V"),
+    ({"true_mean_V": math.nan}, "true_mean_V"),
+    ({"true_mean_V": math.inf}, "true_mean_V"),
+    ({"step_V": 0.0}, "step_V"),
+    ({"levels_V": []}, "levels_V"),
+    ({"levels_V": [12.0, math.inf]}, "levels_V"),
+])
+def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
+    kwargs = {"true_mean_V": 13.0, "true_std_V": 0.55, "n_specimens": 6,
+              "replications": 20, "seed": 1, **fault}
+    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("seeded")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            estimator_recovery_trial(**kwargs)
