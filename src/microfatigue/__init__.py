@@ -19,8 +19,8 @@ from .errors import (CalibrationError, ConfigError, EstimationError,
                      MicrofatigueError, SolverError)
 from .loading import (FatigueParameters, LoadCycleSpec, fatigue_parameters,
                       load_cycles_from_voltage_cycles, waveform)
-from .protocols import (FatigueRunRecord, SpecimenPopulation, StairCaseSequence,
-                        StairCaseTrial, build_population, calibrate_defaults,
-                        run_fatigue_test, run_pull_in_detection, run_stair_case)
+from .protocols import (FatigueRunRecord, StairCaseSequence, StairCaseTrial,
+                        build_population, calibrate_defaults, run_fatigue_test,
+                        run_pull_in_detection, run_stair_case)
 from .stats import (BasquinFit, StairCaseEstimate, WohlerPoint, dixon_mood,
                     estimator_recovery_trial, fit_basquin)

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import electromech, protocols, stats
-from .config import default_config, parse_config, serialize_config
-from .damage import DamageState, SpecimenStrength
+from .config import CampaignConfig, default_config, parse_config, serialize_config
+from .damage import SpecimenStrength
 from .emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
                    emit_staircase_sequence, emit_wohler_points, estimate_to_dict,
                    fit_to_dict, parse_wohler_points, wohler_points_from_records)
@@ -82,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV with level_V,cycles,censored (e.g. the staircase output)")
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials")
-    p_rec.add_argument("--true-mean", type=_number(float), default=13.0)
-    p_rec.add_argument("--true-std", type=_number(float, 0.0), default=0.55)
-    p_rec.add_argument("--n-specimens", type=_number(int, 1), default=6)
+    p_rec.add_argument("--true-mean", type=_number(float), default=CampaignConfig.strength_mean_V)
+    p_rec.add_argument("--true-std", type=_number(float, 0.0), default=CampaignConfig.strength_std_V)
+    p_rec.add_argument("--n-specimens", type=_number(int, 1), default=CampaignConfig.n_specimens)
     p_rec.add_argument("--replications", type=_number(int, 1), default=200)
 
     return parser

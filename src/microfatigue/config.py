@@ -1,12 +1,13 @@
 """Run configuration: nested JSON ingestion with full defaults.
 
-Unit conversion happens here and only here: geometry arrives in microns,
-the Young modulus in GPa and the density in kg/um^3, matching the device
-data sheet. An empty config resolves to the nominal device and the
+Values are in the units of the device data sheet: geometry in microns,
+the Young modulus in GPa and the density in kg/um^3; ``device`` converts
+them to SI. An empty config resolves to the nominal device and the
 published protocol constants. Each default and bound is stated once, by
-its owner (``device.DeviceGeometry`` is the geometry section). A value is
-checked against its field annotation, then against the owners'
-validators; every fault is a ConfigError naming its field path.
+its owner (``device.DeviceGeometry`` is the geometry section,
+``device.Material`` the material section). A value is checked against its
+field annotation, then against the owners' validators; every fault is a
+ConfigError naming its field path.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .damage import DamageModelParams
 from .device import Device, DeviceGeometry, Material, validate_geometry, validate_material
+from .electromech import DEFAULT_SWEEP_STEP_V
 from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
-                        DEFAULT_REFERENCE_CYCLES, calibrate_defaults, validate_stair_case)
+                        DEFAULT_REFERENCE_CYCLES, DEFAULT_TARGET_IMMEDIATE_V,
+                        DEFAULT_TARGET_V_D, calibrate_defaults, validate_stair_case)
 
 
 # Field metadata of a range that no owner checks before a run: (test, rule).
@@ -32,16 +35,9 @@ _FRACTION = {"bound": (lambda v: 0 < v < 1, "in (0, 1)")}
 
 
 @dataclass(frozen=True)
-class MaterialConfig:
-    E_GPa: float = 98.5
-    nu: float = 0.42
-    rho_kg_per_um3: float = 19.32e-15
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     c_k: float = field(default=1.0, metadata=_ABOVE_ZERO)
-    sweep_step_V: float = field(default=0.05, metadata=_ABOVE_ZERO)
+    sweep_step_V: float = field(default=DEFAULT_SWEEP_STEP_V, metadata=_ABOVE_ZERO)
     detection_step_V: float = field(default=DEFAULT_DETECTION_STEP_V, metadata=_ABOVE_ZERO)
     detection_interval_cycles: int = field(default=DEFAULT_DETECTION_INTERVAL,
                                            metadata=_AT_LEAST_ONE)
@@ -67,8 +63,8 @@ class DamageConfig:
     calibrate_immediate_V collapses within the first detection interval.
     """
 
-    calibrate_target_V_D: float = 13.0
-    calibrate_immediate_V: float = 21.0
+    calibrate_target_V_D: float = DEFAULT_TARGET_V_D
+    calibrate_immediate_V: float = DEFAULT_TARGET_IMMEDIATE_V
     basquin_coefficient_Pa: float | None = None
     basquin_exponent: float | None = None
     endurance_stress_Pa: float | None = None
@@ -99,15 +95,14 @@ class OutputConfig:
 @dataclass(frozen=True)
 class RunConfig:
     geometry: DeviceGeometry = field(default_factory=DeviceGeometry)
-    material: MaterialConfig = field(default_factory=MaterialConfig)
+    material: Material = field(default_factory=Material)
     model: ModelConfig = field(default_factory=ModelConfig)
     damage: DamageConfig = field(default_factory=DamageConfig)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def device(self) -> Device:
-        mat = Material.from_paper_units(**vars(self.material))
-        return Device.assemble(self.geometry, mat, c_k=self.model.c_k)
+        return Device.assemble(self.geometry, self.material, c_k=self.model.c_k)
 
     def check_campaign(self, device: Device) -> None:
         """Raise ConfigError for the campaign faults that span fields or need the device."""
@@ -150,18 +145,18 @@ _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
 # Config paths of the names that owners' "name: text" messages start with,
 # where the name is not a field of the section being checked.
-_PATHS = {"youngs_modulus_Pa": "material.E_GPa", "poisson_ratio": "material.nu",
-          "density_kg_m3": "material.rho_kg_per_um3",
-          "target_V_D": "damage.calibrate_target_V_D",
+_PATHS = {"target_V_D": "damage.calibrate_target_V_D",
           "target_immediate_V": "damage.calibrate_immediate_V",
           "detection_interval": "model.detection_interval_cycles",
           "reference_cycles": "model.reference_cycles", "population": "campaign.strengths_V"}
 
 
 def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:
-    """(config path, text) pairs of an owner's "name: text" messages."""
-    return [(_PATHS.get(name, f"{section}.{name}"), text)
-            for name, _, text in (message.partition(": ") for message in messages)]
+    """(config path, text) pairs of an owner's "name: text" messages; a
+    message that names no field is reported whole at the section path."""
+    parts = [message.partition(": ") for message in messages]
+    return [(_PATHS.get(name, f"{section}.{name}"), text) if sep else (section, name)
+            for name, sep, text in parts]
 
 
 def _typed(hint, path: str, value, problems: list):
@@ -224,8 +219,7 @@ def parse_config(text: str) -> RunConfig:
 
 def _range_check(config: RunConfig) -> list[tuple[str, str]]:
     problems = _located("geometry", validate_geometry(config.geometry))
-    mat = Material.from_paper_units(**vars(config.material))
-    problems += _located("material", validate_material(mat))
+    problems += _located("material", validate_material(config.material))
     for key, name, holds, rule in _BOUNDS:
         value = getattr(getattr(config, key), name)
         if not holds(value):

@@ -1,8 +1,9 @@
 """Physical description of the beam-plate micro fatigue-machine.
 
-Dimensions are carried in microns, matching the layout table of the real
-device; everything derived is SI. The micron -> metre conversion happens
-in :func:`derive_mechanics` and nowhere else downstream.
+Dimensions and material constants are carried in data-sheet units
+(microns, GPa, kg/um^3), matching the layout table of the real device;
+everything derived is SI. The conversions to SI live in this module, in
+the unit properties and :func:`derive_mechanics`, and nowhere downstream.
 """
 
 from __future__ import annotations
@@ -57,21 +58,23 @@ class DeviceGeometry:
 
 @dataclass(frozen=True)
 class Material:
-    """Isotropic elastic material in SI units."""
+    """Isotropic elastic material in data-sheet units; the defaults are gold.
 
-    youngs_modulus_Pa: float = 98.5e9
-    poisson_ratio: float = 0.42
-    density_kg_m3: float = 19320.0
+    This class is also the ``material`` section of the run config: its
+    fields are the keys.
+    """
 
-    @classmethod
-    def from_paper_units(cls, E_GPa: float = 98.5, nu: float = 0.42,
-                         rho_kg_per_um3: float = 19.32e-15) -> "Material":
-        """Build from the data-sheet unit system (GPa, kg/um^3)."""
-        return cls(
-            youngs_modulus_Pa=E_GPa * 1e9,
-            poisson_ratio=nu,
-            density_kg_m3=rho_kg_per_um3 * 1e18,
-        )
+    E_GPa: float = 98.5
+    nu: float = 0.42
+    rho_kg_per_um3: float = 19.32e-15
+
+    @property
+    def youngs_modulus_Pa(self) -> float:
+        return self.E_GPa * 1e9
+
+    @property
+    def density_kg_m3(self) -> float:
+        return self.rho_kg_per_um3 * 1e18
 
 
 @dataclass(frozen=True)
@@ -115,13 +118,16 @@ def validate_geometry(geom: DeviceGeometry) -> list[str]:
 
 
 def validate_material(mat: Material) -> list[str]:
+    """Return a list of invariant violations; empty means valid. A value whose
+    SI conversion overflows is rejected as well."""
     problems: list[str] = []
-    if not (math.isfinite(mat.youngs_modulus_Pa) and mat.youngs_modulus_Pa > 0):
-        problems.append(f"youngs_modulus_Pa: must be positive, got {mat.youngs_modulus_Pa} Pa")
-    if not (0.0 <= mat.poisson_ratio < 0.5):
-        problems.append(f"poisson_ratio: must lie in [0, 0.5), got {mat.poisson_ratio}")
-    if not (math.isfinite(mat.density_kg_m3) and mat.density_kg_m3 > 0):
-        problems.append(f"density_kg_m3: must be positive, got {mat.density_kg_m3} kg/m^3")
+    if not (mat.E_GPa > 0 and math.isfinite(mat.youngs_modulus_Pa)):
+        problems.append(f"E_GPa: must be positive with a finite value in Pa, got {mat.E_GPa}")
+    if not (0.0 <= mat.nu < 0.5):
+        problems.append(f"nu: must lie in [0, 0.5), got {mat.nu}")
+    if not (mat.rho_kg_per_um3 > 0 and math.isfinite(mat.density_kg_m3)):
+        problems.append(f"rho_kg_per_um3: must be positive with a finite value in "
+                        f"kg/m^3, got {mat.rho_kg_per_um3}")
     return problems
 
 

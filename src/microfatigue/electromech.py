@@ -21,6 +21,8 @@ EPSILON_0 = 8.854e-12  # F/m
 # One third of the gap: the stability limit of the lumped parallel-plate model.
 STABLE_FRACTION = 1.0 / 3.0
 
+DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
+
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
@@ -110,7 +112,7 @@ def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) ->
 
 
 def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
-                          step_V: float = 0.05, tol_V: float = 1e-3,
+                          step_V: float = DEFAULT_SWEEP_STEP_V, tol_V: float = 1e-3,
                           max_steps: int = 2_000_000) -> PullInResult:
     """Pull-in found by stepping the DC voltage until equilibrium is lost.
 

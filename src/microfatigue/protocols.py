@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ DEFAULT_REFERENCE_CYCLES = 2_000_000   # load cycles defining a run-out
 DEFAULT_DETECTION_STEP_V = 0.05        # DC supply step during a detection
 DEFAULT_DROP_FRACTION = 0.2            # failure: >=20% drop between detections
 DEFAULT_MIN_PULLIN_FRACTION = 0.5      # failure: pull-in below half the pristine value
+DEFAULT_TARGET_V_D = 13.0              # calibration: the published fatigue limit
+DEFAULT_TARGET_IMMEDIATE_V = 21.0      # calibration: collapse in the first interval
 
 
 @dataclass(frozen=True)
@@ -54,21 +56,6 @@ class StairCaseSequence:
     levels_V: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SpecimenPopulation:
-    """Seeded per-specimen strength scatter.
-
-    Each specimen's strength is drawn from an independent RNG stream keyed
-    by (master_seed, index), so the population does not depend on the order
-    in which specimens are evaluated.
-    """
-
-    master_seed: int
-    mean_strength_V: float
-    std_strength_V: float
-    specimens: tuple[SpecimenStrength, ...] = field(default=())
-
-
 def strength_scale_from_threshold(threshold_V: float, device: Device,
                                   params: DamageModelParams) -> float:
     """Map a threshold drive voltage to a dimensionless strength scale.
@@ -83,8 +70,10 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
 
 def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
                      device: Device, params: DamageModelParams,
-                     thresholds_V: list[float] | None = None) -> SpecimenPopulation:
-    """Draw (or adopt) threshold voltages and convert them to strength scales."""
+                     thresholds_V: list[float] | None = None,
+                     ) -> tuple[SpecimenStrength, ...]:
+    """Draw (or adopt) threshold voltages and convert them to strength scales;
+    draw i comes from its own (master_seed, i) RNG stream, so no draw depends on another."""
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if thresholds_V is None:
         thresholds = []
@@ -94,10 +83,8 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
     else:
         thresholds = [float(v) for v in thresholds_V]
     clamped = [min(max(v, 0.1), 0.99 * pristine) for v in thresholds]
-    scales = tuple(SpecimenStrength(strength_scale_from_threshold(v, device, params))
-                   for v in clamped)
-    return SpecimenPopulation(master_seed=int(master_seed), mean_strength_V=mean_V,
-                              std_strength_V=std_V, specimens=scales)
+    return tuple(SpecimenStrength(strength_scale_from_threshold(v, device, params))
+                 for v in clamped)
 
 
 def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams,
@@ -215,7 +202,7 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
 
 
 def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
-                   n_specimens: int, population: SpecimenPopulation,
+                   n_specimens: int, population: tuple[SpecimenStrength, ...],
                    device: Device, params: DamageModelParams,
                    **run_kwargs) -> tuple[StairCaseSequence, list[FatigueRunRecord]]:
     """Sequential stair-case campaign: down one step after a failure, up after
@@ -226,7 +213,7 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     """
     levels = sorted(float(v) for v in levels_V)
     problems = validate_stair_case(levels, step_V, start_level_V, n_specimens,
-                                   len(population.specimens), device)
+                                   len(population), device)
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
 
@@ -234,7 +221,7 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     trials: list[StairCaseTrial] = []
     records: list[FatigueRunRecord] = []
     for idx in range(n_specimens):
-        record = run_fatigue_test(level, population.specimens[idx], device, params,
+        record = run_fatigue_test(level, population[idx], device, params,
                                   **run_kwargs)
         records.append(record)
         if record.outcome == OUTCOME_INVALID:
@@ -255,8 +242,8 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     return sequence, records
 
 
-def calibrate_defaults(device: Device, target_V_D: float = 13.0,
-                       target_immediate_V: float = 21.0,
+def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
+                       target_immediate_V: float = DEFAULT_TARGET_IMMEDIATE_V,
                        detection_interval: int = DEFAULT_DETECTION_INTERVAL,
                        reference_cycles: int = DEFAULT_REFERENCE_CYCLES,
                        ) -> DamageModelParams:

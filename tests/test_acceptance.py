@@ -11,7 +11,7 @@ import pytest
 
 from microfatigue.cli import cli_dispatch
 from microfatigue.damage import cycles_to_failure
-from microfatigue.device import Device
+from microfatigue.device import C_K_RESONANCE_PRESET, Device
 from microfatigue.electromech import (natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep)
@@ -85,9 +85,10 @@ def test_criterion_3_pull_in_solver_oracle():
 
 def test_criterion_4_resonance_sanity():
     f_1 = natural_frequency(Device.nominal(c_k=1.0).mechanics)
-    f_37 = natural_frequency(Device.nominal(c_k=3.7).mechanics)
-    ok = 10e3 <= f_1 <= 20e3 and abs(f_37 - 28e3) / 28e3 <= 0.05
-    report(4, ok, f"f0(c_k=1)={f_1 / 1e3:.2f} kHz, f0(c_k=3.7)={f_37 / 1e3:.2f} kHz")
+    f_preset = natural_frequency(Device.nominal(c_k=C_K_RESONANCE_PRESET).mechanics)
+    ok = 10e3 <= f_1 <= 20e3 and abs(f_preset - 28e3) / 28e3 <= 0.05
+    report(4, ok, f"f0(c_k=1)={f_1 / 1e3:.2f} kHz, "
+                  f"f0(c_k={C_K_RESONANCE_PRESET})={f_preset / 1e3:.2f} kHz")
 
 
 def test_criterion_5_fatigue_run_phenomenology(nominal_device, calibrated_params):

@@ -202,15 +202,22 @@ def test_recovery_summary(capsys):
     assert payload["valid_replications"] > 0
 
 
-# sha256 of stdout, recorded from the per-replication implementation.
+# sha256 of stdout. The recovery rows were recorded from the per-replication
+# implementation; --show-defaults is the default config_echo.json.
 @pytest.mark.parametrize("argv, digest", [
     (["--seed", "42", "recovery", "--replications", "2000"],
      "f51cd4eaea7b0a6c7b810843f4e7df1de52701debd9c94523a05c17fc953ccaf"),
     (["--seed", "42", "recovery", "--replications", "2000", "--n-specimens", "24",
       "--true-std", "0.8"],
      "85522b1916eefad764f47196ff77e65b6171b491e09702d798043f787407ba5f"),
+    (["--show-defaults"],
+     "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a"),
+    (["pullin"],
+     "aafed71c0a42028a07f17c1eac3744e69fae020f99bb7a26fca445027eaa5273"),
+    (["curve", "--vmax", "25", "--points", "200"],
+     "dee769ed205fe9fa79373118c4862f77f96c807cd9f46f468b79a0479b7dce2b"),
 ])
-def test_recovery_stdout_bytes_pinned(capsys, argv, digest):
+def test_stdout_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -268,6 +275,8 @@ NAN, INF = float("nan"), float("inf")
     ({"damage": {"calibrate_target_V_D": 20}}, "damage.calibrate_target_V_D"),
     ({"geometry": {"gap_um": 2.5}}, "damage.calibrate_immediate_V"),  # pull-in 20.1 V
     ({"model": {"reference_cycles": 50_000}}, "model.detection_interval_cycles"),
+    ({"model": {"c_k": 1e300}}, "damage"),
+    ({"material": {"E_GPa": -1}}, "material.E_GPa"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"

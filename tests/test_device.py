@@ -25,9 +25,11 @@ def test_nominal_stiffness_and_mass():
 
 
 def test_material_unit_conversion():
-    mat = Material.from_paper_units(E_GPa=98.5, nu=0.42, rho_kg_per_um3=19.32e-15)
-    assert mat.youngs_modulus_Pa == pytest.approx(98.5e9)
-    assert mat.density_kg_m3 == pytest.approx(19320.0)
+    # The data-sheet defaults convert to SI exactly.
+    mat = Material()
+    assert (mat.E_GPa, mat.nu, mat.rho_kg_per_um3) == (98.5, 0.42, 19.32e-15)
+    assert mat.youngs_modulus_Pa == 98.5e9
+    assert mat.density_kg_m3 == 19320.0
 
 
 def test_thickness_scaling():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import microfatigue
-from microfatigue.device import Device, DeviceGeometry, Material, derive_mechanics
+from microfatigue.device import (C_K_RESONANCE_PRESET, Device, DeviceGeometry, Material,
+                                 derive_mechanics)
 from microfatigue.electromech import (EPSILON_0, STABLE_FRACTION, electrostatic_force,
                                       natural_frequency,
                                       pull_in_voltage_closed_form,
@@ -162,7 +163,7 @@ def random_device(rng):
         hole_side_um=20.0,
         hole_count=int(rng.integers(0, 41)),
     )
-    mat = Material.from_paper_units(E_GPa=float(rng.uniform(50, 200)))
+    mat = Material(E_GPa=float(rng.uniform(50, 200)))
     return Device.assemble(geom, mat)
 
 
@@ -184,7 +185,7 @@ def test_natural_frequency_nominal(nominal_device):
 
 
 def test_natural_frequency_resonance_preset():
-    mech = Device.nominal(c_k=3.7).mechanics
+    mech = Device.nominal(c_k=C_K_RESONANCE_PRESET).mechanics
     assert natural_frequency(mech) == pytest.approx(28e3, rel=0.05)
 
 
