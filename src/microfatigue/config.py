@@ -24,7 +24,8 @@ from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_TARGET_IMMEDIATE_V,
-                        DEFAULT_TARGET_V_D, calibrate_defaults, validate_stair_case)
+                        DEFAULT_TARGET_V_D, calibrate_defaults, validate_detections,
+                        validate_stair_case)
 
 
 # Field metadata of a range that no owner checks before a run: (test, rule).
@@ -224,6 +225,8 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
         value = getattr(getattr(config, key), name)
         if not holds(value):
             problems.append((f"{key}.{name}", f"must be {rule}, got {value!r}"))
+    problems += _located("model", validate_detections(config.model.detection_interval_cycles,
+                                                      config.model.reference_cycles))
     given = [name for name in _BASQUIN if getattr(config.damage, name) is not None]
     if 0 < len(given) < len(_BASQUIN):
         problems.append(("damage", f"give all three Basquin fields or none, got only {given}"))

@@ -22,6 +22,7 @@ EPSILON_0 = 8.854e-12  # F/m
 STABLE_FRACTION = 1.0 / 3.0
 
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
+MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,12 @@ class EquilibriumPoint:
     voltage_V: float
     deflection_m: float
     stress_Pa: float
-    stable: bool
 
 
 @dataclass(frozen=True)
 class PullInResult:
     pull_in_voltage_V: float
     deflection_at_instability_m: float
-    method: str  # "closed-form" | "sweep"
 
 
 def electrostatic_force(V: float, x: float, mech: DerivedMechanics,
@@ -78,7 +77,7 @@ def static_equilibrium(V: float, mech: DerivedMechanics,
     if V < 0:
         raise ValueError(f"voltage must be >= 0, got {V}")
     if V == 0.0:
-        return EquilibriumPoint(0.0, 0.0, 0.0, stable=True)
+        return EquilibriumPoint(0.0, 0.0, 0.0)
 
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
     drive = drive_scale * V * V / 2.0
@@ -101,19 +100,19 @@ def static_equilibrium(V: float, mech: DerivedMechanics,
             break
         u -= (u * (1.0 - u) ** 2 - q) / slope
     x = min(max(u, 0.0), STABLE_FRACTION) * g
-    return EquilibriumPoint(V, x, _bending_stress(x, mech, geom), stable=True)
+    return EquilibriumPoint(V, x, _bending_stress(x, mech, geom))
 
 
 def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) -> PullInResult:
     g = geom.gap_m
     v = math.sqrt(8.0 * mech.suspension_stiffness_N_m * g**3
                   / (27.0 * EPSILON_0 * mech.effective_area_m2))
-    return PullInResult(v, g * STABLE_FRACTION, method="closed-form")
+    return PullInResult(v, g * STABLE_FRACTION)
 
 
 def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
-                          step_V: float = DEFAULT_SWEEP_STEP_V, tol_V: float = 1e-3,
-                          max_steps: int = 2_000_000) -> PullInResult:
+                          step_V: float = DEFAULT_SWEEP_STEP_V,
+                          tol_V: float = 1e-3) -> PullInResult:
     """Pull-in found by stepping the DC voltage until equilibrium is lost.
 
     The last step bracket [V-step, V] is bisected down to tol_V, mimicking
@@ -127,8 +126,8 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     while drive_scale * v * v / 2.0 < capacity:
         v += step_V
         steps += 1
-        if steps > max_steps:
-            raise SolverError(f"pull-in sweep exceeded {max_steps} steps at {v} V")
+        if steps > MAX_SWEEP_STEPS:
+            raise SolverError(f"pull-in sweep exceeded {MAX_SWEEP_STEPS} steps at {v} V")
     lo, hi = max(v - step_V, 0.0), v
     detected = None
     # The deflection approaches its instability value like sqrt(V_PI - V), so
@@ -144,7 +143,7 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
             hi = mid
     eq = static_equilibrium(lo, mech, geom)
     deflection = eq.deflection_m if eq is not None else geom.gap_m * STABLE_FRACTION
-    return PullInResult(detected, deflection, method="sweep")
+    return PullInResult(detected, deflection)
 
 
 def natural_frequency(mech: DerivedMechanics) -> float:

@@ -32,6 +32,7 @@ DEFAULT_DROP_FRACTION = 0.2            # failure: >=20% drop between detections
 DEFAULT_MIN_PULLIN_FRACTION = 0.5      # failure: pull-in below half the pristine value
 DEFAULT_TARGET_V_D = 13.0              # calibration: the published fatigue limit
 DEFAULT_TARGET_IMMEDIATE_V = 21.0      # calibration: collapse in the first interval
+MAX_DETECTIONS = 100_000               # detections of one run, ceil(reference/interval)
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,13 @@ def run_pull_in_detection(state: DamageState, device: Device,
     return _stepped_reading(pristine, float(state.damage), params, step_V)
 
 
+def validate_detections(detection_interval: int, reference_cycles: int) -> list[str]:
+    """The "name: message" fault of a run of more than MAX_DETECTIONS detections."""
+    if detection_interval >= 1 and -(-reference_cycles // detection_interval) > MAX_DETECTIONS:
+        return [f"reference_cycles: a run may take at most {MAX_DETECTIONS} detections"]
+    return []
+
+
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
                      params: DamageModelParams,
                      detection_interval: int = DEFAULT_DETECTION_INTERVAL,
@@ -137,7 +145,7 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     readings and outcome equal those of accumulating each batch with
     ``damage.accumulate``, the primitive for sums whose amplitude varies,
     and measuring with ``run_pull_in_detection``. Both cycle counts must
-    be whole numbers, the interval at least 1.
+    be whole numbers, the interval at least 1, for at most MAX_DETECTIONS detections.
     """
     if not _is_whole(detection_interval) or detection_interval < 1:
         raise ValueError(
@@ -146,6 +154,9 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
         raise ValueError(f"reference cycles must be a whole number, got {reference_cycles}")
     if detection_step_V <= 0:
         raise ValueError(f"detection step must be > 0, got {detection_step_V}")
+    problems = validate_detections(detection_interval, reference_cycles)
+    if problems:
+        raise ValueError(problems[0])
     tension, _ = fatigue_parameters(V_a, device.mechanics, device.geometry)
     life = cycles_to_failure(tension.sigma_alt_Pa, params, specimen)
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
@@ -182,6 +193,15 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     )
 
 
+def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
+    """k with level_V = origin_V + k*step_V to 1e-9 of the level or the step, else None."""
+    k = (level_V - origin_V) / step_V
+    if math.isfinite(k) and math.isclose(origin_V + round(k) * step_V, level_V,
+                                         rel_tol=1e-9, abs_tol=1e-9 * step_V):
+        return round(k)
+    return None
+
+
 def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                         n_specimens: int, n_available: int, device: Device) -> list[str]:
     """Stair-case argument faults as "name: message" strings, for a population
@@ -198,6 +218,9 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
         problems.append(f"levels_V: need levels in [0, {pull_in:.3f}) V, the pristine pull-in")
     if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
         problems.append(f"start_level_V: {start_level_V} V not among levels {list(levels_V)}")
+    if step_V > 0 and any(grid_index(v, start_level_V, step_V) is None for v in levels_V):
+        problems.append(f"levels_V: need every level on the {step_V:g} V grid "
+                        f"from {start_level_V:g} V")
     return problems
 
 
@@ -230,13 +253,10 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
         failure = record.outcome in (OUTCOME_FAILED, OUTCOME_INVALID)
         trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
         nxt = level - step_V if failure else level + step_V
-        if nxt < levels[0] - 1e-9:
-            log.info("level clamped at the bottom of the window (%.3g V)", levels[0])
-            nxt = levels[0]
-        elif nxt > levels[-1] + 1e-9:
-            log.info("level clamped at the top of the window (%.3g V)", levels[-1])
-            nxt = levels[-1]
-        level = nxt
+        level = min(max(nxt, levels[0]), levels[-1])
+        if level != nxt:
+            log.info("level clamped at the %s of the window (%.3g V)",
+                     "bottom" if nxt < levels[0] else "top", level)
     sequence = StairCaseSequence(trials=tuple(trials), step_V=step_V,
                                  levels_V=tuple(levels))
     return sequence, records

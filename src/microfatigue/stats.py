@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .protocols import StairCaseSequence, StairCaseTrial
+from .protocols import StairCaseSequence, StairCaseTrial, grid_index
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -41,7 +41,6 @@ class WohlerPoint:
     level_V: float
     cycles: int
     censored: bool = False  # survived the reference count (run-out)
-    stress_Pa: float | None = None
 
     def __post_init__(self):
         if self.cycles < 1:
@@ -78,17 +77,11 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
 
     d = seq.step_V
     x0 = min(t.level_V for t in basis)
-    counts: dict[int, int] = {}
-    for t in basis:
-        i = round((t.level_V - x0) / d)
-        if not math.isclose(x0 + i * d, t.level_V, rel_tol=1e-9, abs_tol=1e-9 * d):
-            raise EstimationError(
-                f"level {t.level_V} V is not on the step grid (step {d} V from {x0} V)")
-        counts[i] = counts.get(i, 0) + 1
-
-    n = sum(counts.values())
-    a = sum(i * c for i, c in counts.items())
-    b = sum(i * i * c for i, c in counts.items())
+    indices = [grid_index(t.level_V, x0, d) for t in basis]
+    if None in indices:
+        level = basis[indices.index(None)].level_V
+        raise EstimationError(f"level {level} V is not on the step grid (step {d} V from {x0} V)")
+    n, a, b = len(indices), sum(indices), sum(i * i for i in indices)
     mean = x0 + d * (a / n + half)
     ratio = (n * b - a * a) / n**2
     valid = ratio >= DISPERSION_VALIDITY_RATIO
@@ -156,12 +149,13 @@ def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
 
 
 def _dixon_mood_means(tested: np.ndarray, failed: np.ndarray, step_V: float) -> np.ndarray:
-    """Dixon-Mood mean of each stair-case row that dixon_mood accepts, in row order.
+    """Dixon-Mood mean of each stair-case row with both outcomes, in row order.
 
-    Rows with a single outcome or an off-grid basis level are dropped, where
-    dixon_mood raises EstimationError. Per row, with the basis levels indexed
-    i = rint((level - X0)/d) (round half to even, as round() does), the mean
-    is X0 + d*(A/N +/- 1/2) with N the basis count and A the sum of i.
+    Rows with a single outcome are dropped, where dixon_mood raises
+    EstimationError. Levels are taken to lie on the step_V grid, unchecked.
+    Per row, with the basis levels indexed i = rint((level - X0)/d) (round
+    half to even, as round() does), the mean is X0 + d*(A/N +/- 1/2) with N
+    the basis count and A the sum of i.
     """
     n_fail = failed.sum(axis=1)
     n_surv = failed.shape[1] - n_fail
@@ -171,40 +165,27 @@ def _dixon_mood_means(tested: np.ndarray, failed: np.ndarray, step_V: float) -> 
     basis = failed == by_failures[:, None]
     x0 = np.where(basis, tested, np.inf).min(axis=1)
     i = np.rint((tested - x0[:, None]) / step_V)
-    grid = x0[:, None] + i * step_V
-    # math.isclose(grid, level, rel_tol=1e-9, abs_tol=1e-9 * d), elementwise
-    tol = np.maximum(1e-9 * np.maximum(np.abs(grid), np.abs(tested)), 1e-9 * step_V)
-    on_grid = ((np.abs(tested - grid) <= tol) | ~basis).all(axis=1)
     n = basis.sum(axis=1)
     a = np.where(basis, i, 0.0).sum(axis=1)
     half = np.where(by_failures, -0.5, 0.5)
-    return (x0 + step_V * (a / n + half))[on_grid]
+    return x0 + step_V * (a / n + half)
 
 
 def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
-                             n_specimens: int, replications: int, seed: int,
-                             levels_V: list[float] | None = None,
-                             step_V: float = 1.0) -> dict:
+                             n_specimens: int, replications: int, seed: int) -> dict:
     """Bias/spread summary of the Dixon-Mood estimator on synthetic campaigns.
 
     Each replication draws threshold strengths from Normal(true_mean,
-    true_std), runs a stair-case starting at the level nearest the true
-    mean, and records the estimated mean. Replications whose sequence has
-    only one outcome, or a basis level off the step grid, are skipped and
-    counted.
+    true_std) and runs a stair-case over the fixed window of 1 V steps,
+    round(true_mean) - 1 to round(true_mean) + 2 V, from the level nearest
+    the true mean. Replications with only one outcome are skipped and counted.
 
-    All replications run at once as arrays: the stair-case steps across the
-    replication axis and Dixon-Mood reduces to per-row moments. Replication
-    rep still draws from its own default_rng((seed, rep)) stream, so the
-    summary equals that of one synthetic_stair_case and dixon_mood per
-    replication. Seeding those generators is most of what is left to pay.
+    All replications run at once as arrays, replication rep from its own
+    default_rng((seed, rep)) stream, so the summary equals that of one
+    synthetic_stair_case and dixon_mood per replication.
     """
-    _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed,
-                         levels_V, step_V)
-    if levels_V is None:
-        base = round(true_mean_V)
-        levels_V = [base - 1.0 + i * step_V for i in range(4)]
-    levels = sorted(float(v) for v in levels_V)
+    _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed)
+    levels = [round(true_mean_V) - 1.0 + i for i in range(4)]
     start = min(levels, key=lambda v: abs(v - true_mean_V))
 
     block = max(1, _BLOCK_ELEMENTS // n_specimens)   # replications per array pass
@@ -214,8 +195,8 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
         for row in range(len(z)):
             np.random.default_rng((int(seed), first + row)).standard_normal(out=z[row])
         strengths = true_mean_V + true_std_V * z
-        tested = _stair_case_levels(strengths, levels[0], levels[-1], step_V, start)
-        chunks.append(_dixon_mood_means(tested, tested >= strengths, step_V))
+        tested = _stair_case_levels(strengths, levels[0], levels[-1], 1.0, start)
+        chunks.append(_dixon_mood_means(tested, tested >= strengths, 1.0))
     estimates = np.concatenate(chunks)
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")
@@ -233,8 +214,7 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     }
 
 
-def _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed,
-                         levels_V, step_V) -> None:
+def _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed) -> None:
     """Raise ValueError, starting with the argument name, for a trial that cannot run."""
     for name, value, low in (("n_specimens", n_specimens, 1),
                              ("replications", replications, 1), ("seed", seed, 0)):
@@ -244,7 +224,3 @@ def _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, see
         raise ValueError(f"true_mean_V must be finite, got {true_mean_V}")
     if not (math.isfinite(true_std_V) and true_std_V >= 0):
         raise ValueError(f"true_std_V must be finite and >= 0, got {true_std_V}")
-    if not (math.isfinite(step_V) and step_V > 0):
-        raise ValueError(f"step_V must be finite and > 0, got {step_V}")
-    if levels_V is not None and not (levels_V and all(math.isfinite(v) for v in levels_V)):
-        raise ValueError(f"levels_V must be non-empty and finite, got {levels_V!r}")

@@ -277,6 +277,9 @@ NAN, INF = float("nan"), float("inf")
     ({"model": {"reference_cycles": 50_000}}, "model.detection_interval_cycles"),
     ({"model": {"c_k": 1e300}}, "damage"),
     ({"material": {"E_GPa": -1}}, "material.E_GPa"),
+    ({"campaign": {"levels_V": [12.5, 15]}}, "campaign.levels_V"),  # off the 1 V grid from 15 V
+    ({"model": {"reference_cycles": 1e300}}, "model.reference_cycles"),
+    ({"model": {"detection_interval_cycles": 1}}, "model.reference_cycles"),  # 2e6 detections
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -285,6 +288,62 @@ def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
                            "staircase")
     assert code == 2
     assert f" {path}: " in err
+
+
+def test_off_grid_step_is_clamped_onto_the_window(tmp_path, capsys):
+    # 13.0 - 3*0.3 drifts below 12.1 in floats; the clamp puts it back on the window end.
+    cfg = tmp_path / "drift.json"
+    cfg.write_text(json.dumps({"campaign": {"step_V": 0.3, "levels_V": [12.1, 13.0],
+                                            "start_level_V": 13.0,
+                                            "strengths_V": [10, 10, 10, 20, 20, 20]}}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "staircase")
+    assert code == 0
+    levels = [t["level_V"] for t in json.loads(out)["trials"]]
+    assert levels[3] == 12.1
+    assert all(12.1 <= v <= 13.0 for v in levels)
+
+
+# sha256 of every staircase artifact, as recorded in bench/reference.json.
+STAIRCASE_DIGESTS = {
+    "config_echo.json": "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a",
+    "run_00.csv": "9f0fc07cec15b275abbd58fbf4d96109dbdbb29630f04ae5209cf66e1d9a6f32",
+    "run_01.csv": "732d1a95ebb5ecab3c166fea0a79d2ecd395e6e1401ecdd258824c6af059ee45",
+    "run_02.csv": "24375912f499ebab1eec63255ebeba07be4c0937f9ea4751c53f0b32e979e038",
+    "run_03.csv": "f8c69d0b28d1b800d3792702dff41ead6f8ac49218886b9cc19750ddf98edf77",
+    "run_04.csv": "aabfcbbc076e419335da429123f4ed24ad252ea1d7884b03e316bf2723c2b37a",
+    "run_05.csv": "f8c69d0b28d1b800d3792702dff41ead6f8ac49218886b9cc19750ddf98edf77",
+    "staircase_estimate.json": "8d5264a468b251d5534acfab531f386466f30f04a89dde4689dfbb811149f8ce",
+    "staircase_sequence.csv": "9d96ff880324b25449a1235490458d17d564cf20ad4117861dfd961dc5ab4ab7",
+    "wohler_points.csv": "1a6e66ac24ae0cc1d66d416fabc244f886bc34460032d353c1c9a75a69b79202",
+}
+PAPER_STAIRCASE_DIGESTS = {
+    "config_echo.json": "fd39c06eb69acbd530e0cb82eb69ef2b3f68cf0d75fea32c2486cd6ac2be00a6",
+    "run_00.csv": "d1ff6f33e6ab2b9340c1e5961da88557ef23e0a7600d04b90f9ad9df0434ce15",
+    "run_01.csv": "0a45286b0e1de2d034b3e671368454459aac2c406a1c79fdb1a8462fedf548c8",
+    "run_02.csv": "ef2739c48a959d0cc657d302874168777257d1d8f4ebab660792ee9ce763f747",
+    "run_03.csv": "0a45286b0e1de2d034b3e671368454459aac2c406a1c79fdb1a8462fedf548c8",
+    "run_04.csv": "80699db2d4fbfc4de5767114f53c1e8b1b42573932b03e4fcc696b66ed6e7b2e",
+    "run_05.csv": "f8c69d0b28d1b800d3792702dff41ead6f8ac49218886b9cc19750ddf98edf77",
+    "staircase_estimate.json": "ba11286dbe8ac763c30f2ac01f4bff7b81e3868a6919371c4bf83863aa3a4515",
+    "staircase_sequence.csv": "3676ae2c882d6b680f62fac8670da626c0441f5176d88559aa417225f579fdaf",
+    "wohler_points.csv": "270c069a17338c0b58e174dd152560808e99fd1e5c913199c7fe97c45f3a0f70",
+}
+
+
+@pytest.mark.parametrize("config, digests", [(None, STAIRCASE_DIGESTS),
+                                             (TABLE_CONFIG, PAPER_STAIRCASE_DIGESTS)],
+                         ids=["default", "paper"])
+def test_staircase_artifact_bytes_pinned(tmp_path, capsys, config, digests):
+    argv = ["--out", str(tmp_path / "out"), "staircase"]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "out").iterdir())} == digests
 
 
 def test_whole_float_specimen_count_runs(tmp_path, capsys):
@@ -356,7 +415,8 @@ def json_configs(draw):
         config.setdefault(section, {})[name] = draw(_field_values(section, name, good=True))
     if draw(st.booleans()):  # a campaign on its own step grid, so runs start
         step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-        levels = [draw(st.floats(5.0, 20.0)) + k * step for k in range(draw(st.integers(1, 5)))]
+        base = draw(st.floats(5.0, 20.0))
+        levels = [base + k * step for k in range(draw(st.integers(1, 5)))]
         config.setdefault("campaign", {}).update(
             levels_V=levels, step_V=step, start_level_V=draw(st.sampled_from(levels)))
     if draw(st.booleans()):  # explicit damage parameters instead of the calibration

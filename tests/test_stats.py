@@ -189,20 +189,18 @@ def scalar_stair_case(strengths_V, levels_V, step_V, start_level_V):
     return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels))
 
 
-def recovery_by_replication(true_mean_V, true_std_V, n_specimens, replications, seed,
-                            levels_V=None, step_V=1.0):
-    """Reference: one synthetic_stair_case and one dixon_mood per replication."""
-    if levels_V is None:
-        base = round(true_mean_V)
-        levels_V = [base - 1.0 + i * step_V for i in range(4)]
-    levels = sorted(float(v) for v in levels_V)
+def recovery_by_replication(true_mean_V, true_std_V, n_specimens, replications, seed):
+    """Reference: one synthetic_stair_case and one dixon_mood (with its grid
+    check) per replication."""
+    base = round(true_mean_V)
+    levels = [base - 1.0 + i for i in range(4)]
     start = min(levels, key=lambda v: abs(v - true_mean_V))
     estimates = []
     skipped = 0
     for rep in range(replications):
         rng = np.random.default_rng((int(seed), rep))
         strengths = true_mean_V + true_std_V * rng.standard_normal(n_specimens)
-        seq = synthetic_stair_case(list(strengths), levels, step_V, start)
+        seq = synthetic_stair_case(list(strengths), levels, 1.0, start)
         try:
             estimates.append(dixon_mood(seq).mean_V)
         except EstimationError:
@@ -228,26 +226,17 @@ STEPS_V = st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.0])
 
 @st.composite
 def recovery_trials(draw):
-    # Means ending in .5 tie the two nearest default levels for the start.
+    # Means ending in .5 tie the two nearest window levels for the start; far
+    # means keep the window on its grid too.
     true_mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
-                     | st.floats(8.0, 18.0, allow_subnormal=False))
-    step = draw(STEPS_V)
-    kind = draw(st.sampled_from(["default", "grid", "off-grid"]))
-    levels = None
-    if kind == "grid":    # on the step grid, unsorted
-        base = draw(st.floats(true_mean - 2.0, true_mean))
-        levels = draw(st.permutations([base + i * step for i in range(draw(st.integers(1, 6)))]))
-    elif kind == "off-grid":
-        levels = draw(st.lists(st.floats(true_mean - 3.0, true_mean + 3.0), min_size=1,
-                               max_size=6))
+                     | st.floats(8.0, 18.0, allow_subnormal=False)
+                     | st.floats(-1e6, 1e6, allow_subnormal=False))
     return dict(
         true_mean_V=true_mean,
         true_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
         n_specimens=draw(st.integers(1, 30)),
         replications=draw(st.integers(1, 60)),
         seed=draw(st.integers(0, 2**32)),
-        levels_V=levels,
-        step_V=step,
     )
 
 
@@ -286,9 +275,6 @@ def test_synthetic_stair_case_steps_one_specimen_at_a_time(strengths, levels, st
     ({"true_std_V": math.nan}, "true_std_V"),
     ({"true_mean_V": math.nan}, "true_mean_V"),
     ({"true_mean_V": math.inf}, "true_mean_V"),
-    ({"step_V": 0.0}, "step_V"),
-    ({"levels_V": []}, "levels_V"),
-    ({"levels_V": [12.0, math.inf]}, "levels_V"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"true_mean_V": 13.0, "true_std_V": 0.55, "n_specimens": 6,
