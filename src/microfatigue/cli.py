@@ -189,7 +189,8 @@ def _cmd_staircase(args, config) -> int:
     summary = {
         "estimate": estimate_to_dict(estimate),
         "estimator_convention": "Dixon-Mood over the less frequent outcome; "
-                                "0.53*step dispersion fallback below validity ratio 0.3",
+                                f"{stats.DISPERSION_FALLBACK_FACTOR:g}*step dispersion fallback "
+                                f"below validity ratio {stats.DISPERSION_VALIDITY_RATIO:g}",
         "trials": [{"specimen_id": t.specimen_id, "level_V": t.level_V,
                     "outcome": 1 if t.failure else 0} for t in sequence.trials],
         "run_outcomes": [r.outcome for r in records],

@@ -18,8 +18,10 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 
 from .damage import DamageModelParams
-from .device import Device, DeviceGeometry, Material, validate_geometry, validate_material
+from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_geometry,
+                     validate_material)
 from .electromech import DEFAULT_SWEEP_STEP_V
+from .emit import dump_json
 from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
@@ -37,7 +39,7 @@ _FRACTION = {"bound": (lambda v: 0 < v < 1, "in (0, 1)")}
 
 @dataclass(frozen=True)
 class ModelConfig:
-    c_k: float = field(default=1.0, metadata=_ABOVE_ZERO)
+    c_k: float = field(default=DEFAULT_C_K, metadata=_ABOVE_ZERO)
     sweep_step_V: float = field(default=DEFAULT_SWEEP_STEP_V, metadata=_ABOVE_ZERO)
     detection_step_V: float = field(default=DEFAULT_DETECTION_STEP_V, metadata=_ABOVE_ZERO)
     detection_interval_cycles: int = field(default=DEFAULT_DETECTION_INTERVAL,
@@ -235,7 +237,7 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON text; parse(serialize(c)) round-trips exactly."""
-    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
+    return dump_json(asdict(config))
 
 
 def default_config() -> RunConfig:

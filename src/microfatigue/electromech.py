@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .device import DeviceGeometry, DerivedMechanics
 from .errors import SolverError
 
@@ -159,9 +157,13 @@ def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry,
     v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
     if V_max >= v_pi:
         raise ValueError(f"V_max {V_max} V must stay below pull-in {v_pi:.3f} V")
+    # numpy.linspace(0.0, V_max, n_points) in floats: i*step, or i/div*V_max
+    # where the step underflows to zero, and V_max itself last.
+    div = n_points - 1
+    step = V_max / div
     points = []
-    for v in np.linspace(0.0, V_max, n_points):
-        eq = static_equilibrium(float(v), mech, geom)
+    for v in [i * step if step else i / div * V_max for i in range(div)] + [V_max]:
+        eq = static_equilibrium(v, mech, geom)
         if eq is None:  # pragma: no cover - excluded by the V_max guard
             raise SolverError(f"unexpected pull-in at {v} V below V_max")
         points.append(eq)

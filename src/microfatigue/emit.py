@@ -10,7 +10,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .electromech import EquilibriumPoint
-from .protocols import FatigueRunRecord, StairCaseSequence
+from .protocols import OUTCOME_FAILED, OUTCOME_SURVIVED, FatigueRunRecord, StairCaseSequence
 from .stats import BasquinFit, StairCaseEstimate, WohlerPoint
 
 TOOL_STAMP = f"microfatigue {__version__}"
@@ -113,10 +113,10 @@ def wohler_points_from_records(records: list[FatigueRunRecord]) -> list[WohlerPo
     """
     points = []
     for r in records:
-        if r.outcome == "failed":
+        if r.outcome == OUTCOME_FAILED:
             points.append(WohlerPoint(level_V=r.drive_amplitude_V,
                                       cycles=r.detections[-1][0], censored=False))
-        elif r.outcome == "survived":
+        elif r.outcome == OUTCOME_SURVIVED:
             points.append(WohlerPoint(level_V=r.drive_amplitude_V,
                                       cycles=r.reference_cycles, censored=True))
     return points

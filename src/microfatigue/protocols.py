@@ -74,7 +74,8 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
                      thresholds_V: list[float] | None = None,
                      ) -> tuple[SpecimenStrength, ...]:
     """Draw (or adopt) threshold voltages and convert them to strength scales;
-    draw i comes from its own (master_seed, i) RNG stream, so no draw depends on another."""
+    draw i comes from its own (master_seed, i) RNG stream, so no draw depends on another.
+    A threshold outside [0.1 V, 0.99*V_PI] is clamped into it, and logged."""
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if thresholds_V is None:
         thresholds = []
@@ -83,7 +84,11 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
             thresholds.append(mean_V + std_V * float(rng.standard_normal()))
     else:
         thresholds = [float(v) for v in thresholds_V]
-    clamped = [min(max(v, 0.1), 0.99 * pristine) for v in thresholds]
+    clamped = []
+    for i, v in enumerate(thresholds):
+        clamped.append(min(max(v, 0.1), 0.99 * pristine))
+        if clamped[-1] != v:
+            log.info("specimen %d threshold %.3g V clamped to %.3g V", i, v, clamped[-1])
     return tuple(SpecimenStrength(strength_scale_from_threshold(v, device, params))
                  for v in clamped)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from microfatigue import Device
+from microfatigue.device import Device
 from microfatigue.protocols import calibrate_defaults
 
 

@@ -1,0 +1,49 @@
+"""The names the benchmark harness reaches into the package by.
+
+The harness under ``bench/`` traces named functions and methods and imports
+named modules; a renamed or moved one breaks its runs. The names are read
+from the harness sources as literals, so nothing under ``bench/`` is imported.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _literal(filename: str, name: str):
+    """The literal value assigned to the top-level name in bench/filename."""
+    tree = ast.parse((BENCH / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in bench/{filename}")
+
+
+def _module(name: str):
+    return importlib.import_module(f"microfatigue.{name}")
+
+
+@pytest.mark.parametrize("name", _literal("run_bench.py", "TRACED_FUNCTIONS"))
+def test_traced_name_is_a_public_function_of_its_module(name):
+    layer, attr = name.split(".")
+    module = _module(layer)
+    fn = getattr(module, attr, None)
+    assert not attr.startswith("_") and inspect.isfunction(fn), name
+    assert fn.__module__ == module.__name__, name
+
+
+@pytest.mark.parametrize("layer,cls_name,attr", _literal("spans.py", "METHODS"))
+def test_traced_method_is_defined_on_its_class(layer, cls_name, attr):
+    assert attr in vars(getattr(_module(layer), cls_name))
+
+
+@pytest.mark.parametrize("name", sorted(set(_literal("workloads.py", "MODULES"))
+                                        | set(_literal("spans.py", "LAYERS"))))
+def test_benchmarked_module_imports(name):
+    assert _module(name).__name__ == f"microfatigue.{name}"

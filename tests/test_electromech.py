@@ -214,11 +214,42 @@ def test_conversion_curve_rejects_vmax_above_pull_in(nominal_device):
         stress_conversion_curve(d.mechanics, d.geometry, V_max=30.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 26.0), st.integers(2, 500))
+@example(5e-324, 3)
+@example(5e-324, 200)
+@example(1e-300, 7)
+@example(0.0, 2)
+def test_conversion_curve_voltages_equal_linspace(V_max, n_points):
+    d = Device.nominal()
+    points = stress_conversion_curve(d.mechanics, d.geometry, V_max=V_max, n_points=n_points)
+    assert ([repr(p.voltage_V) for p in points]
+            == [repr(v) for v in np.linspace(0.0, V_max, n_points).tolist()])
+
+
+@pytest.mark.parametrize("module", ["microfatigue", "microfatigue.device",
+                                    "microfatigue.electromech", "microfatigue.loading",
+                                    "microfatigue.damage", "microfatigue.errors"])
+def test_import_graph(module):
+    """The package import loads no submodule; the physics modules load no numpy."""
+    src = os.path.dirname(os.path.dirname(microfatigue.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (f"import sys, {module}; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('microfatigue', 'numpy')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    loaded = result.stdout.split()
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+    if module == "microfatigue":
+        assert loaded == ["microfatigue"]
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(microfatigue.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, microfatigue; "
+    code = ("import sys, microfatigue.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)

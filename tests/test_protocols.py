@@ -271,6 +271,21 @@ def test_staircase_logs_each_clamp(nominal_device, calibrated_params, caplog):
         "level clamped at the bottom of the window (12 V)"]
 
 
+def test_population_logs_each_clamped_threshold(nominal_device, calibrated_params, caplog):
+    top = 0.99 * pull_in_voltage_closed_form(nominal_device.mechanics,
+                                             nominal_device.geometry).pull_in_voltage_V
+    with caplog.at_level(logging.INFO, logger="microfatigue.protocols"):
+        pop = build_population(0, 13.0, 0.0, 3, nominal_device, calibrated_params,
+                               thresholds_V=[30.0, 13.0, 0.05])
+    assert pop == build_population(0, 13.0, 0.0, 3, nominal_device, calibrated_params,
+                                   thresholds_V=[top, 13.0, 0.1])
+    clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
+    assert [r.levelno for r in clamps] == [logging.INFO] * 2
+    assert [r.getMessage() for r in clamps] == [
+        f"specimen 0 threshold 30 V clamped to {top:.3g} V",
+        "specimen 2 threshold 0.05 V clamped to 0.1 V"]
+
+
 def test_staircase_rejects_levels_off_the_step_grid(nominal_device, calibrated_params):
     pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
                            thresholds_V=[13.0, 13.0])
