@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import electromech, protocols, stats
-from .config import CampaignConfig, default_config, parse_config, serialize_config
+from .config import default_config, parse_config, serialize_config
 from .damage import SpecimenStrength
 from .emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
                    emit_staircase_sequence, emit_wohler_points, estimate_to_dict,
@@ -26,8 +25,6 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-SEED_ENV_VAR = "MICROFATIGUE_SEED"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here is 1.
@@ -36,17 +33,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _number(kind, low=-math.inf):
-    """argparse type: a finite ``kind`` (int or float) >= low."""
-    def parse(text: str):
+def _integer(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
         try:
-            value = kind(text)
+            value = int(text)
         except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value >= low):
-            bound = f" >= {low}" if low > -math.inf else ""
-            raise argparse.ArgumentTypeError(
-                f"expected a finite {kind.__name__}{bound}, got {text!r}")
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return value
     return parse
 
@@ -56,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Virtual MEMS fatigue rig: pull-in physics, "
                                  "fatigue runs and stair-case statistics.")
     parser.add_argument("--config", type=Path, help="JSON run-config file")
-    parser.add_argument("--seed", type=_number(int, 0),
-                        help=f"campaign master seed (fallback: ${SEED_ENV_VAR})")
+    parser.add_argument("--seed", type=_integer(0),
+                        help="campaign master seed (overrides campaign.master_seed)")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--show-defaults", action="store_true",
                         help="print the fully resolved default config and exit")
@@ -81,11 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_woh.add_argument("--points-csv", type=Path, required=True,
                        help="CSV with level_V,cycles,censored (e.g. the staircase output)")
 
-    p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials")
-    p_rec.add_argument("--true-mean", type=_number(float), default=CampaignConfig.strength_mean_V)
-    p_rec.add_argument("--true-std", type=_number(float, 0.0), default=CampaignConfig.strength_std_V)
-    p_rec.add_argument("--n-specimens", type=_number(int, 1), default=CampaignConfig.n_specimens)
-    p_rec.add_argument("--replications", type=_number(int, 1), default=200)
+    p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials "
+                                            "on the campaign's strength population")
+    p_rec.add_argument("--replications", type=_integer(1), default=200)
 
     return parser
 
@@ -95,15 +88,8 @@ def _load_config(args):
         config = parse_config(Path(args.config).read_text())
     else:
         config = default_config()
-    seed = args.seed
-    if seed is None and os.environ.get(SEED_ENV_VAR):
-        try:
-            seed = _number(int, 0)(os.environ[SEED_ENV_VAR])
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError([(SEED_ENV_VAR, str(exc))]) from None
-    if seed is not None:
-        from dataclasses import replace
-        config = replace(config, campaign=replace(config.campaign, master_seed=seed))
+    if args.seed is not None:
+        config = replace(config, campaign=replace(config.campaign, master_seed=args.seed))
     return config
 
 
@@ -115,6 +101,7 @@ def _out_dir(args, config) -> Path:
 
 def _cmd_pullin(args, config) -> int:
     device = config.device()
+    config.check_sweep(device)
     closed = electromech.pull_in_voltage_closed_form(device.mechanics, device.geometry)
     sweep = electromech.pull_in_voltage_sweep(device.mechanics, device.geometry,
                                              step_V=config.model.sweep_step_V)
@@ -215,10 +202,12 @@ def _cmd_wohler(args, config) -> int:
 
 
 def _cmd_recovery(args, config) -> int:
-    seed = config.campaign.master_seed
+    camp = config.campaign
+    # float(): a config may spell the mean and spread as ints; the summary prints floats.
     summary = stats.estimator_recovery_trial(
-        args.true_mean, args.true_std, args.n_specimens, args.replications, seed)
-    print(dump_json({**summary, "seed": seed, "tool": TOOL_STAMP}), end="")
+        float(camp.strength_mean_V), float(camp.strength_std_V), camp.n_specimens,
+        args.replications, camp.master_seed)
+    print(dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP}), end="")
     return EXIT_OK
 
 

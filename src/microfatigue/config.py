@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_geometry,
                      validate_material)
-from .electromech import DEFAULT_SWEEP_STEP_V
+from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep
 from .emit import dump_json
 from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
@@ -41,7 +41,7 @@ _FRACTION = {"bound": (lambda v: 0 < v < 1, "in (0, 1)")}
 class ModelConfig:
     c_k: float = field(default=DEFAULT_C_K, metadata=_ABOVE_ZERO)
     sweep_step_V: float = field(default=DEFAULT_SWEEP_STEP_V, metadata=_ABOVE_ZERO)
-    detection_step_V: float = field(default=DEFAULT_DETECTION_STEP_V, metadata=_ABOVE_ZERO)
+    detection_step_V: float = DEFAULT_DETECTION_STEP_V
     detection_interval_cycles: int = field(default=DEFAULT_DETECTION_INTERVAL,
                                            metadata=_AT_LEAST_ONE)
     reference_cycles: int = field(default=DEFAULT_REFERENCE_CYCLES, metadata=_AT_LEAST_ONE)
@@ -82,7 +82,7 @@ class CampaignConfig:
     levels_V: tuple[float, ...] = (12.0, 13.0, 14.0, 15.0)
     step_V: float = 1.0
     start_level_V: float = 15.0
-    n_specimens: int = 6
+    n_specimens: int = field(default=6, metadata=_AT_LEAST_ONE)
     strength_mean_V: float = field(default=13.0, metadata=_ABOVE_ZERO)
     strength_std_V: float = field(default=0.55, metadata=_NOT_NEGATIVE)
     master_seed: int = field(default=20080409, metadata=_NOT_NEGATIVE)
@@ -116,14 +116,18 @@ class RunConfig:
         if problems:
             raise ConfigError(_located("campaign", problems))
 
-    def damage_params(self, device: Device | None = None) -> DamageModelParams:
-        """The explicit Basquin fields, or a calibration to the damage targets;
-        ConfigError names the damage or model field at fault."""
+    def check_sweep(self, device: Device) -> None:
+        """Raise ConfigError when the pull-in sweep of device would exceed its step bound."""
+        problems = validate_sweep(device.mechanics, device.geometry, self.model.sweep_step_V)
+        if problems:
+            raise ConfigError(_located("model", problems))
+
+    def damage_params(self, device: Device) -> DamageModelParams:
+        """The explicit Basquin fields, or a calibration of ``device`` to the damage
+        targets; ConfigError names the damage or model field at fault."""
         d = self.damage
         values = {f.name: getattr(d, f.name) for f in fields(DamageModelParams)}
         calibrate = None in values.values()  # only the Basquin fields may be None
-        if calibrate and device is None:
-            device = self.device()
         try:
             if calibrate:
                 calibrated = calibrate_defaults(
@@ -227,8 +231,9 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
         value = getattr(getattr(config, key), name)
         if not holds(value):
             problems.append((f"{key}.{name}", f"must be {rule}, got {value!r}"))
-    problems += _located("model", validate_detections(config.model.detection_interval_cycles,
-                                                      config.model.reference_cycles))
+    model = config.model
+    problems += _located("model", validate_detections(
+        model.detection_interval_cycles, model.reference_cycles, model.detection_step_V))
     given = [name for name in _BASQUIN if getattr(config.damage, name) is not None]
     if 0 < len(given) < len(_BASQUIN):
         problems.append(("damage", f"give all three Basquin fields or none, got only {given}"))

@@ -18,6 +18,10 @@ DEFAULT_C_K = 1.0  # stiffness calibration of the plain guided-cantilever model
 # ~28 kHz; a documented preset, not applied silently.
 C_K_RESONANCE_PRESET = 3.7
 
+# Bounds of every layout length, in microns. Within them each SI length,
+# area, volume and second moment of area the mechanics forms is a normal float.
+LENGTH_WINDOW_UM = (1e-3, 1e6)
+
 
 @dataclass(frozen=True)
 class DeviceGeometry:
@@ -58,7 +62,7 @@ class DeviceGeometry:
 
     @property
     def hole_area_um2(self) -> float:
-        return self.hole_count * self.hole_side_um**2
+        return self.hole_count * (self.hole_side_um * self.hole_side_um)
 
 
 @dataclass(frozen=True)
@@ -96,26 +100,25 @@ class DerivedMechanics:
 def validate_geometry(geom: DeviceGeometry) -> list[str]:
     """Return a list of invariant violations; empty means valid."""
     problems: list[str] = []
-    positive_fields = (
+    lengths = (
         "specimen_length_um", "specimen_width_um", "specimen_thickness_um",
         "plate_length_um", "plate_width_um", "plate_thickness_um",
-        "gap_um", "electrode_length_um", "electrode_width_um",
+        "gap_um", "hole_side_um", "electrode_length_um", "electrode_width_um",
     )
-    for name in positive_fields:
+    low, high = LENGTH_WINDOW_UM
+    for name in lengths:
         value = getattr(geom, name)
-        if not (math.isfinite(value) and value > 0):
-            problems.append(f"{name}: must be a positive finite number, got {value}")
+        if not low <= value <= high:
+            problems.append(f"{name}: must lie in [{low:g}, {high:g}] um, got {value}")
     if geom.hole_count < 0:
         problems.append(f"hole_count: must be >= 0, got {geom.hole_count}")
-    if geom.hole_count > 0 and not (math.isfinite(geom.hole_side_um) and geom.hole_side_um > 0):
-        problems.append(f"hole_side_um: must be positive when holes are present, got {geom.hole_side_um}")
-    if (geom.hole_count >= 0 and geom.hole_side_um > 0
-            and geom.plate_length_um > 0 and geom.plate_width_um > 0
-            and geom.hole_area_um2 >= geom.plate_area_um2):
+    if problems:  # the checks below relate fields that must each hold first
+        return problems
+    if geom.hole_area_um2 >= geom.plate_area_um2:
         problems.append(
             f"hole_count/hole_side_um: total hole area {geom.hole_area_um2} um^2 "
             f"must stay below the plate area {geom.plate_area_um2} um^2")
-    if geom.gap_um > 0 and geom.plate_length_um > 0 and geom.gap_um >= geom.plate_length_um:
+    if geom.gap_um >= geom.plate_length_um:
         problems.append(
             f"gap_um: shallow-gap model requires gap < plate length "
             f"({geom.gap_um} >= {geom.plate_length_um})")

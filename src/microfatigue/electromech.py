@@ -108,6 +108,15 @@ def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) ->
     return PullInResult(v, g * STABLE_FRACTION)
 
 
+def validate_sweep(mech: DerivedMechanics, geom: DeviceGeometry, step_V: float) -> list[str]:
+    """The "name: message" fault of a sweep that needs more than MAX_SWEEP_STEPS steps."""
+    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+    if not v_pi <= MAX_SWEEP_STEPS * step_V:
+        return [f"sweep_step_V: {MAX_SWEEP_STEPS} steps of {step_V:g} V stop short of "
+                f"pull-in at {v_pi:.6g} V"]
+    return []
+
+
 def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
                           step_V: float = DEFAULT_SWEEP_STEP_V,
                           tol_V: float = 1e-3) -> PullInResult:

@@ -31,27 +31,6 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_fatigue_run(text: str) -> FatigueRunRecord:
-    """Inverse of emit_fatigue_run at the emitted precision."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# "):
-        raise ValueError("missing comment header line")
-    meta = dict(item.split("=", 1) for item in header[2:].split())
-    if lines[1] != "load_cycles,pullin_V":
-        raise ValueError(f"unexpected column header {lines[1]!r}")
-    detections = []
-    for line in lines[2:]:
-        cycles, v = line.split(",")
-        detections.append((int(cycles), float(v)))
-    return FatigueRunRecord(
-        drive_amplitude_V=float(meta["drive_amplitude_V"]),
-        detections=tuple(detections),
-        outcome=meta["outcome"],
-        reference_cycles=int(meta["reference_cycles"]),
-    )
-
-
 def emit_conversion_curve(points: list[EquilibriumPoint]) -> str:
     lines = ["voltage_V,deflection_um,stress_MPa"]
     for p in points:

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from .device import DeviceGeometry, DerivedMechanics
 from .electromech import pull_in_voltage_closed_form, static_equilibrium
 
-TENSION = "tension"
-COMPRESSION = "compression"
-
 
 @dataclass(frozen=True)
 class LoadCycleSpec:
@@ -58,7 +55,6 @@ class FatigueParameters:
     sigma_mean_Pa: float
     sigma_alt_Pa: float
     stress_ratio: float | None
-    side: str
 
 
 def load_cycles_from_voltage_cycles(n_voltage_cycles: int) -> int:
@@ -96,9 +92,9 @@ def fatigue_parameters(V_a: float, mech: DerivedMechanics,
     tension = FatigueParameters(
         sigma_max_Pa=peak, sigma_min_Pa=0.0,
         sigma_mean_Pa=peak / 2.0, sigma_alt_Pa=peak / 2.0,
-        stress_ratio=0.0, side=TENSION)
+        stress_ratio=0.0)
     compression = FatigueParameters(
         sigma_max_Pa=0.0, sigma_min_Pa=-peak,
         sigma_mean_Pa=-peak / 2.0, sigma_alt_Pa=peak / 2.0,
-        stress_ratio=None, side=COMPRESSION)
+        stress_ratio=None)
     return tension, compression

@@ -33,6 +33,7 @@ DEFAULT_MIN_PULLIN_FRACTION = 0.5      # failure: pull-in below half the pristin
 DEFAULT_TARGET_V_D = 13.0              # calibration: the published fatigue limit
 DEFAULT_TARGET_IMMEDIATE_V = 21.0      # calibration: collapse in the first interval
 MAX_DETECTIONS = 100_000               # detections of one run, ceil(reference/interval)
+MIN_DETECTION_STEP_V = 1e-6            # finest DC supply step of a detection
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,17 @@ def run_pull_in_detection(state: DamageState, device: Device,
     return _stepped_reading(pristine, float(state.damage), params, step_V)
 
 
-def validate_detections(detection_interval: int, reference_cycles: int) -> list[str]:
-    """The "name: message" fault of a run of more than MAX_DETECTIONS detections."""
+def validate_detections(detection_interval: int, reference_cycles: int,
+                        detection_step_V: float) -> list[str]:
+    """The "name: message" faults of a run of more than MAX_DETECTIONS detections
+    or of a supply step finer than MIN_DETECTION_STEP_V."""
+    problems = []
     if detection_interval >= 1 and -(-reference_cycles // detection_interval) > MAX_DETECTIONS:
-        return [f"reference_cycles: a run may take at most {MAX_DETECTIONS} detections"]
-    return []
+        problems.append(f"reference_cycles: a run may take at most {MAX_DETECTIONS} detections")
+    if not detection_step_V >= MIN_DETECTION_STEP_V:
+        problems.append(f"detection_step_V: must be >= {MIN_DETECTION_STEP_V:g} V, "
+                        f"got {detection_step_V!r}")
+    return problems
 
 
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
@@ -150,18 +157,17 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     readings and outcome equal those of accumulating each batch with
     ``damage.accumulate``, the primitive for sums whose amplitude varies,
     and measuring with ``run_pull_in_detection``. Both cycle counts must
-    be whole numbers, the interval at least 1, for at most MAX_DETECTIONS detections.
+    be whole numbers, the interval at least 1, for at most MAX_DETECTIONS detections,
+    and the supply step at least MIN_DETECTION_STEP_V.
     """
     if not _is_whole(detection_interval) or detection_interval < 1:
         raise ValueError(
             f"detection interval must be a whole number >= 1, got {detection_interval}")
     if not _is_whole(reference_cycles):
         raise ValueError(f"reference cycles must be a whole number, got {reference_cycles}")
-    if detection_step_V <= 0:
-        raise ValueError(f"detection step must be > 0, got {detection_step_V}")
-    problems = validate_detections(detection_interval, reference_cycles)
+    problems = validate_detections(detection_interval, reference_cycles, detection_step_V)
     if problems:
-        raise ValueError(problems[0])
+        raise ValueError("; ".join(problems))
     tension, _ = fatigue_parameters(V_a, device.mechanics, device.geometry)
     life = cycles_to_failure(tension.sigma_alt_Pa, params, specimen)
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from microfatigue import stats
-from microfatigue.cli import cli_dispatch
+from microfatigue.cli import build_parser, cli_dispatch
 from microfatigue.config import RunConfig, default_config
 from microfatigue.errors import EstimationError
 
@@ -145,18 +146,6 @@ def test_staircase_determinism(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MICROFATIGUE_SEED", "77")
-    out_env = tmp_path / "env"
-    code, _, _ = run_cli(capsys, "--out", str(out_env), "staircase")
-    assert code == 0
-    out_flag = tmp_path / "flag"
-    code, _, _ = run_cli(capsys, "--seed", "77", "--out", str(out_flag), "staircase")
-    assert code == 0
-    assert (out_env / "staircase_sequence.csv").read_bytes() == \
-        (out_flag / "staircase_sequence.csv").read_bytes()
-
-
 def test_config_echo_reproduces_campaign(tmp_path, capsys):
     first = tmp_path / "first"
     code, _, _ = run_cli(capsys, "--seed", "123", "--out", str(first), "staircase")
@@ -203,12 +192,13 @@ def test_recovery_summary(capsys):
 
 
 # sha256 of stdout. The recovery rows were recorded from the per-replication
-# implementation; --show-defaults is the default config_echo.json.
+# implementation; --show-defaults is the default config_echo.json. A dict in
+# argv is a config, passed as a file.
 @pytest.mark.parametrize("argv, digest", [
     (["--seed", "42", "recovery", "--replications", "2000"],
      "f51cd4eaea7b0a6c7b810843f4e7df1de52701debd9c94523a05c17fc953ccaf"),
-    (["--seed", "42", "recovery", "--replications", "2000", "--n-specimens", "24",
-      "--true-std", "0.8"],
+    (["--config", {"campaign": {"n_specimens": 24, "strength_std_V": 0.8}},
+      "--seed", "42", "recovery", "--replications", "2000"],
      "85522b1916eefad764f47196ff77e65b6171b491e09702d798043f787407ba5f"),
     (["--show-defaults"],
      "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a"),
@@ -217,8 +207,12 @@ def test_recovery_summary(capsys):
     (["curve", "--vmax", "25", "--points", "200"],
      "dee769ed205fe9fa79373118c4862f77f96c807cd9f46f468b79a0479b7dce2b"),
 ])
-def test_stdout_bytes_pinned(capsys, argv, digest):
-    code, out, _ = run_cli(capsys, *argv)
+def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
+    cfg = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+    code, out, _ = run_cli(capsys, *(str(cfg) if isinstance(a, dict) else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -226,12 +220,12 @@ def test_stdout_bytes_pinned(capsys, argv, digest):
 @pytest.mark.parametrize("argv, flag", [
     (["recovery", "--replications", "0"], "--replications"),
     (["recovery", "--replications", "abc"], "--replications"),
-    (["recovery", "--n-specimens", "0"], "--n-specimens"),
-    (["recovery", "--n-specimens", "-3"], "--n-specimens"),
-    (["recovery", "--true-std", "nan"], "--true-std"),
-    (["recovery", "--true-std", "-1"], "--true-std"),
-    (["recovery", "--true-mean", "nan"], "--true-mean"),
-    (["recovery", "--true-mean", "inf"], "--true-mean"),
+    (["--seed", "1.5", "staircase"], "--seed"),
+    (["recovery", "--replications", "2.0"], "--replications"),
+    (["curve", "--vmax", "high"], "--vmax"),
+    (["curve", "--points", "many"], "--points"),
+    (["fatigue", "--va", "x"], "--va"),
+    (["fatigue", "--va", "14", "--strength-v", "x"], "--strength-v"),
     (["--seed", "-1", "recovery"], "--seed"),
     (["--seed", "abc", "staircase"], "--seed"),
 ])
@@ -240,14 +234,6 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     assert code == 1
     assert f"argument {flag}: " in err
     assert out == ""
-
-
-@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
-def test_bad_seed_env_exit_2_naming_the_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("MICROFATIGUE_SEED", value)
-    code, _, err = run_cli(capsys, "recovery", "--replications", "5")
-    assert code == 2
-    assert "MICROFATIGUE_SEED: " in err
 
 
 NAN, INF = float("nan"), float("inf")
@@ -280,14 +266,68 @@ NAN, INF = float("nan"), float("inf")
     ({"campaign": {"levels_V": [12.5, 15]}}, "campaign.levels_V"),  # off the 1 V grid from 15 V
     ({"model": {"reference_cycles": 1e300}}, "model.reference_cycles"),
     ({"model": {"detection_interval_cycles": 1}}, "model.reference_cycles"),  # 2e6 detections
+    ({"geometry": {"specimen_length_um": 1e300}}, "geometry.specimen_length_um"),
+    ({"geometry": {"specimen_length_um": 1e-300}}, "geometry.specimen_length_um"),
+    ({"geometry": {"specimen_thickness_um": 1e300}}, "geometry.specimen_thickness_um"),
+    ({"geometry": {"hole_side_um": 1e300}}, "geometry.hole_side_um"),
+    ({"geometry": {"specimen_width_um": 1.7e308}}, "geometry.specimen_width_um"),
+    ({"model": {"detection_step_V": 5e-324}}, "model.detection_step_V"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
-    code, _, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
-                           "staircase")
-    assert code == 2
+    for command in ("staircase", "pullin") if path.startswith("geometry.") else ("staircase",):
+        code, _, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                               command)
+        assert code == 2
+        assert f" {path}: " in err
+
+
+@pytest.mark.parametrize("config, argv, path", [
+    ({"campaign": {"n_specimens": 0}}, ["recovery"], "campaign.n_specimens"),
+    ({"model": {"sweep_step_V": 1e-6}}, ["pullin"], "model.sweep_step_V"),
+    # The pull-in rises to about 835 kV, past 2e6 sweep steps of 0.05 V.
+    ({"geometry": {"specimen_length_um": 0.05}}, ["pullin"], "model.sweep_step_V"),
+])
+def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (2, "")
     assert f" {path}: " in err
+
+
+def test_recovery_draws_the_campaign_population(tmp_path, capsys):
+    campaign = {"strength_mean_V": 14.0, "strength_std_V": 0.3, "n_specimens": 12,
+                "master_seed": 5}
+    outputs = []
+    for mean in (14.0, 14):  # a whole mean may be spelled as an int
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({"campaign": {**campaign, "strength_mean_V": mean}}))
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "recovery", "--replications", "50")
+        assert code == 0
+        outputs.append(out)
+    payload = json.loads(outputs[0])
+    assert [payload[key] for key in ("true_mean_V", "true_std_V", "n_specimens", "seed")] == \
+        [14.0, 0.3, 12, 5]
+    assert outputs[1] == outputs[0]
+
+
+def test_cli_surface_is_pinned():
+    # Every run setting other than these flags comes from the config file.
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(p):
+        return {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+
+    assert options(parser) == {"--config", "--seed", "--out", "--show-defaults"}
+    assert {name: options(p) for name, p in subparsers.choices.items()} == {
+        "pullin": set(), "curve": {"--vmax", "--points"}, "fatigue": {"--va", "--strength-v"},
+        "staircase": set(), "wohler": {"--points-csv"}, "recovery": {"--replications"}}
+    sources = (Path(__file__).resolve().parents[1] / "src" / "microfatigue").glob("*.py")
+    assert not [p.name for p in sources
+                if "os.environ" in p.read_text() or "getenv" in p.read_text()]
 
 
 def test_off_grid_step_is_clamped_onto_the_window(tmp_path, capsys):
@@ -383,7 +423,7 @@ def _values(hint, typical, good: bool):
     return near if good else st.one_of(far, ODD_VALUES)
 
 
-CALIBRATED = default_config().damage_params()
+CALIBRATED = default_config().damage_params(default_config().device())
 
 
 def _typical(section, name):
@@ -436,6 +476,10 @@ def _finite_number(value):
             and math.isfinite(value))
 
 
+# The commands run on every drawn config.
+FUZZED_COMMANDS = (["staircase"], ["recovery", "--replications", "5"], ["pullin"])
+
+
 @given(config=json_configs())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_json_config_runs_or_names_its_fault(config):
@@ -447,19 +491,24 @@ def test_any_json_config_runs_or_names_its_fault(config):
     if _finite_number(n):
         assume(n <= MAX_SPECIMENS)
 
-    # Exit 3 is a result of the run only when the sequence admits no estimate.
+    # Exit 3 is a result of the run only when the sequences admit no estimate.
     estimation_failed = []
-    real_dixon_mood = stats.dixon_mood
 
-    def dixon_mood(sequence):
-        try:
-            return real_dixon_mood(sequence)
-        except EstimationError:
-            estimation_failed.append(True)
-            raise
+    def recording(estimator):
+        def estimate(*args):
+            try:
+                return estimator(*args)
+            except EstimationError:
+                estimation_failed.append(True)
+                raise
+        return estimate
 
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(stats, "dixon_mood", dixon_mood):
+    estimators = {name: recording(getattr(stats, name))
+                  for name in ("dixon_mood", "estimator_recovery_trial")}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(stats, **estimators):
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(config))
-        code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "staircase"])
-    assert code in (0, 2) or (code == 3 and estimation_failed), (code, config)
+        for argv in FUZZED_COMMANDS:
+            estimation_failed.clear()
+            code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"), *argv])
+            assert code in (0, 2) or (code == 3 and estimation_failed), (argv, code, config)

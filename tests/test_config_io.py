@@ -9,7 +9,7 @@ from microfatigue.config import (CampaignConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
 from microfatigue.emit import (TOOL_STAMP, emit_conversion_curve, emit_fatigue_run,
                                emit_staircase_sequence, emit_wohler_points,
-                               parse_fatigue_run, parse_wohler_points,
+                               parse_wohler_points,
                                wohler_points_from_records)
 from microfatigue.errors import ConfigError
 from microfatigue.protocols import FatigueRunRecord
@@ -109,7 +109,7 @@ def test_explicit_damage_block():
     config = parse_config(json.dumps({"damage": {
         "basquin_coefficient_Pa": 1e9, "basquin_exponent": -0.3,
         "endurance_stress_Pa": 12e6}}))
-    params = config.damage_params()
+    params = config.damage_params(config.device())
     assert params.basquin_coefficient_Pa == 1e9
     assert params.basquin_exponent == -0.3
 
@@ -140,10 +140,6 @@ def test_emit_fatigue_run_layout():
     assert "outcome=failed" in lines[0]
     assert lines[1] == "load_cycles,pullin_V"
     assert lines[2] == "0,26.4"
-
-
-def test_emit_fatigue_run_round_trip():
-    assert parse_fatigue_run(emit_fatigue_run(RECORD)) == RECORD
 
 
 def test_emit_fatigue_run_deterministic():
