@@ -4,7 +4,10 @@ Lumped electrostatic pull-in physics, pull-in-monitored fatigue test
 drivers, stair-case fatigue-limit estimation (Dixon-Mood) and Basquin
 S-N fitting, behind a deterministic config/CSV/JSON command line. The
 modules are the API (``from microfatigue.device import Device``); the
-package loads none of them, and only ``protocols`` and ``stats`` use numpy.
+package loads none of them. Only ``protocols`` and ``stats`` use numpy, and
+they import it inside the functions that make arrays (the population draw,
+the Basquin fit, the synthetic stair-case and the recovery trial), so a
+command that makes no array starts without it.
 """
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,15 +34,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _integer(low: int):
-    """argparse type: an integer >= low."""
-    def parse(text: str) -> int:
+def _number(kind: type, low: float, high: float = math.inf):
+    """argparse type: a finite int or float (kind) within [low, high]."""
+    noun = "an integer" if kind is int else "a finite number"
+    rule = f"in [{low:g}, {high:g}]" if high < math.inf else f">= {low:g}"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        # NaN fails the comparison; an int is never infinite, and never overflows here.
+        if value is None or not low <= value <= high or abs(value) == math.inf:
+            raise argparse.ArgumentTypeError(f"expected {noun} {rule}, got {text!r}")
         return value
     return parse
 
@@ -51,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Virtual MEMS fatigue rig: pull-in physics, "
                                  "fatigue runs and stair-case statistics.")
     parser.add_argument("--config", type=Path, help="JSON run-config file")
-    parser.add_argument("--seed", type=_integer(0),
+    parser.add_argument("--seed", type=_number(int, 0),
                         help="campaign master seed (overrides campaign.master_seed)")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--show-defaults", action="store_true",
@@ -62,12 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("pullin", help="pristine pull-in voltage, closed form and sweep")
 
     p_curve = sub.add_parser("curve", help="voltage-to-stress conversion curve CSV")
-    p_curve.add_argument("--vmax", type=float, default=20.0)
-    p_curve.add_argument("--points", type=int, default=41)
+    p_curve.add_argument("--vmax", type=_number(float, 0.0), default=20.0,
+                         help="top of the curve (V), below pull-in")
+    p_curve.add_argument("--points", type=_number(int, 2, electromech.MAX_CURVE_POINTS),
+                         default=41)
 
     p_fat = sub.add_parser("fatigue", help="one constant-amplitude fatigue run")
-    p_fat.add_argument("--va", type=float, required=True, help="drive amplitude (V)")
-    p_fat.add_argument("--strength-v", type=float,
+    p_fat.add_argument("--va", type=_number(float, 0.0), required=True,
+                       help="drive amplitude (V), below pull-in")
+    p_fat.add_argument("--strength-v", type=_number(float, protocols.MIN_THRESHOLD_V),
                        help="specimen threshold strength in volts (default: calibration target)")
 
     sub.add_parser("staircase", help="stair-case campaign with estimate JSON")
@@ -78,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials "
                                             "on the campaign's strength population")
-    p_rec.add_argument("--replications", type=_integer(1), default=200)
+    p_rec.add_argument("--replications", type=_number(int, 1), default=200)
 
     return parser
 
@@ -134,8 +142,14 @@ def _cmd_fatigue(args, config) -> int:
     params = config.damage_params(device)
     threshold = args.strength_v if args.strength_v is not None \
         else config.damage.calibrate_target_V_D
-    specimen = SpecimenStrength(
-        protocols.strength_scale_from_threshold(threshold, device, params))
+    try:
+        specimen = SpecimenStrength(
+            protocols.strength_scale_from_threshold(threshold, device, params))
+    except ValueError as exc:
+        if args.strength_v is not None:
+            raise
+        # The calibration target, which explicit damage parameters leave unchecked.
+        raise ConfigError([("damage.calibrate_target_V_D", str(exc))]) from exc
     record = protocols.run_fatigue_test(args.va, specimen, device, params,
                                         **config.model.run_kwargs())
     out = _out_dir(args, config)

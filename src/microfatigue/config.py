@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_geometry,
-                     validate_material)
+                     validate_material, validate_stiffness)
 from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep
 from .emit import dump_json
 from .errors import CalibrationError, ConfigError
@@ -105,7 +105,13 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def device(self) -> Device:
-        return Device.assemble(self.geometry, self.material, c_k=self.model.c_k)
+        """The assembled device; ConfigError at model.c_k and material.E_GPa when
+        its derived stiffness leaves no finite pull-in voltage."""
+        device = Device.assemble(self.geometry, self.material, c_k=self.model.c_k)
+        problems = validate_stiffness(device.mechanics, device.geometry)
+        if problems:
+            raise ConfigError(_located("model", problems))
+        return device
 
     def check_campaign(self, device: Device) -> None:
         """Raise ConfigError for the campaign faults that span fields or need the device."""
@@ -155,7 +161,8 @@ _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 _PATHS = {"target_V_D": "damage.calibrate_target_V_D",
           "target_immediate_V": "damage.calibrate_immediate_V",
           "detection_interval": "model.detection_interval_cycles",
-          "reference_cycles": "model.reference_cycles", "population": "campaign.strengths_V"}
+          "reference_cycles": "model.reference_cycles", "population": "campaign.strengths_V",
+          "E_GPa": "material.E_GPa"}
 
 
 def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:

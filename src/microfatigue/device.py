@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .electromech import pull_in_voltage_closed_form
+
 UM = 1e-6  # metres per micron
 
 DEFAULT_C_K = 1.0  # stiffness calibration of the plain guided-cantilever model
@@ -137,6 +139,18 @@ def validate_material(mat: Material) -> list[str]:
         problems.append(f"rho_kg_per_um3: must be positive with a finite value in "
                         f"kg/m^3, got {mat.rho_kg_per_um3}")
     return problems
+
+
+def validate_stiffness(mech: DerivedMechanics, geom: DeviceGeometry) -> list[str]:
+    """The "name: message" faults of a suspension stiffness that overflows, or
+    whose pull-in voltage does. c_k and E_GPa scale the stiffness alike, so both
+    are named."""
+    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+    if math.isfinite(v_pi):
+        return []
+    text = (f"stiffness {mech.suspension_stiffness_N_m:.6g} N/m leaves no finite "
+            f"pull-in voltage, got {v_pi}")
+    return [f"{name}: {text}" for name in ("c_k", "E_GPa")]
 
 
 def derive_mechanics(geom: DeviceGeometry, mat: Material,

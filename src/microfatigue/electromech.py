@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .device import DeviceGeometry, DerivedMechanics
 from .errors import SolverError
+
+if TYPE_CHECKING:  # annotations only: device imports this module
+    from .device import DeviceGeometry, DerivedMechanics
 
 EPSILON_0 = 8.854e-12  # F/m
 
@@ -21,6 +24,7 @@ STABLE_FRACTION = 1.0 / 3.0
 
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
 MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
+MAX_CURVE_POINTS = 100_000   # points of one conversion curve
 
 
 @dataclass(frozen=True)
@@ -160,12 +164,13 @@ def natural_frequency(mech: DerivedMechanics) -> float:
 
 def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry,
                             V_max: float, n_points: int = 50) -> list[EquilibriumPoint]:
-    """Tabulate the static (voltage, deflection, stress) curve over [0, V_max]."""
-    if n_points < 2:
-        raise ValueError(f"need at least 2 points, got {n_points}")
+    """Tabulate the static (voltage, deflection, stress) curve over [0, V_max]
+    at 2 to MAX_CURVE_POINTS points."""
+    if not 2 <= n_points <= MAX_CURVE_POINTS:
+        raise ValueError(f"need 2 to {MAX_CURVE_POINTS} points, got {n_points}")
     v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
-    if V_max >= v_pi:
-        raise ValueError(f"V_max {V_max} V must stay below pull-in {v_pi:.3f} V")
+    if not 0.0 <= V_max < v_pi:
+        raise ValueError(f"V_max {V_max} V must lie in [0, {v_pi:.3f}) V, below pull-in")
     # numpy.linspace(0.0, V_max, n_points) in floats: i*step, or i/div*V_max
     # where the step underflows to zero, and V_max itself last.
     div = n_points - 1

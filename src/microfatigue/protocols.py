@@ -10,8 +10,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
                      cycles_to_failure, effective_stiffness_factor)
 from .device import Device
@@ -34,6 +32,7 @@ DEFAULT_TARGET_V_D = 13.0              # calibration: the published fatigue limi
 DEFAULT_TARGET_IMMEDIATE_V = 21.0      # calibration: collapse in the first interval
 MAX_DETECTIONS = 100_000               # detections of one run, ceil(reference/interval)
 MIN_DETECTION_STEP_V = 1e-6            # finest DC supply step of a detection
+MIN_THRESHOLD_V = 0.1                  # lowest specimen threshold strength
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,10 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
                      ) -> tuple[SpecimenStrength, ...]:
     """Draw (or adopt) threshold voltages and convert them to strength scales;
     draw i comes from its own (master_seed, i) RNG stream, so no draw depends on another.
-    A threshold outside [0.1 V, 0.99*V_PI] is clamped into it, and logged."""
+    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it, and logged."""
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if thresholds_V is None:
+        import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
         thresholds = []
         for i in range(n):
             rng = np.random.default_rng((int(master_seed), i))
@@ -87,7 +87,7 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
         thresholds = [float(v) for v in thresholds_V]
     clamped = []
     for i, v in enumerate(thresholds):
-        clamped.append(min(max(v, 0.1), 0.99 * pristine))
+        clamped.append(min(max(v, MIN_THRESHOLD_V), 0.99 * pristine))
         if clamped[-1] != v:
             log.info("specimen %d threshold %.3g V clamped to %.3g V", i, v, clamped[-1])
     return tuple(SpecimenStrength(strength_scale_from_threshold(v, device, params))

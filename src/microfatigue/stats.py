@@ -7,6 +7,9 @@ harness runs all replications of a trial as arrays (one stair-case step per
 specimen across the replication axis, then Dixon-Mood moments per row), while
 each replication still draws from its own ``default_rng((seed, rep))``
 stream; seeding those generators is what a trial costs at the least.
+
+numpy is imported where arrays are made, inside the array functions, so
+``dixon_mood`` and the importers of this module's types load none of it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EstimationError
 from .protocols import StairCaseSequence, StairCaseTrial, grid_index
@@ -107,6 +108,7 @@ def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
     if len(usable) < 2:
         raise EstimationError(
             f"need at least 2 uncensored points, got {len(usable)}")
+    import numpy as np
     levels = np.array([p.level_V for p in usable], dtype=float)
     cycles = np.array([p.cycles for p in usable], dtype=float)
     if np.unique(levels).size < 2:
@@ -127,6 +129,7 @@ def _stair_case_levels(strengths: np.ndarray, low: float, high: float,
     strength, then one step down after a failure and up otherwise, clamped
     to [low, high]. The float operations are those of one scalar stair-case.
     """
+    import numpy as np
     tested = np.empty_like(strengths)
     level = np.full(len(strengths), float(start_level_V))
     for j in range(strengths.shape[1]):
@@ -139,6 +142,7 @@ def _stair_case_levels(strengths: np.ndarray, low: float, high: float,
 def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
                          step_V: float, start_level_V: float) -> StairCaseSequence:
     """Stair-case over pure threshold specimens: failure iff level >= strength."""
+    import numpy as np
     levels = sorted(float(v) for v in levels_V)
     strengths = np.asarray(strengths_V, dtype=float).reshape(1, -1)
     tested = _stair_case_levels(strengths, levels[0], levels[-1], step_V, start_level_V)[0]
@@ -157,6 +161,7 @@ def _dixon_mood_means(tested: np.ndarray, failed: np.ndarray, step_V: float) -> 
     half to even, as round() does), the mean is X0 + d*(A/N +/- 1/2) with N
     the basis count and A the sum of i.
     """
+    import numpy as np
     n_fail = failed.sum(axis=1)
     n_surv = failed.shape[1] - n_fail
     both = (n_fail > 0) & (n_surv > 0)   # so every basis below is non-empty
@@ -185,6 +190,7 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     synthetic_stair_case and dixon_mood per replication.
     """
     _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed)
+    import numpy as np
     levels = [round(true_mean_V) - 1.0 + i for i in range(4)]
     start = min(levels, key=lambda v: abs(v - true_mean_V))
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import signal
 import tempfile
 import typing
 from pathlib import Path
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from microfatigue import stats
 from microfatigue.cli import build_parser, cli_dispatch
-from microfatigue.config import RunConfig, default_config
+from microfatigue.config import RunConfig, default_config, parse_config
+from microfatigue.electromech import MAX_CURVE_POINTS, pull_in_voltage_closed_form
 from microfatigue.errors import EstimationError
 
 TABLE_CONFIG = {
@@ -228,6 +230,16 @@ def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
     (["fatigue", "--va", "14", "--strength-v", "x"], "--strength-v"),
     (["--seed", "-1", "recovery"], "--seed"),
     (["--seed", "abc", "staircase"], "--seed"),
+    (["curve", "--vmax", "nan"], "--vmax"),
+    (["curve", "--vmax", "-5"], "--vmax"),
+    (["curve", "--vmax", "inf"], "--vmax"),
+    (["curve", "--vmax", "1e400"], "--vmax"),  # overflows to inf
+    (["curve", "--points", "1"], "--points"),
+    (["curve", "--points", str(MAX_CURVE_POINTS + 1)], "--points"),
+    (["fatigue", "--va", "nan"], "--va"),
+    (["fatigue", "--va=-inf"], "--va"),
+    (["fatigue", "--va", "14", "--strength-v", "nan"], "--strength-v"),
+    (["fatigue", "--va", "14", "--strength-v", "0.05"], "--strength-v"),  # below MIN_THRESHOLD_V
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -261,7 +273,7 @@ NAN, INF = float("nan"), float("inf")
     ({"damage": {"calibrate_target_V_D": 20}}, "damage.calibrate_target_V_D"),
     ({"geometry": {"gap_um": 2.5}}, "damage.calibrate_immediate_V"),  # pull-in 20.1 V
     ({"model": {"reference_cycles": 50_000}}, "model.detection_interval_cycles"),
-    ({"model": {"c_k": 1e300}}, "damage"),
+    ({"model": {"c_k": 1e300}}, "model.c_k"),
     ({"material": {"E_GPa": -1}}, "material.E_GPa"),
     ({"campaign": {"levels_V": [12.5, 15]}}, "campaign.levels_V"),  # off the 1 V grid from 15 V
     ({"model": {"reference_cycles": 1e300}}, "model.reference_cycles"),
@@ -283,11 +295,28 @@ def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
         assert f" {path}: " in err
 
 
+@pytest.mark.parametrize("config", [{"model": {"c_k": 1e300}}, {"material": {"E_GPa": 1e299}},
+                                    {"model": {"c_k": 1e306}}])
+@pytest.mark.parametrize("argv", [["staircase"], ["pullin"], ["fatigue", "--va", "14"],
+                                  ["curve"]])
+def test_overflowing_stiffness_names_c_k_and_E_GPa(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "stiff.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), *argv)
+    assert (code, out) == (2, "")
+    assert " model.c_k: " in err and " material.E_GPa: " in err
+
+
 @pytest.mark.parametrize("config, argv, path", [
     ({"campaign": {"n_specimens": 0}}, ["recovery"], "campaign.n_specimens"),
     ({"model": {"sweep_step_V": 1e-6}}, ["pullin"], "model.sweep_step_V"),
     # The pull-in rises to about 835 kV, past 2e6 sweep steps of 0.05 V.
     ({"geometry": {"specimen_length_um": 0.05}}, ["pullin"], "model.sweep_step_V"),
+    # fatigue's default specimen threshold; explicit damage skips the calibration's check.
+    ({"damage": {**EXPLICIT_DAMAGE, "calibrate_target_V_D": 0}}, ["fatigue", "--va", "14"],
+     "damage.calibrate_target_V_D"),
+    ({"damage": {**EXPLICIT_DAMAGE, "calibrate_target_V_D": 30}}, ["fatigue", "--va", "14"],
+     "damage.calibrate_target_V_D"),
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"
@@ -401,6 +430,8 @@ ODD_VALUES = st.sampled_from([True, False, None, NAN, INF, -INF, "13", "", [], {
 MAX_DETECTIONS = 20_000
 MAX_SPECIMENS = 50
 BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
+# Magnitudes near the ends of the float range, positive and negative.
+EXTREMES = [5e-324, 1e-300, 1e299, 1e300, 1.7e308, -1e300]
 
 
 def _values(hint, typical, good: bool):
@@ -417,9 +448,10 @@ def _values(hint, typical, good: bool):
     near = st.floats(0.8, 1.25).map(lambda f: typical * f)
     if hint is int:
         near = st.one_of(near.map(round), near.map(lambda v: float(round(v))))
-        far = st.one_of(st.sampled_from([0, -1, round(typical * 1e3)]), st.floats(0.1, 0.9))
+        far = st.one_of(st.sampled_from([0, -1, round(typical * 1e3), 10**300, 1e300]),
+                        st.floats(0.1, 0.9))
     else:
-        far = st.sampled_from([0.0, -1.0, -typical, typical * 1e3, typical * 1e-3])
+        far = st.sampled_from([0.0, -1.0, -typical, typical * 1e3, typical * 1e-3, *EXTREMES])
     return near if good else st.one_of(far, ODD_VALUES)
 
 
@@ -446,9 +478,8 @@ def _field_values(section, name, good):
 def json_configs(draw):
     """JSON-shaped configs: in-range overrides, then up to two faulty fields.
 
-    A faulty number is zero, negative, or 1e3 or 1e-3 times a typical value;
-    values near the ends of the float range are an open defect of the device
-    model (ROADMAP item 3), not drawn here.
+    A faulty number is zero, negative, 1e3 or 1e-3 times a typical value, or
+    near the ends of the float range.
     """
     config = {}
     for section, name in draw(st.lists(st.sampled_from(FIELDS), unique=True, max_size=6)):
@@ -476,13 +507,48 @@ def _finite_number(value):
             and math.isfinite(value))
 
 
-# The commands run on every drawn config.
+# The commands run on every drawn config, besides the drawn curve and fatigue ones.
 FUZZED_COMMANDS = (["staircase"], ["recovery", "--replications", "5"], ["pullin"])
+VOLTAGE_FLAGS = ("--vmax=", "--va=", "--strength-v=")
+# Text of a voltage or point-count flag: typical, near the ends of the float range,
+# special, or no number at all.
+VOLTS = st.one_of(st.floats(0.0, 30.0), st.sampled_from([*EXTREMES, 0.0, -1.0, NAN, INF, -INF]),
+                  st.sampled_from(["", "x", "1e400", "14 V"])).map(str)
+POINTS = st.one_of(st.integers(2, 300), st.sampled_from(
+    [0, 1, -5, MAX_CURVE_POINTS + 1, 10**400, "2.0", "nan", "x"])).map(str)
+EXAMPLE_SECONDS = 20  # wall-clock bound of one fuzz example (they take under 0.2 s)
 
 
-@given(config=json_configs())
+@st.composite
+def flag_commands(draw):
+    """A curve and a fatigue command line with drawn flag values."""
+    curve = ["curve", f"--vmax={draw(VOLTS)}", f"--points={draw(POINTS)}"]
+    fatigue = ["fatigue", f"--va={draw(VOLTS)}"]
+    if draw(st.booleans()):
+        fatigue.append(f"--strength-v={draw(VOLTS)}")
+    return [curve, fatigue]
+
+
+def _at_or_above_pull_in(config, argv):
+    """Whether a voltage flag of argv reaches the pull-in of config's device: a value
+    the device cannot take, which the run reports as exit 3."""
+    device = parse_config(json.dumps(config)).device()
+    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    return any(float(arg.partition("=")[2]) >= v_pi
+               for arg in argv if arg.startswith(VOLTAGE_FLAGS))
+
+
+class ExampleTimeout(Exception):
+    """Raised in a fuzz example that runs past EXAMPLE_SECONDS; the CLI catches no such error."""
+
+
+def _expire(signum, frame):
+    raise ExampleTimeout(f"example ran past {EXAMPLE_SECONDS} s")
+
+
+@given(config=json_configs(), flag_argvs=flag_commands())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_any_json_config_runs_or_names_its_fault(config):
+def test_any_json_config_runs_or_names_its_fault(config, flag_argvs):
     interval = _resolved(config, "model", "detection_interval_cycles")
     reference = _resolved(config, "model", "reference_cycles")
     n = _resolved(config, "campaign", "n_specimens")
@@ -505,10 +571,20 @@ def test_any_json_config_runs_or_names_its_fault(config):
 
     estimators = {name: recording(getattr(stats, name))
                   for name in ("dixon_mood", "estimator_recovery_trial")}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(stats, **estimators):
-        cfg = Path(tmp) / "config.json"
-        cfg.write_text(json.dumps(config))
-        for argv in FUZZED_COMMANDS:
-            estimation_failed.clear()
-            code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"), *argv])
-            assert code in (0, 2) or (code == 3 and estimation_failed), (argv, code, config)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(stats, **estimators):
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(config))
+            for argv in (*FUZZED_COMMANDS, *flag_argvs):
+                estimation_failed.clear()
+                code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                                     *argv])
+                assert code in (0, 1, 2) or (code == 3 and (
+                    estimation_failed or _at_or_above_pull_in(config, argv))), \
+                    (argv, code, config)
+                assert code != 1 or argv in flag_argvs, (argv, code, config)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

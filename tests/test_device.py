@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from microfatigue.device import (Device, DeviceGeometry, Material,
-                                 derive_mechanics, validate_geometry)
+                                 derive_mechanics, validate_geometry, validate_stiffness)
 
 
 def test_nominal_area_moment():
@@ -81,6 +81,16 @@ def test_derive_rejects_invalid_geometry():
 def test_derive_rejects_nonpositive_calibration():
     with pytest.raises(ValueError, match="c_k"):
         derive_mechanics(DeviceGeometry(), Material(), c_k=0.0)
+
+
+def test_validate_stiffness_names_c_k_and_E_GPa():
+    nominal = Device.nominal()
+    assert validate_stiffness(nominal.mechanics, nominal.geometry) == []
+    # The stiffness itself overflows, or only the pull-in voltage it sets does.
+    for mech in (derive_mechanics(DeviceGeometry(), Material(E_GPa=1e299)),
+                 dataclasses.replace(nominal.mechanics, suspension_stiffness_N_m=1e308)):
+        problems = validate_stiffness(mech, nominal.geometry)
+        assert [p.partition(": ")[0] for p in problems] == ["c_k", "E_GPa"]
 
 
 def test_determinism():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import microfatigue
 from microfatigue.device import (C_K_RESONANCE_PRESET, Device, DeviceGeometry, Material,
                                  derive_mechanics)
-from microfatigue.electromech import (EPSILON_0, STABLE_FRACTION, electrostatic_force,
-                                      natural_frequency,
+from microfatigue.electromech import (EPSILON_0, MAX_CURVE_POINTS, STABLE_FRACTION,
+                                      electrostatic_force, natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
                                       stress_conversion_curve)
@@ -214,6 +215,14 @@ def test_conversion_curve_rejects_vmax_above_pull_in(nominal_device):
         stress_conversion_curve(d.mechanics, d.geometry, V_max=30.0)
 
 
+@pytest.mark.parametrize("V_max, n_points", [(math.nan, 41), (-1.0, 41), (20.0, 1),
+                                             (20.0, MAX_CURVE_POINTS + 1)])
+def test_conversion_curve_rejects_bad_arguments(nominal_device, V_max, n_points):
+    d = nominal_device
+    with pytest.raises(ValueError):
+        stress_conversion_curve(d.mechanics, d.geometry, V_max=V_max, n_points=n_points)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.0, 26.0), st.integers(2, 500))
 @example(5e-324, 3)
@@ -227,33 +236,69 @@ def test_conversion_curve_voltages_equal_linspace(V_max, n_points):
             == [repr(v) for v in np.linspace(0.0, V_max, n_points).tolist()])
 
 
-@pytest.mark.parametrize("module", ["microfatigue", "microfatigue.device",
-                                    "microfatigue.electromech", "microfatigue.loading",
-                                    "microfatigue.damage", "microfatigue.errors"])
-def test_import_graph(module):
-    """The package import loads no submodule; the physics modules load no numpy."""
+def _run_fresh(code, *args):
+    """stdout of Python code run with args in a fresh interpreter on this source tree."""
     src = os.path.dirname(os.path.dirname(microfatigue.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (f"import sys, {module}; "
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('microfatigue', 'numpy')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    loaded = result.stdout.split()
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.mark.parametrize("module", ["microfatigue", "microfatigue.device",
+                                    "microfatigue.electromech", "microfatigue.loading",
+                                    "microfatigue.damage", "microfatigue.errors",
+                                    "microfatigue.protocols", "microfatigue.stats",
+                                    "microfatigue.config", "microfatigue.emit",
+                                    "microfatigue.cli"])
+def test_import_graph(module):
+    """The package import loads no submodule; no module loads numpy at import."""
+    loaded = _run_fresh(f"import sys, {module}; print(*sorted(m for m in sys.modules "
+                        "if m.split('.')[0] in ('microfatigue', 'numpy')))").split()
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
     if module == "microfatigue":
         assert loaded == ["microfatigue"]
 
 
+# Runs each argv of the JSON list in sys.argv[1] through cli_dispatch and prints,
+# after the import and after each command, (exit code, whether numpy is loaded).
+_DISPATCH = """
+import contextlib, io, json, sys
+from microfatigue.cli import cli_dispatch
+def numpy_loaded():
+    return any(m.split(".")[0] == "numpy" for m in sys.modules)
+seen = [(0, numpy_loaded())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append((cli_dispatch(argv), numpy_loaded()))
+print(json.dumps(seen))
+"""
+
+
+def _dispatch_fresh(*argvs):
+    return [tuple(step) for step in json.loads(_run_fresh(_DISPATCH, json.dumps(argvs)))]
+
+
+def test_cold_commands_load_no_numpy(tmp_path):
+    """Commands that make no array never import numpy; the array paths do."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5,
+                                                              12.8, 12.5]}}))
+    points = tmp_path / "points.csv"
+    points.write_text("level_V,cycles,censored\n14,1000,0\n15,500,0\n")
+    out = ["--out", str(tmp_path / "out")]
+    cold = [["pullin"], ["curve", "--vmax", "25", "--points", "200"],
+            [*out, "fatigue", "--va", "14"], ["--show-defaults"],
+            ["--config", str(table), *out, "staircase"]]
+    assert _dispatch_fresh(*cold) == [(0, False)] * (len(cold) + 1)
+    for argv in ([*out, "staircase"], ["recovery", "--replications", "5"],
+                 ["wohler", "--points-csv", str(points)]):
+        assert _dispatch_fresh(argv) == [(0, False), (0, True)], argv
+
+
 def test_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(microfatigue.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, microfatigue.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    assert _run_fresh("import sys, microfatigue.cli; print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'scipy'))").strip() == "[]"
 
 
 # The nominal device, or one varied the way the benchmark's device
