@@ -36,8 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(kind: type, low: float, high: float = math.inf):
     """argparse type: a finite int or float (kind) within [low, high]."""
-    noun = "an integer" if kind is int else "a finite number"
-    rule = f"in [{low:g}, {high:g}]" if high < math.inf else f">= {low:g}"
+    noun, spec = ("an integer", "d") if kind is int else ("a finite number", "g")
+    rule = f"in [{low:{spec}}, {high:{spec}}]" if high < math.inf else f">= {low:{spec}}"
 
     def parse(text: str):
         try:
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials "
                                             "on the campaign's strength population")
-    p_rec.add_argument("--replications", type=_number(int, 1), default=200)
+    p_rec.add_argument("--replications", type=_number(int, 1, stats.MAX_REPLICATIONS),
+                       default=200)
 
     return parser
 
@@ -147,7 +148,7 @@ def _cmd_fatigue(args, config) -> int:
             protocols.strength_scale_from_threshold(threshold, device, params))
     except ValueError as exc:
         if args.strength_v is not None:
-            raise
+            raise ValueError(f"--strength-v: {exc}") from exc
         # The calibration target, which explicit damage parameters leave unchecked.
         raise ConfigError([("damage.calibrate_target_V_D", str(exc))]) from exc
     record = protocols.run_fatigue_test(args.va, specimen, device, params,
@@ -204,7 +205,10 @@ def _cmd_staircase(args, config) -> int:
 
 
 def _cmd_wohler(args, config) -> int:
-    points = parse_wohler_points(Path(args.points_csv).read_text())
+    try:
+        points = parse_wohler_points(Path(args.points_csv).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError([("--points-csv", str(exc))]) from exc
     fit = stats.fit_basquin(points)
     payload = {**fit_to_dict(fit), "n_points": len(points),
                "n_censored": sum(p.censored for p in points), "tool": TOOL_STAMP}

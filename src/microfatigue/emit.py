@@ -6,6 +6,7 @@ formatting so repeated emission is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 from . import __version__
@@ -48,22 +49,48 @@ def emit_staircase_sequence(seq: StairCaseSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The columns of a Wohler points CSV: name, rule, and the check of the field's float value.
+_WOHLER_COLUMNS = (
+    ("level_V", "a finite number > 0", lambda v: 0 < v < math.inf),
+    ("cycles", "a whole number >= 1", lambda v: v.is_integer() and v >= 1),
+    ("censored", "0 or 1", lambda v: v in (0.0, 1.0)),
+)
+_WOHLER_HEADER = ",".join(name for name, _, _ in _WOHLER_COLUMNS)
+
+
 def emit_wohler_points(points: list[WohlerPoint]) -> str:
-    lines = ["level_V,cycles,censored"]
+    lines = [_WOHLER_HEADER]
     for p in points:
         lines.append(f"{_num(p.level_V)},{p.cycles},{1 if p.censored else 0}")
     return "\n".join(lines) + "\n"
 
 
 def parse_wohler_points(text: str) -> list[WohlerPoint]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if lines and lines[0] == "level_V,cycles,censored":
+    """Points of a level_V,cycles,censored CSV, skipping blank lines, '#'
+    comments and a leading header. Raises ValueError naming the line number
+    and column of the first field that breaks its rule in _WOHLER_COLUMNS,
+    or the line of a row without exactly 3 columns."""
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
+             if line.strip() and not line.startswith("#")]
+    if lines and lines[0][1] == _WOHLER_HEADER:
         lines = lines[1:]
     points = []
-    for line in lines:
-        level, cycles, censored = line.split(",")
-        points.append(WohlerPoint(level_V=float(level), cycles=int(cycles),
-                                  censored=bool(int(censored))))
+    for number, line in lines:
+        fields = line.split(",")
+        if len(fields) != len(_WOHLER_COLUMNS):
+            raise ValueError(f"line {number}: expected the {len(_WOHLER_COLUMNS)} columns "
+                             f"{_WOHLER_HEADER}, got {len(fields)}")
+        values = []
+        for (name, rule, ok), field in zip(_WOHLER_COLUMNS, fields):
+            try:
+                value = float(field)
+            except ValueError:
+                value = math.nan
+            if not ok(value):
+                raise ValueError(f"line {number}, column {name}: expected {rule}, got {field!r}")
+            values.append(value)
+        level, cycles, censored = values
+        points.append(WohlerPoint(level_V=level, cycles=int(cycles), censored=bool(censored)))
     return points
 
 

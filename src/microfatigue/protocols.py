@@ -63,8 +63,11 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
 
     A specimen of scale s has endurance s*sigma_D, so it survives exactly
     the levels whose stress amplitude stays at or below the amplitude at
-    its threshold voltage.
+    its threshold voltage, which must lie below the pristine pull-in.
     """
+    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    if threshold_V >= v_pi:
+        raise ValueError(f"threshold {threshold_V} V at or above pull-in {v_pi:.3f} V")
     tension, _ = fatigue_parameters(threshold_V, device.mechanics, device.geometry)
     return tension.sigma_alt_Pa / params.endurance_stress_Pa
 

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import signal
@@ -66,6 +68,13 @@ def test_curve_stdout(capsys):
 def test_curve_rejects_vmax_above_pull_in(capsys):
     code, _, err = run_cli(capsys, "curve", "--vmax", "30")
     assert code == 3
+
+
+def test_strength_v_above_pull_in_names_the_flag(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--out", str(tmp_path), "fatigue", "--va", "14",
+                             "--strength-v", "30")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: --strength-v: threshold 30.0 V at or above pull-in ")
 
 
 def test_fatigue_run_survives_at_limit(tmp_path, capsys):
@@ -184,6 +193,46 @@ def test_wohler_degenerate_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text, where", [
+    ("level_V,cycles,censored\n14,1000,0\nnan,2000,0\n", "line 3, column level_V"),
+    ("# note\n\n14,1000,0\n0,2000,0\n", "line 4, column level_V"),
+    ("14,1000,0\n-inf,2000,0\n", "line 2, column level_V"),
+    ("13,abc,0\n", "line 1, column cycles"),
+    ("13,1000.5,0\n", "line 1, column cycles"),
+    ("13,0,0\n", "line 1, column cycles"),
+    ("13,1" + "0" * 400 + ",0\n", "line 1, column cycles"),  # overflows a float
+    ("13,1000,2\n", "line 1, column censored"),
+    ("13,1000,yes\n", "line 1, column censored"),
+    ("14,1000,0\n13,1000\n", "line 2: expected the 3 columns"),
+    ("14,1000,0,1\n", "line 1: expected the 3 columns"),
+])
+def test_wohler_points_faults_exit_2_naming_line_and_column(tmp_path, capsys, text, where):
+    csv = tmp_path / "points.csv"
+    csv.write_text(text)
+    code, out, err = run_cli(capsys, "wohler", "--points-csv", str(csv))
+    assert (code, out) == (2, "")
+    assert f" --points-csv: {where}" in err
+
+
+def test_missing_points_file_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "wohler", "--points-csv", str(tmp_path / "none.csv"))
+    assert (code, out) == (2, "")
+    assert " --points-csv: " in err
+
+
+def test_wohler_points_accept_whole_floats(tmp_path, capsys):
+    outputs = []
+    for rows in ("20,1000,0\n14,1000000,1\n14,2000000,0\n",
+                 "20.0,1e3,0.0\n14,1000000.0,1.0\n14,2e6,0\n"):
+        csv = tmp_path / "points.csv"
+        csv.write_text(rows)
+        code, out, _ = run_cli(capsys, "wohler", "--points-csv", str(csv))
+        assert code == 0
+        outputs.append(out)
+    assert json.loads(outputs[0])["n_censored"] == 1
+    assert outputs[1] == outputs[0]
+
+
 def test_recovery_summary(capsys):
     code, out, _ = run_cli(capsys, "--seed", "42", "recovery",
                            "--replications", "50")
@@ -240,6 +289,8 @@ def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
     (["fatigue", "--va=-inf"], "--va"),
     (["fatigue", "--va", "14", "--strength-v", "nan"], "--strength-v"),
     (["fatigue", "--va", "14", "--strength-v", "0.05"], "--strength-v"),  # below MIN_THRESHOLD_V
+    (["recovery", "--replications", str(stats.MAX_REPLICATIONS + 1)], "--replications"),
+    (["recovery", "--replications", "1000000000"], "--replications"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -538,6 +589,38 @@ def _at_or_above_pull_in(config, argv):
                for arg in argv if arg.startswith(VOLTAGE_FLAGS))
 
 
+# A points file field that breaks its column's rule, or is no number at all.
+FAULTY_POINT_FIELDS = st.sampled_from(["", "x", "nan", "inf", "-inf", "0", "-1", "1.5", "2",
+                                       "1e400", "1" + "0" * 400, "5e-324", "14 V"])
+
+
+@st.composite
+def points_files(draw):
+    """A Wohler points CSV: valid rows of typical or extreme values, at times a
+    header, comments, and rows with a faulty field or column count."""
+    levels = st.floats(5.0, 30.0) | st.sampled_from([e for e in EXTREMES if e > 0])
+    cycles = st.integers(1, 10**7) | st.sampled_from([1, 10**15, 10**300])
+    rows = draw(st.lists(st.tuples(levels.map(repr), cycles.map(str), st.sampled_from("01")),
+                         max_size=8))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = list(draw(st.sampled_from(rows))) if rows else ["14", "1000", "0"]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, 2))] = draw(FAULTY_POINT_FIELDS)
+        else:
+            row = row[:draw(st.sampled_from([1, 2]))] if draw(st.booleans()) else [*row, "0"]
+        lines.insert(draw(st.integers(0, len(lines))), ",".join(row))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    if draw(st.booleans()):
+        lines.insert(0, "level_V,cycles,censored")
+    return "\n".join(lines) + "\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
 class ExampleTimeout(Exception):
     """Raised in a fuzz example that runs past EXAMPLE_SECONDS; the CLI catches no such error."""
 
@@ -546,9 +629,9 @@ def _expire(signum, frame):
     raise ExampleTimeout(f"example ran past {EXAMPLE_SECONDS} s")
 
 
-@given(config=json_configs(), flag_argvs=flag_commands())
+@given(config=json_configs(), flag_argvs=flag_commands(), points=points_files())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_any_json_config_runs_or_names_its_fault(config, flag_argvs):
+def test_any_json_config_runs_or_names_its_fault(config, flag_argvs, points):
     interval = _resolved(config, "model", "detection_interval_cycles")
     reference = _resolved(config, "model", "reference_cycles")
     n = _resolved(config, "campaign", "n_specimens")
@@ -570,21 +653,28 @@ def test_any_json_config_runs_or_names_its_fault(config, flag_argvs):
         return estimate
 
     estimators = {name: recording(getattr(stats, name))
-                  for name in ("dixon_mood", "estimator_recovery_trial")}
+                  for name in ("dixon_mood", "estimator_recovery_trial", "fit_basquin")}
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
     try:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(stats, **estimators):
             cfg = Path(tmp) / "config.json"
             cfg.write_text(json.dumps(config))
-            for argv in (*FUZZED_COMMANDS, *flag_argvs):
+            csv = Path(tmp) / "points.csv"
+            csv.write_text(points)
+            wohler = ["wohler", "--points-csv", str(csv)]
+            for argv in (*FUZZED_COMMANDS, *flag_argvs, wohler):
                 estimation_failed.clear()
-                code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"),
-                                     *argv])
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli_dispatch(["--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                                         *argv])
                 assert code in (0, 1, 2) or (code == 3 and (
                     estimation_failed or _at_or_above_pull_in(config, argv))), \
-                    (argv, code, config)
+                    (argv, code, config, points)
                 assert code != 1 or argv in flag_argvs, (argv, code, config)
+                if code == 0 and stdout.getvalue().startswith("{"):
+                    json.loads(stdout.getvalue(), parse_constant=_reject_constant)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

@@ -131,6 +131,14 @@ def test_basquin_degenerate_errors():
                      WohlerPoint(14.0, 10**6, censored=True)])
 
 
+def test_basquin_unbounded_fits_error():
+    # One cycle count leaves the slope undefined; these extremes put C = e**(about 4e5).
+    with pytest.raises(EstimationError, match="one cycle count"):
+        fit_basquin([WohlerPoint(20.0, 10**3), WohlerPoint(14.0, 10**3)])
+    with pytest.raises(EstimationError, match="overflows"):
+        fit_basquin([WohlerPoint(5.0, 10**300), WohlerPoint(1e299, 10**15)])
+
+
 def test_basquin_noise_robustness():
     b_true = -0.08
     coeff = 40.0
@@ -236,7 +244,8 @@ def recovery_trials(draw):
         true_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
         n_specimens=draw(st.integers(1, 30)),
         replications=draw(st.integers(1, 60)),
-        seed=draw(st.integers(0, 2**32)),
+        # Past 2**64 and 2**96: three and more entropy words besides rep.
+        seed=draw(st.integers(0, 2**32) | st.integers(0, 2**200)),
     )
 
 
@@ -254,6 +263,15 @@ def test_batched_recovery_equals_replication_loop(trial, block_elements):
     with mock.patch.object(stats, "_BLOCK_ELEMENTS", block_elements):
         batched = _summary_or_error(estimator_recovery_trial, trial)
     assert batched == _summary_or_error(recovery_by_replication, trial)
+
+
+@given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**200 + 1]) | st.integers(0, 2**130),
+       first=st.sampled_from([0, 1, stats.MAX_REPLICATIONS - 3]) | st.integers(0, 10**5),
+       rows=st.integers(1, 12), n=st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_batched_normals_equal_default_rng_row_for_row(seed, first, rows, n):
+    expected = [np.random.default_rng((seed, first + r)).standard_normal(n) for r in range(rows)]
+    assert np.array_equal(stats._standard_normals(seed, first, rows, n), expected)
 
 
 @given(strengths=st.lists(st.floats(9.0, 17.0), max_size=30),
@@ -275,10 +293,11 @@ def test_synthetic_stair_case_steps_one_specimen_at_a_time(strengths, levels, st
     ({"true_std_V": math.nan}, "true_std_V"),
     ({"true_mean_V": math.nan}, "true_mean_V"),
     ({"true_mean_V": math.inf}, "true_mean_V"),
+    ({"replications": stats.MAX_REPLICATIONS + 1}, "replications"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"true_mean_V": 13.0, "true_std_V": 0.55, "n_specimens": 6,
               "replications": 20, "seed": 1, **fault}
-    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("seeded")):
+    with mock.patch("numpy.random.PCG64", side_effect=AssertionError("seeded")):
         with pytest.raises(ValueError, match=f"^{name} "):
             estimator_recovery_trial(**kwargs)
