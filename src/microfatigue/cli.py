@@ -126,8 +126,11 @@ def _cmd_pullin(args, config) -> int:
 
 def _cmd_curve(args, config) -> int:
     device = config.device()
-    points = electromech.stress_conversion_curve(device.mechanics, device.geometry,
-                                                 V_max=args.vmax, n_points=args.points)
+    try:
+        points = electromech.stress_conversion_curve(device.mechanics, device.geometry,
+                                                     V_max=args.vmax, n_points=args.points)
+    except ValueError as exc:  # --points is bounded by argparse; only --vmax is left
+        raise ValueError(f"--vmax: {exc}") from exc
     text = emit_conversion_curve(points)
     if args.out is not None:
         out = _out_dir(args, config)
@@ -151,8 +154,11 @@ def _cmd_fatigue(args, config) -> int:
             raise ValueError(f"--strength-v: {exc}") from exc
         # The calibration target, which explicit damage parameters leave unchecked.
         raise ConfigError([("damage.calibrate_target_V_D", str(exc))]) from exc
-    record = protocols.run_fatigue_test(args.va, specimen, device, params,
-                                        **config.model.run_kwargs())
+    try:
+        record = protocols.run_fatigue_test(args.va, specimen, device, params,
+                                            **config.model.run_kwargs())
+    except ValueError as exc:  # the config checks every run setting but the amplitude
+        raise ValueError(f"--va: {exc}") from exc
     out = _out_dir(args, config)
     path = out / "fatigue_run.csv"
     path.write_text(emit_fatigue_run(record))

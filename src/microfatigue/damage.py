@@ -12,7 +12,8 @@ cycles in several calls is bit-identical to accumulating it in one.
 ``accumulate`` is the primitive for sums whose amplitude varies. At a
 constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
-gets the same damage without calling ``accumulate`` per batch.
+gets the same damage without calling ``accumulate`` per batch, and
+evaluates ``effective_stiffness_factor`` inline at each detection.
 """
 
 from __future__ import annotations
@@ -125,7 +126,10 @@ def _hardening_bump(d: float, params: DamageModelParams) -> float:
 
 
 def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
-    """k_eff/k at damage level d: power-law softening times the hardening bump."""
+    """k_eff/k at damage level d: power-law softening times the hardening bump.
+
+    ``protocols.run_fatigue_test`` repeats this expression, in the same float
+    operations, in its detection loop; a change to the law changes both."""
     d = min(max(d, 0.0), 1.0)
     return (1.0 - d) ** params.softening_exponent * (
         1.0 + params.hardening_amplitude * _hardening_bump(d, params))

@@ -27,8 +27,16 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
         f"outcome={record.outcome} reference_cycles={record.reference_cycles}",
         "load_cycles,pullin_V",
     ]
+    # A run repeats few distinct readings over many rows: format each once.
+    # Zero is never cached, since 0.0 and -0.0 are one key but "0" and "-0".
+    formatted: dict[float, str] = {}
     for cycles, v in record.detections:
-        lines.append(f"{cycles},{_num(v)}")
+        text = formatted.get(v)
+        if text is None:
+            text = _num(v)
+            if v:
+                formatted[v] = text
+        lines.append(f"{cycles},{text}")
     return "\n".join(lines) + "\n"
 
 

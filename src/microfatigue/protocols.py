@@ -155,13 +155,17 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     (invalid: the test has become displacement-imposed).
 
     The amplitude is constant, so the Miner sum after n cycles is exactly
-    n/life: the run computes it in integers, with the first collapsing
-    count ceil(collapse_threshold*life) fixed before the first batch. Its
-    readings and outcome equal those of accumulating each batch with
-    ``damage.accumulate``, the primitive for sums whose amplitude varies,
-    and measuring with ``run_pull_in_detection``. Both cycle counts must
-    be whole numbers, the interval at least 1, for at most MAX_DETECTIONS detections,
-    and the supply step at least MIN_DETECTION_STEP_V.
+    min(n, life)/life: the run keeps n in integers, with the first
+    collapsing count ceil(collapse_threshold*life) fixed before the first
+    batch. Each detection's reading is computed in the loop itself, with no
+    call per detection: the stiffness law of
+    ``damage.effective_stiffness_factor`` and the grid rounding of
+    ``_stepped_reading``, in their float operations and order, so every
+    reading is bit-equal to theirs. Readings and outcome equal those of
+    accumulating each batch with ``damage.accumulate`` and measuring with
+    ``run_pull_in_detection``. Both cycle counts must be whole numbers, the
+    interval at least 1, for at most MAX_DETECTIONS detections, and the
+    supply step at least MIN_DETECTION_STEP_V.
     """
     if not _is_whole(detection_interval) or detection_interval < 1:
         raise ValueError(
@@ -182,23 +186,47 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
         p, q = params.collapse_threshold.as_integer_ratio()
         collapse_cycles = -(-p * life // q)
 
-    pristine_meas = _stepped_reading(pristine, 0.0, params, detection_step_V)
+    step = detection_step_V
+    pristine_meas = _stepped_reading(pristine, 0.0, params, step)
     detections: list[tuple[int, float]] = [(0, pristine_meas)]
+    # Everything the loop reads, bound once.
+    exponent, amplitude = params.softening_exponent, params.hardening_amplitude
+    onset, collapse = params.hardening_onset, params.collapse_threshold
+    span = collapse - onset
+    keep = 1.0 - drop_fraction
+    floor = min_pullin_fraction * pristine_meas
+    sqrt, ceil, sin, pi = math.sqrt, math.ceil, math.sin, math.pi
+    append = detections.append
     outcome = OUTCOME_SURVIVED
+    previous = pristine_meas
     n = 0
     while n < reference:
-        n = min(n + interval, reference)
-        damage = 0.0 if life is UNBOUNDED else min(n, life) / life
-        v = _stepped_reading(pristine, damage, params, detection_step_V)
-        previous = detections[-1][1]
-        detections.append((n, v))
-        if (n >= collapse_cycles or v <= (1.0 - drop_fraction) * previous
-                or v < min_pullin_fraction * pristine_meas):
+        n += interval
+        if n > reference:
+            n = reference
+        if life is UNBOUNDED:
+            d = 0.0
+        elif n < life:
+            d = n / life
+        else:
+            d = 1.0
+        # _stepped_reading(pristine, d, params, step), inlined: the stiffness
+        # factor of damage.effective_stiffness_factor (d already lies in
+        # [0, 1]) with its hardening bump, then the step-grid rounding.
+        if onset < d < collapse:
+            bump = sin(pi * ((d - onset) / span)) ** 2
+        else:
+            bump = 0.0
+        v = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
+                 / step - 1e-9) * step
+        append((n, v))
+        if n >= collapse_cycles or v <= keep * previous or v < floor:
             outcome = OUTCOME_FAILED
             break
         if v <= V_a:
             outcome = OUTCOME_INVALID
             break
+        previous = v
     return FatigueRunRecord(
         drive_amplitude_V=V_a,
         detections=tuple(detections),

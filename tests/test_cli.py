@@ -66,8 +66,16 @@ def test_curve_stdout(capsys):
 
 
 def test_curve_rejects_vmax_above_pull_in(capsys):
-    code, _, err = run_cli(capsys, "curve", "--vmax", "30")
-    assert code == 3
+    code, out, err = run_cli(capsys, "curve", "--vmax", "30")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: --vmax: V_max 30.0 V must lie in [0, ")
+
+
+def test_fatigue_rejects_va_above_pull_in(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--out", str(tmp_path), "fatigue", "--va", "30")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: --va: drive amplitude 30.0 V at or above pull-in ")
+    assert not (tmp_path / "fatigue_run.csv").exists()
 
 
 def test_strength_v_above_pull_in_names_the_flag(tmp_path, capsys):
@@ -121,6 +129,32 @@ def test_fatigue_whole_float_interval_same_bytes(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "float" / "fatigue_run.csv").read_bytes() == \
         (tmp_path / "int" / "fatigue_run.csv").read_bytes()
+
+
+# sha256 of fatigue_run.csv and of stdout for runs of one detection per 1 000
+# cycles (2 000 detections to the reference), recorded before the detection
+# loop was written call-free. Run from tmp_path with --out out, so the "csv"
+# path in stdout is the same on every run.
+@pytest.mark.parametrize("argv, outcome, csv_digest, stdout_digest", [
+    (["--va", "13"], "survived",
+     "edd2424a6c9c070cae48d8f3fabafde6467c5e76c5fce2d150b25ed382eac067",
+     "d9c09eef18f64a7a96050d0de79b61729bb2642d5886a0eb3553a7ebc6371435"),
+    (["--va", "14"], "invalid",
+     "5135300c86e255affefa9eed90e525e5effda17e21e00d62911aeb04c55dbc3d",
+     "80f760d6fb2b484db158639bd19e47c63cfd4ecd7200ea3c76eff261cfdab5f0"),
+    (["--va", "14", "--strength-v", "12.5"], "failed",
+     "35448832ff529415c763e3732b092dc634c89eac854cdd75ca7117fc3d185834",
+     "bd8954cd86f4e30ebc6332c92dca501d5449f27869af35cf21f188384c1ae6d3"),
+])
+def test_long_fatigue_run_bytes_pinned(tmp_path, capsys, monkeypatch, argv, outcome,
+                                       csv_digest, stdout_digest):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"model": {"detection_interval_cycles": 1000}}))
+    code, out, _ = run_cli(capsys, "--config", "config.json", "--out", "out", "fatigue", *argv)
+    assert code == 0
+    assert json.loads(out)["outcome"] == outcome
+    assert hashlib.sha256(Path("out/fatigue_run.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def test_missing_config_file_exit_2(capsys):

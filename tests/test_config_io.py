@@ -8,7 +8,7 @@ import microfatigue
 from microfatigue.config import (CampaignConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
 from microfatigue.emit import (TOOL_STAMP, emit_conversion_curve, emit_fatigue_run,
-                               emit_staircase_sequence, emit_wohler_points,
+                               emit_staircase_sequence, emit_wohler_points, _num,
                                parse_wohler_points,
                                wohler_points_from_records)
 from microfatigue.errors import ConfigError
@@ -144,6 +144,21 @@ def test_emit_fatigue_run_layout():
 
 def test_emit_fatigue_run_deterministic():
     assert emit_fatigue_run(RECORD) == emit_fatigue_run(RECORD)
+
+
+# A few finite readings, 0.0 and -0.0 among them, each repeated over many rows.
+READINGS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).map(
+    lambda values: [0.0, -0.0, *values])
+
+
+@given(data=st.data(), pool=READINGS)
+@settings(max_examples=200, deadline=None)
+def test_emit_fatigue_run_formats_every_row_as_its_own_reading(data, pool):
+    readings = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    record = dataclasses.replace(RECORD, detections=tuple(
+        (1000 * i, v) for i, v in enumerate(readings)))
+    lines = emit_fatigue_run(record).split("\n")
+    assert lines[2:] == [f"{cycles},{_num(v)}" for cycles, v in record.detections] + [""]
 
 
 def test_emit_conversion_curve(nominal_device):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microfatigue import protocols
 from microfatigue.damage import (DamageState, SpecimenStrength, accumulate,
-                                 cycles_to_failure, degraded_pull_in)
+                                 cycles_to_failure, degraded_pull_in,
+                                 effective_stiffness_factor)
 from microfatigue.electromech import pull_in_voltage_closed_form
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
@@ -224,6 +226,72 @@ def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params,
     assert record.drive_amplitude_V == V_a
     assert record.reference_cycles == reference
     assert type(record.reference_cycles) is type(reference)
+
+
+# Monitor-shaped runs: one detection per 1 000 cycles to 2 000 000, at the
+# three drive levels, with thresholds that give each outcome.
+LONG_RUNS = [
+    (13.0, 13.0, OUTCOME_SURVIVED),  # at the endurance: no damage
+    (13.0, 12.5, OUTCOME_FAILED),
+    (14.0, 14.0, OUTCOME_SURVIVED),  # ends damaged inside the hardening window
+    (14.0, 13.0, OUTCOME_INVALID),
+    (14.0, 12.0, OUTCOME_FAILED),
+    (15.0, 15.5, OUTCOME_SURVIVED),
+    (15.0, 12.0, OUTCOME_INVALID),
+    (15.0, 10.0, OUTCOME_FAILED),
+]
+
+
+def test_long_runs_match_batch_by_batch_reference(nominal_device, calibrated_params):
+    d, params = nominal_device, calibrated_params
+    kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000,
+                  detection_step_V=0.05, drop_fraction=0.2, min_pullin_fraction=0.5)
+    hardened = 0
+    for V_a, threshold, expected in LONG_RUNS:
+        specimen = SpecimenStrength(strength_scale_from_threshold(threshold, d, params))
+        record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
+        detections, outcome = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+        assert (record.outcome, outcome) == (expected, expected), (V_a, threshold)
+        assert record.detections == tuple(detections), (V_a, threshold)
+        life = cycles_to_failure(sigma_alt(d, V_a), params, specimen)
+        if life is not None and min(record.detections[-1][0], life) / life > params.hardening_onset:
+            hardened += 1
+    assert hardened >= 1
+
+
+def test_readings_keep_the_grid_guard(nominal_device, calibrated_params):
+    # A step whose grid holds the pristine pull-in but whose division lands
+    # one ulp above the grid index: without the 1e-9 guard, ceil would read
+    # one step high at every undamaged detection.
+    d = nominal_device
+    pristine = pull_in_voltage_closed_form(d.mechanics, d.geometry).pull_in_voltage_V
+    step = next(pristine / k for k in range(100, 1000) if math.ceil(pristine / (pristine / k)) > k)
+    record = run_fatigue_test(13.0, SpecimenStrength(2.0), d, calibrated_params,
+                              detection_interval=1_000, reference_cycles=100_000,
+                              detection_step_V=step)
+    assert record.outcome == OUTCOME_SURVIVED
+    assert {v for _, v in record.detections} == {run_pull_in_detection(
+        DamageState.pristine(), d, calibrated_params, step)}
+
+
+def test_long_run_makes_no_stiffness_call_per_detection(nominal_device, calibrated_params,
+                                                        monkeypatch):
+    # Guards the call-free detection loop without a clock: only the pristine
+    # reading may go through damage.effective_stiffness_factor.
+    calls = []
+
+    def counted(d, params):
+        calls.append(d)
+        return effective_stiffness_factor(d, params)
+
+    monkeypatch.setattr(protocols, "effective_stiffness_factor", counted)
+    specimen = SpecimenStrength(strength_scale_from_threshold(
+        14.0, nominal_device, calibrated_params))
+    record = run_fatigue_test(14.0, specimen, nominal_device, calibrated_params,
+                              detection_interval=1_000, reference_cycles=2_000_000)
+    assert (record.outcome, len(record.detections)) == (OUTCOME_SURVIVED, 2_001)
+    assert record.detections[-1][1] != record.detections[0][1]  # damage accrued
+    assert len(calls) <= 1
 
 
 def test_staircase_reproduces_published_sequence(nominal_device, calibrated_params):
