@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SolverError
 
 if TYPE_CHECKING:  # annotations only: device imports this module
+    from collections.abc import Iterable
+
     from .device import DeviceGeometry, DerivedMechanics
 
 EPSILON_0 = 8.854e-12  # F/m
@@ -27,8 +29,7 @@ MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(NamedTuple):
     voltage_V: float
     deflection_m: float
     stress_Pa: float
@@ -49,15 +50,6 @@ def electrostatic_force(V: float, x: float, mech: DerivedMechanics,
     return EPSILON_0 * mech.effective_area_m2 * V * V / (2.0 * (g - x) ** 2)
 
 
-def _bending_stress(x: float, mech: DerivedMechanics, geom: DeviceGeometry) -> float:
-    # Guided-cantilever surface stress at the clamped ends, 3*E*t*x/L^2,
-    # written through the stored stiffness so the calibration factor cancels:
-    # k = c_k*12*E*I/L^3  =>  3*E*t*x/L^2 = k*L*t*x / (4*I*c_k).
-    k = mech.suspension_stiffness_N_m
-    return (k * geom.specimen_length_m * geom.specimen_thickness_m * x
-            / (4.0 * mech.area_moment_m4 * mech.stiffness_calibration))
-
-
 def _drive_scale_and_capacity(mech: DerivedMechanics,
                               geom: DeviceGeometry) -> tuple[float, float]:
     # eps0*A, so that the drive at voltage V is eps0*A*V*V/2, and the
@@ -69,40 +61,59 @@ def _drive_scale_and_capacity(mech: DerivedMechanics,
             mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
 
 
-def static_equilibrium(V: float, mech: DerivedMechanics,
-                       geom: DeviceGeometry) -> EquilibriumPoint | None:
-    """Stable static deflection under DC voltage V, or None at/above pull-in.
+def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
+                   geom: DeviceGeometry) -> list[EquilibriumPoint | None]:
+    """The stable equilibrium at each voltage (>= 0), or None at/above pull-in.
 
     Solves k*x*(g-x)^2 = eps0*A*V^2/2 for the root on the stable branch
-    x < g/3 by the closed-form cubic root with Newton polish.
+    x < g/3 by the closed-form cubic root with Newton polish. The device
+    constants are bound once for the whole list.
     """
+    drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
+    k = mech.suspension_stiffness_N_m
+    g = geom.gap_m
+    kg3 = k * g**3
+    # Guided-cantilever surface stress at the clamped ends, 3*E*t*x/L^2,
+    # written through the stored stiffness so the calibration factor cancels:
+    # k = c_k*12*E*I/L^3  =>  3*E*t*x/L^2 = k*L*t*x / (4*I*c_k).
+    stress_scale = k * geom.specimen_length_m * geom.specimen_thickness_m
+    stress_divisor = 4.0 * mech.area_moment_m4 * mech.stiffness_calibration
+    four_pi_thirds = 4.0 * math.pi / 3.0
+    acos, cos = math.acos, math.cos
+    points: list[EquilibriumPoint | None] = []
+    append, point = points.append, EquilibriumPoint._make
+    for V in voltages:
+        if V == 0.0:
+            append(point((0.0, 0.0, 0.0)))
+            continue
+        drive = drive_scale * V * V / 2.0
+        if drive >= capacity:
+            append(None)  # pull-in: no stable equilibrium exists
+            continue
+        # With u = x/g the balance is u*(1-u)^2 = q, q in [0, 4/27). Its root on
+        # [0, 1/3] is Viete's trigonometric solution; rounding can push the acos
+        # argument just past 1 below pull-in. Newton steps remove the cancellation
+        # of 2 + 2*cos(...) at small q. They stop where the slope falls to 0.1
+        # (u near 0.29): closer to pull-in a step is rounding noise over a flat
+        # residual, less accurate than Viete's root and not monotone in V.
+        q = drive / kg3
+        u = (2.0 + 2.0 * cos(acos(min(13.5 * q - 1.0, 1.0)) / 3.0 - four_pi_thirds)) / 3.0
+        for _ in range(3):
+            slope = (1.0 - u) * (1.0 - 3.0 * u)
+            if slope <= 0.1:
+                break
+            u -= (u * (1.0 - u) ** 2 - q) / slope
+        x = min(max(u, 0.0), STABLE_FRACTION) * g
+        append(point((V, x, stress_scale * x / stress_divisor)))
+    return points
+
+
+def static_equilibrium(V: float, mech: DerivedMechanics,
+                       geom: DeviceGeometry) -> EquilibriumPoint | None:
+    """Stable static deflection under DC voltage V, or None at/above pull-in."""
     if V < 0:
         raise ValueError(f"voltage must be >= 0, got {V}")
-    if V == 0.0:
-        return EquilibriumPoint(0.0, 0.0, 0.0)
-
-    drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
-    drive = drive_scale * V * V / 2.0
-    if drive >= capacity:
-        return None  # pull-in: no stable equilibrium exists
-
-    # With u = x/g the balance is u*(1-u)^2 = q, q in [0, 4/27). Its root on
-    # [0, 1/3] is Viete's trigonometric solution; rounding can push the acos
-    # argument just past 1 below pull-in. Newton steps remove the cancellation
-    # of 2 + 2*cos(...) at small q. They stop where the slope falls to 0.1
-    # (u near 0.29): closer to pull-in a step is rounding noise over a flat
-    # residual, less accurate than Viete's root and not monotone in V.
-    g = geom.gap_m
-    q = drive / (mech.suspension_stiffness_N_m * g**3)
-    u = (2.0 + 2.0 * math.cos(math.acos(min(13.5 * q - 1.0, 1.0)) / 3.0
-                              - 4.0 * math.pi / 3.0)) / 3.0
-    for _ in range(3):
-        slope = (1.0 - u) * (1.0 - 3.0 * u)
-        if slope <= 0.1:
-            break
-        u -= (u * (1.0 - u) ** 2 - q) / slope
-    x = min(max(u, 0.0), STABLE_FRACTION) * g
-    return EquilibriumPoint(V, x, _bending_stress(x, mech, geom))
+    return _stable_points((V,), mech, geom)[0]
 
 
 def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) -> PullInResult:
@@ -127,10 +138,11 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     """Pull-in found by stepping the DC voltage until equilibrium is lost.
 
     The last step bracket [V-step, V] is bisected down to tol_V, mimicking
-    a step-by-step DC supply.
+    a step-by-step DC supply. Both step_V and tol_V must be finite and > 0.
     """
-    if step_V <= 0:
-        raise ValueError(f"sweep step must be > 0, got {step_V}")
+    for name, value in (("step_V", step_V), ("tol_V", tol_V)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name}: must be finite and > 0, got {value}")
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
     v = step_V
     steps = 0
@@ -143,12 +155,16 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     detected = None
     # The deflection approaches its instability value like sqrt(V_PI - V), so
     # the bracket is refined past tol_V (the detected voltage) before reading it.
+    # The bisection also ends where the bracket holds adjacent floats, whose
+    # midpoint is one of its ends: a tol_V below their spacing is never met.
     while detected is None or hi - lo > 1e-8 * hi:
-        if detected is None and hi - lo <= tol_V:
-            detected = 0.5 * (lo + hi)
-            continue
         mid = 0.5 * (lo + hi)
-        if drive_scale * mid * mid / 2.0 < capacity:
+        stalled = mid == lo or mid == hi
+        if detected is None and (hi - lo <= tol_V or stalled):
+            detected = mid
+        elif stalled:
+            break
+        elif drive_scale * mid * mid / 2.0 < capacity:
             lo = mid
         else:
             hi = mid
@@ -175,10 +191,8 @@ def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry,
     # where the step underflows to zero, and V_max itself last.
     div = n_points - 1
     step = V_max / div
-    points = []
-    for v in [i * step if step else i / div * V_max for i in range(div)] + [V_max]:
-        eq = static_equilibrium(v, mech, geom)
-        if eq is None:  # pragma: no cover - excluded by the V_max guard
-            raise SolverError(f"unexpected pull-in at {v} V below V_max")
-        points.append(eq)
+    voltages = [i * step if step else i / div * V_max for i in range(div)] + [V_max]
+    points = _stable_points(voltages, mech, geom)
+    if None in points:  # pragma: no cover - excluded by the V_max guard
+        raise SolverError(f"unexpected pull-in at {voltages[points.index(None)]} V below V_max")
     return points

@@ -18,7 +18,7 @@ TOOL_STAMP = f"microfatigue {__version__}"
 
 
 def _num(x: float) -> str:
-    return f"{x:.6g}"
+    return "%.6g" % x
 
 
 def emit_fatigue_run(record: FatigueRunRecord) -> str:
@@ -42,8 +42,8 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
 
 def emit_conversion_curve(points: list[EquilibriumPoint]) -> str:
     lines = ["voltage_V,deflection_um,stress_MPa"]
-    for p in points:
-        lines.append(f"{_num(p.voltage_V)},{_num(p.deflection_m * 1e6)},{_num(p.stress_Pa * 1e-6)}")
+    for voltage, deflection, stress in points:
+        lines.append("%.6g,%.6g,%.6g" % (voltage, deflection * 1e6, stress * 1e-6))
     return "\n".join(lines) + "\n"
 
 

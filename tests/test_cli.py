@@ -291,6 +291,16 @@ def test_recovery_summary(capsys):
      "aafed71c0a42028a07f17c1eac3744e69fae020f99bb7a26fca445027eaa5273"),
     (["curve", "--vmax", "25", "--points", "200"],
      "dee769ed205fe9fa79373118c4862f77f96c807cd9f46f468b79a0479b7dce2b"),
+    (["--config", {"geometry": {"gap_um": 2.85, "specimen_thickness_um": 2.0},
+                   "model": {"c_k": 2.5}}, "curve", "--vmax", "25", "--points", "200"],
+     "ebd2c6d086cbf1df5193748c5338861ea7c199bd8c66e291998183bbe6aff1d7"),
+    # the last 0.02 % below the nominal 26.395 V pull-in
+    (["curve", "--vmax", "26.39", "--points", "500"],
+     "b21f9633fb56ceed7658784f5ee298a31c8e912c3f863643bafb874aa8385ab9"),
+    (["curve", "--vmax", "0", "--points", "2"],
+     "9bca063efacf63a5dd7daa951609f55aeebf738872188badbd69c3b347263b45"),
+    (["curve", "--vmax", "5e-324", "--points", "7"],
+     "fa774b772cadc1697d0365a49c6cebbc782a9817816f678dc32d787661585c83"),
 ])
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
     cfg = tmp_path / "config.json"

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import microfatigue
 from microfatigue.config import (CampaignConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
+from microfatigue.electromech import EquilibriumPoint
 from microfatigue.emit import (TOOL_STAMP, emit_conversion_curve, emit_fatigue_run,
                                emit_staircase_sequence, emit_wohler_points, _num,
                                parse_wohler_points,
@@ -170,6 +173,32 @@ def test_emit_conversion_curve(nominal_device):
     assert lines[0] == "voltage_V,deflection_um,stress_MPa"
     assert lines[1] == "0,0,0"
     assert len(lines) == 6
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e-300, 0.5, 999999.5, 123456789.0, -26.395)
+
+
+@given(st.floats())
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(9999995.0)
+@settings(max_examples=2000, deadline=None)
+def test_num_equals_format_6g(x):
+    assert _num(x) == format(x, ".6g")
+
+
+def test_emit_conversion_curve_equals_per_field_format():
+    points = [EquilibriumPoint(*fields) for fields in itertools.product(SPECIAL_FLOATS, repeat=3)]
+    rows = [",".join(format(x, ".6g") for x in (p.voltage_V, p.deflection_m * 1e6,
+                                                p.stress_Pa * 1e-6)) for p in points]
+    assert emit_conversion_curve(points) == \
+        "\n".join(["voltage_V,deflection_um,stress_MPa", *rows]) + "\n"
 
 
 def test_wohler_points_round_trip():

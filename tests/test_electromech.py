@@ -12,13 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import microfatigue
+from microfatigue import electromech
 from microfatigue.device import (C_K_RESONANCE_PRESET, Device, DeviceGeometry, Material,
                                  derive_mechanics)
 from microfatigue.electromech import (EPSILON_0, MAX_CURVE_POINTS, STABLE_FRACTION,
-                                      electrostatic_force, natural_frequency,
+                                      EquilibriumPoint, electrostatic_force, natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
                                       stress_conversion_curve)
+from microfatigue.errors import SolverError
 
 
 def bisect_equilibrium(V, mech, geom, iters=200):
@@ -236,13 +238,13 @@ def test_conversion_curve_voltages_equal_linspace(V_max, n_points):
             == [repr(v) for v in np.linspace(0.0, V_max, n_points).tolist()])
 
 
-def _run_fresh(code, *args):
+def _run_fresh(code, *args, timeout=120):
     """stdout of Python code run with args in a fresh interpreter on this source tree."""
     src = os.path.dirname(os.path.dirname(microfatigue.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+                          text=True, check=True, timeout=timeout).stdout
 
 
 @pytest.mark.parametrize("module", ["microfatigue", "microfatigue.device",
@@ -400,3 +402,143 @@ def test_sweep_matches_two_loop_reference(device, step_V, tol_V):
     res = pull_in_voltage_sweep(mech, geom, step_V=step_V, tol_V=tol_V)
     assert (res.pull_in_voltage_V, res.deflection_at_instability_m) == \
         two_loop_sweep(mech, geom, step_V, tol_V)
+
+
+# Runs the nominal device's sweep with step_V and tol_V from sys.argv and prints
+# the detected voltage, or the ValueError it raises.
+_SWEEP = """
+import sys
+from microfatigue.device import Device
+from microfatigue.electromech import pull_in_voltage_sweep
+d = Device.nominal()
+try:
+    res = pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=float(sys.argv[1]),
+                                tol_V=float(sys.argv[2]))
+except ValueError as exc:
+    print("ValueError", exc)
+else:
+    print(repr(res.pull_in_voltage_V))
+"""
+
+
+@pytest.mark.parametrize("step_V, tol_V, fault", [
+    ("0.05", "0", "tol_V"), ("0.05", "-1", "tol_V"), ("0.05", "nan", "tol_V"),
+    ("0.05", "inf", "tol_V"), ("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"),
+    ("-inf", "1e-3", "step_V"), ("0", "1e-3", "step_V"), ("-1", "1e-3", "step_V"),
+    ("0.05", "1e-300", None), ("0.05", "5e-324", None),
+])
+def test_sweep_returns_or_raises_within_bound(nominal_device, step_V, tol_V, fault):
+    # In a fresh process with a timeout, so that a sweep that never ends fails.
+    out = _run_fresh(_SWEEP, step_V, tol_V, timeout=30).strip()
+    if fault is not None:
+        assert out.startswith(f"ValueError {fault}: must be finite and > 0")
+        return
+    # A tolerance below the float spacing stops at adjacent floats around pull-in.
+    closed = pull_in_voltage_closed_form(nominal_device.mechanics, nominal_device.geometry)
+    assert float(out) == pytest.approx(closed.pull_in_voltage_V, rel=1e-12)
+
+
+def per_point_equilibrium(V, mech, geom):
+    """Reference: the per-voltage solve, every device constant rebuilt for each point."""
+    if V == 0.0:
+        return EquilibriumPoint(0.0, 0.0, 0.0)
+    drive, capacity = drive_and_capacity(V, mech, geom)
+    if drive >= capacity:
+        return None
+    g = geom.gap_m
+    q = drive / (mech.suspension_stiffness_N_m * g**3)
+    u = (2.0 + 2.0 * math.cos(math.acos(min(13.5 * q - 1.0, 1.0)) / 3.0
+                              - 4.0 * math.pi / 3.0)) / 3.0
+    for _ in range(3):
+        slope = (1.0 - u) * (1.0 - 3.0 * u)
+        if slope <= 0.1:
+            break
+        u -= (u * (1.0 - u) ** 2 - q) / slope
+    x = min(max(u, 0.0), STABLE_FRACTION) * g
+    stress = (mech.suspension_stiffness_N_m * geom.specimen_length_m
+              * geom.specimen_thickness_m * x
+              / (4.0 * mech.area_moment_m4 * mech.stiffness_calibration))
+    return EquilibriumPoint(V, x, stress)
+
+
+def point_reprs(point):
+    return None if point is None else tuple(repr(field) for field in point)
+
+
+def floats_below(v, n):
+    """The n floats just below v, nearest first."""
+    below = []
+    for _ in range(n):
+        v = math.nextafter(v, 0.0)
+        below.append(v)
+    return below
+
+
+def v_pi_of(device):
+    return pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+
+
+@st.composite
+def solve_cases(draw):
+    """A device, single voltages to solve on it, and a curve's V_max and point count."""
+    device = draw(DEVICES)
+    v_pi = v_pi_of(device)
+    below_pull_in = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * v_pi),
+        st.integers(1, 60).map(lambda n: floats_below(v_pi, n)[-1]))
+    voltages = draw(st.lists(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 2.2250738585072014e-308),  # zero and the subnormals
+        below_pull_in,
+        st.floats(1.0, 1e6).map(lambda f: f * v_pi),
+        st.just(math.nextafter(v_pi, math.inf))), min_size=1, max_size=20))
+    V_max = draw(below_pull_in.filter(lambda v: v < v_pi))
+    return device, voltages, V_max, draw(st.integers(2, 60))
+
+
+ACOS_LAST_FLOATS = floats_below(v_pi_of(ACOS_ARGUMENT_PAST_ONE), 60)
+
+
+@given(case=solve_cases())
+@example(case=(ACOS_ARGUMENT_PAST_ONE, [0.0, 5e-324, *ACOS_LAST_FLOATS], ACOS_LAST_FLOATS[0],
+               200))
+@settings(max_examples=200, deadline=None)
+def test_solve_bit_equal_to_per_point_reference(case):
+    device, voltages, V_max, n_points = case
+    mech, geom = device.mechanics, device.geometry
+    for V in voltages:
+        assert point_reprs(static_equilibrium(V, mech, geom)) == \
+            point_reprs(per_point_equilibrium(V, mech, geom)), V
+    expected = [per_point_equilibrium(v, mech, geom)
+                for v in np.linspace(0.0, V_max, n_points).tolist()]
+    if None in expected:
+        with pytest.raises(SolverError):
+            stress_conversion_curve(mech, geom, V_max, n_points)
+        return
+    assert [point_reprs(p) for p in stress_conversion_curve(mech, geom, V_max, n_points)] == \
+        [point_reprs(p) for p in expected]
+
+
+def test_curve_makes_no_per_point_solve_call(nominal_device, monkeypatch):
+    # Guards the one-loop curve without a clock: no point goes through
+    # electromech.static_equilibrium.
+    calls = []
+
+    def counted(V, mech, geom):
+        calls.append(V)
+        return static_equilibrium(V, mech, geom)
+
+    monkeypatch.setattr(electromech, "static_equilibrium", counted)
+    d = nominal_device
+    points = electromech.stress_conversion_curve(d.mechanics, d.geometry, 25.0, 200)
+    assert len(points) == 200 and points[-1].voltage_V == 25.0
+    assert calls == []
+
+
+def test_equilibrium_point_is_an_immutable_record():
+    point = EquilibriumPoint(1.0, 2.0, 3.0)
+    assert EquilibriumPoint._fields == ("voltage_V", "deflection_m", "stress_Pa")
+    assert (point.voltage_V, point.deflection_m, point.stress_Pa) == tuple(point)
+    assert tuple(point) == (1.0, 2.0, 3.0)
+    with pytest.raises(AttributeError):
+        point.stress_Pa = 0.0
