@@ -62,7 +62,7 @@ class SpecimenStrength:
     strength_scale: float = 1.0
 
     def __post_init__(self):
-        if self.strength_scale <= 0:
+        if not self.strength_scale > 0:
             raise ValueError(f"strength_scale must be > 0, got {self.strength_scale}")
 
 
@@ -85,7 +85,7 @@ def cycles_to_failure(sigma_alt_Pa: float, params: DamageModelParams,
                       specimen: SpecimenStrength = SpecimenStrength()) -> int | None:
     """Basquin life at stress amplitude sigma_alt, or None below the endurance
     or beyond the float range (no cycle count reaches it)."""
-    if sigma_alt_Pa < 0:
+    if not sigma_alt_Pa >= 0:
         raise ValueError(f"stress amplitude must be >= 0, got {sigma_alt_Pa}")
     s = specimen.strength_scale
     if sigma_alt_Pa <= s * params.endurance_stress_Pa:

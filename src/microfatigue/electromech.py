@@ -111,7 +111,7 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
 def static_equilibrium(V: float, mech: DerivedMechanics,
                        geom: DeviceGeometry) -> EquilibriumPoint | None:
     """Stable static deflection under DC voltage V, or None at/above pull-in."""
-    if V < 0:
+    if not V >= 0:
         raise ValueError(f"voltage must be >= 0, got {V}")
     return _stable_points((V,), mech, geom)[0]
 

@@ -80,7 +80,7 @@ def fatigue_parameters(V_a: float, mech: DerivedMechanics,
     static peak at DC voltage V_a. The tension side pulses from zero
     (R = 0); the mirrored compression side has R marked infinite.
     """
-    if V_a < 0:
+    if not V_a >= 0:
         raise ValueError(f"drive amplitude must be >= 0, got {V_a}")
     v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
     if V_a >= v_pi:

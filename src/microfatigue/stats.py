@@ -5,9 +5,9 @@ harness validating the estimator on synthetic threshold-strength specimens.
 ``dixon_mood`` is the scalar estimator for one campaign. The Monte-Carlo
 harness runs all replications of a trial as arrays (one stair-case step per
 specimen across the replication axis, then Dixon-Mood moments per row).
-Each replication still draws from its own ``default_rng((seed, rep))``
-stream, but the SeedSequence and PCG64 seeding of a block of streams runs
-as one array pass, so the draws, not the seeding, make most of a trial.
+A trial draws from one generator, ``default_rng(seed)``, with replication
+rep taking the next n_specimens normals after those of replications 0 to
+rep - 1.
 
 numpy is imported where arrays are made, inside the array functions, so
 ``dixon_mood`` and the importers of this module's types load none of it.
@@ -26,15 +26,7 @@ Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
 DISPERSION_FALLBACK_FACTOR = 0.53
 _BLOCK_ELEMENTS = 2**16  # strengths per array pass of a recovery trial, bounding its memory
-MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial; rep stays one 32-bit word
-
-# numpy's SeedSequence (pool of 4 words) and PCG64 seeding constants.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial, bounding its work
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,7 @@ def _stair_case_levels(strengths: np.ndarray, low: float, high: float,
 
     Column j tests specimen j of every row at once: failure iff level >=
     strength, then one step down after a failure and up otherwise, clamped
-    to [low, high]. The float operations are those of one scalar stair-case.
+    to [low, high]. The float operations are those of synthetic_stair_case.
     """
     import numpy as np
     tested = np.empty_like(strengths)
@@ -156,15 +148,20 @@ def _stair_case_levels(strengths: np.ndarray, low: float, high: float,
 
 def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
                          step_V: float, start_level_V: float) -> StairCaseSequence:
-    """Stair-case over pure threshold specimens: failure iff level >= strength."""
-    import numpy as np
+    """Stair-case over pure threshold specimens: failure iff level >= strength.
+
+    One specimen at a time in plain floats, stepping and clamping as one row
+    of _stair_case_levels does.
+    """
     levels = sorted(float(v) for v in levels_V)
-    strengths = np.asarray(strengths_V, dtype=float).reshape(1, -1)
-    tested = _stair_case_levels(strengths, levels[0], levels[-1], step_V, start_level_V)[0]
-    failed = tested >= strengths[0]
-    trials = tuple(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure)
-                   for idx, (level, failure) in enumerate(zip(tested.tolist(), failed.tolist())))
-    return StairCaseSequence(trials=trials, step_V=step_V, levels_V=tuple(levels))
+    low, high = levels[0], levels[-1]
+    level = float(start_level_V)
+    trials = []
+    for idx, strength in enumerate(strengths_V):
+        failure = level >= float(strength)
+        trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
+        level = min(max(level - step_V if failure else level + step_V, low), high)
+    return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels))
 
 
 def _dixon_mood_means(tested: np.ndarray, failed: np.ndarray, step_V: float) -> np.ndarray:
@@ -191,75 +188,6 @@ def _dixon_mood_means(tested: np.ndarray, failed: np.ndarray, step_V: float) -> 
     return x0 + step_V * (a / n + half)
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of an int >= 0, [0] for 0: SeedSequence's entropy words."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence(entropy).generate_state(4, uint64) for every column of entropy.
-
-    entropy holds one uint32 array per entropy word, all of one length. The
-    pool is mixed as SeedSequence.mix_entropy does, in uint32 arithmetic that
-    wraps as its C does. Returns four uint64 arrays.
-    """
-    import numpy as np
-
-    def hasher(init, mult):
-        const = init
-
-        def hashmix(value):
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const
-            return value ^ value >> 16
-        return hashmix
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> 16
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for extra in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(extra))
-    out = hasher(_INIT_B, _MULT_B)
-    state = [out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    return [state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)]
-
-
-def _standard_normals(seed: int, first: int, rows: int, n: int) -> np.ndarray:
-    """Row r holds default_rng((seed, first + r)).standard_normal(n).
-
-    The PCG64 state of every row is seeded in one array pass, then set in turn
-    on one generator, whose ziggurat draws the row. With seed words w = (w0,
-    w1, w2, w3), PCG64 takes s = w0 << 64 | w1 and inc = (w2 << 64 | w3) << 1 | 1,
-    and starts from state (inc + s)*M + inc mod 2**128 (O'Neill,
-    HMC-CS-2014-0905; the streams NEP 19 freezes).
-    """
-    import numpy as np
-    reps = np.arange(first, first + rows, dtype=np.uint32)
-    words = _seed_sequence_state([np.full_like(reps, w) for w in _uint32_words(seed)] + [reps])
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    z = np.empty((rows, n))
-    for row, w0, w1, w2, w3 in zip(z, *(w.tolist() for w in words)):
-        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128,
-                      "inc": inc}}
-        generator.standard_normal(out=row)
-    return z
-
-
 def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
                              n_specimens: int, replications: int, seed: int) -> dict:
     """Bias/spread summary of the Dixon-Mood estimator on synthetic campaigns.
@@ -269,21 +197,21 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     round(true_mean) - 1 to round(true_mean) + 2 V, from the level nearest
     the true mean. Replications with only one outcome are skipped and counted.
 
-    All replications run at once as arrays. Replication rep draws from its own
-    (seed, rep) stream, that of default_rng((seed, rep)), but the streams of
-    a block of replications are seeded in one array pass (_standard_normals).
-    So the summary equals that of one synthetic_stair_case and dixon_mood per
-    replication.
+    All replications draw from one default_rng(seed), row after row, and run
+    at once as arrays. A generator's draws come in order, so the block size
+    leaves them unchanged, and the summary equals that of one
+    synthetic_stair_case and dixon_mood per replication.
     """
     _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed)
     import numpy as np
     levels = [round(true_mean_V) - 1.0 + i for i in range(4)]
     start = min(levels, key=lambda v: abs(v - true_mean_V))
 
+    rng = np.random.default_rng(int(seed))
     block = max(1, _BLOCK_ELEMENTS // n_specimens)   # replications per array pass
     chunks = []
     for first in range(0, replications, block):
-        z = _standard_normals(int(seed), first, min(block, replications - first), n_specimens)
+        z = rng.standard_normal((min(block, replications - first), n_specimens))
         strengths = true_mean_V + true_std_V * z
         tested = _stair_case_levels(strengths, levels[0], levels[-1], 1.0, start)
         chunks.append(_dixon_mood_means(tested, tested >= strengths, 1.0))

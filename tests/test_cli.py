@@ -276,15 +276,15 @@ def test_recovery_summary(capsys):
     assert payload["valid_replications"] > 0
 
 
-# sha256 of stdout. The recovery rows were recorded from the per-replication
-# implementation; --show-defaults is the default config_echo.json. A dict in
-# argv is a config, passed as a file.
+# sha256 of stdout. The recovery rows draw from one default_rng(seed) per
+# trial, each replication's row of normals in order; --show-defaults is the
+# default config_echo.json. A dict in argv is a config, passed as a file.
 @pytest.mark.parametrize("argv, digest", [
     (["--seed", "42", "recovery", "--replications", "2000"],
-     "f51cd4eaea7b0a6c7b810843f4e7df1de52701debd9c94523a05c17fc953ccaf"),
+     "c4f23033e02d42ed5c5de98991a23577fa9f9bb927d5ed1e3ca0b42f06f78413"),
     (["--config", {"campaign": {"n_specimens": 24, "strength_std_V": 0.8}},
       "--seed", "42", "recovery", "--replications", "2000"],
-     "85522b1916eefad764f47196ff77e65b6171b491e09702d798043f787407ba5f"),
+     "685a236461196a10f7d35cf5e8a22370e80cbda1aaecd81e29c51e9f438ce3c4"),
     (["--show-defaults"],
      "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a"),
     (["pullin"],

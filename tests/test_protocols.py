@@ -10,7 +10,7 @@ from microfatigue import protocols
 from microfatigue.damage import (DamageState, SpecimenStrength, accumulate,
                                  cycles_to_failure, degraded_pull_in,
                                  effective_stiffness_factor)
-from microfatigue.electromech import pull_in_voltage_closed_form
+from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (MAX_DETECTIONS, OUTCOME_FAILED, OUTCOME_INVALID,
@@ -382,3 +382,21 @@ def test_campaign_determinism(nominal_device, calibrated_params):
                            nominal_device, calibrated_params) for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda d, p: static_equilibrium(math.nan, d.mechanics, d.geometry),
+                 "voltage", id="static_equilibrium"),
+    pytest.param(lambda d, p: fatigue_parameters(math.nan, d.mechanics, d.geometry),
+                 "drive amplitude", id="fatigue_parameters"),
+    pytest.param(lambda d, p: cycles_to_failure(math.nan, p),
+                 "stress amplitude", id="cycles_to_failure"),
+    pytest.param(lambda d, p: SpecimenStrength(math.nan), "strength_scale", id="SpecimenStrength"),
+    pytest.param(lambda d, p: strength_scale_from_threshold(math.nan, d, p),
+                 None, id="strength_scale_from_threshold"),
+    pytest.param(lambda d, p: run_fatigue_test(math.nan, SpecimenStrength(), d, p),
+                 None, id="run_fatigue_test"),
+])
+def test_nan_input_raises_value_error(call, name, nominal_device, calibrated_params):
+    with pytest.raises(ValueError, match=f"^{name} must" if name else None):
+        call(nominal_device, calibrated_params)
