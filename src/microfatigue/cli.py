@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -205,8 +204,9 @@ def _cmd_staircase(args, config) -> int:
         "master_seed": camp.master_seed,
         "tool": TOOL_STAMP,
     }
-    (out / "staircase_estimate.json").write_text(dump_json(summary))
-    print(dump_json(summary), end="")
+    text = dump_json(summary)
+    (out / "staircase_estimate.json").write_text(text)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -218,10 +218,11 @@ def _cmd_wohler(args, config) -> int:
     fit = stats.fit_basquin(points)
     payload = {**fit_to_dict(fit), "n_points": len(points),
                "n_censored": sum(p.censored for p in points), "tool": TOOL_STAMP}
+    text = dump_json(payload)
     if args.out is not None:
         out = _out_dir(args, config)
-        (out / "basquin_fit.json").write_text(dump_json(payload))
-    print(dump_json(payload), end="")
+        (out / "basquin_fit.json").write_text(text)
+    print(text, end="")
     return EXIT_OK
 
 

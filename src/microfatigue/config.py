@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_geometry,
@@ -248,8 +248,9 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical JSON text; parse(serialize(c)) round-trips exactly."""
-    return dump_json(asdict(config))
+    """Canonical JSON text; parse(serialize(c)) round-trips exactly. The
+    sections are flat, so their field dicts are written as they stand."""
+    return dump_json({name: vars(section) for name, section in vars(config).items()})
 
 
 def default_config() -> RunConfig:

@@ -37,13 +37,13 @@ class DamageModelParams:
     softening_exponent: float = 0.2
 
     def __post_init__(self):
-        if self.basquin_coefficient_Pa <= 0:
+        if not self.basquin_coefficient_Pa > 0:
             raise ValueError(f"basquin_coefficient_Pa: must be > 0, got {self.basquin_coefficient_Pa}")
-        if self.basquin_exponent >= 0:
+        if not self.basquin_exponent < 0:
             raise ValueError(f"basquin_exponent: must be < 0, got {self.basquin_exponent}")
-        if self.endurance_stress_Pa <= 0:  # specimen strength scales are ratios to it
+        if not self.endurance_stress_Pa > 0:  # specimen strength scales are ratios to it
             raise ValueError(f"endurance_stress_Pa: must be > 0, got {self.endurance_stress_Pa}")
-        if self.hardening_amplitude < 0:
+        if not self.hardening_amplitude >= 0:
             raise ValueError(f"hardening_amplitude: must be >= 0, got {self.hardening_amplitude}")
         if not 0.0 < self.collapse_threshold <= 1.0:
             raise ValueError(f"collapse_threshold: must lie in (0, 1], got {self.collapse_threshold}")
@@ -51,7 +51,7 @@ class DamageModelParams:
             raise ValueError(
                 f"hardening_onset: need 0 < hardening_onset < collapse_threshold, "
                 f"got {self.hardening_onset}, {self.collapse_threshold}")
-        if self.softening_exponent <= 0:
+        if not self.softening_exponent > 0:
             raise ValueError(f"softening_exponent: must be > 0, got {self.softening_exponent}")
 
 

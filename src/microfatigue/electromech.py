@@ -9,7 +9,6 @@ bending-stress conversion curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SolverError
@@ -35,8 +34,7 @@ class EquilibriumPoint(NamedTuple):
     stress_Pa: float
 
 
-@dataclass(frozen=True)
-class PullInResult:
+class PullInResult(NamedTuple):
     pull_in_voltage_V: float
     deflection_at_instability_m: float
 

@@ -1,13 +1,13 @@
 """Deterministic serialization of results: CSV curve/run artifacts and JSON
-summaries. All numeric output uses locale-independent 6-significant-digit
-formatting so repeated emission is byte-identical.
+summaries, byte-identical on repeated emission. CSV numbers use
+locale-independent 6-significant-digit formatting (``%.6g``); JSON numbers
+are written as ``json`` writes them, floats by ``repr``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .electromech import EquilibriumPoint
@@ -114,11 +114,59 @@ def estimate_to_dict(est: StairCaseEstimate) -> dict:
 
 
 def fit_to_dict(fit: BasquinFit) -> dict:
-    return asdict(fit)
+    return fit._asdict()
+
+
+# json's spellings of the floats that repr writes as nan, inf and -inf.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# The JSON text of each scalar type, looked up by exact type.
+_SCALARS = {str: _quote, float: _float_text, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, nested
+    at indent; a non-str key or a value of another type raises TypeError.
+    A container writes its scalar items without calling back into here."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            items.append(f"{inner}{_quote(key)}: "
+                         f"{scalar(item) if scalar else _json_text(item, inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            items.append(inner + (scalar(item) if scalar else _json_text(item, inner)))
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    for kind in (str, float, int):  # a subclass, such as an IntEnum
+        if isinstance(value, kind):
+            return _SCALARS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n", written
+    here because json's C encoder does not run when indent is set."""
+    return _json_text(payload, "") + "\n"
 
 
 def wohler_points_from_records(records: list[FatigueRunRecord]) -> list[WohlerPoint]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .device import DeviceGeometry, DerivedMechanics
 from .electromech import pull_in_voltage_closed_form, static_equilibrium
@@ -23,9 +24,9 @@ class LoadCycleSpec:
     drive_frequency_Hz: float
 
     def __post_init__(self):
-        if self.drive_amplitude_V < 0:
+        if not self.drive_amplitude_V >= 0:
             raise ValueError(f"drive amplitude must be >= 0, got {self.drive_amplitude_V}")
-        if self.drive_frequency_Hz <= 0:
+        if not self.drive_frequency_Hz > 0:
             raise ValueError(f"drive frequency must be > 0, got {self.drive_frequency_Hz}")
 
     @property
@@ -41,8 +42,7 @@ class LoadCycleSpec:
         return 2.0 * self.drive_frequency_Hz
 
 
-@dataclass(frozen=True)
-class FatigueParameters:
+class FatigueParameters(NamedTuple):
     """Stress bookkeeping of one side of the specimen.
 
     stress_ratio is sigma_min/sigma_max; on the compression side that
@@ -67,7 +67,7 @@ def load_cycles_from_voltage_cycles(n_voltage_cycles: int) -> int:
 
 def waveform(t: float, spec: LoadCycleSpec) -> float:
     """Instantaneous load as a fraction of the peak, sin^2(2*pi*f_V*t)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     return math.sin(2.0 * math.pi * spec.drive_frequency_Hz * t) ** 2
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
                      cycles_to_failure, effective_stiffness_factor)
@@ -35,23 +35,20 @@ MIN_DETECTION_STEP_V = 1e-6            # finest DC supply step of a detection
 MIN_THRESHOLD_V = 0.1                  # lowest specimen threshold strength
 
 
-@dataclass(frozen=True)
-class FatigueRunRecord:
+class FatigueRunRecord(NamedTuple):
     drive_amplitude_V: float
     detections: tuple[tuple[int, float], ...]  # (load cycles, measured pull-in V)
     outcome: str
     reference_cycles: int
 
 
-@dataclass(frozen=True)
-class StairCaseTrial:
+class StairCaseTrial(NamedTuple):
     specimen_id: int
     level_V: float
     failure: bool
 
 
-@dataclass(frozen=True)
-class StairCaseSequence:
+class StairCaseSequence(NamedTuple):
     trials: tuple[StairCaseTrial, ...]
     step_V: float
     levels_V: tuple[float, ...]
@@ -106,7 +103,7 @@ def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams
 
 
 def _is_whole(value) -> bool:
-    return isinstance(value, numbers.Integral) or (
+    return type(value) is int or isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
 
 

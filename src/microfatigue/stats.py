@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EstimationError
 from .protocols import StairCaseSequence, StairCaseTrial, grid_index
@@ -29,8 +30,7 @@ _BLOCK_ELEMENTS = 2**16  # strengths per array pass of a recovery trial, boundin
 MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial, bounding its work
 
 
-@dataclass(frozen=True)
-class StairCaseEstimate:
+class StairCaseEstimate(NamedTuple):
     mean_V: float
     std_V: float
     quantile_10_V: float
@@ -50,8 +50,7 @@ class WohlerPoint:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
 
 
-@dataclass(frozen=True)
-class BasquinFit:
+class BasquinFit(NamedTuple):
     coefficient: float  # level at N = 1
     exponent: float
     residual: float     # RMS in log-log space

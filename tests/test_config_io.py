@@ -1,22 +1,26 @@
 import dataclasses
+import enum
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import microfatigue
 from microfatigue.config import (CampaignConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
-from microfatigue.electromech import EquilibriumPoint
-from microfatigue.emit import (TOOL_STAMP, emit_conversion_curve, emit_fatigue_run,
+from microfatigue.electromech import EquilibriumPoint, PullInResult
+from microfatigue.emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
                                emit_staircase_sequence, emit_wohler_points, _num,
-                               parse_wohler_points,
+                               fit_to_dict, parse_wohler_points,
                                wohler_points_from_records)
 from microfatigue.errors import ConfigError
-from microfatigue.protocols import FatigueRunRecord
-from microfatigue.stats import WohlerPoint
+from microfatigue.loading import FatigueParameters
+from microfatigue.protocols import (FatigueRunRecord, StairCaseSequence, StairCaseTrial)
+from microfatigue.stats import BasquinFit, StairCaseEstimate, WohlerPoint
+from tests.test_cli import json_configs
 
 
 def test_empty_config_gives_nominal_defaults():
@@ -158,8 +162,7 @@ READINGS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4
 @settings(max_examples=200, deadline=None)
 def test_emit_fatigue_run_formats_every_row_as_its_own_reading(data, pool):
     readings = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
-    record = dataclasses.replace(RECORD, detections=tuple(
-        (1000 * i, v) for i, v in enumerate(readings)))
+    record = RECORD._replace(detections=tuple((1000 * i, v) for i, v in enumerate(readings)))
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{cycles},{_num(v)}" for cycles, v in record.detections] + [""]
 
@@ -227,3 +230,94 @@ def test_emit_staircase_sequence(nominal_device, calibrated_params):
     assert lines[1] == "specimen_id,level_V,outcome"
     assert lines[2] == "0,15,1"
     assert lines[-1] == "5,12,0"
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Volts(float):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+# Keys and strings with quotes, backslashes, control and non-ASCII characters.
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\n\t", "\u00e9", "\u2028", "\U0001f600", 'a"b\\c']))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), JSON_STRINGS,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     math.nan, math.inf, -math.inf, 10**40, -(10**40),
+                     _Level.LOW, _Volts(13.5), _Volts(math.nan), _Name("\u00e9")]))
+JSON_TREES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+    st.builds(_Pair, children, children), st.dictionaries(JSON_STRINGS, children, max_size=5)),
+    max_leaves=40)
+
+
+def _nested(depth):
+    tree = {"": [[], (), {}]}
+    for i in range(depth):
+        tree = [tree, {"level": i, "empty": {}}] if i % 2 else {"\u00e9": tree, "x": []}
+    return tree
+
+
+@given(JSON_TREES)
+@example(_nested(60))
+@example({})
+@example([])
+@settings(max_examples=300, deadline=None)
+def test_dump_json_writes_the_bytes_of_json_dumps(tree):
+    assert dump_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{1: "one"}, {"values": {1, 2}}])
+def test_dump_json_rejects_a_non_str_key_and_an_unsupported_value(payload):
+    with pytest.raises(TypeError):
+        dump_json(payload)
+
+
+def _asdict_dump(config):
+    """The config text as written before the sections were read without a deep copy."""
+    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
+
+
+@given(json_configs())
+@example({})
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_serialize_config_equals_the_asdict_dump(raw):
+    try:
+        config = parse_config(json.dumps(raw))
+    except ConfigError:
+        assume(False)
+    assert serialize_config(config) == _asdict_dump(config)
+
+
+@pytest.mark.parametrize("record, fields", [
+    (PullInResult, ("pull_in_voltage_V", "deflection_at_instability_m")),
+    (FatigueParameters, ("sigma_max_Pa", "sigma_min_Pa", "sigma_mean_Pa", "sigma_alt_Pa",
+                         "stress_ratio")),
+    (FatigueRunRecord, ("drive_amplitude_V", "detections", "outcome", "reference_cycles")),
+    (StairCaseTrial, ("specimen_id", "level_V", "failure")),
+    (StairCaseSequence, ("trials", "step_V", "levels_V")),
+    (StairCaseEstimate, ("mean_V", "std_V", "quantile_10_V", "quantile_90_V", "basis_event",
+                         "dispersion_formula_valid")),
+    (BasquinFit, ("coefficient", "exponent", "residual")),
+])
+def test_records_keep_their_field_order(record, fields):
+    assert record._fields == fields
+
+
+def test_fit_to_dict_holds_the_three_fit_fields():
+    fit = fit_to_dict(BasquinFit(coefficient=30.0, exponent=-0.05, residual=0.01))
+    assert list(fit) == ["coefficient", "exponent", "residual"]
+    assert fit == {"coefficient": 30.0, "exponent": -0.05, "residual": 0.01}

@@ -161,3 +161,13 @@ def test_params_validation():
                           collapse_threshold=0.5)
     with pytest.raises(ValueError):
         SpecimenStrength(0.0)
+
+
+@pytest.mark.parametrize("name", ["basquin_coefficient_Pa", "basquin_exponent",
+                                  "endurance_stress_Pa", "hardening_amplitude",
+                                  "softening_exponent"])
+def test_params_reject_nan_naming_the_field(name):
+    fields = dict(basquin_coefficient_Pa=1e9, basquin_exponent=-0.3, endurance_stress_Pa=12e6)
+    fields[name] = float("nan")
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        DamageModelParams(**fields)

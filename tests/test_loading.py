@@ -43,6 +43,23 @@ def test_load_cycle_spec_timing():
     assert spec.load_frequency_Hz == pytest.approx(40e3)
 
 
+@pytest.mark.parametrize("amplitude, frequency, message", [
+    (float("nan"), 20e3, "drive amplitude must be >= 0"),
+    (13.0, float("nan"), "drive frequency must be > 0"),
+    (-1.0, 20e3, "drive amplitude must be >= 0"),
+    (13.0, 0.0, "drive frequency must be > 0"),
+])
+def test_load_cycle_spec_rejects_nan_and_out_of_range(amplitude, frequency, message):
+    with pytest.raises(ValueError, match=message):
+        LoadCycleSpec(amplitude, frequency)
+
+
+@pytest.mark.parametrize("t", [float("nan"), -1e-9])
+def test_waveform_rejects_nan_and_negative_time(t):
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        waveform(t, LoadCycleSpec(13.0, 20e3))
+
+
 def test_waveform_endpoints():
     spec = LoadCycleSpec(13.0, 20e3)
     assert waveform(0.0, spec) == 0.0
