@@ -12,8 +12,10 @@ cycles in several calls is bit-identical to accumulating it in one.
 ``accumulate`` is the primitive for sums whose amplitude varies. At a
 constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
-gets the same damage without calling ``accumulate`` per batch, and
-evaluates ``effective_stiffness_factor`` inline at each detection.
+gets the same damage without calling ``accumulate`` per batch. It evaluates
+``effective_stiffness_factor`` inline: at each detection of the hardening
+bump, and in the undamaged and softening stretches only until a reading
+repeats, which it then extends over the detections known to read the same.
 """
 
 from __future__ import annotations

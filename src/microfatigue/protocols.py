@@ -8,6 +8,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from itertools import repeat
 from typing import NamedTuple
 
 from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
@@ -134,6 +135,36 @@ def validate_detections(detection_interval: int, reference_cycles: int,
     return problems
 
 
+def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
+                       onset: float, pristine: float, step: float,
+                       exponent: float) -> int:
+    """The last count on the interval grid in (n, end] that still reads grid
+    index k in the softening stretch, or n when none is confirmed.
+
+    Index k holds while pristine*sqrt((1-d)**exponent)/step - 1e-9 > k - 1,
+    so up to d* = 1 - ((k - 1 + 1e-9)*step/pristine)**(2/exponent). The
+    guess is aligned down to the grid and clipped to d <= onset, then
+    confirmed with the reading's own float operations (the bump factor is
+    exactly 1.0 there: a run whose amplitude is not finite fails at its
+    pristine reading); on a miss the count one interval lower is tried once.
+    A base outside [0, 1) would give a complex power or an overflow, and
+    predicts nothing.
+    """
+    target = (k - 1 + 1e-9) * step / pristine
+    if not 0.0 <= target < 1.0:
+        return n
+    last = min(int((1.0 - target ** (2.0 / exponent)) * life), int(onset * life),
+               end) // interval * interval
+    for last in (last, last - interval):
+        if last <= n:
+            return n
+        d = last / life
+        if d <= onset and math.ceil(
+                pristine * math.sqrt((1.0 - d) ** exponent) / step - 1e-9) == k:
+            return last
+    return n
+
+
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
                      params: DamageModelParams,
                      detection_interval: int = DEFAULT_DETECTION_INTERVAL,
@@ -163,6 +194,22 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     ``run_pull_in_detection``. Both cycle counts must be whole numbers, the
     interval at least 1, for at most MAX_DETECTIONS detections, and the
     supply step at least MIN_DETECTION_STEP_V.
+
+    Most detections repeat the reading before them, and the loop jumps over
+    those it knows will. After a detection that passes its checks with
+    v == previous, it extends the run of v in one step: below the endurance
+    (no damage, so the reading never changes) to soft_end, and in the
+    softening stretch d <= hardening_onset to the last count that
+    ``_softening_run_end`` predicts and confirms still reads v. soft_end is
+    the last interval multiple strictly below both the reference and the
+    collapse count, so the final detection, collapse and the bump stretch
+    stay per detection. No reading changes: every skipped detection lies
+    between two that read v, where the reading cannot rise, since d = n/life
+    grows with n and each float operation of the softening law is monotone
+    (IEEE rounding of 1 - d, *, / and sqrt; libm pow monotone in its base).
+    It therefore reads v too, and passes its checks as the repeat did: its
+    previous reading is v itself, the floor and V_a are unchanged, and
+    soft_end keeps it below the collapse count.
     """
     if not _is_whole(detection_interval) or detection_interval < 1:
         raise ValueError(
@@ -187,6 +234,7 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     pristine_meas = _stepped_reading(pristine, 0.0, params, step)
     detections: list[tuple[int, float]] = [(0, pristine_meas)]
     # Everything the loop reads, bound once.
+    soft_end = (min(reference, collapse_cycles) - 1) // interval * interval
     exponent, amplitude = params.softening_exponent, params.hardening_amplitude
     onset, collapse = params.hardening_onset, params.collapse_threshold
     span = collapse - onset
@@ -214,8 +262,9 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
             bump = sin(pi * ((d - onset) / span)) ** 2
         else:
             bump = 0.0
-        v = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
-                 / step - 1e-9) * step
+        k = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
+                 / step - 1e-9)
+        v = k * step
         append((n, v))
         if n >= collapse_cycles or v <= keep * previous or v < floor:
             outcome = OUTCOME_FAILED
@@ -223,6 +272,15 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
         if v <= V_a:
             outcome = OUTCOME_INVALID
             break
+        if v == previous and d <= onset:
+            if life is UNBOUNDED:
+                last = soft_end
+            else:
+                last = _softening_run_end(n, k, life, interval, soft_end, onset,
+                                          pristine, step, exponent)
+            if last > n:
+                detections.extend(zip(range(n + interval, last + 1, interval), repeat(v)))
+                n = last
         previous = v
     return FatigueRunRecord(
         drive_amplitude_V=V_a,

@@ -1,5 +1,6 @@
 import logging
 import math
+import types
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microfatigue import protocols
-from microfatigue.damage import (DamageState, SpecimenStrength, accumulate,
-                                 cycles_to_failure, degraded_pull_in,
+from microfatigue.damage import (DamageModelParams, DamageState, SpecimenStrength,
+                                 accumulate, cycles_to_failure, degraded_pull_in,
                                  effective_stiffness_factor)
+from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
@@ -292,6 +294,156 @@ def test_long_run_makes_no_stiffness_call_per_detection(nominal_device, calibrat
     assert (record.outcome, len(record.detections)) == (OUTCOME_SURVIVED, 2_001)
     assert record.detections[-1][1] != record.detections[0][1]  # damage accrued
     assert len(calls) <= 1
+
+
+@given(rnd=st.randoms(use_true_random=True),
+       interval=st.integers(1, 1_000),
+       damaging=st.booleans(),
+       onset=st.floats(0.01, 0.95),
+       collapse=st.floats(0.0, 1.0),
+       hardening_amplitude=st.sampled_from([0.0, 0.3, 1.5]),
+       softening_exponent=st.sampled_from([1e-3, 0.05, 0.2, 1.0, 50.0]),
+       step_V=st.sampled_from([1e-6, 1e-3, 0.05, 3.0]),
+       drop_fraction=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+       min_pullin_fraction=st.sampled_from([0.0, 0.5, 0.9]))
+@settings(max_examples=150, deadline=None)
+def test_long_fine_run_matches_batch_by_batch_reference(
+        nominal_device, calibrated_params, rnd, interval, damaging, onset, collapse,
+        hardening_amplitude, softening_exponent, step_V, drop_fraction,
+        min_pullin_fraction):
+    # Runs of up to 2 000 detections at fine intervals, where the readings
+    # repeat over long stretches. A damaging specimen has its threshold below
+    # the drive, set for a life of 1 to 1 999 intervals (below the 2.04e6
+    # cycles at which the calibrated Basquin line meets the endurance); the
+    # others have it above, and take no damage at all.
+    d = nominal_device
+    params = replace(calibrated_params, hardening_onset=onset,
+                     collapse_threshold=1.0 if collapse <= onset else collapse,
+                     hardening_amplitude=hardening_amplitude,
+                     softening_exponent=softening_exponent)
+    V_a = rnd.uniform(1.0, 0.99 * pull_in_voltage_closed_form(
+        d.mechanics, d.geometry).pull_in_voltage_V)
+    sigma = sigma_alt(d, V_a)
+    if damaging:
+        life = interval * rnd.uniform(1.0, 1_999.0)
+        specimen = SpecimenStrength(
+            sigma / (params.basquin_coefficient_Pa * life ** params.basquin_exponent))
+    else:
+        specimen = SpecimenStrength(sigma / params.endurance_stress_Pa * rnd.uniform(1.01, 2.0))
+    life = cycles_to_failure(sigma, params, specimen)
+    assert (life is not None) == damaging
+    if life is not None and rnd.random() < 0.4:
+        # End the run on, or next to, the first collapsing count.
+        collapse_cycles = math.ceil(Fraction(params.collapse_threshold) * life)
+        reference = max(0, collapse_cycles + rnd.choice([-1, 0, 1]))
+    else:
+        reference = rnd.randint(0, 2_000 * interval)  # mostly ends mid-interval
+    kwargs = dict(detection_interval=interval, reference_cycles=reference,
+                  detection_step_V=step_V, drop_fraction=drop_fraction,
+                  min_pullin_fraction=min_pullin_fraction)
+    record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
+    detections, outcome = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+    assert record.detections == tuple(detections)
+    assert [(type(n), type(v)) for n, v in record.detections] == \
+        [(type(n), type(v)) for n, v in detections]
+    assert record.outcome == outcome
+
+
+def count_readings(monkeypatch):
+    """Count the readings run_fatigue_test evaluates: each takes one math.ceil."""
+    calls = []
+
+    def ceil(x):
+        calls.append(x)
+        return math.ceil(x)
+
+    counted = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
+                                       if not name.startswith("_")})
+    counted.ceil = ceil
+    monkeypatch.setattr(protocols, "math", counted)
+    return calls
+
+
+def test_long_runs_evaluate_each_repeated_reading_once(nominal_device, calibrated_params,
+                                                       monkeypatch):
+    # Guards the skip over repeated readings without a clock.
+    d, params = nominal_device, calibrated_params
+    calls = count_readings(monkeypatch)
+    evaluated = detected = 0
+    for V_a, threshold, _ in LONG_RUNS:
+        specimen = SpecimenStrength(strength_scale_from_threshold(threshold, d, params))
+        before = len(calls)
+        record = run_fatigue_test(V_a, specimen, d, params, detection_interval=1_000,
+                                  reference_cycles=2_000_000)
+        if (V_a, threshold) == (13.0, 13.0):
+            assert len(record.detections) == 2_001
+            assert len(calls) - before <= 3  # pristine, first repeat, final
+        evaluated += len(calls) - before
+        detected += len(record.detections)
+    assert evaluated < detected / 2
+
+
+def test_nan_pristine_reading_raises(nominal_device, calibrated_params):
+    # inf * 0.0 makes the pristine stiffness factor NaN, which has no grid index.
+    params = DamageModelParams(calibrated_params.basquin_coefficient_Pa,
+                               calibrated_params.basquin_exponent,
+                               calibrated_params.endurance_stress_Pa,
+                               hardening_amplitude=math.inf)
+    with pytest.raises(ValueError):
+        run_fatigue_test(14.0, SpecimenStrength(1.0), nominal_device, params,
+                         detection_interval=1_000)
+
+
+@pytest.mark.parametrize("E_GPa, step_V, softening_exponent", [
+    (1e22, 1e-6, 0.2),  # pristine/step above 2**53
+    (Material.E_GPa, 0.05, 5e-324),  # 2/exponent overflows to inf
+    (Material.E_GPa, 0.05, 1e-300),
+    (Material.E_GPa, 0.05, 1.7e308),
+])
+@pytest.mark.parametrize("V_a", [14.0, 13.5])
+def test_extreme_runs_match_batch_by_batch_reference(E_GPa, step_V, softening_exponent, V_a):
+    d = Device.assemble(DeviceGeometry(), Material(E_GPa=E_GPa))
+    params = replace(calibrate_defaults(d, detection_interval=1_000),
+                     softening_exponent=softening_exponent)
+    kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000,
+                  detection_step_V=step_V, drop_fraction=0.2, min_pullin_fraction=0.5)
+    record = run_fatigue_test(V_a, SpecimenStrength(1.0), d, params, **kwargs)
+    detections, outcome = reference_fatigue_run(V_a, SpecimenStrength(1.0), d, params,
+                                                **kwargs)
+    assert (record.detections, record.outcome) == (tuple(detections), outcome)
+
+
+def softening_index(pristine, d, step, exponent):
+    """Grid index of the reading at damage d <= onset, as _stepped_reading rounds it."""
+    return math.ceil(pristine * math.sqrt((1.0 - d) ** exponent) / step - 1e-9)
+
+
+@given(j=st.integers(0, 5_000), life=st.integers(1, 10**12), interval=st.integers(1, 10**6),
+       onset=st.floats(0.01, 0.95), pristine=st.floats(1.0, 1e12),
+       step=st.sampled_from([1e-6, 1e-3, 0.05, 3.0]),
+       exponent=st.sampled_from([5e-324, 1e-300, 1e-3, 0.05, 0.2, 1.0, 50.0, 1.7e308]),
+       k_offset=st.sampled_from([0, 0, 0, -1, 1, None]))
+@settings(max_examples=300, deadline=None)
+def test_softening_run_end_confirms_its_prediction(j, life, interval, onset, pristine, step,
+                                                   exponent, k_offset):
+    # The predictor returns n, or a later count on the grid that reads index
+    # k; it never raises. k is mostly the index read at n, sometimes one off
+    # or arbitrary (negative, or beyond the float range of the base).
+    n = j * interval
+    if k_offset is None:
+        k = (-2, 0, 2**80)[j % 3]
+    elif n / life <= onset:
+        k = softening_index(pristine, n / life, step, exponent) + k_offset
+    else:
+        k = 1
+    end = n + interval * (j + 1) ** 2
+    last = protocols._softening_run_end(n, k, life, interval, end, onset, pristine, step,
+                                        exponent)
+    assert type(last) is int
+    if last != n:
+        assert n < last <= end and last % interval == 0
+        assert last / life <= onset
+        assert softening_index(pristine, last / life, step, exponent) == k
 
 
 def test_staircase_reproduces_published_sequence(nominal_device, calibrated_params):
