@@ -9,6 +9,7 @@ bending-stress conversion curve.
 from __future__ import annotations
 
 import math
+import struct
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SolverError
@@ -26,6 +27,7 @@ STABLE_FRACTION = 1.0 / 3.0
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
 MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 
 
 class EquilibriumPoint(NamedTuple):
@@ -59,30 +61,49 @@ def _drive_scale_and_capacity(mech: DerivedMechanics,
             mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
 
 
+def _sweep_limit(drive_scale: float, capacity: float) -> float:
+    """The least float v >= 0 at which drive_scale*v*v/2.0 < capacity is false: a
+    bisection of the bit patterns of [0, inf], from the closed-form guess +-2 floats."""
+    def holds(bits: int) -> bool:
+        v = _FLOAT.unpack(_BITS.pack(bits))[0]
+        return drive_scale * v * v / 2.0 < capacity
+    lo, hi = -1, 0x7FF0000000000000  # it holds "below 0" and fails at inf
+    ratio = 2.0 * capacity / drive_scale if drive_scale > 0.0 else -1.0
+    guess = _BITS.unpack(_FLOAT.pack(math.sqrt(ratio)))[0] if ratio >= 0.0 else -1
+    if 2 <= guess < hi - 2:  # finite, and not -0.0
+        lo = guess - 2 if holds(guess - 2) else lo
+        hi = guess + 2 if not holds(guess + 2) else hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return _FLOAT.unpack(_BITS.pack(hi))[0]
+
+
 def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
                    geom: DeviceGeometry) -> list[EquilibriumPoint | None]:
     """The stable equilibrium at each voltage (>= 0), or None at/above pull-in.
 
     Solves k*x*(g-x)^2 = eps0*A*V^2/2 for the root on the stable branch
     x < g/3 by the closed-form cubic root with Newton polish. The device
-    constants are bound once for the whole list.
+    constants are bound once, and the loop calls only acos and cos. Each clamp
+    is the conditional min/max evaluate (the first argument unless the other is
+    strictly smaller or larger), so NaN and -0.0 pass as under min/max; each
+    Newton guard reads "not slope <= 0.1", so a NaN slope still takes its step.
     """
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
-    k = mech.suspension_stiffness_N_m
-    g = geom.gap_m
+    k, g = mech.suspension_stiffness_N_m, geom.gap_m
     kg3 = k * g**3
     # Guided-cantilever surface stress at the clamped ends, 3*E*t*x/L^2,
     # written through the stored stiffness so the calibration factor cancels:
     # k = c_k*12*E*I/L^3  =>  3*E*t*x/L^2 = k*L*t*x / (4*I*c_k).
     stress_scale = k * geom.specimen_length_m * geom.specimen_thickness_m
     stress_divisor = 4.0 * mech.area_moment_m4 * mech.stiffness_calibration
-    four_pi_thirds = 4.0 * math.pi / 3.0
-    acos, cos = math.acos, math.cos
+    acos, cos, four_pi_thirds = math.acos, math.cos, 4.0 * math.pi / 3.0
     points: list[EquilibriumPoint | None] = []
-    append, point = points.append, EquilibriumPoint._make
+    append, new, third = points.append, tuple.__new__, STABLE_FRACTION
     for V in voltages:
         if V == 0.0:
-            append(point((0.0, 0.0, 0.0)))
+            append(new(EquilibriumPoint, (0.0, 0.0, 0.0)))
             continue
         drive = drive_scale * V * V / 2.0
         if drive >= capacity:
@@ -95,14 +116,17 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
         # (u near 0.29): closer to pull-in a step is rounding noise over a flat
         # residual, less accurate than Viete's root and not monotone in V.
         q = drive / kg3
-        u = (2.0 + 2.0 * cos(acos(min(13.5 * q - 1.0, 1.0)) / 3.0 - four_pi_thirds)) / 3.0
-        for _ in range(3):
-            slope = (1.0 - u) * (1.0 - 3.0 * u)
-            if slope <= 0.1:
-                break
+        a = 13.5 * q - 1.0
+        u = (2.0 + 2.0 * cos(acos(1.0 if 1.0 < a else a) / 3.0 - four_pi_thirds)) / 3.0
+        if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
             u -= (u * (1.0 - u) ** 2 - q) / slope
-        x = min(max(u, 0.0), STABLE_FRACTION) * g
-        append(point((V, x, stress_scale * x / stress_divisor)))
+            if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
+                u -= (u * (1.0 - u) ** 2 - q) / slope
+                if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
+                    u -= (u * (1.0 - u) ** 2 - q) / slope
+        u = 0.0 if 0.0 > u else u
+        x = (third if third < u else u) * g
+        append(new(EquilibriumPoint, (V, x, stress_scale * x / stress_divisor)))
     return points
 
 
@@ -137,18 +161,25 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
 
     The last step bracket [V-step, V] is bisected down to tol_V, mimicking
     a step-by-step DC supply. Both step_V and tol_V must be finite and > 0.
+
+    An equilibrium exists at v while drive_scale*v*v/2.0 < capacity. For drive_scale
+    >= 0 each IEEE operation in it is monotone in v >= 0, so it fails from the float
+    _sweep_limit finds on: the steps and the bisection compare v with that alone.
     """
     for name, value in (("step_V", step_V), ("tol_V", tol_V)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name}: must be finite and > 0, got {value}")
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
+    if drive_scale < 0.0:
+        raise ValueError(f"effective_area_m2: must be >= 0, got {mech.effective_area_m2}")
+    limit = _sweep_limit(drive_scale, capacity)
     v = step_V
-    steps = 0
-    while drive_scale * v * v / 2.0 < capacity:
+    for _ in range(MAX_SWEEP_STEPS + 1):
+        if not v < limit:
+            break
         v += step_V
-        steps += 1
-        if steps > MAX_SWEEP_STEPS:
-            raise SolverError(f"pull-in sweep exceeded {MAX_SWEEP_STEPS} steps at {v} V")
+    else:
+        raise SolverError(f"pull-in sweep exceeded {MAX_SWEEP_STEPS} steps at {v} V")
     lo, hi = max(v - step_V, 0.0), v
     detected = None
     # The deflection approaches its instability value like sqrt(V_PI - V), so
@@ -162,7 +193,7 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
             detected = mid
         elif stalled:
             break
-        elif drive_scale * mid * mid / 2.0 < capacity:
+        elif mid < limit:
             lo = mid
         else:
             hi = mid

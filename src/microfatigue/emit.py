@@ -41,10 +41,9 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
 
 
 def emit_conversion_curve(points: list[EquilibriumPoint]) -> str:
-    lines = ["voltage_V,deflection_um,stress_MPa"]
-    for voltage, deflection, stress in points:
-        lines.append("%.6g,%.6g,%.6g" % (voltage, deflection * 1e6, stress * 1e-6))
-    return "\n".join(lines) + "\n"
+    flat = [f for v, d, s in points for f in (v, d * 1e6, s * 1e-6)]
+    return ("voltage_V,deflection_um,stress_MPa\n"
+            + ("%.6g,%.6g,%.6g\n" * len(points)) % tuple(flat))
 
 
 def emit_staircase_sequence(seq: StairCaseSequence) -> str:

@@ -406,8 +406,8 @@ def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
         endurance_stress_Pa=sigma_limit,
     )
     # Sanity of the constructed line against the stated targets.
-    if cycles_to_failure(sigma_step, params) is None or \
-            cycles_to_failure(sigma_step, params) >= reference_cycles:
+    n_at_step = cycles_to_failure(sigma_step, params)
+    if n_at_step is None or n_at_step >= reference_cycles:
         raise CalibrationError(
             f"reference_cycles: need N(sigma({target_V_D + 1.0} V)) < {reference_cycles}")
     if cycles_to_failure(sigma_imm, params) > detection_interval:

@@ -344,6 +344,16 @@ def test_recovery_summary(capsys):
      "9bca063efacf63a5dd7daa951609f55aeebf738872188badbd69c3b347263b45"),
     (["curve", "--vmax", "5e-324", "--points", "7"],
      "fa774b772cadc1697d0365a49c6cebbc782a9817816f678dc32d787661585c83"),
+    # pullin at the ends of the config space; sweep_V is written by repr
+    (["--config", {"geometry": {"specimen_length_um": 1e-3}, "model": {"sweep_step_V": 1000.0}},
+      "pullin"],
+     "190a6b5a8b5e4c73177905ca23bdfad5c670f862b9adee938d84374754503046"),
+    (["--config", {"geometry": {"gap_um": math.nextafter(420.0, 0.0)}}, "pullin"],
+     "c7ef08a3732ff763af5f9902e6fa5cb554cf688833bfac9501b6c7d5fbc73472"),
+    (["--config", {"model": {"c_k": 1e-6}}, "pullin"],
+     "49f60e295381763547662487c236665e21223be8532f2330b5490eb0ceb2dcd3"),
+    (["--config", {"model": {"c_k": 1e6}}, "pullin"],
+     "df9ba0045383c1d669765e6cb54f123feef1c59d97e76e97a4fbc55d8ce7ef0b"),
 ])
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
     cfg = tmp_path / "config.json"

@@ -198,10 +198,12 @@ def test_num_equals_format_6g(x):
 
 def test_emit_conversion_curve_equals_per_field_format():
     points = [EquilibriumPoint(*fields) for fields in itertools.product(SPECIAL_FLOATS, repeat=3)]
-    rows = [",".join(format(x, ".6g") for x in (p.voltage_V, p.deflection_m * 1e6,
-                                                p.stress_Pa * 1e-6)) for p in points]
-    assert emit_conversion_curve(points) == \
-        "\n".join(["voltage_V,deflection_um,stress_MPa", *rows]) + "\n"
+    # Every special float in every field, no point at all, and a single point.
+    for case in (points, [], [EquilibriumPoint(13.0, 2.5e-7, -0.0)]):
+        rows = [",".join(format(x, ".6g") for x in (p.voltage_V, p.deflection_m * 1e6,
+                                                    p.stress_Pa * 1e-6)) for p in case]
+        assert emit_conversion_curve(case) == \
+            "\n".join(["voltage_V,deflection_um,stress_MPa", *rows]) + "\n"
 
 
 def test_wohler_points_round_trip():

@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import microfatigue
 from microfatigue import electromech
-from microfatigue.device import (C_K_RESONANCE_PRESET, Device, DeviceGeometry, Material,
-                                 derive_mechanics)
+from microfatigue.device import (C_K_RESONANCE_PRESET, LENGTH_WINDOW_UM, Device,
+                                 DeviceGeometry, Material, derive_mechanics, validate_stiffness)
 from microfatigue.electromech import (EPSILON_0, MAX_CURVE_POINTS, STABLE_FRACTION,
                                       EquilibriumPoint, electrostatic_force, natural_frequency,
                                       pull_in_voltage_closed_form,
@@ -402,6 +402,117 @@ def test_sweep_matches_two_loop_reference(device, step_V, tol_V):
     res = pull_in_voltage_sweep(mech, geom, step_V=step_V, tol_V=tol_V)
     assert (res.pull_in_voltage_V, res.deflection_at_instability_m) == \
         two_loop_sweep(mech, geom, step_V, tol_V)
+
+
+class CountedScale(float):
+    """A drive scale that counts the products taken with it: one per evaluation
+    of the existence test drive_scale*v*v/2.0 < capacity."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountedScale.products += 1
+        return float(self) * other
+
+
+# Two evaluations around the closed-form guess, then at most 63 bisection steps
+# over the bit patterns of the floats in [0, inf].
+MAX_LIMIT_EVALUATIONS = 65
+
+
+@st.composite
+def window_devices(draw):
+    """A device whose layout lengths sit at the ends of the length window (or
+    nominal), with a Young's modulus and c_k up to what validate_stiffness accepts."""
+    nominal = DeviceGeometry()
+    lengths = {name: draw(st.sampled_from((*LENGTH_WINDOW_UM, getattr(nominal, name))))
+               for name in ("specimen_length_um", "specimen_width_um", "specimen_thickness_um",
+                            "plate_length_um", "plate_width_um", "gap_um")}
+    geom = DeviceGeometry(**lengths, hole_count=draw(st.sampled_from((0, 40))))
+    E_GPa = 10.0 ** draw(st.floats(-3.0, 299.0))
+    c_k = 10.0 ** draw(st.floats(-300.0, 300.0))
+    try:
+        device = Device.assemble(geom, Material(E_GPa=E_GPa), c_k=c_k)
+    except ValueError:
+        assume(False)
+    assume(not validate_stiffness(device.mechanics, device.geometry))
+    return device
+
+
+def hand_built(stiffness, area=Device.nominal().mechanics.effective_area_m2):
+    nominal = Device.nominal()
+    return dataclasses.replace(nominal, mechanics=dataclasses.replace(
+        nominal.mechanics, suspension_stiffness_N_m=stiffness, effective_area_m2=area))
+
+
+# Capacity 0, subnormal, inf and NaN, from the stiffness a hand-built
+# DerivedMechanics carries; then a drive scale so large that drive_scale*v*v
+# underflows near the limit, which lies 1.7e7 floats above the closed-form guess.
+HAND_BUILT = [hand_built(k) for k in (0.0, 1e-300, math.inf, math.nan)] + \
+    [hand_built(1e-150, area=1e160)]
+
+
+@given(device=st.one_of(window_devices(), st.sampled_from(HAND_BUILT), DEVICES),
+       steps=st.floats(0.5, 1e4), tol_fraction=st.floats(1e-6, 1.0))
+@example(device=HAND_BUILT[0], steps=1.0, tol_fraction=0.5)
+@example(device=HAND_BUILT[1], steps=1.0, tol_fraction=0.5)
+@example(device=HAND_BUILT[2], steps=1e4, tol_fraction=1e-6)
+@example(device=HAND_BUILT[3], steps=1.0, tol_fraction=0.5)
+@example(device=HAND_BUILT[4], steps=1e4, tol_fraction=1e-6)
+@settings(max_examples=300, deadline=None)
+def test_sweep_limit_is_the_first_float_without_equilibrium(device, steps, tol_fraction):
+    mech, geom = device.mechanics, device.geometry
+    drive_scale, capacity = electromech._drive_scale_and_capacity(mech, geom)
+
+    def exists(v):
+        return drive_scale * v * v / 2.0 < capacity
+
+    CountedScale.products = 0
+    limit = electromech._sweep_limit(CountedScale(drive_scale), capacity)
+    assert CountedScale.products <= MAX_LIMIT_EVALUATIONS
+    assert 0.0 <= limit < math.inf and not exists(limit)
+    if limit > 0.0:
+        assert exists(math.nextafter(limit, 0.0))
+    # At most about 1e4 supply steps to pull-in, over a bracket of normal floats.
+    if limit == 0.0 or limit > 1e-290:
+        step_V = limit / steps if limit else 0.05
+        tol_V = step_V * tol_fraction
+        res = pull_in_voltage_sweep(mech, geom, step_V=step_V, tol_V=tol_V)
+        assert (res.pull_in_voltage_V, res.deflection_at_instability_m) == \
+            two_loop_sweep(mech, geom, step_V, tol_V)
+
+
+def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
+    # Guards the float-only step loop without a clock: the sweep binds the
+    # device constants once and finds its limit once; the only other test
+    # of equilibrium is the deflection read at the end of the bisection.
+    events = []
+    constants, limit_of = electromech._drive_scale_and_capacity, electromech._sweep_limit
+
+    def counted_constants(mech, geom):
+        events.append("constants")
+        drive_scale, capacity = constants(mech, geom)
+        return CountedScale(drive_scale), capacity
+
+    def counted_limit(drive_scale, capacity):
+        events.append("limit")
+        return limit_of(drive_scale, capacity)
+
+    monkeypatch.setattr(electromech, "_drive_scale_and_capacity", counted_constants)
+    monkeypatch.setattr(electromech, "_sweep_limit", counted_limit)
+    CountedScale.products = 0
+    d = nominal_device
+    res = electromech.pull_in_voltage_sweep(d.mechanics, d.geometry)
+    assert res.pull_in_voltage_V == pytest.approx(26.395, abs=5e-3)  # about 528 steps
+    # The second "constants" is the equilibrium solve at the end.
+    assert events == ["constants", "limit", "constants"]
+    assert CountedScale.products <= MAX_LIMIT_EVALUATIONS + 1
+
+
+def test_sweep_rejects_negative_effective_area(nominal_device):
+    mech = dataclasses.replace(nominal_device.mechanics, effective_area_m2=-1e-8)
+    with pytest.raises(ValueError, match="effective_area_m2"):
+        pull_in_voltage_sweep(mech, nominal_device.geometry)
 
 
 # Runs the nominal device's sweep with step_V and tol_V from sys.argv and prints

@@ -78,6 +78,20 @@ def test_calibration_infeasible_targets(nominal_device):
         calibrate_defaults(nominal_device, target_V_D=20.0, target_immediate_V=20.5)
 
 
+def test_calibration_checks_each_target_life_once(nominal_device, monkeypatch):
+    # The sanity check reads the life one step above the limit and the life at
+    # the immediate-collapse target, one Basquin evaluation each.
+    stresses = []
+
+    def counted(sigma_alt_Pa, params, *args):
+        stresses.append(sigma_alt_Pa)
+        return cycles_to_failure(sigma_alt_Pa, params, *args)
+
+    monkeypatch.setattr(protocols, "cycles_to_failure", counted)
+    calibrate_defaults(nominal_device)
+    assert len(stresses) == len(set(stresses)) == 2
+
+
 @pytest.mark.parametrize("va", [0.0, 10.0, 12.0, 13.0])
 def test_runs_at_or_below_limit_survive(nominal_device, calibrated_params, va):
     record = run_fatigue_test(va, SpecimenStrength(1.0), nominal_device, calibrated_params)
