@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import electromech, protocols, stats
@@ -96,83 +95,84 @@ def _load_config(args):
         config = parse_config(Path(args.config).read_text())
     else:
         config = default_config()
-    if args.seed is not None:
-        config = replace(config, campaign=replace(config.campaign, master_seed=args.seed))
-    return config
+    return config if args.seed is None else config.with_seed(args.seed)
 
 
-def _out_dir(args, config) -> Path:
-    out = args.out if args.out is not None else Path(config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _directory(out, config) -> Path:
+    return out if out is not None else Path(config.output.directory)
 
 
-def _cmd_pullin(args, config) -> int:
+def _write(files: dict[str, str], out, config) -> None:
+    """Write files under out, else config.output.directory; a fault names that setting."""
+    directory = _directory(out, config)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (directory / name).write_text(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([("--out" if out is not None else "output.directory",
+                            str(exc))]) from exc
+
+
+# Each build_* returns (files, stdout): each file's text by name, in write order, and
+# the stdout text. out is the --out path or None; the keywords are the argparse dests.
+def build_pullin(config, out) -> tuple[dict[str, str], str]:
     device = config.device()
     config.check_sweep(device)
     closed = electromech.pull_in_voltage_closed_form(device.mechanics, device.geometry)
     sweep = electromech.pull_in_voltage_sweep(device.mechanics, device.geometry,
                                              step_V=config.model.sweep_step_V)
-    print(dump_json({
+    return {}, dump_json({
         "closed_form_V": closed.pull_in_voltage_V,
         "sweep_V": sweep.pull_in_voltage_V,
         "deflection_at_instability_um": sweep.deflection_at_instability_m * 1e6,
         "gap_thirds_um": device.geometry.gap_um / 3.0,
         "tool": TOOL_STAMP,
-    }), end="")
-    return EXIT_OK
+    })
 
 
-def _cmd_curve(args, config) -> int:
+def build_curve(config, out, vmax, points) -> tuple[dict[str, str], str]:
     device = config.device()
     try:
-        points = electromech.stress_conversion_curve(device.mechanics, device.geometry,
-                                                     V_max=args.vmax, n_points=args.points)
+        curve = electromech.stress_conversion_curve(device.mechanics, device.geometry,
+                                                    V_max=vmax, n_points=points)
     except ValueError as exc:  # --points is bounded by argparse; only --vmax is left
         raise ValueError(f"--vmax: {exc}") from exc
-    text = emit_conversion_curve(points)
-    if args.out is not None:
-        out = _out_dir(args, config)
-        (out / "conversion_curve.csv").write_text(text)
-        print(f"wrote {out / 'conversion_curve.csv'}")
-    else:
-        print(text, end="")
-    return EXIT_OK
+    text = emit_conversion_curve(curve)
+    if out is None:
+        return {}, text
+    return {"conversion_curve.csv": text}, f"wrote {out / 'conversion_curve.csv'}\n"
 
 
-def _cmd_fatigue(args, config) -> int:
+def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str]:
     device = config.device()
     params = config.damage_params(device)
-    threshold = args.strength_v if args.strength_v is not None \
-        else config.damage.calibrate_target_V_D
+    threshold = strength_v if strength_v is not None else config.damage.calibrate_target_V_D
     try:
         specimen = SpecimenStrength(
             protocols.strength_scale_from_threshold(threshold, device, params))
     except ValueError as exc:
-        if args.strength_v is not None:
+        if strength_v is not None:
             raise ValueError(f"--strength-v: {exc}") from exc
         # The calibration target, which explicit damage parameters leave unchecked.
         raise ConfigError([("damage.calibrate_target_V_D", str(exc))]) from exc
     try:
-        record = protocols.run_fatigue_test(args.va, specimen, device, params,
+        record = protocols.run_fatigue_test(va, specimen, device, params,
                                             **config.model.run_kwargs())
     except ValueError as exc:  # the config checks every run setting but the amplitude
         raise ValueError(f"--va: {exc}") from exc
-    out = _out_dir(args, config)
-    path = out / "fatigue_run.csv"
-    path.write_text(emit_fatigue_run(record))
-    print(dump_json({
+    path = _directory(out, config) / "fatigue_run.csv"
+    return {path.name: emit_fatigue_run(record)}, dump_json({
         "drive_amplitude_V": record.drive_amplitude_V,
         "outcome": record.outcome,
         "final_cycles": record.detections[-1][0],
         "final_pullin_V": record.detections[-1][1],
         "csv": str(path),
         "tool": TOOL_STAMP,
-    }), end="")
-    return EXIT_OK
+    })
 
 
-def _cmd_staircase(args, config) -> int:
+def build_staircase(config, out) -> tuple[dict[str, str], str]:
     device = config.device()
     params = config.damage_params(device)
     config.check_campaign(device)
@@ -186,14 +186,12 @@ def _cmd_staircase(args, config) -> int:
         camp.n_specimens, population, device, params, **config.model.run_kwargs())
     estimate = stats.dixon_mood(sequence)
 
-    out = _out_dir(args, config)
-    (out / "config_echo.json").write_text(serialize_config(config))
-    (out / "staircase_sequence.csv").write_text(emit_staircase_sequence(sequence))
+    files = {"config_echo.json": serialize_config(config),
+             "staircase_sequence.csv": emit_staircase_sequence(sequence)}
     for record, trial in zip(records, sequence.trials):
-        (out / f"run_{trial.specimen_id:02d}.csv").write_text(emit_fatigue_run(record))
-    points = wohler_points_from_records(records)
-    (out / "wohler_points.csv").write_text(emit_wohler_points(points))
-    summary = {
+        files[f"run_{trial.specimen_id:02d}.csv"] = emit_fatigue_run(record)
+    files["wohler_points.csv"] = emit_wohler_points(wohler_points_from_records(records))
+    files["staircase_estimate.json"] = text = dump_json({
         "estimate": estimate_to_dict(estimate),
         "estimator_convention": "Dixon-Mood over the less frequent outcome; "
                                 f"{stats.DISPERSION_FALLBACK_FACTOR:g}*step dispersion fallback "
@@ -203,47 +201,40 @@ def _cmd_staircase(args, config) -> int:
         "run_outcomes": [r.outcome for r in records],
         "master_seed": camp.master_seed,
         "tool": TOOL_STAMP,
-    }
-    text = dump_json(summary)
-    (out / "staircase_estimate.json").write_text(text)
-    print(text, end="")
-    return EXIT_OK
+    })
+    return files, text
 
 
-def _cmd_wohler(args, config) -> int:
+def build_wohler(config, out, points_csv) -> tuple[dict[str, str], str]:
     try:
-        points = parse_wohler_points(Path(args.points_csv).read_text())
+        points = parse_wohler_points(Path(points_csv).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError([("--points-csv", str(exc))]) from exc
     fit = stats.fit_basquin(points)
-    payload = {**fit_to_dict(fit), "n_points": len(points),
-               "n_censored": sum(p.censored for p in points), "tool": TOOL_STAMP}
-    text = dump_json(payload)
-    if args.out is not None:
-        out = _out_dir(args, config)
-        (out / "basquin_fit.json").write_text(text)
-    print(text, end="")
-    return EXIT_OK
+    text = dump_json({**fit_to_dict(fit), "n_points": len(points),
+                      "n_censored": sum(p.censored for p in points), "tool": TOOL_STAMP})
+    return ({"basquin_fit.json": text} if out is not None else {}), text
 
 
-def _cmd_recovery(args, config) -> int:
+def build_recovery(config, out, replications) -> tuple[dict[str, str], str]:
     camp = config.campaign
     # float(): a config may spell the mean and spread as ints; the summary prints floats.
     summary = stats.estimator_recovery_trial(
         float(camp.strength_mean_V), float(camp.strength_std_V), camp.n_specimens,
-        args.replications, camp.master_seed)
-    print(dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP}), end="")
-    return EXIT_OK
+        replications, camp.master_seed)
+    return {}, dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP})
 
 
 _COMMANDS = {
-    "pullin": _cmd_pullin,
-    "curve": _cmd_curve,
-    "fatigue": _cmd_fatigue,
-    "staircase": _cmd_staircase,
-    "wohler": _cmd_wohler,
-    "recovery": _cmd_recovery,
+    "pullin": build_pullin,
+    "curve": build_curve,
+    "fatigue": build_fatigue,
+    "staircase": build_staircase,
+    "wohler": build_wohler,
+    "recovery": build_recovery,
 }
+# The top-level dests of the parser; every other dest is a subcommand flag.
+_GLOBAL_DESTS = ("config", "seed", "out", "show_defaults", "command")
 
 
 def cli_dispatch(argv: list[str]) -> int:
@@ -263,14 +254,19 @@ def cli_dispatch(argv: list[str]) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    flags = {k: v for k, v in vars(args).items() if k not in _GLOBAL_DESTS}
     try:
-        return _COMMANDS[args.command](args, config)
+        files, stdout = _COMMANDS[args.command](config, args.out, **flags)
+        if files:
+            _write(files, args.out, config)
+        print(stdout, end="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MicrofatigueError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_geometry,
@@ -103,6 +103,10 @@ class RunConfig:
     damage: DamageConfig = field(default_factory=DamageConfig)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
+
+    def with_seed(self, seed: int) -> RunConfig:
+        """This config with campaign.master_seed set to seed (the ``--seed`` override)."""
+        return replace(self, campaign=replace(self.campaign, master_seed=seed))
 
     def device(self) -> Device:
         """The assembled device; ConfigError at model.c_k and material.E_GPa when

@@ -305,9 +305,9 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
     of n_available; a level at or above pristine pull-in is displacement-imposed."""
     pull_in = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     problems = []
-    if step_V <= 0:
+    if not step_V > 0:
         problems.append(f"step_V: must be > 0, got {step_V}")
-    if n_specimens < 1:
+    if not n_specimens >= 1:
         problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
     if n_specimens > n_available:
         problems.append(f"population: holds {n_available} specimens, {n_specimens} requested")

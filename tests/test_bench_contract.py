@@ -8,6 +8,7 @@ from the harness sources as literals, so nothing under ``bench/`` is imported.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,32 @@ def test_traced_method_is_defined_on_its_class(layer, cls_name, attr):
                                         | set(_literal("spans.py", "LAYERS"))))
 def test_benchmarked_module_imports(name):
     assert _module(name).__name__ == f"microfatigue.{name}"
+
+
+# The command builders of the CLI, which the benchmark is to call instead of
+# restating their artifact code: each takes (config, out, **flags) and
+# returns (files, stdout).
+BUILDERS = ("build_pullin", "build_curve", "build_fatigue", "build_staircase",
+            "build_wohler", "build_recovery")
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builder_is_a_public_function_of_cli(name):
+    module = _module("cli")
+    fn = getattr(module, name, None)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+    assert list(inspect.signature(fn).parameters)[:2] == ["config", "out"], name
+
+
+def test_with_seed_is_a_method_that_changes_only_the_master_seed():
+    config_module = _module("config")
+    assert inspect.isfunction(vars(config_module.RunConfig).get("with_seed"))
+    config = config_module.parse_config(json.dumps(
+        {"campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5], "master_seed": 3},
+         "model": {"detection_interval_cycles": 1000}, "output": {"directory": "elsewhere"}}))
+    seeded = config.with_seed(77)
+    assert seeded.campaign.master_seed == 77 and config.campaign.master_seed == 3
+    before = json.loads(config_module.serialize_config(config))
+    after = json.loads(config_module.serialize_config(seeded))
+    after["campaign"]["master_seed"] = 3
+    assert after == before

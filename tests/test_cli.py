@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from microfatigue import stats
-from microfatigue.cli import build_parser, cli_dispatch
+from microfatigue.cli import (build_curve, build_parser, build_pullin, build_staircase,
+                              cli_dispatch)
 from microfatigue.config import RunConfig, default_config, parse_config
 from microfatigue.electromech import MAX_CURVE_POINTS, pull_in_voltage_closed_form
 from microfatigue.errors import EstimationError
@@ -322,7 +323,7 @@ def test_recovery_summary(capsys):
 # sha256 of stdout. The recovery rows draw from one default_rng(seed) per
 # trial, each replication's row of normals in order; --show-defaults is the
 # default config_echo.json. A dict in argv is a config, passed as a file.
-@pytest.mark.parametrize("argv, digest", [
+STDOUT_DIGESTS = [
     (["--seed", "42", "recovery", "--replications", "2000"],
      "c4f23033e02d42ed5c5de98991a23577fa9f9bb927d5ed1e3ca0b42f06f78413"),
     (["--config", {"campaign": {"n_specimens": 24, "strength_std_V": 0.8}},
@@ -354,7 +355,10 @@ def test_recovery_summary(capsys):
      "49f60e295381763547662487c236665e21223be8532f2330b5490eb0ceb2dcd3"),
     (["--config", {"model": {"c_k": 1e6}}, "pullin"],
      "df9ba0045383c1d669765e6cb54f123feef1c59d97e76e97a4fbc55d8ce7ef0b"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS)
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
     cfg = tmp_path / "config.json"
     for arg in argv:
@@ -474,6 +478,31 @@ def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, 
     assert f" {path}: " in err
 
 
+# Each command that writes files, run from a directory holding the file "afile".
+WRITING_COMMANDS = {"staircase": ["staircase"], "fatigue": ["fatigue", "--va", "13"],
+                    "curve": ["curve"], "wohler": ["wohler", "--points-csv", "points.csv"]}
+
+
+@pytest.mark.parametrize("command, directory", [
+    *(pytest.param(c, None, id=f"{c}-out-file") for c in WRITING_COMMANDS),
+    *(pytest.param(c, d, id=f"{c}-{label}") for c in ("fatigue", "staircase")
+      for d, label in (("afile", "directory-file"), ("a\u0000b", "directory-nul"))),
+])
+def test_output_directory_faults_exit_2_naming_the_setting(tmp_path, capsys, monkeypatch,
+                                                           command, directory):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    Path("points.csv").write_text("20,1000,0\n14,1000000,1\n14,2000000,0\n")
+    if directory is None:
+        argv, setting = ["--out", "afile"], "--out"
+    else:
+        Path("config.json").write_text(json.dumps({"output": {"directory": directory}}))
+        argv, setting = ["--config", "config.json"], "output.directory"
+    code, out, err = run_cli(capsys, *argv, *WRITING_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {setting}: ")
+
+
 def test_recovery_draws_the_campaign_population(tmp_path, capsys):
     campaign = {"strength_mean_V": 14.0, "strength_std_V": 0.3, "n_specimens": 12,
                 "master_seed": 5}
@@ -561,6 +590,44 @@ def test_staircase_artifact_bytes_pinned(tmp_path, capsys, config, digests):
     assert code == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted((tmp_path / "out").iterdir())} == digests
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a builder touched the file system")
+
+
+@pytest.mark.parametrize("config, digests", [(None, STAIRCASE_DIGESTS),
+                                             (TABLE_CONFIG, PAPER_STAIRCASE_DIGESTS)],
+                         ids=["default", "paper"])
+def test_staircase_builder_writes_nothing(monkeypatch, config, digests):
+    monkeypatch.setattr(Path, "mkdir", _refuse)
+    monkeypatch.setattr(Path, "write_text", _refuse)
+    run_config = default_config() if config is None else parse_config(json.dumps(config))
+    files, stdout = build_staircase(run_config, None)
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in files.items()} == digests
+    assert stdout == files["staircase_estimate.json"]
+    runs = [f"run_{i:02d}.csv" for i in range(6)]
+    assert list(files) == ["config_echo.json", "staircase_sequence.csv", *runs,
+                           "wohler_points.csv", "staircase_estimate.json"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]])
+def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
+    monkeypatch.setattr(Path, "mkdir", _refuse)
+    monkeypatch.setattr(Path, "write_text", _refuse)
+    if argv[0] == "--config":
+        config, argv = parse_config(json.dumps(argv[1])), argv[2:]
+    else:
+        config = default_config()
+    args = build_parser().parse_args(argv)
+    if args.command == "pullin":
+        files, stdout = build_pullin(config, None)
+    else:
+        files, stdout = build_curve(config, None, vmax=args.vmax, points=args.points)
+    assert files == {}
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_whole_float_specimen_count_runs(tmp_path, capsys):

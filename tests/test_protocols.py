@@ -527,6 +527,23 @@ def test_staircase_rejects_levels_off_the_step_grid(nominal_device, calibrated_p
         run_stair_case([12.5, 15], 1.0, 15.0, 2, pop, nominal_device, calibrated_params)
 
 
+@pytest.mark.parametrize("step_V, n_specimens, fault", [
+    (math.nan, 2, "step_V: must be > 0, got nan"),
+    (1.0, math.nan, "n_specimens: need at least one specimen, got nan"),
+])
+def test_staircase_names_a_nan_step_or_count_before_any_run(nominal_device, calibrated_params,
+                                                           monkeypatch, step_V, n_specimens,
+                                                           fault):
+    pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
+                           thresholds_V=[13.0, 13.0])
+    assert fault in protocols.validate_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens,
+                                                  len(pop), nominal_device)
+    monkeypatch.setattr(protocols, "run_fatigue_test", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=fault):
+        run_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens, pop, nominal_device,
+                       calibrated_params)
+
+
 def test_population_seed_determinism(nominal_device, calibrated_params):
     a = build_population(99, 13.0, 0.55, 6, nominal_device, calibrated_params)
     b = build_population(99, 13.0, 0.55, 6, nominal_device, calibrated_params)
