@@ -9,11 +9,12 @@ periods to load periods.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .device import DeviceGeometry, DerivedMechanics
-from .electromech import pull_in_voltage_closed_form, static_equilibrium
+from .electromech import _stable_points, pull_in_voltage_closed_form
 
 
 @dataclass(frozen=True)
@@ -72,29 +73,42 @@ def waveform(t: float, spec: LoadCycleSpec) -> float:
     return math.sin(2.0 * math.pi * spec.drive_frequency_Hz * t) ** 2
 
 
+def _tension_stresses(amplitudes_V: Sequence[float], mech: DerivedMechanics,
+                      geom: DeviceGeometry) -> list[tuple[float, float]]:
+    """(peak, sigma_alt) of the tension side at each drive amplitude, from one
+    batched equilibrium solve.
+
+    The quasi-static mapping is used: the cyclic stress peak equals the
+    static peak at DC voltage V_a, and the side pulses from zero, so
+    sigma_alt = peak/2. Each amplitude must lie in [0, V_PI).
+    """
+    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+    for V_a in amplitudes_V:
+        if not V_a >= 0:
+            raise ValueError(f"drive amplitude must be >= 0, got {V_a}")
+        if V_a >= v_pi:
+            raise ValueError(
+                f"drive amplitude {V_a} V at or above pull-in {v_pi:.3f} V: "
+                "the test would be displacement-imposed from the first cycle")
+    return [(eq.stress_Pa, eq.stress_Pa / 2.0)
+            for eq in _stable_points(amplitudes_V, mech, geom)]
+
+
 def fatigue_parameters(V_a: float, mech: DerivedMechanics,
                        geom: DeviceGeometry) -> tuple[FatigueParameters, FatigueParameters]:
     """Tension- and compression-side fatigue parameters for drive amplitude V_a.
 
-    The quasi-static mapping is used: the cyclic stress peak equals the
-    static peak at DC voltage V_a. The tension side pulses from zero
-    (R = 0); the mirrored compression side has R marked infinite.
+    The tension side pulses from zero (R = 0); the mirrored compression
+    side has R marked infinite. Both share the peak and sigma_alt of
+    ``_tension_stresses``.
     """
-    if not V_a >= 0:
-        raise ValueError(f"drive amplitude must be >= 0, got {V_a}")
-    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
-    if V_a >= v_pi:
-        raise ValueError(
-            f"drive amplitude {V_a} V at or above pull-in {v_pi:.3f} V: "
-            "the test would be displacement-imposed from the first cycle")
-    eq = static_equilibrium(V_a, mech, geom)
-    peak = eq.stress_Pa
+    ((peak, alt),) = _tension_stresses((V_a,), mech, geom)
     tension = FatigueParameters(
         sigma_max_Pa=peak, sigma_min_Pa=0.0,
-        sigma_mean_Pa=peak / 2.0, sigma_alt_Pa=peak / 2.0,
+        sigma_mean_Pa=alt, sigma_alt_Pa=alt,
         stress_ratio=0.0)
     compression = FatigueParameters(
         sigma_max_Pa=0.0, sigma_min_Pa=-peak,
-        sigma_mean_Pa=-peak / 2.0, sigma_alt_Pa=peak / 2.0,
+        sigma_mean_Pa=-alt, sigma_alt_Pa=alt,
         stress_ratio=None)
     return tension, compression

@@ -16,7 +16,7 @@ from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength
 from .device import Device
 from .electromech import pull_in_voltage_closed_form
 from .errors import CalibrationError
-from .loading import fatigue_parameters
+from .loading import _tension_stresses
 
 log = logging.getLogger(__name__)
 
@@ -55,19 +55,39 @@ class StairCaseSequence(NamedTuple):
     levels_V: tuple[float, ...]
 
 
+def _threshold_fault(threshold_V: float, pull_in_V: float) -> str | None:
+    """Why a specimen threshold cannot be converted, or None when it lies in (0, V_PI)."""
+    if threshold_V >= pull_in_V:
+        return f"threshold {threshold_V} V at or above pull-in {pull_in_V:.3f} V"
+    if not threshold_V > 0:
+        return f"threshold must be > 0 V, got {threshold_V}"
+    return None
+
+
+def _strength_scales(thresholds_V: list[float], device: Device,
+                     params: DamageModelParams) -> list[float]:
+    """sigma_alt(v)/sigma_D of each threshold v, from one batched solve."""
+    endurance = params.endurance_stress_Pa
+    return [alt / endurance
+            for _, alt in _tension_stresses(thresholds_V, device.mechanics, device.geometry)]
+
+
 def strength_scale_from_threshold(threshold_V: float, device: Device,
                                   params: DamageModelParams) -> float:
     """Map a threshold drive voltage to a dimensionless strength scale.
 
     A specimen of scale s has endurance s*sigma_D, so it survives exactly
     the levels whose stress amplitude stays at or below the amplitude at
-    its threshold voltage, which must lie below the pristine pull-in.
+    its threshold voltage, which must lie in (0, V_PI) of the pristine device.
     """
     v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    if threshold_V >= v_pi:
-        raise ValueError(f"threshold {threshold_V} V at or above pull-in {v_pi:.3f} V")
-    tension, _ = fatigue_parameters(threshold_V, device.mechanics, device.geometry)
-    return tension.sigma_alt_Pa / params.endurance_stress_Pa
+    fault = _threshold_fault(threshold_V, v_pi)
+    if fault is not None:
+        raise ValueError(fault)
+    scale = _strength_scales([threshold_V], device, params)[0]
+    if not scale > 0:  # a threshold so small that its stress underflows
+        raise ValueError(f"threshold {threshold_V} V gives no stress amplitude")
+    return scale
 
 
 def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
@@ -76,7 +96,12 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
                      ) -> tuple[SpecimenStrength, ...]:
     """Draw (or adopt) threshold voltages and convert them to strength scales;
     draw i comes from its own (master_seed, i) RNG stream, so no draw depends on another.
-    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it, and logged."""
+
+    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it, and
+    logged; a NaN threshold, which no clamp can place, raises ValueError naming
+    the specimen. The scales come from one batched equilibrium solve, each equal
+    to strength_scale_from_threshold of the clamped threshold.
+    """
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if thresholds_V is None:
         import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
@@ -90,9 +115,12 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
     for i, v in enumerate(thresholds):
         clamped.append(min(max(v, MIN_THRESHOLD_V), 0.99 * pristine))
         if clamped[-1] != v:
+            fault = _threshold_fault(clamped[-1], pristine)
+            if fault is not None:
+                raise ValueError(f"specimen {i}: {fault}")
             log.info("specimen %d threshold %.3g V clamped to %.3g V", i, v, clamped[-1])
-    return tuple(SpecimenStrength(strength_scale_from_threshold(v, device, params))
-                 for v in clamped)
+    return tuple(SpecimenStrength(scale)
+                 for scale in _strength_scales(clamped, device, params))
 
 
 def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams,
@@ -165,6 +193,43 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
     return n
 
 
+class _RunSettings(NamedTuple):
+    """Checked run settings: both counts as ints, and reference_cycles as given,
+    which the record keeps."""
+
+    interval: int
+    reference: int
+    reference_cycles: int | float
+    step: float
+    drop_fraction: float
+    min_pullin_fraction: float
+
+
+def _run_settings(detection_interval: int = DEFAULT_DETECTION_INTERVAL,
+                  reference_cycles: int = DEFAULT_REFERENCE_CYCLES,
+                  detection_step_V: float = DEFAULT_DETECTION_STEP_V,
+                  drop_fraction: float = DEFAULT_DROP_FRACTION,
+                  min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION) -> _RunSettings:
+    """The run settings of run_fatigue_test, checked as its docstring states."""
+    if not _is_whole(detection_interval) or detection_interval < 1:
+        raise ValueError(
+            f"detection interval must be a whole number >= 1, got {detection_interval}")
+    if not _is_whole(reference_cycles):
+        raise ValueError(f"reference cycles must be a whole number, got {reference_cycles}")
+    problems = validate_detections(detection_interval, reference_cycles, detection_step_V)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return _RunSettings(int(detection_interval), int(reference_cycles), reference_cycles,
+                        detection_step_V, drop_fraction, min_pullin_fraction)
+
+
+def _pristine_readings(device: Device, params: DamageModelParams,
+                       step_V: float) -> tuple[float, float]:
+    """The pristine pull-in and its reading on the step_V grid."""
+    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    return pristine, _stepped_reading(pristine, 0.0, params, step_V)
+
+
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
                      params: DamageModelParams,
                      detection_interval: int = DEFAULT_DETECTION_INTERVAL,
@@ -193,7 +258,8 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     accumulating each batch with ``damage.accumulate`` and measuring with
     ``run_pull_in_detection``. Both cycle counts must be whole numbers, the
     interval at least 1, for at most MAX_DETECTIONS detections, and the
-    supply step at least MIN_DETECTION_STEP_V.
+    supply step at least MIN_DETECTION_STEP_V. The loop itself is
+    ``_monitored_run``, which ``run_stair_case`` runs for each specimen.
 
     Most detections repeat the reading before them, and the loop jumps over
     those it knows will. After a detection that passes its checks with
@@ -211,27 +277,26 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     previous reading is v itself, the floor and V_a are unchanged, and
     soft_end keeps it below the collapse count.
     """
-    if not _is_whole(detection_interval) or detection_interval < 1:
-        raise ValueError(
-            f"detection interval must be a whole number >= 1, got {detection_interval}")
-    if not _is_whole(reference_cycles):
-        raise ValueError(f"reference cycles must be a whole number, got {reference_cycles}")
-    problems = validate_detections(detection_interval, reference_cycles, detection_step_V)
-    if problems:
-        raise ValueError("; ".join(problems))
-    tension, _ = fatigue_parameters(V_a, device.mechanics, device.geometry)
-    life = cycles_to_failure(tension.sigma_alt_Pa, params, specimen)
-    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    interval, reference = int(detection_interval), int(reference_cycles)
+    settings = _run_settings(detection_interval, reference_cycles, detection_step_V,
+                             drop_fraction, min_pullin_fraction)
+    ((_, sigma_alt),) = _tension_stresses((V_a,), device.mechanics, device.geometry)
+    life = cycles_to_failure(sigma_alt, params, specimen)
+    pristine, pristine_meas = _pristine_readings(device, params, settings.step)
+    return _monitored_run(V_a, life, pristine, pristine_meas, params, settings)
+
+
+def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas: float,
+                   params: DamageModelParams, settings: _RunSettings) -> FatigueRunRecord:
+    """The detection loop of run_fatigue_test at drive V_a, for a specimen of Basquin
+    life ``life`` (UNBOUNDED below its endurance), on a device of pristine pull-in
+    ``pristine`` read as ``pristine_meas``, with checked settings."""
+    interval, reference, reference_cycles, step, drop_fraction, min_pullin_fraction = settings
     if life is UNBOUNDED:
         collapse_cycles = math.inf  # no damage accrues below the endurance
     else:
         # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
         p, q = params.collapse_threshold.as_integer_ratio()
         collapse_cycles = -(-p * life // q)
-
-    step = detection_step_V
-    pristine_meas = _stepped_reading(pristine, 0.0, params, step)
     detections: list[tuple[int, float]] = [(0, pristine_meas)]
     # Everything the loop reads, bound once.
     soft_end = (min(reference, collapse_cycles) - 1) // interval * interval
@@ -330,19 +395,32 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
 
     An invalid (displacement-imposed) run is counted as a failure for the
     level transition and logged; it cannot feed a stress-imposed comparison.
+
+    Each record equals run_fatigue_test(level, specimen, device, params,
+    **run_kwargs). What stays fixed over the campaign is worked out once: the
+    run settings are checked, the pristine pull-in and its reading computed,
+    and each distinct level reached solved for its sigma_alt, before each
+    specimen goes through ``_monitored_run``. A level is kept as the float the
+    walk reached, which drifts from the levels_V values with an off-grid step.
     """
     levels = sorted(float(v) for v in levels_V)
     problems = validate_stair_case(levels, step_V, start_level_V, n_specimens,
                                    len(population), device)
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
+    settings = _run_settings(**run_kwargs)
+    pristine, pristine_meas = _pristine_readings(device, params, settings.step)
+    sigma_alts: dict[float, float] = {}
 
     level = float(start_level_V)
     trials: list[StairCaseTrial] = []
     records: list[FatigueRunRecord] = []
     for idx in range(n_specimens):
-        record = run_fatigue_test(level, population[idx], device, params,
-                                  **run_kwargs)
+        if level not in sigma_alts:
+            ((_, sigma_alts[level]),) = _tension_stresses((level,), device.mechanics,
+                                                          device.geometry)
+        life = cycles_to_failure(sigma_alts[level], params, population[idx])
+        record = _monitored_run(level, life, pristine, pristine_meas, params, settings)
         records.append(record)
         if record.outcome == OUTCOME_INVALID:
             log.warning("specimen %d at %.3g V: displacement-imposed run counted "
@@ -385,12 +463,8 @@ def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
             f"target_V_D: target_V_D + 1 V ({target_V_D + 1.0}) must stay below "
             f"target_immediate_V ({target_immediate_V}) for a well-posed Basquin slope")
 
-    def sigma_alt(v):
-        return fatigue_parameters(v, device.mechanics, device.geometry)[0].sigma_alt_Pa
-
-    sigma_limit = sigma_alt(target_V_D)
-    sigma_step = sigma_alt(target_V_D + 1.0)
-    sigma_imm = sigma_alt(target_immediate_V)
+    sigma_limit, sigma_step, sigma_imm = (alt for _, alt in _tension_stresses(
+        (target_V_D, target_V_D + 1.0, target_immediate_V), device.mechanics, device.geometry))
 
     n_step = 0.6 * reference_cycles        # finite life one step above the limit
     n_imm = 0.5 * detection_interval       # collapse within the first interval

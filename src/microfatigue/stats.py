@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EstimationError
-from .protocols import StairCaseSequence, StairCaseTrial, grid_index
+from .protocols import StairCaseSequence, StairCaseTrial, _is_whole, grid_index
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -46,8 +46,8 @@ class WohlerPoint:
     censored: bool = False  # survived the reference count (run-out)
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
+        if not _is_whole(self.cycles) or self.cycles < 1:
+            raise ValueError(f"cycles must be a whole number >= 1, got {self.cycles}")
 
 
 class BasquinFit(NamedTuple):
@@ -63,8 +63,11 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
     toward failures). With the basis-event levels indexed i = 0, 1, ...
     from the lowest occupied one, mean = X0 + d*(A/N +/- 1/2) (+ for a
     non-failure basis). The dispersion formula is only valid when
-    (N*B - A^2)/N^2 >= 0.3; below that, std falls back to 0.53*d.
+    (N*B - A^2)/N^2 >= 0.3; below that, std falls back to 0.53*d. The step d
+    must be finite and > 0.
     """
+    if not 0.0 < seq.step_V < math.inf:
+        raise EstimationError(f"step_V must be finite and > 0, got {seq.step_V}")
     failures = [t for t in seq.trials if t.failure]
     survivals = [t for t in seq.trials if not t.failure]
     if not failures:
@@ -101,12 +104,15 @@ def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
     """Least-squares Basquin line level = C * N^b in log-log space.
 
     Censored (run-out) points are excluded; at least two uncensored points
-    at two distinct levels and two distinct cycle counts are required, and
-    the coefficient must not overflow a float.
+    at two distinct levels and two distinct cycle counts are required, each
+    level finite and > 0, and the coefficient must not overflow a float.
     """
     # Sorted so the fit is exactly permutation-invariant in its input list.
     usable = sorted((p for p in points if not p.censored),
                     key=lambda p: (p.cycles, p.level_V))
+    for p in usable:
+        if not 0.0 < p.level_V < math.inf:
+            raise EstimationError(f"level must be finite and > 0 V, got {p.level_V}")
     if len(usable) < 2:
         raise EstimationError(
             f"need at least 2 uncensored points, got {len(usable)}")

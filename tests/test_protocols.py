@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import types
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microfatigue import protocols
+from microfatigue import loading, protocols
 from microfatigue.damage import (DamageModelParams, DamageState, SpecimenStrength,
                                  accumulate, cycles_to_failure, degraded_pull_in,
                                  effective_stiffness_factor)
@@ -15,8 +16,9 @@ from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
-from microfatigue.protocols import (MAX_DETECTIONS, OUTCOME_FAILED, OUTCOME_INVALID,
-                                    OUTCOME_SURVIVED, build_population,
+from microfatigue.protocols import (MAX_DETECTIONS, MIN_THRESHOLD_V, OUTCOME_FAILED,
+                                    OUTCOME_INVALID, OUTCOME_SURVIVED, StairCaseSequence,
+                                    StairCaseTrial, build_population,
                                     calibrate_defaults, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
                                     strength_scale_from_threshold)
@@ -538,7 +540,7 @@ def test_staircase_names_a_nan_step_or_count_before_any_run(nominal_device, cali
                            thresholds_V=[13.0, 13.0])
     assert fault in protocols.validate_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens,
                                                   len(pop), nominal_device)
-    monkeypatch.setattr(protocols, "run_fatigue_test", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(protocols, "_monitored_run", lambda *a, **k: pytest.fail("ran"))
     with pytest.raises(ValueError, match=fault):
         run_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens, pop, nominal_device,
                        calibrated_params)
@@ -576,10 +578,187 @@ def test_campaign_determinism(nominal_device, calibrated_params):
                  "stress amplitude", id="cycles_to_failure"),
     pytest.param(lambda d, p: SpecimenStrength(math.nan), "strength_scale", id="SpecimenStrength"),
     pytest.param(lambda d, p: strength_scale_from_threshold(math.nan, d, p),
-                 None, id="strength_scale_from_threshold"),
+                 "threshold", id="strength_scale_from_threshold"),
     pytest.param(lambda d, p: run_fatigue_test(math.nan, SpecimenStrength(), d, p),
                  None, id="run_fatigue_test"),
 ])
 def test_nan_input_raises_value_error(call, name, nominal_device, calibrated_params):
     with pytest.raises(ValueError, match=f"^{name} must" if name else None):
         call(nominal_device, calibrated_params)
+
+
+@pytest.mark.parametrize("threshold, message", [
+    (-1.0, "threshold must be > 0 V, got -1.0"),
+    (0.0, "threshold must be > 0 V, got 0.0"),
+    (1e-200, "threshold 1e-200 V gives no stress amplitude"),
+    (30.0, "threshold 30.0 V at or above pull-in "),
+])
+def test_strength_scale_names_the_threshold(nominal_device, calibrated_params, threshold,
+                                            message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        strength_scale_from_threshold(threshold, nominal_device, calibrated_params)
+
+
+@pytest.mark.parametrize("std_V, thresholds_V, index", [
+    (math.nan, None, 0),
+    (0.5, [13.0, math.nan, 12.0], 1),
+])
+def test_population_names_a_nan_threshold(nominal_device, calibrated_params, std_V,
+                                          thresholds_V, index):
+    with pytest.raises(ValueError,
+                       match=f"^specimen {index}: threshold must be > 0 V, got nan$"):
+        build_population(0, 13.0, std_V, 3, nominal_device, calibrated_params,
+                         thresholds_V=thresholds_V)
+
+
+def reference_population(master_seed, mean_V, std_V, n, device, params, thresholds_V):
+    """One strength_scale_from_threshold per clamped threshold."""
+    import numpy as np
+    if thresholds_V is None:
+        thresholds_V = [mean_V + std_V * float(np.random.default_rng((master_seed, i))
+                                               .standard_normal()) for i in range(n)]
+    top = 0.99 * pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    population = []
+    for i, v in enumerate(thresholds_V):
+        try:
+            scale = strength_scale_from_threshold(min(max(v, MIN_THRESHOLD_V), top),
+                                                  device, params)
+        except ValueError as exc:
+            raise ValueError(f"specimen {i}: {exc}") from None
+        population.append(SpecimenStrength(scale))
+    return tuple(population)
+
+
+def reference_stair_case(levels_V, step_V, start_level_V, n_specimens, population, device,
+                         params, **run_kwargs):
+    """One run_fatigue_test per specimen, at the level the walk reached."""
+    levels = sorted(float(v) for v in levels_V)
+    problems = protocols.validate_stair_case(levels, step_V, start_level_V, n_specimens,
+                                             len(population), device)
+    if problems:
+        raise ValueError("invalid stair case: " + "; ".join(problems))
+    level, trials, records = float(start_level_V), [], []
+    for idx in range(n_specimens):
+        records.append(run_fatigue_test(level, population[idx], device, params, **run_kwargs))
+        failure = records[-1].outcome in (OUTCOME_FAILED, OUTCOME_INVALID)
+        trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
+        level = min(max(level - step_V if failure else level + step_V, levels[0]), levels[-1])
+    return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels)), records
+
+
+def result_or_fault(call):
+    try:
+        return call()
+    except Exception as exc:  # the fault itself is what the two sides must agree on
+        return type(exc), str(exc)
+
+
+CAMPAIGN_RUN_SETTINGS = [
+    {},
+    dict(detection_interval=1_000),
+    dict(detection_interval=250_000, reference_cycles=1_234_567),
+    dict(detection_interval=100_000.0, reference_cycles=2_000_000.0),
+    dict(detection_step_V=0.01, drop_fraction=0.05, min_pullin_fraction=0.9),
+    dict(detection_step_V=0.5, drop_fraction=0.5, min_pullin_fraction=0.1),
+]
+BAD_RUN_SETTINGS = [
+    dict(detection_interval=0),
+    dict(reference_cycles=1.5),
+    dict(detection_step_V=0.0),
+    dict(detection_step_V=math.nan),
+    dict(detection_interval=1, reference_cycles=MAX_DETECTIONS + 1),
+]
+CAMPAIGN_FAULTS = ["run", "step", "start", "grid", "count", "population", "nan std",
+                   "nan threshold"]
+
+
+@given(step_V=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.05, 1.5)),
+       start_V=st.floats(10.0, 16.0),
+       below=st.integers(0, 4),
+       above=st.integers(0, 2),
+       n=st.integers(1, 8),
+       explicit=st.booleans(),
+       thresholds_V=st.lists(st.floats(-1.0, 30.0), min_size=8, max_size=8),
+       master_seed=st.integers(0, 2**31 - 1),
+       std_V=st.sampled_from([0.0, 0.3, 0.55, 1.5]),
+       run_kwargs=st.sampled_from(CAMPAIGN_RUN_SETTINGS),
+       bad_run_kwargs=st.sampled_from(BAD_RUN_SETTINGS),
+       fault=st.one_of(st.none(), st.sampled_from(CAMPAIGN_FAULTS)),
+       hardening_amplitude=st.sampled_from([0.0, 0.3, 1.5]),
+       softening_exponent=st.sampled_from([0.05, 0.2, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_params, step_V,
+                                                 start_V, below, above, n, explicit,
+                                                 thresholds_V, master_seed, std_V,
+                                                 run_kwargs, bad_run_kwargs, fault,
+                                                 hardening_amplitude, softening_exponent):
+    # build_population + run_stair_case against strength_scale_from_threshold and
+    # run_fatigue_test per specimen: records, element types and faults alike. An
+    # off-grid step makes the walk reach levels that drift from the levels_V values;
+    # explicit thresholds outside [MIN_THRESHOLD_V, 0.99*V_PI] are clamped.
+    d = nominal_device
+    params = replace(calibrated_params, hardening_amplitude=hardening_amplitude,
+                     softening_exponent=softening_exponent)
+    levels = [start_V + i * step_V for i in range(-below, above + 1)]
+    step, start = step_V, start_V
+    thresholds = thresholds_V[:n] if explicit else None
+    if fault == "run":
+        run_kwargs = bad_run_kwargs
+    elif fault == "step":
+        step = math.nan
+    elif fault == "start":
+        start = start_V + step_V / 3
+    elif fault == "grid":
+        levels.append(start_V + step_V / 2)
+    elif fault == "count":
+        n = 0
+    elif fault == "population":
+        thresholds = thresholds_V[:n - 1]
+    elif fault == "nan std":
+        thresholds, std_V = None, math.nan
+    elif fault == "nan threshold":
+        thresholds = thresholds_V[:n]
+        thresholds[n // 2] = math.nan
+    args = (levels, step, start, n)
+
+    def campaign():
+        pop = build_population(master_seed, 13.0, std_V, n, d, params, thresholds)
+        return pop, run_stair_case(*args, pop, d, params, **run_kwargs)
+
+    def reference():
+        pop = reference_population(master_seed, 13.0, std_V, n, d, params, thresholds)
+        return pop, reference_stair_case(*args, pop, d, params, **run_kwargs)
+
+    got, want = result_or_fault(campaign), result_or_fault(reference)
+    assert got == want
+    assert (fault is None) == (type(want[1]) is tuple and type(want[1][1]) is list)
+    if fault is None:
+        (seq, records), (want_seq, want_records) = got[1], want[1]
+        assert [type(t.level_V) for t in seq.trials] == [
+            type(t.level_V) for t in want_seq.trials]
+        assert [(type(r.drive_amplitude_V), type(r.reference_cycles),
+                 [type(c) for c, _ in r.detections]) for r in records] == [
+            (type(r.drive_amplitude_V), type(r.reference_cycles),
+             [type(c) for c, _ in r.detections]) for r in want_records]
+
+
+@pytest.mark.parametrize("n_specimens", [1, 6, 60])
+def test_campaign_solves_each_level_once(nominal_device, calibrated_params, monkeypatch,
+                                         n_specimens):
+    # Clock-free: one batched solve for the population, then one per distinct
+    # level the walk reaches, however many specimens run.
+    sizes = []
+    solve = loading._stable_points
+
+    def counted(voltages, *args):
+        sizes.append(len(voltages))
+        return solve(voltages, *args)
+
+    monkeypatch.setattr(loading, "_stable_points", counted)
+    pop = build_population(7, 13.0, 0.55, n_specimens, nominal_device, calibrated_params)
+    assert sizes == [n_specimens]
+    seq, _ = run_stair_case([12, 13, 14, 15], 1.0, 15.0, n_specimens, pop,
+                            nominal_device, calibrated_params)
+    reached = {t.level_V for t in seq.trials}
+    assert sizes[1:] == [1] * len(reached)
+    assert len(sizes) <= 1 + 4

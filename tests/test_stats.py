@@ -93,6 +93,28 @@ def test_dispersion_formula_valid_branch():
     assert est.mean_V == pytest.approx(11 + (5 / 4 + 0.5))
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_dixon_mood_names_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(EstimationError, match=f"^step_V must be finite and > 0, got {step}$"):
+        dixon_mood(make_sequence(PUBLISHED, step=step))
+
+
+@pytest.mark.parametrize("cycles", [1.5, math.nan, math.inf, 0, 0.0, -3])
+def test_wohler_point_rejects_cycles_that_are_not_whole_and_positive(cycles):
+    with pytest.raises(ValueError, match="^cycles must be a whole number >= 1, got "):
+        WohlerPoint(13.0, cycles)
+
+
+@pytest.mark.parametrize("level", [math.nan, -1.0, 0.0, math.inf])
+def test_basquin_names_a_level_that_is_not_finite_and_positive(level):
+    points = [WohlerPoint(20.0, 10**3), WohlerPoint(level, 10**4), WohlerPoint(14.0, 10**6)]
+    with pytest.raises(EstimationError, match=f"^level must be finite and > 0 V, got {level}$"):
+        fit_basquin(points)
+    # A censored point takes no part in the fit, whatever its level.
+    points[1] = WohlerPoint(level, 10**4, censored=True)
+    assert fit_basquin(points) == fit_basquin(points[::2])
+
+
 def test_basquin_exact_recovery():
     b_true = -0.1
     coeff = 30.0
