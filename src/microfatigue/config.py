@@ -3,11 +3,13 @@
 Values are in the units of the device data sheet: geometry in microns,
 the Young modulus in GPa and the density in kg/um^3; ``device`` converts
 them to SI. An empty config resolves to the nominal device and the
-published protocol constants. Each default and bound is stated once, by
-its owner (``device.DeviceGeometry`` is the geometry section,
-``device.Material`` the material section). A value is checked against its
-field annotation, then against the owners' validators; every fault is a
-ConfigError naming its field path.
+published protocol constants. Each default is stated once, by its owner
+(``device.DeviceGeometry`` is the geometry section, ``device.Material`` the
+material section). A value is checked against its field annotation, its
+field bound, then the owners' validators; every fault is a ConfigError naming
+its field path. The library functions that take c_k, sweep_step_V,
+detection_interval_cycles, n_specimens, strength_std_V or master_seed check
+the bound stated here for them again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         validate_stair_case)
 
 
-# Field metadata of a range that no owner checks before a run: (test, rule).
+# Field metadata of a range the config checks itself: (test, rule).
 _ABOVE_ZERO = {"bound": (lambda v: v > 0, "> 0")}
 _NOT_NEGATIVE = {"bound": (lambda v: v >= 0, ">= 0")}
 _AT_LEAST_ONE = {"bound": (lambda v: v >= 1, ">= 1")}

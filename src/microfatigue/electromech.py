@@ -27,6 +27,7 @@ STABLE_FRACTION = 1.0 / 3.0
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
 MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
+DEFAULT_CURVE_POINTS = 41    # points of a conversion curve when none are asked for
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 
 
@@ -207,21 +208,19 @@ def natural_frequency(mech: DerivedMechanics) -> float:
     return math.sqrt(mech.suspension_stiffness_N_m / mech.plate_mass_kg) / (2.0 * math.pi)
 
 
-def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry,
-                            V_max: float, n_points: int = 50) -> list[EquilibriumPoint]:
-    """Tabulate the static (voltage, deflection, stress) curve over [0, V_max]
-    at 2 to MAX_CURVE_POINTS points."""
+def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry, V_max: float,
+                            n_points: int = DEFAULT_CURVE_POINTS) -> list[EquilibriumPoint]:
+    """Tabulate the static (voltage, deflection, stress) curve over [0, V_max] at 2 to
+    MAX_CURVE_POINTS points; the curve's own solve rejects a V_max at or above pull-in."""
     if not 2 <= n_points <= MAX_CURVE_POINTS:
         raise ValueError(f"need 2 to {MAX_CURVE_POINTS} points, got {n_points}")
-    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
-    if not 0.0 <= V_max < v_pi:
-        raise ValueError(f"V_max {V_max} V must lie in [0, {v_pi:.3f}) V, below pull-in")
     # numpy.linspace(0.0, V_max, n_points) in floats: i*step, or i/div*V_max
     # where the step underflows to zero, and V_max itself last.
     div = n_points - 1
     step = V_max / div
     voltages = [i * step if step else i / div * V_max for i in range(div)] + [V_max]
-    points = _stable_points(voltages, mech, geom)
-    if None in points:  # pragma: no cover - excluded by the V_max guard
-        raise SolverError(f"unexpected pull-in at {voltages[points.index(None)]} V below V_max")
+    points = _stable_points(voltages, mech, geom) if V_max >= 0.0 else [None]
+    if None in points:
+        v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+        raise ValueError(f"V_max {V_max} V must lie in [0, {v_pi:.3f}) V, below pull-in")
     return points

@@ -73,25 +73,24 @@ def waveform(t: float, spec: LoadCycleSpec) -> float:
     return math.sin(2.0 * math.pi * spec.drive_frequency_Hz * t) ** 2
 
 
-def _tension_stresses(amplitudes_V: Sequence[float], mech: DerivedMechanics,
-                      geom: DeviceGeometry) -> list[tuple[float, float]]:
+def _tension_stresses(amplitudes_V: Sequence[float], mech: DerivedMechanics, geom: DeviceGeometry,
+                      name: str = "drive amplitude") -> list[tuple[float, float]]:
     """(peak, sigma_alt) of the tension side at each drive amplitude, from one
     batched equilibrium solve.
 
-    The quasi-static mapping is used: the cyclic stress peak equals the
-    static peak at DC voltage V_a, and the side pulses from zero, so
-    sigma_alt = peak/2. Each amplitude must lie in [0, V_PI).
+    The quasi-static mapping is used: the cyclic stress peak equals the static peak
+    at DC voltage V_a, and the side pulses from zero, so sigma_alt = peak/2. Each
+    amplitude must be >= 0 and below pull-in; a fault names the amplitude ``name``.
     """
-    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
     for V_a in amplitudes_V:
         if not V_a >= 0:
-            raise ValueError(f"drive amplitude must be >= 0, got {V_a}")
-        if V_a >= v_pi:
-            raise ValueError(
-                f"drive amplitude {V_a} V at or above pull-in {v_pi:.3f} V: "
-                "the test would be displacement-imposed from the first cycle")
-    return [(eq.stress_Pa, eq.stress_Pa / 2.0)
-            for eq in _stable_points(amplitudes_V, mech, geom)]
+            raise ValueError(f"{name} must be >= 0, got {V_a}")
+    points = _stable_points(amplitudes_V, mech, geom)
+    if None in points:
+        v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
+        raise ValueError(f"{name} {amplitudes_V[points.index(None)]} V at or above pull-in "
+                         f"{v_pi:.3f} V")
+    return [(eq.stress_Pa, eq.stress_Pa / 2.0) for eq in points]
 
 
 def fatigue_parameters(V_a: float, mech: DerivedMechanics,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
                      cycles_to_failure, effective_stiffness_factor)
 from .device import Device
-from .electromech import pull_in_voltage_closed_form
+from .electromech import _stable_points, pull_in_voltage_closed_form
 from .errors import CalibrationError
 from .loading import _tension_stresses
 
@@ -55,21 +55,17 @@ class StairCaseSequence(NamedTuple):
     levels_V: tuple[float, ...]
 
 
-def _threshold_fault(threshold_V: float, pull_in_V: float) -> str | None:
-    """Why a specimen threshold cannot be converted, or None when it lies in (0, V_PI)."""
-    if threshold_V >= pull_in_V:
-        return f"threshold {threshold_V} V at or above pull-in {pull_in_V:.3f} V"
-    if not threshold_V > 0:
-        return f"threshold must be > 0 V, got {threshold_V}"
-    return None
+def _threshold_fault(threshold_V: float) -> str | None:
+    """Why a specimen threshold cannot be converted before its solve, or None."""
+    return None if threshold_V > 0 else f"threshold must be > 0 V, got {threshold_V}"
 
 
 def _strength_scales(thresholds_V: list[float], device: Device,
                      params: DamageModelParams) -> list[float]:
     """sigma_alt(v)/sigma_D of each threshold v, from one batched solve."""
     endurance = params.endurance_stress_Pa
-    return [alt / endurance
-            for _, alt in _tension_stresses(thresholds_V, device.mechanics, device.geometry)]
+    return [alt / endurance for _, alt in _tension_stresses(
+        thresholds_V, device.mechanics, device.geometry, "threshold")]
 
 
 def strength_scale_from_threshold(threshold_V: float, device: Device,
@@ -78,10 +74,9 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
 
     A specimen of scale s has endurance s*sigma_D, so it survives exactly
     the levels whose stress amplitude stays at or below the amplitude at
-    its threshold voltage, which must lie in (0, V_PI) of the pristine device.
+    its threshold voltage, which must be > 0 and below pull-in of the pristine device.
     """
-    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    fault = _threshold_fault(threshold_V, v_pi)
+    fault = _threshold_fault(threshold_V)
     if fault is not None:
         raise ValueError(fault)
     scale = _strength_scales([threshold_V], device, params)[0]
@@ -115,7 +110,7 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
     for i, v in enumerate(thresholds):
         clamped.append(min(max(v, MIN_THRESHOLD_V), 0.99 * pristine))
         if clamped[-1] != v:
-            fault = _threshold_fault(clamped[-1], pristine)
+            fault = _threshold_fault(clamped[-1])
             if fault is not None:
                 raise ValueError(f"specimen {i}: {fault}")
             log.info("specimen %d threshold %.3g V clamped to %.3g V", i, v, clamped[-1])
@@ -213,10 +208,13 @@ def _run_settings(detection_interval: int = DEFAULT_DETECTION_INTERVAL,
     """The run settings of run_fatigue_test, checked as its docstring states."""
     if not _is_whole(detection_interval) or detection_interval < 1:
         raise ValueError(
-            f"detection interval must be a whole number >= 1, got {detection_interval}")
-    if not _is_whole(reference_cycles):
-        raise ValueError(f"reference cycles must be a whole number, got {reference_cycles}")
+            f"detection_interval: must be a whole number >= 1, got {detection_interval}")
+    if not _is_whole(reference_cycles) or reference_cycles < 0:
+        raise ValueError(f"reference_cycles: must be a whole number >= 0, got {reference_cycles}")
     problems = validate_detections(detection_interval, reference_cycles, detection_step_V)
+    problems += [f"{name}: must lie in [0, 1), got {value}" for name, value in (
+        ("drop_fraction", drop_fraction), ("min_pullin_fraction", min_pullin_fraction))
+        if not 0.0 <= value < 1.0]
     if problems:
         raise ValueError("; ".join(problems))
     return _RunSettings(int(detection_interval), int(reference_cycles), reference_cycles,
@@ -257,9 +255,9 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     reading is bit-equal to theirs. Readings and outcome equal those of
     accumulating each batch with ``damage.accumulate`` and measuring with
     ``run_pull_in_detection``. Both cycle counts must be whole numbers, the
-    interval at least 1, for at most MAX_DETECTIONS detections, and the
-    supply step at least MIN_DETECTION_STEP_V. The loop itself is
-    ``_monitored_run``, which ``run_stair_case`` runs for each specimen.
+    interval >= 1 and the reference >= 0, for at most MAX_DETECTIONS detections,
+    the supply step >= MIN_DETECTION_STEP_V and both fractions in [0, 1). The loop
+    itself is ``_monitored_run``, which ``run_stair_case`` runs for each specimen.
 
     Most detections repeat the reading before them, and the loop jumps over
     those it knows will. After a detection that passes its checks with
@@ -367,8 +365,8 @@ def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
 def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                         n_specimens: int, n_available: int, device: Device) -> list[str]:
     """Stair-case argument faults as "name: message" strings, for a population
-    of n_available; a level at or above pristine pull-in is displacement-imposed."""
-    pull_in = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    of n_available. A level at or above pristine pull-in is displacement-imposed; only
+    the top one is solved, as the solve's verdict is monotone in V >= 0."""
     problems = []
     if not step_V > 0:
         problems.append(f"step_V: must be > 0, got {step_V}")
@@ -376,8 +374,10 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
         problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
     if n_specimens > n_available:
         problems.append(f"population: holds {n_available} specimens, {n_specimens} requested")
-    if not levels_V or not all(0.0 <= v < pull_in for v in levels_V):
-        problems.append(f"levels_V: need levels in [0, {pull_in:.3f}) V, the pristine pull-in")
+    top = max(levels_V) if levels_V and all(v >= 0.0 for v in levels_V) else -1.0
+    if top < 0.0 or _stable_points((top,), device.mechanics, device.geometry)[0] is None:
+        v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+        problems.append(f"levels_V: need levels in [0, {v_pi:.3f}) V, the pristine pull-in")
     if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
         problems.append(f"start_level_V: {start_level_V} V not among levels {list(levels_V)}")
     if step_V > 0 and any(grid_index(v, start_level_V, step_V) is None for v in levels_V):
@@ -451,20 +451,19 @@ def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
     collapses immediately. A CalibrationError message starts with the name
     of the argument at fault.
     """
-    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if not 0 < target_V_D < target_immediate_V:
         raise CalibrationError(f"target_V_D: need 0 < target_V_D < target_immediate_V, "
                                f"got {target_V_D}, {target_immediate_V}")
-    if target_immediate_V >= pristine:
-        raise CalibrationError(
-            f"target_immediate_V: {target_immediate_V} V must stay below pull-in {pristine:.3f} V")
     if target_V_D + 1.0 >= target_immediate_V:
         raise CalibrationError(
             f"target_V_D: target_V_D + 1 V ({target_V_D + 1.0}) must stay below "
             f"target_immediate_V ({target_immediate_V}) for a well-posed Basquin slope")
-
-    sigma_limit, sigma_step, sigma_imm = (alt for _, alt in _tension_stresses(
-        (target_V_D, target_V_D + 1.0, target_immediate_V), device.mechanics, device.geometry))
+    try:  # the solve names the first voltage at fault, so the highest goes first
+        sigma_imm, sigma_limit, sigma_step = (alt for _, alt in _tension_stresses(
+            (target_immediate_V, target_V_D, target_V_D + 1.0), device.mechanics,
+            device.geometry, "target_immediate_V: target"))
+    except ValueError as exc:
+        raise CalibrationError(str(exc)) from exc
 
     n_step = 0.6 * reference_cycles        # finite life one step above the limit
     n_imm = 0.5 * detection_interval       # collapse within the first interval

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -18,8 +19,10 @@ from microfatigue import stats
 from microfatigue.cli import (build_curve, build_parser, build_pullin, build_staircase,
                               cli_dispatch)
 from microfatigue.config import RunConfig, default_config, parse_config
-from microfatigue.electromech import MAX_CURVE_POINTS, pull_in_voltage_closed_form
-from microfatigue.errors import EstimationError
+from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
+                                      pull_in_voltage_closed_form, static_equilibrium,
+                                      stress_conversion_curve)
+from microfatigue.errors import ConfigError, EstimationError
 
 TABLE_CONFIG = {
     "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
@@ -64,6 +67,39 @@ def test_curve_stdout(capsys):
     lines = out.splitlines()
     assert lines[0] == "voltage_V,deflection_um,stress_MPa"
     assert len(lines) == 12
+
+
+def test_curve_point_defaults_are_one_constant():
+    assert build_parser().parse_args(["curve"]).points == DEFAULT_CURVE_POINTS
+    assert inspect.signature(stress_conversion_curve).parameters["n_points"].default == \
+        DEFAULT_CURVE_POINTS
+
+
+# A device whose closed-form pull-in, 58.05753654526649 V, lies one float above
+# EDGE_V, where the equilibrium solve already finds no stable deflection.
+EDGE_DEVICE = {"geometry": {"gap_um": 3.314910558789685,
+                            "specimen_thickness_um": 2.174885110713723},
+               "model": {"c_k": 2.032947392059255}}
+EDGE_V = 58.05753654526648
+
+
+@pytest.mark.parametrize("config, argv, code, prefix", [
+    ({}, ["fatigue", "--va", repr(EDGE_V)], 3, "error: --va: drive amplitude "),
+    ({}, ["fatigue", "--va", "14", "--strength-v", repr(EDGE_V)], 3,
+     "error: --strength-v: threshold "),
+    ({"campaign": {"levels_V": [EDGE_V], "start_level_V": EDGE_V, "step_V": 1.0}},
+     ["staircase"], 2, "config error: campaign.levels_V: "),
+    ({"damage": {"calibrate_immediate_V": EDGE_V}}, ["staircase"], 2,
+     "config error: damage.calibrate_immediate_V: "),
+    ({}, ["curve", "--vmax", repr(EDGE_V)], 3, "error: --vmax: "),
+])
+def test_voltage_just_below_closed_form_without_equilibrium_is_named(
+        tmp_path, capsys, config, argv, code, prefix):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**EDGE_DEVICE, **config}))
+    result = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), *argv)
+    assert result[:2] == (code, "")
+    assert result[2].startswith(prefix)
 
 
 def test_curve_rejects_vmax_above_pull_in(capsys):
@@ -734,22 +770,41 @@ POINTS = st.one_of(st.integers(2, 300), st.sampled_from(
 EXAMPLE_SECONDS = 20  # wall-clock bound of one fuzz example (they take under 0.2 s)
 
 
+def _floats_around(v, n):
+    """The 2n + 1 floats from n below v to n above it."""
+    below, above = [v], [v]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return sorted({*below, *above})
+
+
 @st.composite
-def flag_commands(draw):
-    """A curve and a fatigue command line with drawn flag values."""
-    curve = ["curve", f"--vmax={draw(VOLTS)}", f"--points={draw(POINTS)}"]
-    fatigue = ["fatigue", f"--va={draw(VOLTS)}"]
+def flag_commands(draw, config):
+    """A curve and a fatigue command line with drawn flag values. A voltage may be one
+    of the 3 floats either side of the closed-form pull-in of config's device, where
+    the closed form and the equilibrium solve can disagree."""
+    volts = VOLTS
+    try:
+        device = parse_config(json.dumps(config)).device()
+    except (ConfigError, ValueError):
+        pass  # no device: no pull-in to draw around
+    else:
+        v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+        volts = st.one_of(VOLTS, st.sampled_from(_floats_around(v_pi, 3)).map(repr))
+    curve = ["curve", f"--vmax={draw(volts)}", f"--points={draw(POINTS)}"]
+    fatigue = ["fatigue", f"--va={draw(volts)}"]
     if draw(st.booleans()):
-        fatigue.append(f"--strength-v={draw(VOLTS)}")
+        fatigue.append(f"--strength-v={draw(volts)}")
     return [curve, fatigue]
 
 
 def _at_or_above_pull_in(config, argv):
-    """Whether a voltage flag of argv reaches the pull-in of config's device: a value
-    the device cannot take, which the run reports as exit 3."""
+    """Whether a voltage flag of argv has no stable equilibrium on config's device: a
+    value the device cannot take, which the run reports as exit 3."""
     device = parse_config(json.dumps(config)).device()
-    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    return any(float(arg.partition("=")[2]) >= v_pi
+    return any(static_equilibrium(float(arg.partition("=")[2]), device.mechanics,
+                                  device.geometry) is None
                for arg in argv if arg.startswith(VOLTAGE_FLAGS))
 
 
@@ -793,9 +848,10 @@ def _expire(signum, frame):
     raise ExampleTimeout(f"example ran past {EXAMPLE_SECONDS} s")
 
 
-@given(config=json_configs(), flag_argvs=flag_commands(), points=points_files())
+@given(config=json_configs(), points=points_files(), data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_any_json_config_runs_or_names_its_fault(config, flag_argvs, points):
+def test_any_json_config_runs_or_names_its_fault(config, points, data):
+    flag_argvs = data.draw(flag_commands(config))
     interval = _resolved(config, "model", "detection_interval_cycles")
     reference = _resolved(config, "model", "reference_cycles")
     n = _resolved(config, "campaign", "n_specimens")

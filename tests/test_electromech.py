@@ -20,7 +20,10 @@ from microfatigue.electromech import (EPSILON_0, MAX_CURVE_POINTS, STABLE_FRACTI
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
                                       stress_conversion_curve)
-from microfatigue.errors import SolverError
+from microfatigue.errors import CalibrationError
+from microfatigue.loading import fatigue_parameters
+from microfatigue.protocols import (calibrate_defaults, strength_scale_from_threshold,
+                                    validate_stair_case)
 
 
 def bisect_equilibrium(V, mech, geom, iters=200):
@@ -623,11 +626,59 @@ def test_solve_bit_equal_to_per_point_reference(case):
     expected = [per_point_equilibrium(v, mech, geom)
                 for v in np.linspace(0.0, V_max, n_points).tolist()]
     if None in expected:
-        with pytest.raises(SolverError):
+        with pytest.raises(ValueError):
             stress_conversion_curve(mech, geom, V_max, n_points)
         return
     assert [point_reprs(p) for p in stress_conversion_curve(mech, geom, V_max, n_points)] == \
         [point_reprs(p) for p in expected]
+
+
+def floats_around(v, n):
+    """The 2n + 1 floats from n below v to n above it, ascending."""
+    above = [v]
+    for _ in range(n):
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*reversed(floats_below(v, n)), *above]
+
+
+# Its closed-form pull-in is 58.05753654526649 V, and the solve finds no stable
+# equilibrium one float below, at 58.05753654526648 V.
+CLOSED_FORM_ABOVE_SOLVER_LIMIT = Device.assemble(
+    DeviceGeometry(gap_um=3.314910558789685, specimen_thickness_um=2.174885110713723),
+    Material(), c_k=2.032947392059255)
+
+
+def test_closed_form_can_lie_above_the_solver_limit():
+    device = CLOSED_FORM_ABOVE_SOLVER_LIMIT
+    assert v_pi_of(device) == 58.05753654526649
+    assert static_equilibrium(58.05753654526648, device.mechanics, device.geometry) is None
+
+
+def accepts(call) -> bool:
+    """Whether call returns; the rejection of a voltage is a ValueError or CalibrationError."""
+    try:
+        call()
+    except (ValueError, CalibrationError):
+        return False
+    return True
+
+
+@given(device=DEVICES)
+@example(device=CLOSED_FORM_ABOVE_SOLVER_LIMIT)
+@settings(max_examples=60, deadline=None)
+def test_each_pull_in_check_takes_the_solver_verdict(device):
+    # Within 3 floats of the closed form, the two can disagree; every check that a
+    # voltage lies below pull-in must accept exactly where the solve finds an equilibrium.
+    mech, geom = device.mechanics, device.geometry
+    params = calibrate_defaults(device)
+    for V in floats_around(v_pi_of(device), 3):
+        stable = static_equilibrium(V, mech, geom) is not None
+        assert accepts(lambda: fatigue_parameters(V, mech, geom)) == stable, V
+        assert accepts(lambda: strength_scale_from_threshold(V, device, params)) == stable, V
+        assert accepts(lambda: stress_conversion_curve(mech, geom, V)) == stable, V
+        assert accepts(lambda: calibrate_defaults(device, target_immediate_V=V)) == stable, V
+        faults = validate_stair_case([V], 1.0, V, 1, 1, device)
+        assert [fault.partition(":")[0] for fault in faults] == ([] if stable else ["levels_V"])
 
 
 def test_curve_makes_no_per_point_solve_call(nominal_device, monkeypatch):

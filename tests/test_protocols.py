@@ -667,7 +667,20 @@ BAD_RUN_SETTINGS = [
     dict(detection_step_V=0.0),
     dict(detection_step_V=math.nan),
     dict(detection_interval=1, reference_cycles=MAX_DETECTIONS + 1),
+    dict(reference_cycles=-5),
+    dict(drop_fraction=math.nan),
+    dict(drop_fraction=1.5),
+    dict(min_pullin_fraction=math.nan),
+    dict(min_pullin_fraction=-3.0),
 ]
+
+
+@pytest.mark.parametrize("bad_run_kwargs", BAD_RUN_SETTINGS)
+def test_run_names_its_bad_setting(nominal_device, calibrated_params, bad_run_kwargs):
+    # The last keyword of each row is the one at fault.
+    with pytest.raises(ValueError, match=f"^{list(bad_run_kwargs)[-1]}: "):
+        run_fatigue_test(14.0, SpecimenStrength(), nominal_device, calibrated_params,
+                         **bad_run_kwargs)
 CAMPAIGN_FAULTS = ["run", "step", "start", "grid", "count", "population", "nan std",
                    "nan threshold"]
 
