@@ -29,7 +29,7 @@ from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_TARGET_IMMEDIATE_V,
                         DEFAULT_TARGET_V_D, calibrate_defaults, validate_detections,
-                        validate_stair_case)
+                        validate_specimens, validate_stair_case)
 
 
 # Field metadata of a range the config checks itself: (test, rule).
@@ -244,7 +244,8 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
         value = getattr(getattr(config, key), name)
         if not holds(value):
             problems.append((f"{key}.{name}", f"must be {rule}, got {value!r}"))
-    model = config.model
+    camp, model = config.campaign, config.model
+    problems += _located("campaign", validate_specimens(camp.n_specimens, camp.strengths_V))
     problems += _located("model", validate_detections(
         model.detection_interval_cycles, model.reference_cycles, model.detection_step_V))
     given = [name for name in _BASQUIN if getattr(config.damage, name) is not None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .electromech import pull_in_voltage_closed_form
+from .electromech import pull_in_voltage_closed_form, solver_divisors
 
 UM = 1e-6  # metres per micron
 
@@ -143,14 +143,24 @@ def validate_material(mat: Material) -> list[str]:
 
 def validate_stiffness(mech: DerivedMechanics, geom: DeviceGeometry) -> list[str]:
     """The "name: message" faults of a suspension stiffness that overflows, or
-    whose pull-in voltage does. c_k and E_GPa scale the stiffness alike, so both
-    are named."""
+    whose pull-in voltage does, and of a divisor of the equilibrium solve that
+    is 0 or not finite. c_k and E_GPa scale the stiffness alike, so both are
+    named for it; 4*I*c_k names c_k."""
     v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
-    if math.isfinite(v_pi):
-        return []
-    text = (f"stiffness {mech.suspension_stiffness_N_m:.6g} N/m leaves no finite "
-            f"pull-in voltage, got {v_pi}")
-    return [f"{name}: {text}" for name in ("c_k", "E_GPa")]
+    kg3, stress_divisor = solver_divisors(mech, geom)
+    problems = []
+    if not math.isfinite(v_pi):
+        text = (f"stiffness {mech.suspension_stiffness_N_m:.6g} N/m leaves no finite "
+                f"pull-in voltage, got {v_pi}")
+        problems += [f"{name}: {text}" for name in ("c_k", "E_GPa")]
+    elif not 0.0 < kg3 < math.inf:
+        text = (f"stiffness {mech.suspension_stiffness_N_m:.6g} N/m times gap^3 "
+                f"is {kg3}, which the equilibrium solve divides by")
+        problems += [f"{name}: {text}" for name in ("c_k", "E_GPa")]
+    if not 0.0 < stress_divisor < math.inf:
+        problems.append(f"c_k: 4*I*c_k is {stress_divisor} at c_k {mech.stiffness_calibration!r}, "
+                        f"which the equilibrium solve divides by")
+    return problems
 
 
 def derive_mechanics(geom: DeviceGeometry, mat: Material,

@@ -62,6 +62,12 @@ def _drive_scale_and_capacity(mech: DerivedMechanics,
             mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
 
 
+def solver_divisors(mech: DerivedMechanics, geom: DeviceGeometry) -> tuple[float, float]:
+    """k*g^3 and 4*I*c_k, the device constants the equilibrium solve divides by."""
+    return (mech.suspension_stiffness_N_m * geom.gap_m**3,
+            4.0 * mech.area_moment_m4 * mech.stiffness_calibration)
+
+
 def _sweep_limit(drive_scale: float, capacity: float) -> float:
     """The least float v >= 0 at which drive_scale*v*v/2.0 < capacity is false: a
     bisection of the bit patterns of [0, inf], from the closed-form guess +-2 floats."""
@@ -93,12 +99,11 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
     """
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
     k, g = mech.suspension_stiffness_N_m, geom.gap_m
-    kg3 = k * g**3
+    kg3, stress_divisor = solver_divisors(mech, geom)
     # Guided-cantilever surface stress at the clamped ends, 3*E*t*x/L^2,
     # written through the stored stiffness so the calibration factor cancels:
     # k = c_k*12*E*I/L^3  =>  3*E*t*x/L^2 = k*L*t*x / (4*I*c_k).
     stress_scale = k * geom.specimen_length_m * geom.specimen_thickness_m
-    stress_divisor = 4.0 * mech.area_moment_m4 * mech.stiffness_calibration
     acos, cos, four_pi_thirds = math.acos, math.cos, 4.0 * math.pi / 3.0
     points: list[EquilibriumPoint | None] = []
     append, new, third = points.append, tuple.__new__, STABLE_FRACTION

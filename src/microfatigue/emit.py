@@ -22,22 +22,20 @@ def _num(x: float) -> str:
 
 
 def emit_fatigue_run(record: FatigueRunRecord) -> str:
-    lines = [
-        f"# drive_amplitude_V={_num(record.drive_amplitude_V)} "
-        f"outcome={record.outcome} reference_cycles={record.reference_cycles}",
-        "load_cycles,pullin_V",
-    ]
-    # A run repeats few distinct readings over many rows: format each once.
-    # Zero is never cached, since 0.0 and -0.0 are one key but "0" and "-0".
-    formatted: dict[float, str] = {}
+    parts = [f"# drive_amplitude_V={_num(record.drive_amplitude_V)} "
+             f"outcome={record.outcome} reference_cycles={record.reference_cycles}\n"
+             "load_cycles,pullin_V\n"]
+    append = parts.append
+    # A run repeats each reading over consecutive rows: format a row's tail only
+    # when its reading differs from the row before. Zero is always formatted,
+    # since 0.0 == -0.0 but "0" != "-0"; NaN re-formats, since NaN != NaN.
+    last = tail = None
     for cycles, v in record.detections:
-        text = formatted.get(v)
-        if text is None:
-            text = _num(v)
-            if v:
-                formatted[v] = text
-        lines.append(f"{cycles},{text}")
-    return "\n".join(lines) + "\n"
+        if v != last or not v:
+            last, tail = v, f",{_num(v)}\n"
+        append(str(cycles))
+        append(tail)
+    return "".join(parts)
 
 
 def emit_conversion_curve(points: list[EquilibriumPoint]) -> str:

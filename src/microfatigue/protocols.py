@@ -8,6 +8,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections.abc import Sequence
 from itertools import repeat
 from typing import NamedTuple
 
@@ -32,6 +33,7 @@ DEFAULT_MIN_PULLIN_FRACTION = 0.5      # failure: pull-in below half the pristin
 DEFAULT_TARGET_V_D = 13.0              # calibration: the published fatigue limit
 DEFAULT_TARGET_IMMEDIATE_V = 21.0      # calibration: collapse in the first interval
 MAX_DETECTIONS = 100_000               # detections of one run, ceil(reference/interval)
+MAX_SPECIMENS = 10_000                 # specimens of one population, campaign or replication
 MIN_DETECTION_STEP_V = 1e-6            # finest DC supply step of a detection
 MIN_THRESHOLD_V = 0.1                  # lowest specimen threshold strength
 
@@ -97,6 +99,9 @@ def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
     the specimen. The scales come from one batched equilibrium solve, each equal
     to strength_scale_from_threshold of the clamped threshold.
     """
+    problems = validate_specimens(n, thresholds_V)
+    if problems:
+        raise ValueError("invalid population: " + "; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if thresholds_V is None:
         import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
@@ -155,6 +160,19 @@ def validate_detections(detection_interval: int, reference_cycles: int,
     if not detection_step_V >= MIN_DETECTION_STEP_V:
         problems.append(f"detection_step_V: must be >= {MIN_DETECTION_STEP_V:g} V, "
                         f"got {detection_step_V!r}")
+    return problems
+
+
+def validate_specimens(n_specimens: int,
+                       thresholds_V: Sequence[float] | None = None) -> list[str]:
+    """The "name: message" faults of more than MAX_SPECIMENS specimens, or of more
+    than MAX_SPECIMENS given thresholds."""
+    problems = []
+    if n_specimens > MAX_SPECIMENS:
+        problems.append(f"n_specimens: must be <= {MAX_SPECIMENS}, got {n_specimens}")
+    if thresholds_V is not None and len(thresholds_V) > MAX_SPECIMENS:
+        problems.append(f"strengths_V: may give at most {MAX_SPECIMENS} thresholds, "
+                        f"got {len(thresholds_V)}")
     return problems
 
 

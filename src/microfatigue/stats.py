@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EstimationError
-from .protocols import StairCaseSequence, StairCaseTrial, _is_whole, grid_index
+from .protocols import MAX_SPECIMENS, StairCaseSequence, StairCaseTrial, _is_whole, grid_index
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -239,7 +239,7 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
 
 def _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed) -> None:
     """Raise ValueError, starting with the argument name, for a trial that cannot run."""
-    for name, value, low, high in (("n_specimens", n_specimens, 1, math.inf),
+    for name, value, low, high in (("n_specimens", n_specimens, 1, MAX_SPECIMENS),
                                    ("replications", replications, 1, MAX_REPLICATIONS),
                                    ("seed", seed, 0, math.inf)):
         if not isinstance(value, numbers.Integral) or not low <= value <= high:

@@ -19,10 +19,12 @@ from microfatigue import stats
 from microfatigue.cli import (build_curve, build_parser, build_pullin, build_staircase,
                               cli_dispatch)
 from microfatigue.config import RunConfig, default_config, parse_config
+from microfatigue.device import LENGTH_WINDOW_UM
 from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
                                       pull_in_voltage_closed_form, static_equilibrium,
                                       stress_conversion_curve)
 from microfatigue.errors import ConfigError, EstimationError
+from microfatigue.protocols import MAX_SPECIMENS
 
 TABLE_CONFIG = {
     "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
@@ -472,6 +474,8 @@ NAN, INF = float("nan"), float("inf")
     ({"geometry": {"hole_side_um": 1e300}}, "geometry.hole_side_um"),
     ({"geometry": {"specimen_width_um": 1.7e308}}, "geometry.specimen_width_um"),
     ({"model": {"detection_step_V": 5e-324}}, "model.detection_step_V"),
+    ({"campaign": {"n_specimens": MAX_SPECIMENS + 1}}, "campaign.n_specimens"),
+    ({"campaign": {"strengths_V": [13.0] * (MAX_SPECIMENS + 1)}}, "campaign.strengths_V"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -495,6 +499,15 @@ def test_overflowing_stiffness_names_c_k_and_E_GPa(tmp_path, capsys, config, arg
     assert " model.c_k: " in err and " material.E_GPa: " in err
 
 
+# A 1 nm thick beam with c_k below about 1e-296: 4*I*c_k, which the
+# equilibrium solve divides by, underflows to 0.
+UNDERFLOWING_C_K = {
+    "geometry": {"specimen_length_um": 0.001, "specimen_width_um": 1000000.0,
+                 "specimen_thickness_um": 0.001, "plate_length_um": 1000000.0,
+                 "plate_width_um": 0.001, "gap_um": 0.001, "hole_count": 0},
+    "material": {"E_GPa": 1.0}, "model": {"c_k": 1e-297}}
+
+
 @pytest.mark.parametrize("config, argv, path", [
     ({"campaign": {"n_specimens": 0}}, ["recovery"], "campaign.n_specimens"),
     ({"model": {"sweep_step_V": 1e-6}}, ["pullin"], "model.sweep_step_V"),
@@ -505,6 +518,9 @@ def test_overflowing_stiffness_names_c_k_and_E_GPa(tmp_path, capsys, config, arg
      "damage.calibrate_target_V_D"),
     ({"damage": {**EXPLICIT_DAMAGE, "calibrate_target_V_D": 30}}, ["fatigue", "--va", "14"],
      "damage.calibrate_target_V_D"),
+    ({"campaign": {"n_specimens": MAX_SPECIMENS + 1}}, ["recovery"], "campaign.n_specimens"),
+    *[(UNDERFLOWING_C_K, argv, "model.c_k") for argv in (
+        ["pullin"], ["curve", "--vmax", "1e-300"], ["fatigue", "--va", "0"], ["staircase"])],
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"
@@ -679,7 +695,7 @@ def test_whole_float_specimen_count_runs(tmp_path, capsys):
 # Wrong-typed values and the JSON specials (null is valid for optional fields only).
 ODD_VALUES = st.sampled_from([True, False, None, NAN, INF, -INF, "13", "", [], {}, [1.0]])
 MAX_DETECTIONS = 20_000
-MAX_SPECIMENS = 50
+FUZZ_SPECIMENS = 50  # specimens a fuzzed campaign may run, bounding its time
 BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 # Magnitudes near the ends of the float range, positive and negative.
 EXTREMES = [5e-324, 1e-300, 1e299, 1e300, 1.7e308, -1e300]
@@ -725,14 +741,32 @@ def _field_values(section, name, good):
     return _values(SECTION_HINTS[section][name], _typical(section, name), good)
 
 
+LENGTHS = [name for name, hint in SECTION_HINTS["geometry"].items() if hint is float]
+# A scale within ten decades of either end of the float range.
+CORNER_SCALES = st.floats(1e-300, 1e-290) | st.floats(1e290, 1e300)
+
+
+@st.composite
+def corner_devices(draw):
+    """A device at the corners of its windows: each length at a window end or its
+    default, and c_k, E_GPa and rho each near 1e-300, near 1e300 or at its default."""
+    geometry = {name: value for name in LENGTHS
+                if (value := draw(st.sampled_from([None, *LENGTH_WINDOW_UM]))) is not None}
+    return {"geometry": {**geometry, "hole_count": draw(st.sampled_from([0, 40]))},
+            "material": {name: draw(CORNER_SCALES)
+                         for name in ("E_GPa", "rho_kg_per_um3") if draw(st.booleans())},
+            "model": {"c_k": draw(CORNER_SCALES)} if draw(st.booleans()) else {}}
+
+
 @st.composite
 def json_configs(draw):
-    """JSON-shaped configs: in-range overrides, then up to two faulty fields.
+    """JSON-shaped configs: at times a corner device, then in-range overrides, then
+    up to two faulty fields.
 
     A faulty number is zero, negative, 1e3 or 1e-3 times a typical value, or
     near the ends of the float range.
     """
-    config = {}
+    config = draw(corner_devices()) if draw(st.booleans()) else {}
     for section, name in draw(st.lists(st.sampled_from(FIELDS), unique=True, max_size=6)):
         config.setdefault(section, {})[name] = draw(_field_values(section, name, good=True))
     if draw(st.booleans()):  # a campaign on its own step grid, so runs start
@@ -858,7 +892,7 @@ def test_any_json_config_runs_or_names_its_fault(config, points, data):
     if _finite_number(interval) and _finite_number(reference) and interval >= 1:
         assume(reference / interval <= MAX_DETECTIONS)
     if _finite_number(n):
-        assume(n <= MAX_SPECIMENS)
+        assume(n <= FUZZ_SPECIMENS)
 
     # Exit 3 is a result of the run only when the sequences admit no estimate.
     estimation_failed = []

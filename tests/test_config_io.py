@@ -153,9 +153,13 @@ def test_emit_fatigue_run_deterministic():
     assert emit_fatigue_run(RECORD) == emit_fatigue_run(RECORD)
 
 
-# A few finite readings, 0.0 and -0.0 among them, each repeated over many rows.
-READINGS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).map(
-    lambda values: [0.0, -0.0, *values])
+# A few readings, each repeated over many rows, among them those where comparing
+# with the row before and looking up a dict key disagree: 0.0 and -0.0 (equal, but
+# written apart), +-inf, and NaN as one object and as distinct ones (never equal,
+# but the same object is found as a dict key).
+READINGS = st.lists(st.floats(), max_size=4).map(
+    lambda values: [0.0, -0.0, math.inf, -math.inf, math.nan, float("nan"), -math.nan,
+                    *values])
 
 
 @given(data=st.data(), pool=READINGS)

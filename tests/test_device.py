@@ -86,11 +86,22 @@ def test_derive_rejects_nonpositive_calibration():
 def test_validate_stiffness_names_c_k_and_E_GPa():
     nominal = Device.nominal()
     assert validate_stiffness(nominal.mechanics, nominal.geometry) == []
-    # The stiffness itself overflows, or only the pull-in voltage it sets does.
-    for mech in (derive_mechanics(DeviceGeometry(), Material(E_GPa=1e299)),
-                 dataclasses.replace(nominal.mechanics, suspension_stiffness_N_m=1e308)):
-        problems = validate_stiffness(mech, nominal.geometry)
-        assert [p.partition(": ")[0] for p in problems] == ["c_k", "E_GPa"]
+    thin = DeviceGeometry(specimen_length_um=1e-3, specimen_width_um=1e6,
+                          specimen_thickness_um=1e-3, plate_length_um=1e6,
+                          plate_width_um=1e-3, gap_um=1e-3, hole_count=0)
+    for mech, geom, names in (
+            # The stiffness itself overflows, or only the pull-in voltage it sets does.
+            (derive_mechanics(DeviceGeometry(), Material(E_GPa=1e299)), nominal.geometry,
+             ["c_k", "E_GPa"]),
+            (dataclasses.replace(nominal.mechanics, suspension_stiffness_N_m=1e308),
+             nominal.geometry, ["c_k", "E_GPa"]),
+            # A divisor of the equilibrium solve underflows to 0: k*g^3, which c_k and
+            # E_GPa scale alike, or 4*I*c_k, which only c_k scales.
+            (dataclasses.replace(nominal.mechanics, suspension_stiffness_N_m=1e-307), thin,
+             ["c_k", "E_GPa"]),
+            (derive_mechanics(thin, Material(E_GPa=1.0), c_k=1e-297), thin, ["c_k"])):
+        problems = validate_stiffness(mech, geom)
+        assert [p.partition(": ")[0] for p in problems] == names
 
 
 def test_determinism():

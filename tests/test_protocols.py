@@ -16,9 +16,9 @@ from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
-from microfatigue.protocols import (MAX_DETECTIONS, MIN_THRESHOLD_V, OUTCOME_FAILED,
-                                    OUTCOME_INVALID, OUTCOME_SURVIVED, StairCaseSequence,
-                                    StairCaseTrial, build_population,
+from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, MIN_THRESHOLD_V,
+                                    OUTCOME_FAILED, OUTCOME_INVALID, OUTCOME_SURVIVED,
+                                    StairCaseSequence, StairCaseTrial, build_population,
                                     calibrate_defaults, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
                                     strength_scale_from_threshold)
@@ -139,6 +139,17 @@ def test_displacement_imposed_guard(nominal_device, calibrated_params):
                               calibrated_params, detection_interval=1_000)
     assert record.outcome == OUTCOME_INVALID
     assert record.detections[-1][1] <= 24.0
+
+
+def test_reading_equal_to_the_drive_amplitude_is_displacement_imposed(nominal_device,
+                                                                      calibrated_params):
+    # The trace falls onto the drive amplitude itself: a reading equal to it,
+    # not only one below it, ends the run as invalid.
+    d, p = nominal_device, calibrated_params
+    specimen = SpecimenStrength(strength_scale_from_threshold(14.92, d, p))
+    record = run_fatigue_test(15.0, specimen, d, p, detection_interval=1000)
+    assert record.outcome == OUTCOME_INVALID
+    assert record.detections[-1] == (1952000, 15.0)
 
 
 def test_run_rejects_amplitude_at_pull_in(nominal_device, calibrated_params):
@@ -552,6 +563,14 @@ def test_population_seed_determinism(nominal_device, calibrated_params):
     assert a == b
     c = build_population(98, 13.0, 0.55, 6, nominal_device, calibrated_params)
     assert a != c
+
+
+def test_population_bounds_its_specimen_count(nominal_device, calibrated_params):
+    with pytest.raises(ValueError, match="n_specimens: "):
+        build_population(99, 13.0, 0.55, MAX_SPECIMENS + 1, nominal_device, calibrated_params)
+    with pytest.raises(ValueError, match="strengths_V: "):
+        build_population(99, 13.0, 0.55, 6, nominal_device, calibrated_params,
+                         thresholds_V=[13.0] * (MAX_SPECIMENS + 1))
 
 
 def test_strength_scale_threshold_semantics(nominal_device, calibrated_params):

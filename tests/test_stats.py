@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from microfatigue import stats
 from microfatigue.errors import EstimationError
-from microfatigue.protocols import StairCaseSequence, StairCaseTrial
+from microfatigue.protocols import MAX_SPECIMENS, StairCaseSequence, StairCaseTrial
 from microfatigue.stats import (WohlerPoint, dixon_mood, estimator_recovery_trial,
                                 fit_basquin, synthetic_stair_case)
 
@@ -322,6 +322,7 @@ def test_synthetic_stair_case_steps_one_specimen_at_a_time(rows, levels, step, s
     ({"true_mean_V": math.nan}, "true_mean_V"),
     ({"true_mean_V": math.inf}, "true_mean_V"),
     ({"replications": stats.MAX_REPLICATIONS + 1}, "replications"),
+    ({"n_specimens": MAX_SPECIMENS + 1}, "n_specimens"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"true_mean_V": 13.0, "true_std_V": 0.55, "n_specimens": 6,
