@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="voltage-to-stress conversion curve CSV")
     p_curve.add_argument("--vmax", type=_number(float, 0.0), default=20.0,
                          help="top of the curve (V), below pull-in")
-    p_curve.add_argument("--points", type=_number(int, 2, electromech.MAX_CURVE_POINTS),
-                         default=electromech.DEFAULT_CURVE_POINTS)
+    p_curve.add_argument("--points", default=electromech.DEFAULT_CURVE_POINTS, type=_number(
+        int, electromech.MIN_CURVE_POINTS, electromech.MAX_CURVE_POINTS))
 
     p_fat = sub.add_parser("fatigue", help="one constant-amplitude fatigue run")
     p_fat.add_argument("--va", type=_number(float, 0.0), required=True,

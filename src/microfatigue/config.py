@@ -5,11 +5,9 @@ the Young modulus in GPa and the density in kg/um^3; ``device`` converts
 them to SI. An empty config resolves to the nominal device and the
 published protocol constants. Each default is stated once, by its owner
 (``device.DeviceGeometry`` is the geometry section, ``device.Material`` the
-material section). A value is checked against its field annotation, its
-field bound, then the owners' validators; every fault is a ConfigError naming
-its field path. The library functions that take c_k, sweep_step_V,
-detection_interval_cycles, n_specimens, strength_std_V or master_seed check
-the bound stated here for them again.
+material section). Each bound is stated once, by its owner too: a value is
+checked against its field annotation, then the validators that the library
+functions taking it raise on; every fault is a ConfigError naming its path.
 """
 
 from __future__ import annotations
@@ -20,35 +18,27 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .damage import DamageModelParams
-from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_geometry,
-                     validate_material, validate_stiffness)
-from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep
+from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k,
+                     validate_geometry, validate_material, validate_stiffness)
+from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep, validate_sweep_steps
 from .emit import dump_json
 from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_TARGET_IMMEDIATE_V,
-                        DEFAULT_TARGET_V_D, calibrate_defaults, validate_detections,
-                        validate_specimens, validate_stair_case)
-
-
-# Field metadata of a range the config checks itself: (test, rule).
-_ABOVE_ZERO = {"bound": (lambda v: v > 0, "> 0")}
-_NOT_NEGATIVE = {"bound": (lambda v: v >= 0, ">= 0")}
-_AT_LEAST_ONE = {"bound": (lambda v: v >= 1, ">= 1")}
-_FRACTION = {"bound": (lambda v: 0 < v < 1, "in (0, 1)")}
+                        DEFAULT_TARGET_V_D, calibrate_defaults, validate_population,
+                        validate_run_settings, validate_stair_case)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    c_k: float = field(default=DEFAULT_C_K, metadata=_ABOVE_ZERO)
-    sweep_step_V: float = field(default=DEFAULT_SWEEP_STEP_V, metadata=_ABOVE_ZERO)
+    c_k: float = DEFAULT_C_K
+    sweep_step_V: float = DEFAULT_SWEEP_STEP_V
     detection_step_V: float = DEFAULT_DETECTION_STEP_V
-    detection_interval_cycles: int = field(default=DEFAULT_DETECTION_INTERVAL,
-                                           metadata=_AT_LEAST_ONE)
-    reference_cycles: int = field(default=DEFAULT_REFERENCE_CYCLES, metadata=_AT_LEAST_ONE)
-    drop_fraction: float = field(default=DEFAULT_DROP_FRACTION, metadata=_FRACTION)
-    min_pullin_fraction: float = field(default=DEFAULT_MIN_PULLIN_FRACTION, metadata=_FRACTION)
+    detection_interval_cycles: int = DEFAULT_DETECTION_INTERVAL
+    reference_cycles: int = DEFAULT_REFERENCE_CYCLES
+    drop_fraction: float = DEFAULT_DROP_FRACTION
+    min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION
 
     def run_kwargs(self) -> dict:
         """Keyword arguments of ``protocols.run_fatigue_test`` set by this section."""
@@ -84,10 +74,10 @@ class CampaignConfig:
     levels_V: tuple[float, ...] = (12.0, 13.0, 14.0, 15.0)
     step_V: float = 1.0
     start_level_V: float = 15.0
-    n_specimens: int = field(default=6, metadata=_AT_LEAST_ONE)
-    strength_mean_V: float = field(default=13.0, metadata=_ABOVE_ZERO)
-    strength_std_V: float = field(default=0.55, metadata=_NOT_NEGATIVE)
-    master_seed: int = field(default=20080409, metadata=_NOT_NEGATIVE)
+    n_specimens: int = 6
+    strength_mean_V: float = 13.0
+    strength_std_V: float = 0.55
+    master_seed: int = 20080409
     strengths_V: tuple[float, ...] | None = None  # explicit thresholds override the draw
 
 
@@ -154,8 +144,6 @@ class RunConfig:
 
 
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
-_BOUNDS = [(key, f.name, *f.metadata["bound"]) for key, cls in _SECTIONS.items()
-           for f in fields(cls) if f.metadata]
 
 # Field annotations resolved once: the type every supplied value is checked against.
 _HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
@@ -168,7 +156,8 @@ _PATHS = {"target_V_D": "damage.calibrate_target_V_D",
           "target_immediate_V": "damage.calibrate_immediate_V",
           "detection_interval": "model.detection_interval_cycles",
           "reference_cycles": "model.reference_cycles", "population": "campaign.strengths_V",
-          "E_GPa": "material.E_GPa"}
+          "E_GPa": "material.E_GPa", "true_mean_V": "campaign.strength_mean_V",
+          "true_std_V": "campaign.strength_std_V", "seed": "campaign.master_seed"}
 
 
 def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:
@@ -238,16 +227,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _range_check(config: RunConfig) -> list[tuple[str, str]]:
+    camp, model = config.campaign, config.model
     problems = _located("geometry", validate_geometry(config.geometry))
     problems += _located("material", validate_material(config.material))
-    for key, name, holds, rule in _BOUNDS:
-        value = getattr(getattr(config, key), name)
-        if not holds(value):
-            problems.append((f"{key}.{name}", f"must be {rule}, got {value!r}"))
-    camp, model = config.campaign, config.model
-    problems += _located("campaign", validate_specimens(camp.n_specimens, camp.strengths_V))
-    problems += _located("model", validate_detections(
-        model.detection_interval_cycles, model.reference_cycles, model.detection_step_V))
+    problems += _located("model", validate_c_k(model.c_k)
+                         + validate_sweep_steps(sweep_step_V=model.sweep_step_V)
+                         + validate_run_settings(**model.run_kwargs()))
+    problems += _located("campaign", validate_population(
+        camp.n_specimens, camp.strengths_V, camp.strength_mean_V, camp.strength_std_V,
+        camp.master_seed))
     given = [name for name in _BASQUIN if getattr(config.damage, name) is not None]
     if 0 < len(given) < len(_BASQUIN):
         problems.append(("damage", f"give all three Basquin fields or none, got only {given}"))

@@ -65,7 +65,7 @@ class SpecimenStrength:
 
     def __post_init__(self):
         if not self.strength_scale > 0:
-            raise ValueError(f"strength_scale must be > 0, got {self.strength_scale}")
+            raise ValueError(f"strength_scale: must be > 0, got {self.strength_scale}")
 
 
 @dataclass(frozen=True)

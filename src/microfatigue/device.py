@@ -163,6 +163,11 @@ def validate_stiffness(mech: DerivedMechanics, geom: DeviceGeometry) -> list[str
     return problems
 
 
+def validate_c_k(c_k: float) -> list[str]:
+    """The "name: message" fault of a stiffness calibration that is not finite and > 0."""
+    return [] if 0.0 < c_k < math.inf else [f"c_k: must be finite and > 0, got {c_k!r}"]
+
+
 def derive_mechanics(geom: DeviceGeometry, mat: Material,
                      c_k: float = DEFAULT_C_K) -> DerivedMechanics:
     """Compute lumped beam/plate mechanics from the layout description.
@@ -171,9 +176,7 @@ def derive_mechanics(geom: DeviceGeometry, mat: Material,
     translates without rotating), so k = c_k * 12 E I / L^3. The single
     calibration factor c_k absorbs any discrepancy with a full FE model.
     """
-    problems = validate_geometry(geom) + validate_material(mat)
-    if not (math.isfinite(c_k) and c_k > 0):
-        problems.append(f"c_k: must be positive, got {c_k}")
+    problems = validate_geometry(geom) + validate_material(mat) + validate_c_k(c_k)
     if problems:
         raise ValueError("invalid device description: " + "; ".join(problems))
 

@@ -26,6 +26,7 @@ STABLE_FRACTION = 1.0 / 3.0
 
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
 MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
+MIN_CURVE_POINTS = 2         # points of one conversion curve: both ends at least
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
 DEFAULT_CURVE_POINTS = 41    # points of a conversion curve when none are asked for
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
@@ -160,21 +161,27 @@ def validate_sweep(mech: DerivedMechanics, geom: DeviceGeometry, step_V: float) 
     return []
 
 
+def validate_sweep_steps(**steps: float) -> list[str]:
+    """The "name: message" faults of the named sweep steps that are not finite and > 0."""
+    return [f"{name}: must be finite and > 0, got {value}" for name, value in steps.items()
+            if not 0.0 < value < math.inf]
+
+
 def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
                           step_V: float = DEFAULT_SWEEP_STEP_V,
                           tol_V: float = 1e-3) -> PullInResult:
     """Pull-in found by stepping the DC voltage until equilibrium is lost.
 
     The last step bracket [V-step, V] is bisected down to tol_V, mimicking
-    a step-by-step DC supply. Both step_V and tol_V must be finite and > 0.
+    a step-by-step DC supply. step_V and tol_V must pass validate_sweep_steps.
 
     An equilibrium exists at v while drive_scale*v*v/2.0 < capacity. For drive_scale
     >= 0 each IEEE operation in it is monotone in v >= 0, so it fails from the float
     _sweep_limit finds on: the steps and the bisection compare v with that alone.
     """
-    for name, value in (("step_V", step_V), ("tol_V", tol_V)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name}: must be finite and > 0, got {value}")
+    problems = validate_sweep_steps(step_V=step_V, tol_V=tol_V)
+    if problems:
+        raise ValueError("; ".join(problems))
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
     if drive_scale < 0.0:
         raise ValueError(f"effective_area_m2: must be >= 0, got {mech.effective_area_m2}")
@@ -215,10 +222,10 @@ def natural_frequency(mech: DerivedMechanics) -> float:
 
 def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry, V_max: float,
                             n_points: int = DEFAULT_CURVE_POINTS) -> list[EquilibriumPoint]:
-    """Tabulate the static (voltage, deflection, stress) curve over [0, V_max] at 2 to
+    """Tabulate the static (voltage, deflection, stress) curve over [0, V_max] at MIN_ to
     MAX_CURVE_POINTS points; the curve's own solve rejects a V_max at or above pull-in."""
-    if not 2 <= n_points <= MAX_CURVE_POINTS:
-        raise ValueError(f"need 2 to {MAX_CURVE_POINTS} points, got {n_points}")
+    if not MIN_CURVE_POINTS <= n_points <= MAX_CURVE_POINTS:
+        raise ValueError(f"need {MIN_CURVE_POINTS} to {MAX_CURVE_POINTS} points, got {n_points}")
     # numpy.linspace(0.0, V_max, n_points) in floats: i*step, or i/div*V_max
     # where the step underflows to zero, and V_max itself last.
     div = n_points - 1

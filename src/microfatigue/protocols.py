@@ -87,28 +87,29 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
     return scale
 
 
-def build_population(master_seed: int, mean_V: float, std_V: float, n: int,
+def build_population(seed: int, true_mean_V: float, true_std_V: float, n_specimens: int,
                      device: Device, params: DamageModelParams,
                      thresholds_V: list[float] | None = None,
                      ) -> tuple[SpecimenStrength, ...]:
-    """Draw (or adopt) threshold voltages and convert them to strength scales;
-    draw i comes from its own (master_seed, i) RNG stream, so no draw depends on another.
+    """Draw thresholds from Normal(true_mean_V, true_std_V), or adopt thresholds_V, and
+    convert them to strength scales; draw i comes from its own (seed, i) RNG stream, so
+    no draw depends on another. The arguments must pass validate_population.
 
     A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it, and
     logged; a NaN threshold, which no clamp can place, raises ValueError naming
     the specimen. The scales come from one batched equilibrium solve, each equal
     to strength_scale_from_threshold of the clamped threshold.
     """
-    problems = validate_specimens(n, thresholds_V)
+    problems = validate_population(n_specimens, thresholds_V, true_mean_V, true_std_V, seed)
     if problems:
         raise ValueError("invalid population: " + "; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if thresholds_V is None:
         import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
         thresholds = []
-        for i in range(n):
-            rng = np.random.default_rng((int(master_seed), i))
-            thresholds.append(mean_V + std_V * float(rng.standard_normal()))
+        for i in range(n_specimens):
+            rng = np.random.default_rng((int(seed), i))
+            thresholds.append(true_mean_V + true_std_V * float(rng.standard_normal()))
     else:
         thresholds = [float(v) for v in thresholds_V]
     clamped = []
@@ -142,37 +143,53 @@ def run_pull_in_detection(state: DamageState, device: Device,
     """Measured pull-in of the (possibly damaged) device, adding no damage.
 
     The DC supply is stepped, so the reading is the degraded pull-in
-    rounded up to the next step_V grid point.
+    rounded up to the next step_V grid point; step_V is a run's detection_step_V.
     """
-    if step_V <= 0:
-        raise ValueError(f"detection step must be > 0, got {step_V}")
+    step_V = _run_settings(detection_step_V=step_V).step
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     return _stepped_reading(pristine, float(state.damage), params, step_V)
 
 
-def validate_detections(detection_interval: int, reference_cycles: int,
-                        detection_step_V: float) -> list[str]:
-    """The "name: message" faults of a run of more than MAX_DETECTIONS detections
-    or of a supply step finer than MIN_DETECTION_STEP_V."""
-    problems = []
-    if detection_interval >= 1 and -(-reference_cycles // detection_interval) > MAX_DETECTIONS:
+def validate_run_settings(detection_interval: int, reference_cycles: int, detection_step_V: float,
+                          drop_fraction: float, min_pullin_fraction: float) -> list[str]:
+    """The "name: message" faults of fatigue-run settings: whole counts >= 1 for at most
+    MAX_DETECTIONS detections, a step >= MIN_DETECTION_STEP_V and fractions in [0, 1)."""
+    problems = [f"{name}: must be a whole number >= 1, got {value}" for name, value in (
+        ("detection_interval", detection_interval), ("reference_cycles", reference_cycles))
+        if not (_is_whole(value) and value >= 1)]
+    if not problems and -(-reference_cycles // detection_interval) > MAX_DETECTIONS:
         problems.append(f"reference_cycles: a run may take at most {MAX_DETECTIONS} detections")
     if not detection_step_V >= MIN_DETECTION_STEP_V:
         problems.append(f"detection_step_V: must be >= {MIN_DETECTION_STEP_V:g} V, "
                         f"got {detection_step_V!r}")
+    problems += [f"{name}: must lie in [0, 1), got {value}" for name, value in (
+        ("drop_fraction", drop_fraction), ("min_pullin_fraction", min_pullin_fraction))
+        if not 0.0 <= value < 1.0]
     return problems
 
 
-def validate_specimens(n_specimens: int,
-                       thresholds_V: Sequence[float] | None = None) -> list[str]:
-    """The "name: message" faults of more than MAX_SPECIMENS specimens, or of more
-    than MAX_SPECIMENS given thresholds."""
+def validate_population(n_specimens: int, thresholds_V: Sequence[float] | None = None,
+                        true_mean_V: float | None = None, true_std_V: float | None = None,
+                        seed: int | None = None) -> list[str]:
+    """The "name: message" faults of a population of 1 to MAX_SPECIMENS specimens, given
+    as at most MAX_SPECIMENS thresholds_V or drawn from Normal(true_mean_V > 0, true_std_V
+    >= 0) by an integer seed >= 0. An argument left None is not checked. A NaN mean or
+    spread passes, for the draw to name the specimen whose threshold it makes NaN."""
     problems = []
-    if n_specimens > MAX_SPECIMENS:
-        problems.append(f"n_specimens: must be <= {MAX_SPECIMENS}, got {n_specimens}")
+    if not n_specimens >= 1:
+        problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
+    elif not isinstance(n_specimens, numbers.Integral) or n_specimens > MAX_SPECIMENS:
+        problems.append(f"n_specimens: must be an integer <= {MAX_SPECIMENS}, "
+                        f"got {n_specimens!r}")
     if thresholds_V is not None and len(thresholds_V) > MAX_SPECIMENS:
         problems.append(f"strengths_V: may give at most {MAX_SPECIMENS} thresholds, "
                         f"got {len(thresholds_V)}")
+    if true_mean_V is not None and true_mean_V <= 0:
+        problems.append(f"true_mean_V: must be > 0, got {true_mean_V!r}")
+    if true_std_V is not None and true_std_V < 0:
+        problems.append(f"true_std_V: must be >= 0, got {true_std_V!r}")
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        problems.append(f"seed: must be an integer >= 0, got {seed!r}")
     return problems
 
 
@@ -223,16 +240,9 @@ def _run_settings(detection_interval: int = DEFAULT_DETECTION_INTERVAL,
                   detection_step_V: float = DEFAULT_DETECTION_STEP_V,
                   drop_fraction: float = DEFAULT_DROP_FRACTION,
                   min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION) -> _RunSettings:
-    """The run settings of run_fatigue_test, checked as its docstring states."""
-    if not _is_whole(detection_interval) or detection_interval < 1:
-        raise ValueError(
-            f"detection_interval: must be a whole number >= 1, got {detection_interval}")
-    if not _is_whole(reference_cycles) or reference_cycles < 0:
-        raise ValueError(f"reference_cycles: must be a whole number >= 0, got {reference_cycles}")
-    problems = validate_detections(detection_interval, reference_cycles, detection_step_V)
-    problems += [f"{name}: must lie in [0, 1), got {value}" for name, value in (
-        ("drop_fraction", drop_fraction), ("min_pullin_fraction", min_pullin_fraction))
-        if not 0.0 <= value < 1.0]
+    """The run settings of run_fatigue_test, checked by validate_run_settings."""
+    problems = validate_run_settings(detection_interval, reference_cycles, detection_step_V,
+                                     drop_fraction, min_pullin_fraction)
     if problems:
         raise ValueError("; ".join(problems))
     return _RunSettings(int(detection_interval), int(reference_cycles), reference_cycles,
@@ -272,10 +282,8 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     ``_stepped_reading``, in their float operations and order, so every
     reading is bit-equal to theirs. Readings and outcome equal those of
     accumulating each batch with ``damage.accumulate`` and measuring with
-    ``run_pull_in_detection``. Both cycle counts must be whole numbers, the
-    interval >= 1 and the reference >= 0, for at most MAX_DETECTIONS detections,
-    the supply step >= MIN_DETECTION_STEP_V and both fractions in [0, 1). The loop
-    itself is ``_monitored_run``, which ``run_stair_case`` runs for each specimen.
+    ``run_pull_in_detection``. The settings must pass validate_run_settings. The
+    loop itself is ``_monitored_run``, which ``run_stair_case`` runs for each specimen.
 
     Most detections repeat the reading before them, and the loop jumps over
     those it knows will. After a detection that passes its checks with
@@ -385,11 +393,9 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
     """Stair-case argument faults as "name: message" strings, for a population
     of n_available. A level at or above pristine pull-in is displacement-imposed; only
     the top one is solved, as the solve's verdict is monotone in V >= 0."""
-    problems = []
+    problems = validate_population(n_specimens)
     if not step_V > 0:
         problems.append(f"step_V: must be > 0, got {step_V}")
-    if not n_specimens >= 1:
-        problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
     if n_specimens > n_available:
         problems.append(f"population: holds {n_available} specimens, {n_specimens} requested")
     top = max(levels_V) if levels_V and all(v >= 0.0 for v in levels_V) else -1.0

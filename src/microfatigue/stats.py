@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EstimationError
-from .protocols import MAX_SPECIMENS, StairCaseSequence, StairCaseTrial, _is_whole, grid_index
+from .protocols import (StairCaseSequence, StairCaseTrial, _is_whole, grid_index,
+                        validate_population)
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -47,7 +48,7 @@ class WohlerPoint:
 
     def __post_init__(self):
         if not _is_whole(self.cycles) or self.cycles < 1:
-            raise ValueError(f"cycles must be a whole number >= 1, got {self.cycles}")
+            raise ValueError(f"cycles: must be a whole number >= 1, got {self.cycles}")
 
 
 class BasquinFit(NamedTuple):
@@ -201,13 +202,21 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     true_std) and runs a stair-case over the fixed window of 1 V steps,
     round(true_mean) - 1 to round(true_mean) + 2 V, from the level nearest
     the true mean. Replications with only one outcome are skipped and counted.
+    The arguments must pass protocols.validate_population, the mean and spread finite.
 
     All replications draw from one default_rng(seed), row after row, and run
     at once as arrays. A generator's draws come in order, so the block size
     leaves them unchanged, and the summary equals that of one
     synthetic_stair_case and dixon_mood per replication.
     """
-    _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed)
+    problems = validate_population(n_specimens, None, true_mean_V, true_std_V, seed)
+    problems += [f"{name}: must be finite, got {value}" for name, value in (
+        ("true_mean_V", true_mean_V), ("true_std_V", true_std_V)) if not math.isfinite(value)]
+    if not (isinstance(replications, numbers.Integral) and 1 <= replications <= MAX_REPLICATIONS):
+        problems.append(f"replications: must be an integer in [1, {MAX_REPLICATIONS}], "
+                        f"got {replications!r}")
+    if problems:  # raised before the generator is seeded
+        raise ValueError("; ".join(problems))
     import numpy as np
     levels = [round(true_mean_V) - 1.0 + i for i in range(4)]
     start = min(levels, key=lambda v: abs(v - true_mean_V))
@@ -235,17 +244,3 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
         "std_bias_V": float(np.std(biases)),
         "max_abs_bias_V": float(np.max(np.abs(biases))),
     }
-
-
-def _check_recovery_args(true_mean_V, true_std_V, n_specimens, replications, seed) -> None:
-    """Raise ValueError, starting with the argument name, for a trial that cannot run."""
-    for name, value, low, high in (("n_specimens", n_specimens, 1, MAX_SPECIMENS),
-                                   ("replications", replications, 1, MAX_REPLICATIONS),
-                                   ("seed", seed, 0, math.inf)):
-        if not isinstance(value, numbers.Integral) or not low <= value <= high:
-            bound = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
-            raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-    if not math.isfinite(true_mean_V):
-        raise ValueError(f"true_mean_V must be finite, got {true_mean_V}")
-    if not (math.isfinite(true_std_V) and true_std_V >= 0):
-        raise ValueError(f"true_std_V must be finite and >= 0, got {true_std_V}")

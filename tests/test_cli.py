@@ -476,6 +476,11 @@ NAN, INF = float("nan"), float("inf")
     ({"model": {"detection_step_V": 5e-324}}, "model.detection_step_V"),
     ({"campaign": {"n_specimens": MAX_SPECIMENS + 1}}, "campaign.n_specimens"),
     ({"campaign": {"strengths_V": [13.0] * (MAX_SPECIMENS + 1)}}, "campaign.strengths_V"),
+    ({"model": {"reference_cycles": 0}}, "model.reference_cycles"),
+    ({"campaign": {"strength_mean_V": 0}}, "campaign.strength_mean_V"),
+    ({"campaign": {"strength_std_V": -0.5}}, "campaign.strength_std_V"),
+    ({"campaign": {"master_seed": -1}}, "campaign.master_seed"),
+    ({"model": {"drop_fraction": 1}}, "model.drop_fraction"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -485,6 +490,20 @@ def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
                                command)
         assert code == 2
         assert f" {path}: " in err
+
+
+# A drop fraction of 0 fails the run at its first repeated reading; a floor
+# fraction of 0 leaves the run as the default one, which fails on its drop.
+@pytest.mark.parametrize("model, final_cycles", [({"drop_fraction": 0}, 100_000),
+                                                 ({"min_pullin_fraction": 0}, 1_200_000)])
+def test_fraction_of_zero_runs(tmp_path, capsys, model, final_cycles):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"model": model}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "fatigue", "--va", "14")
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["outcome"], summary["final_cycles"]) == ("failed", final_cycles)
 
 
 @pytest.mark.parametrize("config", [{"model": {"c_k": 1e300}}, {"material": {"E_GPa": 1e299}},
@@ -694,7 +713,7 @@ def test_whole_float_specimen_count_runs(tmp_path, capsys):
 
 # Wrong-typed values and the JSON specials (null is valid for optional fields only).
 ODD_VALUES = st.sampled_from([True, False, None, NAN, INF, -INF, "13", "", [], {}, [1.0]])
-MAX_DETECTIONS = 20_000
+FUZZ_DETECTIONS = 20_000  # detections a fuzzed run may take, bounding its time
 FUZZ_SPECIMENS = 50  # specimens a fuzzed campaign may run, bounding its time
 BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 # Magnitudes near the ends of the float range, positive and negative.
@@ -890,7 +909,7 @@ def test_any_json_config_runs_or_names_its_fault(config, points, data):
     reference = _resolved(config, "model", "reference_cycles")
     n = _resolved(config, "campaign", "n_specimens")
     if _finite_number(interval) and _finite_number(reference) and interval >= 1:
-        assume(reference / interval <= MAX_DETECTIONS)
+        assume(reference / interval <= FUZZ_DETECTIONS)
     if _finite_number(n):
         assume(n <= FUZZ_SPECIMENS)
 

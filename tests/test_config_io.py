@@ -3,6 +3,7 @@ import enum
 import itertools
 import json
 import math
+import re
 from typing import NamedTuple
 
 import pytest
@@ -11,15 +12,20 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 import microfatigue
 from microfatigue.config import (CampaignConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
-from microfatigue.electromech import EquilibriumPoint, PullInResult
+from microfatigue.damage import SpecimenStrength
+from microfatigue.device import DeviceGeometry, Material, derive_mechanics
+from microfatigue.electromech import EquilibriumPoint, PullInResult, pull_in_voltage_sweep
 from microfatigue.emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
                                emit_staircase_sequence, emit_wohler_points, _num,
                                fit_to_dict, parse_wohler_points,
                                wohler_points_from_records)
-from microfatigue.errors import ConfigError
+from microfatigue.errors import ConfigError, MicrofatigueError
 from microfatigue.loading import FatigueParameters
-from microfatigue.protocols import (FatigueRunRecord, StairCaseSequence, StairCaseTrial)
-from microfatigue.stats import BasquinFit, StairCaseEstimate, WohlerPoint
+from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, MAX_SPECIMENS,
+                                    FatigueRunRecord, StairCaseSequence, StairCaseTrial,
+                                    build_population, run_fatigue_test)
+from microfatigue.stats import (BasquinFit, StairCaseEstimate, WohlerPoint,
+                                estimator_recovery_trial)
 from tests.test_cli import json_configs
 
 
@@ -126,6 +132,87 @@ def test_material_faults_name_the_config_key():
         parse_config(json.dumps({"material": {"E_GPa": -1, "rho_kg_per_um3": 0}}))
     assert [path for path, _ in excinfo.value.problems] == ["material.E_GPa",
                                                             "material.rho_kg_per_um3"]
+
+
+# The library entries that take a bounded config field. Each gets the device,
+# the calibrated parameters and the config section holding the value.
+def _mechanics(d, p, model):
+    return derive_mechanics(DeviceGeometry(), Material(), c_k=model.c_k)
+
+
+def _sweep(d, p, model):
+    return pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=model.sweep_step_V)
+
+
+def _run(d, p, model):
+    return run_fatigue_test(14.0, SpecimenStrength(), d, p, **model.run_kwargs())
+
+
+def _population(d, p, camp):
+    return build_population(camp.master_seed, camp.strength_mean_V, camp.strength_std_V,
+                            camp.n_specimens, d, p, thresholds_V=camp.strengths_V)
+
+
+def _recovery(d, p, camp):
+    return estimator_recovery_trial(camp.strength_mean_V, camp.strength_std_V,
+                                    camp.n_specimens, 20, camp.master_seed)
+
+
+# (section, field, the name the entries give the value, entries).
+BOUNDED_FIELDS = [
+    ("model", "c_k", "c_k", [_mechanics]),
+    ("model", "sweep_step_V", "step_V", [_sweep]),
+    ("model", "detection_step_V", "detection_step_V", [_run]),
+    ("model", "detection_interval_cycles", "detection_interval", [_run]),
+    ("model", "reference_cycles", "reference_cycles", [_run]),
+    ("model", "drop_fraction", "drop_fraction", [_run]),
+    ("model", "min_pullin_fraction", "min_pullin_fraction", [_run]),
+    ("campaign", "n_specimens", "n_specimens", [_population, _recovery]),
+    ("campaign", "strength_mean_V", "true_mean_V", [_population, _recovery]),
+    ("campaign", "strength_std_V", "true_std_V", [_population, _recovery]),
+    ("campaign", "master_seed", "seed", [_population, _recovery]),
+]
+EDGE_VALUES = [0, -0.0, math.nextafter(0.0, 1.0), 1, math.nextafter(1.0, 0.0)]
+# One past each MAX_* bound, by field.
+PAST_MAX = {"n_specimens": [MAX_SPECIMENS + 1],
+            "reference_cycles": [MAX_DETECTIONS * DEFAULT_DETECTION_INTERVAL + 1]}
+
+
+def _names(call, name) -> bool:
+    """Whether call raises a ValueError whose message has a "name: " fault."""
+    try:
+        call()
+    except ValueError as exc:
+        return re.search(f"(^|: |; ){name}: ", str(exc)) is not None
+    except MicrofatigueError:  # a run or estimate that fails, naming no value
+        pass
+    return False
+
+
+@pytest.mark.parametrize("section, field, name, entries, value", [
+    *[pytest.param(section, field, name, entries, value, id=f"{section}.{field}={value!r}")
+      for section, field, name, entries in BOUNDED_FIELDS
+      for value in [*EDGE_VALUES, *PAST_MAX.get(field, [])]],
+    pytest.param("campaign", "strengths_V", "strengths_V", [_population],
+                 [13.0] * (MAX_SPECIMENS + 1), id="campaign.strengths_V=MAX_SPECIMENS+1"),
+])
+def test_config_and_library_bounds_agree(nominal_device, calibrated_params, section, field,
+                                         name, entries, value):
+    # parse_config names section.field exactly when the library entries taking
+    # the value raise naming it. The entries get the value as the config reads
+    # it: a whole float in an int field as an int.
+    try:
+        parse_config(json.dumps({section: {field: value}}))
+        config_names = False
+    except ConfigError as exc:
+        config_names = f"{section}.{field}" in [path for path, _ in exc.problems]
+    default = getattr(default_config(), section)
+    if isinstance(getattr(default, field), int) and float(value).is_integer():
+        value = int(value)
+    values = dataclasses.replace(default, **{field: value})
+    for entry in entries:
+        assert _names(lambda: entry(nominal_device, calibrated_params, values), name) \
+            == config_names
 
 
 def test_tool_stamp_carries_the_package_version():

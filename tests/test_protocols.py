@@ -58,6 +58,13 @@ def test_detection_adds_no_damage(nominal_device, calibrated_params):
     assert first == second
 
 
+@pytest.mark.parametrize("step_V", [0.0, 1e-9, math.nan])
+def test_detection_takes_the_run_step_bound(nominal_device, calibrated_params, step_V):
+    # The run's detection_step_V bound, MIN_DETECTION_STEP_V, not a bound of its own.
+    with pytest.raises(ValueError, match=r"^detection_step_V: must be >= 1e-06 V, got "):
+        run_pull_in_detection(DamageState.pristine(), nominal_device, calibrated_params, step_V)
+
+
 def test_calibration_endurance_at_13V(nominal_device, calibrated_params):
     assert calibrated_params.endurance_stress_Pa == sigma_alt(nominal_device, 13.0)
     assert cycles_to_failure(sigma_alt(nominal_device, 13.0), calibrated_params) is None
@@ -220,7 +227,8 @@ def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params,
     # Amplitude, strength and counts are drawn uniformly: hypothesis' own
     # number strategies favour small values, which here mostly means runs
     # below the endurance. At most 300 batches per run, and a reference
-    # count the interval need not divide, including 0 and 1.
+    # count the interval need not divide, including 1 and 2 (0 is rejected:
+    # BAD_RUN_SETTINGS).
     d = nominal_device
     params = replace(calibrated_params, hardening_onset=onset,
                      collapse_threshold=1.0 if collapse <= onset else collapse,
@@ -233,15 +241,15 @@ def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params,
     interval = rnd.randint(1, 300_000)
     choice = rnd.random()
     if choice < 0.1:
-        reference = rnd.choice([0, 1])
+        reference = rnd.choice([1, 2])
     elif choice < 0.4 and life is not None:
         # End the run on, or next to, the first count whose Miner sum
         # reaches the collapse threshold.
         collapse_cycles = math.ceil(Fraction(params.collapse_threshold) * life)
-        reference = max(0, collapse_cycles + rnd.choice([-1, 0, 1]))
+        reference = max(1, collapse_cycles + rnd.choice([-1, 0, 1]))
         interval = rnd.randint(max(1, reference // 300), max(1, reference))
     else:
-        reference = rnd.randint(0, 300) * interval + rnd.randrange(interval)
+        reference = max(1, rnd.randint(0, 300) * interval + rnd.randrange(interval))
     if as_float:
         interval, reference = float(interval), float(reference)
     kwargs = dict(detection_interval=interval, reference_cycles=reference,
@@ -362,9 +370,9 @@ def test_long_fine_run_matches_batch_by_batch_reference(
     if life is not None and rnd.random() < 0.4:
         # End the run on, or next to, the first collapsing count.
         collapse_cycles = math.ceil(Fraction(params.collapse_threshold) * life)
-        reference = max(0, collapse_cycles + rnd.choice([-1, 0, 1]))
+        reference = max(1, collapse_cycles + rnd.choice([-1, 0, 1]))
     else:
-        reference = rnd.randint(0, 2_000 * interval)  # mostly ends mid-interval
+        reference = rnd.randint(1, 2_000 * interval)  # mostly ends mid-interval
     kwargs = dict(detection_interval=interval, reference_cycles=reference,
                   detection_step_V=step_V, drop_fraction=drop_fraction,
                   min_pullin_fraction=min_pullin_fraction)
@@ -595,7 +603,8 @@ def test_campaign_determinism(nominal_device, calibrated_params):
                  "drive amplitude", id="fatigue_parameters"),
     pytest.param(lambda d, p: cycles_to_failure(math.nan, p),
                  "stress amplitude", id="cycles_to_failure"),
-    pytest.param(lambda d, p: SpecimenStrength(math.nan), "strength_scale", id="SpecimenStrength"),
+    pytest.param(lambda d, p: SpecimenStrength(math.nan), "strength_scale:",
+                 id="SpecimenStrength"),
     pytest.param(lambda d, p: strength_scale_from_threshold(math.nan, d, p),
                  "threshold", id="strength_scale_from_threshold"),
     pytest.param(lambda d, p: run_fatigue_test(math.nan, SpecimenStrength(), d, p),
@@ -631,8 +640,12 @@ def test_population_names_a_nan_threshold(nominal_device, calibrated_params, std
 
 
 def reference_population(master_seed, mean_V, std_V, n, device, params, thresholds_V):
-    """One strength_scale_from_threshold per clamped threshold."""
+    """One strength_scale_from_threshold per clamped threshold, after the argument
+    check of build_population."""
     import numpy as np
+    problems = protocols.validate_population(n, thresholds_V, mean_V, std_V, master_seed)
+    if problems:
+        raise ValueError("invalid population: " + "; ".join(problems))
     if thresholds_V is None:
         thresholds_V = [mean_V + std_V * float(np.random.default_rng((master_seed, i))
                                                .standard_normal()) for i in range(n)]
@@ -691,6 +704,7 @@ BAD_RUN_SETTINGS = [
     dict(drop_fraction=1.5),
     dict(min_pullin_fraction=math.nan),
     dict(min_pullin_fraction=-3.0),
+    dict(reference_cycles=0),
 ]
 
 

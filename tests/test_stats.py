@@ -101,7 +101,7 @@ def test_dixon_mood_names_a_step_that_is_not_finite_and_positive(step):
 
 @pytest.mark.parametrize("cycles", [1.5, math.nan, math.inf, 0, 0.0, -3])
 def test_wohler_point_rejects_cycles_that_are_not_whole_and_positive(cycles):
-    with pytest.raises(ValueError, match="^cycles must be a whole number >= 1, got "):
+    with pytest.raises(ValueError, match="^cycles: must be a whole number >= 1, got "):
         WohlerPoint(13.0, cycles)
 
 
@@ -288,6 +288,10 @@ def _summary_or_error(fn, kwargs):
 @given(trial=recovery_trials(), block_elements=st.sampled_from([1, 7, stats._BLOCK_ELEMENTS]))
 @settings(max_examples=300, deadline=None)
 def test_batched_recovery_equals_replication_loop(trial, block_elements):
+    if not trial["true_mean_V"] > 0:  # a threshold distribution needs a positive mean
+        with pytest.raises(ValueError, match="^true_mean_V: must be > 0"):
+            estimator_recovery_trial(**trial)
+        return
     with mock.patch.object(stats, "_BLOCK_ELEMENTS", block_elements):
         batched = _summary_or_error(estimator_recovery_trial, trial)
     assert batched == _summary_or_error(recovery_by_replication, trial)
@@ -323,10 +327,13 @@ def test_synthetic_stair_case_steps_one_specimen_at_a_time(rows, levels, step, s
     ({"true_mean_V": math.inf}, "true_mean_V"),
     ({"replications": stats.MAX_REPLICATIONS + 1}, "replications"),
     ({"n_specimens": MAX_SPECIMENS + 1}, "n_specimens"),
+    ({"true_mean_V": 0.0}, "true_mean_V"),
+    ({"true_mean_V": -13.0}, "true_mean_V"),
+    ({"seed": 1.0}, "seed"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"true_mean_V": 13.0, "true_std_V": 0.55, "n_specimens": 6,
               "replications": 20, "seed": 1, **fault}
     with mock.patch("numpy.random.default_rng", side_effect=AssertionError("seeded")):
-        with pytest.raises(ValueError, match=f"^{name} "):
+        with pytest.raises(ValueError, match=f"^{name}: "):
             estimator_recovery_trial(**kwargs)
