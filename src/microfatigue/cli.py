@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials "
                                             "on the campaign's strength population")
-    p_rec.add_argument("--replications", type=_number(int, 1, stats.MAX_REPLICATIONS),
+    p_rec.add_argument("--replications", type=_number(
+        int, stats.MIN_REPLICATIONS, stats.MAX_REPLICATIONS),
                        default=200)
 
     return parser
@@ -114,9 +115,10 @@ def _write(files: dict[str, str], out, config) -> None:
                             str(exc))]) from exc
 
 
-# Each build_* returns (files, stdout): each file's text by name, in write order, and
-# the stdout text. out is the --out path or None; the keywords are the argparse dests.
-def build_pullin(config, out) -> tuple[dict[str, str], str]:
+# Each build_* returns (files, stdout, notes): each file's text by name, in write order,
+# the stdout text, and the lines for stderr (the campaign notes of staircase, else none).
+# out is the --out path or None; the keywords are the argparse dests.
+def build_pullin(config, out) -> tuple[dict[str, str], str, list[str]]:
     device = config.device()
     config.check_sweep(device)
     closed = electromech.pull_in_voltage_closed_form(device.mechanics, device.geometry)
@@ -128,10 +130,10 @@ def build_pullin(config, out) -> tuple[dict[str, str], str]:
         "deflection_at_instability_um": sweep.deflection_at_instability_m * 1e6,
         "gap_thirds_um": device.geometry.gap_um / 3.0,
         "tool": TOOL_STAMP,
-    })
+    }), []
 
 
-def build_curve(config, out, vmax, points) -> tuple[dict[str, str], str]:
+def build_curve(config, out, vmax, points) -> tuple[dict[str, str], str, list[str]]:
     device = config.device()
     try:
         curve = electromech.stress_conversion_curve(device.mechanics, device.geometry,
@@ -140,11 +142,11 @@ def build_curve(config, out, vmax, points) -> tuple[dict[str, str], str]:
         raise ValueError(f"--vmax: {exc}") from exc
     text = emit_conversion_curve(curve)
     if out is None:
-        return {}, text
-    return {"conversion_curve.csv": text}, f"wrote {out / 'conversion_curve.csv'}\n"
+        return {}, text, []
+    return {"conversion_curve.csv": text}, f"wrote {out / 'conversion_curve.csv'}\n", []
 
 
-def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str]:
+def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str, list[str]]:
     device = config.device()
     params = config.damage_params(device)
     threshold = strength_v if strength_v is not None else config.damage.calibrate_target_V_D
@@ -169,18 +171,19 @@ def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str]:
         "final_pullin_V": record.detections[-1][1],
         "csv": str(path),
         "tool": TOOL_STAMP,
-    })
+    }), []
 
 
-def build_staircase(config, out) -> tuple[dict[str, str], str]:
+def build_staircase(config, out) -> tuple[dict[str, str], str, list[str]]:
     device = config.device()
     params = config.damage_params(device)
     config.check_campaign(device)
     camp = config.campaign
-    population = protocols.build_population(
-        camp.master_seed, camp.strength_mean_V, camp.strength_std_V,
-        camp.n_specimens, device, params,
-        thresholds_V=list(camp.strengths_V) if camp.strengths_V else None)
+    thresholds = protocols.population_thresholds(
+        camp.master_seed, camp.strength_mean_V, camp.strength_std_V, camp.n_specimens,
+        device, thresholds_V=camp.strengths_V or None)
+    population = protocols.specimens_from_thresholds(
+        [clamped for _, clamped in thresholds], device, params)
     sequence, records = protocols.run_stair_case(
         list(camp.levels_V), camp.step_V, camp.start_level_V,
         camp.n_specimens, population, device, params, **config.model.run_kwargs())
@@ -202,10 +205,10 @@ def build_staircase(config, out) -> tuple[dict[str, str], str]:
         "master_seed": camp.master_seed,
         "tool": TOOL_STAMP,
     })
-    return files, text
+    return files, text, protocols.campaign_notes(thresholds, sequence, records)
 
 
-def build_wohler(config, out, points_csv) -> tuple[dict[str, str], str]:
+def build_wohler(config, out, points_csv) -> tuple[dict[str, str], str, list[str]]:
     try:
         points = parse_wohler_points(Path(points_csv).read_text())
     except (OSError, ValueError) as exc:
@@ -213,16 +216,16 @@ def build_wohler(config, out, points_csv) -> tuple[dict[str, str], str]:
     fit = stats.fit_basquin(points)
     text = dump_json({**fit_to_dict(fit), "n_points": len(points),
                       "n_censored": sum(p.censored for p in points), "tool": TOOL_STAMP})
-    return ({"basquin_fit.json": text} if out is not None else {}), text
+    return ({"basquin_fit.json": text} if out is not None else {}), text, []
 
 
-def build_recovery(config, out, replications) -> tuple[dict[str, str], str]:
+def build_recovery(config, out, replications) -> tuple[dict[str, str], str, list[str]]:
     camp = config.campaign
     # float(): a config may spell the mean and spread as ints; the summary prints floats.
     summary = stats.estimator_recovery_trial(
         float(camp.strength_mean_V), float(camp.strength_std_V), camp.n_specimens,
         replications, camp.master_seed)
-    return {}, dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP})
+    return {}, dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP}), []
 
 
 _COMMANDS = {
@@ -256,10 +259,12 @@ def cli_dispatch(argv: list[str]) -> int:
         return EXIT_USAGE
     flags = {k: v for k, v in vars(args).items() if k not in _GLOBAL_DESTS}
     try:
-        files, stdout = _COMMANDS[args.command](config, args.out, **flags)
+        files, stdout, notes = _COMMANDS[args.command](config, args.out, **flags)
         if files:
             _write(files, args.out, config)
         print(stdout, end="")
+        for note in notes:
+            print(f"note: {note}", file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

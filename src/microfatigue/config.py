@@ -16,6 +16,7 @@ import json
 import sys
 import typing
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k,
@@ -30,8 +31,7 @@ from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         validate_run_settings, validate_stair_case)
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     c_k: float = DEFAULT_C_K
     sweep_step_V: float = DEFAULT_SWEEP_STEP_V
     detection_step_V: float = DEFAULT_DETECTION_STEP_V
@@ -49,8 +49,7 @@ class ModelConfig:
                     min_pullin_fraction=self.min_pullin_fraction)
 
 
-@dataclass(frozen=True)
-class DamageConfig:
+class DamageConfig(NamedTuple):
     """Either explicit Basquin/Miner parameters or calibration targets.
 
     When every explicit field is None the model is calibrated so that
@@ -69,7 +68,7 @@ class DamageConfig:
     softening_exponent: float = DamageModelParams.softening_exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # stays a dataclass: bench/workloads.py calls dataclasses.replace on it
 class CampaignConfig:
     levels_V: tuple[float, ...] = (12.0, 13.0, 14.0, 15.0)
     step_V: float = 1.0
@@ -81,13 +80,12 @@ class CampaignConfig:
     strengths_V: tuple[float, ...] | None = None  # explicit thresholds override the draw
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(NamedTuple):
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # stays a dataclass: bench/workloads.py calls dataclasses.replace on it
 class RunConfig:
     geometry: DeviceGeometry = field(default_factory=DeviceGeometry)
     material: Material = field(default_factory=Material)
@@ -244,8 +242,9 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON text; parse(serialize(c)) round-trips exactly. The
-    sections are flat, so their field dicts are written as they stand."""
-    return dump_json({name: vars(section) for name, section in vars(config).items()})
+    sections are flat, so each is written as the object of its fields."""
+    return dump_json({name: {key: getattr(section, key) for key in _HINTS[name]}
+                      for name, section in vars(config).items()})
 
 
 def default_config() -> RunConfig:

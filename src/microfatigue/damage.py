@@ -16,19 +16,24 @@ gets the same damage without calling ``accumulate`` per batch. It evaluates
 ``effective_stiffness_factor`` inline: at each detection of the hardening
 bump, and in the undamaged and softening stretches only until a reading
 repeats, which it then extends over the detections known to read the same.
+
+``SpecimenStrength`` and ``DamageState`` are ``NamedTuple``s; a
+``SpecimenStrength`` checks its scale in ``__new__``, which ``_replace`` and
+``_make`` skip. ``DamageModelParams`` checks its fields in ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .device import DeviceGeometry, DerivedMechanics
 from .electromech import pull_in_voltage_closed_form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # stays a dataclass: bench/workloads.py calls dataclasses.asdict on it
 class DamageModelParams:
     basquin_coefficient_Pa: float   # stress amplitude at N = 1
     basquin_exponent: float         # negative slope in log-log space
@@ -57,19 +62,22 @@ class DamageModelParams:
             raise ValueError(f"softening_exponent: must be > 0, got {self.softening_exponent}")
 
 
-@dataclass(frozen=True)
-class SpecimenStrength:
+class _SpecimenStrength(NamedTuple):
+    strength_scale: float
+
+
+class SpecimenStrength(_SpecimenStrength):
     """Per-specimen scatter: a multiplier on the endurance and Basquin stresses."""
 
-    strength_scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.strength_scale > 0:
-            raise ValueError(f"strength_scale: must be > 0, got {self.strength_scale}")
+    def __new__(cls, strength_scale: float = 1.0):
+        if not strength_scale > 0:
+            raise ValueError(f"strength_scale: must be > 0, got {strength_scale}")
+        return super().__new__(cls, strength_scale)
 
 
-@dataclass(frozen=True)
-class DamageState:
+class DamageState(NamedTuple):
     damage: Fraction
     cycles_applied: int
     hardened: bool
@@ -109,7 +117,7 @@ def accumulate(state: DamageState, sigma_alt_Pa: float, delta_cycles: int,
     life = cycles_to_failure(sigma_alt_Pa, params, specimen)
     cycles = state.cycles_applied + delta_cycles
     if life is UNBOUNDED or delta_cycles == 0:
-        return replace(state, cycles_applied=cycles)
+        return state._replace(cycles_applied=cycles)
     damage = min(state.damage + Fraction(delta_cycles, life), Fraction(1))
     return DamageState(
         damage=damage,

@@ -9,7 +9,7 @@ the unit properties and :func:`derive_mechanics`, and nowhere downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .electromech import pull_in_voltage_closed_form, solver_divisors
 
@@ -25,8 +25,7 @@ C_K_RESONANCE_PRESET = 3.7
 LENGTH_WINDOW_UM = (1e-3, 1e6)
 
 
-@dataclass(frozen=True)
-class DeviceGeometry:
+class DeviceGeometry(NamedTuple):
     """Nominal layout dimensions in microns.
 
     Defaults are the nominal gold test structure: a 50 um suspension beam
@@ -67,8 +66,7 @@ class DeviceGeometry:
         return self.hole_count * (self.hole_side_um * self.hole_side_um)
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(NamedTuple):
     """Isotropic elastic material in data-sheet units; the defaults are gold.
 
     This class is also the ``material`` section of the run config: its
@@ -88,8 +86,7 @@ class Material:
         return self.rho_kg_per_um3 * 1e18
 
 
-@dataclass(frozen=True)
-class DerivedMechanics:
+class DerivedMechanics(NamedTuple):
     """Lumped mechanical quantities of the device, SI units."""
 
     area_moment_m4: float
@@ -198,8 +195,7 @@ def derive_mechanics(geom: DeviceGeometry, mat: Material,
     )
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(NamedTuple):
     """Geometry, material and derived mechanics bundled together."""
 
     geometry: DeviceGeometry

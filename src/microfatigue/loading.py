@@ -10,25 +10,28 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .device import DeviceGeometry, DerivedMechanics
 from .electromech import _stable_points, pull_in_voltage_closed_form
 
 
-@dataclass(frozen=True)
-class LoadCycleSpec:
-    """AC drive description plus the derived load-cycle timing."""
-
+class _LoadCycleSpec(NamedTuple):
     drive_amplitude_V: float
     drive_frequency_Hz: float
 
-    def __post_init__(self):
-        if not self.drive_amplitude_V >= 0:
-            raise ValueError(f"drive amplitude must be >= 0, got {self.drive_amplitude_V}")
-        if not self.drive_frequency_Hz > 0:
-            raise ValueError(f"drive frequency must be > 0, got {self.drive_frequency_Hz}")
+
+class LoadCycleSpec(_LoadCycleSpec):
+    """AC drive description plus the derived load-cycle timing."""
+
+    __slots__ = ()
+
+    def __new__(cls, drive_amplitude_V: float, drive_frequency_Hz: float):
+        if not drive_amplitude_V >= 0:
+            raise ValueError(f"drive amplitude must be >= 0, got {drive_amplitude_V}")
+        if not drive_frequency_Hz > 0:
+            raise ValueError(f"drive frequency must be > 0, got {drive_frequency_Hz}")
+        return super().__new__(cls, drive_amplitude_V, drive_frequency_Hz)
 
     @property
     def voltage_period_s(self) -> float:

@@ -5,7 +5,6 @@ of the damage-model defaults against the published fatigue-limit levels.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from collections.abc import Sequence
@@ -18,8 +17,6 @@ from .device import Device
 from .electromech import _stable_points, pull_in_voltage_closed_form
 from .errors import CalibrationError
 from .loading import _tension_stresses
-
-log = logging.getLogger(__name__)
 
 OUTCOME_FAILED = "failed"
 OUTCOME_SURVIVED = "survived"
@@ -87,18 +84,17 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
     return scale
 
 
-def build_population(seed: int, true_mean_V: float, true_std_V: float, n_specimens: int,
-                     device: Device, params: DamageModelParams,
-                     thresholds_V: list[float] | None = None,
-                     ) -> tuple[SpecimenStrength, ...]:
-    """Draw thresholds from Normal(true_mean_V, true_std_V), or adopt thresholds_V, and
-    convert them to strength scales; draw i comes from its own (seed, i) RNG stream, so
-    no draw depends on another. The arguments must pass validate_population.
+def population_thresholds(seed: int, true_mean_V: float, true_std_V: float,
+                          n_specimens: int, device: Device,
+                          thresholds_V: Sequence[float] | None = None,
+                          ) -> list[tuple[float, float]]:
+    """(threshold, clamped threshold) of each of n_specimens specimens. The thresholds
+    are drawn from Normal(true_mean_V, true_std_V), draw i from its own (seed, i) RNG
+    stream so that no draw depends on another, or are the first n_specimens of
+    thresholds_V. The arguments must pass validate_population.
 
-    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it, and
-    logged; a NaN threshold, which no clamp can place, raises ValueError naming
-    the specimen. The scales come from one batched equilibrium solve, each equal
-    to strength_scale_from_threshold of the clamped threshold.
+    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN
+    threshold, which no clamp can place, raises ValueError naming the specimen.
     """
     problems = validate_population(n_specimens, thresholds_V, true_mean_V, true_std_V, seed)
     if problems:
@@ -111,17 +107,35 @@ def build_population(seed: int, true_mean_V: float, true_std_V: float, n_specime
             rng = np.random.default_rng((int(seed), i))
             thresholds.append(true_mean_V + true_std_V * float(rng.standard_normal()))
     else:
-        thresholds = [float(v) for v in thresholds_V]
-    clamped = []
+        thresholds = [float(v) for v in thresholds_V[:n_specimens]]
+    pairs = []
     for i, v in enumerate(thresholds):
-        clamped.append(min(max(v, MIN_THRESHOLD_V), 0.99 * pristine))
-        if clamped[-1] != v:
-            fault = _threshold_fault(clamped[-1])
+        clamped = min(max(v, MIN_THRESHOLD_V), 0.99 * pristine)
+        if clamped != v:
+            fault = _threshold_fault(clamped)
             if fault is not None:
                 raise ValueError(f"specimen {i}: {fault}")
-            log.info("specimen %d threshold %.3g V clamped to %.3g V", i, v, clamped[-1])
+        pairs.append((v, clamped))
+    return pairs
+
+
+def specimens_from_thresholds(thresholds_V: Sequence[float], device: Device,
+                              params: DamageModelParams) -> tuple[SpecimenStrength, ...]:
+    """The specimens of thresholds in [MIN_THRESHOLD_V, 0.99*V_PI], from one batched
+    equilibrium solve; each scale equals strength_scale_from_threshold of its threshold."""
     return tuple(SpecimenStrength(scale)
-                 for scale in _strength_scales(clamped, device, params))
+                 for scale in _strength_scales(thresholds_V, device, params))
+
+
+def build_population(seed: int, true_mean_V: float, true_std_V: float, n_specimens: int,
+                     device: Device, params: DamageModelParams,
+                     thresholds_V: Sequence[float] | None = None,
+                     ) -> tuple[SpecimenStrength, ...]:
+    """The specimens of the thresholds that population_thresholds draws or adopts and
+    clamps, converted by specimens_from_thresholds."""
+    pairs = population_thresholds(seed, true_mean_V, true_std_V, n_specimens, device,
+                                  thresholds_V)
+    return specimens_from_thresholds([clamped for _, clamped in pairs], device, params)
 
 
 def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams,
@@ -415,10 +429,11 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                    device: Device, params: DamageModelParams,
                    **run_kwargs) -> tuple[StairCaseSequence, list[FatigueRunRecord]]:
     """Sequential stair-case campaign: down one step after a failure, up after
-    a survival, clamped (and logged) at the ends of the level window.
+    a survival, clamped at the ends of the level window.
 
     An invalid (displacement-imposed) run is counted as a failure for the
-    level transition and logged; it cannot feed a stress-imposed comparison.
+    level transition; it cannot feed a stress-imposed comparison.
+    ``campaign_notes`` reports both events.
 
     Each record equals run_fatigue_test(level, specimen, device, params,
     **run_kwargs). What stays fixed over the campaign is worked out once: the
@@ -446,19 +461,33 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
         life = cycles_to_failure(sigma_alts[level], params, population[idx])
         record = _monitored_run(level, life, pristine, pristine_meas, params, settings)
         records.append(record)
-        if record.outcome == OUTCOME_INVALID:
-            log.warning("specimen %d at %.3g V: displacement-imposed run counted "
-                        "as failure for the level transition", idx, level)
         failure = record.outcome in (OUTCOME_FAILED, OUTCOME_INVALID)
         trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
-        nxt = level - step_V if failure else level + step_V
-        level = min(max(nxt, levels[0]), levels[-1])
-        if level != nxt:
-            log.info("level clamped at the %s of the window (%.3g V)",
-                     "bottom" if nxt < levels[0] else "top", level)
+        level = min(max(level - step_V if failure else level + step_V, levels[0]), levels[-1])
     sequence = StairCaseSequence(trials=tuple(trials), step_V=step_V,
                                  levels_V=tuple(levels))
     return sequence, records
+
+
+def campaign_notes(thresholds: Sequence[tuple[float, float]], sequence: StairCaseSequence,
+                   records: Sequence[FatigueRunRecord]) -> list[str]:
+    """One line per event of a campaign that its artifacts do not state: each threshold
+    that population_thresholds clamped, then for each trial a displacement-imposed
+    run counted as a failure, and a level step that left the level window and was
+    clamped, the step after the last trial included."""
+    notes = [f"specimen {i} threshold {v:.3g} V clamped to {clamped:.3g} V"
+             for i, (v, clamped) in enumerate(thresholds) if clamped != v]
+    step, low, high = sequence.step_V, sequence.levels_V[0], sequence.levels_V[-1]
+    for trial, record in zip(sequence.trials, records):
+        level = trial.level_V
+        if record.outcome == OUTCOME_INVALID:
+            notes.append(f"specimen {trial.specimen_id} at {level:.3g} V: displacement-imposed "
+                         "run counted as failure for the level transition")
+        nxt = level - step if trial.failure else level + step
+        if not low <= nxt <= high:
+            end, edge = ("bottom", low) if nxt < low else ("top", high)
+            notes.append(f"level clamped at the {end} of the window ({edge:.3g} V)")
+    return notes
 
 
 def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EstimationError
@@ -28,6 +27,7 @@ Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
 DISPERSION_FALLBACK_FACTOR = 0.53
 _BLOCK_ELEMENTS = 2**16  # strengths per array pass of a recovery trial, bounding its memory
+MIN_REPLICATIONS = 1          # replications of one recovery trial: one at least
 MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial, bounding its work
 
 
@@ -40,15 +40,19 @@ class StairCaseEstimate(NamedTuple):
     dispersion_formula_valid: bool
 
 
-@dataclass(frozen=True)
-class WohlerPoint:
+class _WohlerPoint(NamedTuple):
     level_V: float
     cycles: int
-    censored: bool = False  # survived the reference count (run-out)
+    censored: bool  # survived the reference count (run-out)
 
-    def __post_init__(self):
-        if not _is_whole(self.cycles) or self.cycles < 1:
-            raise ValueError(f"cycles: must be a whole number >= 1, got {self.cycles}")
+
+class WohlerPoint(_WohlerPoint):
+    __slots__ = ()
+
+    def __new__(cls, level_V: float, cycles: int, censored: bool = False):
+        if not _is_whole(cycles) or cycles < 1:
+            raise ValueError(f"cycles: must be a whole number >= 1, got {cycles}")
+        return super().__new__(cls, level_V, cycles, censored)
 
 
 class BasquinFit(NamedTuple):
@@ -212,9 +216,10 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     problems = validate_population(n_specimens, None, true_mean_V, true_std_V, seed)
     problems += [f"{name}: must be finite, got {value}" for name, value in (
         ("true_mean_V", true_mean_V), ("true_std_V", true_std_V)) if not math.isfinite(value)]
-    if not (isinstance(replications, numbers.Integral) and 1 <= replications <= MAX_REPLICATIONS):
-        problems.append(f"replications: must be an integer in [1, {MAX_REPLICATIONS}], "
-                        f"got {replications!r}")
+    if not (isinstance(replications, numbers.Integral)
+            and MIN_REPLICATIONS <= replications <= MAX_REPLICATIONS):
+        problems.append(f"replications: must be an integer in "
+                        f"[{MIN_REPLICATIONS}, {MAX_REPLICATIONS}], got {replications!r}")
     if problems:  # raised before the generator is seeded
         raise ValueError("; ".join(problems))
     import numpy as np

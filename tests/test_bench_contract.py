@@ -52,7 +52,7 @@ def test_benchmarked_module_imports(name):
 
 # The command builders of the CLI, which the benchmark is to call instead of
 # restating their artifact code: each takes (config, out, **flags) and
-# returns (files, stdout).
+# returns (files, stdout, notes).
 BUILDERS = ("build_pullin", "build_curve", "build_fatigue", "build_staircase",
             "build_wohler", "build_recovery")
 

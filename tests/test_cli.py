@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from microfatigue import stats
 from microfatigue.cli import (build_curve, build_parser, build_pullin, build_staircase,
@@ -24,7 +24,7 @@ from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
                                       pull_in_voltage_closed_form, static_equilibrium,
                                       stress_conversion_curve)
 from microfatigue.errors import ConfigError, EstimationError
-from microfatigue.protocols import MAX_SPECIMENS
+from microfatigue.protocols import MAX_SPECIMENS, MIN_THRESHOLD_V
 
 TABLE_CONFIG = {
     "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
@@ -674,13 +674,23 @@ def test_staircase_builder_writes_nothing(monkeypatch, config, digests):
     monkeypatch.setattr(Path, "mkdir", _refuse)
     monkeypatch.setattr(Path, "write_text", _refuse)
     run_config = default_config() if config is None else parse_config(json.dumps(config))
-    files, stdout = build_staircase(run_config, None)
+    files, stdout, notes = build_staircase(run_config, None)
     assert {name: hashlib.sha256(text.encode()).hexdigest()
             for name, text in files.items()} == digests
-    assert stdout == files["staircase_estimate.json"]
+    assert stdout == files["staircase_estimate.json"] and notes == []
     runs = [f"run_{i:02d}.csv" for i in range(6)]
     assert list(files) == ["config_echo.json", "staircase_sequence.csv", *runs,
                            "wohler_points.csv", "staircase_estimate.json"]
+
+
+def test_staircase_draws_each_threshold_once(monkeypatch):
+    import numpy as np
+    seeds = []
+    draw = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or draw(seed))
+    build_staircase(default_config(), None)
+    camp = default_config().campaign
+    assert seeds == [(camp.master_seed, i) for i in range(camp.n_specimens)]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -694,10 +704,10 @@ def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
         config = default_config()
     args = build_parser().parse_args(argv)
     if args.command == "pullin":
-        files, stdout = build_pullin(config, None)
+        files, stdout, notes = build_pullin(config, None)
     else:
-        files, stdout = build_curve(config, None, vmax=args.vmax, points=args.points)
-    assert files == {}
+        files, stdout, notes = build_curve(config, None, vmax=args.vmax, points=args.points)
+    assert files == {} and notes == []
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
@@ -951,3 +961,66 @@ def test_any_json_config_runs_or_names_its_fault(config, points, data):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _campaign_events(config, summary):
+    """The events of a staircase run, as the campaign loop logged them before its notes
+    replaced the log: each clamped threshold of the specimens that run, then for each
+    trial a displacement-imposed run and a level step moved by the window clamp. The
+    thresholds are the config's or the draw; the trials come from the summary."""
+    camp, device = config.campaign, config.device()
+    n = camp.n_specimens
+    if camp.strengths_V:
+        thresholds = [float(v) for v in camp.strengths_V[:n]]
+    else:
+        import numpy as np
+        thresholds = [camp.strength_mean_V + camp.strength_std_V * float(
+            np.random.default_rng((camp.master_seed, i)).standard_normal()) for i in range(n)]
+    top = 0.99 * pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    events = []
+    for i, v in enumerate(thresholds):
+        clamped = min(max(v, MIN_THRESHOLD_V), top)
+        if clamped != v:
+            events.append("specimen %d threshold %.3g V clamped to %.3g V" % (i, v, clamped))
+    levels = sorted(float(v) for v in camp.levels_V)
+    for trial, outcome in zip(summary["trials"], summary["run_outcomes"]):
+        level = trial["level_V"]
+        if outcome == "invalid":
+            events.append("specimen %d at %.3g V: displacement-imposed run counted as failure "
+                          "for the level transition" % (trial["specimen_id"], level))
+        nxt = level - camp.step_V if trial["outcome"] else level + camp.step_V
+        level = min(max(nxt, levels[0]), levels[-1])
+        if level != nxt:
+            events.append("level clamped at the %s of the window (%.3g V)"
+                          % ("bottom" if nxt < levels[0] else "top", level))
+    return events
+
+
+@given(config=json_configs())
+@example({"campaign": {"strengths_V": [30.0, 0.05, 13.0, 13.0, 13.0, 13.0]}})
+@example({"model": {"detection_interval_cycles": 1000},
+          "campaign": {"strengths_V": [12.0, 12.0, 25.0, 12.0, 12.0, 12.0]}})
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_staircase_notes_each_campaign_event_once_on_stderr(config):
+    interval = _resolved(config, "model", "detection_interval_cycles")
+    reference = _resolved(config, "model", "reference_cycles")
+    n = _resolved(config, "campaign", "n_specimens")
+    if _finite_number(interval) and _finite_number(reference) and interval >= 1:
+        assume(reference / interval <= FUZZ_DETECTIONS)
+    if _finite_number(n):
+        assume(n <= FUZZ_SPECIMENS)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_dispatch(["--config", str(cfg), "--out", str(out), "staircase"])
+        assume(code == 0)
+        artifacts = [p.read_text() for p in sorted(out.iterdir())]
+    events = _campaign_events(parse_config(json.dumps(config)),
+                              json.loads(stdout.getvalue()))
+    assert stderr.getvalue() == "".join(f"note: {event}\n" for event in events)
+    assert not [event for event in events for text in [*artifacts, stdout.getvalue()]
+                if event in text]

@@ -1,9 +1,12 @@
 import dataclasses
 import enum
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import re
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -20,7 +23,7 @@ from microfatigue.emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emi
                                fit_to_dict, parse_wohler_points,
                                wohler_points_from_records)
 from microfatigue.errors import ConfigError, MicrofatigueError
-from microfatigue.loading import FatigueParameters
+from microfatigue.loading import FatigueParameters, LoadCycleSpec
 from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, MAX_SPECIMENS,
                                     FatigueRunRecord, StairCaseSequence, StairCaseTrial,
                                     build_population, run_fatigue_test)
@@ -105,8 +108,8 @@ def test_round_trip_default():
 def test_round_trip_randomized(gap, ck, seed, std):
     config = dataclasses.replace(
         default_config(),
-        geometry=dataclasses.replace(default_config().geometry, gap_um=gap),
-        model=dataclasses.replace(default_config().model, c_k=ck),
+        geometry=default_config().geometry._replace(gap_um=gap),
+        model=default_config().model._replace(c_k=ck),
         campaign=dataclasses.replace(default_config().campaign,
                                      master_seed=seed, strength_std_V=std))
     assert parse_config(serialize_config(config)) == config
@@ -209,7 +212,8 @@ def test_config_and_library_bounds_agree(nominal_device, calibrated_params, sect
     default = getattr(default_config(), section)
     if isinstance(getattr(default, field), int) and float(value).is_integer():
         value = int(value)
-    values = dataclasses.replace(default, **{field: value})
+    values = (dataclasses.replace(default, **{field: value}) if dataclasses.is_dataclass(default)
+              else default._replace(**{field: value}))
     for entry in entries:
         assert _names(lambda: entry(nominal_device, calibrated_params, values), name) \
             == config_names
@@ -379,8 +383,12 @@ def test_dump_json_rejects_a_non_str_key_and_an_unsupported_value(payload):
 
 
 def _asdict_dump(config):
-    """The config text as written before the sections were read without a deep copy."""
-    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
+    """The config text as json.dumps writes the field dict of each section: _asdict of
+    a NamedTuple section, dataclasses.asdict of a dataclass one."""
+    sections = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    return json.dumps({name: section._asdict() if hasattr(section, "_asdict")
+                       else dataclasses.asdict(section) for name, section in sections.items()},
+                      indent=2, sort_keys=True) + "\n"
 
 
 @given(json_configs())
@@ -408,6 +416,52 @@ def test_serialize_config_equals_the_asdict_dump(raw):
 ])
 def test_records_keep_their_field_order(record, fields):
     assert record._fields == fields
+
+
+def _fields(section):
+    return section._fields if hasattr(section, "_fields") else [
+        f.name for f in dataclasses.fields(section)]
+
+
+def test_serialize_config_writes_every_section_as_an_object():
+    config = default_config()
+    written = json.loads(serialize_config(config))
+    assert sorted(written) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    for name, section in written.items():
+        assert isinstance(section, dict), name
+        assert sorted(section) == sorted(_fields(getattr(config, name))), name
+
+
+# The package's types that stay dataclasses, each with the call that the benchmark
+# harness (bench/workloads.py) makes on it and a NamedTuple would not take.
+HARNESS_DATACLASSES = {"microfatigue.config.RunConfig": "replace",
+                       "microfatigue.config.CampaignConfig": "replace",
+                       "microfatigue.damage.DamageModelParams": "asdict"}
+
+
+def test_only_the_types_the_harness_needs_stay_dataclasses():
+    modules = [importlib.import_module(f"microfatigue.{info.name}")
+               for info in pkgutil.iter_modules(microfatigue.__path__)]
+    found = {f"{module.__name__}.{name}" for module in modules
+             for name, obj in vars(module).items()
+             if isinstance(obj, type) and obj.__module__ == module.__name__
+             and dataclasses.is_dataclass(obj)}
+    assert found == set(HARNESS_DATACLASSES)
+    harness = (Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text()
+    assert all(f"{call}(" in harness for call in HARNESS_DATACLASSES.values())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpecimenStrength(0.0), "strength_scale: must be > 0, got 0.0"),
+    (lambda: WohlerPoint(13.0, 0), "cycles: must be a whole number >= 1, got 0"),
+    (lambda: WohlerPoint(level_V=13.0, cycles=2.5, censored=True),
+     "cycles: must be a whole number >= 1, got 2.5"),
+    (lambda: LoadCycleSpec(-1.0, 1.0), "drive amplitude must be >= 0, got -1.0"),
+    (lambda: LoadCycleSpec(1.0, 0.0), "drive frequency must be > 0, got 0.0"),
+])
+def test_validated_records_raise_naming_the_value(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_fit_to_dict_holds_the_three_fit_fields():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from microfatigue.device import (Device, DeviceGeometry, Material,
@@ -34,7 +32,7 @@ def test_material_unit_conversion():
 
 def test_thickness_scaling():
     geom = DeviceGeometry()
-    doubled = dataclasses.replace(geom, specimen_thickness_um=2 * geom.specimen_thickness_um)
+    doubled = geom._replace(specimen_thickness_um=2 * geom.specimen_thickness_um)
     mat = Material()
     base = derive_mechanics(geom, mat)
     thick = derive_mechanics(doubled, mat)
@@ -56,24 +54,24 @@ def test_validate_nominal_is_clean():
 
 
 def test_validate_zero_gap():
-    problems = validate_geometry(dataclasses.replace(DeviceGeometry(), gap_um=0.0))
+    problems = validate_geometry(DeviceGeometry()._replace(gap_um=0.0))
     assert len(problems) == 1
     assert "gap_um" in problems[0]
 
 
 def test_validate_hole_area_exceeds_plate():
     # 200 holes of 20 um side: 80000 um^2 > 75600 um^2 plate
-    problems = validate_geometry(dataclasses.replace(DeviceGeometry(), hole_count=200))
+    problems = validate_geometry(DeviceGeometry()._replace(hole_count=200))
     assert any("hole" in p for p in problems)
 
 
 def test_validate_negative_hole_count():
-    problems = validate_geometry(dataclasses.replace(DeviceGeometry(), hole_count=-1))
+    problems = validate_geometry(DeviceGeometry()._replace(hole_count=-1))
     assert any("hole_count" in p for p in problems)
 
 
 def test_derive_rejects_invalid_geometry():
-    bad = dataclasses.replace(DeviceGeometry(), specimen_length_um=-5.0)
+    bad = DeviceGeometry()._replace(specimen_length_um=-5.0)
     with pytest.raises(ValueError, match="specimen_length_um"):
         derive_mechanics(bad, Material())
 
@@ -93,11 +91,11 @@ def test_validate_stiffness_names_c_k_and_E_GPa():
             # The stiffness itself overflows, or only the pull-in voltage it sets does.
             (derive_mechanics(DeviceGeometry(), Material(E_GPa=1e299)), nominal.geometry,
              ["c_k", "E_GPa"]),
-            (dataclasses.replace(nominal.mechanics, suspension_stiffness_N_m=1e308),
+            (nominal.mechanics._replace(suspension_stiffness_N_m=1e308),
              nominal.geometry, ["c_k", "E_GPa"]),
             # A divisor of the equilibrium solve underflows to 0: k*g^3, which c_k and
             # E_GPa scale alike, or 4*I*c_k, which only c_k scales.
-            (dataclasses.replace(nominal.mechanics, suspension_stiffness_N_m=1e-307), thin,
+            (nominal.mechanics._replace(suspension_stiffness_N_m=1e-307), thin,
              ["c_k", "E_GPa"]),
             (derive_mechanics(thin, Material(E_GPa=1.0), c_k=1e-297), thin, ["c_k"])):
         problems = validate_stiffness(mech, geom)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -133,7 +132,7 @@ def test_pull_in_closed_form_nominal(nominal_device):
 
 def test_pull_in_gap_scaling(nominal_device):
     d = nominal_device
-    doubled = dataclasses.replace(d.geometry, gap_um=2 * d.geometry.gap_um)
+    doubled = d.geometry._replace(gap_um=2 * d.geometry.gap_um)
     base = pull_in_voltage_closed_form(d.mechanics, d.geometry).pull_in_voltage_V
     big = pull_in_voltage_closed_form(d.mechanics, doubled).pull_in_voltage_V
     assert big == pytest.approx(2**1.5 * base, rel=1e-12)
@@ -257,10 +256,10 @@ def _run_fresh(code, *args, timeout=120):
                                     "microfatigue.config", "microfatigue.emit",
                                     "microfatigue.cli"])
 def test_import_graph(module):
-    """The package import loads no submodule; no module loads numpy at import."""
+    """The package import loads no submodule; no module loads numpy or logging at import."""
     loaded = _run_fresh(f"import sys, {module}; print(*sorted(m for m in sys.modules "
-                        "if m.split('.')[0] in ('microfatigue', 'numpy')))").split()
-    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+                        "if m.split('.')[0] in ('microfatigue', 'numpy', 'logging')))").split()
+    assert not [m for m in loaded if m.split(".")[0] in ("numpy", "logging")]
     if module == "microfatigue":
         assert loaded == ["microfatigue"]
 
@@ -344,9 +343,8 @@ def test_equilibrium_within_16_ulp_of_exact_root(device, fraction):
 # device's pull-in, 13.5*q - 1 rounds to just above 1, outside acos' domain.
 ACOS_ARGUMENT_PAST_ONE = Device(
     geometry=DeviceGeometry(gap_um=1.6628004442445596), material=Material(),
-    mechanics=dataclasses.replace(Device.nominal().mechanics,
-                                  suspension_stiffness_N_m=75.72536804548639,
-                                  effective_area_m2=1.4749716561769721e-08))
+    mechanics=Device.nominal().mechanics._replace(suspension_stiffness_N_m=75.72536804548639,
+                                                  effective_area_m2=1.4749716561769721e-08))
 
 
 @given(device=DEVICES)
@@ -444,8 +442,8 @@ def window_devices(draw):
 
 def hand_built(stiffness, area=Device.nominal().mechanics.effective_area_m2):
     nominal = Device.nominal()
-    return dataclasses.replace(nominal, mechanics=dataclasses.replace(
-        nominal.mechanics, suspension_stiffness_N_m=stiffness, effective_area_m2=area))
+    return nominal._replace(mechanics=nominal.mechanics._replace(
+        suspension_stiffness_N_m=stiffness, effective_area_m2=area))
 
 
 # Capacity 0, subnormal, inf and NaN, from the stiffness a hand-built
@@ -513,7 +511,7 @@ def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
 
 
 def test_sweep_rejects_negative_effective_area(nominal_device):
-    mech = dataclasses.replace(nominal_device.mechanics, effective_area_m2=-1e-8)
+    mech = nominal_device.mechanics._replace(effective_area_m2=-1e-8)
     with pytest.raises(ValueError, match="effective_area_m2"):
         pull_in_voltage_sweep(mech, nominal_device.geometry)
 

@@ -1,4 +1,3 @@
-import logging
 import math
 import re
 import types
@@ -19,8 +18,10 @@ from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, MIN_THRESHOLD_V,
                                     OUTCOME_FAILED, OUTCOME_INVALID, OUTCOME_SURVIVED,
                                     StairCaseSequence, StairCaseTrial, build_population,
-                                    calibrate_defaults, run_fatigue_test,
+                                    calibrate_defaults, campaign_notes,
+                                    population_thresholds, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
+                                    specimens_from_thresholds,
                                     strength_scale_from_threshold)
 
 TABLE_STRENGTHS = [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]
@@ -43,7 +44,7 @@ def test_detection_rounds_up_to_grid(nominal_device, calibrated_params):
 def test_damaged_detection_rounds_degraded_pull_in_up(nominal_device, calibrated_params,
                                                       damage):
     d = nominal_device
-    state = replace(DamageState.pristine(), damage=damage)
+    state = DamageState.pristine()._replace(damage=damage)
     degraded = degraded_pull_in(state, d.mechanics, d.geometry, calibrated_params)
     measured = run_pull_in_detection(state, d, calibrated_params, 0.05)
     assert measured >= degraded
@@ -431,9 +432,9 @@ def test_nan_pristine_reading_raises(nominal_device, calibrated_params):
 
 @pytest.mark.parametrize("E_GPa, step_V, softening_exponent", [
     (1e22, 1e-6, 0.2),  # pristine/step above 2**53
-    (Material.E_GPa, 0.05, 5e-324),  # 2/exponent overflows to inf
-    (Material.E_GPa, 0.05, 1e-300),
-    (Material.E_GPa, 0.05, 1.7e308),
+    (Material().E_GPa, 0.05, 5e-324),  # 2/exponent overflows to inf
+    (Material().E_GPa, 0.05, 1e-300),
+    (Material().E_GPa, 0.05, 1.7e308),
 ])
 @pytest.mark.parametrize("V_a", [14.0, 13.5])
 def test_extreme_runs_match_batch_by_batch_reference(E_GPa, step_V, softening_exponent, V_a):
@@ -511,34 +512,62 @@ def test_staircase_single_survivor(nominal_device, calibrated_params):
     assert not seq.trials[0].failure
 
 
-def test_staircase_logs_each_clamp(nominal_device, calibrated_params, caplog):
-    # 15 V survived: clamped at the top; then failures down past 12 V: at the bottom.
-    pop = build_population(0, 13.0, 0.0, 5, nominal_device, calibrated_params,
-                           thresholds_V=[25.0, 1.0, 1.0, 1.0, 1.0])
-    with caplog.at_level(logging.INFO, logger="microfatigue.protocols"):
-        seq, _ = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 5, pop,
-                                nominal_device, calibrated_params)
+def _campaign(thresholds, levels, n, device, params, **run_kwargs):
+    population = specimens_from_thresholds([clamped for _, clamped in thresholds],
+                                           device, params)
+    return run_stair_case(levels, 1.0, 15.0, n, population, device, params, **run_kwargs)
+
+
+def test_staircase_notes_each_clamp(nominal_device, calibrated_params):
+    # 15 V survived: clamped at the top; then failures down past 12 V: at the
+    # bottom, on the step after the last trial.
+    thresholds = population_thresholds(0, 13.0, 0.0, 5, nominal_device,
+                                       thresholds_V=[25.0, 1.0, 1.0, 1.0, 1.0])
+    seq, records = _campaign(thresholds, [12, 13, 14, 15], 5, nominal_device,
+                             calibrated_params)
     assert [t.level_V for t in seq.trials] == [15.0, 15.0, 14.0, 13.0, 12.0]
-    clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
-    assert [r.levelno for r in clamps] == [logging.INFO] * 2
-    assert [r.getMessage() for r in clamps] == [
+    assert campaign_notes(thresholds, seq, records) == [
         "level clamped at the top of the window (15 V)",
         "level clamped at the bottom of the window (12 V)"]
 
 
-def test_population_logs_each_clamped_threshold(nominal_device, calibrated_params, caplog):
+def test_staircase_notes_each_displacement_imposed_run(nominal_device, calibrated_params):
+    thresholds = population_thresholds(0, 13.0, 0.0, 2, nominal_device,
+                                       thresholds_V=[12.0, 12.0])
+    seq, records = _campaign(thresholds, [14, 15], 2, nominal_device, calibrated_params,
+                             detection_interval=1_000)
+    assert [r.outcome for r in records] == [OUTCOME_INVALID, OUTCOME_FAILED]
+    assert campaign_notes(thresholds, seq, records) == [
+        "specimen 0 at 15 V: displacement-imposed run counted as failure for the level "
+        "transition",
+        "level clamped at the bottom of the window (14 V)"]
+
+
+def test_population_notes_each_clamped_threshold(nominal_device, calibrated_params):
     top = 0.99 * pull_in_voltage_closed_form(nominal_device.mechanics,
                                              nominal_device.geometry).pull_in_voltage_V
-    with caplog.at_level(logging.INFO, logger="microfatigue.protocols"):
-        pop = build_population(0, 13.0, 0.0, 3, nominal_device, calibrated_params,
-                               thresholds_V=[30.0, 13.0, 0.05])
-    assert pop == build_population(0, 13.0, 0.0, 3, nominal_device, calibrated_params,
-                                   thresholds_V=[top, 13.0, 0.1])
-    clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
-    assert [r.levelno for r in clamps] == [logging.INFO] * 2
-    assert [r.getMessage() for r in clamps] == [
+    thresholds = population_thresholds(0, 13.0, 0.0, 3, nominal_device,
+                                       thresholds_V=[30.0, 13.0, 0.05])
+    assert thresholds == [(30.0, top), (13.0, 13.0), (0.05, 0.1)]
+    assert build_population(0, 13.0, 0.0, 3, nominal_device, calibrated_params,
+                            thresholds_V=[30.0, 13.0, 0.05]) == build_population(
+        0, 13.0, 0.0, 3, nominal_device, calibrated_params, thresholds_V=[top, 13.0, 0.1])
+    no_trials = StairCaseSequence(trials=(), step_V=1.0, levels_V=(15.0,))
+    assert campaign_notes(thresholds, no_trials, []) == [
         f"specimen 0 threshold 30 V clamped to {top:.3g} V",
         "specimen 2 threshold 0.05 V clamped to 0.1 V"]
+
+
+@pytest.mark.parametrize("unused", [[15.0, 12.0], [math.nan], [-1.0, 40.0]])
+def test_population_converts_only_the_specimens_it_holds(nominal_device, calibrated_params,
+                                                         unused):
+    # Thresholds past n_specimens are neither converted, checked nor clamped.
+    d, p = nominal_device, calibrated_params
+    assert population_thresholds(0, 13.0, 0.5, 2, d, thresholds_V=[13.0, 14.0, *unused]) \
+        == [(13.0, 13.0), (14.0, 14.0)]
+    pop = build_population(0, 13.0, 0.5, 2, d, p, thresholds_V=[13.0, 14.0, *unused])
+    assert pop == build_population(0, 13.0, 0.5, 2, d, p, thresholds_V=[13.0, 14.0])
+    assert len(pop) == 2
 
 
 def test_staircase_rejects_levels_off_the_step_grid(nominal_device, calibrated_params):
@@ -651,7 +680,7 @@ def reference_population(master_seed, mean_V, std_V, n, device, params, threshol
                                                .standard_normal()) for i in range(n)]
     top = 0.99 * pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     population = []
-    for i, v in enumerate(thresholds_V):
+    for i, v in enumerate(thresholds_V[:n]):
         try:
             scale = strength_scale_from_threshold(min(max(v, MIN_THRESHOLD_V), top),
                                                   device, params)

@@ -1,12 +1,16 @@
-"""The test suite's own configuration, run on a throwaway suite in a subprocess."""
+"""The test suite's own configuration, run on a throwaway suite in a subprocess, and
+the Python floor every source must parse at."""
 
+import ast
+import re
 from pathlib import Path
 
 import pytest
 
 pytest_plugins = ["pytester"]
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_failing_property_test_reports_a_failure_not_an_internal_error(pytester):
@@ -25,3 +29,16 @@ def test_failing_property_test_reports_a_failure_not_an_internal_error(pytester)
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
     assert result.ret == pytest.ExitCode.TESTS_FAILED
     result.assert_outcomes(failed=1, passed=1)
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's requires-python = ">=X.Y"."""
+    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    return int(match[1]), int(match[2])
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*(ROOT / "src" / "microfatigue").glob("*.py"), *(ROOT / "tests").glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_sources_parse_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
