@@ -146,6 +146,10 @@ _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 # Field annotations resolved once: the type every supplied value is checked against.
 _HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
+# The field dict of a section: _asdict of a NamedTuple, the instance dict of a dataclass
+# (dump_json would write a NamedTuple itself as a JSON array).
+_FIELD_DICT = {name: getattr(cls, "_asdict", vars) for name, cls in _SECTIONS.items()}
+
 _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
 # Config paths of the names that owners' "name: text" messages start with,
@@ -243,7 +247,7 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON text; parse(serialize(c)) round-trips exactly. The
     sections are flat, so each is written as the object of its fields."""
-    return dump_json({name: {key: getattr(section, key) for key in _HINTS[name]}
+    return dump_json({name: _FIELD_DICT[name](section)
                       for name, section in vars(config).items()})
 
 

@@ -74,7 +74,7 @@ class SpecimenStrength(_SpecimenStrength):
     def __new__(cls, strength_scale: float = 1.0):
         if not strength_scale > 0:
             raise ValueError(f"strength_scale: must be > 0, got {strength_scale}")
-        return super().__new__(cls, strength_scale)
+        return tuple.__new__(cls, (strength_scale,))
 
 
 class DamageState(NamedTuple):

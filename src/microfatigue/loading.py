@@ -31,7 +31,7 @@ class LoadCycleSpec(_LoadCycleSpec):
             raise ValueError(f"drive amplitude must be >= 0, got {drive_amplitude_V}")
         if not drive_frequency_Hz > 0:
             raise ValueError(f"drive frequency must be > 0, got {drive_frequency_Hz}")
-        return super().__new__(cls, drive_amplitude_V, drive_frequency_Hz)
+        return tuple.__new__(cls, (drive_amplitude_V, drive_frequency_Hz))
 
     @property
     def voltage_period_s(self) -> float:

@@ -52,7 +52,7 @@ class WohlerPoint(_WohlerPoint):
     def __new__(cls, level_V: float, cycles: int, censored: bool = False):
         if not _is_whole(cycles) or cycles < 1:
             raise ValueError(f"cycles: must be a whole number >= 1, got {cycles}")
-        return super().__new__(cls, level_V, cycles, censored)
+        return tuple.__new__(cls, (level_V, cycles, censored))
 
 
 class BasquinFit(NamedTuple):
