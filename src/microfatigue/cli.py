@@ -84,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials "
                                             "on the campaign's strength population")
-    p_rec.add_argument("--replications", type=_number(
-        int, stats.MIN_REPLICATIONS, stats.MAX_REPLICATIONS),
-                       default=200)
+    p_rec.add_argument("--replications", default=200, type=_number(
+        int, stats.MIN_REPLICATIONS, stats.MAX_REPLICATIONS))
 
     return parser
 
