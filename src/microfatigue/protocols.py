@@ -32,6 +32,7 @@ DEFAULT_TARGET_IMMEDIATE_V = 21.0      # calibration: collapse in the first inte
 MAX_DETECTIONS = 100_000               # detections of one run, ceil(reference/interval)
 MAX_SPECIMENS = 10_000                 # specimens of one population, campaign or replication
 MIN_DETECTION_STEP_V = 1e-6            # finest DC supply step of a detection
+GRID_GUARD = 1e-9                      # keeps ceil from pushing an exact grid value up one step
 MIN_THRESHOLD_V = 0.1                  # lowest specimen threshold strength
 
 
@@ -142,8 +143,7 @@ def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams
                      step_V: float) -> float:
     """Degraded pull-in V_PI(0)*sqrt(k_eff/k) rounded up to the step_V grid."""
     v = pristine_V * math.sqrt(effective_stiffness_factor(damage, params))
-    # Guard against ceil pushing an exact grid value up one extra step.
-    return math.ceil(v / step_V - 1e-9) * step_V
+    return math.ceil(v / step_V - GRID_GUARD) * step_V
 
 
 def _is_whole(value) -> bool:
@@ -213,8 +213,8 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
     """The last count on the interval grid in (n, end] that still reads grid
     index k in the softening stretch, or n when none is confirmed.
 
-    Index k holds while pristine*sqrt((1-d)**exponent)/step - 1e-9 > k - 1,
-    so up to d* = 1 - ((k - 1 + 1e-9)*step/pristine)**(2/exponent). The
+    Index k holds while pristine*sqrt((1-d)**exponent)/step - GRID_GUARD > k - 1,
+    so up to d* = 1 - ((k - 1 + GRID_GUARD)*step/pristine)**(2/exponent). The
     guess is aligned down to the grid and clipped to d <= onset, then
     confirmed with the reading's own float operations (the bump factor is
     exactly 1.0 there: a run whose amplitude is not finite fails at its
@@ -222,7 +222,7 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
     A base outside [0, 1) would give a complex power or an overflow, and
     predicts nothing.
     """
-    target = (k - 1 + 1e-9) * step / pristine
+    target = (k - 1 + GRID_GUARD) * step / pristine
     if not 0.0 <= target < 1.0:
         return n
     last = min(int((1.0 - target ** (2.0 / exponent)) * life), int(onset * life),
@@ -232,7 +232,7 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
             return n
         d = last / life
         if d <= onset and math.ceil(
-                pristine * math.sqrt((1.0 - d) ** exponent) / step - 1e-9) == k:
+                pristine * math.sqrt((1.0 - d) ** exponent) / step - GRID_GUARD) == k:
             return last
     return n
 
@@ -343,7 +343,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     span = collapse - onset
     keep = 1.0 - drop_fraction
     floor = min_pullin_fraction * pristine_meas
-    sqrt, ceil, sin, pi = math.sqrt, math.ceil, math.sin, math.pi
+    sqrt, ceil, sin, pi, guard = math.sqrt, math.ceil, math.sin, math.pi, GRID_GUARD
     append = detections.append
     outcome = OUTCOME_SURVIVED
     previous = pristine_meas
@@ -366,7 +366,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         else:
             bump = 0.0
         k = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
-                 / step - 1e-9)
+                 / step - guard)
         v = k * step
         append((n, v))
         if n >= collapse_cycles or v <= keep * previous or v < floor:

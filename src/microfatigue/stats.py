@@ -9,8 +9,9 @@ A trial draws from one generator, ``default_rng(seed)``, with replication
 rep taking the next n_specimens normals after those of replications 0 to
 rep - 1.
 
-numpy is imported where arrays are made, inside the array functions, so
-``dixon_mood`` and the importers of this module's types load none of it.
+``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
+plain floats; numpy is imported inside the recovery trial's array functions,
+so the two estimators and the importers of this module's types load none of it.
 """
 
 from __future__ import annotations
@@ -108,34 +109,33 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
 def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
     """Least-squares Basquin line level = C * N^b in log-log space.
 
-    Censored (run-out) points are excluded; at least two uncensored points
-    at two distinct levels and two distinct cycle counts are required, each
-    level finite and > 0, and the coefficient must not overflow a float.
+    Censored (run-out) points are excluded; the rest need two distinct log
+    levels and two distinct log cycle counts, each level finite and > 0, and
+    a coefficient that fits a float. Each sum is one math.fsum, rounded once
+    from the exact sum, so the fit does not depend on the order of the points.
     """
-    # Sorted so the fit is exactly permutation-invariant in its input list.
-    usable = sorted((p for p in points if not p.censored),
-                    key=lambda p: (p.cycles, p.level_V))
+    usable = [p for p in points if not p.censored]
     for p in usable:
         if not 0.0 < p.level_V < math.inf:
             raise EstimationError(f"level must be finite and > 0 V, got {p.level_V}")
     if len(usable) < 2:
-        raise EstimationError(
-            f"need at least 2 uncensored points, got {len(usable)}")
-    import numpy as np
-    levels = np.array([p.level_V for p in usable], dtype=float)
-    cycles = np.array([p.cycles for p in usable], dtype=float)
-    for name, values in (("level", levels), ("cycle count", cycles)):
-        if np.unique(values).size < 2:
+        raise EstimationError(f"need at least 2 uncensored points, got {len(usable)}")
+    log_s = [math.log(p.level_V) for p in usable]
+    log_n = [math.log(p.cycles) for p in usable]
+    for name, values in (("level", log_s), ("cycle count", log_n)):
+        if len(set(values)) < 2:
             raise EstimationError(f"all uncensored points share one {name}; slope is undefined")
-    log_n = np.log(cycles)
-    log_s = np.log(levels)
-    slope, intercept = np.polyfit(log_n, log_s, 1)
-    residual = float(np.sqrt(np.mean((log_s - (intercept + slope * log_n)) ** 2)))
-    with np.errstate(over="ignore"):
-        coefficient = float(np.exp(intercept))
-    if coefficient == math.inf:
+    x_bar, y_bar = math.fsum(log_n) / len(usable), math.fsum(log_s) / len(usable)
+    dx = [x - x_bar for x in log_n]
+    slope = math.fsum(d * (y - y_bar) for d, y in zip(dx, log_s)) / math.fsum(d * d for d in dx)
+    intercept = y_bar - slope * x_bar
+    residual = math.sqrt(math.fsum((y - (intercept + slope * x)) ** 2
+                                   for x, y in zip(log_n, log_s)) / len(usable))
+    try:
+        coefficient = math.exp(intercept)
+    except OverflowError:
         raise EstimationError(f"the Basquin coefficient exp({intercept:.6g}) overflows a float")
-    return BasquinFit(coefficient=coefficient, exponent=float(slope), residual=residual)
+    return BasquinFit(coefficient=coefficient, exponent=slope, residual=residual)
 
 
 def _stair_case_levels(strengths: np.ndarray, low: float, high: float,

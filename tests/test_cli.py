@@ -309,6 +309,15 @@ def test_wohler_degenerate_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_wohler_cycle_counts_with_one_log_exit_3(tmp_path, capsys):
+    # 10**15 and 10**15 + 1 are two cycle counts, but their logs are one float.
+    csv = tmp_path / "points.csv"
+    csv.write_text("level_V,cycles,censored\n14,1000000000000000,0\n15,1000000000000001,0\n")
+    code, out, err = run_cli(capsys, "wohler", "--points-csv", str(csv))
+    assert (code, out) == (3, "")
+    assert err == "error: all uncensored points share one cycle count; slope is undefined\n"
+
+
 @pytest.mark.parametrize("text, where", [
     ("level_V,cycles,censored\n14,1000,0\nnan,2000,0\n", "line 3, column level_V"),
     ("# note\n\n14,1000,0\n0,2000,0\n", "line 4, column level_V"),
@@ -661,6 +670,22 @@ def test_staircase_artifact_bytes_pinned(tmp_path, capsys, config, digests):
     assert code == 0
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted((tmp_path / "out").iterdir())} == digests
+
+
+# The default campaign's wohler_points.csv, whose bytes STAIRCASE_DIGESTS pins.
+DEFAULT_WOHLER_POINTS = ("level_V,cycles,censored\n15,900000,0\n14,1100000,0\n13,2000000,0\n"
+                         "12,2000000,1\n13,1700000,0\n12,2000000,1\n")
+
+
+def test_wohler_stdout_bytes_pinned(tmp_path, capsys):
+    points = DEFAULT_WOHLER_POINTS.encode()
+    assert hashlib.sha256(points).hexdigest() == STAIRCASE_DIGESTS["wohler_points.csv"]
+    csv = tmp_path / "wohler_points.csv"
+    csv.write_bytes(points)
+    code, out, _ = run_cli(capsys, "wohler", "--points-csv", str(csv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a0171097c0837fe5019a1b649c374491ad7d6a160f7c047c0501217347edde71")
 
 
 def _refuse(*args, **kwargs):

@@ -293,10 +293,9 @@ def test_cold_commands_load_no_numpy(tmp_path):
     out = ["--out", str(tmp_path / "out")]
     cold = [["pullin"], ["curve", "--vmax", "25", "--points", "200"],
             [*out, "fatigue", "--va", "14"], ["--show-defaults"],
-            ["--config", str(table), *out, "staircase"]]
+            ["--config", str(table), *out, "staircase"], ["wohler", "--points-csv", str(points)]]
     assert _dispatch_fresh(*cold) == [(0, False)] * (len(cold) + 1)
-    for argv in ([*out, "staircase"], ["recovery", "--replications", "5"],
-                 ["wohler", "--points-csv", str(points)]):
+    for argv in ([*out, "staircase"], ["recovery", "--replications", "5"]):
         assert _dispatch_fresh(argv) == [(0, False), (0, True)], argv
 
 

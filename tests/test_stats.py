@@ -154,11 +154,58 @@ def test_basquin_degenerate_errors():
 
 
 def test_basquin_unbounded_fits_error():
-    # One cycle count leaves the slope undefined; these extremes put C = e**(about 4e5).
+    # One cycle count leaves the slope undefined; these extremes put C = e**(about 725).
     with pytest.raises(EstimationError, match="one cycle count"):
         fit_basquin([WohlerPoint(20.0, 10**3), WohlerPoint(14.0, 10**3)])
     with pytest.raises(EstimationError, match="overflows"):
         fit_basquin([WohlerPoint(5.0, 10**300), WohlerPoint(1e299, 10**15)])
+
+
+@pytest.mark.parametrize("points, name", [
+    ([WohlerPoint(14.0, 10**15), WohlerPoint(15.0, 10**15 + 1)], "cycle count"),
+    ([WohlerPoint(1e15, 10**3), WohlerPoint(1e15 + 0.125, 10**6)], "level"),
+], ids=["cycles", "levels"])
+def test_basquin_rejects_values_whose_logs_coincide(points, name):
+    # Two distinct values whose logs are one float leave the log-log line no spread.
+    with pytest.raises(EstimationError,
+                       match=f"^all uncensored points share one {name}; slope is undefined$"):
+        fit_basquin(points)
+
+
+def _polyfit_basquin(points):
+    """The Basquin fit as np.polyfit computes it: (coefficient, exponent, residual)."""
+    usable = sorted((p for p in points if not p.censored), key=lambda p: (p.cycles, p.level_V))
+    log_n = np.log(np.array([p.cycles for p in usable], dtype=float))
+    log_s = np.log(np.array([p.level_V for p in usable], dtype=float))
+    slope, intercept = np.polyfit(log_n, log_s, 1)
+    residual = np.sqrt(np.mean((log_s - (intercept + slope * log_n)) ** 2))
+    return float(np.exp(intercept)), float(slope), float(residual)
+
+
+@st.composite
+def basquin_points(draw):
+    """2 to 50 points level = C * N**b * noise, N in [1, 1e7] over at least a decade.
+
+    np.polyfit loses digits as the log cycle counts bunch up: on two counts near
+    1e7 one apart, its exponent is 7e-8 relative off the exact least-squares
+    slope of the same logs. So the oracle is held to S-N data that span a
+    decade, as a test series does."""
+    coefficient = draw(st.floats(10.0, 1000.0))
+    exponent = draw(st.floats(-0.5, -0.01))
+    cycles = draw(st.lists(st.integers(1, 10**7), min_size=2, max_size=50).filter(
+        lambda ns: max(ns) >= 10 * min(ns)))
+    noise = draw(st.lists(st.floats(0.8, 1.25), min_size=len(cycles), max_size=len(cycles)))
+    return [WohlerPoint(coefficient * n**exponent * e, n) for n, e in zip(cycles, noise)]
+
+
+@given(points=basquin_points())
+@settings(max_examples=300, deadline=None)
+def test_basquin_fit_agrees_with_polyfit(points):
+    coefficient, exponent, residual = _polyfit_basquin(points)
+    fit = fit_basquin(points)
+    assert fit.coefficient == pytest.approx(coefficient, rel=1e-9, abs=0.0)
+    assert fit.exponent == pytest.approx(exponent, rel=1e-9, abs=0.0)
+    assert fit.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
 
 
 def test_basquin_noise_robustness():

@@ -42,3 +42,37 @@ def _python_floor() -> tuple[int, int]:
     ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_sources_parse_at_the_declared_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
+
+
+# The functions that make arrays; numpy is imported in them and nowhere else.
+NUMPY_IMPORTERS = ["protocols.population_thresholds", "stats._dixon_mood_means",
+                   "stats._stair_case_levels", "stats.estimator_recovery_trial"]
+
+
+def _numpy_import_sites(path: Path) -> list[str]:
+    """The dotted scope (module, then enclosing defs) of each numpy import in path."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                sites.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_numpy_is_imported_only_where_arrays_are_made():
+    sites = [site for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
+             for site in _numpy_import_sites(path)]
+    assert sorted(sites) == NUMPY_IMPORTERS
