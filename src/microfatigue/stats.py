@@ -3,11 +3,15 @@ from a stair-case sequence, Basquin (S-N) curve fitting, and a Monte-Carlo
 harness validating the estimator on synthetic threshold-strength specimens.
 
 ``dixon_mood`` is the scalar estimator for one campaign. The Monte-Carlo
-harness runs all replications of a trial as arrays (one stair-case step per
-specimen across the replication axis, then Dixon-Mood moments per row).
-A trial draws from one generator, ``default_rng(seed)``, with replication
-rep taking the next n_specimens normals after those of replications 0 to
-rep - 1.
+harness runs all replications of a trial as arrays. On its window of four
+levels a stair-case is a walk over 20 state codes 5*k + m: level k is under
+test and m window levels lie below the specimen's strength, so the specimen
+fails iff k >= m. Each specimen column is one add and one lookup in a
+20-entry next-state table across the replication axis; one bincount then
+counts each replication's trials per (outcome, level) cell, and Dixon-Mood
+works from those counts. A trial draws from one generator,
+``default_rng(seed)``, with replication rep taking the next n_specimens
+normals after those of replications 0 to rep - 1.
 
 ``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
 plain floats; numpy is imported inside the recovery trial's array functions,
@@ -110,9 +114,11 @@ def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
     """Least-squares Basquin line level = C * N^b in log-log space.
 
     Censored (run-out) points are excluded; the rest need two distinct log
-    levels and two distinct log cycle counts, each level finite and > 0, and
-    a coefficient that fits a float. Each sum is one math.fsum, rounded once
-    from the exact sum, so the fit does not depend on the order of the points.
+    cycle counts (else the slope is undefined), two distinct log levels (else
+    the exponent is 0, a flat line that crosses no level at a finite life),
+    each level finite and > 0, and a coefficient that fits a float. Each sum
+    is one math.fsum, rounded once from the exact sum, so the fit does not
+    depend on the order of the points.
     """
     usable = [p for p in points if not p.censored]
     for p in usable:
@@ -122,9 +128,11 @@ def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
         raise EstimationError(f"need at least 2 uncensored points, got {len(usable)}")
     log_s = [math.log(p.level_V) for p in usable]
     log_n = [math.log(p.cycles) for p in usable]
-    for name, values in (("level", log_s), ("cycle count", log_n)):
-        if len(set(values)) < 2:
-            raise EstimationError(f"all uncensored points share one {name}; slope is undefined")
+    if len(set(log_n)) < 2:
+        raise EstimationError("all uncensored points share one cycle count; slope is undefined")
+    if len(set(log_s)) < 2:  # the least-squares slope is then 0
+        raise EstimationError("all uncensored points share one level; "
+                              "a Basquin exponent of 0 gives no finite life")
     x_bar, y_bar = math.fsum(log_n) / len(usable), math.fsum(log_s) / len(usable)
     dx = [x - x_bar for x in log_n]
     slope = math.fsum(d * (y - y_bar) for d, y in zip(dx, log_s)) / math.fsum(d * d for d in dx)
@@ -138,30 +146,13 @@ def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
     return BasquinFit(coefficient=coefficient, exponent=slope, residual=residual)
 
 
-def _stair_case_levels(strengths: np.ndarray, low: float, high: float,
-                       step_V: float, start_level_V: float) -> np.ndarray:
-    """Test levels of synthetic stair-cases, one per row of threshold strengths.
-
-    Column j tests specimen j of every row at once: failure iff level >=
-    strength, then one step down after a failure and up otherwise, clamped
-    to [low, high]. The float operations are those of synthetic_stair_case.
-    """
-    import numpy as np
-    tested = np.empty_like(strengths)
-    level = np.full(len(strengths), float(start_level_V))
-    for j in range(strengths.shape[1]):
-        tested[:, j] = level
-        level = np.where(level >= strengths[:, j], level - step_V, level + step_V)
-        level = np.minimum(np.maximum(level, low), high)
-    return tested
-
-
 def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
                          step_V: float, start_level_V: float) -> StairCaseSequence:
     """Stair-case over pure threshold specimens: failure iff level >= strength.
 
-    One specimen at a time in plain floats, stepping and clamping as one row
-    of _stair_case_levels does.
+    One specimen at a time in plain floats. On a window of four levels 1 V
+    apart, the state-code walk of estimator_recovery_trial (_window_tables)
+    takes the same steps for every replication at once.
     """
     levels = sorted(float(v) for v in levels_V)
     low, high = levels[0], levels[-1]
@@ -174,28 +165,71 @@ def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
     return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels))
 
 
-def _dixon_mood_means(tested: np.ndarray, failed: np.ndarray, step_V: float) -> np.ndarray:
-    """Dixon-Mood mean of each stair-case row with both outcomes, in row order.
+def _window_tables(levels: list[float]):
+    """The stair-case walk on a window of four sorted levels 1 V apart, as arrays.
 
-    Rows with a single outcome are dropped, where dixon_mood raises
-    EstimationError. Levels are taken to lie on the step_V grid, unchecked.
-    Per row, with the basis levels indexed i = rint((level - X0)/d) (round
-    half to even, as round() does), the mean is X0 + d*(A/N +/- 1/2) with N
-    the basis count and A the sum of i.
+    State code 5*k + m: level k is under test and m = searchsorted(levels,
+    strength) window levels lie below the strength, so the trial fails iff
+    k >= m, exactly when level >= strength (a NaN strength counts 4 and
+    survives, as level >= NaN is false). Returns the levels, the next state
+    5*k' of each code, its cell (k for a failure, 4 + k for a survival) and
+    the 8x4 matrix that takes a row of cell counts to the failure and survival
+    counts and each outcome's sum of level - levels[0]. Level k' is the first
+    equal to max(level - 1.0, low) after a failure and min(level + 1.0, high)
+    after a survival, the float step of synthetic_stair_case, so windows whose
+    levels coincide as floats (means of 2**53 and more) walk as it does.
     """
     import numpy as np
-    n_fail = failed.sum(axis=1)
-    n_surv = failed.shape[1] - n_fail
-    both = (n_fail > 0) & (n_surv > 0)   # so every basis below is non-empty
-    tested, failed = tested[both], failed[both]
-    by_failures = n_fail[both] <= n_surv[both]
-    basis = failed == by_failures[:, None]
-    x0 = np.where(basis, tested, np.inf).min(axis=1)
-    i = np.rint((tested - x0[:, None]) / step_V)
-    n = basis.sum(axis=1)
-    a = np.where(basis, i, 0.0).sum(axis=1)
-    half = np.where(by_failures, -0.5, 0.5)
-    return x0 + step_V * (a / n + half)
+    low, high = levels[0], levels[-1]
+    next_code, cell = [], []
+    for k, level in enumerate(levels):
+        down = 5 * levels.index(max(level - 1.0, low))
+        up = 5 * levels.index(min(level + 1.0, high))
+        next_code += [down] * (k + 1) + [up] * (4 - k)
+        cell += [k] * (k + 1) + [4 + k] * (4 - k)
+    above_low = [int(level - low) for level in levels]  # whole volts, so exact
+    sums = [[1, 0, d, 0] for d in above_low] + [[0, 1, 0, d] for d in above_low]
+    return np.array(levels), np.array(next_code), np.array(cell), np.array(sums)
+
+
+def _stair_case_codes(strengths: np.ndarray, levels: np.ndarray, next_code: np.ndarray,
+                      start_code: int) -> np.ndarray:
+    """State code of every trial of synthetic stair-cases, one row of strengths
+    each: column j of the result holds specimen j of every row."""
+    codes = levels.searchsorted(strengths.T)
+    state = start_code
+    for column in codes:
+        column += state
+        state = next_code[column]
+    return codes
+
+
+def _dixon_mood_means(codes: np.ndarray, levels: np.ndarray, cell: np.ndarray,
+                      sums: np.ndarray) -> np.ndarray:
+    """Dixon-Mood mean of each stair-case column of codes with both outcomes, in order.
+
+    One bincount counts each column's trials per cell; columns with a single
+    outcome are dropped before any division, where dixon_mood raises
+    EstimationError. Per outcome, X0 is its lowest occupied level, N its count
+    and A the sum of count * (level - X0), exact as the levels are whole
+    volts; the mean is X0 + d*(A/N +/- 1/2), d = 1 V, over the less frequent
+    outcome (ties to failures), in the float operations of dixon_mood.
+    """
+    import numpy as np
+    rows = codes.shape[1]
+    cells = cell[codes]
+    cells += np.arange(0, 8 * rows, 8)
+    counts = np.bincount(cells.ravel(), minlength=8 * rows).reshape(rows, 8)
+    # Per row: failures, survivals and their level sums above levels[0]. An
+    # integer product, so no BLAS buffer is allocated for it.
+    totals = counts @ sums
+    both = np.logical_and(totals[:, 0], totals[:, 1])
+    totals = totals[both]
+    x0 = levels[(counts[both] > 0).reshape(-1, 2, 4).argmax(axis=2)]  # per outcome
+    n = totals[:, :2]
+    a = totals[:, 2:] - n * (x0 - levels[0])
+    means = x0 + (a / n + (-0.5, 0.5))
+    return np.where(n[:, 0] <= n[:, 1], means[:, 0], means[:, 1])
 
 
 def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
@@ -209,9 +243,11 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     The arguments must pass protocols.validate_population, the mean and spread finite.
 
     All replications draw from one default_rng(seed), row after row, and run
-    at once as arrays. A generator's draws come in order, so the block size
-    leaves them unchanged, and the summary equals that of one
-    synthetic_stair_case and dixon_mood per replication.
+    at once as arrays: each specimen column is one step of a walk over the
+    window's 20 state codes (_window_tables), and Dixon-Mood works from each
+    replication's counts per (outcome, level) cell. A generator's draws come
+    in order, so the block size leaves them unchanged, and the summary equals
+    that of one synthetic_stair_case and dixon_mood per replication.
     """
     problems = validate_population(n_specimens, None, true_mean_V, true_std_V, seed)
     problems += [f"{name}: must be finite, got {value}" for name, value in (
@@ -224,7 +260,8 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
         raise ValueError("; ".join(problems))
     import numpy as np
     levels = [round(true_mean_V) - 1.0 + i for i in range(4)]
-    start = min(levels, key=lambda v: abs(v - true_mean_V))
+    start = min(range(4), key=lambda k: abs(levels[k] - true_mean_V))
+    window, next_code, cell, sums = _window_tables(levels)
 
     rng = np.random.default_rng(int(seed))
     block = max(1, _BLOCK_ELEMENTS // n_specimens)   # replications per array pass
@@ -232,8 +269,8 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     for first in range(0, replications, block):
         z = rng.standard_normal((min(block, replications - first), n_specimens))
         strengths = true_mean_V + true_std_V * z
-        tested = _stair_case_levels(strengths, levels[0], levels[-1], 1.0, start)
-        chunks.append(_dixon_mood_means(tested, tested >= strengths, 1.0))
+        codes = _stair_case_codes(strengths, window, next_code, 5 * start)
+        chunks.append(_dixon_mood_means(codes, window, cell, sums))
     estimates = np.concatenate(chunks)
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")

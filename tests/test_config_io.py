@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import microfatigue
-from microfatigue.config import (CampaignConfig, RunConfig, default_config,
+from microfatigue.config import (CampaignConfig, DamageConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
-from microfatigue.damage import SpecimenStrength
+from microfatigue.damage import DamageModelParams, SpecimenStrength
 from microfatigue.device import DeviceGeometry, Material, derive_mechanics
 from microfatigue.electromech import EquilibriumPoint, PullInResult, pull_in_voltage_sweep
 from microfatigue.emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
@@ -128,6 +128,17 @@ def test_explicit_damage_block():
     params = config.damage_params(config.device())
     assert params.basquin_coefficient_Pa == 1e9
     assert params.basquin_exponent == -0.3
+
+
+def test_damage_config_takes_its_shape_defaults_from_the_damage_model():
+    # DamageConfig reads these defaults off DamageModelParams; on a NamedTuple the
+    # class attribute would be the field's accessor, not its default.
+    params = DamageModelParams(basquin_coefficient_Pa=1e9, basquin_exponent=-0.3,
+                               endurance_stress_Pa=12e6)
+    shape = ("hardening_amplitude", "hardening_onset", "collapse_threshold",
+             "softening_exponent")
+    assert [getattr(DamageConfig(), name) for name in shape] == [
+        getattr(params, name) for name in shape]
 
 
 def test_material_faults_name_the_config_key():

@@ -161,14 +161,16 @@ def test_basquin_unbounded_fits_error():
         fit_basquin([WohlerPoint(5.0, 10**300), WohlerPoint(1e299, 10**15)])
 
 
-@pytest.mark.parametrize("points, name", [
-    ([WohlerPoint(14.0, 10**15), WohlerPoint(15.0, 10**15 + 1)], "cycle count"),
-    ([WohlerPoint(1e15, 10**3), WohlerPoint(1e15 + 0.125, 10**6)], "level"),
+@pytest.mark.parametrize("points, message", [
+    ([WohlerPoint(14.0, 10**15), WohlerPoint(15.0, 10**15 + 1)],
+     "all uncensored points share one cycle count; slope is undefined"),
+    ([WohlerPoint(1e15, 10**3), WohlerPoint(1e15 + 0.125, 10**6)],
+     "all uncensored points share one level; a Basquin exponent of 0 gives no finite life"),
 ], ids=["cycles", "levels"])
-def test_basquin_rejects_values_whose_logs_coincide(points, name):
-    # Two distinct values whose logs are one float leave the log-log line no spread.
-    with pytest.raises(EstimationError,
-                       match=f"^all uncensored points share one {name}; slope is undefined$"):
+def test_basquin_rejects_values_whose_logs_coincide(points, message):
+    # Two distinct values whose logs are one float leave the log-log line no spread:
+    # one log cycle count leaves the slope undefined, one log level makes it 0.
+    with pytest.raises(EstimationError, match=f"^{message}$"):
         fit_basquin(points)
 
 
@@ -304,16 +306,15 @@ def recovery_by_replication(true_mean_V, true_std_V, n_specimens, replications, 
     }
 
 
-STEPS_V = st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.0])
-
-
 @st.composite
 def recovery_trials(draw):
     # Means ending in .5 tie the two nearest window levels for the start; far
-    # means keep the window on its grid too.
+    # means keep the window on its grid too. From 2**52 on, window levels 1 V
+    # apart coincide as floats.
     true_mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
                      | st.floats(8.0, 18.0, allow_subnormal=False)
-                     | st.floats(-1e6, 1e6, allow_subnormal=False))
+                     | st.floats(-1e6, 1e6, allow_subnormal=False)
+                     | st.floats(2.0**51, 2.0**60))
     return dict(
         true_mean_V=true_mean,
         true_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
@@ -344,22 +345,78 @@ def test_batched_recovery_equals_replication_loop(trial, block_elements):
     assert batched == _summary_or_error(recovery_by_replication, trial)
 
 
-STRENGTHS_V = st.floats(9.0, 17.0) | st.sampled_from([math.nan, math.inf, -math.inf, 13])
+def float_stair_case_levels(strengths, low, high, step_V, start_level_V):
+    """Reference: the test levels of synthetic stair-cases, one row of strengths
+    each, stepping every row at once in float arrays as synthetic_stair_case
+    steps one row."""
+    tested = np.empty_like(strengths)
+    level = np.full(len(strengths), float(start_level_V))
+    for j in range(strengths.shape[1]):
+        tested[:, j] = level
+        level = np.where(level >= strengths[:, j], level - step_V, level + step_V)
+        level = np.minimum(np.maximum(level, low), high)
+    return tested
 
 
-@given(rows=st.integers(0, 30).flatmap(lambda n: st.lists(
-           st.lists(STRENGTHS_V, min_size=n, max_size=n), min_size=1, max_size=5)),
-       levels=st.lists(st.floats(10.0, 16.0), min_size=1, max_size=6),
-       step=STEPS_V, start=st.floats(10.0, 16.0))
-@settings(max_examples=200, deadline=None)
-def test_synthetic_stair_case_steps_one_specimen_at_a_time(rows, levels, step, start):
+def float_dixon_mood_means(tested, failed, step_V):
+    """Reference: the Dixon-Mood mean of each row of tested levels with both
+    outcomes, from the float levels themselves, as dixon_mood computes it."""
+    n_fail = failed.sum(axis=1)
+    n_surv = failed.shape[1] - n_fail
+    both = (n_fail > 0) & (n_surv > 0)
+    tested, failed = tested[both], failed[both]
+    by_failures = n_fail[both] <= n_surv[both]
+    basis = failed == by_failures[:, None]
+    x0 = np.where(basis, tested, np.inf).min(axis=1)
+    i = np.rint((tested - x0[:, None]) / step_V)
+    n = basis.sum(axis=1)
+    a = np.where(basis, i, 0.0).sum(axis=1)
+    half = np.where(by_failures, -0.5, 0.5)
+    return x0 + step_V * (a / n + half)
+
+
+# Window bases past 2**52 make window levels 1 V apart coincide as floats.
+WINDOW_BASES = st.integers(10, 15) | st.integers(2**51, 2**60)
+STRENGTH_OFFSETS_V = st.floats(-3.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf, 1])
+
+
+@st.composite
+def window_stair_cases(draw, min_specimens=0):
+    """(rows of strengths, the recovery window's four levels, start index): up to
+    5 rows of min_specimens to 30 strengths around a window of 1 V steps."""
+    base = draw(WINDOW_BASES)
+    n = draw(st.integers(min_specimens, 30))
+    offsets = draw(st.lists(st.lists(STRENGTH_OFFSETS_V, min_size=n, max_size=n),
+                            min_size=1, max_size=5))
+    rows = [[base + offset for offset in row] for row in offsets]
+    return rows, [base - 1.0 + i for i in range(4)], draw(st.integers(0, 3))
+
+
+@given(case=window_stair_cases())
+@settings(max_examples=300, deadline=None)
+def test_state_code_walk_steps_as_synthetic_stair_case(case):
+    rows, levels, start = case
+    window, next_code, _, _ = stats._window_tables(levels)
     strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
-    tested = stats._stair_case_levels(strengths, min(levels), max(levels), step, start)
-    for row, strength_row, tested_row in zip(rows, strengths, tested):
-        trials = synthetic_stair_case(row, levels, step, start).trials
-        assert [t.level_V for t in trials] == tested_row.tolist()
-        assert [t.failure for t in trials] == (tested_row >= strength_row).tolist()
+    codes = stats._stair_case_codes(strengths, window, next_code, 5 * start)
+    for row, row_codes in zip(rows, codes.T.tolist()):
+        trials = synthetic_stair_case(row, levels, 1.0, levels[start]).trials
+        assert [t.level_V for t in trials] == [levels[code // 5] for code in row_codes]
+        assert [t.failure for t in trials] == [code // 5 >= code % 5 for code in row_codes]
         assert all(type(t.level_V) is float and type(t.failure) is bool for t in trials)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(case=window_stair_cases(min_specimens=1))
+@settings(max_examples=300, deadline=None)
+def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
+    rows, levels, start = case
+    strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
+    tested = float_stair_case_levels(strengths, levels[0], levels[-1], 1.0, levels[start])
+    expected = float_dixon_mood_means(tested, tested >= strengths, 1.0)
+    window, next_code, cell, sums = stats._window_tables(levels)
+    codes = stats._stair_case_codes(strengths, window, next_code, 5 * start)
+    assert stats._dixon_mood_means(codes, window, cell, sums).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("fault, name", [

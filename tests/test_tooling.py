@@ -46,7 +46,7 @@ def test_sources_parse_at_the_declared_python_floor(path):
 
 # The functions that make arrays; numpy is imported in them and nowhere else.
 NUMPY_IMPORTERS = ["protocols.population_thresholds", "stats._dixon_mood_means",
-                   "stats._stair_case_levels", "stats.estimator_recovery_trial"]
+                   "stats._window_tables", "stats.estimator_recovery_trial"]
 
 
 def _numpy_import_sites(path: Path) -> list[str]:
