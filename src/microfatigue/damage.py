@@ -127,22 +127,17 @@ def accumulate(state: DamageState, sigma_alt_Pa: float, delta_cycles: int,
     )
 
 
-def _hardening_bump(d: float, params: DamageModelParams) -> float:
-    # Unit-height smooth peak centred between onset and collapse.
-    if d <= params.hardening_onset or d >= params.collapse_threshold:
-        return 0.0
-    u = (d - params.hardening_onset) / (params.collapse_threshold - params.hardening_onset)
-    return math.sin(math.pi * u) ** 2
-
-
 def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
-    """k_eff/k at damage level d: power-law softening times the hardening bump.
+    """k_eff/k at damage level d: power-law softening times the hardening bump, a
+    unit-height smooth peak sin(pi*u)**2 centred between onset and collapse.
 
     ``protocols.run_fatigue_test`` repeats this expression, in the same float
     operations, in its detection loop; a change to the law changes both."""
     d = min(max(d, 0.0), 1.0)
-    return (1.0 - d) ** params.softening_exponent * (
-        1.0 + params.hardening_amplitude * _hardening_bump(d, params))
+    onset, collapse = params.hardening_onset, params.collapse_threshold
+    bump = (0.0 if d <= onset or d >= collapse  # not onset < d < collapse: NaN stays NaN
+            else math.sin(math.pi * ((d - onset) / (collapse - onset))) ** 2)
+    return (1.0 - d) ** params.softening_exponent * (1.0 + params.hardening_amplitude * bump)
 
 
 def degraded_pull_in(state: DamageState, mech: DerivedMechanics,

@@ -100,14 +100,7 @@ def parse_wohler_points(text: str) -> list[WohlerPoint]:
 
 
 def estimate_to_dict(est: StairCaseEstimate) -> dict:
-    return {
-        "mean_V": est.mean_V,
-        "std_V": est.std_V,
-        "q10_V": est.quantile_10_V,
-        "q90_V": est.quantile_90_V,
-        "basis_event": est.basis_event,
-        "dispersion_valid": est.dispersion_formula_valid,
-    }
+    return est._asdict()
 
 
 def fit_to_dict(fit: BasquinFit) -> dict:

@@ -424,12 +424,23 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
     return problems
 
 
+def next_level(level: float, failure: bool, step: float, low: float,
+               high: float) -> tuple[float, str | None]:
+    """The stair-case rule (Dixon and Mood): one step down after a failure and one up
+    after a survival, clamped to the window [low, high]. Returns the next level and the
+    end of the window that clamped it, "bottom" or "top", or None. The end is where the
+    unclamped level fell, so a one-level window (low == high) still tells the two apart.
+    """
+    nxt = level - step if failure else level + step
+    end = "bottom" if nxt < low else "top" if nxt > high else None
+    return min(max(nxt, low), high), end
+
+
 def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                    n_specimens: int, population: tuple[SpecimenStrength, ...],
                    device: Device, params: DamageModelParams,
                    **run_kwargs) -> tuple[StairCaseSequence, list[FatigueRunRecord]]:
-    """Sequential stair-case campaign: down one step after a failure, up after
-    a survival, clamped at the ends of the level window.
+    """Sequential stair-case campaign, stepped from level to level by ``next_level``.
 
     An invalid (displacement-imposed) run is counted as a failure for the
     level transition; it cannot feed a stress-imposed comparison.
@@ -463,7 +474,7 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
         records.append(record)
         failure = record.outcome in (OUTCOME_FAILED, OUTCOME_INVALID)
         trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
-        level = min(max(level - step_V if failure else level + step_V, levels[0]), levels[-1])
+        level, _ = next_level(level, failure, step_V, levels[0], levels[-1])
     sequence = StairCaseSequence(trials=tuple(trials), step_V=step_V,
                                  levels_V=tuple(levels))
     return sequence, records
@@ -473,19 +484,17 @@ def campaign_notes(thresholds: Sequence[tuple[float, float]], sequence: StairCas
                    records: Sequence[FatigueRunRecord]) -> list[str]:
     """One line per event of a campaign that its artifacts do not state: each threshold
     that population_thresholds clamped, then for each trial a displacement-imposed
-    run counted as a failure, and a level step that left the level window and was
-    clamped, the step after the last trial included."""
+    run counted as a failure, and a step that ``next_level`` clamped at an end of the
+    level window, the step after the last trial included."""
     notes = [f"specimen {i} threshold {v:.3g} V clamped to {clamped:.3g} V"
              for i, (v, clamped) in enumerate(thresholds) if clamped != v]
     step, low, high = sequence.step_V, sequence.levels_V[0], sequence.levels_V[-1]
     for trial, record in zip(sequence.trials, records):
-        level = trial.level_V
         if record.outcome == OUTCOME_INVALID:
-            notes.append(f"specimen {trial.specimen_id} at {level:.3g} V: displacement-imposed "
-                         "run counted as failure for the level transition")
-        nxt = level - step if trial.failure else level + step
-        if not low <= nxt <= high:
-            end, edge = ("bottom", low) if nxt < low else ("top", high)
+            notes.append(f"specimen {trial.specimen_id} at {trial.level_V:.3g} V: "
+                         "displacement-imposed run counted as failure for the level transition")
+        edge, end = next_level(trial.level_V, trial.failure, step, low, high)
+        if end:
             notes.append(f"level clamped at the {end} of the window ({edge:.3g} V)")
     return notes
 
@@ -517,6 +526,9 @@ def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
             device.geometry, "target_immediate_V: target"))
     except ValueError as exc:
         raise CalibrationError(str(exc)) from exc
+    if not (sigma_step > 0.0 and sigma_imm < math.inf):  # else the slope is not finite
+        raise CalibrationError(f"target_immediate_V: stress amplitudes {sigma_step:g} and "
+                               f"{sigma_imm:g} Pa at the targets; need finite ones > 0")
 
     n_step = 0.6 * reference_cycles        # finite life one step above the limit
     n_imm = 0.5 * detection_interval       # collapse within the first interval

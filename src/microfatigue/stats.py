@@ -6,10 +6,10 @@ harness validating the estimator on synthetic threshold-strength specimens.
 harness runs all replications of a trial as arrays. On its window of four
 levels a stair-case is a walk over 20 state codes 5*k + m: level k is under
 test and m window levels lie below the specimen's strength, so the specimen
-fails iff k >= m. Each specimen column is one add and one lookup in a
-20-entry next-state table across the replication axis; one bincount then
-counts each replication's trials per (outcome, level) cell, and Dixon-Mood
-works from those counts. A trial draws from one generator,
+fails iff k >= m. Each specimen column is one add and one lookup in a 20-entry
+next-state table (from ``protocols.next_level``) across the replication axis;
+one bincount then counts each replication's trials per (outcome, level) cell,
+and Dixon-Mood works from those counts. A trial draws from one generator,
 ``default_rng(seed)``, with replication rep taking the next n_specimens
 normals after those of replications 0 to rep - 1.
 
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import EstimationError
 from .protocols import (StairCaseSequence, StairCaseTrial, _is_whole, grid_index,
-                        validate_population)
+                        next_level, validate_population)
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -39,10 +39,10 @@ MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial, bounding its
 class StairCaseEstimate(NamedTuple):
     mean_V: float
     std_V: float
-    quantile_10_V: float
-    quantile_90_V: float
+    q10_V: float
+    q90_V: float
     basis_event: str  # "failure" | "non-failure"
-    dispersion_formula_valid: bool
+    dispersion_valid: bool
 
 
 class _WohlerPoint(NamedTuple):
@@ -103,10 +103,10 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
     std = 1.62 * d * (ratio + 0.029) if valid else DISPERSION_FALLBACK_FACTOR * d
     return StairCaseEstimate(
         mean_V=mean, std_V=std,
-        quantile_10_V=mean - Z_90 * std,
-        quantile_90_V=mean + Z_90 * std,
+        q10_V=mean - Z_90 * std,
+        q90_V=mean + Z_90 * std,
         basis_event=basis_event,
-        dispersion_formula_valid=valid,
+        dispersion_valid=valid,
     )
 
 
@@ -148,20 +148,20 @@ def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
 
 def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
                          step_V: float, start_level_V: float) -> StairCaseSequence:
-    """Stair-case over pure threshold specimens: failure iff level >= strength.
+    """Stair-case over pure threshold specimens: failure iff level >= strength,
+    stepped by ``protocols.next_level``.
 
     One specimen at a time in plain floats. On a window of four levels 1 V
     apart, the state-code walk of estimator_recovery_trial (_window_tables)
     takes the same steps for every replication at once.
     """
     levels = sorted(float(v) for v in levels_V)
-    low, high = levels[0], levels[-1]
     level = float(start_level_V)
     trials = []
     for idx, strength in enumerate(strengths_V):
         failure = level >= float(strength)
         trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
-        level = min(max(level - step_V if failure else level + step_V, low), high)
+        level, _ = next_level(level, failure, step_V, levels[0], levels[-1])
     return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels))
 
 
@@ -175,16 +175,16 @@ def _window_tables(levels: list[float]):
     5*k' of each code, its cell (k for a failure, 4 + k for a survival) and
     the 8x4 matrix that takes a row of cell counts to the failure and survival
     counts and each outcome's sum of level - levels[0]. Level k' is the first
-    equal to max(level - 1.0, low) after a failure and min(level + 1.0, high)
-    after a survival, the float step of synthetic_stair_case, so windows whose
-    levels coincide as floats (means of 2**53 and more) walk as it does.
+    equal to the level ``protocols.next_level`` steps to with a 1 V step, as in
+    synthetic_stair_case, so windows whose levels coincide as floats (means of
+    2**53 and more) walk as it does.
     """
     import numpy as np
     low, high = levels[0], levels[-1]
     next_code, cell = [], []
     for k, level in enumerate(levels):
-        down = 5 * levels.index(max(level - 1.0, low))
-        up = 5 * levels.index(min(level + 1.0, high))
+        down = 5 * levels.index(next_level(level, True, 1.0, low, high)[0])
+        up = 5 * levels.index(next_level(level, False, 1.0, low, high)[0])
         next_code += [down] * (k + 1) + [up] * (4 - k)
         cell += [k] * (k + 1) + [4 + k] * (4 - k)
     above_low = [int(level - low) for level in levels]  # whole volts, so exact

@@ -36,11 +36,11 @@ def test_criterion_1_published_staircase_statistics():
     est = dixon_mood(make_sequence(PUBLISHED))
     elapsed = time.perf_counter() - start
     ok = (est.mean_V == pytest.approx(13.0, abs=1e-12)
-          and round(est.quantile_10_V, 1) == 12.3
-          and round(est.quantile_90_V, 1) == 13.7
+          and round(est.q10_V, 1) == 12.3
+          and round(est.q90_V, 1) == 13.7
           and elapsed < 1e-3)
-    report(1, ok, f"mean={est.mean_V} q10={est.quantile_10_V:.4f} "
-                  f"q90={est.quantile_90_V:.4f} in {elapsed * 1e6:.0f} us")
+    report(1, ok, f"mean={est.mean_V} q10={est.q10_V:.4f} "
+                  f"q90={est.q90_V:.4f} in {elapsed * 1e6:.0f} us")
 
 
 def test_criterion_2_cycle_doubling():

@@ -490,6 +490,11 @@ NAN, INF = float("nan"), float("inf")
     ({"campaign": {"strength_std_V": -0.5}}, "campaign.strength_std_V"),
     ({"campaign": {"master_seed": -1}}, "campaign.master_seed"),
     ({"model": {"drop_fraction": 1}}, "model.drop_fraction"),
+    # The stress amplitude at 21 V overflows a float, so the Basquin slope is infinite.
+    ({"geometry": {"specimen_length_um": 0.001, "specimen_width_um": 1e6,
+                   "plate_length_um": 1e6, "gap_um": 0.001, "hole_count": 0},
+      "material": {"E_GPa": 4.06730625e296}, "model": {"c_k": 1e-300}},
+     "damage.calibrate_immediate_V"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -813,13 +818,9 @@ def corner_devices(draw):
 
 
 @st.composite
-def json_configs(draw):
-    """JSON-shaped configs: at times a corner device, then in-range overrides, then
-    up to two faulty fields.
-
-    A faulty number is zero, negative, 1e3 or 1e-3 times a typical value, or
-    near the ends of the float range.
-    """
+def valid_json_configs(draw):
+    """JSON-shaped configs with no faulty field: at times a corner device, then
+    in-range overrides. A corner device or a drawn campaign may still not run."""
     config = draw(corner_devices()) if draw(st.booleans()) else {}
     for section, name in draw(st.lists(st.sampled_from(FIELDS), unique=True, max_size=6)):
         config.setdefault(section, {})[name] = draw(_field_values(section, name, good=True))
@@ -832,6 +833,17 @@ def json_configs(draw):
     if draw(st.booleans()):  # explicit damage parameters instead of the calibration
         config.setdefault("damage", {}).update(
             {name: draw(_field_values("damage", name, good=True)) for name in BASQUIN})
+    return config
+
+
+@st.composite
+def json_configs(draw):
+    """valid_json_configs with up to two faulty fields.
+
+    A faulty number is zero, negative, 1e3 or 1e-3 times a typical value, or
+    near the ends of the float range.
+    """
+    config = draw(valid_json_configs())
     for section, name in draw(st.lists(st.sampled_from(FIELDS), max_size=2)):
         config.setdefault(section, {})[name] = draw(_field_values(section, name, good=False))
     return config
@@ -1021,8 +1033,10 @@ def _campaign_events(config, summary):
     return events
 
 
-@given(config=json_configs())
+@given(config=valid_json_configs())
 @example({"campaign": {"strengths_V": [30.0, 0.05, 13.0, 13.0, 13.0, 13.0]}})
+@example({"campaign": {"levels_V": [13.0], "start_level_V": 13.0,
+                       "strengths_V": [20, 20, 1, 1, 20, 1]}})
 @example({"model": {"detection_interval_cycles": 1000},
           "campaign": {"strengths_V": [12.0, 12.0, 25.0, 12.0, 12.0, 12.0]}})
 @settings(max_examples=60, deadline=None,

@@ -29,7 +29,7 @@ from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, 
                                     build_population, run_fatigue_test)
 from microfatigue.stats import (BasquinFit, StairCaseEstimate, WohlerPoint,
                                 estimator_recovery_trial)
-from tests.test_cli import json_configs
+from tests.test_cli import valid_json_configs
 
 
 def test_empty_config_gives_nominal_defaults():
@@ -402,8 +402,11 @@ def _asdict_dump(config):
                       indent=2, sort_keys=True) + "\n"
 
 
-@given(json_configs())
+@given(valid_json_configs())
 @example({})
+# Values out of their typical range that the parser still accepts.
+@example({"campaign": {"master_seed": 10**300, "strength_mean_V": 1e299},
+          "damage": {"hardening_amplitude": 1e299, "calibrate_immediate_V": 1e299}})
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 def test_serialize_config_equals_the_asdict_dump(raw):
@@ -421,8 +424,8 @@ def test_serialize_config_equals_the_asdict_dump(raw):
     (FatigueRunRecord, ("drive_amplitude_V", "detections", "outcome", "reference_cycles")),
     (StairCaseTrial, ("specimen_id", "level_V", "failure")),
     (StairCaseSequence, ("trials", "step_V", "levels_V")),
-    (StairCaseEstimate, ("mean_V", "std_V", "quantile_10_V", "quantile_90_V", "basis_event",
-                         "dispersion_formula_valid")),
+    (StairCaseEstimate, ("mean_V", "std_V", "q10_V", "q90_V", "basis_event",
+                         "dispersion_valid")),
     (BasquinFit, ("coefficient", "exponent", "residual")),
 ])
 def test_records_keep_their_field_order(record, fields):

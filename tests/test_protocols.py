@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microfatigue import loading, protocols
 from microfatigue.damage import (DamageModelParams, DamageState, SpecimenStrength,
@@ -18,7 +18,7 @@ from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, MIN_THRESHOLD_V,
                                     OUTCOME_FAILED, OUTCOME_INVALID, OUTCOME_SURVIVED,
                                     StairCaseSequence, StairCaseTrial, build_population,
-                                    calibrate_defaults, campaign_notes,
+                                    calibrate_defaults, campaign_notes, next_level,
                                     population_thresholds, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
                                     specimens_from_thresholds,
@@ -501,6 +501,50 @@ def test_staircase_transition_rule(nominal_device, calibrated_params):
         expected = trial.level_V - 1.0 if trial.failure else trial.level_V + 1.0
         expected = min(max(expected, 12.0), 15.0)
         assert nxt == pytest.approx(expected)
+
+
+def dixon_mood_step(level, failure, step, low, high):
+    """The stair-case rule as Dixon and Mood state it: the level under test goes one
+    step down after a failure and one up after a survival; a level past an end of the
+    window stays at that end, which is then named."""
+    target = level - step if failure else level + step
+    if target < low:
+        return low, "bottom"
+    if target > high:
+        return high, "top"
+    return target, None
+
+
+@st.composite
+def stair_case_windows(draw):
+    """(level, step, low, high): a window of 1 to 5 levels on a step grid based at
+    +-0.0, at a typical level or at 2**53 to 2**60 (where level +- 1.0 == level), and
+    one of its levels, at times moved off the grid within validate_stair_case's 1e-9."""
+    step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0))
+    base = draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 30.0)
+                | st.integers(53, 60).map(lambda e: 2.0 ** e) | st.floats(2.0 ** 53, 2.0 ** 60))
+    levels = [base + k * step if k else base for k in range(draw(st.integers(1, 5)))]
+    level = draw(st.sampled_from(levels))
+    if draw(st.booleans()):
+        level *= 1.0 + draw(st.floats(-1e-9, 1e-9))
+    return level, step, levels[0], levels[-1]
+
+
+@given(window=stair_case_windows(), failure=st.booleans())
+@example(window=(0.0, 1.0, -0.0, 1.0), failure=True)
+@example(window=(1.0, 1.0, -0.0, 1.0), failure=True)
+@example(window=(-0.0, 0.5, -0.0, 0.0), failure=False)
+@example(window=(13.0, 1.0, 13.0, 13.0), failure=True)
+@example(window=(13.0, 1.0, 13.0, 13.0), failure=False)
+@example(window=(2.0 ** 53, 1.0, 2.0 ** 53, 2.0 ** 53 + 2.0), failure=False)
+@example(window=(2.0 ** 60, 1.0, 2.0 ** 60, 2.0 ** 60), failure=True)
+@settings(max_examples=200, deadline=None)
+def test_next_level_steps_as_dixon_and_mood_state_the_rule(window, failure):
+    # float.hex tells -0.0 from 0.0, so the level must be the very float.
+    level, step, low, high = window
+    got, end = next_level(level, failure, step, low, high)
+    want, want_end = dixon_mood_step(level, failure, step, low, high)
+    assert (got.hex(), end) == (want.hex(), want_end)
 
 
 def test_staircase_single_survivor(nominal_device, calibrated_params):

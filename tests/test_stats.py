@@ -31,15 +31,15 @@ def test_published_sequence_mean():
 def test_published_sequence_dispersion_fallback():
     est = dixon_mood(make_sequence(PUBLISHED))
     # validity ratio (2*1 - 1)/4 = 0.25 < 0.3 -> 0.53*d fallback
-    assert not est.dispersion_formula_valid
+    assert not est.dispersion_valid
     assert est.std_V == pytest.approx(0.53, abs=1e-12)
-    assert round(est.quantile_10_V, 1) == 12.3
-    assert round(est.quantile_90_V, 1) == 13.7
+    assert round(est.q10_V, 1) == 12.3
+    assert round(est.q90_V, 1) == 13.7
 
 
 def test_quantile_symmetry():
     est = dixon_mood(make_sequence(PUBLISHED))
-    assert est.quantile_10_V + est.quantile_90_V == pytest.approx(2 * est.mean_V)
+    assert est.q10_V + est.q90_V == pytest.approx(2 * est.mean_V)
 
 
 def test_alternating_sequence_midpoint():
@@ -88,7 +88,7 @@ def test_dispersion_formula_valid_branch():
     # basis levels 13,13,12,11: X0=11, n=(1,1,2), A=0+1+2*2=5, B=0+1+2*4=9
     ratio = (4 * 9 - 25) / 16
     assert ratio >= 0.3
-    assert est.dispersion_formula_valid
+    assert est.dispersion_valid
     assert est.std_V == pytest.approx(1.62 * 1.0 * (ratio + 0.029))
     assert est.mean_V == pytest.approx(11 + (5 / 4 + 0.5))
 
