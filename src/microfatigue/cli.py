@@ -91,10 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    if args.config is not None:
-        config = parse_config(Path(args.config).read_text())
-    else:
-        config = default_config()
+    config = parse_config(args.config.read_text()) if args.config is not None else default_config()
     return config if args.seed is None else config.with_seed(args.seed)
 
 
@@ -180,7 +177,7 @@ def build_staircase(config, out) -> tuple[dict[str, str], str, list[str]]:
     camp = config.campaign
     thresholds = protocols.population_thresholds(
         camp.master_seed, camp.strength_mean_V, camp.strength_std_V, camp.n_specimens,
-        device, thresholds_V=camp.strengths_V or None)
+        device, strengths_V=camp.strengths_V or None)
     population = protocols.specimens_from_thresholds(
         [clamped for _, clamped in thresholds], device, params)
     sequence, records = protocols.run_stair_case(

@@ -94,9 +94,9 @@ class RunConfig:
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def with_seed(self, seed: int) -> RunConfig:
-        """This config with campaign.master_seed set to seed (the ``--seed`` override)."""
-        return replace(self, campaign=replace(self.campaign, master_seed=seed))
+    def with_seed(self, master_seed: int) -> RunConfig:
+        """This config with campaign.master_seed replaced (the ``--seed`` override)."""
+        return replace(self, campaign=replace(self.campaign, master_seed=master_seed))
 
     def device(self) -> Device:
         """The assembled device; ConfigError at model.c_k and material.E_GPa when
@@ -131,8 +131,7 @@ class RunConfig:
         try:
             if calibrate:
                 calibrated = calibrate_defaults(
-                    device, target_V_D=d.calibrate_target_V_D,
-                    target_immediate_V=d.calibrate_immediate_V,
+                    device, d.calibrate_target_V_D, d.calibrate_immediate_V,
                     detection_interval=self.model.detection_interval_cycles,
                     reference_cycles=self.model.reference_cycles)
                 values.update((name, getattr(calibrated, name)) for name in _BASQUIN)
@@ -152,14 +151,13 @@ _FIELD_DICT = {name: getattr(cls, "_asdict", vars) for name, cls in _SECTIONS.it
 
 _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
-# Config paths of the names that owners' "name: text" messages start with,
-# where the name is not a field of the section being checked.
-_PATHS = {"target_V_D": "damage.calibrate_target_V_D",
-          "target_immediate_V": "damage.calibrate_immediate_V",
-          "detection_interval": "model.detection_interval_cycles",
-          "reference_cycles": "model.reference_cycles", "population": "campaign.strengths_V",
-          "E_GPa": "material.E_GPa", "true_mean_V": "campaign.strength_mean_V",
-          "true_std_V": "campaign.strength_std_V", "seed": "campaign.master_seed"}
+# Config path of each name that owners' "name: text" messages start with: a field's
+# own name (no two sections share one), and two arguments that name a field otherwise:
+# run_fatigue_test's detection_interval, which bench/workloads.py passes by keyword,
+# and run_stair_case's population, which validate_stair_case counts.
+_PATHS = {name: f"{section}.{name}" for section, hints in _HINTS.items() for name in hints}
+_PATHS.update(detection_interval="model.detection_interval_cycles",
+              population="campaign.strengths_V")
 
 
 def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:

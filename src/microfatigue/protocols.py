@@ -60,12 +60,12 @@ def _threshold_fault(threshold_V: float) -> str | None:
     return None if threshold_V > 0 else f"threshold must be > 0 V, got {threshold_V}"
 
 
-def _strength_scales(thresholds_V: list[float], device: Device,
+def _strength_scales(strengths_V: list[float], device: Device,
                      params: DamageModelParams) -> list[float]:
     """sigma_alt(v)/sigma_D of each threshold v, from one batched solve."""
     endurance = params.endurance_stress_Pa
     return [alt / endurance for _, alt in _tension_stresses(
-        thresholds_V, device.mechanics, device.geometry, "threshold")]
+        strengths_V, device.mechanics, device.geometry, "threshold")]
 
 
 def strength_scale_from_threshold(threshold_V: float, device: Device,
@@ -85,30 +85,31 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
     return scale
 
 
-def population_thresholds(seed: int, true_mean_V: float, true_std_V: float,
+def population_thresholds(master_seed: int, strength_mean_V: float, strength_std_V: float,
                           n_specimens: int, device: Device,
-                          thresholds_V: Sequence[float] | None = None,
+                          strengths_V: Sequence[float] | None = None,
                           ) -> list[tuple[float, float]]:
     """(threshold, clamped threshold) of each of n_specimens specimens. The thresholds
-    are drawn from Normal(true_mean_V, true_std_V), draw i from its own (seed, i) RNG
-    stream so that no draw depends on another, or are the first n_specimens of
-    thresholds_V. The arguments must pass validate_population.
+    are drawn from Normal(strength_mean_V, strength_std_V), draw i from its own
+    (master_seed, i) RNG stream so that no draw depends on another, or are the first
+    n_specimens of strengths_V. The arguments must pass validate_population.
 
     A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN
     threshold, which no clamp can place, raises ValueError naming the specimen.
     """
-    problems = validate_population(n_specimens, thresholds_V, true_mean_V, true_std_V, seed)
+    problems = validate_population(n_specimens, strengths_V, strength_mean_V, strength_std_V,
+                                   master_seed)
     if problems:
         raise ValueError("invalid population: " + "; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    if thresholds_V is None:
+    if strengths_V is None:
         import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
         thresholds = []
         for i in range(n_specimens):
-            rng = np.random.default_rng((int(seed), i))
-            thresholds.append(true_mean_V + true_std_V * float(rng.standard_normal()))
+            rng = np.random.default_rng((int(master_seed), i))
+            thresholds.append(strength_mean_V + strength_std_V * float(rng.standard_normal()))
     else:
-        thresholds = [float(v) for v in thresholds_V[:n_specimens]]
+        thresholds = [float(v) for v in strengths_V[:n_specimens]]
     pairs = []
     for i, v in enumerate(thresholds):
         clamped = min(max(v, MIN_THRESHOLD_V), 0.99 * pristine)
@@ -120,22 +121,22 @@ def population_thresholds(seed: int, true_mean_V: float, true_std_V: float,
     return pairs
 
 
-def specimens_from_thresholds(thresholds_V: Sequence[float], device: Device,
+def specimens_from_thresholds(strengths_V: Sequence[float], device: Device,
                               params: DamageModelParams) -> tuple[SpecimenStrength, ...]:
     """The specimens of thresholds in [MIN_THRESHOLD_V, 0.99*V_PI], from one batched
     equilibrium solve; each scale equals strength_scale_from_threshold of its threshold."""
     return tuple(SpecimenStrength(scale)
-                 for scale in _strength_scales(thresholds_V, device, params))
+                 for scale in _strength_scales(strengths_V, device, params))
 
 
-def build_population(seed: int, true_mean_V: float, true_std_V: float, n_specimens: int,
-                     device: Device, params: DamageModelParams,
-                     thresholds_V: Sequence[float] | None = None,
+def build_population(master_seed: int, strength_mean_V: float, strength_std_V: float,
+                     n_specimens: int, device: Device, params: DamageModelParams,
+                     strengths_V: Sequence[float] | None = None,
                      ) -> tuple[SpecimenStrength, ...]:
     """The specimens of the thresholds that population_thresholds draws or adopts and
     clamps, converted by specimens_from_thresholds."""
-    pairs = population_thresholds(seed, true_mean_V, true_std_V, n_specimens, device,
-                                  thresholds_V)
+    pairs = population_thresholds(master_seed, strength_mean_V, strength_std_V, n_specimens,
+                                  device, strengths_V)
     return specimens_from_thresholds([clamped for _, clamped in pairs], device, params)
 
 
@@ -182,28 +183,28 @@ def validate_run_settings(detection_interval: int, reference_cycles: int, detect
     return problems
 
 
-def validate_population(n_specimens: int, thresholds_V: Sequence[float] | None = None,
-                        true_mean_V: float | None = None, true_std_V: float | None = None,
-                        seed: int | None = None) -> list[str]:
+def validate_population(n_specimens: int, strengths_V: Sequence[float] | None = None,
+                        strength_mean_V: float | None = None, strength_std_V: float | None = None,
+                        master_seed: int | None = None) -> list[str]:
     """The "name: message" faults of a population of 1 to MAX_SPECIMENS specimens, given
-    as at most MAX_SPECIMENS thresholds_V or drawn from Normal(true_mean_V > 0, true_std_V
-    >= 0) by an integer seed >= 0. An argument left None is not checked. A NaN mean or
-    spread passes, for the draw to name the specimen whose threshold it makes NaN."""
+    as at most MAX_SPECIMENS strengths_V or drawn from Normal(strength_mean_V > 0,
+    strength_std_V >= 0) by an integer master_seed >= 0. An argument left None is not
+    checked. A NaN mean or spread passes, for the draw to name the specimen it makes NaN."""
     problems = []
     if not n_specimens >= 1:
         problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
     elif not isinstance(n_specimens, numbers.Integral) or n_specimens > MAX_SPECIMENS:
         problems.append(f"n_specimens: must be an integer <= {MAX_SPECIMENS}, "
                         f"got {n_specimens!r}")
-    if thresholds_V is not None and len(thresholds_V) > MAX_SPECIMENS:
+    if strengths_V is not None and len(strengths_V) > MAX_SPECIMENS:
         problems.append(f"strengths_V: may give at most {MAX_SPECIMENS} thresholds, "
-                        f"got {len(thresholds_V)}")
-    if true_mean_V is not None and true_mean_V <= 0:
-        problems.append(f"true_mean_V: must be > 0, got {true_mean_V!r}")
-    if true_std_V is not None and true_std_V < 0:
-        problems.append(f"true_std_V: must be >= 0, got {true_std_V!r}")
-    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
-        problems.append(f"seed: must be an integer >= 0, got {seed!r}")
+                        f"got {len(strengths_V)}")
+    if strength_mean_V is not None and strength_mean_V <= 0:
+        problems.append(f"strength_mean_V: must be > 0, got {strength_mean_V!r}")
+    if strength_std_V is not None and strength_std_V < 0:
+        problems.append(f"strength_std_V: must be >= 0, got {strength_std_V!r}")
+    if not (master_seed is None or isinstance(master_seed, numbers.Integral) and master_seed >= 0):
+        problems.append(f"master_seed: must be an integer >= 0, got {master_seed!r}")
     return problems
 
 
@@ -406,7 +407,8 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
                         n_specimens: int, n_available: int, device: Device) -> list[str]:
     """Stair-case argument faults as "name: message" strings, for a population
     of n_available. A level at or above pristine pull-in is displacement-imposed; only
-    the top one is solved, as the solve's verdict is monotone in V >= 0."""
+    the top one is solved, as the solve's verdict is monotone in V >= 0. Each distinct
+    level needs its own index on the step_V grid from start_level_V."""
     problems = validate_population(n_specimens)
     if not step_V > 0:
         problems.append(f"step_V: must be > 0, got {step_V}")
@@ -418,9 +420,11 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
         problems.append(f"levels_V: need levels in [0, {v_pi:.3f}) V, the pristine pull-in")
     if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
         problems.append(f"start_level_V: {start_level_V} V not among levels {list(levels_V)}")
-    if step_V > 0 and any(grid_index(v, start_level_V, step_V) is None for v in levels_V):
-        problems.append(f"levels_V: need every level on the {step_V:g} V grid "
-                        f"from {start_level_V:g} V")
+    if step_V > 0:
+        indices = {grid_index(v, start_level_V, step_V) for v in levels_V}
+        if None in indices or len(indices) < len(set(levels_V)):
+            problems.append(f"levels_V: need every level on the {step_V:g} V grid "
+                            f"from {start_level_V:g} V")
     return problems
 
 
@@ -499,35 +503,34 @@ def campaign_notes(thresholds: Sequence[tuple[float, float]], sequence: StairCas
     return notes
 
 
-def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
-                       target_immediate_V: float = DEFAULT_TARGET_IMMEDIATE_V,
+def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TARGET_V_D,
+                       calibrate_immediate_V: float = DEFAULT_TARGET_IMMEDIATE_V,
                        detection_interval: int = DEFAULT_DETECTION_INTERVAL,
                        reference_cycles: int = DEFAULT_REFERENCE_CYCLES,
                        ) -> DamageModelParams:
     """Damage-model parameters pinned to the observed fatigue behaviour.
 
-    The endurance stress is the amplitude at target_V_D, so that level
+    The endurance stress is the amplitude at calibrate_target_V_D, so that level
     sits exactly on the fatigue limit. The Basquin line is drawn through
     two anchors: life of 60% of the reference count one level step above
-    the limit, and life of half a detection interval at the amplitude that
-    collapses immediately. A CalibrationError message starts with the name
-    of the argument at fault.
+    the limit, and life of half a detection interval at calibrate_immediate_V,
+    the amplitude that collapses immediately. A CalibrationError message starts
+    with the name of the argument at fault.
     """
-    if not 0 < target_V_D < target_immediate_V:
-        raise CalibrationError(f"target_V_D: need 0 < target_V_D < target_immediate_V, "
-                               f"got {target_V_D}, {target_immediate_V}")
-    if target_V_D + 1.0 >= target_immediate_V:
+    step_above_V = calibrate_target_V_D + 1.0
+    if not (0 < calibrate_target_V_D and step_above_V < calibrate_immediate_V):
         raise CalibrationError(
-            f"target_V_D: target_V_D + 1 V ({target_V_D + 1.0}) must stay below "
-            f"target_immediate_V ({target_immediate_V}) for a well-posed Basquin slope")
+            f"calibrate_target_V_D: need 0 < calibrate_target_V_D and calibrate_target_V_D "
+            f"+ 1 V < calibrate_immediate_V for a well-posed Basquin slope, got "
+            f"{calibrate_target_V_D}, {calibrate_immediate_V}")
     try:  # the solve names the first voltage at fault, so the highest goes first
         sigma_imm, sigma_limit, sigma_step = (alt for _, alt in _tension_stresses(
-            (target_immediate_V, target_V_D, target_V_D + 1.0), device.mechanics,
-            device.geometry, "target_immediate_V: target"))
+            (calibrate_immediate_V, calibrate_target_V_D, step_above_V), device.mechanics,
+            device.geometry, "calibrate_immediate_V: target"))
     except ValueError as exc:
         raise CalibrationError(str(exc)) from exc
     if not (sigma_step > 0.0 and sigma_imm < math.inf):  # else the slope is not finite
-        raise CalibrationError(f"target_immediate_V: stress amplitudes {sigma_step:g} and "
+        raise CalibrationError(f"calibrate_immediate_V: stress amplitudes {sigma_step:g} and "
                                f"{sigma_imm:g} Pa at the targets; need finite ones > 0")
 
     n_step = 0.6 * reference_cycles        # finite life one step above the limit
@@ -547,8 +550,9 @@ def calibrate_defaults(device: Device, target_V_D: float = DEFAULT_TARGET_V_D,
     n_at_step = cycles_to_failure(sigma_step, params)
     if n_at_step is None or n_at_step >= reference_cycles:
         raise CalibrationError(
-            f"reference_cycles: need N(sigma({target_V_D + 1.0} V)) < {reference_cycles}")
+            f"reference_cycles: need N(sigma({step_above_V} V)) < {reference_cycles}")
     if cycles_to_failure(sigma_imm, params) > detection_interval:
         raise CalibrationError(
-            f"detection_interval: need N(sigma({target_immediate_V} V)) <= {detection_interval}")
+            f"detection_interval: need N(sigma({calibrate_immediate_V} V)) "
+            f"<= {detection_interval}")
     return params

@@ -10,7 +10,7 @@ fails iff k >= m. Each specimen column is one add and one lookup in a 20-entry
 next-state table (from ``protocols.next_level``) across the replication axis;
 one bincount then counts each replication's trials per (outcome, level) cell,
 and Dixon-Mood works from those counts. A trial draws from one generator,
-``default_rng(seed)``, with replication rep taking the next n_specimens
+``default_rng(master_seed)``, with replication rep taking the next n_specimens
 normals after those of replications 0 to rep - 1.
 
 ``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
@@ -74,7 +74,7 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
     from the lowest occupied one, mean = X0 + d*(A/N +/- 1/2) (+ for a
     non-failure basis). The dispersion formula is only valid when
     (N*B - A^2)/N^2 >= 0.3; below that, std falls back to 0.53*d. The step d
-    must be finite and > 0.
+    must be finite and > 0, and both quantiles must come out finite.
     """
     if not 0.0 < seq.step_V < math.inf:
         raise EstimationError(f"step_V must be finite and > 0, got {seq.step_V}")
@@ -101,13 +101,11 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
     ratio = (n * b - a * a) / n**2
     valid = ratio >= DISPERSION_VALIDITY_RATIO
     std = 1.62 * d * (ratio + 0.029) if valid else DISPERSION_FALLBACK_FACTOR * d
-    return StairCaseEstimate(
-        mean_V=mean, std_V=std,
-        q10_V=mean - Z_90 * std,
-        q90_V=mean + Z_90 * std,
-        basis_event=basis_event,
-        dispersion_valid=valid,
-    )
+    q10, q90 = mean - Z_90 * std, mean + Z_90 * std
+    if not (math.isfinite(q10) and math.isfinite(q90)):
+        raise EstimationError(f"the quantiles {q10}, {q90} V overflow a float at step {d} V")
+    return StairCaseEstimate(mean_V=mean, std_V=std, q10_V=q10, q90_V=q90,
+                             basis_event=basis_event, dispersion_valid=valid)
 
 
 def fit_basquin(points: list[WohlerPoint]) -> BasquinFit:
@@ -232,26 +230,28 @@ def _dixon_mood_means(codes: np.ndarray, levels: np.ndarray, cell: np.ndarray,
     return np.where(n[:, 0] <= n[:, 1], means[:, 0], means[:, 1])
 
 
-def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
-                             n_specimens: int, replications: int, seed: int) -> dict:
+def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
+                             n_specimens: int, replications: int, master_seed: int) -> dict:
     """Bias/spread summary of the Dixon-Mood estimator on synthetic campaigns.
 
-    Each replication draws threshold strengths from Normal(true_mean,
-    true_std) and runs a stair-case over the fixed window of 1 V steps,
-    round(true_mean) - 1 to round(true_mean) + 2 V, from the level nearest
-    the true mean. Replications with only one outcome are skipped and counted.
-    The arguments must pass protocols.validate_population, the mean and spread finite.
+    Each replication draws threshold strengths from Normal(strength_mean_V,
+    strength_std_V), a draw past the float range as +-inf, and runs a stair-case
+    over the fixed window of 1 V steps, round(strength_mean_V) - 1 to
+    round(strength_mean_V) + 2 V, from the level nearest the mean. Replications
+    with only one outcome are skipped and counted. The arguments must pass
+    protocols.validate_population, the mean and spread finite.
 
-    All replications draw from one default_rng(seed), row after row, and run
+    All replications draw from one default_rng(master_seed), row after row, and run
     at once as arrays: each specimen column is one step of a walk over the
     window's 20 state codes (_window_tables), and Dixon-Mood works from each
     replication's counts per (outcome, level) cell. A generator's draws come
     in order, so the block size leaves them unchanged, and the summary equals
     that of one synthetic_stair_case and dixon_mood per replication.
     """
-    problems = validate_population(n_specimens, None, true_mean_V, true_std_V, seed)
+    problems = validate_population(n_specimens, None, strength_mean_V, strength_std_V, master_seed)
     problems += [f"{name}: must be finite, got {value}" for name, value in (
-        ("true_mean_V", true_mean_V), ("true_std_V", true_std_V)) if not math.isfinite(value)]
+        ("strength_mean_V", strength_mean_V), ("strength_std_V", strength_std_V))
+        if not math.isfinite(value)]
     if not (isinstance(replications, numbers.Integral)
             and MIN_REPLICATIONS <= replications <= MAX_REPLICATIONS):
         problems.append(f"replications: must be an integer in "
@@ -259,25 +259,26 @@ def estimator_recovery_trial(true_mean_V: float, true_std_V: float,
     if problems:  # raised before the generator is seeded
         raise ValueError("; ".join(problems))
     import numpy as np
-    levels = [round(true_mean_V) - 1.0 + i for i in range(4)]
-    start = min(range(4), key=lambda k: abs(levels[k] - true_mean_V))
+    levels = [round(strength_mean_V) - 1.0 + i for i in range(4)]
+    start = min(range(4), key=lambda k: abs(levels[k] - strength_mean_V))
     window, next_code, cell, sums = _window_tables(levels)
 
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(int(master_seed))
     block = max(1, _BLOCK_ELEMENTS // n_specimens)   # replications per array pass
     chunks = []
     for first in range(0, replications, block):
         z = rng.standard_normal((min(block, replications - first), n_specimens))
-        strengths = true_mean_V + true_std_V * z
+        with np.errstate(over="ignore"):
+            strengths = strength_mean_V + strength_std_V * z
         codes = _stair_case_codes(strengths, window, next_code, 5 * start)
         chunks.append(_dixon_mood_means(codes, window, cell, sums))
     estimates = np.concatenate(chunks)
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")
-    biases = estimates - true_mean_V
+    biases = estimates - strength_mean_V
     return {
-        "true_mean_V": true_mean_V,
-        "true_std_V": true_std_V,
+        "true_mean_V": strength_mean_V,
+        "true_std_V": strength_std_V,
         "n_specimens": n_specimens,
         "replications": replications,
         "valid_replications": estimates.size,

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import inspect
 import io
@@ -8,7 +7,6 @@ import json
 import math
 import signal
 import tempfile
-import typing
 from pathlib import Path
 from unittest import mock
 
@@ -18,13 +16,13 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from microfatigue import stats
 from microfatigue.cli import (build_curve, build_parser, build_pullin, build_staircase,
                               cli_dispatch)
-from microfatigue.config import RunConfig, default_config, parse_config
-from microfatigue.device import LENGTH_WINDOW_UM
+from microfatigue.config import default_config, parse_config
 from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
                                       pull_in_voltage_closed_form, static_equilibrium,
                                       stress_conversion_curve)
 from microfatigue.errors import ConfigError, EstimationError
 from microfatigue.protocols import MAX_SPECIMENS, MIN_THRESHOLD_V
+from tests.strategies import EXTREMES, INF, NAN, json_configs, valid_json_configs
 
 TABLE_CONFIG = {
     "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
@@ -367,7 +365,34 @@ def test_recovery_summary(capsys):
     assert payload["valid_replications"] > 0
 
 
-# sha256 of stdout. The recovery rows draw from one default_rng(seed) per
+# A one-level window at a step near the float maximum: q10 = mean - Z_90 * 0.53 * step
+# overflows to -inf. Like a single-outcome sequence, it admits no estimate.
+OVERFLOWING_WINDOW = {"campaign": {"master_seed": 0, "step_V": 1.7e308, "levels_V": [13.0],
+                                   "start_level_V": 13.0}}
+
+
+def test_staircase_estimate_that_overflows_exit_3_writing_nothing(tmp_path, capsys):
+    cfg = tmp_path / "window.json"
+    cfg.write_text(json.dumps(OVERFLOWING_WINDOW))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                             "staircase")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the quantiles -inf, ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_recovery_spread_past_the_float_range_runs_without_a_warning(tmp_path, capsys):
+    # The draws of |z| > 1.06 overflow to +-inf strengths; the suite turns warnings
+    # into errors, so an overflow warning would end the run with a traceback.
+    cfg = tmp_path / "spread.json"
+    cfg.write_text(json.dumps({"campaign": {"strength_std_V": 1.7e308}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "recovery")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c580235486cda01d0fe9aa9b2d0d3d31ffcb2609faa84fb61e85206e04cacc36"
+
+
+# sha256 of stdout. The recovery rows draw from one default_rng(master_seed) per
 # trial, each replication's row of normals in order; --show-defaults is the
 # default config_echo.json. A dict in argv is a config, passed as a file.
 STDOUT_DIGESTS = [
@@ -447,9 +472,6 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     assert out == ""
 
 
-NAN, INF = float("nan"), float("inf")
-
-
 @pytest.mark.parametrize("config, path", [
     ({"model": {"drop_fraction": "0.5"}}, "model.drop_fraction"),
     ({"damage": {"calibrate_target_V_D": "13"}}, "damage.calibrate_target_V_D"),
@@ -495,6 +517,8 @@ NAN, INF = float("nan"), float("inf")
                    "plate_length_um": 1e6, "gap_um": 0.001, "hole_count": 0},
       "material": {"E_GPa": 4.06730625e296}, "model": {"c_k": 1e-300}},
      "damage.calibrate_immediate_V"),
+    # At this step every default level lies within 1e-9 steps of 15 V: all four on index 0.
+    ({"campaign": {"master_seed": 0, "step_V": 1.7e308}}, "campaign.levels_V"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -751,102 +775,8 @@ def test_whole_float_specimen_count_runs(tmp_path, capsys):
     assert echo["campaign"]["n_specimens"] == 6 and isinstance(echo["campaign"]["n_specimens"], int)
 
 
-# Wrong-typed values and the JSON specials (null is valid for optional fields only).
-ODD_VALUES = st.sampled_from([True, False, None, NAN, INF, -INF, "13", "", [], {}, [1.0]])
 FUZZ_DETECTIONS = 20_000  # detections a fuzzed run may take, bounding its time
 FUZZ_SPECIMENS = 50  # specimens a fuzzed campaign may run, bounding its time
-BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
-# Magnitudes near the ends of the float range, positive and negative.
-EXTREMES = [5e-324, 1e-300, 1e299, 1e300, 1.7e308, -1e300]
-
-
-def _values(hint, typical, good: bool):
-    """In-range values of a field near typical, or out-of-range and wrong-typed ones."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        hint = args[0]
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        lists = st.lists(_values(item, typical[0], good), min_size=0 if good else 1, max_size=8)
-        return lists if good else st.one_of(lists, ODD_VALUES)
-    if hint is str:
-        return st.text(max_size=4) if good else ODD_VALUES
-    near = st.floats(0.8, 1.25).map(lambda f: typical * f)
-    if hint is int:
-        near = st.one_of(near.map(round), near.map(lambda v: float(round(v))))
-        far = st.one_of(st.sampled_from([0, -1, round(typical * 1e3), 10**300, 1e300]),
-                        st.floats(0.1, 0.9))
-    else:
-        far = st.sampled_from([0.0, -1.0, -typical, typical * 1e3, typical * 1e-3, *EXTREMES])
-    return near if good else st.one_of(far, ODD_VALUES)
-
-
-CALIBRATED = default_config().damage_params(default_config().device())
-
-
-def _typical(section, name):
-    value = getattr(getattr(default_config(), section), name)
-    if value is None:  # explicit damage and strengths: start from the default campaign
-        value = getattr(CALIBRATED, name, (13.0,) * 6)
-    return value
-
-
-SECTION_HINTS = {f.name: typing.get_type_hints(type(getattr(default_config(), f.name)))
-                 for f in dataclasses.fields(RunConfig)}
-FIELDS = sorted((section, name) for section, hints in SECTION_HINTS.items() for name in hints)
-
-
-def _field_values(section, name, good):
-    return _values(SECTION_HINTS[section][name], _typical(section, name), good)
-
-
-LENGTHS = [name for name, hint in SECTION_HINTS["geometry"].items() if hint is float]
-# A scale within ten decades of either end of the float range.
-CORNER_SCALES = st.floats(1e-300, 1e-290) | st.floats(1e290, 1e300)
-
-
-@st.composite
-def corner_devices(draw):
-    """A device at the corners of its windows: each length at a window end or its
-    default, and c_k, E_GPa and rho each near 1e-300, near 1e300 or at its default."""
-    geometry = {name: value for name in LENGTHS
-                if (value := draw(st.sampled_from([None, *LENGTH_WINDOW_UM]))) is not None}
-    return {"geometry": {**geometry, "hole_count": draw(st.sampled_from([0, 40]))},
-            "material": {name: draw(CORNER_SCALES)
-                         for name in ("E_GPa", "rho_kg_per_um3") if draw(st.booleans())},
-            "model": {"c_k": draw(CORNER_SCALES)} if draw(st.booleans()) else {}}
-
-
-@st.composite
-def valid_json_configs(draw):
-    """JSON-shaped configs with no faulty field: at times a corner device, then
-    in-range overrides. A corner device or a drawn campaign may still not run."""
-    config = draw(corner_devices()) if draw(st.booleans()) else {}
-    for section, name in draw(st.lists(st.sampled_from(FIELDS), unique=True, max_size=6)):
-        config.setdefault(section, {})[name] = draw(_field_values(section, name, good=True))
-    if draw(st.booleans()):  # a campaign on its own step grid, so runs start
-        step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-        base = draw(st.floats(5.0, 20.0))
-        levels = [base + k * step for k in range(draw(st.integers(1, 5)))]
-        config.setdefault("campaign", {}).update(
-            levels_V=levels, step_V=step, start_level_V=draw(st.sampled_from(levels)))
-    if draw(st.booleans()):  # explicit damage parameters instead of the calibration
-        config.setdefault("damage", {}).update(
-            {name: draw(_field_values("damage", name, good=True)) for name in BASQUIN})
-    return config
-
-
-@st.composite
-def json_configs(draw):
-    """valid_json_configs with up to two faulty fields.
-
-    A faulty number is zero, negative, 1e3 or 1e-3 times a typical value, or
-    near the ends of the float range.
-    """
-    config = draw(valid_json_configs())
-    for section, name in draw(st.lists(st.sampled_from(FIELDS), max_size=2)):
-        config.setdefault(section, {})[name] = draw(_field_values(section, name, good=False))
-    return config
 
 
 def _resolved(config, section, name):
@@ -949,9 +879,12 @@ def _expire(signum, frame):
 
 
 @given(config=json_configs(), points=points_files(), data=st.data())
+@example(config={"campaign": {"master_seed": 0, "step_V": 1.7e308}},
+         points=DEFAULT_WOHLER_POINTS, data=None)
+@example(config=OVERFLOWING_WINDOW, points=DEFAULT_WOHLER_POINTS, data=None)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_json_config_runs_or_names_its_fault(config, points, data):
-    flag_argvs = data.draw(flag_commands(config))
+    flag_argvs = data.draw(flag_commands(config)) if data else []  # an @example draws none
     interval = _resolved(config, "model", "detection_interval_cycles")
     reference = _resolved(config, "model", "reference_cycles")
     n = _resolved(config, "campaign", "n_specimens")

@@ -83,9 +83,11 @@ def test_calibration_21V_fails_within_interval(nominal_device, calibrated_params
 
 def test_calibration_infeasible_targets(nominal_device):
     with pytest.raises(CalibrationError):
-        calibrate_defaults(nominal_device, target_V_D=13.0, target_immediate_V=40.0)
+        calibrate_defaults(nominal_device, calibrate_target_V_D=13.0,
+                           calibrate_immediate_V=40.0)
     with pytest.raises(CalibrationError):
-        calibrate_defaults(nominal_device, target_V_D=20.0, target_immediate_V=20.5)
+        calibrate_defaults(nominal_device, calibrate_target_V_D=20.0,
+                           calibrate_immediate_V=20.5)
 
 
 def test_calibration_checks_each_target_life_once(nominal_device, monkeypatch):
@@ -484,7 +486,7 @@ def test_softening_run_end_confirms_its_prediction(j, life, interval, onset, pri
 
 def test_staircase_reproduces_published_sequence(nominal_device, calibrated_params):
     pop = build_population(0, 13.0, 0.55, 6, nominal_device, calibrated_params,
-                           thresholds_V=TABLE_STRENGTHS)
+                           strengths_V=TABLE_STRENGTHS)
     seq, records = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 6, pop,
                                   nominal_device, calibrated_params)
     observed = [(t.level_V, int(t.failure)) for t in seq.trials]
@@ -549,7 +551,7 @@ def test_next_level_steps_as_dixon_and_mood_state_the_rule(window, failure):
 
 def test_staircase_single_survivor(nominal_device, calibrated_params):
     pop = build_population(0, 13.0, 0.0, 1, nominal_device, calibrated_params,
-                           thresholds_V=[25.0])
+                           strengths_V=[25.0])
     seq, records = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 1, pop,
                                   nominal_device, calibrated_params)
     assert len(seq.trials) == 1
@@ -566,7 +568,7 @@ def test_staircase_notes_each_clamp(nominal_device, calibrated_params):
     # 15 V survived: clamped at the top; then failures down past 12 V: at the
     # bottom, on the step after the last trial.
     thresholds = population_thresholds(0, 13.0, 0.0, 5, nominal_device,
-                                       thresholds_V=[25.0, 1.0, 1.0, 1.0, 1.0])
+                                       strengths_V=[25.0, 1.0, 1.0, 1.0, 1.0])
     seq, records = _campaign(thresholds, [12, 13, 14, 15], 5, nominal_device,
                              calibrated_params)
     assert [t.level_V for t in seq.trials] == [15.0, 15.0, 14.0, 13.0, 12.0]
@@ -577,7 +579,7 @@ def test_staircase_notes_each_clamp(nominal_device, calibrated_params):
 
 def test_staircase_notes_each_displacement_imposed_run(nominal_device, calibrated_params):
     thresholds = population_thresholds(0, 13.0, 0.0, 2, nominal_device,
-                                       thresholds_V=[12.0, 12.0])
+                                       strengths_V=[12.0, 12.0])
     seq, records = _campaign(thresholds, [14, 15], 2, nominal_device, calibrated_params,
                              detection_interval=1_000)
     assert [r.outcome for r in records] == [OUTCOME_INVALID, OUTCOME_FAILED]
@@ -591,11 +593,11 @@ def test_population_notes_each_clamped_threshold(nominal_device, calibrated_para
     top = 0.99 * pull_in_voltage_closed_form(nominal_device.mechanics,
                                              nominal_device.geometry).pull_in_voltage_V
     thresholds = population_thresholds(0, 13.0, 0.0, 3, nominal_device,
-                                       thresholds_V=[30.0, 13.0, 0.05])
+                                       strengths_V=[30.0, 13.0, 0.05])
     assert thresholds == [(30.0, top), (13.0, 13.0), (0.05, 0.1)]
     assert build_population(0, 13.0, 0.0, 3, nominal_device, calibrated_params,
-                            thresholds_V=[30.0, 13.0, 0.05]) == build_population(
-        0, 13.0, 0.0, 3, nominal_device, calibrated_params, thresholds_V=[top, 13.0, 0.1])
+                            strengths_V=[30.0, 13.0, 0.05]) == build_population(
+        0, 13.0, 0.0, 3, nominal_device, calibrated_params, strengths_V=[top, 13.0, 0.1])
     no_trials = StairCaseSequence(trials=(), step_V=1.0, levels_V=(15.0,))
     assert campaign_notes(thresholds, no_trials, []) == [
         f"specimen 0 threshold 30 V clamped to {top:.3g} V",
@@ -607,16 +609,16 @@ def test_population_converts_only_the_specimens_it_holds(nominal_device, calibra
                                                          unused):
     # Thresholds past n_specimens are neither converted, checked nor clamped.
     d, p = nominal_device, calibrated_params
-    assert population_thresholds(0, 13.0, 0.5, 2, d, thresholds_V=[13.0, 14.0, *unused]) \
+    assert population_thresholds(0, 13.0, 0.5, 2, d, strengths_V=[13.0, 14.0, *unused]) \
         == [(13.0, 13.0), (14.0, 14.0)]
-    pop = build_population(0, 13.0, 0.5, 2, d, p, thresholds_V=[13.0, 14.0, *unused])
-    assert pop == build_population(0, 13.0, 0.5, 2, d, p, thresholds_V=[13.0, 14.0])
+    pop = build_population(0, 13.0, 0.5, 2, d, p, strengths_V=[13.0, 14.0, *unused])
+    assert pop == build_population(0, 13.0, 0.5, 2, d, p, strengths_V=[13.0, 14.0])
     assert len(pop) == 2
 
 
 def test_staircase_rejects_levels_off_the_step_grid(nominal_device, calibrated_params):
     pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
-                           thresholds_V=[13.0, 13.0])
+                           strengths_V=[13.0, 13.0])
     with pytest.raises(ValueError, match="levels_V: need every level on the 1 V grid from 15 V"):
         run_stair_case([12.5, 15], 1.0, 15.0, 2, pop, nominal_device, calibrated_params)
 
@@ -629,7 +631,7 @@ def test_staircase_names_a_nan_step_or_count_before_any_run(nominal_device, cali
                                                            monkeypatch, step_V, n_specimens,
                                                            fault):
     pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
-                           thresholds_V=[13.0, 13.0])
+                           strengths_V=[13.0, 13.0])
     assert fault in protocols.validate_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens,
                                                   len(pop), nominal_device)
     monkeypatch.setattr(protocols, "_monitored_run", lambda *a, **k: pytest.fail("ran"))
@@ -651,7 +653,7 @@ def test_population_bounds_its_specimen_count(nominal_device, calibrated_params)
         build_population(99, 13.0, 0.55, MAX_SPECIMENS + 1, nominal_device, calibrated_params)
     with pytest.raises(ValueError, match="strengths_V: "):
         build_population(99, 13.0, 0.55, 6, nominal_device, calibrated_params,
-                         thresholds_V=[13.0] * (MAX_SPECIMENS + 1))
+                         strengths_V=[13.0] * (MAX_SPECIMENS + 1))
 
 
 def test_strength_scale_threshold_semantics(nominal_device, calibrated_params):
@@ -709,7 +711,7 @@ def test_population_names_a_nan_threshold(nominal_device, calibrated_params, std
     with pytest.raises(ValueError,
                        match=f"^specimen {index}: threshold must be > 0 V, got nan$"):
         build_population(0, 13.0, std_V, 3, nominal_device, calibrated_params,
-                         thresholds_V=thresholds_V)
+                         strengths_V=thresholds_V)
 
 
 def reference_population(master_seed, mean_V, std_V, n, device, params, thresholds_V):

@@ -99,6 +99,14 @@ def test_dixon_mood_names_a_step_that_is_not_finite_and_positive(step):
         dixon_mood(make_sequence(PUBLISHED, step=step))
 
 
+def test_dixon_mood_refuses_quantiles_that_overflow():
+    # A one-level window at a step near the float maximum: the mean is finite,
+    # 13 - step/2, but q10 = mean - Z_90 * 0.53 * step overflows to -inf.
+    pairs = [(13.0, 0), (13.0, 0), (13.0, 1), (13.0, 1), (13.0, 0), (13.0, 1)]
+    with pytest.raises(EstimationError, match=r"^the quantiles -inf, .* overflow a float"):
+        dixon_mood(make_sequence(pairs, step=1.7e308))
+
+
 @pytest.mark.parametrize("cycles", [1.5, math.nan, math.inf, 0, 0.0, -3])
 def test_wohler_point_rejects_cycles_that_are_not_whole_and_positive(cycles):
     with pytest.raises(ValueError, match="^cycles: must be a whole number >= 1, got "):
@@ -227,20 +235,29 @@ def test_basquin_noise_robustness():
 
 def test_recovery_trial_bias_bound():
     summary = estimator_recovery_trial(13.0, 0.55, n_specimens=6,
-                                       replications=200, seed=42)
+                                       replications=200, master_seed=42)
     assert summary["valid_replications"] > 150
     assert abs(summary["mean_bias_V"]) < 0.3
 
 
 def test_recovery_trial_zero_scatter():
     summary = estimator_recovery_trial(13.0, 0.0, n_specimens=6,
-                                       replications=20, seed=1)
+                                       replications=20, master_seed=1)
     assert summary["max_abs_bias_V"] <= 1.0  # within one step of the true mean
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recovery_trial_draws_a_strength_past_the_float_range_as_infinite():
+    # mean + std*z overflows for |z| > 1.06: such a strength is +-inf, which the
+    # state-code walk places at a window end, and no overflow warning is raised.
+    summary = estimator_recovery_trial(13.0, 1.7e308, 6, 200, master_seed=20080409)
+    with np.errstate(over="ignore"):  # the reference's float draw overflows alike
+        assert summary == recovery_by_replication(13.0, 1.7e308, 6, 200, 20080409)
+
+
 def test_recovery_trial_determinism():
-    a = estimator_recovery_trial(13.0, 0.55, 6, 50, seed=3)
-    b = estimator_recovery_trial(13.0, 0.55, 6, 50, seed=3)
+    a = estimator_recovery_trial(13.0, 0.55, 6, 50, master_seed=3)
+    b = estimator_recovery_trial(13.0, 0.55, 6, 50, master_seed=3)
     assert a == b
 
 
@@ -255,9 +272,9 @@ def test_recovery_doubling_levels_doubles_estimate():
     assert est.mean_V == pytest.approx(2 * base.mean_V, rel=1e-12)
 
 
-# (mean_bias_V, std_bias_V, valid_replications) at seed 42 with 20 000
+# (mean_bias_V, std_bias_V, valid_replications) at master_seed 42 with 20 000
 # replications, recorded when each replication drew from its own
-# default_rng((seed, rep)) stream.
+# default_rng((master_seed, rep)) stream.
 PER_REPLICATION_STREAM_SUMMARY = {
     (13.0, 0.55, 6): (0.010900000000000003, 0.32682916196556117, 20000),
     (13.0, 0.8, 24): (0.057349229797979795, 0.19964559216937913, 20000),
@@ -267,24 +284,25 @@ PER_REPLICATION_STREAM_SUMMARY = {
 @pytest.mark.parametrize("trial", sorted(PER_REPLICATION_STREAM_SUMMARY))
 def test_one_generator_stream_agrees_with_per_replication_streams(trial):
     parent_mean, parent_std, parent_valid = PER_REPLICATION_STREAM_SUMMARY[trial]
-    summary = estimator_recovery_trial(*trial, replications=20000, seed=42)
+    summary = estimator_recovery_trial(*trial, replications=20000, master_seed=42)
     combined_se = math.hypot(summary["std_bias_V"] / math.sqrt(summary["valid_replications"]),
                              parent_std / math.sqrt(parent_valid))
     assert abs(summary["mean_bias_V"] - parent_mean) <= 5 * combined_se
 
 
-def recovery_by_replication(true_mean_V, true_std_V, n_specimens, replications, seed):
+def recovery_by_replication(strength_mean_V, strength_std_V, n_specimens, replications,
+                            master_seed):
     """Reference: one synthetic_stair_case and one dixon_mood (with its grid
     check) per replication, each drawing the next n_specimens normals from
-    one default_rng(seed)."""
-    base = round(true_mean_V)
+    one default_rng(master_seed)."""
+    base = round(strength_mean_V)
     levels = [base - 1.0 + i for i in range(4)]
-    start = min(levels, key=lambda v: abs(v - true_mean_V))
+    start = min(levels, key=lambda v: abs(v - strength_mean_V))
     estimates = []
     skipped = 0
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(int(master_seed))
     for _ in range(replications):
-        strengths = true_mean_V + true_std_V * rng.standard_normal(n_specimens)
+        strengths = strength_mean_V + strength_std_V * rng.standard_normal(n_specimens)
         seq = synthetic_stair_case(list(strengths), levels, 1.0, start)
         try:
             estimates.append(dixon_mood(seq).mean_V)
@@ -292,10 +310,10 @@ def recovery_by_replication(true_mean_V, true_std_V, n_specimens, replications, 
             skipped += 1
     if not estimates:
         raise EstimationError("every replication produced a single-outcome sequence")
-    biases = np.array(estimates) - true_mean_V
+    biases = np.array(estimates) - strength_mean_V
     return {
-        "true_mean_V": true_mean_V,
-        "true_std_V": true_std_V,
+        "true_mean_V": strength_mean_V,
+        "true_std_V": strength_std_V,
         "n_specimens": n_specimens,
         "replications": replications,
         "valid_replications": len(estimates),
@@ -311,17 +329,17 @@ def recovery_trials(draw):
     # Means ending in .5 tie the two nearest window levels for the start; far
     # means keep the window on its grid too. From 2**52 on, window levels 1 V
     # apart coincide as floats.
-    true_mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
+    mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
                      | st.floats(8.0, 18.0, allow_subnormal=False)
                      | st.floats(-1e6, 1e6, allow_subnormal=False)
                      | st.floats(2.0**51, 2.0**60))
     return dict(
-        true_mean_V=true_mean,
-        true_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
+        strength_mean_V=mean,
+        strength_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
         n_specimens=draw(st.integers(1, 30)),
         replications=draw(st.integers(1, 60)),
         # Past 2**64 and 2**96: seeds of three and more 32-bit entropy words.
-        seed=draw(st.integers(0, 2**32) | st.integers(0, 2**200)),
+        master_seed=draw(st.integers(0, 2**32) | st.integers(0, 2**200)),
     )
 
 
@@ -336,8 +354,8 @@ def _summary_or_error(fn, kwargs):
 @given(trial=recovery_trials(), block_elements=st.sampled_from([1, 7, stats._BLOCK_ELEMENTS]))
 @settings(max_examples=300, deadline=None)
 def test_batched_recovery_equals_replication_loop(trial, block_elements):
-    if not trial["true_mean_V"] > 0:  # a threshold distribution needs a positive mean
-        with pytest.raises(ValueError, match="^true_mean_V: must be > 0"):
+    if not trial["strength_mean_V"] > 0:  # a threshold distribution needs a positive mean
+        with pytest.raises(ValueError, match="^strength_mean_V: must be > 0"):
             estimator_recovery_trial(**trial)
         return
     with mock.patch.object(stats, "_BLOCK_ELEMENTS", block_elements):
@@ -424,20 +442,20 @@ def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
     ({"n_specimens": 0}, "n_specimens"),
     ({"n_specimens": -3}, "n_specimens"),
     ({"n_specimens": 2.5}, "n_specimens"),
-    ({"seed": -1}, "seed"),
-    ({"true_std_V": -1.0}, "true_std_V"),
-    ({"true_std_V": math.nan}, "true_std_V"),
-    ({"true_mean_V": math.nan}, "true_mean_V"),
-    ({"true_mean_V": math.inf}, "true_mean_V"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"strength_std_V": -1.0}, "strength_std_V"),
+    ({"strength_std_V": math.nan}, "strength_std_V"),
+    ({"strength_mean_V": math.nan}, "strength_mean_V"),
+    ({"strength_mean_V": math.inf}, "strength_mean_V"),
     ({"replications": stats.MAX_REPLICATIONS + 1}, "replications"),
     ({"n_specimens": MAX_SPECIMENS + 1}, "n_specimens"),
-    ({"true_mean_V": 0.0}, "true_mean_V"),
-    ({"true_mean_V": -13.0}, "true_mean_V"),
-    ({"seed": 1.0}, "seed"),
+    ({"strength_mean_V": 0.0}, "strength_mean_V"),
+    ({"strength_mean_V": -13.0}, "strength_mean_V"),
+    ({"master_seed": 1.0}, "master_seed"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
-    kwargs = {"true_mean_V": 13.0, "true_std_V": 0.55, "n_specimens": 6,
-              "replications": 20, "seed": 1, **fault}
+    kwargs = {"strength_mean_V": 13.0, "strength_std_V": 0.55, "n_specimens": 6,
+              "replications": 20, "master_seed": 1, **fault}
     with mock.patch("numpy.random.default_rng", side_effect=AssertionError("seeded")):
         with pytest.raises(ValueError, match=f"^{name}: "):
             estimator_recovery_trial(**kwargs)

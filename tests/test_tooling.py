@@ -76,3 +76,19 @@ def test_numpy_is_imported_only_where_arrays_are_made():
     sites = [site for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
              for site in _numpy_import_sites(path)]
     assert sorted(sites) == NUMPY_IMPORTERS
+
+
+# Library names that the config calls otherwise: a function takes the config's field
+# name instead (campaign.strength_mean_V, campaign.master_seed, ...).
+RETIRED_PARAMETERS = {"true_mean_V", "true_std_V", "thresholds_V", "target_V_D",
+                      "target_immediate_V", "seed"}
+
+
+def test_no_function_takes_a_retired_parameter_name():
+    taken = [f"{path.stem}.{node.name}({arg.arg})"
+             for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+             if arg.arg in RETIRED_PARAMETERS]
+    assert taken == []
