@@ -115,8 +115,9 @@ def validate_geometry(geom: DeviceGeometry) -> list[str]:
         return problems
     if geom.hole_area_um2 >= geom.plate_area_um2:
         problems.append(
-            f"hole_count/hole_side_um: total hole area {geom.hole_area_um2} um^2 "
-            f"must stay below the plate area {geom.plate_area_um2} um^2")
+            f"hole_count: {geom.hole_count} holes of side {geom.hole_side_um} um cover "
+            f"{geom.hole_area_um2} um^2, which must stay below the plate area "
+            f"{geom.plate_area_um2} um^2")
     if geom.gap_um >= geom.plate_length_um:
         problems.append(
             f"gap_um: shallow-gap model requires gap < plate length "

@@ -7,11 +7,17 @@ harness runs all replications of a trial as arrays. On its window of four
 levels a stair-case is a walk over 20 state codes 5*k + m: level k is under
 test and m window levels lie below the specimen's strength, so the specimen
 fails iff k >= m. Each specimen column is one add and one lookup in a 20-entry
-next-state table (from ``protocols.next_level``) across the replication axis;
-one bincount then counts each replication's trials per (outcome, level) cell,
-and Dixon-Mood works from those counts. A trial draws from one generator,
-``default_rng(master_seed)``, with replication rep taking the next n_specimens
-normals after those of replications 0 to rep - 1.
+next-state table (from ``protocols.next_level``) across the replication axis.
+One lookup and sum over each replication's codes then gives its failure and
+survival counts and level sums, packed in one integer, and one OR its mask of
+occupied (outcome, level) cells; Dixon-Mood works from those. The tables are
+built once per window and kept (``_window_tables``). A trial draws from one
+generator, ``default_rng(master_seed)``, with replication rep taking the next
+n_specimens normals after those of replications 0 to rep - 1, in blocks of at
+least ``_MIN_BLOCK_ROWS`` replications whatever n_specimens is. With the kept
+tables and this counting, the bench's 200-replication ``recovery`` op went from
+about 4 180 to 5 290 ops/s, and a 10 000-specimen, 120-replication trial from
+174 to 62 ms (BENCH_28.json).
 
 ``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
 plain floats; numpy is imported inside the recovery trial's array functions,
@@ -20,6 +26,7 @@ so the two estimators and the importers of this module's types load none of it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -31,7 +38,12 @@ from .protocols import (StairCaseSequence, StairCaseTrial, _is_whole, grid_index
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
 DISPERSION_FALLBACK_FACTOR = 0.53
-_BLOCK_ELEMENTS = 2**16  # strengths per array pass of a recovery trial, bounding its memory
+# Replications per array pass of a recovery trial: _BLOCK_ELEMENTS // n_specimens
+# strengths, but never under _MIN_BLOCK_ROWS rows, so a wide trial does not pay two
+# numpy calls per specimen column for a handful of rows. An array of a pass holds at
+# most max(_BLOCK_ELEMENTS, MAX_SPECIMENS * _MIN_BLOCK_ROWS) * 8 B = 5.12 MB.
+_BLOCK_ELEMENTS = 2**16
+_MIN_BLOCK_ROWS = 64
 MIN_REPLICATIONS = 1          # replications of one recovery trial: one at least
 MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial, bounding its work
 
@@ -163,31 +175,56 @@ def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
     return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels))
 
 
-def _window_tables(levels: list[float]):
-    """The stair-case walk on a window of four sorted levels 1 V apart, as arrays.
+@functools.lru_cache(maxsize=8)
+def _window_tables(levels: tuple[float, ...]):
+    """The stair-case walk on a window of four sorted levels 1 V apart, and the
+    tables that count it, as read-only arrays built once per window.
 
     State code 5*k + m: level k is under test and m = searchsorted(levels,
     strength) window levels lie below the strength, so the trial fails iff
     k >= m, exactly when level >= strength (a NaN strength counts 4 and
-    survives, as level >= NaN is false). Returns the levels, the next state
-    5*k' of each code, its cell (k for a failure, 4 + k for a survival) and
-    the 8x4 matrix that takes a row of cell counts to the failure and survival
-    counts and each outcome's sum of level - levels[0]. Level k' is the first
-    equal to the level ``protocols.next_level`` steps to with a 1 V step, as in
-    synthetic_stair_case, so windows whose levels coincide as floats (means of
-    2**53 and more) walk as it does.
+    survives, as level >= NaN is false). Its cell is k for a failure and
+    4 + k for a survival. Returns, in order:
+
+    - the levels;
+    - the next state 5*k' of each code. Level k' is the first equal to the
+      level ``protocols.next_level`` steps to with a 1 V step, as in
+      synthetic_stair_case, so windows whose levels coincide as floats (means
+      of 2**53 and more) walk as it does;
+    - the weight of each code: its failure count, survival count and their
+      sums of level - levels[0] (whole volts, so exact), as four 16-bit
+      fields of one integer. A sum stays below 3 * MAX_SPECIMENS < 2**16, so
+      adding weights never carries from one field into the next;
+    - the bit of each code's cell, 1 << cell;
+    - for each 8-bit mask of occupied cells, the lowest occupied level of the
+      failures (row 0) and of the survivals (row 1);
+    - for each mask, whether it holds both outcomes;
+    - the shifts of the four fields, and the half steps -1/2 and +1/2 of the
+      failure and survival means, as columns.
     """
     import numpy as np
     low, high = levels[0], levels[-1]
-    next_code, cell = [], []
+    next_code, weight, cell_bit = [], [], []
     for k, level in enumerate(levels):
         down = 5 * levels.index(next_level(level, True, 1.0, low, high)[0])
         up = 5 * levels.index(next_level(level, False, 1.0, low, high)[0])
         next_code += [down] * (k + 1) + [up] * (4 - k)
-        cell += [k] * (k + 1) + [4 + k] * (4 - k)
-    above_low = [int(level - low) for level in levels]  # whole volts, so exact
-    sums = [[1, 0, d, 0] for d in above_low] + [[0, 1, 0, d] for d in above_low]
-    return np.array(levels), np.array(next_code), np.array(cell), np.array(sums)
+        above_low = int(level - low)
+        weight += [1 | above_low << 32] * (k + 1) + [1 << 16 | above_low << 48] * (4 - k)
+        cell_bit += [1 << k] * (k + 1) + [1 << 4 + k] * (4 - k)
+
+    def lowest(nibble):  # the level of its lowest set bit; any level for none
+        return levels[(nibble & -nibble).bit_length() - 1]
+
+    masks = range(256)
+    tables = (np.array(levels), np.array(next_code), np.array(weight, dtype=np.int64),
+              np.array(cell_bit, dtype=np.uint8),
+              np.array([[lowest(mask & 15) for mask in masks], [lowest(mask >> 4) for mask in masks]]),
+              np.array([bool(mask & 15 and mask >> 4) for mask in masks]),
+              np.array([[0], [16], [32], [48]]), np.array([[-0.5], [0.5]]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _stair_case_codes(strengths: np.ndarray, levels: np.ndarray, next_code: np.ndarray,
@@ -202,32 +239,30 @@ def _stair_case_codes(strengths: np.ndarray, levels: np.ndarray, next_code: np.n
     return codes
 
 
-def _dixon_mood_means(codes: np.ndarray, levels: np.ndarray, cell: np.ndarray,
-                      sums: np.ndarray) -> np.ndarray:
+def _dixon_mood_means(codes: np.ndarray, tables: tuple) -> np.ndarray:
     """Dixon-Mood mean of each stair-case column of codes with both outcomes, in order.
 
-    One bincount counts each column's trials per cell; columns with a single
-    outcome are dropped before any division, where dixon_mood raises
-    EstimationError. Per outcome, X0 is its lowest occupied level, N its count
-    and A the sum of count * (level - X0), exact as the levels are whole
-    volts; the mean is X0 + d*(A/N +/- 1/2), d = 1 V, over the less frequent
-    outcome (ties to failures), in the float operations of dixon_mood.
+    Over the columns of codes at once, one sum of the codes' weights gives each
+    column's counts and level sums and one OR of their cell bits its mask of
+    occupied cells (tables from _window_tables). Columns with a single outcome
+    are dropped before any division, where dixon_mood raises EstimationError.
+    Per outcome, X0 is its lowest occupied level, N its count and A the sum of
+    count * (level - X0), exact as the levels are whole volts; the mean is
+    X0 + d*(A/N +/- 1/2), d = 1 V, over the less frequent outcome (ties to
+    failures), in the float operations of dixon_mood. Each array has one row
+    per outcome or field, so every operation runs along the columns.
     """
     import numpy as np
-    rows = codes.shape[1]
-    cells = cell[codes]
-    cells += np.arange(0, 8 * rows, 8)
-    counts = np.bincount(cells.ravel(), minlength=8 * rows).reshape(rows, 8)
-    # Per row: failures, survivals and their level sums above levels[0]. An
-    # integer product, so no BLAS buffer is allocated for it.
-    totals = counts @ sums
-    both = np.logical_and(totals[:, 0], totals[:, 1])
-    totals = totals[both]
-    x0 = levels[(counts[both] > 0).reshape(-1, 2, 4).argmax(axis=2)]  # per outcome
-    n = totals[:, :2]
-    a = totals[:, 2:] - n * (x0 - levels[0])
-    means = x0 + (a / n + (-0.5, 0.5))
-    return np.where(n[:, 0] <= n[:, 1], means[:, 0], means[:, 1])
+    levels, _, weight, cell_bit, lowest, both, shifts, half = tables
+    packed = weight.take(codes).sum(axis=0)
+    masks = np.bitwise_or.reduce(cell_bit.take(codes), axis=0)
+    keep = both.take(masks)
+    fields = (packed[keep] >> shifts) & 0xFFFF  # failures, survivals and their level sums
+    n = fields[:2]
+    x0 = lowest.take(masks[keep], axis=1)
+    a = fields[2:] - n * (x0 - levels[0])
+    means = x0 + (a / n + half)
+    return np.where(n[0] <= n[1], means[0], means[1])
 
 
 def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
@@ -244,7 +279,7 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     All replications draw from one default_rng(master_seed), row after row, and run
     at once as arrays: each specimen column is one step of a walk over the
     window's 20 state codes (_window_tables), and Dixon-Mood works from each
-    replication's counts per (outcome, level) cell. A generator's draws come
+    replication's counts and level sums per outcome. A generator's draws come
     in order, so the block size leaves them unchanged, and the summary equals
     that of one synthetic_stair_case and dixon_mood per replication.
     """
@@ -259,20 +294,21 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     if problems:  # raised before the generator is seeded
         raise ValueError("; ".join(problems))
     import numpy as np
-    levels = [round(strength_mean_V) - 1.0 + i for i in range(4)]
+    levels = tuple(round(strength_mean_V) - 1.0 + i for i in range(4))
     start = min(range(4), key=lambda k: abs(levels[k] - strength_mean_V))
-    window, next_code, cell, sums = _window_tables(levels)
+    tables = _window_tables(levels)
+    window, next_code = tables[:2]
 
     rng = np.random.default_rng(int(master_seed))
-    block = max(1, _BLOCK_ELEMENTS // n_specimens)   # replications per array pass
+    block = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_specimens)   # replications per pass
     chunks = []
     for first in range(0, replications, block):
         z = rng.standard_normal((min(block, replications - first), n_specimens))
         with np.errstate(over="ignore"):
             strengths = strength_mean_V + strength_std_V * z
         codes = _stair_case_codes(strengths, window, next_code, 5 * start)
-        chunks.append(_dixon_mood_means(codes, window, cell, sums))
-    estimates = np.concatenate(chunks)
+        chunks.append(_dixon_mood_means(codes, tables))
+    estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")
     biases = estimates - strength_mean_V
@@ -283,7 +319,7 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
         "replications": replications,
         "valid_replications": estimates.size,
         "skipped_replications": replications - estimates.size,
-        "mean_bias_V": float(np.mean(biases)),
-        "std_bias_V": float(np.std(biases)),
-        "max_abs_bias_V": float(np.max(np.abs(biases))),
+        "mean_bias_V": float(biases.mean()),
+        "std_bias_V": float(biases.std()),
+        "max_abs_bias_V": float(np.abs(biases).max()),
     }

@@ -519,6 +519,7 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
      "damage.calibrate_immediate_V"),
     # At this step every default level lies within 1e-9 steps of 15 V: all four on index 0.
     ({"campaign": {"master_seed": 0, "step_V": 1.7e308}}, "campaign.levels_V"),
+    ({"geometry": {"hole_count": 400, "hole_side_um": 20}}, "geometry.hole_count"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"

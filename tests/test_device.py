@@ -62,7 +62,8 @@ def test_validate_zero_gap():
 def test_validate_hole_area_exceeds_plate():
     # 200 holes of 20 um side: 80000 um^2 > 75600 um^2 plate
     problems = validate_geometry(DeviceGeometry()._replace(hole_count=200))
-    assert any("hole" in p for p in problems)
+    assert problems == ["hole_count: 200 holes of side 20.0 um cover 80000.0 um^2, "
+                        "which must stay below the plate area 75600.0 um^2"]
 
 
 def test_validate_negative_hole_count():

@@ -358,9 +358,51 @@ def test_batched_recovery_equals_replication_loop(trial, block_elements):
         with pytest.raises(ValueError, match="^strength_mean_V: must be > 0"):
             estimator_recovery_trial(**trial)
         return
-    with mock.patch.object(stats, "_BLOCK_ELEMENTS", block_elements):
+    with mock.patch.multiple(stats, _BLOCK_ELEMENTS=block_elements, _MIN_BLOCK_ROWS=1):
         batched = _summary_or_error(estimator_recovery_trial, trial)
     assert batched == _summary_or_error(recovery_by_replication, trial)
+
+
+def test_window_tables_are_read_only():
+    tables = stats._window_tables((12.0, 13.0, 14.0, 15.0))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[1]
+
+
+def test_window_tables_memo_keeps_each_window_apart():
+    # At a mean of 2**60 all four window levels are one float, and at 2**53 + 4 the
+    # lowest two are, so their tables differ from those of a window 1 V apart; the
+    # whole-volt integers round(mean) - 1 + i, equal as keys to the float levels
+    # below 2**53, would walk the 2**53 + 4 window as four distinct levels.
+    trials = [(mean, std, 12, 300, 7) for mean, std in (
+        (13.0, 0.8), (14.2, 0.55), (2.0**60, 1000.0), (2.0**53 + 4, 10.0), (13.0, 0.8))]
+    stats._window_tables.cache_clear()
+    interleaved = [estimator_recovery_trial(*trial) for trial in trials]
+    assert interleaved == [recovery_by_replication(*trial) for trial in trials]
+    fresh = []
+    for trial in trials:
+        stats._window_tables.cache_clear()
+        fresh.append(estimator_recovery_trial(*trial))
+    assert interleaved == fresh
+
+
+def test_wide_trials_pass_at_least_the_row_floor(monkeypatch):
+    # 10 000 specimens fit 6 rows in _BLOCK_ELEMENTS; the floor takes 64.
+    rows, walk = [], stats._stair_case_codes
+    monkeypatch.setattr(stats, "_stair_case_codes",
+                        lambda strengths, *tables: rows.append(len(strengths)) or walk(strengths, *tables))
+    estimator_recovery_trial(13.0, 0.55, MAX_SPECIMENS, 130, master_seed=1)
+    assert rows == [stats._MIN_BLOCK_ROWS, stats._MIN_BLOCK_ROWS, 2]
+
+
+def test_a_basis_level_sum_fills_its_packed_field_without_carrying():
+    # From the top level, strengths of 14.5 V alternate a failure at 15 V with a
+    # survival at 14 V: 5 000 failures 3 V above the lowest level sum 15 000, the
+    # most a basis outcome (at most half the trials) can reach at MAX_SPECIMENS.
+    tables = stats._window_tables((12.0, 13.0, 14.0, 15.0))
+    codes = stats._stair_case_codes(np.full((1, MAX_SPECIMENS), 14.5), *tables[:2], 5 * 3)
+    assert stats._dixon_mood_means(codes, tables).tolist() == [14.5]
 
 
 def float_stair_case_levels(strengths, low, high, step_V, start_level_V):
@@ -414,7 +456,7 @@ def window_stair_cases(draw, min_specimens=0):
 @settings(max_examples=300, deadline=None)
 def test_state_code_walk_steps_as_synthetic_stair_case(case):
     rows, levels, start = case
-    window, next_code, _, _ = stats._window_tables(levels)
+    window, next_code = stats._window_tables(tuple(levels))[:2]
     strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
     codes = stats._stair_case_codes(strengths, window, next_code, 5 * start)
     for row, row_codes in zip(rows, codes.T.tolist()):
@@ -432,9 +474,9 @@ def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
     strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
     tested = float_stair_case_levels(strengths, levels[0], levels[-1], 1.0, levels[start])
     expected = float_dixon_mood_means(tested, tested >= strengths, 1.0)
-    window, next_code, cell, sums = stats._window_tables(levels)
-    codes = stats._stair_case_codes(strengths, window, next_code, 5 * start)
-    assert stats._dixon_mood_means(codes, window, cell, sums).tolist() == expected.tolist()
+    tables = stats._window_tables(tuple(levels))
+    codes = stats._stair_case_codes(strengths, *tables[:2], 5 * start)
+    assert stats._dixon_mood_means(codes, tables).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("fault, name", [

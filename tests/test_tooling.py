@@ -92,3 +92,45 @@ def test_no_function_takes_a_retired_parameter_name():
              for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
              if arg.arg in RETIRED_PARAMETERS]
     assert taken == []
+
+
+MEMO_DECORATORS = {"functools.lru_cache", "lru_cache", "functools.cache", "cache"}
+
+
+def _finite_maxsize(name: str, call: ast.Call | None) -> bool:
+    """Whether the memo decorator states maxsize as a literal integer >= 0
+    (functools.cache and a bare lru_cache state none)."""
+    if call is None or not name.endswith("lru_cache"):
+        return False
+    sizes = [*call.args[:1], *(kw.value for kw in call.keywords if kw.arg == "maxsize")]
+    return (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+            and type(sizes[0].value) is int and sizes[0].value >= 0)
+
+
+def _unbounded_memos(source: str) -> list[str]:
+    """The functions in source memoised by functools.lru_cache or functools.cache
+    without a finite integer maxsize."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                name = ast.unparse(call.func if call else decorator)
+                if name in MEMO_DECORATORS and not _finite_maxsize(name, call):
+                    found.append(node.name)
+    return found
+
+
+def test_the_memo_scan_flags_each_unbounded_form():
+    source = "\n".join(f"@{decorator}\ndef {name}(): pass" for name, decorator in [
+        ("none", "functools.lru_cache(maxsize=None)"), ("bare", "functools.lru_cache"),
+        ("cache", "functools.cache"), ("named", "lru_cache(None)"),
+        ("setting", "functools.lru_cache(maxsize=SIZE)"), ("typed", "functools.lru_cache(typed=True)"),
+        ("bounded", "functools.lru_cache(maxsize=8)"), ("positional", "lru_cache(4)")])
+    assert _unbounded_memos(source) == ["none", "bare", "cache", "named", "setting", "typed"]
+
+
+def test_every_memo_has_a_finite_integer_maxsize():
+    found = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
+             for name in _unbounded_memos(path.read_text())]
+    assert found == []
