@@ -13,9 +13,11 @@ cycles in several calls is bit-identical to accumulating it in one.
 constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
 gets the same damage without calling ``accumulate`` per batch. It evaluates
-``effective_stiffness_factor`` inline: at each detection of the hardening
-bump, and in the undamaged and softening stretches only until a reading
-repeats, which it then extends over the detections known to read the same.
+the law of ``effective_stiffness_factor`` inline: once for the pristine
+reading, at each detection of the hardening bump, and in the undamaged and
+softening stretches only until a reading repeats, which it then extends over
+the detections known to read the same. The law's one caller is
+``degraded_pull_in``, which ``protocols.run_pull_in_detection`` reads.
 
 ``SpecimenStrength`` and ``DamageState`` are ``NamedTuple``s; a
 ``SpecimenStrength`` checks its scale in ``__new__``, which ``_replace`` and
@@ -132,7 +134,8 @@ def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
     unit-height smooth peak sin(pi*u)**2 centred between onset and collapse.
 
     ``protocols.run_fatigue_test`` repeats this expression, in the same float
-    operations, in its detection loop; a change to the law changes both."""
+    operations, in its detection loop and its pristine reading; a change to the
+    law changes all three."""
     d = min(max(d, 0.0), 1.0)
     onset, collapse = params.hardening_onset, params.collapse_threshold
     bump = (0.0 if d <= onset or d >= collapse  # not onset < d < collapse: NaN stays NaN

@@ -96,16 +96,15 @@ class DerivedMechanics(NamedTuple):
     stiffness_calibration: float
 
 
+# The layout lengths, which LENGTH_WINDOW_UM bounds: every field but the hole count.
+_LENGTH_FIELDS = tuple(name for name in DeviceGeometry._fields if name != "hole_count")
+
+
 def validate_geometry(geom: DeviceGeometry) -> list[str]:
     """Return a list of invariant violations; empty means valid."""
     problems: list[str] = []
-    lengths = (
-        "specimen_length_um", "specimen_width_um", "specimen_thickness_um",
-        "plate_length_um", "plate_width_um", "plate_thickness_um",
-        "gap_um", "hole_side_um", "electrode_length_um", "electrode_width_um",
-    )
     low, high = LENGTH_WINDOW_UM
-    for name in lengths:
+    for name in _LENGTH_FIELDS:
         value = getattr(geom, name)
         if not low <= value <= high:
             problems.append(f"{name}: must lie in [{low:g}, {high:g}] um, got {value}")

@@ -25,6 +25,7 @@ EPSILON_0 = 8.854e-12  # F/m
 STABLE_FRACTION = 1.0 / 3.0
 
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
+SWEEP_TOL_V = 1e-3           # bracket width at which the sweep reads its pull-in
 MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
 MIN_CURVE_POINTS = 2         # points of one conversion curve: both ends at least
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
@@ -168,18 +169,17 @@ def validate_sweep_steps(**steps: float) -> list[str]:
 
 
 def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
-                          step_V: float = DEFAULT_SWEEP_STEP_V,
-                          tol_V: float = 1e-3) -> PullInResult:
+                          step_V: float = DEFAULT_SWEEP_STEP_V) -> PullInResult:
     """Pull-in found by stepping the DC voltage until equilibrium is lost.
 
-    The last step bracket [V-step, V] is bisected down to tol_V, mimicking
-    a step-by-step DC supply. step_V and tol_V must pass validate_sweep_steps.
+    The last step bracket [V-step, V] is bisected down to SWEEP_TOL_V, mimicking
+    a step-by-step DC supply. step_V must pass validate_sweep_steps.
 
     An equilibrium exists at v while drive_scale*v*v/2.0 < capacity. For drive_scale
     >= 0 each IEEE operation in it is monotone in v >= 0, so it fails from the float
     _sweep_limit finds on: the steps and the bisection compare v with that alone.
     """
-    problems = validate_sweep_steps(step_V=step_V, tol_V=tol_V)
+    problems = validate_sweep_steps(step_V=step_V)
     if problems:
         raise ValueError("; ".join(problems))
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
@@ -196,13 +196,13 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     lo, hi = max(v - step_V, 0.0), v
     detected = None
     # The deflection approaches its instability value like sqrt(V_PI - V), so
-    # the bracket is refined past tol_V (the detected voltage) before reading it.
-    # The bisection also ends where the bracket holds adjacent floats, whose
-    # midpoint is one of its ends: a tol_V below their spacing is never met.
+    # the bracket is refined past SWEEP_TOL_V (the detected voltage) before reading
+    # it. The bisection also ends where the bracket holds adjacent floats, whose
+    # midpoint is one of its ends: above 2**43 V their spacing exceeds SWEEP_TOL_V.
     while detected is None or hi - lo > 1e-8 * hi:
         mid = 0.5 * (lo + hi)
         stalled = mid == lo or mid == hi
-        if detected is None and (hi - lo <= tol_V or stalled):
+        if detected is None and (hi - lo <= SWEEP_TOL_V or stalled):
             detected = mid
         elif stalled:
             break

@@ -12,7 +12,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
-                     cycles_to_failure, effective_stiffness_factor)
+                     cycles_to_failure, degraded_pull_in)
 from .device import Device
 from .electromech import _stable_points, pull_in_voltage_closed_form
 from .errors import CalibrationError
@@ -140,13 +140,6 @@ def build_population(master_seed: int, strength_mean_V: float, strength_std_V: f
     return specimens_from_thresholds([clamped for _, clamped in pairs], device, params)
 
 
-def _stepped_reading(pristine_V: float, damage: float, params: DamageModelParams,
-                     step_V: float) -> float:
-    """Degraded pull-in V_PI(0)*sqrt(k_eff/k) rounded up to the step_V grid."""
-    v = pristine_V * math.sqrt(effective_stiffness_factor(damage, params))
-    return math.ceil(v / step_V - GRID_GUARD) * step_V
-
-
 def _is_whole(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
@@ -161,8 +154,8 @@ def run_pull_in_detection(state: DamageState, device: Device,
     rounded up to the next step_V grid point; step_V is a run's detection_step_V.
     """
     step_V = _run_settings(detection_step_V=step_V).step
-    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    return _stepped_reading(pristine, float(state.damage), params, step_V)
+    v = degraded_pull_in(state, device.mechanics, device.geometry, params)
+    return math.ceil(v / step_V - GRID_GUARD) * step_V
 
 
 def validate_run_settings(detection_interval: int, reference_cycles: int, detection_step_V: float,
@@ -266,9 +259,11 @@ def _run_settings(detection_interval: int = DEFAULT_DETECTION_INTERVAL,
 
 def _pristine_readings(device: Device, params: DamageModelParams,
                        step_V: float) -> tuple[float, float]:
-    """The pristine pull-in and its reading on the step_V grid."""
+    """The pristine pull-in and its reading on the step_V grid: _monitored_run's
+    reading at d = 0, where the hardening bump is 0.0."""
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    return pristine, _stepped_reading(pristine, 0.0, params, step_V)
+    factor = (1.0 - 0.0) ** params.softening_exponent * (1.0 + params.hardening_amplitude * 0.0)
+    return pristine, math.ceil(pristine * math.sqrt(factor) / step_V - GRID_GUARD) * step_V
 
 
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
@@ -294,7 +289,7 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     batch. Each detection's reading is computed in the loop itself, with no
     call per detection: the stiffness law of
     ``damage.effective_stiffness_factor`` and the grid rounding of
-    ``_stepped_reading``, in their float operations and order, so every
+    ``run_pull_in_detection``, in their float operations and order, so every
     reading is bit-equal to theirs. Readings and outcome equal those of
     accumulating each batch with ``damage.accumulate`` and measuring with
     ``run_pull_in_detection``. The settings must pass validate_run_settings. The
@@ -359,9 +354,9 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
             d = n / life
         else:
             d = 1.0
-        # _stepped_reading(pristine, d, params, step), inlined: the stiffness
-        # factor of damage.effective_stiffness_factor (d already lies in
-        # [0, 1]) with its hardening bump, then the step-grid rounding.
+        # run_pull_in_detection's reading, inlined: the stiffness factor of
+        # damage.effective_stiffness_factor (d already lies in [0, 1]) with
+        # its hardening bump, then the step-grid rounding.
         if onset < d < collapse:
             bump = sin(pi * ((d - onset) / span)) ** 2
         else:

@@ -14,10 +14,7 @@ occupied (outcome, level) cells; Dixon-Mood works from those. The tables are
 built once per window and kept (``_window_tables``). A trial draws from one
 generator, ``default_rng(master_seed)``, with replication rep taking the next
 n_specimens normals after those of replications 0 to rep - 1, in blocks of at
-least ``_MIN_BLOCK_ROWS`` replications whatever n_specimens is. With the kept
-tables and this counting, the bench's 200-replication ``recovery`` op went from
-about 4 180 to 5 290 ops/s, and a 10 000-specimen, 120-replication trial from
-174 to 62 ms (BENCH_28.json).
+least ``_MIN_BLOCK_ROWS`` replications whatever n_specimens is.
 
 ``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
 plain floats; numpy is imported inside the recovery trial's array functions,

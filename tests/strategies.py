@@ -1,6 +1,8 @@
-"""Hypothesis strategies of JSON run configs, shared by the config and CLI tests."""
+"""Hypothesis strategies of JSON run configs, and the floats next to a value, shared by
+the test modules."""
 
 import dataclasses
+import math
 import typing
 
 from hypothesis import strategies as st
@@ -103,3 +105,20 @@ def json_configs(draw):
     for section, name in draw(st.lists(st.sampled_from(FIELDS), max_size=2)):
         config.setdefault(section, {})[name] = draw(_field_values(section, name, good=False))
     return config
+
+
+def floats_below(v, n):
+    """The n floats just below v, nearest first."""
+    below = []
+    for _ in range(n):
+        v = math.nextafter(v, 0.0)
+        below.append(v)
+    return below
+
+
+def floats_around(v, n):
+    """The 2n + 1 floats from n below v to n above it, ascending."""
+    above = [v]
+    for _ in range(n):
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*reversed(floats_below(v, n)), *above]

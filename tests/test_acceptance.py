@@ -22,8 +22,7 @@ from microfatigue.protocols import (OUTCOME_FAILED, OUTCOME_INVALID,
                                     run_fatigue_test, run_stair_case)
 from microfatigue.stats import dixon_mood, estimator_recovery_trial, fit_basquin
 from microfatigue.stats import WohlerPoint
-from tests.test_electromech import random_device
-from tests.test_stats import PUBLISHED, make_sequence
+from tests.reference import PUBLISHED, make_sequence, random_device
 
 
 def report(criterion, ok, detail):

@@ -14,15 +14,17 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from microfatigue import stats
-from microfatigue.cli import (build_curve, build_parser, build_pullin, build_staircase,
-                              cli_dispatch)
+from microfatigue.cli import (build_curve, build_fatigue, build_parser, build_pullin,
+                              build_staircase, cli_dispatch)
 from microfatigue.config import default_config, parse_config
 from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
                                       pull_in_voltage_closed_form, static_equilibrium,
                                       stress_conversion_curve)
 from microfatigue.errors import ConfigError, EstimationError
 from microfatigue.protocols import MAX_SPECIMENS, MIN_THRESHOLD_V
-from tests.strategies import EXTREMES, INF, NAN, json_configs, valid_json_configs
+from tests import reference
+from tests.strategies import (EXTREMES, INF, NAN, floats_around, json_configs,
+                              valid_json_configs)
 
 TABLE_CONFIG = {
     "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
@@ -789,6 +791,17 @@ def _finite_number(value):
             and math.isfinite(value))
 
 
+def assume_fuzz_bounds(config):
+    """Reject a drawn config whose runs would pass FUZZ_DETECTIONS or FUZZ_SPECIMENS."""
+    interval = _resolved(config, "model", "detection_interval_cycles")
+    cycles = _resolved(config, "model", "reference_cycles")
+    n = _resolved(config, "campaign", "n_specimens")
+    if _finite_number(interval) and _finite_number(cycles) and interval >= 1:
+        assume(cycles / interval <= FUZZ_DETECTIONS)
+    if _finite_number(n):
+        assume(n <= FUZZ_SPECIMENS)
+
+
 # The commands run on every drawn config, besides the drawn curve and fatigue ones.
 FUZZED_COMMANDS = (["staircase"], ["recovery", "--replications", "5"], ["pullin"])
 VOLTAGE_FLAGS = ("--vmax=", "--va=", "--strength-v=")
@@ -799,15 +812,6 @@ VOLTS = st.one_of(st.floats(0.0, 30.0), st.sampled_from([*EXTREMES, 0.0, -1.0, N
 POINTS = st.one_of(st.integers(2, 300), st.sampled_from(
     [0, 1, -5, MAX_CURVE_POINTS + 1, 10**400, "2.0", "nan", "x"])).map(str)
 EXAMPLE_SECONDS = 20  # wall-clock bound of one fuzz example (they take under 0.2 s)
-
-
-def _floats_around(v, n):
-    """The 2n + 1 floats from n below v to n above it."""
-    below, above = [v], [v]
-    for _ in range(n):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return sorted({*below, *above})
 
 
 @st.composite
@@ -822,7 +826,7 @@ def flag_commands(draw, config):
         pass  # no device: no pull-in to draw around
     else:
         v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-        volts = st.one_of(VOLTS, st.sampled_from(_floats_around(v_pi, 3)).map(repr))
+        volts = st.one_of(VOLTS, st.sampled_from(floats_around(v_pi, 3)).map(repr))
     curve = ["curve", f"--vmax={draw(volts)}", f"--points={draw(POINTS)}"]
     fatigue = ["fatigue", f"--va={draw(volts)}"]
     if draw(st.booleans()):
@@ -886,13 +890,7 @@ def _expire(signum, frame):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_json_config_runs_or_names_its_fault(config, points, data):
     flag_argvs = data.draw(flag_commands(config)) if data else []  # an @example draws none
-    interval = _resolved(config, "model", "detection_interval_cycles")
-    reference = _resolved(config, "model", "reference_cycles")
-    n = _resolved(config, "campaign", "n_specimens")
-    if _finite_number(interval) and _finite_number(reference) and interval >= 1:
-        assume(reference / interval <= FUZZ_DETECTIONS)
-    if _finite_number(n):
-        assume(n <= FUZZ_SPECIMENS)
+    assume_fuzz_bounds(config)
 
     # Exit 3 is a result of the run only when the sequences admit no estimate.
     estimation_failed = []
@@ -934,39 +932,6 @@ def test_any_json_config_runs_or_names_its_fault(config, points, data):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _campaign_events(config, summary):
-    """The events of a staircase run, as the campaign loop logged them before its notes
-    replaced the log: each clamped threshold of the specimens that run, then for each
-    trial a displacement-imposed run and a level step moved by the window clamp. The
-    thresholds are the config's or the draw; the trials come from the summary."""
-    camp, device = config.campaign, config.device()
-    n = camp.n_specimens
-    if camp.strengths_V:
-        thresholds = [float(v) for v in camp.strengths_V[:n]]
-    else:
-        import numpy as np
-        thresholds = [camp.strength_mean_V + camp.strength_std_V * float(
-            np.random.default_rng((camp.master_seed, i)).standard_normal()) for i in range(n)]
-    top = 0.99 * pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    events = []
-    for i, v in enumerate(thresholds):
-        clamped = min(max(v, MIN_THRESHOLD_V), top)
-        if clamped != v:
-            events.append("specimen %d threshold %.3g V clamped to %.3g V" % (i, v, clamped))
-    levels = sorted(float(v) for v in camp.levels_V)
-    for trial, outcome in zip(summary["trials"], summary["run_outcomes"]):
-        level = trial["level_V"]
-        if outcome == "invalid":
-            events.append("specimen %d at %.3g V: displacement-imposed run counted as failure "
-                          "for the level transition" % (trial["specimen_id"], level))
-        nxt = level - camp.step_V if trial["outcome"] else level + camp.step_V
-        level = min(max(nxt, levels[0]), levels[-1])
-        if level != nxt:
-            events.append("level clamped at the %s of the window (%.3g V)"
-                          % ("bottom" if nxt < levels[0] else "top", level))
-    return events
-
-
 @given(config=valid_json_configs())
 @example({"campaign": {"strengths_V": [30.0, 0.05, 13.0, 13.0, 13.0, 13.0]}})
 @example({"campaign": {"levels_V": [13.0], "start_level_V": 13.0,
@@ -976,13 +941,7 @@ def _campaign_events(config, summary):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 def test_staircase_notes_each_campaign_event_once_on_stderr(config):
-    interval = _resolved(config, "model", "detection_interval_cycles")
-    reference = _resolved(config, "model", "reference_cycles")
-    n = _resolved(config, "campaign", "n_specimens")
-    if _finite_number(interval) and _finite_number(reference) and interval >= 1:
-        assume(reference / interval <= FUZZ_DETECTIONS)
-    if _finite_number(n):
-        assume(n <= FUZZ_SPECIMENS)
+    assume_fuzz_bounds(config)
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
@@ -992,8 +951,47 @@ def test_staircase_notes_each_campaign_event_once_on_stderr(config):
             code = cli_dispatch(["--config", str(cfg), "--out", str(out), "staircase"])
         assume(code == 0)
         artifacts = [p.read_text() for p in sorted(out.iterdir())]
-    events = _campaign_events(parse_config(json.dumps(config)),
-                              json.loads(stdout.getvalue()))
+    events = reference.campaign_events(parse_config(json.dumps(config)),
+                                       json.loads(stdout.getvalue()))
     assert stderr.getvalue() == "".join(f"note: {event}\n" for event in events)
     assert not [event for event in events for text in [*artifacts, stdout.getvalue()]
                 if event in text]
+
+
+# Each fast internal of the staircase, fatigue and curve builders, and its reference.
+REFERENCE_PATHS = {
+    "protocols.population_thresholds": reference.reference_thresholds,
+    "protocols.specimens_from_thresholds": reference.reference_specimens,
+    "protocols.run_stair_case": reference.reference_stair_case,
+    "protocols.run_fatigue_test": reference.reference_fatigue_run,
+    "electromech.stress_conversion_curve": reference.per_point_curve,
+    "cli.dump_json": reference.json_text,
+    "cli.serialize_config": reference.asdict_dump,
+}
+
+
+@given(config=valid_json_configs(), vmax=st.floats(0.0, 1.05), points=st.integers(2, 200),
+       va=st.floats(0.0, 1.0), strength_v=st.none() | st.floats(0.0, 1.0))
+@example(config={"model": {"detection_interval_cycles": 1000}}, vmax=0.9, points=200, va=0.55,
+         strength_v=None)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_builders_equal_their_reference_paths(config, vmax, points, va, strength_v):
+    # Voltages are drawn as fractions of the device's closed-form pull-in.
+    assume_fuzz_bounds(config)
+    try:
+        parsed = parse_config(json.dumps(config))
+        device = parsed.device()
+    except (ConfigError, ValueError):
+        assume(False)
+    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    builds = [(build_staircase, {}),
+              (build_fatigue, {"va": va * v_pi, "strength_v": None if strength_v is None
+                               else max(MIN_THRESHOLD_V, strength_v * v_pi)}),
+              (build_curve, {"vmax": vmax * v_pi, "points": points})]
+    fast = [reference.result_or_fault(lambda: build(parsed, Path("out"), **flags))
+            for build, flags in builds]
+    with contextlib.ExitStack() as stack:
+        for name, slow in REFERENCE_PATHS.items():
+            stack.enter_context(mock.patch(f"microfatigue.{name}", slow))
+        assert [reference.result_or_fault(lambda: build(parsed, Path("out"), **flags))
+                for build, flags in builds] == fast

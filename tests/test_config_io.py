@@ -30,6 +30,7 @@ from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, 
                                     build_population, run_fatigue_test)
 from microfatigue.stats import (BasquinFit, StairCaseEstimate, WohlerPoint,
                                 estimator_recovery_trial)
+from tests.reference import asdict_dump, json_text
 from tests.strategies import FIELDS, valid_json_configs
 
 
@@ -397,22 +398,13 @@ def _nested(depth):
 @example([])
 @settings(max_examples=300, deadline=None)
 def test_dump_json_writes_the_bytes_of_json_dumps(tree):
-    assert dump_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    assert dump_json(tree) == json_text(tree)
 
 
 @pytest.mark.parametrize("payload", [{1: "one"}, {"values": {1, 2}}])
 def test_dump_json_rejects_a_non_str_key_and_an_unsupported_value(payload):
     with pytest.raises(TypeError):
         dump_json(payload)
-
-
-def _asdict_dump(config):
-    """The config text as json.dumps writes the field dict of each section: _asdict of
-    a NamedTuple section, dataclasses.asdict of a dataclass one."""
-    sections = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-    return json.dumps({name: section._asdict() if hasattr(section, "_asdict")
-                       else dataclasses.asdict(section) for name, section in sections.items()},
-                      indent=2, sort_keys=True) + "\n"
 
 
 @given(valid_json_configs())
@@ -427,7 +419,7 @@ def test_serialize_config_equals_the_asdict_dump(raw):
         config = parse_config(json.dumps(raw))
     except ConfigError:
         assume(False)
-    assert serialize_config(config) == _asdict_dump(config)
+    assert serialize_config(config) == asdict_dump(config)
 
 
 @pytest.mark.parametrize("record, fields", [

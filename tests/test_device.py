@@ -53,6 +53,14 @@ def test_validate_nominal_is_clean():
     assert validate_geometry(DeviceGeometry()) == []
 
 
+def test_validate_names_every_length_in_field_order():
+    lengths = ["specimen_length_um", "specimen_width_um", "specimen_thickness_um",
+               "plate_length_um", "plate_width_um", "plate_thickness_um", "gap_um",
+               "hole_side_um", "electrode_length_um", "electrode_width_um"]
+    problems = validate_geometry(DeviceGeometry()._replace(**dict.fromkeys(lengths, 0.0)))
+    assert [problem.partition(":")[0] for problem in problems] == lengths
+
+
 def test_validate_zero_gap():
     problems = validate_geometry(DeviceGeometry()._replace(gap_um=0.0))
     assert len(problems) == 1

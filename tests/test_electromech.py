@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,8 +15,8 @@ import microfatigue
 from microfatigue import electromech
 from microfatigue.device import (C_K_RESONANCE_PRESET, LENGTH_WINDOW_UM, Device,
                                  DeviceGeometry, Material, derive_mechanics, validate_stiffness)
-from microfatigue.electromech import (EPSILON_0, MAX_CURVE_POINTS, STABLE_FRACTION,
-                                      EquilibriumPoint, electrostatic_force, natural_frequency,
+from microfatigue.electromech import (MAX_CURVE_POINTS, SWEEP_TOL_V, EquilibriumPoint,
+                                      electrostatic_force, natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
                                       stress_conversion_curve)
@@ -23,23 +24,10 @@ from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (calibrate_defaults, strength_scale_from_threshold,
                                     validate_stair_case)
-
-
-def bisect_equilibrium(V, mech, geom, iters=200):
-    """Independent oracle: plain bisection of k*x*(g-x)^2 = eps0*A*V^2/2."""
-    g = geom.gap_m
-    k = mech.suspension_stiffness_N_m
-    c = EPSILON_0 * mech.effective_area_m2 * V * V / 2.0
-    lo, hi = 0.0, g / 3.0
-    if k * hi * (g - hi) ** 2 < c:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if k * mid * (g - mid) ** 2 < c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from tests.reference import (bisect_equilibrium, drive_and_capacity, equilibrium_exists,
+                             per_point_curve, per_point_equilibrium, random_device,
+                             two_loop_sweep)
+from tests.strategies import floats_around, floats_below
 
 
 def test_force_zero_voltage(nominal_device):
@@ -154,22 +142,6 @@ def test_sweep_matches_closed_form_nominal(nominal_device):
     assert abs(sweep.pull_in_voltage_V - closed.pull_in_voltage_V) < 1e-2
     assert sweep.deflection_at_instability_m == pytest.approx(
         d.geometry.gap_m / 3.0, rel=0.01)
-
-
-def random_device(rng):
-    geom = DeviceGeometry(
-        specimen_length_um=float(rng.uniform(25, 100)),
-        specimen_width_um=float(rng.uniform(5, 20)),
-        specimen_thickness_um=float(rng.uniform(1.0, 3.6)),
-        plate_length_um=float(rng.uniform(200, 800)),
-        plate_width_um=float(rng.uniform(90, 360)),
-        plate_thickness_um=float(rng.uniform(2.4, 9.6)),
-        gap_um=float(rng.uniform(1.5, 6.0)),
-        hole_side_um=20.0,
-        hole_count=int(rng.integers(0, 41)),
-    )
-    mat = Material(E_GPa=float(rng.uniform(50, 200)))
-    return Device.assemble(geom, mat)
 
 
 def test_sweep_matches_closed_form_randomized():
@@ -314,13 +286,6 @@ DEVICES = st.one_of(
         st.floats(2.85, 3.3), st.floats(1.75, 2.0), st.floats(1.0, 2.5)))
 
 
-def drive_and_capacity(V, mech, geom):
-    g = geom.gap_m
-    x_limit = g * STABLE_FRACTION
-    return (EPSILON_0 * mech.effective_area_m2 * V * V / 2.0,
-            mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
-
-
 @given(device=DEVICES, fraction=st.floats(0.0, 0.9, exclude_min=True))
 @settings(max_examples=300, deadline=None)
 def test_equilibrium_within_16_ulp_of_exact_root(device, fraction):
@@ -351,13 +316,10 @@ ACOS_ARGUMENT_PAST_ONE = Device(
 @settings(max_examples=100, deadline=None)
 def test_equilibrium_robust_in_last_floats_below_pull_in(device):
     mech, geom = device.mechanics, device.geometry
-    V = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
     deflections = []
-    for _ in range(60):
-        V = math.nextafter(V, 0.0)
+    for V in floats_below(v_pi_of(device), 60):
         eq = static_equilibrium(V, mech, geom)
-        drive, capacity = drive_and_capacity(V, mech, geom)
-        if drive >= capacity:
+        if not equilibrium_exists(V, mech, geom):
             assert eq is None
             continue
         assert 0.0 <= eq.deflection_m <= geom.gap_m / 3.0
@@ -367,41 +329,11 @@ def test_equilibrium_robust_in_last_floats_below_pull_in(device):
     assert all(b <= a for a, b in zip(deflections, deflections[1:]))
 
 
-def two_loop_sweep(mech, geom, step_V, tol_V):
-    """Reference: the step-and-bisect sweep as two separate bisection loops."""
-    def exists(v):
-        drive, capacity = drive_and_capacity(v, mech, geom)
-        return drive < capacity
-
-    v = step_V
-    while exists(v):
-        v += step_V
-    lo, hi = max(v - step_V, 0.0), v
-    while hi - lo > tol_V:
-        mid = 0.5 * (lo + hi)
-        if exists(mid):
-            lo = mid
-        else:
-            hi = mid
-    detected = 0.5 * (lo + hi)
-    while hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if exists(mid):
-            lo = mid
-        else:
-            hi = mid
-    eq = static_equilibrium(lo, mech, geom)
-    deflection = eq.deflection_m if eq is not None else geom.gap_m * STABLE_FRACTION
-    return detected, deflection
-
-
-@given(device=DEVICES, step_V=st.floats(0.01, 60.0), tol_V=st.floats(1e-12, 10.0))
+@given(device=DEVICES, step_V=st.floats(0.01, 60.0))
 @settings(max_examples=200, deadline=None)
-def test_sweep_matches_two_loop_reference(device, step_V, tol_V):
+def test_sweep_matches_two_loop_reference(device, step_V):
     mech, geom = device.mechanics, device.geometry
-    res = pull_in_voltage_sweep(mech, geom, step_V=step_V, tol_V=tol_V)
-    assert (res.pull_in_voltage_V, res.deflection_at_instability_m) == \
-        two_loop_sweep(mech, geom, step_V, tol_V)
+    assert pull_in_voltage_sweep(mech, geom, step_V=step_V) == two_loop_sweep(mech, geom, step_V)
 
 
 class CountedScale(float):
@@ -453,33 +385,29 @@ HAND_BUILT = [hand_built(k) for k in (0.0, 1e-300, math.inf, math.nan)] + \
 
 
 @given(device=st.one_of(window_devices(), st.sampled_from(HAND_BUILT), DEVICES),
-       steps=st.floats(0.5, 1e4), tol_fraction=st.floats(1e-6, 1.0))
-@example(device=HAND_BUILT[0], steps=1.0, tol_fraction=0.5)
-@example(device=HAND_BUILT[1], steps=1.0, tol_fraction=0.5)
-@example(device=HAND_BUILT[2], steps=1e4, tol_fraction=1e-6)
-@example(device=HAND_BUILT[3], steps=1.0, tol_fraction=0.5)
-@example(device=HAND_BUILT[4], steps=1e4, tol_fraction=1e-6)
+       steps=st.floats(0.5, 1e4))
+@example(device=HAND_BUILT[0], steps=1.0)
+@example(device=HAND_BUILT[1], steps=1.0)
+@example(device=HAND_BUILT[2], steps=1e4)
+@example(device=HAND_BUILT[3], steps=1.0)
+@example(device=HAND_BUILT[4], steps=1e4)
 @settings(max_examples=300, deadline=None)
-def test_sweep_limit_is_the_first_float_without_equilibrium(device, steps, tol_fraction):
+def test_sweep_limit_is_the_first_float_without_equilibrium(device, steps):
     mech, geom = device.mechanics, device.geometry
     drive_scale, capacity = electromech._drive_scale_and_capacity(mech, geom)
-
-    def exists(v):
-        return drive_scale * v * v / 2.0 < capacity
-
     CountedScale.products = 0
     limit = electromech._sweep_limit(CountedScale(drive_scale), capacity)
     assert CountedScale.products <= MAX_LIMIT_EVALUATIONS
-    assert 0.0 <= limit < math.inf and not exists(limit)
+    assert 0.0 <= limit < math.inf and not equilibrium_exists(limit, mech, geom)
     if limit > 0.0:
-        assert exists(math.nextafter(limit, 0.0))
-    # At most about 1e4 supply steps to pull-in, over a bracket of normal floats.
+        assert equilibrium_exists(math.nextafter(limit, 0.0), mech, geom)
+    # At most about 1e4 supply steps to pull-in, over a bracket of normal floats; a
+    # limit above 2**43 V reads at the adjacent-float stop, and a zero limit steps by
+    # SWEEP_TOL_V, a first bracket as wide as the tolerance.
     if limit == 0.0 or limit > 1e-290:
-        step_V = limit / steps if limit else 0.05
-        tol_V = step_V * tol_fraction
-        res = pull_in_voltage_sweep(mech, geom, step_V=step_V, tol_V=tol_V)
-        assert (res.pull_in_voltage_V, res.deflection_at_instability_m) == \
-            two_loop_sweep(mech, geom, step_V, tol_V)
+        step_V = limit / steps if limit else SWEEP_TOL_V
+        assert pull_in_voltage_sweep(mech, geom, step_V=step_V) == \
+            two_loop_sweep(mech, geom, step_V)
 
 
 def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
@@ -515,74 +443,43 @@ def test_sweep_rejects_negative_effective_area(nominal_device):
         pull_in_voltage_sweep(mech, nominal_device.geometry)
 
 
-# Runs the nominal device's sweep with step_V and tol_V from sys.argv and prints
-# the detected voltage, or the ValueError it raises.
+# Runs the sweep of the nominal device with c_k, at step_V, from sys.argv and prints
+# its closed-form and detected pull-in, or the ValueError it raises.
 _SWEEP = """
 import sys
 from microfatigue.device import Device
-from microfatigue.electromech import pull_in_voltage_sweep
-d = Device.nominal()
+from microfatigue.electromech import pull_in_voltage_closed_form, pull_in_voltage_sweep
+d = Device.nominal(c_k=float(sys.argv[2]))
 try:
-    res = pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=float(sys.argv[1]),
-                                tol_V=float(sys.argv[2]))
+    res = pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=float(sys.argv[1]))
 except ValueError as exc:
     print("ValueError", exc)
 else:
-    print(repr(res.pull_in_voltage_V))
+    print(pull_in_voltage_closed_form(d.mechanics, d.geometry).pull_in_voltage_V,
+          repr(res.pull_in_voltage_V))
 """
+SWEEP_ROWS = [("nan", "1", "step_V"), ("inf", "1", "step_V"), ("-inf", "1", "step_V"),
+              ("0", "1", "step_V"), ("-1", "1", "step_V"),
+              # Pull-in at 2.6e14 V, where adjacent floats lie 2**-5 V > SWEEP_TOL_V apart.
+              ("1e12", "1e26", None)]
 
 
-@pytest.mark.parametrize("step_V, tol_V, fault", [
-    ("0.05", "0", "tol_V"), ("0.05", "-1", "tol_V"), ("0.05", "nan", "tol_V"),
-    ("0.05", "inf", "tol_V"), ("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"),
-    ("-inf", "1e-3", "step_V"), ("0", "1e-3", "step_V"), ("-1", "1e-3", "step_V"),
-    ("0.05", "1e-300", None), ("0.05", "5e-324", None),
-])
-def test_sweep_returns_or_raises_within_bound(nominal_device, step_V, tol_V, fault):
+# Each id names the step, the sweep's tolerance SWEEP_TOL_V and the argument at fault.
+@pytest.mark.parametrize("step_V, c_k, fault", SWEEP_ROWS,
+                         ids=[f"{step_V}-1e-3-{fault}" for step_V, _, fault in SWEEP_ROWS])
+def test_sweep_returns_or_raises_within_bound(step_V, c_k, fault):
     # In a fresh process with a timeout, so that a sweep that never ends fails.
-    out = _run_fresh(_SWEEP, step_V, tol_V, timeout=30).strip()
+    out = _run_fresh(_SWEEP, step_V, c_k, timeout=30).strip()
     if fault is not None:
         assert out.startswith(f"ValueError {fault}: must be finite and > 0")
         return
     # A tolerance below the float spacing stops at adjacent floats around pull-in.
-    closed = pull_in_voltage_closed_form(nominal_device.mechanics, nominal_device.geometry)
-    assert float(out) == pytest.approx(closed.pull_in_voltage_V, rel=1e-12)
-
-
-def per_point_equilibrium(V, mech, geom):
-    """Reference: the per-voltage solve, every device constant rebuilt for each point."""
-    if V == 0.0:
-        return EquilibriumPoint(0.0, 0.0, 0.0)
-    drive, capacity = drive_and_capacity(V, mech, geom)
-    if drive >= capacity:
-        return None
-    g = geom.gap_m
-    q = drive / (mech.suspension_stiffness_N_m * g**3)
-    u = (2.0 + 2.0 * math.cos(math.acos(min(13.5 * q - 1.0, 1.0)) / 3.0
-                              - 4.0 * math.pi / 3.0)) / 3.0
-    for _ in range(3):
-        slope = (1.0 - u) * (1.0 - 3.0 * u)
-        if slope <= 0.1:
-            break
-        u -= (u * (1.0 - u) ** 2 - q) / slope
-    x = min(max(u, 0.0), STABLE_FRACTION) * g
-    stress = (mech.suspension_stiffness_N_m * geom.specimen_length_m
-              * geom.specimen_thickness_m * x
-              / (4.0 * mech.area_moment_m4 * mech.stiffness_calibration))
-    return EquilibriumPoint(V, x, stress)
+    closed, detected = map(float, out.split())
+    assert closed > 2.0**43 and detected == pytest.approx(closed, rel=1e-15)
 
 
 def point_reprs(point):
     return None if point is None else tuple(repr(field) for field in point)
-
-
-def floats_below(v, n):
-    """The n floats just below v, nearest first."""
-    below = []
-    for _ in range(n):
-        v = math.nextafter(v, 0.0)
-        below.append(v)
-    return below
 
 
 def v_pi_of(device):
@@ -620,22 +517,14 @@ def test_solve_bit_equal_to_per_point_reference(case):
     for V in voltages:
         assert point_reprs(static_equilibrium(V, mech, geom)) == \
             point_reprs(per_point_equilibrium(V, mech, geom)), V
-    expected = [per_point_equilibrium(v, mech, geom)
-                for v in np.linspace(0.0, V_max, n_points).tolist()]
-    if None in expected:
-        with pytest.raises(ValueError):
+    try:
+        expected = per_point_curve(mech, geom, V_max, n_points)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             stress_conversion_curve(mech, geom, V_max, n_points)
         return
     assert [point_reprs(p) for p in stress_conversion_curve(mech, geom, V_max, n_points)] == \
         [point_reprs(p) for p in expected]
-
-
-def floats_around(v, n):
-    """The 2n + 1 floats from n below v to n above it, ascending."""
-    above = [v]
-    for _ in range(n):
-        above.append(math.nextafter(above[-1], math.inf))
-    return [*reversed(floats_below(v, n)), *above]
 
 
 # Its closed-form pull-in is 58.05753654526649 V, and the solve finds no stable

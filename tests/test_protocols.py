@@ -9,20 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from microfatigue import loading, protocols
 from microfatigue.damage import (DamageModelParams, DamageState, SpecimenStrength,
-                                 accumulate, cycles_to_failure, degraded_pull_in,
-                                 effective_stiffness_factor)
+                                 cycles_to_failure, degraded_pull_in)
 from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
 from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
-from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, MIN_THRESHOLD_V,
-                                    OUTCOME_FAILED, OUTCOME_INVALID, OUTCOME_SURVIVED,
-                                    StairCaseSequence, StairCaseTrial, build_population,
-                                    calibrate_defaults, campaign_notes, next_level,
-                                    population_thresholds, run_fatigue_test,
+from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, OUTCOME_FAILED,
+                                    OUTCOME_INVALID, OUTCOME_SURVIVED, StairCaseSequence,
+                                    build_population, calibrate_defaults, campaign_notes,
+                                    next_level, population_thresholds, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
-                                    specimens_from_thresholds,
-                                    strength_scale_from_threshold)
+                                    specimens_from_thresholds, strength_scale_from_threshold)
+from tests.reference import (dixon_mood_step, reference_fatigue_run, reference_population,
+                             reference_stair_case, result_or_fault, softening_index)
 
 TABLE_STRENGTHS = [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]
 
@@ -188,31 +187,6 @@ def test_run_bounds_its_detection_count(nominal_device, calibrated_params):
                          detection_interval=20, reference_cycles=20 * MAX_DETECTIONS + 1)
 
 
-def reference_fatigue_run(V_a, specimen, device, params, detection_interval,
-                          reference_cycles, detection_step_V, drop_fraction,
-                          min_pullin_fraction):
-    """The batch-by-batch loop: accumulate each batch, then measure."""
-    sigma_alt = fatigue_parameters(V_a, device.mechanics, device.geometry)[0].sigma_alt_Pa
-    state = DamageState.pristine()
-    pristine_meas = run_pull_in_detection(state, device, params, detection_step_V)
-    detections = [(0, pristine_meas)]
-    outcome = OUTCOME_SURVIVED
-    while state.cycles_applied < reference_cycles:
-        batch = min(detection_interval, reference_cycles - state.cycles_applied)
-        state = accumulate(state, sigma_alt, batch, params, specimen)
-        v = run_pull_in_detection(state, device, params, detection_step_V)
-        previous = detections[-1][1]
-        detections.append((state.cycles_applied, v))
-        if (state.failed or v <= (1.0 - drop_fraction) * previous
-                or v < min_pullin_fraction * pristine_meas):
-            outcome = OUTCOME_FAILED
-            break
-        if v <= V_a:
-            outcome = OUTCOME_INVALID
-            break
-    return detections, outcome
-
-
 @given(rnd=st.randoms(use_true_random=True),
        as_float=st.booleans(),
        onset=st.floats(0.05, 0.9),
@@ -259,12 +233,9 @@ def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params,
                   detection_step_V=step_V, drop_fraction=drop_fraction,
                   min_pullin_fraction=min_pullin_fraction)
     record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
-    detections, outcome = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
-    assert record.detections == tuple(detections)
-    assert [type(n) for n, _ in record.detections] == [type(n) for n, _ in detections]
-    assert record.outcome == outcome
-    assert record.drive_amplitude_V == V_a
-    assert record.reference_cycles == reference
+    want = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+    assert record == want
+    assert [type(n) for n, _ in record.detections] == [type(n) for n, _ in want.detections]
     assert type(record.reference_cycles) is type(reference)
 
 
@@ -290,9 +261,9 @@ def test_long_runs_match_batch_by_batch_reference(nominal_device, calibrated_par
     for V_a, threshold, expected in LONG_RUNS:
         specimen = SpecimenStrength(strength_scale_from_threshold(threshold, d, params))
         record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
-        detections, outcome = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
-        assert (record.outcome, outcome) == (expected, expected), (V_a, threshold)
-        assert record.detections == tuple(detections), (V_a, threshold)
+        assert record == reference_fatigue_run(V_a, specimen, d, params, **kwargs), \
+            (V_a, threshold)
+        assert record.outcome == expected, (V_a, threshold)
         life = cycles_to_failure(sigma_alt(d, V_a), params, specimen)
         if life is not None and min(record.detections[-1][0], life) / life > params.hardening_onset:
             hardened += 1
@@ -316,22 +287,19 @@ def test_readings_keep_the_grid_guard(nominal_device, calibrated_params):
 
 def test_long_run_makes_no_stiffness_call_per_detection(nominal_device, calibrated_params,
                                                         monkeypatch):
-    # Guards the call-free detection loop without a clock: only the pristine
-    # reading may go through damage.effective_stiffness_factor.
+    # Guards the call-free detection loop without a clock: no reading, the pristine
+    # one included, goes through the stiffness law or the degraded pull-in of damage.
     calls = []
-
-    def counted(d, params):
-        calls.append(d)
-        return effective_stiffness_factor(d, params)
-
-    monkeypatch.setattr(protocols, "effective_stiffness_factor", counted)
+    for name in ("effective_stiffness_factor", "degraded_pull_in"):
+        monkeypatch.setattr(f"microfatigue.damage.{name}",
+                            lambda *args, name=name: calls.append(name))
     specimen = SpecimenStrength(strength_scale_from_threshold(
         14.0, nominal_device, calibrated_params))
     record = run_fatigue_test(14.0, specimen, nominal_device, calibrated_params,
                               detection_interval=1_000, reference_cycles=2_000_000)
     assert (record.outcome, len(record.detections)) == (OUTCOME_SURVIVED, 2_001)
     assert record.detections[-1][1] != record.detections[0][1]  # damage accrued
-    assert len(calls) <= 1
+    assert calls == []
 
 
 @given(rnd=st.randoms(use_true_random=True),
@@ -380,11 +348,10 @@ def test_long_fine_run_matches_batch_by_batch_reference(
                   detection_step_V=step_V, drop_fraction=drop_fraction,
                   min_pullin_fraction=min_pullin_fraction)
     record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
-    detections, outcome = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
-    assert record.detections == tuple(detections)
+    want = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+    assert record == want
     assert [(type(n), type(v)) for n, v in record.detections] == \
-        [(type(n), type(v)) for n, v in detections]
-    assert record.outcome == outcome
+        [(type(n), type(v)) for n, v in want.detections]
 
 
 def count_readings(monkeypatch):
@@ -422,14 +389,17 @@ def test_long_runs_evaluate_each_repeated_reading_once(nominal_device, calibrate
 
 
 def test_nan_pristine_reading_raises(nominal_device, calibrated_params):
-    # inf * 0.0 makes the pristine stiffness factor NaN, which has no grid index.
+    # inf * 0.0 makes the pristine stiffness factor NaN, which has no grid index. It
+    # raises before a first detection inside the hardening bump (d = 0.85 of the 1.2e6
+    # cycle life) could overflow the factor to inf.
     params = DamageModelParams(calibrated_params.basquin_coefficient_Pa,
                                calibrated_params.basquin_exponent,
                                calibrated_params.endurance_stress_Pa,
                                hardening_amplitude=math.inf)
-    with pytest.raises(ValueError):
-        run_fatigue_test(14.0, SpecimenStrength(1.0), nominal_device, params,
-                         detection_interval=1_000)
+    for interval in (1_000, 1_020_000):
+        with pytest.raises(ValueError):
+            run_fatigue_test(14.0, SpecimenStrength(1.0), nominal_device, params,
+                             detection_interval=interval)
 
 
 @pytest.mark.parametrize("E_GPa, step_V, softening_exponent", [
@@ -445,15 +415,8 @@ def test_extreme_runs_match_batch_by_batch_reference(E_GPa, step_V, softening_ex
                      softening_exponent=softening_exponent)
     kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000,
                   detection_step_V=step_V, drop_fraction=0.2, min_pullin_fraction=0.5)
-    record = run_fatigue_test(V_a, SpecimenStrength(1.0), d, params, **kwargs)
-    detections, outcome = reference_fatigue_run(V_a, SpecimenStrength(1.0), d, params,
-                                                **kwargs)
-    assert (record.detections, record.outcome) == (tuple(detections), outcome)
-
-
-def softening_index(pristine, d, step, exponent):
-    """Grid index of the reading at damage d <= onset, as _stepped_reading rounds it."""
-    return math.ceil(pristine * math.sqrt((1.0 - d) ** exponent) / step - 1e-9)
+    assert run_fatigue_test(V_a, SpecimenStrength(1.0), d, params, **kwargs) == \
+        reference_fatigue_run(V_a, SpecimenStrength(1.0), d, params, **kwargs)
 
 
 @given(j=st.integers(0, 5_000), life=st.integers(1, 10**12), interval=st.integers(1, 10**6),
@@ -500,21 +463,8 @@ def test_staircase_transition_rule(nominal_device, calibrated_params):
                             nominal_device, calibrated_params)
     levels = [t.level_V for t in seq.trials]
     for trial, nxt in zip(seq.trials, levels[1:]):
-        expected = trial.level_V - 1.0 if trial.failure else trial.level_V + 1.0
-        expected = min(max(expected, 12.0), 15.0)
-        assert nxt == pytest.approx(expected)
-
-
-def dixon_mood_step(level, failure, step, low, high):
-    """The stair-case rule as Dixon and Mood state it: the level under test goes one
-    step down after a failure and one up after a survival; a level past an end of the
-    window stays at that end, which is then named."""
-    target = level - step if failure else level + step
-    if target < low:
-        return low, "bottom"
-    if target > high:
-        return high, "top"
-    return target, None
+        assert nxt == pytest.approx(dixon_mood_step(trial.level_V, trial.failure, 1.0, 12.0,
+                                                    15.0)[0])
 
 
 @st.composite
@@ -712,52 +662,6 @@ def test_population_names_a_nan_threshold(nominal_device, calibrated_params, std
                        match=f"^specimen {index}: threshold must be > 0 V, got nan$"):
         build_population(0, 13.0, std_V, 3, nominal_device, calibrated_params,
                          strengths_V=thresholds_V)
-
-
-def reference_population(master_seed, mean_V, std_V, n, device, params, thresholds_V):
-    """One strength_scale_from_threshold per clamped threshold, after the argument
-    check of build_population."""
-    import numpy as np
-    problems = protocols.validate_population(n, thresholds_V, mean_V, std_V, master_seed)
-    if problems:
-        raise ValueError("invalid population: " + "; ".join(problems))
-    if thresholds_V is None:
-        thresholds_V = [mean_V + std_V * float(np.random.default_rng((master_seed, i))
-                                               .standard_normal()) for i in range(n)]
-    top = 0.99 * pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    population = []
-    for i, v in enumerate(thresholds_V[:n]):
-        try:
-            scale = strength_scale_from_threshold(min(max(v, MIN_THRESHOLD_V), top),
-                                                  device, params)
-        except ValueError as exc:
-            raise ValueError(f"specimen {i}: {exc}") from None
-        population.append(SpecimenStrength(scale))
-    return tuple(population)
-
-
-def reference_stair_case(levels_V, step_V, start_level_V, n_specimens, population, device,
-                         params, **run_kwargs):
-    """One run_fatigue_test per specimen, at the level the walk reached."""
-    levels = sorted(float(v) for v in levels_V)
-    problems = protocols.validate_stair_case(levels, step_V, start_level_V, n_specimens,
-                                             len(population), device)
-    if problems:
-        raise ValueError("invalid stair case: " + "; ".join(problems))
-    level, trials, records = float(start_level_V), [], []
-    for idx in range(n_specimens):
-        records.append(run_fatigue_test(level, population[idx], device, params, **run_kwargs))
-        failure = records[-1].outcome in (OUTCOME_FAILED, OUTCOME_INVALID)
-        trials.append(StairCaseTrial(specimen_id=idx, level_V=level, failure=failure))
-        level = min(max(level - step_V if failure else level + step_V, levels[0]), levels[-1])
-    return StairCaseSequence(trials=tuple(trials), step_V=step_V, levels_V=tuple(levels)), records
-
-
-def result_or_fault(call):
-    try:
-        return call()
-    except Exception as exc:  # the fault itself is what the two sides must agree on
-        return type(exc), str(exc)
 
 
 CAMPAIGN_RUN_SETTINGS = [

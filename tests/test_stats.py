@@ -7,19 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from microfatigue import stats
 from microfatigue.errors import EstimationError
-from microfatigue.protocols import MAX_SPECIMENS, StairCaseSequence, StairCaseTrial
+from microfatigue.protocols import MAX_SPECIMENS
 from microfatigue.stats import (WohlerPoint, dixon_mood, estimator_recovery_trial,
                                 fit_basquin, synthetic_stair_case)
-
-
-def make_sequence(pairs, step=1.0):
-    trials = tuple(StairCaseTrial(specimen_id=i, level_V=lvl, failure=bool(out))
-                   for i, (lvl, out) in enumerate(pairs))
-    levels = tuple(sorted({lvl for lvl, _ in pairs}))
-    return StairCaseSequence(trials=trials, step_V=step, levels_V=levels)
-
-
-PUBLISHED = [(15.0, 1), (14.0, 1), (13.0, 0), (14.0, 1), (13.0, 1), (12.0, 0)]
+from tests.reference import (PUBLISHED, float_dixon_mood_means, float_stair_case_levels,
+                             make_sequence, polyfit_basquin, recovery_by_replication,
+                             recovery_window, result_or_fault)
 
 
 def test_published_sequence_mean():
@@ -182,16 +175,6 @@ def test_basquin_rejects_values_whose_logs_coincide(points, message):
         fit_basquin(points)
 
 
-def _polyfit_basquin(points):
-    """The Basquin fit as np.polyfit computes it: (coefficient, exponent, residual)."""
-    usable = sorted((p for p in points if not p.censored), key=lambda p: (p.cycles, p.level_V))
-    log_n = np.log(np.array([p.cycles for p in usable], dtype=float))
-    log_s = np.log(np.array([p.level_V for p in usable], dtype=float))
-    slope, intercept = np.polyfit(log_n, log_s, 1)
-    residual = np.sqrt(np.mean((log_s - (intercept + slope * log_n)) ** 2))
-    return float(np.exp(intercept)), float(slope), float(residual)
-
-
 @st.composite
 def basquin_points(draw):
     """2 to 50 points level = C * N**b * noise, N in [1, 1e7] over at least a decade.
@@ -211,7 +194,7 @@ def basquin_points(draw):
 @given(points=basquin_points())
 @settings(max_examples=300, deadline=None)
 def test_basquin_fit_agrees_with_polyfit(points):
-    coefficient, exponent, residual = _polyfit_basquin(points)
+    coefficient, exponent, residual = polyfit_basquin(points)
     fit = fit_basquin(points)
     assert fit.coefficient == pytest.approx(coefficient, rel=1e-9, abs=0.0)
     assert fit.exponent == pytest.approx(exponent, rel=1e-9, abs=0.0)
@@ -290,49 +273,15 @@ def test_one_generator_stream_agrees_with_per_replication_streams(trial):
     assert abs(summary["mean_bias_V"] - parent_mean) <= 5 * combined_se
 
 
-def recovery_by_replication(strength_mean_V, strength_std_V, n_specimens, replications,
-                            master_seed):
-    """Reference: one synthetic_stair_case and one dixon_mood (with its grid
-    check) per replication, each drawing the next n_specimens normals from
-    one default_rng(master_seed)."""
-    base = round(strength_mean_V)
-    levels = [base - 1.0 + i for i in range(4)]
-    start = min(levels, key=lambda v: abs(v - strength_mean_V))
-    estimates = []
-    skipped = 0
-    rng = np.random.default_rng(int(master_seed))
-    for _ in range(replications):
-        strengths = strength_mean_V + strength_std_V * rng.standard_normal(n_specimens)
-        seq = synthetic_stair_case(list(strengths), levels, 1.0, start)
-        try:
-            estimates.append(dixon_mood(seq).mean_V)
-        except EstimationError:
-            skipped += 1
-    if not estimates:
-        raise EstimationError("every replication produced a single-outcome sequence")
-    biases = np.array(estimates) - strength_mean_V
-    return {
-        "true_mean_V": strength_mean_V,
-        "true_std_V": strength_std_V,
-        "n_specimens": n_specimens,
-        "replications": replications,
-        "valid_replications": len(estimates),
-        "skipped_replications": skipped,
-        "mean_bias_V": float(np.mean(biases)),
-        "std_bias_V": float(np.std(biases)),
-        "max_abs_bias_V": float(np.max(np.abs(biases))),
-    }
-
-
 @st.composite
 def recovery_trials(draw):
     # Means ending in .5 tie the two nearest window levels for the start; far
     # means keep the window on its grid too. From 2**52 on, window levels 1 V
-    # apart coincide as floats.
+    # apart coincide as floats; in [2**53, 2**54) some do and others do not.
     mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
                      | st.floats(8.0, 18.0, allow_subnormal=False)
                      | st.floats(-1e6, 1e6, allow_subnormal=False)
-                     | st.floats(2.0**51, 2.0**60))
+                     | st.floats(2.0**51, 2.0**60) | st.floats(2.0**53, 2.0**54))
     return dict(
         strength_mean_V=mean,
         strength_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
@@ -341,13 +290,6 @@ def recovery_trials(draw):
         # Past 2**64 and 2**96: seeds of three and more 32-bit entropy words.
         master_seed=draw(st.integers(0, 2**32) | st.integers(0, 2**200)),
     )
-
-
-def _summary_or_error(fn, kwargs):
-    try:
-        return fn(**kwargs)
-    except EstimationError as exc:
-        return ("EstimationError", str(exc))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -359,8 +301,8 @@ def test_batched_recovery_equals_replication_loop(trial, block_elements):
             estimator_recovery_trial(**trial)
         return
     with mock.patch.multiple(stats, _BLOCK_ELEMENTS=block_elements, _MIN_BLOCK_ROWS=1):
-        batched = _summary_or_error(estimator_recovery_trial, trial)
-    assert batched == _summary_or_error(recovery_by_replication, trial)
+        batched = result_or_fault(lambda: estimator_recovery_trial(**trial))
+    assert batched == result_or_fault(lambda: recovery_by_replication(**trial))
 
 
 def test_window_tables_are_read_only():
@@ -405,36 +347,6 @@ def test_a_basis_level_sum_fills_its_packed_field_without_carrying():
     assert stats._dixon_mood_means(codes, tables).tolist() == [14.5]
 
 
-def float_stair_case_levels(strengths, low, high, step_V, start_level_V):
-    """Reference: the test levels of synthetic stair-cases, one row of strengths
-    each, stepping every row at once in float arrays as synthetic_stair_case
-    steps one row."""
-    tested = np.empty_like(strengths)
-    level = np.full(len(strengths), float(start_level_V))
-    for j in range(strengths.shape[1]):
-        tested[:, j] = level
-        level = np.where(level >= strengths[:, j], level - step_V, level + step_V)
-        level = np.minimum(np.maximum(level, low), high)
-    return tested
-
-
-def float_dixon_mood_means(tested, failed, step_V):
-    """Reference: the Dixon-Mood mean of each row of tested levels with both
-    outcomes, from the float levels themselves, as dixon_mood computes it."""
-    n_fail = failed.sum(axis=1)
-    n_surv = failed.shape[1] - n_fail
-    both = (n_fail > 0) & (n_surv > 0)
-    tested, failed = tested[both], failed[both]
-    by_failures = n_fail[both] <= n_surv[both]
-    basis = failed == by_failures[:, None]
-    x0 = np.where(basis, tested, np.inf).min(axis=1)
-    i = np.rint((tested - x0[:, None]) / step_V)
-    n = basis.sum(axis=1)
-    a = np.where(basis, i, 0.0).sum(axis=1)
-    half = np.where(by_failures, -0.5, 0.5)
-    return x0 + step_V * (a / n + half)
-
-
 # Window bases past 2**52 make window levels 1 V apart coincide as floats.
 WINDOW_BASES = st.integers(10, 15) | st.integers(2**51, 2**60)
 STRENGTH_OFFSETS_V = st.floats(-3.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf, 1])
@@ -449,7 +361,7 @@ def window_stair_cases(draw, min_specimens=0):
     offsets = draw(st.lists(st.lists(STRENGTH_OFFSETS_V, min_size=n, max_size=n),
                             min_size=1, max_size=5))
     rows = [[base + offset for offset in row] for row in offsets]
-    return rows, [base - 1.0 + i for i in range(4)], draw(st.integers(0, 3))
+    return rows, recovery_window(base), draw(st.integers(0, 3))
 
 
 @given(case=window_stair_cases())

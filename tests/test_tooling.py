@@ -134,3 +134,38 @@ def test_every_memo_has_a_finite_integer_maxsize():
     found = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
              for name in _unbounded_memos(path.read_text())]
     assert found == []
+
+
+SHARED_TEST_MODULES = {"tests.reference", "tests.strategies"}
+
+
+def _test_module_faults(source: str) -> list[str]:
+    """The tests.* modules other than the shared helpers that a test module imports,
+    and the reference_* functions it defines, which belong in tests/reference.py."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["tests" if node.level else "", node.module]))
+            modules = ([f"{module}.{alias.name}" for alias in node.names]
+                       if module == "tests" else [module])
+        else:
+            modules = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith("reference_"):
+                faults.append(f"defines {node.name}")
+        faults += [f"imports {module}" for module in modules
+                   if module.split(".")[0] == "tests" and module not in SHARED_TEST_MODULES]
+    return faults
+
+
+def test_test_modules_share_code_only_through_the_helper_modules():
+    sample = ("from tests.test_stats import make_sequence\nfrom . import test_cli\n"
+              "from tests import reference\nimport tests.strategies\n"
+              "def reference_run(): pass\n")
+    assert _test_module_faults(sample) == [
+        "imports tests.test_stats", "imports tests.test_cli", "defines reference_run"]
+    faults = [f"{path.name} {fault}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+              for fault in _test_module_faults(path.read_text())]
+    assert faults == []
