@@ -458,24 +458,31 @@ else:
     print(pull_in_voltage_closed_form(d.mechanics, d.geometry).pull_in_voltage_V,
           repr(res.pull_in_voltage_V))
 """
-SWEEP_ROWS = [("nan", "1", "step_V"), ("inf", "1", "step_V"), ("-inf", "1", "step_V"),
-              ("0", "1", "step_V"), ("-1", "1", "step_V"),
+# The step_V rows raise before the device is read, whatever its c_k.
+SWEEP_ROWS = [("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"), ("-inf", "1e-3", "step_V"),
+              ("0", "1e-3", "step_V"), ("-1", "1e-3", "step_V"),
+              # Pull-in far below one step: 2.6e-149 V, and 0 V where the stiffness
+              # underflows.
+              ("0.05", "1e-300", None), ("0.05", "5e-324", None),
               # Pull-in at 2.6e14 V, where adjacent floats lie 2**-5 V > SWEEP_TOL_V apart.
               ("1e12", "1e26", None)]
 
 
-# Each id names the step, the sweep's tolerance SWEEP_TOL_V and the argument at fault.
+# Each id names the step, the device's c_k and the argument at fault.
 @pytest.mark.parametrize("step_V, c_k, fault", SWEEP_ROWS,
-                         ids=[f"{step_V}-1e-3-{fault}" for step_V, _, fault in SWEEP_ROWS])
+                         ids=[f"{step_V}-{c_k}-{fault}" for step_V, c_k, fault in SWEEP_ROWS])
 def test_sweep_returns_or_raises_within_bound(step_V, c_k, fault):
     # In a fresh process with a timeout, so that a sweep that never ends fails.
     out = _run_fresh(_SWEEP, step_V, c_k, timeout=30).strip()
     if fault is not None:
         assert out.startswith(f"ValueError {fault}: must be finite and > 0")
         return
-    # A tolerance below the float spacing stops at adjacent floats around pull-in.
     closed, detected = map(float, out.split())
-    assert closed > 2.0**43 and detected == pytest.approx(closed, rel=1e-15)
+    if closed < 1.0:
+        assert abs(detected - closed) <= SWEEP_TOL_V
+    else:
+        # A tolerance below the float spacing stops at adjacent floats around pull-in.
+        assert closed > 2.0**43 and detected == pytest.approx(closed, rel=1e-15)
 
 
 def point_reprs(point):
