@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k,
                      validate_geometry, validate_material, validate_stiffness)
-from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep, validate_sweep_steps
+from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep_steps
 from .emit import dump_json
 from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
@@ -115,12 +115,6 @@ class RunConfig:
                                        camp.n_specimens, n_available, device)
         if problems:
             raise ConfigError(_located("campaign", problems))
-
-    def check_sweep(self, device: Device) -> None:
-        """Raise ConfigError when the pull-in sweep of device would exceed its step bound."""
-        problems = validate_sweep(device.mechanics, device.geometry, self.model.sweep_step_V)
-        if problems:
-            raise ConfigError(_located("model", problems))
 
     def damage_params(self, device: Device) -> DamageModelParams:
         """The explicit Basquin fields, or a calibration of ``device`` to the damage

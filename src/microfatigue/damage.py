@@ -13,10 +13,11 @@ cycles in several calls is bit-identical to accumulating it in one.
 constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
 gets the same damage without calling ``accumulate`` per batch. It evaluates
-the law of ``effective_stiffness_factor`` inline: once for the pristine
-reading, at each detection of the hardening bump, and in the undamaged and
-softening stretches only until a reading repeats, which it then extends over
-the detections known to read the same. The law's one caller is
+the law of ``effective_stiffness_factor`` inline: at each detection of the
+hardening bump, and in the undamaged and softening stretches only until a
+reading repeats, which it then extends over the detections known to read the
+same. Its pristine reading takes the factor at d = 0 as exactly 1.0, which
+holds for every finite hardening amplitude. The law's one caller is
 ``degraded_pull_in``, which ``protocols.run_pull_in_detection`` reads.
 
 ``SpecimenStrength`` and ``DamageState`` are ``NamedTuple``s; a
@@ -52,8 +53,9 @@ class DamageModelParams:
             raise ValueError(f"basquin_exponent: must be < 0, got {self.basquin_exponent}")
         if not self.endurance_stress_Pa > 0:  # specimen strength scales are ratios to it
             raise ValueError(f"endurance_stress_Pa: must be > 0, got {self.endurance_stress_Pa}")
-        if not self.hardening_amplitude >= 0:
-            raise ValueError(f"hardening_amplitude: must be >= 0, got {self.hardening_amplitude}")
+        if not 0 <= self.hardening_amplitude < math.inf:
+            raise ValueError(
+                f"hardening_amplitude: must be finite and >= 0, got {self.hardening_amplitude}")
         if not 0.0 < self.collapse_threshold <= 1.0:
             raise ValueError(f"collapse_threshold: must lie in (0, 1], got {self.collapse_threshold}")
         if not 0.0 < self.hardening_onset < self.collapse_threshold:
@@ -134,8 +136,8 @@ def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
     unit-height smooth peak sin(pi*u)**2 centred between onset and collapse.
 
     ``protocols.run_fatigue_test`` repeats this expression, in the same float
-    operations, in its detection loop and its pristine reading; a change to the
-    law changes all three."""
+    operations, in its detection loop, and reads the pristine device with the
+    factor 1.0 this gives at d = 0; a change to the law changes all three."""
     d = min(max(d, 0.0), 1.0)
     onset, collapse = params.hardening_onset, params.collapse_threshold
     bump = (0.0 if d <= onset or d >= collapse  # not onset < d < collapse: NaN stays NaN

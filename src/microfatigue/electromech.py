@@ -26,7 +26,7 @@ STABLE_FRACTION = 1.0 / 3.0
 
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
 SWEEP_TOL_V = 1e-3           # bracket width at which the sweep reads its pull-in
-MAX_SWEEP_STEPS = 2_000_000  # supply steps a pull-in sweep may take
+MAX_SWEEP_STEPS = 2_000_000  # supply steps to pull-in a sweep may take, checked up front
 MIN_CURVE_POINTS = 2         # points of one conversion curve: both ends at least
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
 DEFAULT_CURVE_POINTS = 41    # points of a conversion curve when none are asked for
@@ -122,7 +122,9 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
         # argument just past 1 below pull-in. Newton steps remove the cancellation
         # of 2 + 2*cos(...) at small q. They stop where the slope falls to 0.1
         # (u near 0.29): closer to pull-in a step is rounding noise over a flat
-        # residual, less accurate than Viete's root and not monotone in V.
+        # residual, less accurate than Viete's root and not monotone in V. Viete's
+        # root is >= 0, and a step from u >= 0 lands below 0 only if
+        # q < 2*u*u*(1-u), which no u within rounding of the root meets.
         q = drive / kg3
         a = 13.5 * q - 1.0
         u = (2.0 + 2.0 * cos(acos(1.0 if 1.0 < a else a) / 3.0 - four_pi_thirds)) / 3.0
@@ -132,7 +134,6 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
                 u -= (u * (1.0 - u) ** 2 - q) / slope
                 if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
                     u -= (u * (1.0 - u) ** 2 - q) / slope
-        u = 0.0 if 0.0 > u else u
         x = (third if third < u else u) * g
         append(new(EquilibriumPoint, (V, x, stress_scale * x / stress_divisor)))
     return points
@@ -153,15 +154,6 @@ def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) ->
     return PullInResult(v, g * STABLE_FRACTION)
 
 
-def validate_sweep(mech: DerivedMechanics, geom: DeviceGeometry, step_V: float) -> list[str]:
-    """The "name: message" fault of a sweep that needs more than MAX_SWEEP_STEPS steps."""
-    v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
-    if not v_pi <= MAX_SWEEP_STEPS * step_V:
-        return [f"sweep_step_V: {MAX_SWEEP_STEPS} steps of {step_V:g} V stop short of "
-                f"pull-in at {v_pi:.6g} V"]
-    return []
-
-
 def validate_sweep_steps(**steps: float) -> list[str]:
     """The "name: message" faults of the named sweep steps that are not finite and > 0."""
     return [f"{name}: must be finite and > 0, got {value}" for name, value in steps.items()
@@ -173,11 +165,13 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     """Pull-in found by stepping the DC voltage until equilibrium is lost.
 
     The last step bracket [V-step, V] is bisected down to SWEEP_TOL_V, mimicking
-    a step-by-step DC supply. step_V must pass validate_sweep_steps.
+    a step-by-step DC supply. step_V must pass validate_sweep_steps, and the device's
+    pull-in must lie within MAX_SWEEP_STEPS steps of it: a SolverError says so before
+    the first step, as that budget depends on the device as well as on step_V.
 
     An equilibrium exists at v while drive_scale*v*v/2.0 < capacity. For drive_scale
     >= 0 each IEEE operation in it is monotone in v >= 0, so it fails from the float
-    _sweep_limit finds on: the steps and the bisection compare v with that alone.
+    _sweep_limit finds on: the budget, the steps and the bisection compare with that alone.
     """
     problems = validate_sweep_steps(step_V=step_V)
     if problems:
@@ -186,13 +180,12 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     if drive_scale < 0.0:
         raise ValueError(f"effective_area_m2: must be >= 0, got {mech.effective_area_m2}")
     limit = _sweep_limit(drive_scale, capacity)
+    if not limit <= MAX_SWEEP_STEPS * step_V:
+        raise SolverError(f"{MAX_SWEEP_STEPS} steps of {step_V:g} V stop short of "
+                          f"pull-in at {limit:.6g} V")
     v = step_V
-    for _ in range(MAX_SWEEP_STEPS + 1):
-        if not v < limit:
-            break
+    while v < limit:
         v += step_V
-    else:
-        raise SolverError(f"pull-in sweep exceeded {MAX_SWEEP_STEPS} steps at {v} V")
     lo, hi = max(v - step_V, 0.0), v
     detected = None
     # The deflection approaches its instability value like sqrt(V_PI - V), so

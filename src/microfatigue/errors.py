@@ -6,7 +6,8 @@ class MicrofatigueError(Exception):
 
 
 class SolverError(MicrofatigueError):
-    """A numerical solve failed to converge (distinct from physical pull-in)."""
+    """A numerical solve cannot reach its answer: a pull-in sweep whose step
+    budget stops short of pull-in (distinct from physical pull-in)."""
 
 
 class CalibrationError(MicrofatigueError):

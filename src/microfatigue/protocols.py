@@ -92,13 +92,17 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
     """(threshold, clamped threshold) of each of n_specimens specimens. The thresholds
     are drawn from Normal(strength_mean_V, strength_std_V), draw i from its own
     (master_seed, i) RNG stream so that no draw depends on another, or are the first
-    n_specimens of strengths_V. The arguments must pass validate_population.
+    n_specimens of strengths_V, which must hold that many. The arguments must pass
+    validate_population.
 
     A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN
     threshold, which no clamp can place, raises ValueError naming the specimen.
     """
     problems = validate_population(n_specimens, strengths_V, strength_mean_V, strength_std_V,
                                    master_seed)
+    if strengths_V is not None and len(strengths_V) < n_specimens:
+        problems.append(f"strengths_V: holds {len(strengths_V)} thresholds, "
+                        f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid population: " + "; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
@@ -211,8 +215,8 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
     so up to d* = 1 - ((k - 1 + GRID_GUARD)*step/pristine)**(2/exponent). The
     guess is aligned down to the grid and clipped to d <= onset, then
     confirmed with the reading's own float operations (the bump factor is
-    exactly 1.0 there: a run whose amplitude is not finite fails at its
-    pristine reading); on a miss the count one interval lower is tried once.
+    exactly 1.0 there, as the amplitude is finite); on a miss the count one
+    interval lower is tried once.
     A base outside [0, 1) would give a complex power or an overflow, and
     predicts nothing.
     """
@@ -257,13 +261,12 @@ def _run_settings(detection_interval: int = DEFAULT_DETECTION_INTERVAL,
                         detection_step_V, drop_fraction, min_pullin_fraction)
 
 
-def _pristine_readings(device: Device, params: DamageModelParams,
-                       step_V: float) -> tuple[float, float]:
+def _pristine_readings(device: Device, step_V: float) -> tuple[float, float]:
     """The pristine pull-in and its reading on the step_V grid: _monitored_run's
-    reading at d = 0, where the hardening bump is 0.0."""
+    reading at d = 0, whose stiffness factor (1.0 - 0.0)**e * (1.0 + amplitude*0.0)
+    is exactly 1.0 for the finite amplitude DamageModelParams requires."""
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    factor = (1.0 - 0.0) ** params.softening_exponent * (1.0 + params.hardening_amplitude * 0.0)
-    return pristine, math.ceil(pristine * math.sqrt(factor) / step_V - GRID_GUARD) * step_V
+    return pristine, math.ceil(pristine / step_V - GRID_GUARD) * step_V
 
 
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
@@ -315,7 +318,7 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
                              drop_fraction, min_pullin_fraction)
     ((_, sigma_alt),) = _tension_stresses((V_a,), device.mechanics, device.geometry)
     life = cycles_to_failure(sigma_alt, params, specimen)
-    pristine, pristine_meas = _pristine_readings(device, params, settings.step)
+    pristine, pristine_meas = _pristine_readings(device, settings.step)
     return _monitored_run(V_a, life, pristine, pristine_meas, params, settings)
 
 
@@ -458,7 +461,7 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
     settings = _run_settings(**run_kwargs)
-    pristine, pristine_meas = _pristine_readings(device, params, settings.step)
+    pristine, pristine_meas = _pristine_readings(device, settings.step)
     sigma_alts: dict[float, float] = {}
 
     level = float(start_level_V)

@@ -192,6 +192,8 @@ def reference_population(master_seed, mean_V, std_V, n, device, params, threshol
     """Reference of build_population: the argument check, then the specimens of the
     clamped thresholds."""
     problems = protocols.validate_population(n, thresholds_V, mean_V, std_V, master_seed)
+    if thresholds_V is not None and len(thresholds_V) < n:
+        problems.append(f"strengths_V: holds {len(thresholds_V)} thresholds, {n} requested")
     if problems:
         raise ValueError("invalid population: " + "; ".join(problems))
     pairs = reference_thresholds(master_seed, mean_V, std_V, n, device, thresholds_V)

@@ -18,9 +18,10 @@ from microfatigue.cli import (build_curve, build_fatigue, build_parser, build_pu
                               build_staircase, cli_dispatch)
 from microfatigue.config import default_config, parse_config
 from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
-                                      pull_in_voltage_closed_form, static_equilibrium,
-                                      stress_conversion_curve)
-from microfatigue.errors import ConfigError, EstimationError
+                                      MAX_SWEEP_STEPS, PullInResult,
+                                      pull_in_voltage_closed_form, pull_in_voltage_sweep,
+                                      static_equilibrium, stress_conversion_curve)
+from microfatigue.errors import ConfigError, EstimationError, SolverError
 from microfatigue.protocols import MAX_SPECIMENS, MIN_THRESHOLD_V
 from tests import reference
 from tests.strategies import (EXTREMES, INF, NAN, floats_around, json_configs,
@@ -588,6 +589,28 @@ def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, 
     code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
     assert (code, out) == (2, "")
     assert f" {path}: " in err
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9], ids=["short", "enough"])
+def test_pullin_and_the_sweep_share_one_step_budget(tmp_path, capsys, factor):
+    # A step just short of, or just enough for, MAX_SWEEP_STEPS steps to the
+    # nominal pull-in: the library raises exactly where pullin exits 2, in its words.
+    device = default_config().device()
+    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    step_V = v_pi / MAX_SWEEP_STEPS * factor
+    result = reference.result_or_fault(lambda: pull_in_voltage_sweep(
+        device.mechanics, device.geometry, step_V=step_V))
+    cfg = tmp_path / "step.json"
+    cfg.write_text(json.dumps({"model": {"sweep_step_V": step_V}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "pullin")
+    if factor < 1:
+        assert result[0] is SolverError
+        assert (code, out) == (2, "")
+        assert err == f"config error: model.sweep_step_V: {result[1]}\n"
+    else:
+        assert type(result) is PullInResult
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sweep_V"] == result.pull_in_voltage_V
 
 
 # Each command that writes files, run from a directory holding the file "afile".

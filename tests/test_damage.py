@@ -1,3 +1,6 @@
+import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -171,3 +174,15 @@ def test_params_reject_nan_naming_the_field(name):
     fields[name] = float("nan")
     with pytest.raises(ValueError, match=f"^{name}: "):
         DamageModelParams(**fields)
+
+
+def test_params_reject_an_infinite_hardening_amplitude():
+    # The pristine reading takes the stiffness factor at d = 0 as exactly 1.0, which
+    # 1.0 + amplitude*0.0 is for a finite amplitude only.
+    message = "^hardening_amplitude: must be finite and >= 0, got inf$"
+    with pytest.raises(ValueError, match=message):
+        DamageModelParams(1e9, -0.3, 12e6, hardening_amplitude=math.inf)
+    with pytest.raises(ValueError, match=message):
+        replace(PARAMS, hardening_amplitude=math.inf)
+    big = replace(PARAMS, hardening_amplitude=sys.float_info.max)
+    assert big.hardening_amplitude == sys.float_info.max

@@ -15,8 +15,8 @@ import microfatigue
 from microfatigue import electromech
 from microfatigue.device import (C_K_RESONANCE_PRESET, LENGTH_WINDOW_UM, Device,
                                  DeviceGeometry, Material, derive_mechanics, validate_stiffness)
-from microfatigue.electromech import (MAX_CURVE_POINTS, SWEEP_TOL_V, EquilibriumPoint,
-                                      electrostatic_force, natural_frequency,
+from microfatigue.electromech import (MAX_CURVE_POINTS, MAX_SWEEP_STEPS, SWEEP_TOL_V,
+                                      EquilibriumPoint, electrostatic_force, natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
                                       stress_conversion_curve)
@@ -444,16 +444,17 @@ def test_sweep_rejects_negative_effective_area(nominal_device):
 
 
 # Runs the sweep of the nominal device with c_k, at step_V, from sys.argv and prints
-# its closed-form and detected pull-in, or the ValueError it raises.
+# its closed-form and detected pull-in, or the ValueError or SolverError it raises.
 _SWEEP = """
 import sys
 from microfatigue.device import Device
 from microfatigue.electromech import pull_in_voltage_closed_form, pull_in_voltage_sweep
+from microfatigue.errors import SolverError
 d = Device.nominal(c_k=float(sys.argv[2]))
 try:
     res = pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=float(sys.argv[1]))
-except ValueError as exc:
-    print("ValueError", exc)
+except (ValueError, SolverError) as exc:
+    print(type(exc).__name__, exc)
 else:
     print(pull_in_voltage_closed_form(d.mechanics, d.geometry).pull_in_voltage_V,
           repr(res.pull_in_voltage_V))
@@ -465,7 +466,9 @@ SWEEP_ROWS = [("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"), ("-inf", "1e
               # underflows.
               ("0.05", "1e-300", None), ("0.05", "5e-324", None),
               # Pull-in at 2.6e14 V, where adjacent floats lie 2**-5 V > SWEEP_TOL_V apart.
-              ("1e12", "1e26", None)]
+              ("1e12", "1e26", None),
+              # A step whose MAX_SWEEP_STEPS steps stop short of pull-in.
+              ("1e-9", "1", "budget")]
 
 
 # Each id names the step, the device's c_k and the argument at fault.
@@ -474,6 +477,10 @@ SWEEP_ROWS = [("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"), ("-inf", "1e
 def test_sweep_returns_or_raises_within_bound(step_V, c_k, fault):
     # In a fresh process with a timeout, so that a sweep that never ends fails.
     out = _run_fresh(_SWEEP, step_V, c_k, timeout=30).strip()
+    if fault == "budget":
+        assert out.startswith(
+            f"SolverError {MAX_SWEEP_STEPS} steps of {float(step_V):g} V stop short of pull-in")
+        return
     if fault is not None:
         assert out.startswith(f"ValueError {fault}: must be finite and > 0")
         return

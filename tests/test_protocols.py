@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from microfatigue import loading, protocols
-from microfatigue.damage import (DamageModelParams, DamageState, SpecimenStrength,
-                                 cycles_to_failure, degraded_pull_in)
+from microfatigue.damage import (DamageState, SpecimenStrength, cycles_to_failure,
+                                 degraded_pull_in)
 from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
 from microfatigue.errors import CalibrationError
@@ -388,20 +388,6 @@ def test_long_runs_evaluate_each_repeated_reading_once(nominal_device, calibrate
     assert evaluated < detected / 2
 
 
-def test_nan_pristine_reading_raises(nominal_device, calibrated_params):
-    # inf * 0.0 makes the pristine stiffness factor NaN, which has no grid index. It
-    # raises before a first detection inside the hardening bump (d = 0.85 of the 1.2e6
-    # cycle life) could overflow the factor to inf.
-    params = DamageModelParams(calibrated_params.basquin_coefficient_Pa,
-                               calibrated_params.basquin_exponent,
-                               calibrated_params.endurance_stress_Pa,
-                               hardening_amplitude=math.inf)
-    for interval in (1_000, 1_020_000):
-        with pytest.raises(ValueError):
-            run_fatigue_test(14.0, SpecimenStrength(1.0), nominal_device, params,
-                             detection_interval=interval)
-
-
 @pytest.mark.parametrize("E_GPa, step_V, softening_exponent", [
     (1e22, 1e-6, 0.2),  # pristine/step above 2**53
     (Material().E_GPa, 0.05, 5e-324),  # 2/exponent overflows to inf
@@ -606,6 +592,18 @@ def test_population_bounds_its_specimen_count(nominal_device, calibrated_params)
                          strengths_V=[13.0] * (MAX_SPECIMENS + 1))
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_population_needs_a_threshold_per_specimen(nominal_device, calibrated_params, n):
+    message = f"invalid population: strengths_V: holds 2 thresholds, {n} requested"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        population_thresholds(99, 13.0, 0.55, n, nominal_device, strengths_V=[13.0, 14.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_population(99, 13.0, 0.55, n, nominal_device, calibrated_params,
+                         strengths_V=[13.0, 14.0])
+    assert len(build_population(99, 13.0, 0.55, 2, nominal_device, calibrated_params,
+                                strengths_V=[13.0, 14.0])) == 2
+
+
 def test_strength_scale_threshold_semantics(nominal_device, calibrated_params):
     # a specimen with threshold 13 V has unit scale under the default calibration
     s = strength_scale_from_threshold(13.0, nominal_device, calibrated_params)
@@ -727,6 +725,7 @@ def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_para
     levels = [start_V + i * step_V for i in range(-below, above + 1)]
     step, start = step_V, start_V
     thresholds = thresholds_V[:n] if explicit else None
+    held = None  # the stair case runs the first held specimens of the population
     if fault == "run":
         run_kwargs = bad_run_kwargs
     elif fault == "step":
@@ -738,7 +737,7 @@ def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_para
     elif fault == "count":
         n = 0
     elif fault == "population":
-        thresholds = thresholds_V[:n - 1]
+        held = n - 1
     elif fault == "nan std":
         thresholds, std_V = None, math.nan
     elif fault == "nan threshold":
@@ -748,11 +747,11 @@ def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_para
 
     def campaign():
         pop = build_population(master_seed, 13.0, std_V, n, d, params, thresholds)
-        return pop, run_stair_case(*args, pop, d, params, **run_kwargs)
+        return pop, run_stair_case(*args, pop[:held], d, params, **run_kwargs)
 
     def reference():
         pop = reference_population(master_seed, 13.0, std_V, n, d, params, thresholds)
-        return pop, reference_stair_case(*args, pop, d, params, **run_kwargs)
+        return pop, reference_stair_case(*args, pop[:held], d, params, **run_kwargs)
 
     got, want = result_or_fault(campaign), result_or_fault(reference)
     assert got == want

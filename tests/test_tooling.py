@@ -49,8 +49,9 @@ NUMPY_IMPORTERS = ["protocols.population_thresholds", "stats._dixon_mood_means",
                    "stats._window_tables", "stats.estimator_recovery_trial"]
 
 
-def _numpy_import_sites(path: Path) -> list[str]:
-    """The dotted scope (module, then enclosing defs) of each numpy import in path."""
+def _sites(path: Path, hit) -> list[str]:
+    """The dotted scope (module, then enclosing defs) of each node of path that hit
+    accepts."""
     sites = []
 
     def visit(node, scope):
@@ -58,13 +59,7 @@ def _numpy_import_sites(path: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                modules = [child.module or ""]
-            else:
-                modules = []
-            if any(module.split(".")[0] == "numpy" for module in modules):
+            if hit(child):
                 sites.append(scope)
             visit(child, scope)
 
@@ -72,10 +67,42 @@ def _numpy_import_sites(path: Path) -> list[str]:
     return sites
 
 
+def _src_sites(hit) -> list[str]:
+    return sorted(site for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
+                  for site in _sites(path, hit))
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        modules = []
+    return any(module.split(".")[0] == "numpy" for module in modules)
+
+
 def test_numpy_is_imported_only_where_arrays_are_made():
-    sites = [site for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
-             for site in _numpy_import_sites(path)]
-    assert sorted(sites) == NUMPY_IMPORTERS
+    assert _src_sites(_imports_numpy) == NUMPY_IMPORTERS
+
+
+# The functions that read the closed-form pull-in. The equilibrium solve alone decides
+# pull-in, so each of them only reports a value or places a bound; a new one is a
+# declared edit.
+CLOSED_FORM_CALLERS = ["cli.build_pullin", "damage.degraded_pull_in",
+                       "device.validate_stiffness", "electromech.stress_conversion_curve",
+                       "loading._tension_stresses", "protocols._pristine_readings",
+                       "protocols.population_thresholds", "protocols.validate_stair_case"]
+
+
+def _calls_closed_form(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "pull_in_voltage_closed_form"
+
+
+def test_the_closed_form_pull_in_is_read_only_at_its_known_sites():
+    assert _src_sites(_calls_closed_form) == CLOSED_FORM_CALLERS
 
 
 # Library names that the config calls otherwise: a function takes the config's field
