@@ -179,7 +179,7 @@ def build_staircase(config, out) -> tuple[dict[str, str], str, list[str]]:
     camp = config.campaign
     thresholds = protocols.population_thresholds(
         camp.master_seed, camp.strength_mean_V, camp.strength_std_V, camp.n_specimens,
-        device, strengths_V=camp.strengths_V or None)
+        device, strengths_V=camp.strengths_V)
     population = protocols.specimens_from_thresholds(
         [clamped for _, clamped in thresholds], device, params)
     sequence, records = protocols.run_stair_case(

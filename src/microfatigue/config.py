@@ -110,9 +110,8 @@ class RunConfig:
     def check_campaign(self, device: Device) -> None:
         """Raise ConfigError for the campaign faults that span fields or need the device."""
         camp = self.campaign
-        n_available = len(camp.strengths_V) if camp.strengths_V else camp.n_specimens
         problems = validate_stair_case(camp.levels_V, camp.step_V, camp.start_level_V,
-                                       camp.n_specimens, n_available, device)
+                                       camp.n_specimens, device)
         if problems:
             raise ConfigError(_located("campaign", problems))
 
@@ -146,12 +145,10 @@ _FIELD_DICT = {name: getattr(cls, "_asdict", vars) for name, cls in _SECTIONS.it
 _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
 # Config path of each name that owners' "name: text" messages start with: a field's
-# own name (no two sections share one), and two arguments that name a field otherwise:
-# run_fatigue_test's detection_interval, which bench/workloads.py passes by keyword,
-# and run_stair_case's population, which validate_stair_case counts.
+# own name (no two sections share one), and run_fatigue_test's detection_interval,
+# which bench/workloads.py passes by keyword.
 _PATHS = {name: f"{section}.{name}" for section, hints in _HINTS.items() for name in hints}
-_PATHS.update(detection_interval="model.detection_interval_cycles",
-              population="campaign.strengths_V")
+_PATHS.update(detection_interval="model.detection_interval_cycles")
 
 
 def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:

@@ -171,7 +171,10 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
 
     An equilibrium exists at v while drive_scale*v*v/2.0 < capacity. For drive_scale
     >= 0 each IEEE operation in it is monotone in v >= 0, so it fails from the float
-    _sweep_limit finds on: the budget, the steps and the bisection compare with that alone.
+    _sweep_limit finds on: the budget, the steps and the bisection compare with that
+    alone. The deflection at instability is read at the float below that limit, the
+    last with an equilibrium (the 0 V point at a limit of 0 V): the deflection nears
+    g/3 like sqrt(V_PI - V), so a reading at any coarser voltage falls short of it.
     """
     problems = validate_sweep_steps(step_V=step_V)
     if problems:
@@ -187,25 +190,12 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     while v < limit:
         v += step_V
     lo, hi = max(v - step_V, 0.0), v
-    detected = None
-    # The deflection approaches its instability value like sqrt(V_PI - V), so
-    # the bracket is refined past SWEEP_TOL_V (the detected voltage) before reading
-    # it. The bisection also ends where the bracket holds adjacent floats, whose
-    # midpoint is one of its ends: above 2**43 V their spacing exceeds SWEEP_TOL_V.
-    while detected is None or hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        stalled = mid == lo or mid == hi
-        if detected is None and (hi - lo <= SWEEP_TOL_V or stalled):
-            detected = mid
-        elif stalled:
-            break
-        elif mid < limit:
-            lo = mid
-        else:
-            hi = mid
-    eq = static_equilibrium(lo, mech, geom)
-    deflection = eq.deflection_m if eq is not None else geom.gap_m * STABLE_FRACTION
-    return PullInResult(detected, deflection)
+    # The bisection also ends where the bracket holds adjacent floats, whose midpoint
+    # is one of its ends: above 2**43 V their spacing exceeds SWEEP_TOL_V.
+    while hi - lo > SWEEP_TOL_V and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if mid < limit else (lo, mid)
+    eq = static_equilibrium(math.nextafter(limit, 0.0), mech, geom)
+    return PullInResult(0.5 * (lo + hi), eq.deflection_m)
 
 
 def natural_frequency(mech: DerivedMechanics) -> float:

@@ -90,9 +90,9 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
                           strengths_V: Sequence[float] | None = None,
                           ) -> list[tuple[float, float]]:
     """(threshold, clamped threshold) of each of n_specimens specimens. The thresholds
-    are drawn from Normal(strength_mean_V, strength_std_V), draw i from its own
-    (master_seed, i) RNG stream so that no draw depends on another, or are the first
-    n_specimens of strengths_V, which must hold that many. The arguments must pass
+    are the first n_specimens of a non-empty strengths_V, or else are drawn from
+    Normal(strength_mean_V, strength_std_V), draw i from its own (master_seed, i) RNG
+    stream so that no draw depends on another. The arguments must pass
     validate_population.
 
     A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN
@@ -100,13 +100,10 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
     """
     problems = validate_population(n_specimens, strengths_V, strength_mean_V, strength_std_V,
                                    master_seed)
-    if strengths_V is not None and len(strengths_V) < n_specimens:
-        problems.append(f"strengths_V: holds {len(strengths_V)} thresholds, "
-                        f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid population: " + "; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    if strengths_V is None:
+    if not strengths_V:
         import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
         thresholds = []
         for i in range(n_specimens):
@@ -184,15 +181,19 @@ def validate_population(n_specimens: int, strengths_V: Sequence[float] | None = 
                         strength_mean_V: float | None = None, strength_std_V: float | None = None,
                         master_seed: int | None = None) -> list[str]:
     """The "name: message" faults of a population of 1 to MAX_SPECIMENS specimens, given
-    as at most MAX_SPECIMENS strengths_V or drawn from Normal(strength_mean_V > 0,
-    strength_std_V >= 0) by an integer master_seed >= 0. An argument left None is not
-    checked. A NaN mean or spread passes, for the draw to name the specimen it makes NaN."""
+    as the first n_specimens of at most MAX_SPECIMENS strengths_V, or, when strengths_V
+    is None or empty, drawn from Normal(strength_mean_V > 0, strength_std_V >= 0) by an
+    integer master_seed >= 0. An argument left None is not checked. A NaN mean or
+    spread passes, for the draw to name the specimen it makes NaN."""
     problems = []
     if not n_specimens >= 1:
         problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
     elif not isinstance(n_specimens, numbers.Integral) or n_specimens > MAX_SPECIMENS:
         problems.append(f"n_specimens: must be an integer <= {MAX_SPECIMENS}, "
                         f"got {n_specimens!r}")
+    elif strengths_V and len(strengths_V) < n_specimens:
+        problems.append(f"strengths_V: holds {len(strengths_V)} thresholds, "
+                        f"{n_specimens} requested")
     if strengths_V is not None and len(strengths_V) > MAX_SPECIMENS:
         problems.append(f"strengths_V: may give at most {MAX_SPECIMENS} thresholds, "
                         f"got {len(strengths_V)}")
@@ -402,16 +403,15 @@ def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
 
 
 def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
-                        n_specimens: int, n_available: int, device: Device) -> list[str]:
-    """Stair-case argument faults as "name: message" strings, for a population
-    of n_available. A level at or above pristine pull-in is displacement-imposed; only
-    the top one is solved, as the solve's verdict is monotone in V >= 0. Each distinct
-    level needs its own index on the step_V grid from start_level_V."""
+                        n_specimens: int, device: Device) -> list[str]:
+    """Stair-case argument faults as "name: message" strings. A level at or above
+    pristine pull-in is displacement-imposed; only the top one is solved, as the
+    solve's verdict is monotone in V >= 0. Each distinct level needs its own index on
+    the step_V grid from start_level_V, and in a window of two or more levels step_V
+    must move each level both ways in floats."""
     problems = validate_population(n_specimens)
     if not step_V > 0:
         problems.append(f"step_V: must be > 0, got {step_V}")
-    if n_specimens > n_available:
-        problems.append(f"population: holds {n_available} specimens, {n_specimens} requested")
     top = max(levels_V) if levels_V and all(v >= 0.0 for v in levels_V) else -1.0
     if top < 0.0 or _stable_points((top,), device.mechanics, device.geometry)[0] is None:
         v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
@@ -423,6 +423,10 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
         if None in indices or len(indices) < len(set(levels_V)):
             problems.append(f"levels_V: need every level on the {step_V:g} V grid "
                             f"from {start_level_V:g} V")
+        stuck = [v for v in levels_V if v - step_V == v or v + step_V == v]
+        if stuck and len(set(levels_V)) > 1:
+            problems.append(f"step_V: {step_V:g} V is too small to move the walk off "
+                            f"the {stuck[0]:g} V level")
     return problems
 
 
@@ -456,8 +460,10 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     walk reached, which drifts from the levels_V values with an off-grid step.
     """
     levels = sorted(float(v) for v in levels_V)
-    problems = validate_stair_case(levels, step_V, start_level_V, n_specimens,
-                                   len(population), device)
+    problems = validate_stair_case(levels, step_V, start_level_V, n_specimens, device)
+    if n_specimens > len(population):
+        problems.append(f"population: holds {len(population)} specimens, "
+                        f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
     settings = _run_settings(**run_kwargs)

@@ -96,8 +96,9 @@ def per_point_curve(mech, geom, V_max, n_points):
 
 
 def two_loop_sweep(mech, geom, step_V):
-    """Reference: the step-and-bisect sweep as two separate bisection loops, each
-    ending where the bracket holds adjacent floats."""
+    """Reference: the step-and-bisect sweep as two separate bisection loops, the second
+    ending where the bracket holds adjacent floats, its bottom the last float with an
+    equilibrium, whose deflection is read."""
     v = step_V
     while equilibrium_exists(v, mech, geom):
         v += step_V
@@ -105,11 +106,12 @@ def two_loop_sweep(mech, geom, step_V):
     while hi - lo > SWEEP_TOL_V and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if equilibrium_exists(mid, mech, geom) else (lo, mid)
     detected = 0.5 * (lo + hi)
-    while hi - lo > 1e-8 * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
+    # v - step_V can round up to a float without equilibrium; the second loop then
+    # starts from 0 V.
+    lo = lo if equilibrium_exists(lo, mech, geom) else 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if equilibrium_exists(mid, mech, geom) else (lo, mid)
-    eq = static_equilibrium(lo, mech, geom)
-    deflection = eq.deflection_m if eq is not None else geom.gap_m * STABLE_FRACTION
-    return PullInResult(detected, deflection)
+    return PullInResult(detected, static_equilibrium(lo, mech, geom).deflection_m)
 
 
 def random_device(rng):
@@ -164,9 +166,9 @@ def reference_thresholds(master_seed, strength_mean_V, strength_std_V, n_specime
                          strengths_V=None):
     """Reference of population_thresholds on valid arguments: (threshold, clamped
     threshold) of each specimen, threshold i drawn from its own
-    default_rng((master_seed, i)) stream or the first n_specimens of strengths_V, and
-    clamped into [MIN_THRESHOLD_V, 0.99*V_PI]."""
-    if strengths_V is None:
+    default_rng((master_seed, i)) stream or the first n_specimens of a non-empty
+    strengths_V, and clamped into [MIN_THRESHOLD_V, 0.99*V_PI]."""
+    if not strengths_V:
         thresholds = [strength_mean_V + strength_std_V * float(
             np.random.default_rng((master_seed, i)).standard_normal())
             for i in range(n_specimens)]
@@ -192,8 +194,6 @@ def reference_population(master_seed, mean_V, std_V, n, device, params, threshol
     """Reference of build_population: the argument check, then the specimens of the
     clamped thresholds."""
     problems = protocols.validate_population(n, thresholds_V, mean_V, std_V, master_seed)
-    if thresholds_V is not None and len(thresholds_V) < n:
-        problems.append(f"strengths_V: holds {len(thresholds_V)} thresholds, {n} requested")
     if problems:
         raise ValueError("invalid population: " + "; ".join(problems))
     pairs = reference_thresholds(master_seed, mean_V, std_V, n, device, thresholds_V)
@@ -217,8 +217,10 @@ def reference_stair_case(levels_V, step_V, start_level_V, n_specimens, populatio
     """Reference of run_stair_case: one protocols.run_fatigue_test per specimen, looked up
     at each call, at the level the walk reached."""
     levels = sorted(float(v) for v in levels_V)
-    problems = protocols.validate_stair_case(levels, step_V, start_level_V, n_specimens,
-                                             len(population), device)
+    problems = protocols.validate_stair_case(levels, step_V, start_level_V, n_specimens, device)
+    if n_specimens > len(population):
+        problems.append(f"population: holds {len(population)} specimens, "
+                        f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
     level, trials, records = float(start_level_V), [], []
@@ -238,7 +240,7 @@ def campaign_events(config, summary):
     camp = config.campaign
     thresholds = reference_thresholds(camp.master_seed, camp.strength_mean_V,
                                       camp.strength_std_V, camp.n_specimens, config.device(),
-                                      camp.strengths_V or None)
+                                      camp.strengths_V)
     events = ["specimen %d threshold %.3g V clamped to %.3g V" % (i, v, clamped)
               for i, (v, clamped) in enumerate(thresholds) if clamped != v]
     levels = sorted(float(v) for v in camp.levels_V)

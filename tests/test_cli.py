@@ -407,7 +407,7 @@ STDOUT_DIGESTS = [
     (["--show-defaults"],
      "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a"),
     (["pullin"],
-     "aafed71c0a42028a07f17c1eac3744e69fae020f99bb7a26fca445027eaa5273"),
+     "3b3fb054bda7d9c27a305b740317cfc1215d99e529f72f8fc7b6c6cb4296bfc5"),
     (["curve", "--vmax", "25", "--points", "200"],
      "dee769ed205fe9fa79373118c4862f77f96c807cd9f46f468b79a0479b7dce2b"),
     (["--config", {"geometry": {"gap_um": 2.85, "specimen_thickness_um": 2.0},
@@ -423,13 +423,13 @@ STDOUT_DIGESTS = [
     # pullin at the ends of the config space; sweep_V is written by repr
     (["--config", {"geometry": {"specimen_length_um": 1e-3}, "model": {"sweep_step_V": 1000.0}},
       "pullin"],
-     "190a6b5a8b5e4c73177905ca23bdfad5c670f862b9adee938d84374754503046"),
+     "0a012726880913d6d10f2d12a9faad7bbc0db45eb78db1bf6c42cc35c1e355fd"),
     (["--config", {"geometry": {"gap_um": math.nextafter(420.0, 0.0)}}, "pullin"],
-     "c7ef08a3732ff763af5f9902e6fa5cb554cf688833bfac9501b6c7d5fbc73472"),
+     "913521ce3d038faa765889ac076a78ca7956bc4d95744d7270ab13f5f5adc754"),
     (["--config", {"model": {"c_k": 1e-6}}, "pullin"],
-     "49f60e295381763547662487c236665e21223be8532f2330b5490eb0ceb2dcd3"),
+     "1a94c69a1c34ca920a42f2da41fa0a5a72e40323bc459e668e3149418a1a3af8"),
     (["--config", {"model": {"c_k": 1e6}}, "pullin"],
-     "df9ba0045383c1d669765e6cb54f123feef1c59d97e76e97a4fbc55d8ce7ef0b"),
+     "eb3ee569bb4febab47c3e053c3cffb9497fa2f09f115442fac34477e13f19207"),
 ]
 
 
@@ -523,6 +523,8 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     # At this step every default level lies within 1e-9 steps of 15 V: all four on index 0.
     ({"campaign": {"master_seed": 0, "step_V": 1.7e308}}, "campaign.levels_V"),
     ({"geometry": {"hole_count": 400, "hole_side_um": 20}}, "geometry.hole_count"),
+    # A step below half the float spacing at 15 V: no level of the window can move.
+    ({"campaign": {"step_V": 1e-300}}, "campaign.step_V"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"

@@ -118,7 +118,7 @@ def test_round_trip_randomized(gap, ck, seed, std):
 
 
 def test_explicit_strengths_round_trip():
-    camp = dataclasses.replace(CampaignConfig(), strengths_V=(14.5, 13.5, 13.2))
+    camp = dataclasses.replace(CampaignConfig(), n_specimens=3, strengths_V=(14.5, 13.5, 13.2))
     config = dataclasses.replace(default_config(), campaign=camp)
     assert parse_config(serialize_config(config)) == config
 
@@ -149,8 +149,7 @@ def test_each_field_name_belongs_to_one_section():
     paths = {name: f"{section}.{name}" for section, name in FIELDS}
     assert len(paths) == len(FIELDS)
     assert config_module._PATHS == {
-        **paths, "detection_interval": "model.detection_interval_cycles",
-        "population": "campaign.strengths_V"}
+        **paths, "detection_interval": "model.detection_interval_cycles"}
 
 
 def test_material_faults_name_the_config_key():
@@ -223,6 +222,11 @@ def _names(call, name) -> bool:
       for value in [*EDGE_VALUES, *PAST_MAX.get(field, [])]],
     pytest.param("campaign", "strengths_V", "strengths_V", [_population],
                  [13.0] * (MAX_SPECIMENS + 1), id="campaign.strengths_V=MAX_SPECIMENS+1"),
+    # Fewer thresholds than the 6 default specimens; none at all draws them.
+    pytest.param("campaign", "strengths_V", "strengths_V", [_population], [13.0, 14.0],
+                 id="campaign.strengths_V=2 of 6"),
+    pytest.param("campaign", "strengths_V", "strengths_V", [_population], [],
+                 id="campaign.strengths_V=[]"),
 ])
 def test_config_and_library_bounds_agree(nominal_device, calibrated_params, section, field,
                                          name, entries, value):

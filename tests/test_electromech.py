@@ -141,7 +141,7 @@ def test_sweep_matches_closed_form_nominal(nominal_device):
     sweep = pull_in_voltage_sweep(d.mechanics, d.geometry)
     assert abs(sweep.pull_in_voltage_V - closed.pull_in_voltage_V) < 1e-2
     assert sweep.deflection_at_instability_m == pytest.approx(
-        d.geometry.gap_m / 3.0, rel=0.01)
+        d.geometry.gap_m / 3.0, rel=1e-6)
 
 
 def test_sweep_matches_closed_form_randomized():
@@ -153,7 +153,7 @@ def test_sweep_matches_closed_form_randomized():
         sweep = pull_in_voltage_sweep(d.mechanics, d.geometry)
         assert abs(sweep.pull_in_voltage_V - closed.pull_in_voltage_V) < 1e-2
         assert sweep.deflection_at_instability_m == pytest.approx(
-            d.geometry.gap_m / 3.0, rel=0.01)
+            d.geometry.gap_m / 3.0, rel=1e-6)
     assert time.perf_counter() - start < 10.0
 
 
@@ -221,42 +221,53 @@ def _run_fresh(code, *args, timeout=120):
                           text=True, check=True, timeout=timeout).stdout
 
 
-@pytest.mark.parametrize("module", ["microfatigue", "microfatigue.device",
-                                    "microfatigue.electromech", "microfatigue.loading",
-                                    "microfatigue.damage", "microfatigue.errors",
-                                    "microfatigue.protocols", "microfatigue.stats",
-                                    "microfatigue.config", "microfatigue.emit",
-                                    "microfatigue.cli"])
-def test_import_graph(module):
-    """The package import loads no submodule; no module loads numpy or logging at import."""
-    loaded = _run_fresh(f"import sys, {module}; print(*sorted(m for m in sys.modules "
-                        "if m.split('.')[0] in ('microfatigue', 'numpy', 'logging')))").split()
-    assert not [m for m in loaded if m.split(".")[0] in ("numpy", "logging")]
-    if module == "microfatigue":
-        assert loaded == ["microfatigue"]
+# The package's modules in layers: a module's import loads no package module listed
+# after it, so the package import loads no submodule.
+LAYERS = ["microfatigue", "microfatigue.errors", "microfatigue.electromech",
+          "microfatigue.device", "microfatigue.loading", "microfatigue.damage",
+          "microfatigue.protocols", "microfatigue.stats", "microfatigue.emit",
+          "microfatigue.config", "microfatigue.cli"]
 
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_import_graph(module):
+    loaded = _run_fresh(f"import sys, {module}; print(*(m for m in sys.modules "
+                        "if m.split('.')[0] == 'microfatigue'))").split()
+    assert module in loaded
+    assert set(loaded) <= {"microfatigue", *LAYERS[1:LAYERS.index(module) + 1]}
+
+
+# The modules whose loading is pinned per command: the array and logging stacks, and
+# what the package import loads of the stdlib beyond its floor (dataclasses, which
+# loads inspect, and fractions, which loads decimal).
+WATCHED = ["numpy", "scipy", "logging", "dataclasses", "inspect", "fractions", "decimal"]
+AT_IMPORT = ["dataclasses", "decimal", "fractions", "inspect"]
 
 # Runs each argv of the JSON list in sys.argv[1] through cli_dispatch and prints,
-# after the import and after each command, (exit code, whether numpy is loaded).
+# after the import and after each command, (exit code, the modules of the JSON list
+# in sys.argv[2] then loaded).
 _DISPATCH = """
 import contextlib, io, json, sys
+watched = set(json.loads(sys.argv[2]))
+def loaded():
+    return sorted(watched.intersection(m.split(".")[0] for m in sys.modules))
 from microfatigue.cli import cli_dispatch
-def numpy_loaded():
-    return any(m.split(".")[0] == "numpy" for m in sys.modules)
-seen = [(0, numpy_loaded())]
+seen = [(0, loaded())]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append((cli_dispatch(argv), numpy_loaded()))
+        seen.append((cli_dispatch(argv), loaded()))
 print(json.dumps(seen))
 """
 
 
 def _dispatch_fresh(*argvs):
-    return [tuple(step) for step in json.loads(_run_fresh(_DISPATCH, json.dumps(argvs)))]
+    return [tuple(step) for step in json.loads(_run_fresh(_DISPATCH, json.dumps(argvs),
+                                                          json.dumps(WATCHED)))]
 
 
-def test_cold_commands_load_no_numpy(tmp_path):
-    """Commands that make no array never import numpy; the array paths do."""
+def test_each_command_loads_only_its_pinned_modules(tmp_path):
+    """The commands that make no array run in one process and load none of WATCHED
+    beyond the import's; the default staircase and recovery, each in its own, add numpy."""
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5,
                                                               12.8, 12.5]}}))
@@ -266,14 +277,10 @@ def test_cold_commands_load_no_numpy(tmp_path):
     cold = [["pullin"], ["curve", "--vmax", "25", "--points", "200"],
             [*out, "fatigue", "--va", "14"], ["--show-defaults"],
             ["--config", str(table), *out, "staircase"], ["wohler", "--points-csv", str(points)]]
-    assert _dispatch_fresh(*cold) == [(0, False)] * (len(cold) + 1)
+    assert _dispatch_fresh(*cold) == [(0, AT_IMPORT)] * (len(cold) + 1)
+    with_numpy = sorted([*AT_IMPORT, "numpy"])
     for argv in ([*out, "staircase"], ["recovery", "--replications", "5"]):
-        assert _dispatch_fresh(argv) == [(0, False), (0, True)], argv
-
-
-def test_import_loads_no_scipy():
-    assert _run_fresh("import sys, microfatigue.cli; print(sorted(m for m in sys.modules "
-                      "if m.split('.')[0] == 'scipy'))").strip() == "[]"
+        assert _dispatch_fresh(argv) == [(0, AT_IMPORT), (0, with_numpy)], argv
 
 
 # The nominal device, or one varied the way the benchmark's device
@@ -329,7 +336,14 @@ def test_equilibrium_robust_in_last_floats_below_pull_in(device):
     assert all(b <= a for a, b in zip(deflections, deflections[1:]))
 
 
+# At this step v - step_V rounds up to the first float without equilibrium, so no
+# float of the step bracket has one; the deflection is still read below the limit.
+BRACKET_ABOVE_LIMIT = (Device.assemble(DeviceGeometry(gap_um=2.91, specimen_thickness_um=1.96),
+                                       Material(), c_k=2.1), 20.760440951626993)
+
+
 @given(device=DEVICES, step_V=st.floats(0.01, 60.0))
+@example(*BRACKET_ABOVE_LIMIT)
 @settings(max_examples=200, deadline=None)
 def test_sweep_matches_two_loop_reference(device, step_V):
     mech, geom = device.mechanics, device.geometry
@@ -413,7 +427,7 @@ def test_sweep_limit_is_the_first_float_without_equilibrium(device, steps):
 def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
     # Guards the float-only step loop without a clock: the sweep binds the
     # device constants once and finds its limit once; the only other test
-    # of equilibrium is the deflection read at the end of the bisection.
+    # of equilibrium is the deflection read at the float below that limit.
     events = []
     constants, limit_of = electromech._drive_scale_and_capacity, electromech._sweep_limit
 
@@ -577,7 +591,7 @@ def test_each_pull_in_check_takes_the_solver_verdict(device):
         assert accepts(lambda: strength_scale_from_threshold(V, device, params)) == stable, V
         assert accepts(lambda: stress_conversion_curve(mech, geom, V)) == stable, V
         assert accepts(lambda: calibrate_defaults(device, calibrate_immediate_V=V)) == stable, V
-        faults = validate_stair_case([V], 1.0, V, 1, 1, device)
+        faults = validate_stair_case([V], 1.0, V, 1, device)
         assert [fault.partition(":")[0] for fault in faults] == ([] if stable else ["levels_V"])
 
 

@@ -569,11 +569,17 @@ def test_staircase_names_a_nan_step_or_count_before_any_run(nominal_device, cali
     pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
                            strengths_V=[13.0, 13.0])
     assert fault in protocols.validate_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens,
-                                                  len(pop), nominal_device)
+                                                  nominal_device)
     monkeypatch.setattr(protocols, "_monitored_run", lambda *a, **k: pytest.fail("ran"))
     with pytest.raises(ValueError, match=fault):
         run_stair_case([12, 13, 14, 15], step_V, 15.0, n_specimens, pop, nominal_device,
                        calibrated_params)
+
+
+def test_a_step_that_moves_no_level_is_refused_in_a_window_of_two_or_more(nominal_device):
+    assert protocols.validate_stair_case([13.0], 1e-300, 13.0, 6, nominal_device) == []
+    assert protocols.validate_stair_case([12.0, 13.0], 1e-300, 13.0, 6, nominal_device) == [
+        "step_V: 1e-300 V is too small to move the walk off the 12 V level"]
 
 
 def test_population_seed_determinism(nominal_device, calibrated_params):
