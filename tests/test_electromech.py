@@ -265,7 +265,7 @@ def _dispatch_fresh(*argvs):
                                                           json.dumps(WATCHED)))]
 
 
-def test_each_command_loads_only_its_pinned_modules(tmp_path):
+def test_cold_commands_load_no_numpy(tmp_path):
     """The commands that make no array run in one process and load none of WATCHED
     beyond the import's; the default staircase and recovery, each in its own, add numpy."""
     table = tmp_path / "table.json"
@@ -281,6 +281,11 @@ def test_each_command_loads_only_its_pinned_modules(tmp_path):
     with_numpy = sorted([*AT_IMPORT, "numpy"])
     for argv in ([*out, "staircase"], ["recovery", "--replications", "5"]):
         assert _dispatch_fresh(argv) == [(0, AT_IMPORT), (0, with_numpy)], argv
+
+
+def test_import_loads_no_scipy():
+    assert _run_fresh("import sys, microfatigue.cli; print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'scipy'))").strip() == "[]"
 
 
 # The nominal device, or one varied the way the benchmark's device
