@@ -180,14 +180,15 @@ def validate_run_settings(detection_interval: int, reference_cycles: int, detect
 def validate_population(n_specimens: int, strengths_V: Sequence[float] | None = None,
                         strength_mean_V: float | None = None, strength_std_V: float | None = None,
                         master_seed: int | None = None) -> list[str]:
-    """The "name: message" faults of a population of 1 to MAX_SPECIMENS specimens, given
+    """The "name: message" faults of a population of 2 to MAX_SPECIMENS specimens, given
     as the first n_specimens of at most MAX_SPECIMENS strengths_V, or, when strengths_V
     is None or empty, drawn from Normal(strength_mean_V > 0, strength_std_V >= 0) by an
     integer master_seed >= 0. An argument left None is not checked. A NaN mean or
-    spread passes, for the draw to name the specimen it makes NaN."""
+    spread passes, for the draw to name the specimen it makes NaN. One specimen is
+    refused: Dixon-Mood needs a failure and a survival."""
     problems = []
-    if not n_specimens >= 1:
-        problems.append(f"n_specimens: need at least one specimen, got {n_specimens}")
+    if not n_specimens >= 2:
+        problems.append(f"n_specimens: need at least two specimens, got {n_specimens}")
     elif not isinstance(n_specimens, numbers.Integral) or n_specimens > MAX_SPECIMENS:
         problems.append(f"n_specimens: must be an integer <= {MAX_SPECIMENS}, "
                         f"got {n_specimens!r}")

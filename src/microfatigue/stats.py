@@ -11,10 +11,12 @@ next-state table (from ``protocols.next_level``) across the replication axis.
 One lookup and sum over each replication's codes then gives its failure and
 survival counts and level sums, packed in one integer, and one OR its mask of
 occupied (outcome, level) cells; Dixon-Mood works from those. The tables are
-built once per window and kept (``_window_tables``). A trial draws from one
-generator, ``default_rng(master_seed)``, with replication rep taking the next
-n_specimens normals after those of replications 0 to rep - 1, in blocks of at
-least ``_MIN_BLOCK_ROWS`` replications whatever n_specimens is.
+built once per window and kept (``_window_tables``). A specimen's m is drawn by
+inversion: one raw 64-bit word of ``PCG64(master_seed)``, whose stream NEP 19
+freezes, counts the window levels whose normal cell probabilities, scaled to
+2**64, it exceeds. Replication rep takes the next n_specimens words after those
+of replications 0 to rep - 1, in blocks of at least ``_MIN_BLOCK_ROWS``
+replications whatever n_specimens is.
 
 ``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
 plain floats; numpy is imported inside the recovery trial's array functions,
@@ -36,7 +38,7 @@ Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
 DISPERSION_FALLBACK_FACTOR = 0.53
 # Replications per array pass of a recovery trial: _BLOCK_ELEMENTS // n_specimens
-# strengths, but never under _MIN_BLOCK_ROWS rows, so a wide trial does not pay two
+# words, but never under _MIN_BLOCK_ROWS rows, so a wide trial does not pay two
 # numpy calls per specimen column for a handful of rows. An array of a pass holds at
 # most max(_BLOCK_ELEMENTS, MAX_SPECIMENS * _MIN_BLOCK_ROWS) * 8 B = 5.12 MB.
 _BLOCK_ELEMENTS = 2**16
@@ -177,11 +179,10 @@ def _window_tables(levels: tuple[float, ...]):
     """The stair-case walk on a window of four sorted levels 1 V apart, and the
     tables that count it, as read-only arrays built once per window.
 
-    State code 5*k + m: level k is under test and m = searchsorted(levels,
-    strength) window levels lie below the strength, so the trial fails iff
-    k >= m, exactly when level >= strength (a NaN strength counts 4 and
-    survives, as level >= NaN is false). Its cell is k for a failure and
-    4 + k for a survival. Returns, in order:
+    State code 5*k + m: level k is under test and m window levels lie below
+    the strength, so the trial fails iff k >= m, exactly when level >=
+    strength. Its cell is k for a failure and 4 + k for a survival. Returns,
+    in order:
 
     - the levels;
     - the next state 5*k' of each code. Level k' is the first equal to the
@@ -224,16 +225,14 @@ def _window_tables(levels: tuple[float, ...]):
     return tables
 
 
-def _stair_case_codes(strengths: np.ndarray, levels: np.ndarray, next_code: np.ndarray,
-                      start_code: int) -> np.ndarray:
-    """State code of every trial of synthetic stair-cases, one row of strengths
-    each: column j of the result holds specimen j of every row."""
-    codes = levels.searchsorted(strengths.T)
+def _stair_case_codes(cells: np.ndarray, next_code: np.ndarray, start_code: int) -> np.ndarray:
+    """State code of every trial of synthetic stair-cases, one column each: row j of
+    cells holds the m of specimen j of every stair-case and becomes its code in place."""
     state = start_code
-    for column in codes:
+    for column in cells:
         column += state
         state = next_code[column]
-    return codes
+    return cells
 
 
 def _dixon_mood_means(codes: np.ndarray, tables: tuple) -> np.ndarray:
@@ -267,18 +266,24 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     """Bias/spread summary of the Dixon-Mood estimator on synthetic campaigns.
 
     Each replication draws threshold strengths from Normal(strength_mean_V,
-    strength_std_V), a draw past the float range as +-inf, and runs a stair-case
-    over the fixed window of 1 V steps, round(strength_mean_V) - 1 to
-    round(strength_mean_V) + 2 V, from the level nearest the mean. Replications
-    with only one outcome are skipped and counted. The arguments must pass
-    protocols.validate_population, the mean and spread finite.
+    strength_std_V) and runs a stair-case over the fixed window of 1 V steps,
+    round(strength_mean_V) - 1 to round(strength_mean_V) + 2 V, from the level
+    nearest the mean. Replications with only one outcome are skipped and counted.
+    The arguments must pass protocols.validate_population, the mean and spread
+    finite.
 
-    All replications draw from one default_rng(master_seed), row after row, and run
-    at once as arrays: each specimen column is one step of a walk over the
+    The walk needs only m, the window levels below a strength, and level L lies
+    below a strength of normal quantile u iff Phi((L - mean)/std) < u. So each
+    specimen reads one raw word of PCG64(master_seed), and m counts the cuts
+    min(floor(Phi((L - mean)/std) * 2**64), 2**64 - 1) that the word exceeds (each
+    cut is 2**63 when std * sqrt(2) overflows); at a spread of 0, m counts the
+    levels below the mean. All replications take their words row after row and
+    run at once as arrays: each specimen row is one step of a walk over the
     window's 20 state codes (_window_tables), and Dixon-Mood works from each
-    replication's counts and level sums per outcome. A generator's draws come
-    in order, so the block size leaves them unchanged, and the summary equals
-    that of one synthetic_stair_case and dixon_mood per replication.
+    replication's counts and level sums per outcome. The words come in order, so
+    the block size leaves them unchanged, and the summary equals that of one
+    synthetic_stair_case and dixon_mood per replication on strengths in the same
+    cells.
     """
     problems = validate_population(n_specimens, None, strength_mean_V, strength_std_V, master_seed)
     problems += [f"{name}: must be finite, got {value}" for name, value in (
@@ -294,16 +299,25 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     levels = tuple(round(strength_mean_V) - 1.0 + i for i in range(4))
     start = min(range(4), key=lambda k: abs(levels[k] - strength_mean_V))
     tables = _window_tables(levels)
-    window, next_code = tables[:2]
+    next_code = tables[1]
+    if strength_std_V:  # Phi((level - mean)/std) * 2**64 per level, in NormalDist.cdf's floats
+        cuts = [np.uint64(min(int(0.5 * math.erfc((strength_mean_V - level)
+                                                  / (strength_std_V * math.sqrt(2))) * 2**64),
+                              2**64 - 1)) for level in levels]
 
-    rng = np.random.default_rng(int(master_seed))
+    words = np.random.PCG64(int(master_seed))
     block = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_specimens)   # replications per pass
     chunks = []
     for first in range(0, replications, block):
-        z = rng.standard_normal((min(block, replications - first), n_specimens))
-        with np.errstate(over="ignore"):
-            strengths = strength_mean_V + strength_std_V * z
-        codes = _stair_case_codes(strengths, window, next_code, 5 * start)
+        rows = min(block, replications - first)
+        if strength_std_V:
+            raw = words.random_raw((rows, n_specimens)).T
+            cells = (raw > cuts[0]).astype(np.intp)
+            for cut in cuts[1:]:
+                cells += raw > cut
+        else:  # every strength is the mean
+            cells = np.full((n_specimens, rows), sum(level < strength_mean_V for level in levels))
+        codes = _stair_case_codes(cells, next_code, 5 * start)
         chunks.append(_dixon_mood_means(codes, tables))
     estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if not estimates.size:

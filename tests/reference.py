@@ -1,9 +1,11 @@
 """Slow references of the package's fast paths, each returning what its fast path
 returns, and the rules and inputs the test modules share, each stated once."""
 
+import bisect
 import dataclasses
 import json
 import math
+import statistics
 
 import numpy as np
 
@@ -275,16 +277,25 @@ def recovery_window(base):
 def recovery_by_replication(strength_mean_V, strength_std_V, n_specimens, replications,
                             master_seed):
     """Reference of estimator_recovery_trial: one synthetic_stair_case and one dixon_mood
-    (with its grid check) per replication, each drawing the next n_specimens normals
-    from one default_rng(master_seed)."""
+    (with its grid check) per replication. At a spread of 0 every strength is the mean.
+    Otherwise each specimen reads the next raw word of one PCG64(master_seed), and the
+    cut points NormalDist(mean, std).cdf(level) * 2**64 place it in a cell m, the
+    window levels below it; its strength is the first level not below it, or inf."""
     levels = recovery_window(round(strength_mean_V))
     start = min(levels, key=lambda v: abs(v - strength_mean_V))
+    if strength_std_V:
+        law = statistics.NormalDist(strength_mean_V, strength_std_V)
+        cuts = [min(int(law.cdf(level) * 2**64), 2**64 - 1) for level in levels]
     estimates = []
     skipped = 0
-    rng = np.random.default_rng(int(master_seed))
+    bit_generator = np.random.PCG64(int(master_seed))
     for _ in range(replications):
-        strengths = strength_mean_V + strength_std_V * rng.standard_normal(n_specimens)
-        seq = synthetic_stair_case(list(strengths), levels, 1.0, start)
+        if strength_std_V:
+            strengths = [(levels + [math.inf])[bisect.bisect_left(cuts, word)]
+                         for word in bit_generator.random_raw(n_specimens).tolist()]
+        else:
+            strengths = [strength_mean_V] * n_specimens
+        seq = synthetic_stair_case(strengths, levels, 1.0, start)
         try:
             estimates.append(dixon_mood(seq).mean_V)
         except EstimationError:

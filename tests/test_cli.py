@@ -385,25 +385,26 @@ def test_staircase_estimate_that_overflows_exit_3_writing_nothing(tmp_path, caps
 
 
 def test_recovery_spread_past_the_float_range_runs_without_a_warning(tmp_path, capsys):
-    # The draws of |z| > 1.06 overflow to +-inf strengths; the suite turns warnings
-    # into errors, so an overflow warning would end the run with a traceback.
+    # std * sqrt(2) overflows to inf, which cuts every level at one half; the suite
+    # turns warnings into errors, so an overflow warning would end the run with a
+    # traceback.
     cfg = tmp_path / "spread.json"
     cfg.write_text(json.dumps({"campaign": {"strength_std_V": 1.7e308}}))
     code, out, err = run_cli(capsys, "--config", str(cfg), "recovery")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "c580235486cda01d0fe9aa9b2d0d3d31ffcb2609faa84fb61e85206e04cacc36"
+        "1aea0c6b4f89c64c07dbcd0a5d005eabe5b5b8d09bb21fb1a1fde95f92e961bb"
 
 
-# sha256 of stdout. The recovery rows draw from one default_rng(master_seed) per
-# trial, each replication's row of normals in order; --show-defaults is the
+# sha256 of stdout. The recovery rows read one PCG64(master_seed) per trial, each
+# replication's row of raw words in order; --show-defaults is the
 # default config_echo.json. A dict in argv is a config, passed as a file.
 STDOUT_DIGESTS = [
     (["--seed", "42", "recovery", "--replications", "2000"],
-     "c4f23033e02d42ed5c5de98991a23577fa9f9bb927d5ed1e3ca0b42f06f78413"),
+     "d0acf882e1bb0ec6b60ee30fb6d8a01b1e6823e24b40e58c2ca4d8ca77d21304"),
     (["--config", {"campaign": {"n_specimens": 24, "strength_std_V": 0.8}},
       "--seed", "42", "recovery", "--replications", "2000"],
-     "685a236461196a10f7d35cf5e8a22370e80cbda1aaecd81e29c51e9f438ce3c4"),
+     "5c394a6ef8b1ce9e4e4c4ea3636b23a1a774db19bda59e62c658fc967706c9a7"),
     (["--show-defaults"],
      "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a"),
     (["pullin"],
@@ -525,6 +526,8 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     ({"geometry": {"hole_count": 400, "hole_side_um": 20}}, "geometry.hole_count"),
     # A step below half the float spacing at 15 V: no level of the window can move.
     ({"campaign": {"step_V": 1e-300}}, "campaign.step_V"),
+    # One trial has one outcome, so Dixon-Mood could never estimate it.
+    ({"campaign": {"n_specimens": 1}}, "campaign.n_specimens"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -584,6 +587,7 @@ UNDERFLOWING_C_K = {
     ({"campaign": {"n_specimens": MAX_SPECIMENS + 1}}, ["recovery"], "campaign.n_specimens"),
     *[(UNDERFLOWING_C_K, argv, "model.c_k") for argv in (
         ["pullin"], ["curve", "--vmax", "1e-300"], ["fatigue", "--va", "0"], ["staircase"])],
+    ({"campaign": {"n_specimens": 1}}, ["recovery"], "campaign.n_specimens"),
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"

@@ -596,7 +596,7 @@ def test_each_pull_in_check_takes_the_solver_verdict(device):
         assert accepts(lambda: strength_scale_from_threshold(V, device, params)) == stable, V
         assert accepts(lambda: stress_conversion_curve(mech, geom, V)) == stable, V
         assert accepts(lambda: calibrate_defaults(device, calibrate_immediate_V=V)) == stable, V
-        faults = validate_stair_case([V], 1.0, V, 1, device)
+        faults = validate_stair_case([V], 1.0, V, 2, device)
         assert [fault.partition(":")[0] for fault in faults] == ([] if stable else ["levels_V"])
 
 

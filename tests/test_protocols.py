@@ -486,12 +486,16 @@ def test_next_level_steps_as_dixon_and_mood_state_the_rule(window, failure):
 
 
 def test_staircase_single_survivor(nominal_device, calibrated_params):
-    pop = build_population(0, 13.0, 0.0, 1, nominal_device, calibrated_params,
-                           strengths_V=[25.0])
-    seq, records = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 1, pop,
+    # A campaign of one specimen is refused, as Dixon-Mood needs both outcomes; two
+    # specimens stronger than every level both survive.
+    with pytest.raises(ValueError, match="n_specimens: need at least two specimens, got 1"):
+        build_population(0, 13.0, 0.0, 1, nominal_device, calibrated_params,
+                         strengths_V=[25.0])
+    pop = build_population(0, 13.0, 0.0, 2, nominal_device, calibrated_params,
+                           strengths_V=[25.0, 25.0])
+    seq, records = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 2, pop,
                                   nominal_device, calibrated_params)
-    assert len(seq.trials) == 1
-    assert not seq.trials[0].failure
+    assert [t.failure for t in seq.trials] == [False, False]
 
 
 def _campaign(thresholds, levels, n, device, params, **run_kwargs):
@@ -561,7 +565,7 @@ def test_staircase_rejects_levels_off_the_step_grid(nominal_device, calibrated_p
 
 @pytest.mark.parametrize("step_V, n_specimens, fault", [
     (math.nan, 2, "step_V: must be > 0, got nan"),
-    (1.0, math.nan, "n_specimens: need at least one specimen, got nan"),
+    (1.0, math.nan, "n_specimens: need at least two specimens, got nan"),
 ])
 def test_staircase_names_a_nan_step_or_count_before_any_run(nominal_device, calibrated_params,
                                                            monkeypatch, step_V, n_specimens,
@@ -705,7 +709,7 @@ CAMPAIGN_FAULTS = ["run", "step", "start", "grid", "count", "population", "nan s
        start_V=st.floats(10.0, 16.0),
        below=st.integers(0, 4),
        above=st.integers(0, 2),
-       n=st.integers(1, 8),
+       n=st.integers(2, 8),
        explicit=st.booleans(),
        thresholds_V=st.lists(st.floats(-1.0, 30.0), min_size=8, max_size=8),
        master_seed=st.integers(0, 2**31 - 1),
@@ -772,7 +776,7 @@ def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_para
              [type(c) for c, _ in r.detections]) for r in want_records]
 
 
-@pytest.mark.parametrize("n_specimens", [1, 6, 60])
+@pytest.mark.parametrize("n_specimens", [2, 6, 60])
 def test_campaign_solves_each_level_once(nominal_device, calibrated_params, monkeypatch,
                                          n_specimens):
     # Clock-free: one batched solve for the population, then one per distinct

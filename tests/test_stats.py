@@ -230,12 +230,13 @@ def test_recovery_trial_zero_scatter():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_recovery_trial_draws_a_strength_past_the_float_range_as_infinite():
-    # mean + std*z overflows for |z| > 1.06: such a strength is +-inf, which the
-    # state-code walk places at a window end, and no overflow warning is raised.
+def test_recovery_trial_cuts_every_level_at_one_half_past_the_float_range():
+    # std * sqrt(2) overflows to inf, so every cell probability is Phi(0) = 1/2, the
+    # limit that a spread of 1e300 already reaches; no overflow warning is raised.
     summary = estimator_recovery_trial(13.0, 1.7e308, 6, 200, master_seed=20080409)
-    with np.errstate(over="ignore"):  # the reference's float draw overflows alike
-        assert summary == recovery_by_replication(13.0, 1.7e308, 6, 200, 20080409)
+    assert summary == recovery_by_replication(13.0, 1.7e308, 6, 200, 20080409)
+    assert summary == {**estimator_recovery_trial(13.0, 1e300, 6, 200, master_seed=20080409),
+                       "true_std_V": 1.7e308}
 
 
 def test_recovery_trial_determinism():
@@ -256,21 +257,34 @@ def test_recovery_doubling_levels_doubles_estimate():
 
 
 # (mean_bias_V, std_bias_V, valid_replications) at master_seed 42 with 20 000
-# replications, recorded when each replication drew from its own
-# default_rng((master_seed, rep)) stream.
+# replications on the recovery benchmark's inputs, recorded when the trial drew each
+# strength as mean + std * z, z from one default_rng(master_seed) standard_normal
+# stream: an independent sample of the same law.
 PER_REPLICATION_STREAM_SUMMARY = {
-    (13.0, 0.55, 6): (0.010900000000000003, 0.32682916196556117, 20000),
-    (13.0, 0.8, 24): (0.057349229797979795, 0.19964559216937913, 20000),
+    (13.0, 0.3, 6): (-0.005199999999999993, 0.28984318365473244, 20000),
+    (13.0, 0.55, 6): (0.0040666666666666785, 0.3268581343641303, 20000),
+    (13.0, 0.8, 6): (0.023325000000000016, 0.39404117091364954, 20000),
+    (13.0, 0.3, 12): (-0.0020550000000000017, 0.2061287334477602, 20000),
+    (13.0, 0.55, 12): (0.00991666666666666, 0.23650855927663827, 20000),
+    (13.0, 0.8, 12): (0.04012249999999999, 0.2857057616079386, 20000),
+    (13.0, 0.3, 24): (-0.0017750000000000014, 0.1447767516665488, 20000),
+    (13.0, 0.55, 24): (0.012954015151515154, 0.16666937280776525, 20000),
+    (13.0, 0.8, 24): (0.05437020202020202, 0.19904394646913415, 20000),
 }
 
 
 @pytest.mark.parametrize("trial", sorted(PER_REPLICATION_STREAM_SUMMARY))
 def test_one_generator_stream_agrees_with_per_replication_streams(trial):
+    # The mean bias within 5 standard errors of the float draw's, and the skipped
+    # share within 5 binomial standard deviations of the two samples' pooled share.
     parent_mean, parent_std, parent_valid = PER_REPLICATION_STREAM_SUMMARY[trial]
     summary = estimator_recovery_trial(*trial, replications=20000, master_seed=42)
     combined_se = math.hypot(summary["std_bias_V"] / math.sqrt(summary["valid_replications"]),
                              parent_std / math.sqrt(parent_valid))
     assert abs(summary["mean_bias_V"] - parent_mean) <= 5 * combined_se
+    skipped, parent_skipped = summary["skipped_replications"], 20000 - parent_valid
+    pooled = (skipped + parent_skipped) / 40000
+    assert abs(skipped - parent_skipped) / 20000 <= 5 * math.sqrt(pooled * (1 - pooled) * 2 / 20000)
 
 
 @st.composite
@@ -285,7 +299,7 @@ def recovery_trials(draw):
     return dict(
         strength_mean_V=mean,
         strength_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
-        n_specimens=draw(st.integers(1, 30)),
+        n_specimens=draw(st.integers(2, 30)),
         replications=draw(st.integers(1, 60)),
         # Past 2**64 and 2**96: seeds of three and more 32-bit entropy words.
         master_seed=draw(st.integers(0, 2**32) | st.integers(0, 2**200)),
@@ -333,17 +347,18 @@ def test_wide_trials_pass_at_least_the_row_floor(monkeypatch):
     # 10 000 specimens fit 6 rows in _BLOCK_ELEMENTS; the floor takes 64.
     rows, walk = [], stats._stair_case_codes
     monkeypatch.setattr(stats, "_stair_case_codes",
-                        lambda strengths, *tables: rows.append(len(strengths)) or walk(strengths, *tables))
+                        lambda cells, *tables: rows.append(cells.shape[1]) or walk(cells, *tables))
     estimator_recovery_trial(13.0, 0.55, MAX_SPECIMENS, 130, master_seed=1)
     assert rows == [stats._MIN_BLOCK_ROWS, stats._MIN_BLOCK_ROWS, 2]
 
 
 def test_a_basis_level_sum_fills_its_packed_field_without_carrying():
-    # From the top level, strengths of 14.5 V alternate a failure at 15 V with a
-    # survival at 14 V: 5 000 failures 3 V above the lowest level sum 15 000, the
-    # most a basis outcome (at most half the trials) can reach at MAX_SPECIMENS.
+    # From the top level, strengths of 14.5 V (three levels below each) alternate a
+    # failure at 15 V with a survival at 14 V: 5 000 failures 3 V above the lowest
+    # level sum 15 000, the most a basis outcome (at most half the trials) can reach
+    # at MAX_SPECIMENS.
     tables = stats._window_tables((12.0, 13.0, 14.0, 15.0))
-    codes = stats._stair_case_codes(np.full((1, MAX_SPECIMENS), 14.5), *tables[:2], 5 * 3)
+    codes = stats._stair_case_codes(np.full((MAX_SPECIMENS, 1), 3), tables[1], 5 * 3)
     assert stats._dixon_mood_means(codes, tables).tolist() == [14.5]
 
 
@@ -370,7 +385,9 @@ def test_state_code_walk_steps_as_synthetic_stair_case(case):
     rows, levels, start = case
     window, next_code = stats._window_tables(tuple(levels))[:2]
     strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
-    codes = stats._stair_case_codes(strengths, window, next_code, 5 * start)
+    # m, the window levels below each strength; a NaN strength counts 4 and survives,
+    # as level >= NaN is false.
+    codes = stats._stair_case_codes(window.searchsorted(strengths.T), next_code, 5 * start)
     for row, row_codes in zip(rows, codes.T.tolist()):
         trials = synthetic_stair_case(row, levels, 1.0, levels[start]).trials
         assert [t.level_V for t in trials] == [levels[code // 5] for code in row_codes]
@@ -387,7 +404,7 @@ def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
     tested = float_stair_case_levels(strengths, levels[0], levels[-1], 1.0, levels[start])
     expected = float_dixon_mood_means(tested, tested >= strengths, 1.0)
     tables = stats._window_tables(tuple(levels))
-    codes = stats._stair_case_codes(strengths, *tables[:2], 5 * start)
+    codes = stats._stair_case_codes(tables[0].searchsorted(strengths.T), tables[1], 5 * start)
     assert stats._dixon_mood_means(codes, tables).tolist() == expected.tolist()
 
 
@@ -406,10 +423,11 @@ def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
     ({"strength_mean_V": 0.0}, "strength_mean_V"),
     ({"strength_mean_V": -13.0}, "strength_mean_V"),
     ({"master_seed": 1.0}, "master_seed"),
+    ({"n_specimens": 1}, "n_specimens"),  # Dixon-Mood needs both outcomes
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"strength_mean_V": 13.0, "strength_std_V": 0.55, "n_specimens": 6,
               "replications": 20, "master_seed": 1, **fault}
-    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("seeded")):
+    with mock.patch("numpy.random.PCG64", side_effect=AssertionError("seeded")):
         with pytest.raises(ValueError, match=f"^{name}: "):
             estimator_recovery_trial(**kwargs)

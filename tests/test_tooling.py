@@ -86,6 +86,34 @@ def test_numpy_is_imported_only_where_arrays_are_made():
     assert _src_sites(_imports_numpy) == NUMPY_IMPORTERS
 
 
+# The functions that call a numpy Generator distribution method. NEP 19 freezes a bit
+# generator's raw words but not the variates a Generator derives from them, so a draw
+# that must keep its bytes across numpy releases reads raw words. Only the population
+# draw still calls standard_normal; a new caller is a declared edit.
+GENERATOR_DRAWERS = ["protocols.population_thresholds"]
+
+
+def _calls_a_generator_method():
+    """A hit test for a call of an attribute named like a public method of
+    numpy.random.Generator other than spawn: one of its variates."""
+    import numpy as np
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")
+               and callable(getattr(np.random.Generator, name))} - {"spawn"}
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr in methods)
+
+
+def test_the_generator_scan_flags_a_variate_but_not_a_raw_word(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def draw(rng, bits):\n    rng.standard_normal(3)\n"
+                    "    np.random.default_rng(0).integers(2)\n    bits.random_raw(3)\n")
+    assert _sites(path, _calls_a_generator_method()) == ["sample.draw", "sample.draw"]
+
+
+def test_only_the_population_draw_calls_a_generator_variate():
+    assert _src_sites(_calls_a_generator_method()) == GENERATOR_DRAWERS
+
+
 # The functions that read the closed-form pull-in. The equilibrium solve alone decides
 # pull-in, so each of them only reports a value or places a bound; a new one is a
 # declared edit.
