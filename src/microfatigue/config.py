@@ -28,7 +28,7 @@ from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_TARGET_IMMEDIATE_V,
                         DEFAULT_TARGET_V_D, calibrate_defaults, validate_population,
-                        validate_run_settings, validate_stair_case)
+                        validate_readings, validate_run_settings, validate_stair_case)
 
 
 class ModelConfig(NamedTuple):
@@ -41,7 +41,7 @@ class ModelConfig(NamedTuple):
     min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION
 
     def run_kwargs(self) -> dict:
-        """Keyword arguments of ``protocols.run_fatigue_test`` set by this section."""
+        """The ``protocols.RunSettings`` keywords set by this section."""
         return dict(detection_interval=self.detection_interval_cycles,
                     reference_cycles=self.reference_cycles,
                     detection_step_V=self.detection_step_V,
@@ -116,21 +116,24 @@ class RunConfig:
             raise ConfigError(_located("campaign", problems))
 
     def damage_params(self, device: Device) -> DamageModelParams:
-        """The explicit Basquin fields, or a calibration of ``device`` to the damage
-        targets; ConfigError names the damage or model field at fault."""
+        """The explicit Basquin fields, or a calibration of ``device`` to the damage targets
+        under the model's run settings, checked so that every run reading is a finite float;
+        ConfigError names the damage or model field at fault."""
         d = self.damage
         values = {f.name: getattr(d, f.name) for f in fields(DamageModelParams)}
         calibrate = None in values.values()  # only the Basquin fields may be None
         try:
             if calibrate:
-                calibrated = calibrate_defaults(
-                    device, d.calibrate_target_V_D, d.calibrate_immediate_V,
-                    detection_interval=self.model.detection_interval_cycles,
-                    reference_cycles=self.model.reference_cycles)
+                calibrated = calibrate_defaults(device, d.calibrate_target_V_D,
+                                                d.calibrate_immediate_V, **self.model.run_kwargs())
                 values.update((name, getattr(calibrated, name)) for name in _BASQUIN)
-            return DamageModelParams(**values)
+            params = DamageModelParams(**values)
         except (CalibrationError, ValueError) as exc:
             raise ConfigError(_located("damage", [str(exc)])) from exc
+        problems = validate_readings(device, self.model.detection_step_V, d.hardening_amplitude)
+        if problems:
+            raise ConfigError(_located("damage", problems))
+        return params
 
 
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
@@ -145,8 +148,8 @@ _FIELD_DICT = {name: getattr(cls, "_asdict", vars) for name, cls in _SECTIONS.it
 _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
 # Config path of each name that owners' "name: text" messages start with: a field's
-# own name (no two sections share one), and run_fatigue_test's detection_interval,
-# which bench/workloads.py passes by keyword.
+# own name (no two sections share one), and RunSettings' detection_interval, which
+# bench/workloads.py passes by keyword.
 _PATHS = {name: f"{section}.{name}" for section, hints in _HINTS.items() for name in hints}
 _PATHS.update(detection_interval="model.detection_interval_cycles")
 

@@ -146,6 +146,25 @@ def _is_whole(value) -> bool:
         isinstance(value, float) and value.is_integer())
 
 
+class RunSettings(NamedTuple):
+    """A monitored run's settings, bounded by validate_run_settings."""
+
+    detection_interval: int = DEFAULT_DETECTION_INTERVAL
+    reference_cycles: int = DEFAULT_REFERENCE_CYCLES
+    detection_step_V: float = DEFAULT_DETECTION_STEP_V
+    drop_fraction: float = DEFAULT_DROP_FRACTION
+    min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION
+
+
+def _checked_settings(**run_kwargs) -> RunSettings:
+    """The RunSettings of run_kwargs (TypeError on an unknown keyword), checked."""
+    settings = RunSettings(**run_kwargs)
+    problems = validate_run_settings(*settings)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return settings
+
+
 def run_pull_in_detection(state: DamageState, device: Device,
                           params: DamageModelParams,
                           step_V: float = DEFAULT_DETECTION_STEP_V) -> float:
@@ -154,7 +173,7 @@ def run_pull_in_detection(state: DamageState, device: Device,
     The DC supply is stepped, so the reading is the degraded pull-in
     rounded up to the next step_V grid point; step_V is a run's detection_step_V.
     """
-    step_V = _run_settings(detection_step_V=step_V).step
+    step_V = _checked_settings(detection_step_V=step_V).detection_step_V
     v = degraded_pull_in(state, device.mechanics, device.geometry, params)
     return math.ceil(v / step_V - GRID_GUARD) * step_V
 
@@ -175,6 +194,25 @@ def validate_run_settings(detection_interval: int, reference_cycles: int, detect
         ("drop_fraction", drop_fraction), ("min_pullin_fraction", min_pullin_fraction))
         if not 0.0 <= value < 1.0]
     return problems
+
+
+def validate_readings(device: Device, detection_step_V: float,
+                      hardening_amplitude: float) -> list[str]:
+    """The "name: message" fault of a run whose readings could leave the float range.
+    The highest reading a run can form is the grid reading of
+    pristine*sqrt(1 + hardening_amplitude): the softening factor and the bump are at
+    most 1, and each IEEE operation of the reading is monotone. It must be finite."""
+    pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+    try:
+        top = math.ceil(pristine * math.sqrt(1.0 + hardening_amplitude) / detection_step_V
+                        - GRID_GUARD) * detection_step_V
+    except OverflowError:  # ceil of an infinite quotient
+        top = math.inf
+    if top == math.inf:
+        return [f"hardening_amplitude: {hardening_amplitude!r} lifts the highest reading, "
+                f"pristine*sqrt(1 + hardening_amplitude) on the {detection_step_V:g} V grid, "
+                "past the float range"]
+    return []
 
 
 def validate_population(n_specimens: int, strengths_V: Sequence[float] | None = None,
@@ -237,48 +275,21 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
     return n
 
 
-class _RunSettings(NamedTuple):
-    """Checked run settings: both counts as ints, and reference_cycles as given,
-    which the record keeps."""
-
-    interval: int
-    reference: int
-    reference_cycles: int | float
-    step: float
-    drop_fraction: float
-    min_pullin_fraction: float
-
-
-def _run_settings(detection_interval: int = DEFAULT_DETECTION_INTERVAL,
-                  reference_cycles: int = DEFAULT_REFERENCE_CYCLES,
-                  detection_step_V: float = DEFAULT_DETECTION_STEP_V,
-                  drop_fraction: float = DEFAULT_DROP_FRACTION,
-                  min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION) -> _RunSettings:
-    """The run settings of run_fatigue_test, checked by validate_run_settings."""
-    problems = validate_run_settings(detection_interval, reference_cycles, detection_step_V,
-                                     drop_fraction, min_pullin_fraction)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return _RunSettings(int(detection_interval), int(reference_cycles), reference_cycles,
-                        detection_step_V, drop_fraction, min_pullin_fraction)
-
-
-def _pristine_readings(device: Device, step_V: float) -> tuple[float, float]:
+def _pristine_readings(device: Device, step_V: float,
+                       params: DamageModelParams) -> tuple[float, float]:
     """The pristine pull-in and its reading on the step_V grid: _monitored_run's
     reading at d = 0, whose stiffness factor (1.0 - 0.0)**e * (1.0 + amplitude*0.0)
-    is exactly 1.0 for the finite amplitude DamageModelParams requires."""
+    is exactly 1.0 for the finite amplitude DamageModelParams requires. The readings
+    must pass validate_readings."""
+    problems = validate_readings(device, step_V, params.hardening_amplitude)
+    if problems:
+        raise ValueError("; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     return pristine, math.ceil(pristine / step_V - GRID_GUARD) * step_V
 
 
 def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
-                     params: DamageModelParams,
-                     detection_interval: int = DEFAULT_DETECTION_INTERVAL,
-                     reference_cycles: int = DEFAULT_REFERENCE_CYCLES,
-                     detection_step_V: float = DEFAULT_DETECTION_STEP_V,
-                     drop_fraction: float = DEFAULT_DROP_FRACTION,
-                     min_pullin_fraction: float = DEFAULT_MIN_PULLIN_FRACTION,
-                     ) -> FatigueRunRecord:
+                     params: DamageModelParams, **run_kwargs) -> FatigueRunRecord:
     """One constant-amplitude fatigue run with periodic pull-in monitoring.
 
     Load cycles are applied in detection-interval batches; after each
@@ -297,8 +308,9 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     ``run_pull_in_detection``, in their float operations and order, so every
     reading is bit-equal to theirs. Readings and outcome equal those of
     accumulating each batch with ``damage.accumulate`` and measuring with
-    ``run_pull_in_detection``. The settings must pass validate_run_settings. The
-    loop itself is ``_monitored_run``, which ``run_stair_case`` runs for each specimen.
+    ``run_pull_in_detection``. run_kwargs give its ``RunSettings``, checked by
+    validate_run_settings, and its readings are checked by validate_readings. Its
+    loop, ``_monitored_run``, runs each ``run_stair_case`` specimen.
 
     Most detections repeat the reading before them, and the loop jumps over
     those it knows will. After a detection that passes its checks with
@@ -316,20 +328,18 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     previous reading is v itself, the floor and V_a are unchanged, and
     soft_end keeps it below the collapse count.
     """
-    settings = _run_settings(detection_interval, reference_cycles, detection_step_V,
-                             drop_fraction, min_pullin_fraction)
+    settings = _checked_settings(**run_kwargs)
     ((_, sigma_alt),) = _tension_stresses((V_a,), device.mechanics, device.geometry)
     life = cycles_to_failure(sigma_alt, params, specimen)
-    pristine, pristine_meas = _pristine_readings(device, settings.step)
+    pristine, pristine_meas = _pristine_readings(device, settings.detection_step_V, params)
     return _monitored_run(V_a, life, pristine, pristine_meas, params, settings)
 
 
 def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas: float,
-                   params: DamageModelParams, settings: _RunSettings) -> FatigueRunRecord:
+                   params: DamageModelParams, settings: RunSettings) -> FatigueRunRecord:
     """The detection loop of run_fatigue_test at drive V_a, for a specimen of Basquin
     life ``life`` (UNBOUNDED below its endurance), on a device of pristine pull-in
-    ``pristine`` read as ``pristine_meas``, with checked settings."""
-    interval, reference, reference_cycles, step, drop_fraction, min_pullin_fraction = settings
+    ``pristine`` read as ``pristine_meas``, with checked ``RunSettings``."""
     if life is UNBOUNDED:
         collapse_cycles = math.inf  # no damage accrues below the endurance
     else:
@@ -338,12 +348,14 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         collapse_cycles = -(-p * life // q)
     detections: list[tuple[int, float]] = [(0, pristine_meas)]
     # Everything the loop reads, bound once.
+    interval, reference = int(settings.detection_interval), int(settings.reference_cycles)
+    step = settings.detection_step_V
     soft_end = (min(reference, collapse_cycles) - 1) // interval * interval
     exponent, amplitude = params.softening_exponent, params.hardening_amplitude
     onset, collapse = params.hardening_onset, params.collapse_threshold
     span = collapse - onset
-    keep = 1.0 - drop_fraction
-    floor = min_pullin_fraction * pristine_meas
+    keep = 1.0 - settings.drop_fraction
+    floor = settings.min_pullin_fraction * pristine_meas
     sqrt, ceil, sin, pi, guard = math.sqrt, math.ceil, math.sin, math.pi, GRID_GUARD
     append = detections.append
     outcome = OUTCOME_SURVIVED
@@ -390,7 +402,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         drive_amplitude_V=V_a,
         detections=tuple(detections),
         outcome=outcome,
-        reference_cycles=reference_cycles,
+        reference_cycles=settings.reference_cycles,
     )
 
 
@@ -453,12 +465,12 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     level transition; it cannot feed a stress-imposed comparison.
     ``campaign_notes`` reports both events.
 
-    Each record equals run_fatigue_test(level, specimen, device, params,
-    **run_kwargs). What stays fixed over the campaign is worked out once: the
-    run settings are checked, the pristine pull-in and its reading computed,
-    and each distinct level reached solved for its sigma_alt, before each
-    specimen goes through ``_monitored_run``. A level is kept as the float the
-    walk reached, which drifts from the levels_V values with an off-grid step.
+    Each record equals run_fatigue_test(level, specimen, device, params, **run_kwargs),
+    run_kwargs giving its ``RunSettings``. What stays fixed over the campaign is worked
+    out once: the run settings are checked, the pristine pull-in and its reading computed,
+    and each distinct level reached solved for its sigma_alt, before each specimen goes
+    through ``_monitored_run``. A level is kept as the float the walk reached, which
+    drifts from the levels_V values with an off-grid step.
     """
     levels = sorted(float(v) for v in levels_V)
     problems = validate_stair_case(levels, step_V, start_level_V, n_specimens, device)
@@ -467,8 +479,8 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                         f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
-    settings = _run_settings(**run_kwargs)
-    pristine, pristine_meas = _pristine_readings(device, settings.step)
+    settings = _checked_settings(**run_kwargs)
+    pristine, pristine_meas = _pristine_readings(device, settings.detection_step_V, params)
     sigma_alts: dict[float, float] = {}
 
     level = float(start_level_V)
@@ -510,18 +522,17 @@ def campaign_notes(thresholds: Sequence[tuple[float, float]], sequence: StairCas
 
 def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TARGET_V_D,
                        calibrate_immediate_V: float = DEFAULT_TARGET_IMMEDIATE_V,
-                       detection_interval: int = DEFAULT_DETECTION_INTERVAL,
-                       reference_cycles: int = DEFAULT_REFERENCE_CYCLES,
-                       ) -> DamageModelParams:
+                       **run_kwargs) -> DamageModelParams:
     """Damage-model parameters pinned to the observed fatigue behaviour.
 
     The endurance stress is the amplitude at calibrate_target_V_D, so that level
     sits exactly on the fatigue limit. The Basquin line is drawn through
     two anchors: life of 60% of the reference count one level step above
     the limit, and life of half a detection interval at calibrate_immediate_V,
-    the amplitude that collapses immediately. A CalibrationError message starts
-    with the name of the argument at fault.
+    the amplitude that collapses immediately, for runs of the ``RunSettings`` run_kwargs
+    give. A CalibrationError message starts with the name of the argument at fault.
     """
+    settings = _checked_settings(**run_kwargs)
     step_above_V = calibrate_target_V_D + 1.0
     if not (0 < calibrate_target_V_D and step_above_V < calibrate_immediate_V):
         raise CalibrationError(
@@ -538,8 +549,8 @@ def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TAR
         raise CalibrationError(f"calibrate_immediate_V: stress amplitudes {sigma_step:g} and "
                                f"{sigma_imm:g} Pa at the targets; need finite ones > 0")
 
-    n_step = 0.6 * reference_cycles        # finite life one step above the limit
-    n_imm = 0.5 * detection_interval       # collapse within the first interval
+    n_step = 0.6 * settings.reference_cycles   # finite life one step above the limit
+    n_imm = 0.5 * settings.detection_interval  # collapse within the first interval
     if not n_imm < n_step:
         raise CalibrationError(f"detection_interval: half an interval ({n_imm:g} cycles) must "
                                f"stay below 60% of reference_cycles ({n_step:g})")
@@ -553,11 +564,11 @@ def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TAR
     )
     # Sanity of the constructed line against the stated targets.
     n_at_step = cycles_to_failure(sigma_step, params)
-    if n_at_step is None or n_at_step >= reference_cycles:
+    if n_at_step is None or n_at_step >= settings.reference_cycles:
         raise CalibrationError(
-            f"reference_cycles: need N(sigma({step_above_V} V)) < {reference_cycles}")
-    if cycles_to_failure(sigma_imm, params) > detection_interval:
+            f"reference_cycles: need N(sigma({step_above_V} V)) < {settings.reference_cycles}")
+    if cycles_to_failure(sigma_imm, params) > settings.detection_interval:
         raise CalibrationError(
             f"detection_interval: need N(sigma({calibrate_immediate_V} V)) "
-            f"<= {detection_interval}")
+            f"<= {settings.detection_interval}")
     return params

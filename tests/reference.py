@@ -137,8 +137,12 @@ def reference_fatigue_run(V_a, specimen, device, params, detection_interval,
                           reference_cycles, detection_step_V, drop_fraction,
                           min_pullin_fraction):
     """Reference of run_fatigue_test on valid settings, batch by batch: accumulate
-    each batch with damage.accumulate, then measure with run_pull_in_detection."""
+    each batch with damage.accumulate, then measure with run_pull_in_detection. Readings
+    that could leave the float range are refused first, as validate_readings says."""
     sigma_alt = fatigue_parameters(V_a, device.mechanics, device.geometry)[0].sigma_alt_Pa
+    problems = protocols.validate_readings(device, detection_step_V, params.hardening_amplitude)
+    if problems:
+        raise ValueError("; ".join(problems))
     state = DamageState.pristine()
     pristine_meas = run_pull_in_detection(state, device, params, detection_step_V)
     detections = [(0, pristine_meas)]
@@ -259,6 +263,8 @@ def campaign_events(config, summary):
 
 # The published stair-case sequence of the paper: (level V, failure).
 PUBLISHED = [(15.0, 1), (14.0, 1), (13.0, 0), (14.0, 1), (13.0, 1), (12.0, 0)]
+# The paper's six specimen thresholds (V), which give the published sequence.
+PAPER_THRESHOLDS_V = [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]
 
 
 def make_sequence(pairs, step=1.0):

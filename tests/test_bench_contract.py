@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from microfatigue.damage import SpecimenStrength
+from tests.reference import PAPER_THRESHOLDS_V
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -69,7 +72,7 @@ def test_with_seed_is_a_method_that_changes_only_the_master_seed():
     config_module = _module("config")
     assert inspect.isfunction(vars(config_module.RunConfig).get("with_seed"))
     config = config_module.parse_config(json.dumps(
-        {"campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5], "master_seed": 3},
+        {"campaign": {"strengths_V": PAPER_THRESHOLDS_V, "master_seed": 3},
          "model": {"detection_interval_cycles": 1000}, "output": {"directory": "elsewhere"}}))
     seeded = config.with_seed(77)
     assert seeded.campaign.master_seed == 77 and config.campaign.master_seed == 3
@@ -77,3 +80,36 @@ def test_with_seed_is_a_method_that_changes_only_the_master_seed():
     after = json.loads(config_module.serialize_config(seeded))
     after["campaign"]["master_seed"] = 3
     assert after == before
+
+
+def _keywords(filename: str, function: str) -> set[str]:
+    """The keyword names of the calls in the top-level function of bench/filename."""
+    tree = ast.parse((BENCH / filename).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {kw.arg for call in ast.walk(node) if isinstance(call, ast.Call)
+            for kw in call.keywords}
+
+
+def test_the_run_keywords_are_the_run_settings_fields():
+    # The run functions take the settings as **run_kwargs, so a renamed field would
+    # otherwise show only as a TypeError in a benchmark run.
+    fields = set(_module("protocols").RunSettings._fields)
+    assert set(_module("config").ModelConfig().run_kwargs()) == fields
+    assert _keywords("workloads.py", "_run_kwargs") == fields
+
+
+def test_an_unknown_run_keyword_is_a_type_error_naming_it(nominal_device, calibrated_params):
+    protocols = _module("protocols")
+    population = protocols.build_population(0, 13.0, 0.55, 6, nominal_device, calibrated_params,
+                                            strengths_V=PAPER_THRESHOLDS_V)
+    calls = [
+        lambda: protocols.run_fatigue_test(14.0, SpecimenStrength(), nominal_device,
+                                           calibrated_params, detection_intervals=1000),
+        lambda: protocols.run_stair_case([12, 13, 14, 15], 1.0, 15.0, 6, population,
+                                         nominal_device, calibrated_params,
+                                         detection_intervals=1000),
+        lambda: protocols.calibrate_defaults(nominal_device, detection_intervals=1000),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="'detection_intervals'"):
+            call()

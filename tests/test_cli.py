@@ -27,9 +27,11 @@ from tests import reference
 from tests.strategies import (EXTREMES, INF, NAN, floats_around, json_configs,
                               valid_json_configs)
 
-TABLE_CONFIG = {
-    "campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]},
-}
+TABLE_CONFIG = {"campaign": {"strengths_V": reference.PAPER_THRESHOLDS_V}}
+# sha256 of the artifacts the benchmark checks, by workload and file name; the tests
+# below read the digests of the artifacts they share with it from here.
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -398,19 +400,19 @@ def test_recovery_spread_past_the_float_range_runs_without_a_warning(tmp_path, c
 
 # sha256 of stdout. The recovery rows read one PCG64(master_seed) per trial, each
 # replication's row of raw words in order; --show-defaults is the
-# default config_echo.json. A dict in argv is a config, passed as a file.
+# default config_echo.json, and curve's default the benchmark's conversion_curve.csv.
+# A dict in argv is a config, passed as a file.
 STDOUT_DIGESTS = [
     (["--seed", "42", "recovery", "--replications", "2000"],
      "d0acf882e1bb0ec6b60ee30fb6d8a01b1e6823e24b40e58c2ca4d8ca77d21304"),
     (["--config", {"campaign": {"n_specimens": 24, "strength_std_V": 0.8}},
       "--seed", "42", "recovery", "--replications", "2000"],
      "5c394a6ef8b1ce9e4e4c4ea3636b23a1a774db19bda59e62c658fc967706c9a7"),
-    (["--show-defaults"],
-     "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a"),
+    (["--show-defaults"], BENCH_DIGESTS["staircase"]["config_echo.json"]),
     (["pullin"],
      "3b3fb054bda7d9c27a305b740317cfc1215d99e529f72f8fc7b6c6cb4296bfc5"),
     (["curve", "--vmax", "25", "--points", "200"],
-     "dee769ed205fe9fa79373118c4862f77f96c807cd9f46f468b79a0479b7dce2b"),
+     BENCH_DIGESTS["curve"]["conversion_curve.csv"]),
     (["--config", {"geometry": {"gap_um": 2.85, "specimen_thickness_um": 2.0},
                    "model": {"c_k": 2.5}}, "curve", "--vmax", "25", "--points", "200"],
      "ebd2c6d086cbf1df5193748c5338861ea7c199bd8c66e291998183bbe6aff1d7"),
@@ -553,6 +555,19 @@ def test_fraction_of_zero_runs(tmp_path, capsys, model, final_cycles):
     assert (summary["outcome"], summary["final_cycles"]) == ("failed", final_cycles)
 
 
+def test_a_bump_with_finite_readings_still_runs(tmp_path, capsys):
+    # On the nominal device every reading of a bump of 1e308 stays a finite float, so
+    # the run goes on; PAPER.md states no bump size to bound it by.
+    cfg = tmp_path / "bump.json"
+    cfg.write_text(json.dumps({"damage": {"hardening_amplitude": 1e308}}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "fatigue", "--va", "14")
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["outcome"], summary["final_cycles"], summary["final_pullin_V"]) == (
+        "failed", 1_100_000, 1.5771021113553237e+155)
+
+
 @pytest.mark.parametrize("config", [{"model": {"c_k": 1e300}}, {"material": {"E_GPa": 1e299}},
                                     {"model": {"c_k": 1e306}}])
 @pytest.mark.parametrize("argv", [["staircase"], ["pullin"], ["fatigue", "--va", "14"],
@@ -572,6 +587,10 @@ UNDERFLOWING_C_K = {
                  "specimen_thickness_um": 0.001, "plate_length_um": 1000000.0,
                  "plate_width_um": 0.001, "gap_um": 0.001, "hole_count": 0},
     "material": {"E_GPa": 1.0}, "model": {"c_k": 1e-297}}
+# A device of pull-in 2.6e149 V read on a 1e-6 V grid: the bump's highest reading,
+# pristine*sqrt(1 + 1e308), overflows the grid index.
+OVERFLOWING_READINGS = {"model": {"c_k": 1e296, "detection_step_V": 1e-6},
+                        "damage": {"hardening_amplitude": 1e308}}
 
 
 @pytest.mark.parametrize("config, argv, path", [
@@ -588,6 +607,8 @@ UNDERFLOWING_C_K = {
     *[(UNDERFLOWING_C_K, argv, "model.c_k") for argv in (
         ["pullin"], ["curve", "--vmax", "1e-300"], ["fatigue", "--va", "0"], ["staircase"])],
     ({"campaign": {"n_specimens": 1}}, ["recovery"], "campaign.n_specimens"),
+    *[(OVERFLOWING_READINGS, argv, "damage.hardening_amplitude")
+      for argv in (["fatigue", "--va", "14"], ["staircase"])],
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"
@@ -691,31 +712,9 @@ def test_off_grid_step_is_clamped_onto_the_window(tmp_path, capsys):
     assert all(12.1 <= v <= 13.0 for v in levels)
 
 
-# sha256 of every staircase artifact, as recorded in bench/reference.json.
-STAIRCASE_DIGESTS = {
-    "config_echo.json": "839e192334bea4ac02ebbb59bc9597679889192631607df801d636743bcb3b9a",
-    "run_00.csv": "9f0fc07cec15b275abbd58fbf4d96109dbdbb29630f04ae5209cf66e1d9a6f32",
-    "run_01.csv": "732d1a95ebb5ecab3c166fea0a79d2ecd395e6e1401ecdd258824c6af059ee45",
-    "run_02.csv": "24375912f499ebab1eec63255ebeba07be4c0937f9ea4751c53f0b32e979e038",
-    "run_03.csv": "f8c69d0b28d1b800d3792702dff41ead6f8ac49218886b9cc19750ddf98edf77",
-    "run_04.csv": "aabfcbbc076e419335da429123f4ed24ad252ea1d7884b03e316bf2723c2b37a",
-    "run_05.csv": "f8c69d0b28d1b800d3792702dff41ead6f8ac49218886b9cc19750ddf98edf77",
-    "staircase_estimate.json": "8d5264a468b251d5534acfab531f386466f30f04a89dde4689dfbb811149f8ce",
-    "staircase_sequence.csv": "9d96ff880324b25449a1235490458d17d564cf20ad4117861dfd961dc5ab4ab7",
-    "wohler_points.csv": "1a6e66ac24ae0cc1d66d416fabc244f886bc34460032d353c1c9a75a69b79202",
-}
-PAPER_STAIRCASE_DIGESTS = {
-    "config_echo.json": "fd39c06eb69acbd530e0cb82eb69ef2b3f68cf0d75fea32c2486cd6ac2be00a6",
-    "run_00.csv": "d1ff6f33e6ab2b9340c1e5961da88557ef23e0a7600d04b90f9ad9df0434ce15",
-    "run_01.csv": "0a45286b0e1de2d034b3e671368454459aac2c406a1c79fdb1a8462fedf548c8",
-    "run_02.csv": "ef2739c48a959d0cc657d302874168777257d1d8f4ebab660792ee9ce763f747",
-    "run_03.csv": "0a45286b0e1de2d034b3e671368454459aac2c406a1c79fdb1a8462fedf548c8",
-    "run_04.csv": "80699db2d4fbfc4de5767114f53c1e8b1b42573932b03e4fcc696b66ed6e7b2e",
-    "run_05.csv": "f8c69d0b28d1b800d3792702dff41ead6f8ac49218886b9cc19750ddf98edf77",
-    "staircase_estimate.json": "ba11286dbe8ac763c30f2ac01f4bff7b81e3868a6919371c4bf83863aa3a4515",
-    "staircase_sequence.csv": "3676ae2c882d6b680f62fac8670da626c0441f5176d88559aa417225f579fdaf",
-    "wohler_points.csv": "270c069a17338c0b58e174dd152560808e99fd1e5c913199c7fe97c45f3a0f70",
-}
+# sha256 of every staircase artifact, read from the benchmark's reference digests.
+STAIRCASE_DIGESTS = BENCH_DIGESTS["staircase"]
+PAPER_STAIRCASE_DIGESTS = BENCH_DIGESTS["paper_staircase"]
 
 
 @pytest.mark.parametrize("config, digests", [(None, STAIRCASE_DIGESTS),
@@ -916,6 +915,7 @@ def _expire(signum, frame):
 @example(config={"campaign": {"master_seed": 0, "step_V": 1.7e308}},
          points=DEFAULT_WOHLER_POINTS, data=None)
 @example(config=OVERFLOWING_WINDOW, points=DEFAULT_WOHLER_POINTS, data=None)
+@example(config=OVERFLOWING_READINGS, points=DEFAULT_WOHLER_POINTS, data=None)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_json_config_runs_or_names_its_fault(config, points, data):
     flag_argvs = data.draw(flag_commands(config)) if data else []  # an @example draws none

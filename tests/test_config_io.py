@@ -30,7 +30,7 @@ from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, 
                                     build_population, run_fatigue_test)
 from microfatigue.stats import (BasquinFit, StairCaseEstimate, WohlerPoint,
                                 estimator_recovery_trial)
-from tests.reference import asdict_dump, json_text
+from tests.reference import PAPER_THRESHOLDS_V, asdict_dump, json_text
 from tests.strategies import FIELDS, valid_json_configs
 
 
@@ -118,7 +118,8 @@ def test_round_trip_randomized(gap, ck, seed, std):
 
 
 def test_explicit_strengths_round_trip():
-    camp = dataclasses.replace(CampaignConfig(), n_specimens=3, strengths_V=(14.5, 13.5, 13.2))
+    camp = dataclasses.replace(CampaignConfig(), n_specimens=3,
+                               strengths_V=tuple(PAPER_THRESHOLDS_V[:3]))
     config = dataclasses.replace(default_config(), campaign=camp)
     assert parse_config(serialize_config(config)) == config
 
@@ -348,7 +349,7 @@ def test_wohler_points_from_records():
 def test_emit_staircase_sequence(nominal_device, calibrated_params):
     from microfatigue.protocols import build_population, run_stair_case
     pop = build_population(0, 13.0, 0.55, 6, nominal_device, calibrated_params,
-                           strengths_V=[14.5, 13.5, 13.2, 13.5, 12.8, 12.5])
+                           strengths_V=PAPER_THRESHOLDS_V)
     seq, _ = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 6, pop,
                             nominal_device, calibrated_params)
     text = emit_staircase_sequence(seq)

@@ -24,9 +24,9 @@ from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (calibrate_defaults, strength_scale_from_threshold,
                                     validate_stair_case)
-from tests.reference import (bisect_equilibrium, drive_and_capacity, equilibrium_exists,
-                             per_point_curve, per_point_equilibrium, random_device,
-                             two_loop_sweep)
+from tests.reference import (PAPER_THRESHOLDS_V, bisect_equilibrium, drive_and_capacity,
+                             equilibrium_exists, per_point_curve, per_point_equilibrium,
+                             random_device, two_loop_sweep)
 from tests.strategies import floats_around, floats_below
 
 
@@ -269,8 +269,7 @@ def test_cold_commands_load_no_numpy(tmp_path):
     """The commands that make no array run in one process and load none of WATCHED
     beyond the import's; the default staircase and recovery, each in its own, add numpy."""
     table = tmp_path / "table.json"
-    table.write_text(json.dumps({"campaign": {"strengths_V": [14.5, 13.5, 13.2, 13.5,
-                                                              12.8, 12.5]}}))
+    table.write_text(json.dumps({"campaign": {"strengths_V": PAPER_THRESHOLDS_V}}))
     points = tmp_path / "points.csv"
     points.write_text("level_V,cycles,censored\n14,1000,0\n15,500,0\n")
     out = ["--out", str(tmp_path / "out")]

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import types
 from dataclasses import replace
 from fractions import Fraction
@@ -20,10 +21,9 @@ from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, OUTCOME_FAILE
                                     next_level, population_thresholds, run_fatigue_test,
                                     run_pull_in_detection, run_stair_case,
                                     specimens_from_thresholds, strength_scale_from_threshold)
-from tests.reference import (dixon_mood_step, reference_fatigue_run, reference_population,
-                             reference_stair_case, result_or_fault, softening_index)
-
-TABLE_STRENGTHS = [14.5, 13.5, 13.2, 13.5, 12.8, 12.5]
+from tests.reference import (PAPER_THRESHOLDS_V, dixon_mood_step, reference_fatigue_run,
+                             reference_population, reference_stair_case, result_or_fault,
+                             softening_index)
 
 
 def sigma_alt(device, v):
@@ -382,7 +382,7 @@ def test_long_runs_evaluate_each_repeated_reading_once(nominal_device, calibrate
                                   reference_cycles=2_000_000)
         if (V_a, threshold) == (13.0, 13.0):
             assert len(record.detections) == 2_001
-            assert len(calls) - before <= 3  # pristine, first repeat, final
+            assert len(calls) - before <= 4  # reading bound, pristine, first repeat, final
         evaluated += len(calls) - before
         detected += len(record.detections)
     assert evaluated < detected / 2
@@ -435,7 +435,7 @@ def test_softening_run_end_confirms_its_prediction(j, life, interval, onset, pri
 
 def test_staircase_reproduces_published_sequence(nominal_device, calibrated_params):
     pop = build_population(0, 13.0, 0.55, 6, nominal_device, calibrated_params,
-                           strengths_V=TABLE_STRENGTHS)
+                           strengths_V=PAPER_THRESHOLDS_V)
     seq, records = run_stair_case([12, 13, 14, 15], 1.0, 15.0, 6, pop,
                                   nominal_device, calibrated_params)
     observed = [(t.level_V, int(t.failure)) for t in seq.trials]
@@ -701,6 +701,38 @@ def test_run_names_its_bad_setting(nominal_device, calibrated_params, bad_run_kw
     with pytest.raises(ValueError, match=f"^{list(bad_run_kwargs)[-1]}: "):
         run_fatigue_test(14.0, SpecimenStrength(), nominal_device, calibrated_params,
                          **bad_run_kwargs)
+
+
+def test_the_reading_bound_admits_exactly_the_amplitudes_whose_readings_stay_finite():
+    # A device of pull-in 2.6e149 V read on a 1e-6 V grid, calibrated to its own
+    # targets. At the largest hardening_amplitude that validate_readings passes, a run
+    # through the bump reads finite floats only, as the batch-by-batch reference does;
+    # one float higher, the run, the campaign and the reference refuse it by name.
+    device = Device.assemble(DeviceGeometry(), Material(), c_k=1e296)
+    kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000,
+                  detection_step_V=1e-6, drop_fraction=0.2, min_pullin_fraction=0.5)
+    passes, fails = 0.0, sys.float_info.max
+    while math.nextafter(passes, fails) < fails:
+        mid = passes + (fails - passes) / 2
+        if protocols.validate_readings(device, 1e-6, mid):
+            fails = mid
+        else:
+            passes = mid
+    params = replace(calibrate_defaults(device, **kwargs), hardening_amplitude=passes)
+    record = run_fatigue_test(14.0, SpecimenStrength(), device, params, **kwargs)
+    assert record == reference_fatigue_run(14.0, SpecimenStrength(), device, params, **kwargs)
+    assert max(v for _, v in record.detections) > 1e300
+    assert all(math.isfinite(v) for _, v in record.detections)
+    params = replace(params, hardening_amplitude=fails)
+    population = (SpecimenStrength(),) * 2
+    for run in (lambda: run_fatigue_test(14.0, SpecimenStrength(), device, params, **kwargs),
+                lambda: reference_fatigue_run(14.0, SpecimenStrength(), device, params, **kwargs),
+                lambda: run_stair_case([13.0, 14.0], 1.0, 14.0, 2, population, device, params,
+                                       **kwargs)):
+        with pytest.raises(ValueError, match="^hardening_amplitude: "):
+            run()
+
+
 CAMPAIGN_FAULTS = ["run", "step", "start", "grid", "count", "population", "nan std",
                    "nan threshold"]
 

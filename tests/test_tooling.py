@@ -120,7 +120,8 @@ def test_only_the_population_draw_calls_a_generator_variate():
 CLOSED_FORM_CALLERS = ["cli.build_pullin", "damage.degraded_pull_in",
                        "device.validate_stiffness", "electromech.stress_conversion_curve",
                        "loading._tension_stresses", "protocols._pristine_readings",
-                       "protocols.population_thresholds", "protocols.validate_stair_case"]
+                       "protocols.population_thresholds", "protocols.validate_readings",
+                       "protocols.validate_stair_case"]
 
 
 def _calls_closed_form(node) -> bool:
