@@ -14,10 +14,12 @@ constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
 gets the same damage without calling ``accumulate`` per batch. It evaluates
 the law of ``effective_stiffness_factor`` inline: at each detection of the
-hardening bump, and in the undamaged and softening stretches only until a
-reading repeats, which it then extends over the detections known to read the
-same. Its pristine reading takes the factor at d = 0 as exactly 1.0, which
-holds for every finite hardening amplitude. The law's one caller is
+hardening bump and the tail; in the softening stretch at each new reading,
+whose run it extends over the detections known to read the same once the
+reading repeats, or at once while such predictions keep extending; and not
+at all in an undamaged run. That run, and the pristine reading, take the
+factor at d = 0 as exactly 1.0, which holds for every finite hardening
+amplitude. The law's one caller is
 ``degraded_pull_in``, which ``protocols.run_pull_in_detection`` reads.
 
 ``SpecimenStrength`` and ``DamageState`` are ``NamedTuple``s; a

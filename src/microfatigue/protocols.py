@@ -181,14 +181,15 @@ def run_pull_in_detection(state: DamageState, device: Device,
 def validate_run_settings(detection_interval: int, reference_cycles: int, detection_step_V: float,
                           drop_fraction: float, min_pullin_fraction: float) -> list[str]:
     """The "name: message" faults of fatigue-run settings: whole counts >= 1 for at most
-    MAX_DETECTIONS detections, a step >= MIN_DETECTION_STEP_V and fractions in [0, 1)."""
+    MAX_DETECTIONS detections, a finite step >= MIN_DETECTION_STEP_V and fractions in
+    [0, 1)."""
     problems = [f"{name}: must be a whole number >= 1, got {value}" for name, value in (
         ("detection_interval", detection_interval), ("reference_cycles", reference_cycles))
         if not (_is_whole(value) and value >= 1)]
     if not problems and -(-reference_cycles // detection_interval) > MAX_DETECTIONS:
         problems.append(f"reference_cycles: a run may take at most {MAX_DETECTIONS} detections")
-    if not detection_step_V >= MIN_DETECTION_STEP_V:
-        problems.append(f"detection_step_V: must be >= {MIN_DETECTION_STEP_V:g} V, "
+    if not MIN_DETECTION_STEP_V <= detection_step_V < math.inf:
+        problems.append(f"detection_step_V: must be finite and >= {MIN_DETECTION_STEP_V:g} V, "
                         f"got {detection_step_V!r}")
     problems += [f"{name}: must lie in [0, 1), got {value}" for name, value in (
         ("drop_fraction", drop_fraction), ("min_pullin_fraction", min_pullin_fraction))
@@ -312,21 +313,37 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     validate_run_settings, and its readings are checked by validate_readings. Its
     loop, ``_monitored_run``, runs each ``run_stair_case`` specimen.
 
-    Most detections repeat the reading before them, and the loop jumps over
-    those it knows will. After a detection that passes its checks with
-    v == previous, it extends the run of v in one step: below the endurance
-    (no damage, so the reading never changes) to soft_end, and in the
-    softening stretch d <= hardening_onset to the last count that
-    ``_softening_run_end`` predicts and confirms still reads v. soft_end is
-    the last interval multiple strictly below both the reference and the
-    collapse count, so the final detection, collapse and the bump stretch
-    stay per detection. No reading changes: every skipped detection lies
-    between two that read v, where the reading cannot rise, since d = n/life
-    grows with n and each float operation of the softening law is monotone
-    (IEEE rounding of 1 - d, *, / and sqrt; libm pow monotone in its base).
-    It therefore reads v too, and passes its checks as the repeat did: its
-    previous reading is v itself, the floor and V_a are unchanged, and
-    soft_end keeps it below the collapse count.
+    Most detections repeat the reading before them, and the loop, which walks
+    the run's three stretches apart, jumps over those it knows will:
+
+    1. An undamaged run (below the endurance) evaluates no reading: at d = 0
+       the stiffness factor is exactly 1.0, so every detection reads
+       pristine_meas after pristine_meas. The first detection's checks decide
+       whether it fails or is invalid; else it survives, its rows written in
+       one step.
+    2. In the softening stretch d <= hardening_onset, after a detection that
+       passes its checks with v == previous, the run of v is extended in one
+       step to the last count that ``_softening_run_end`` predicts and
+       confirms still reads v. Once a prediction has extended the run, the
+       next new reading's run is predicted at once too, without waiting for
+       its repeat, if a repeat of it would pass the drop check; a prediction
+       that does not extend ends that until the next repeat.
+    3. The hardening bump and the tail d > hardening_onset are read at every
+       detection, with no skip test.
+
+    soft_end, the end of every extension, is the last interval multiple
+    strictly below both the reference and the collapse count, so the final
+    detection and collapse stay per detection. No reading changes: every
+    skipped detection lies between two that read v, where the reading cannot
+    rise, since d = n/life grows with n and each float operation of the
+    softening law is monotone (IEEE rounding of 1 - d, *, / and sqrt; libm
+    pow monotone in its base). It therefore reads v too, and passes its
+    checks as the repeat would: its previous reading is v itself, the floor
+    and V_a are unchanged, and soft_end keeps it below the collapse count.
+    This pays for runs whose readings hold over several detections: about
+    half the rows of a run read every 1 000 cycles to 2 000 000. At a
+    100 000-cycle interval no softening reading repeats, so no prediction is
+    made, and none misses.
     """
     settings = _checked_settings(**run_kwargs)
     ((_, sigma_alt),) = _tension_stresses((V_a,), device.mechanics, device.geometry)
@@ -339,71 +356,96 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
                    params: DamageModelParams, settings: RunSettings) -> FatigueRunRecord:
     """The detection loop of run_fatigue_test at drive V_a, for a specimen of Basquin
     life ``life`` (UNBOUNDED below its endurance), on a device of pristine pull-in
-    ``pristine`` read as ``pristine_meas``, with checked ``RunSettings``."""
-    if life is UNBOUNDED:
-        collapse_cycles = math.inf  # no damage accrues below the endurance
-    else:
-        # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
-        p, q = params.collapse_threshold.as_integer_ratio()
-        collapse_cycles = -(-p * life // q)
+    ``pristine`` read as ``pristine_meas``, with checked ``RunSettings``.
+
+    It walks run_fatigue_test's three stretches apart: an undamaged run, with no
+    reading evaluated; the softening stretch, whose repeated readings it extends
+    over the counts _softening_run_end predicts; and the bump and tail, read at
+    every detection with no skip test.
+    """
     detections: list[tuple[int, float]] = [(0, pristine_meas)]
-    # Everything the loop reads, bound once.
     interval, reference = int(settings.detection_interval), int(settings.reference_cycles)
+    keep = 1.0 - settings.drop_fraction
+    floor = settings.min_pullin_fraction * pristine_meas
+    if life is UNBOUNDED:
+        # Every detection reads pristine_meas after a reading of pristine_meas, so
+        # the first one's checks decide the run.
+        v = pristine_meas
+        outcome = (OUTCOME_FAILED if v <= keep * v or v < floor
+                   else OUTCOME_INVALID if v <= V_a else OUTCOME_SURVIVED)
+        if outcome == OUTCOME_SURVIVED:
+            detections.extend(zip(range(interval, reference, interval), repeat(v)))
+            detections.append((reference, v))
+        else:
+            detections.append((min(interval, reference), v))
+        return FatigueRunRecord(V_a, tuple(detections), outcome, settings.reference_cycles)
+    # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
+    p, q = params.collapse_threshold.as_integer_ratio()
+    collapse_cycles = -(-p * life // q)
+    # Everything the loops read, bound once.
     step = settings.detection_step_V
     soft_end = (min(reference, collapse_cycles) - 1) // interval * interval
     exponent, amplitude = params.softening_exponent, params.hardening_amplitude
     onset, collapse = params.hardening_onset, params.collapse_threshold
     span = collapse - onset
-    keep = 1.0 - settings.drop_fraction
-    floor = settings.min_pullin_fraction * pristine_meas
     sqrt, ceil, sin, pi, guard = math.sqrt, math.ceil, math.sin, math.pi, GRID_GUARD
     append = detections.append
-    outcome = OUTCOME_SURVIVED
+    outcome = None
     previous = pristine_meas
+    eager = False  # the last prediction extended the run
     n = 0
-    while n < reference:
+    while n < reference:  # the softening stretch
         n += interval
         if n > reference:
             n = reference
-        if life is UNBOUNDED:
-            d = 0.0
-        elif n < life:
-            d = n / life
-        else:
-            d = 1.0
-        # run_pull_in_detection's reading, inlined: the stiffness factor of
-        # damage.effective_stiffness_factor (d already lies in [0, 1]) with
-        # its hardening bump, then the step-grid rounding.
-        if onset < d < collapse:
-            bump = sin(pi * ((d - onset) / span)) ** 2
-        else:
-            bump = 0.0
-        k = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
-                 / step - guard)
+        d = n / life  # from n = life on, d >= 1.0 > onset
+        if d > onset:
+            break
+        # The reading with a bump factor of exactly 1.0; d <= onset < collapse
+        # also keeps n below the collapse count.
+        k = ceil(pristine * sqrt((1.0 - d) ** exponent) / step - guard)
         v = k * step
         append((n, v))
-        if n >= collapse_cycles or v <= keep * previous or v < floor:
+        if v <= keep * previous or v < floor:
             outcome = OUTCOME_FAILED
             break
         if v <= V_a:
             outcome = OUTCOME_INVALID
             break
-        if v == previous and d <= onset:
-            if life is UNBOUNDED:
-                last = soft_end
-            else:
-                last = _softening_run_end(n, k, life, interval, soft_end, onset,
-                                          pristine, step, exponent)
-            if last > n:
+        if v == previous or eager and not v <= keep * v:
+            last = _softening_run_end(n, k, life, interval, soft_end, onset,
+                                      pristine, step, exponent)
+            eager = last > n
+            if eager:
                 detections.extend(zip(range(n + interval, last + 1, interval), repeat(v)))
                 n = last
         previous = v
-    return FatigueRunRecord(
-        drive_amplitude_V=V_a,
-        detections=tuple(detections),
-        outcome=outcome,
-        reference_cycles=settings.reference_cycles,
-    )
+    else:
+        outcome = OUTCOME_SURVIVED
+    if outcome is None:  # the bump and the tail, d > onset from here on
+        while True:
+            d = n / life if n < life else 1.0
+            # run_pull_in_detection's reading, inlined: the stiffness factor of
+            # damage.effective_stiffness_factor with its hardening bump, then
+            # the step-grid rounding.
+            bump = sin(pi * ((d - onset) / span)) ** 2 if d < collapse else 0.0
+            v = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
+                     / step - guard) * step
+            append((n, v))
+            if n >= collapse_cycles or v <= keep * previous or v < floor:
+                outcome = OUTCOME_FAILED
+                break
+            if v <= V_a:
+                outcome = OUTCOME_INVALID
+                break
+            if n >= reference:
+                outcome = OUTCOME_SURVIVED
+                break
+            previous = v
+            n += interval
+            if n > reference:
+                n = reference
+    return FatigueRunRecord(V_a, tuple(detections), outcome, settings.reference_cycles)
 
 
 def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:

@@ -58,10 +58,11 @@ def test_detection_adds_no_damage(nominal_device, calibrated_params):
     assert first == second
 
 
-@pytest.mark.parametrize("step_V", [0.0, 1e-9, math.nan])
+@pytest.mark.parametrize("step_V", [0.0, 1e-9, math.nan, math.inf])
 def test_detection_takes_the_run_step_bound(nominal_device, calibrated_params, step_V):
     # The run's detection_step_V bound, MIN_DETECTION_STEP_V, not a bound of its own.
-    with pytest.raises(ValueError, match=r"^detection_step_V: must be >= 1e-06 V, got "):
+    with pytest.raises(ValueError,
+                       match=r"^detection_step_V: must be finite and >= 1e-06 V, got "):
         run_pull_in_detection(DamageState.pristine(), nominal_device, calibrated_params, step_V)
 
 
@@ -194,7 +195,7 @@ def test_run_bounds_its_detection_count(nominal_device, calibrated_params):
        hardening_amplitude=st.sampled_from([0.0, 0.3, 1.5]),
        softening_exponent=st.sampled_from([0.05, 0.2, 1.0]),
        step_V=st.sampled_from([0.01, 0.05, 0.1, 0.5]),
-       drop_fraction=st.sampled_from([0.05, 0.2, 0.5]),
+       drop_fraction=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
        min_pullin_fraction=st.sampled_from([0.1, 0.5, 0.9]))
 @settings(max_examples=300, deadline=None)
 def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params, rnd,
@@ -371,7 +372,9 @@ def count_readings(monkeypatch):
 
 def test_long_runs_evaluate_each_repeated_reading_once(nominal_device, calibrated_params,
                                                        monkeypatch):
-    # Guards the skip over repeated readings without a clock.
+    # Guards the skip over repeated readings without a clock. An undamaged run
+    # evaluates no reading of its own, and a softening reading whose run a
+    # prediction extended has the run of the next reading predicted at once.
     d, params = nominal_device, calibrated_params
     calls = count_readings(monkeypatch)
     evaluated = detected = 0
@@ -382,10 +385,34 @@ def test_long_runs_evaluate_each_repeated_reading_once(nominal_device, calibrate
                                   reference_cycles=2_000_000)
         if (V_a, threshold) == (13.0, 13.0):
             assert len(record.detections) == 2_001
-            assert len(calls) - before <= 4  # reading bound, pristine, first repeat, final
+            assert len(calls) - before == 2  # the reading bound and the pristine reading
         evaluated += len(calls) - before
         detected += len(record.detections)
     assert evaluated < detected / 2
+    assert evaluated <= 2_459  # predicting only on a repeat evaluates 2 756
+
+
+def test_coarse_runs_predict_no_softening_run(nominal_device, calibrated_params,
+                                              monkeypatch):
+    # At a 100 000-cycle interval no softening reading repeats, so a run that
+    # predicted each new reading's run would pay for a prediction that misses at
+    # every detection. None is made.
+    d, params = nominal_device, calibrated_params
+    calls = []
+    softening_run_end = protocols._softening_run_end
+
+    def counted(*args):
+        calls.append(args)
+        return softening_run_end(*args)
+
+    monkeypatch.setattr(protocols, "_softening_run_end", counted)
+    outcomes = []
+    for V_a, threshold, _ in LONG_RUNS:
+        specimen = SpecimenStrength(strength_scale_from_threshold(threshold, d, params))
+        outcomes.append(run_fatigue_test(V_a, specimen, d, params, detection_interval=100_000,
+                                         reference_cycles=2_000_000).outcome)
+    assert OUTCOME_FAILED in outcomes and OUTCOME_SURVIVED in outcomes
+    assert calls == []
 
 
 @pytest.mark.parametrize("E_GPa, step_V, softening_exponent", [
