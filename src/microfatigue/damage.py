@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 from .device import DeviceGeometry, DerivedMechanics
 from .electromech import pull_in_voltage_closed_form
+from .loading import _is_whole
 
 
 @dataclass(frozen=True)  # stays a dataclass: bench/workloads.py calls dataclasses.asdict on it
@@ -117,9 +118,9 @@ def accumulate(state: DamageState, sigma_alt_Pa: float, delta_cycles: int,
                params: DamageModelParams,
                specimen: SpecimenStrength = SpecimenStrength()) -> DamageState:
     """Apply delta_cycles load cycles at amplitude sigma_alt (Miner's rule)."""
+    if not (_is_whole(delta_cycles) and delta_cycles >= 0):
+        raise ValueError(f"delta_cycles: must be a whole number >= 0, got {delta_cycles}")
     delta_cycles = int(delta_cycles)
-    if delta_cycles < 0:
-        raise ValueError(f"cycle increment must be >= 0, got {delta_cycles}")
     life = cycles_to_failure(sigma_alt_Pa, params, specimen)
     cycles = state.cycles_applied + delta_cycles
     if life is UNBOUNDED or delta_cycles == 0:

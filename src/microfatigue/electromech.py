@@ -12,8 +12,6 @@ import math
 import struct
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import SolverError
-
 if TYPE_CHECKING:  # annotations only: device imports this module
     from collections.abc import Iterable
 
@@ -26,7 +24,6 @@ STABLE_FRACTION = 1.0 / 3.0
 
 DEFAULT_SWEEP_STEP_V = 0.05  # DC supply step of the pull-in sweep
 SWEEP_TOL_V = 1e-3           # bracket width at which the sweep reads its pull-in
-MAX_SWEEP_STEPS = 2_000_000  # supply steps to pull-in a sweep may take, checked up front
 MIN_CURVE_POINTS = 2         # points of one conversion curve: both ends at least
 MAX_CURVE_POINTS = 100_000   # points of one conversion curve
 DEFAULT_CURVE_POINTS = 41    # points of a conversion curve when none are asked for
@@ -160,21 +157,31 @@ def validate_sweep_steps(**steps: float) -> list[str]:
             if not 0.0 < value < math.inf]
 
 
+def _supply_level(limit: float, step_V: float) -> float:
+    """The first supply level k*step_V (k >= 1) at or above limit >= 0, for a finite
+    step_V > 0. Below 2**52 steps to the limit, k and k*step_V are exact but for the
+    product's rounding, so ceil(limit/step_V) is at most one level off either way. A
+    finer step puts that level within two floats of the limit: it reads the limit."""
+    if not (ratio := limit / step_V) < 2.0**52:
+        return limit
+    k = max(math.ceil(ratio), 1)
+    k -= k > 1 and (k - 1) * step_V >= limit
+    return (k + 1 if k * step_V < limit else k) * step_V
+
+
 def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
                           step_V: float = DEFAULT_SWEEP_STEP_V) -> PullInResult:
-    """Pull-in found by stepping the DC voltage until equilibrium is lost.
-
-    The last step bracket [V-step, V] is bisected down to SWEEP_TOL_V, mimicking
-    a step-by-step DC supply. step_V must pass validate_sweep_steps, and the device's
-    pull-in must lie within MAX_SWEEP_STEPS steps of it: a SolverError says so before
-    the first step, as that budget depends on the device as well as on step_V.
+    """Pull-in found on a stepped DC supply: the first level k*step_V (k >= 1) without
+    equilibrium, its step bracket bisected down to SWEEP_TOL_V. step_V must pass
+    validate_sweep_steps.
 
     An equilibrium exists at v while drive_scale*v*v/2.0 < capacity. For drive_scale
     >= 0 each IEEE operation in it is monotone in v >= 0, so it fails from the float
-    _sweep_limit finds on: the budget, the steps and the bisection compare with that
-    alone. The deflection at instability is read at the float below that limit, the
-    last with an equilibrium (the 0 V point at a limit of 0 V): the deflection nears
-    g/3 like sqrt(V_PI - V), so a reading at any coarser voltage falls short of it.
+    _sweep_limit finds on: the level, read off the grid by _supply_level rather than
+    walked to, and the bisection compare with that alone. The deflection at
+    instability is read at the float below that limit, the last with an equilibrium
+    (the 0 V point at a limit of 0 V): the deflection nears g/3 like sqrt(V_PI - V),
+    so a reading at any coarser voltage falls short of it.
     """
     problems = validate_sweep_steps(step_V=step_V)
     if problems:
@@ -183,13 +190,8 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     if drive_scale < 0.0:
         raise ValueError(f"effective_area_m2: must be >= 0, got {mech.effective_area_m2}")
     limit = _sweep_limit(drive_scale, capacity)
-    if not limit <= MAX_SWEEP_STEPS * step_V:
-        raise SolverError(f"{MAX_SWEEP_STEPS} steps of {step_V:g} V stop short of "
-                          f"pull-in at {limit:.6g} V")
-    v = step_V
-    while v < limit:
-        v += step_V
-    lo, hi = max(v - step_V, 0.0), v
+    hi = _supply_level(limit, step_V)
+    lo = max(hi - step_V, 0.0)
     # The bisection also ends where the bracket holds adjacent floats, whose midpoint
     # is one of its ends: above 2**43 V their spacing exceeds SWEEP_TOL_V.
     while hi - lo > SWEEP_TOL_V and lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -1,13 +1,9 @@
-"""Exception hierarchy for the microfatigue package."""
+"""Exception hierarchy for the microfatigue package. Every class below the base
+is raised somewhere in it."""
 
 
 class MicrofatigueError(Exception):
     """Base class for all package-specific errors."""
-
-
-class SolverError(MicrofatigueError):
-    """A numerical solve cannot reach its answer: a pull-in sweep whose step
-    budget stops short of pull-in (distinct from physical pull-in)."""
 
 
 class CalibrationError(MicrofatigueError):

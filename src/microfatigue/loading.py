@@ -9,6 +9,7 @@ periods to load periods.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -61,12 +62,18 @@ class FatigueParameters(NamedTuple):
     stress_ratio: float | None
 
 
+def _is_whole(value) -> bool:
+    """Whether value is a whole count: an integer, or a float with no fraction."""
+    return type(value) is int or isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+
+
 def load_cycles_from_voltage_cycles(n_voltage_cycles: int) -> int:
     """Number of load cycles produced by n voltage cycles (exactly 2x)."""
-    n = int(n_voltage_cycles)
-    if n < 0:
-        raise ValueError(f"cycle count must be >= 0, got {n_voltage_cycles}")
-    return 2 * n
+    if not (_is_whole(n_voltage_cycles) and n_voltage_cycles >= 0):
+        raise ValueError(f"n_voltage_cycles: must be a whole number >= 0, "
+                         f"got {n_voltage_cycles}")
+    return 2 * int(n_voltage_cycles)
 
 
 def waveform(t: float, spec: LoadCycleSpec) -> float:

@@ -16,7 +16,7 @@ from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength
 from .device import Device
 from .electromech import _stable_points, pull_in_voltage_closed_form
 from .errors import CalibrationError
-from .loading import _tension_stresses
+from .loading import _is_whole, _tension_stresses
 
 OUTCOME_FAILED = "failed"
 OUTCOME_SURVIVED = "survived"
@@ -139,11 +139,6 @@ def build_population(master_seed: int, strength_mean_V: float, strength_std_V: f
     pairs = population_thresholds(master_seed, strength_mean_V, strength_std_V, n_specimens,
                                   device, strengths_V)
     return specimens_from_thresholds([clamped for _, clamped in pairs], device, params)
-
-
-def _is_whole(value) -> bool:
-    return type(value) is int or isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer())
 
 
 class RunSettings(NamedTuple):

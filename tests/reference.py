@@ -98,12 +98,13 @@ def per_point_curve(mech, geom, V_max, n_points):
 
 
 def two_loop_sweep(mech, geom, step_V):
-    """Reference: the step-and-bisect sweep as two separate bisection loops, the second
-    ending where the bracket holds adjacent floats, its bottom the last float with an
-    equilibrium, whose deflection is read."""
-    v = step_V
-    while equilibrium_exists(v, mech, geom):
-        v += step_V
+    """Reference: the step-and-bisect sweep as supply levels k*step_V stepped for
+    k = 1, 2, ..., then two separate bisection loops, the second ending where the
+    bracket holds adjacent floats, its bottom the last float with an equilibrium,
+    whose deflection is read."""
+    k = 1
+    while equilibrium_exists(v := k * step_V, mech, geom):
+        k += 1
     lo, hi = max(v - step_V, 0.0), v
     while hi - lo > SWEEP_TOL_V and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if equilibrium_exists(mid, mech, geom) else (lo, mid)
@@ -114,6 +115,19 @@ def two_loop_sweep(mech, geom, step_V):
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if equilibrium_exists(mid, mech, geom) else (lo, mid)
     return PullInResult(detected, static_equilibrium(lo, mech, geom).deflection_m)
+
+
+def first_supply_level(limit, step_V):
+    """Reference of electromech._supply_level below 2**52 steps: the first level
+    k*step_V, k >= 1, at or above limit, by doubling k and then bisecting it."""
+    hi = 1
+    while hi * step_V < limit:
+        hi *= 2
+    lo = hi // 2  # 0, or a k whose level lies below the limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid * step_V < limit else (lo, mid)
+    return hi * step_V
 
 
 def random_device(rng):

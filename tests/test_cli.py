@@ -17,11 +17,10 @@ from microfatigue import stats
 from microfatigue.cli import (build_curve, build_fatigue, build_parser, build_pullin,
                               build_staircase, cli_dispatch)
 from microfatigue.config import default_config, parse_config
-from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS,
-                                      MAX_SWEEP_STEPS, PullInResult,
-                                      pull_in_voltage_closed_form, pull_in_voltage_sweep,
-                                      static_equilibrium, stress_conversion_curve)
-from microfatigue.errors import ConfigError, EstimationError, SolverError
+from microfatigue.electromech import (DEFAULT_CURVE_POINTS, MAX_CURVE_POINTS, SWEEP_TOL_V,
+                                      pull_in_voltage_closed_form, static_equilibrium,
+                                      stress_conversion_curve)
+from microfatigue.errors import ConfigError, EstimationError
 from microfatigue.protocols import MAX_SPECIMENS, MIN_THRESHOLD_V
 from tests import reference
 from tests.strategies import (EXTREMES, INF, NAN, floats_around, json_configs,
@@ -410,7 +409,7 @@ STDOUT_DIGESTS = [
      "5c394a6ef8b1ce9e4e4c4ea3636b23a1a774db19bda59e62c658fc967706c9a7"),
     (["--show-defaults"], BENCH_DIGESTS["staircase"]["config_echo.json"]),
     (["pullin"],
-     "3b3fb054bda7d9c27a305b740317cfc1215d99e529f72f8fc7b6c6cb4296bfc5"),
+     "01fe64191f5d5950d9408a3d9e6b2295815896e6696924cf4c17bd14536e47d0"),
     (["curve", "--vmax", "25", "--points", "200"],
      BENCH_DIGESTS["curve"]["conversion_curve.csv"]),
     (["--config", {"geometry": {"gap_um": 2.85, "specimen_thickness_um": 2.0},
@@ -428,11 +427,11 @@ STDOUT_DIGESTS = [
       "pullin"],
      "0a012726880913d6d10f2d12a9faad7bbc0db45eb78db1bf6c42cc35c1e355fd"),
     (["--config", {"geometry": {"gap_um": math.nextafter(420.0, 0.0)}}, "pullin"],
-     "913521ce3d038faa765889ac076a78ca7956bc4d95744d7270ab13f5f5adc754"),
+     "720290de2b82c1e3da29a1cfd0118a6fdc24c469937e54fbb2d56a944921a86d"),
     (["--config", {"model": {"c_k": 1e-6}}, "pullin"],
      "1a94c69a1c34ca920a42f2da41fa0a5a72e40323bc459e668e3149418a1a3af8"),
     (["--config", {"model": {"c_k": 1e6}}, "pullin"],
-     "eb3ee569bb4febab47c3e053c3cffb9497fa2f09f115442fac34477e13f19207"),
+     "a3423793c4f8d970ea0aad9d3a874cb23649f37cd3dc9182d6eec4a74a5dbc02"),
 ]
 
 
@@ -595,9 +594,9 @@ OVERFLOWING_READINGS = {"model": {"c_k": 1e296, "detection_step_V": 1e-6},
 
 @pytest.mark.parametrize("config, argv, path", [
     ({"campaign": {"n_specimens": 0}}, ["recovery"], "campaign.n_specimens"),
-    ({"model": {"sweep_step_V": 1e-6}}, ["pullin"], "model.sweep_step_V"),
-    # The pull-in rises to about 835 kV, past 2e6 sweep steps of 0.05 V.
-    ({"geometry": {"specimen_length_um": 0.05}}, ["pullin"], "model.sweep_step_V"),
+    # The step is at fault only outside its range: any finite step above 0 runs.
+    ({"model": {"sweep_step_V": 0}}, ["pullin"], "model.sweep_step_V"),
+    ({"model": {"sweep_step_V": math.inf}}, ["pullin"], "model.sweep_step_V"),
     # fatigue's default specimen threshold; explicit damage skips the calibration's check.
     ({"damage": {**EXPLICIT_DAMAGE, "calibrate_target_V_D": 0}}, ["fatigue", "--va", "14"],
      "damage.calibrate_target_V_D"),
@@ -618,26 +617,19 @@ def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, 
     assert f" {path}: " in err
 
 
-@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9], ids=["short", "enough"])
-def test_pullin_and_the_sweep_share_one_step_budget(tmp_path, capsys, factor):
-    # A step just short of, or just enough for, MAX_SWEEP_STEPS steps to the
-    # nominal pull-in: the library raises exactly where pullin exits 2, in its words.
-    device = default_config().device()
-    v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-    step_V = v_pi / MAX_SWEEP_STEPS * factor
-    result = reference.result_or_fault(lambda: pull_in_voltage_sweep(
-        device.mechanics, device.geometry, step_V=step_V))
-    cfg = tmp_path / "step.json"
-    cfg.write_text(json.dumps({"model": {"sweep_step_V": step_V}}))
+@pytest.mark.parametrize("config", [
+    {"model": {"sweep_step_V": 1e-6}},
+    # The pull-in rises to about 835 kV, 1.7e7 sweep steps of 0.05 V.
+    {"geometry": {"specimen_length_um": 0.05}},
+], ids=["fine-step", "high-pull-in"])
+def test_pullin_reads_a_sweep_of_any_step_count(tmp_path, capsys, config):
+    # The sweep reads its supply level off the step grid, so no step count is too many.
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "--config", str(cfg), "pullin")
-    if factor < 1:
-        assert result[0] is SolverError
-        assert (code, out) == (2, "")
-        assert err == f"config error: model.sweep_step_V: {result[1]}\n"
-    else:
-        assert type(result) is PullInResult
-        assert (code, err) == (0, "")
-        assert json.loads(out)["sweep_V"] == result.pull_in_voltage_V
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert abs(payload["sweep_V"] - payload["closed_form_V"]) <= SWEEP_TOL_V
 
 
 # Each command that writes files, run from a directory holding the file "afile".

@@ -63,6 +63,19 @@ def test_accumulate_below_endurance_is_inert():
     assert not after.failed and not after.hardened
 
 
+@pytest.mark.parametrize("count", [2.9, 0.5, -1, -2.0, math.inf, math.nan])
+def test_accumulate_rejects_a_cycle_count_that_is_not_whole(count):
+    # 2.9 cycles once applied the 2 cycles of int(2.9).
+    with pytest.raises(ValueError, match=r"^delta_cycles: must be a whole number >= 0, "):
+        accumulate(DamageState.pristine(), 30e6, count, PARAMS)
+
+
+def test_accumulate_takes_a_whole_float():
+    whole = accumulate(DamageState.pristine(), 30e6, 3.0, PARAMS)
+    assert whole == accumulate(DamageState.pristine(), 30e6, 3, PARAMS)
+    assert type(whole.cycles_applied) is int
+
+
 def test_accumulate_reaches_failure():
     life = cycles_to_failure(30e6, PARAMS)
     state = accumulate(DamageState.pristine(), 30e6, life, PARAMS)

@@ -15,7 +15,7 @@ import microfatigue
 from microfatigue import electromech
 from microfatigue.device import (C_K_RESONANCE_PRESET, LENGTH_WINDOW_UM, Device,
                                  DeviceGeometry, Material, derive_mechanics, validate_stiffness)
-from microfatigue.electromech import (MAX_CURVE_POINTS, MAX_SWEEP_STEPS, SWEEP_TOL_V,
+from microfatigue.electromech import (MAX_CURVE_POINTS, SWEEP_TOL_V,
                                       EquilibriumPoint, electrostatic_force, natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
@@ -25,8 +25,8 @@ from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (calibrate_defaults, strength_scale_from_threshold,
                                     validate_stair_case)
 from tests.reference import (PAPER_THRESHOLDS_V, bisect_equilibrium, drive_and_capacity,
-                             equilibrium_exists, per_point_curve, per_point_equilibrium,
-                             random_device, two_loop_sweep)
+                             equilibrium_exists, first_supply_level, per_point_curve,
+                             per_point_equilibrium, random_device, two_loop_sweep)
 from tests.strategies import floats_around, floats_below
 
 
@@ -346,12 +346,40 @@ BRACKET_ABOVE_LIMIT = (Device.assemble(DeviceGeometry(gap_um=2.91, specimen_thic
                                        Material(), c_k=2.1), 20.760440951626993)
 
 
+# Steps at which ceil(limit/step_V) for the nominal device is one level low (19 * step_V
+# rounds below the limit) and one level high (121 * step_V rounds up onto it).
+CEIL_LOW, CEIL_HIGH = 1.3892178990879616, 0.21814165357579562
+
+
 @given(device=DEVICES, step_V=st.floats(0.01, 60.0))
 @example(*BRACKET_ABOVE_LIMIT)
+@example(Device.nominal(), CEIL_LOW)
+@example(Device.nominal(), CEIL_HIGH)
 @settings(max_examples=200, deadline=None)
 def test_sweep_matches_two_loop_reference(device, step_V):
     mech, geom = device.mechanics, device.geometry
     assert pull_in_voltage_sweep(mech, geom, step_V=step_V) == two_loop_sweep(mech, geom, step_V)
+
+
+NOMINAL_LIMIT = 26.395140082671272  # _sweep_limit of the nominal device
+
+
+@given(limit=st.floats(0.0, 1e300), steps=st.floats(2.0**-20, 2.0**80))
+@example(limit=NOMINAL_LIMIT, steps=NOMINAL_LIMIT / CEIL_LOW)
+@example(limit=NOMINAL_LIMIT, steps=NOMINAL_LIMIT / CEIL_HIGH)
+@example(limit=0.0, steps=1.0)
+@example(limit=5e-324, steps=1.0)  # a subnormal step
+@example(limit=NOMINAL_LIMIT, steps=2.0**52)
+@settings(max_examples=300, deadline=None)
+def test_supply_level_is_the_first_grid_level_at_the_limit(limit, steps):
+    step_V = limit / steps if limit else 1e-3
+    assume(step_V > 0.0)
+    level, exact = electromech._supply_level(limit, step_V), first_supply_level(limit, step_V)
+    if limit / step_V < 2.0**52:
+        assert level == exact
+    else:  # the first level lies within two floats of the limit, which is read
+        assert level == limit <= exact <= math.nextafter(math.nextafter(limit, math.inf),
+                                                         math.inf)
 
 
 class CountedScale(float):
@@ -429,9 +457,10 @@ def test_sweep_limit_is_the_first_float_without_equilibrium(device, steps):
 
 
 def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
-    # Guards the float-only step loop without a clock: the sweep binds the
-    # device constants once and finds its limit once; the only other test
-    # of equilibrium is the deflection read at the float below that limit.
+    # Guards the float-only supply read without a clock, at 528 steps to pull-in
+    # and at 2.6e10: the sweep binds the device constants once and finds its limit
+    # once; the only other test of equilibrium is the deflection read at the float
+    # below that limit.
     events = []
     constants, limit_of = electromech._drive_scale_and_capacity, electromech._sweep_limit
 
@@ -446,13 +475,15 @@ def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
 
     monkeypatch.setattr(electromech, "_drive_scale_and_capacity", counted_constants)
     monkeypatch.setattr(electromech, "_sweep_limit", counted_limit)
-    CountedScale.products = 0
     d = nominal_device
-    res = electromech.pull_in_voltage_sweep(d.mechanics, d.geometry)
-    assert res.pull_in_voltage_V == pytest.approx(26.395, abs=5e-3)  # about 528 steps
-    # The second "constants" is the equilibrium solve at the end.
-    assert events == ["constants", "limit", "constants"]
-    assert CountedScale.products <= MAX_LIMIT_EVALUATIONS + 1
+    for step_V in (0.05, 1e-9):
+        events.clear()
+        CountedScale.products = 0
+        res = electromech.pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=step_V)
+        assert res.pull_in_voltage_V == pytest.approx(26.395, abs=5e-3)
+        # The second "constants" is the equilibrium solve at the end.
+        assert events == ["constants", "limit", "constants"]
+        assert CountedScale.products <= MAX_LIMIT_EVALUATIONS + 1
 
 
 def test_sweep_rejects_negative_effective_area(nominal_device):
@@ -462,16 +493,15 @@ def test_sweep_rejects_negative_effective_area(nominal_device):
 
 
 # Runs the sweep of the nominal device with c_k, at step_V, from sys.argv and prints
-# its closed-form and detected pull-in, or the ValueError or SolverError it raises.
+# its closed-form and detected pull-in, or the ValueError it raises.
 _SWEEP = """
 import sys
 from microfatigue.device import Device
 from microfatigue.electromech import pull_in_voltage_closed_form, pull_in_voltage_sweep
-from microfatigue.errors import SolverError
 d = Device.nominal(c_k=float(sys.argv[2]))
 try:
     res = pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=float(sys.argv[1]))
-except (ValueError, SolverError) as exc:
+except ValueError as exc:
     print(type(exc).__name__, exc)
 else:
     print(pull_in_voltage_closed_form(d.mechanics, d.geometry).pull_in_voltage_V,
@@ -485,8 +515,9 @@ SWEEP_ROWS = [("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"), ("-inf", "1e
               ("0.05", "1e-300", None), ("0.05", "5e-324", None),
               # Pull-in at 2.6e14 V, where adjacent floats lie 2**-5 V > SWEEP_TOL_V apart.
               ("1e12", "1e26", None),
-              # A step whose MAX_SWEEP_STEPS steps stop short of pull-in.
-              ("1e-9", "1", "budget")]
+              # 2.6e10 steps to pull-in; and 2.6e16, and 5e324 (limit/step_V
+              # overflows), steps finer than the floats near pull-in.
+              ("1e-9", "1", None), ("1e-15", "1", None), ("5e-324", "1", None)]
 
 
 # Each id names the step, the device's c_k and the argument at fault.
@@ -495,19 +526,15 @@ SWEEP_ROWS = [("nan", "1e-3", "step_V"), ("inf", "1e-3", "step_V"), ("-inf", "1e
 def test_sweep_returns_or_raises_within_bound(step_V, c_k, fault):
     # In a fresh process with a timeout, so that a sweep that never ends fails.
     out = _run_fresh(_SWEEP, step_V, c_k, timeout=30).strip()
-    if fault == "budget":
-        assert out.startswith(
-            f"SolverError {MAX_SWEEP_STEPS} steps of {float(step_V):g} V stop short of pull-in")
-        return
     if fault is not None:
         assert out.startswith(f"ValueError {fault}: must be finite and > 0")
         return
     closed, detected = map(float, out.split())
-    if closed < 1.0:
+    if closed < 2.0**43:
         assert abs(detected - closed) <= SWEEP_TOL_V
     else:
         # A tolerance below the float spacing stops at adjacent floats around pull-in.
-        assert closed > 2.0**43 and detected == pytest.approx(closed, rel=1e-15)
+        assert detected == pytest.approx(closed, rel=1e-15)
 
 
 def point_reprs(point):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +36,17 @@ def test_cycle_doubling_linear(a, b):
 def test_cycle_doubling_rejects_negative():
     with pytest.raises(ValueError):
         load_cycles_from_voltage_cycles(-1)
+
+
+@pytest.mark.parametrize("count", [2.5, 0.1, -1.0, math.inf, math.nan])
+def test_cycle_doubling_rejects_a_count_that_is_not_whole(count):
+    # 2.5 voltage cycles once doubled to the 4 load cycles of int(2.5).
+    with pytest.raises(ValueError, match=r"^n_voltage_cycles: must be a whole number >= 0, "):
+        load_cycles_from_voltage_cycles(count)
+
+
+def test_cycle_doubling_takes_a_whole_float():
+    assert load_cycles_from_voltage_cycles(3.0) == 6
 
 
 def test_load_cycle_spec_timing():

@@ -225,3 +225,28 @@ def test_test_modules_share_code_only_through_the_helper_modules():
     faults = [f"{path.name} {fault}" for path in sorted((ROOT / "tests").glob("test_*.py"))
               for fault in _test_module_faults(path.read_text())]
     assert faults == []
+
+
+def _raised_names(source: str) -> set[str]:
+    """The names raised in source: raise X and raise X(...), X a name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names - {None}
+
+
+def test_the_raise_scan_reads_each_raised_name():
+    source = ("def f(exc):\n    raise ValueError('x')\n    raise errors.SolverError('y') from exc\n"
+              "    raise KeyError\n    raise\n    raise exc\n    SolverLike('not raised')\n")
+    assert _raised_names(source) == {"ValueError", "SolverError", "KeyError", "exc"}
+
+
+def test_every_error_class_is_raised_in_src():
+    # An exception type outlives its last raiser unless this fails.
+    package = ROOT / "src" / "microfatigue"
+    classes = [node.name for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name != "MicrofatigueError"]
+    raised = set().union(*(_raised_names(path.read_text()) for path in package.glob("*.py")))
+    assert classes and [name for name in classes if name not in raised] == []
