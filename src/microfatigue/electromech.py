@@ -41,15 +41,6 @@ class PullInResult(NamedTuple):
     deflection_at_instability_m: float
 
 
-def electrostatic_force(V: float, x: float, mech: DerivedMechanics,
-                        geom: DeviceGeometry) -> float:
-    """Attractive parallel-plate force at voltage V and plate deflection x (m)."""
-    g = geom.gap_m
-    if not 0.0 <= x < g:
-        raise ValueError(f"deflection {x} m outside [0, gap) with gap {g} m")
-    return EPSILON_0 * mech.effective_area_m2 * V * V / (2.0 * (g - x) ** 2)
-
-
 def _drive_scale_and_capacity(mech: DerivedMechanics,
                               geom: DeviceGeometry) -> tuple[float, float]:
     # eps0*A, so that the drive at voltage V is eps0*A*V*V/2, and the

@@ -250,7 +250,7 @@ def _dixon_mood_means(codes: np.ndarray, tables: tuple) -> np.ndarray:
     """
     import numpy as np
     levels, _, weight, cell_bit, lowest, both, shifts, half = tables
-    packed = weight.take(codes).sum(axis=0)
+    packed = np.add.reduce(weight.take(codes), axis=0)
     masks = np.bitwise_or.reduce(cell_bit.take(codes), axis=0)
     keep = both.take(masks)
     fields = (packed[keep] >> shifts) & 0xFFFF  # failures, survivals and their level sums
@@ -259,6 +259,21 @@ def _dixon_mood_means(codes: np.ndarray, tables: tuple) -> np.ndarray:
     a = fields[2:] - n * (x0 - levels[0])
     means = x0 + (a / n + half)
     return np.where(n[0] <= n[1], means[0], means[1])
+
+
+def _bias_summary(biases: np.ndarray) -> tuple[float, float, float]:
+    """Mean, ddof-0 spread and largest magnitude of a non-empty 1-D float64 array, as
+    float(biases.mean()), float(biases.std()) and float(np.abs(biases).max()) give
+    them: the ufunc reductions those wrappers run, in their order. The mean is numpy's
+    pairwise add.reduce over the size; the spread the square root of the same mean of
+    the squared deviations from it."""
+    import numpy as np
+    size = biases.size
+    mean = float(np.add.reduce(biases)) / size
+    deviations = biases - mean
+    deviations *= deviations
+    return (mean, math.sqrt(float(np.add.reduce(deviations)) / size),
+            float(np.maximum.reduce(np.abs(biases))))
 
 
 def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
@@ -283,7 +298,9 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     replication's counts and level sums per outcome. The words come in order, so
     the block size leaves them unchanged, and the summary equals that of one
     synthetic_stair_case and dixon_mood per replication on strengths in the same
-    cells.
+    cells. The summary (_bias_summary) is numpy's pairwise add.reduce mean of the
+    biases and their ddof-0 spread: numpy's summation order, which NEP 19 does not
+    freeze.
     """
     problems = validate_population(n_specimens, None, strength_mean_V, strength_std_V, master_seed)
     problems += [f"{name}: must be finite, got {value}" for name, value in (
@@ -322,7 +339,7 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")
-    biases = estimates - strength_mean_V
+    mean_bias, std_bias, max_abs_bias = _bias_summary(estimates - strength_mean_V)
     return {
         "true_mean_V": strength_mean_V,
         "true_std_V": strength_std_V,
@@ -330,7 +347,7 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
         "replications": replications,
         "valid_replications": estimates.size,
         "skipped_replications": replications - estimates.size,
-        "mean_bias_V": float(biases.mean()),
-        "std_bias_V": float(biases.std()),
-        "max_abs_bias_V": float(np.abs(biases).max()),
+        "mean_bias_V": mean_bias,
+        "std_bias_V": std_bias,
+        "max_abs_bias_V": max_abs_bias,
     }

@@ -40,6 +40,14 @@ def drive_and_capacity(V, mech, geom):
             mech.suspension_stiffness_N_m * x_limit * (g - x_limit) ** 2)
 
 
+def electrostatic_force(V, x, mech, geom):
+    """Attractive parallel-plate force at voltage V and plate deflection x (m)."""
+    g = geom.gap_m
+    if not 0.0 <= x < g:
+        raise ValueError(f"deflection {x} m outside [0, gap) with gap {g} m")
+    return EPSILON_0 * mech.effective_area_m2 * V * V / (2.0 * (g - x) ** 2)
+
+
 def equilibrium_exists(V, mech, geom):
     """Whether a stable equilibrium exists at V: the drive stays below the capacity."""
     drive, capacity = drive_and_capacity(V, mech, geom)

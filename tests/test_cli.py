@@ -435,7 +435,15 @@ STDOUT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS)
+def _by_argv(rows):
+    """The rows as parameters named by their argv alone, each config dict written as
+    its compact JSON, so a declared byte change keeps a row's id."""
+    return [pytest.param(argv, digest, id=" ".join(
+        json.dumps(arg, separators=(",", ":")) if isinstance(arg, dict) else arg
+        for arg in argv)) for argv, digest in rows]
+
+
+@pytest.mark.parametrize("argv, digest", _by_argv(STDOUT_DIGESTS))
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, digest):
     cfg = tmp_path / "config.json"
     for arg in argv:
@@ -770,8 +778,8 @@ def test_staircase_draws_each_threshold_once(monkeypatch):
     assert seeds == [(camp.master_seed, i) for i in range(camp.n_specimens)]
 
 
-@pytest.mark.parametrize("argv, digest", [
-    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]])
+@pytest.mark.parametrize("argv, digest", _by_argv(
+    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]))
 def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
     monkeypatch.setattr(Path, "mkdir", _refuse)
     monkeypatch.setattr(Path, "write_text", _refuse)

@@ -16,7 +16,7 @@ from microfatigue import electromech
 from microfatigue.device import (C_K_RESONANCE_PRESET, LENGTH_WINDOW_UM, Device,
                                  DeviceGeometry, Material, derive_mechanics, validate_stiffness)
 from microfatigue.electromech import (MAX_CURVE_POINTS, SWEEP_TOL_V,
-                                      EquilibriumPoint, electrostatic_force, natural_frequency,
+                                      EquilibriumPoint, natural_frequency,
                                       pull_in_voltage_closed_form,
                                       pull_in_voltage_sweep, static_equilibrium,
                                       stress_conversion_curve)
@@ -25,8 +25,9 @@ from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (calibrate_defaults, strength_scale_from_threshold,
                                     validate_stair_case)
 from tests.reference import (PAPER_THRESHOLDS_V, bisect_equilibrium, drive_and_capacity,
-                             equilibrium_exists, first_supply_level, per_point_curve,
-                             per_point_equilibrium, random_device, two_loop_sweep)
+                             electrostatic_force, equilibrium_exists, first_supply_level,
+                             per_point_curve, per_point_equilibrium, random_device,
+                             two_loop_sweep)
 from tests.strategies import floats_around, floats_below
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -408,6 +410,33 @@ def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
     tables = stats._window_tables(tuple(levels))
     codes = stats._stair_case_codes(tables[0].searchsorted(strengths.T), tables[1], 5 * start)
     assert stats._dixon_mood_means(codes, tables).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 200, 1000, 4097])
+def test_bias_summary_equals_numpy_mean_std_and_max(size):
+    # Sizes on both sides of numpy's pairwise-summation blocks (8 and 128 elements);
+    # values as a trial's biases: Dixon-Mood means X0 + (A/N +/- 1/2) less a true mean.
+    rng = np.random.default_rng(size)
+    n = rng.integers(1, 13, size)
+    estimates = rng.integers(12, 16, size) + (rng.integers(0, 3 * n + 1) / n
+                                              + rng.choice([-0.5, 0.5], size))
+    biases = estimates - 12.7
+    assert list(map(repr, stats._bias_summary(biases))) == list(map(repr, (
+        float(np.mean(biases)), float(np.std(biases)), float(np.max(np.abs(biases))))))
+
+
+@pytest.mark.parametrize("strength_std_V", [0.55, 0.0])
+def test_recovery_trial_enters_no_numpy_python_reduction(strength_std_V):
+    # numpy's mean(), std(), sum() and max() run their reductions through the Python
+    # wrappers of numpy/_core/_methods.py; the trial calls the ufunc reductions direct.
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
+    try:
+        estimator_recovery_trial(13.0, strength_std_V, 12, 200, master_seed=7)
+    finally:
+        sys.setprofile(None)
+    assert "_dixon_mood_means" in {code.co_name for code in calls}
+    assert [code.co_name for code in calls if Path(code.co_filename).match("numpy/*/_methods.py")] == []
 
 
 @pytest.mark.parametrize("fault, name", [

@@ -2,6 +2,7 @@
 the Python floor every source must parse at."""
 
 import ast
+import collections
 import re
 from pathlib import Path
 
@@ -45,26 +46,28 @@ def test_sources_parse_at_the_declared_python_floor(path):
 
 
 # The functions that make arrays; numpy is imported in them and nowhere else.
-NUMPY_IMPORTERS = ["protocols.population_thresholds", "stats._dixon_mood_means",
-                   "stats._window_tables", "stats.estimator_recovery_trial"]
+NUMPY_IMPORTERS = ["protocols.population_thresholds", "stats._bias_summary",
+                   "stats._dixon_mood_means", "stats._window_tables",
+                   "stats.estimator_recovery_trial"]
 
 
-def _sites(path: Path, hit) -> list[str]:
-    """The dotted scope (module, then enclosing defs) of each node of path that hit
-    accepts."""
-    sites = []
-
+def _scoped_nodes(path: Path):
+    """Each node of path but the defs, with its dotted scope (module, then enclosing
+    defs)."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
+                yield from visit(child, f"{scope}.{child.name}")
                 continue
-            if hit(child):
-                sites.append(scope)
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(ast.parse(path.read_text()), path.stem)
-    return sites
+    return visit(ast.parse(path.read_text()), path.stem)
+
+
+def _sites(path: Path, hit) -> list[str]:
+    """The dotted scope of each node of path that hit accepts."""
+    return [scope for scope, node in _scoped_nodes(path) if hit(node)]
 
 
 def _src_sites(hit) -> list[str]:
@@ -250,3 +253,68 @@ def test_every_error_class_is_raised_in_src():
                if isinstance(node, ast.ClassDef) and node.name != "MicrofatigueError"]
     raised = set().union(*(_raised_names(path.read_text()) for path in package.glob("*.py")))
     assert classes and [name for name in classes if name not in raised] == []
+
+
+# IEEE 754 fixes the results of +, -, *, / and sqrt, but for the other functions of
+# math it only recommends correct rounding, and Python's math wraps the platform C
+# library: a libm call or a power of a float exponent can round another way on another
+# host. The math names whose results no libm decides: exact (ceil, isclose, isfinite,
+# nextafter), rounded once by IEEE (sqrt) or by Python's own code (fsum), constants.
+LIBM_FREE_MATH = {"ceil", "fsum", "inf", "isclose", "isfinite", "nan", "nextafter", "pi",
+                  "sqrt"}
+# Per function: the other math names it reads, and its ** whose exponent is not an
+# integer literal. A new libm dependence is a declared edit.
+LIBM_SITES = {
+    "damage.cycles_to_failure": ([], 1),
+    "damage.effective_stiffness_factor": (["sin"], 1),
+    "electromech._stable_points": (["acos", "cos"], 0),
+    "loading.waveform": (["sin"], 0),
+    "protocols._monitored_run": (["sin"], 2),
+    "protocols._softening_run_end": ([], 2),
+    "protocols.calibrate_defaults": (["log"], 1),
+    "stats.estimator_recovery_trial": (["erfc"], 0),
+    "stats.fit_basquin": (["exp", "log"], 0),
+}
+
+
+def _is_integer_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _libm_sites(path: Path) -> dict[str, tuple[list[str], int]]:
+    """Per scope of path: the math names outside LIBM_FREE_MATH that it reads, as
+    math.name or from math, and how many ** or **= it holds whose exponent is not an
+    integer literal."""
+    reads, powers = collections.defaultdict(set), collections.Counter()
+    for scope, node in _scoped_nodes(path):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "math"):
+            reads[scope] |= {node.attr} - LIBM_FREE_MATH
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            reads[scope] |= {alias.name for alias in node.names} - LIBM_FREE_MATH
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            powers[scope] += not _is_integer_literal(exponent)
+    return {scope: (sorted(reads[scope]), powers[scope])
+            for scope in sorted({*reads, *powers}) if reads[scope] or powers[scope]}
+
+
+def test_the_libm_scan_reads_each_call_and_float_power(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import math\nfrom math import log, sqrt\n"
+                    "def solve(x, e):\n    acos, root = math.acos, math.sqrt\n"
+                    "    y = math.cos(x) ** 2 + x ** -3 + x ** 0.5 + x ** e + 2.0 ** 52\n"
+                    "    y **= e\n    y **= 2\n"
+                    "    def inner():\n        return math.exp(x) * math.pi + math.fsum([x])\n"
+                    "    return y\n")
+    assert _libm_sites(path) == {"sample": (["log"], 0), "sample.solve": (["acos", "cos"], 3),
+                                 "sample.solve.inner": (["exp"], 0)}
+
+
+def test_libm_calls_and_float_powers_stay_at_their_known_sites():
+    found = {}
+    for path in sorted((ROOT / "src" / "microfatigue").glob("*.py")):
+        found.update(_libm_sites(path))
+    assert found == LIBM_SITES
