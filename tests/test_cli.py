@@ -778,8 +778,8 @@ def test_staircase_draws_each_threshold_once(monkeypatch):
     assert seeds == [(camp.master_seed, i) for i in range(camp.n_specimens)]
 
 
-@pytest.mark.parametrize("argv, digest", _by_argv(
-    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]))
+@pytest.mark.parametrize("argv, digest", [
+    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]])
 def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
     monkeypatch.setattr(Path, "mkdir", _refuse)
     monkeypatch.setattr(Path, "write_text", _refuse)
