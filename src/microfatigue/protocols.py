@@ -92,8 +92,9 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
     """(threshold, clamped threshold) of each of n_specimens specimens. The thresholds
     are the first n_specimens of a non-empty strengths_V, or else are drawn from
     Normal(strength_mean_V, strength_std_V), draw i from its own (master_seed, i) RNG
-    stream so that no draw depends on another. The arguments must pass
-    validate_population.
+    stream so that no draw depends on another: numpy's
+    default_rng((master_seed, i)).standard_normal(), which _normal reproduces bit for
+    bit without loading numpy. The arguments must pass validate_population.
 
     A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN
     threshold, which no clamp can place, raises ValueError naming the specimen.
@@ -104,11 +105,9 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
         raise ValueError("invalid population: " + "; ".join(problems))
     pristine = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
     if not strengths_V:
-        import numpy as np  # only the draw needs it; explicit thresholds stay numpy-free
-        thresholds = []
-        for i in range(n_specimens):
-            rng = np.random.default_rng((int(master_seed), i))
-            thresholds.append(strength_mean_V + strength_std_V * float(rng.standard_normal()))
+        from ._normal import standard_normals  # only the draw needs it
+        thresholds = [strength_mean_V + strength_std_V * z
+                      for z in standard_normals(int(master_seed), n_specimens)]
     else:
         thresholds = [float(v) for v in strengths_V[:n_specimens]]
     pairs = []

@@ -195,7 +195,8 @@ def reference_thresholds(master_seed, strength_mean_V, strength_std_V, n_specime
     """Reference of population_thresholds on valid arguments: (threshold, clamped
     threshold) of each specimen, threshold i drawn from its own
     default_rng((master_seed, i)) stream or the first n_specimens of a non-empty
-    strengths_V, and clamped into [MIN_THRESHOLD_V, 0.99*V_PI]."""
+    strengths_V, and clamped into [MIN_THRESHOLD_V, 0.99*V_PI]. The draw is numpy's
+    own, the oracle of the pure-Python port in microfatigue._normal."""
     if not strengths_V:
         thresholds = [strength_mean_V + strength_std_V * float(
             np.random.default_rng((master_seed, i)).standard_normal())

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from microfatigue import stats
+from microfatigue import _normal, stats
 from microfatigue.cli import (build_curve, build_fatigue, build_parser, build_pullin,
                               build_staircase, cli_dispatch)
 from microfatigue.config import default_config, parse_config
@@ -769,17 +769,20 @@ def test_staircase_builder_writes_nothing(monkeypatch, config, digests):
 
 
 def test_staircase_draws_each_threshold_once(monkeypatch):
-    import numpy as np
-    seeds = []
-    draw = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or draw(seed))
+    # Each draw seeds its own PCG64 from the uint32 entropy words of (master_seed, i).
+    seeded, draws = [], []
+    seed, draw = _normal._pcg64_seeded, _normal._standard_normal
+    monkeypatch.setattr(_normal, "_pcg64_seeded", lambda e: seeded.append(e) or seed(e))
+    monkeypatch.setattr(_normal, "_standard_normal", lambda w: draws.append(1) or draw(w))
     build_staircase(default_config(), None)
     camp = default_config().campaign
-    assert seeds == [(camp.master_seed, i) for i in range(camp.n_specimens)]
+    assert camp.master_seed < 2**32
+    assert seeded == [[camp.master_seed, i] for i in range(camp.n_specimens)]
+    assert len(draws) == camp.n_specimens
 
 
-@pytest.mark.parametrize("argv, digest", [
-    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]])
+@pytest.mark.parametrize("argv, digest", _by_argv(
+    row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]))
 def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
     monkeypatch.setattr(Path, "mkdir", _refuse)
     monkeypatch.setattr(Path, "write_text", _refuse)

@@ -22,8 +22,8 @@ from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, OUTCOME_FAILE
                                     run_pull_in_detection, run_stair_case,
                                     specimens_from_thresholds, strength_scale_from_threshold)
 from tests.reference import (PAPER_THRESHOLDS_V, dixon_mood_step, reference_fatigue_run,
-                             reference_population, reference_stair_case, result_or_fault,
-                             softening_index)
+                             reference_population, reference_stair_case, reference_thresholds,
+                             result_or_fault, softening_index)
 
 
 def sigma_alt(device, v):
@@ -621,6 +621,19 @@ def test_population_seed_determinism(nominal_device, calibrated_params):
     assert a != c
 
 
+# Seeds on each side of a uint32 word boundary: numpy's entropy (master_seed, i) is two
+# or more uint32 words, and five or more take SeedSequence's rounds past its pool of four.
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**96 - 1, 2**96, 2**300 + 1])
+def test_population_draw_is_numpys_at_the_word_boundaries(nominal_device, master_seed):
+    assert population_thresholds(master_seed, 13.0, 0.55, 6, nominal_device) \
+        == reference_thresholds(master_seed, 13.0, 0.55, 6, nominal_device)
+
+
+def test_population_draw_is_numpys_up_to_the_last_specimen(nominal_device):
+    got = population_thresholds(7, 13.0, 0.55, MAX_SPECIMENS, nominal_device)
+    assert got == reference_thresholds(7, 13.0, 0.55, MAX_SPECIMENS, nominal_device)
+
+
 def test_population_bounds_its_specimen_count(nominal_device, calibrated_params):
     with pytest.raises(ValueError, match="n_specimens: "):
         build_population(99, 13.0, 0.55, MAX_SPECIMENS + 1, nominal_device, calibrated_params)
@@ -771,7 +784,7 @@ CAMPAIGN_FAULTS = ["run", "step", "start", "grid", "count", "population", "nan s
        n=st.integers(2, 8),
        explicit=st.booleans(),
        thresholds_V=st.lists(st.floats(-1.0, 30.0), min_size=8, max_size=8),
-       master_seed=st.integers(0, 2**31 - 1),
+       master_seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160)),
        std_V=st.sampled_from([0.0, 0.3, 0.55, 1.5]),
        run_kwargs=st.sampled_from(CAMPAIGN_RUN_SETTINGS),
        bad_run_kwargs=st.sampled_from(BAD_RUN_SETTINGS),

@@ -46,8 +46,7 @@ def test_sources_parse_at_the_declared_python_floor(path):
 
 
 # The functions that make arrays; numpy is imported in them and nowhere else.
-NUMPY_IMPORTERS = ["protocols.population_thresholds", "stats._bias_summary",
-                   "stats._dixon_mood_means", "stats._window_tables",
+NUMPY_IMPORTERS = ["stats._bias_summary", "stats._dixon_mood_means", "stats._window_tables",
                    "stats.estimator_recovery_trial"]
 
 
@@ -91,9 +90,10 @@ def test_numpy_is_imported_only_where_arrays_are_made():
 
 # The functions that call a numpy Generator distribution method. NEP 19 freezes a bit
 # generator's raw words but not the variates a Generator derives from them, so a draw
-# that must keep its bytes across numpy releases reads raw words. Only the population
-# draw still calls standard_normal; a new caller is a declared edit.
-GENERATOR_DRAWERS = ["protocols.population_thresholds"]
+# that must keep its bytes across numpy releases reads raw words (the recovery trial)
+# or derives its variates itself (the population draw, through _normal's port of
+# standard_normal). None calls one; a new caller is a declared edit.
+GENERATOR_DRAWERS = []
 
 
 def _calls_a_generator_method():
@@ -113,7 +113,7 @@ def test_the_generator_scan_flags_a_variate_but_not_a_raw_word(tmp_path):
     assert _sites(path, _calls_a_generator_method()) == ["sample.draw", "sample.draw"]
 
 
-def test_only_the_population_draw_calls_a_generator_variate():
+def test_no_function_calls_a_generator_variate():
     assert _src_sites(_calls_a_generator_method()) == GENERATOR_DRAWERS
 
 
@@ -265,6 +265,7 @@ LIBM_FREE_MATH = {"ceil", "fsum", "inf", "isclose", "isfinite", "nan", "nextafte
 # Per function: the other math names it reads, and its ** whose exponent is not an
 # integer literal. A new libm dependence is a declared edit.
 LIBM_SITES = {
+    "_normal": (["exp", "log1p"], 0),
     "damage.cycles_to_failure": ([], 1),
     "damage.effective_stiffness_factor": (["sin"], 1),
     "electromech._stable_points": (["acos", "cos"], 0),
