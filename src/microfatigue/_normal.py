@@ -11,6 +11,17 @@ follows numpy's chain:
 - ``Generator.standard_normal``: numpy's ziggurat after G. Marsaglia and W. W. Tsang,
   "The Ziggurat Method for Generating Random Variables", J. Stat. Softw. 5(8), 2000.
 
+The seeding runs once per population, for all specimens at once, as SIMD within a
+register (L. Lamport, "Multiple byte processing with full-word instructions", CACM
+18(8), 1975): word k of entropy j sits in 256-bit lane j of one Python int, so one
+xor, multiplication by a constant or masked shift acts on every lane. A lane is 256
+bits because PCG64's seeding multiplies a 129-bit sum by a 126-bit constant: no
+product carries into the next lane. No lane borrows from the next either: the mix
+L*x - R*y mod 2**32 is formed as L*x + R*2**32 - R*y, never below 0, and each
+``>> 16`` is masked to the lane's low 16 bits. Each specimen takes its state, stepped
+once, out of its lane: the ziggurat's fast path needs only that first output word,
+and a rejection or the tail continues PCG64's stream from that state.
+
 NEP 19 freezes numpy's bit streams but not the variates a ``Generator`` derives from
 them, so the port also fixes the draw across numpy releases. The tables are numpy's
 ``wi_double``, ``ki_double`` and ``fi_double`` as compiled into
@@ -22,11 +33,13 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator
+from itertools import permutations
 from math import exp, log1p
 
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
 _M128 = (1 << 128) - 1
+_LANE_BYTES = 32                              # a lane holds PCG64's 128x128-bit products
 _MULT_A = 0x931E8875                          # SeedSequence's pool hash multiplier
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715       # SeedSequence's mix(x, y) = L*x - R*y
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -46,6 +59,7 @@ def _hash_constants(init: int, count: int, mult: int) -> tuple[int, ...]:
 
 _POOL_HASH = _hash_constants(0x43B0D7E5, 16, _MULT_A)       # the pool's first 16 hashes
 _STATE_HASH = _hash_constants(0x8B51F9DD, 8, 0x58F38DED)    # generate_state's 8 words
+_ROUNDS = tuple(permutations(range(4), 2))  # (source, target) pool words of the 12 mixes
 
 
 def _table(kind: str, text: str) -> tuple:
@@ -192,91 +206,74 @@ def _uint32_words(value: int) -> list[int]:
     return [value >> shift & _M32 for shift in range(0, value.bit_length() or 1, 32)]
 
 
-def _pcg64_seeded(entropy: list[int]) -> tuple[int, int]:
-    """(state, increment) of PCG64(SeedSequence(entropy)), entropy the uint32 words:
-    each of the first four words (0 past the end) hashed into the pool, each pool word
-    hashed and mixed into the other three, each word past the fourth hashed and mixed
-    into all four; then eight hashed pool words, paired into four uint64, seed PCG64."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15, a16 = _POOL_HASH
-    m, left, right = _M32, _MIX_L, _MIX_R
-    e0, e1, e2, e3 = (*entropy[:4], 0, 0, 0)[:4]
-    # hash k xors a_k into its word, multiplies by a_k+1 and xors in the high half
-    p0 = (e0 ^ a0) * a1 & m
-    p0 ^= p0 >> 16
-    p1 = (e1 ^ a1) * a2 & m
-    p1 ^= p1 >> 16
-    p2 = (e2 ^ a2) * a3 & m
-    p2 ^= p2 >> 16
-    p3 = (e3 ^ a3) * a4 & m
-    p3 ^= p3 >> 16
-    # mix(x, y) = L*x - R*y xors in its own high half; y is the hashed source word
-    p1 = left * p1 - right * ((h := (p0 ^ a4) * a5 & m) ^ h >> 16) & m
-    p1 ^= p1 >> 16
-    p2 = left * p2 - right * ((h := (p0 ^ a5) * a6 & m) ^ h >> 16) & m
-    p2 ^= p2 >> 16
-    p3 = left * p3 - right * ((h := (p0 ^ a6) * a7 & m) ^ h >> 16) & m
-    p3 ^= p3 >> 16
-    p0 = left * p0 - right * ((h := (p1 ^ a7) * a8 & m) ^ h >> 16) & m
-    p0 ^= p0 >> 16
-    p2 = left * p2 - right * ((h := (p1 ^ a8) * a9 & m) ^ h >> 16) & m
-    p2 ^= p2 >> 16
-    p3 = left * p3 - right * ((h := (p1 ^ a9) * a10 & m) ^ h >> 16) & m
-    p3 ^= p3 >> 16
-    p0 = left * p0 - right * ((h := (p2 ^ a10) * a11 & m) ^ h >> 16) & m
-    p0 ^= p0 >> 16
-    p1 = left * p1 - right * ((h := (p2 ^ a11) * a12 & m) ^ h >> 16) & m
-    p1 ^= p1 >> 16
-    p3 = left * p3 - right * ((h := (p2 ^ a12) * a13 & m) ^ h >> 16) & m
-    p3 ^= p3 >> 16
-    p0 = left * p0 - right * ((h := (p3 ^ a13) * a14 & m) ^ h >> 16) & m
-    p0 ^= p0 >> 16
-    p1 = left * p1 - right * ((h := (p3 ^ a14) * a15 & m) ^ h >> 16) & m
-    p1 ^= p1 >> 16
-    p2 = left * p2 - right * ((h := (p3 ^ a15) * a16 & m) ^ h >> 16) & m
-    p2 ^= p2 >> 16
-    constant = a16
-    for word in entropy[4:]:
-        pool = []
-        for p in (p0, p1, p2, p3):
-            following = constant * _MULT_A & m
-            h = (word ^ constant) * following & m
-            constant = following
-            p = left * p - right * (h ^ h >> 16) & m
-            pool.append(p ^ p >> 16)
-        p0, p1, p2, p3 = pool
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = _STATE_HASH
-    g0 = (h := (p0 ^ b0) * b1 & m) ^ h >> 16
-    g1 = (h := (p1 ^ b1) * b2 & m) ^ h >> 16
-    g2 = (h := (p2 ^ b2) * b3 & m) ^ h >> 16
-    g3 = (h := (p3 ^ b3) * b4 & m) ^ h >> 16
-    g4 = (h := (p0 ^ b4) * b5 & m) ^ h >> 16
-    g5 = (h := (p1 ^ b5) * b6 & m) ^ h >> 16
-    g6 = (h := (p2 ^ b6) * b7 & m) ^ h >> 16
-    g7 = (h := (p3 ^ b7) * b8 & m) ^ h >> 16
+def _pcg64_seeded(entropies: list[list[int]]) -> list[tuple[int, int]]:
+    """(state, increment) of PCG64(SeedSequence(entropy)) after its first output word,
+    for each of the entropies (uint32 words, all of one length), all in one pass over
+    the lanes: each of the first four words (0 past the end) hashed into the pool, each
+    pool word hashed and mixed into the other three, each word past the fourth hashed
+    and mixed into all four; then eight hashed pool words, paired into four uint64,
+    seed PCG64, which steps once."""
+    n, lane = len(entropies), "I" + "x" * (_LANE_BYTES - 4)
+    packing = "<" + lane * n  # one length, so that word k of every entropy is one column
+    ones = int.from_bytes(struct.pack(packing, *[1] * n), "little")
+    m16, m32, m128 = 0xFFFF * ones, _M32 * ones, _M128 * ones
+    borrow = (_MIX_R << 32) * ones  # mix as L*x + R*2**32 - R*y: no lane goes below 0
+
+    def hashed(x: int, a: int, b: int) -> int:
+        # hash k xors a_k into its word, multiplies by a_k+1 and xors in the high half
+        h = (x ^ a * ones) * b & m32
+        return h ^ h >> 16 & m16
+
+    words = [int.from_bytes(struct.pack(packing, *column), "little")
+             for column in zip(*entropies)]
+    pool_hash = _POOL_HASH if len(words) <= 4 else _hash_constants(
+        _POOL_HASH[0], 4 * len(words), _MULT_A)
+    cells = [hashed(x, a, b)
+             for x, a, b in zip((*words, 0, 0, 0, 0)[:4], pool_hash, pool_hash[1:])]
+    cells += words[4:]
+    # each pool word mixed into the other three, then each word past the fourth into all four
+    rounds = _ROUNDS + tuple((k, target) for k in range(4, len(words)) for target in range(4))
+    for (source, target), a, b in zip(rounds, pool_hash[4:], pool_hash[5:]):
+        mix = _MIX_L * cells[target] + borrow - _MIX_R * hashed(cells[source], a, b) & m32
+        cells[target] = mix ^ mix >> 16 & m16
+    g0, g1, g2, g3, g4, g5, g6, g7 = [hashed(cells[k % 4], a, b)
+                                      for k, a, b in zip(range(8), _STATE_HASH, _STATE_HASH[1:])]
     # PCG64's srandom: state = ((inc + seed) * MULT + inc) mod 2**128, inc = 2*seq + 1
-    increment = (g5 << 97 | g4 << 65 | g7 << 33 | g6 << 1 | 1) & _M128
-    seed = g1 << 96 | g0 << 64 | g3 << 32 | g2
-    return ((increment + seed) * _PCG64_MULT + increment) & _M128, increment
+    increment = (g5 << 97 | g4 << 65 | g7 << 33 | g6 << 1) & m128 | ones
+    state = ((increment + (g1 << 96 | g0 << 64 | g3 << 32 | g2)) * _PCG64_MULT
+             + increment) & m128
+    state = (state * _PCG64_MULT + increment) & m128
+    size = _LANE_BYTES * n
+    states, increments = state.to_bytes(size, "little"), increment.to_bytes(size, "little")
+    return [(int.from_bytes(states[j:j + 16], "little"),
+             int.from_bytes(increments[j:j + 16], "little"))
+            for j in range(0, size, _LANE_BYTES)]
+
+
+def _xsl_rr(state: int) -> int:
+    """PCG64's output word of a state: the xor of its halves rotated right by its top
+    six bits."""
+    word = (state >> 64 ^ state) & _M64
+    turn = state >> 122
+    return (word >> turn | word << 64 - turn) & _M64
 
 
 def _pcg64_words(state: int, increment: int) -> Iterator[int]:
-    """PCG64's output words after state: step the LCG, then rotate the xor of the
-    state's halves right by its top six bits (XSL-RR)."""
+    """PCG64's output words after state: step the LCG, then output (XSL-RR)."""
     while True:
         state = (state * _PCG64_MULT + increment) & _M128
-        word = (state >> 64 ^ state) & _M64
-        turn = state >> 122
-        yield (word >> turn | word << 64 - turn) & _M64
+        yield _xsl_rr(state)
 
 
-def _standard_normal(words: Iterator[int]) -> float:
-    """numpy's random_standard_normal on the 64-bit words: the low 8 bits pick a
-    strip, the next one the sign and the next 52 the abscissa. A point outside the
-    strip's inner box is kept by the density test, or for strip 0 is drawn from the
-    tail past _NOR_R by Marsaglia's exponential method; a rejected point is drawn
-    again from the next word."""
+def _standard_normal(word: int, state: int, increment: int) -> float:
+    """numpy's random_standard_normal from the 64-bit word PCG64 output on stepping to
+    state: the low 8 bits pick a strip, the next one the sign and the next 52 the
+    abscissa. A point outside the strip's inner box is kept by the density test, or
+    for strip 0 is drawn from the tail past _NOR_R by Marsaglia's exponential method;
+    a rejected point is drawn again from the next word. Those paths read the words
+    after state; the fast path reads none."""
+    words = None
     while True:
-        word = next(words)
         idx = word & 0xFF
         word >>= 8
         rabs = word >> 1 & 0xFFFFFFFFFFFFF
@@ -285,6 +282,7 @@ def _standard_normal(words: Iterator[int]) -> float:
             x = -x
         if rabs < _KI[idx]:
             return x
+        words = words or _pcg64_words(state, increment)
         if idx == 0:
             while True:
                 xx = -_NOR_INV_R * log1p(-((next(words) >> 11) * _DOUBLE_UNIT))
@@ -294,11 +292,13 @@ def _standard_normal(words: Iterator[int]) -> float:
         if ((_FI[idx - 1] - _FI[idx]) * ((next(words) >> 11) * _DOUBLE_UNIT) + _FI[idx]
                 < exp(-0.5 * x * x)):
             return x
+        word = next(words)
 
 
 def standard_normals(master_seed: int, n: int) -> list[float]:
     """numpy's default_rng((master_seed, i)).standard_normal() for i in range(n), for
-    an integer master_seed >= 0."""
+    an integer master_seed >= 0 and n <= 2**32."""
     seed_words = _uint32_words(master_seed)
-    return [_standard_normal(_pcg64_words(*_pcg64_seeded(seed_words + _uint32_words(i))))
-            for i in range(n)]
+    # i < 2**32 is one uint32 word, so all n entropies have one length
+    return [_standard_normal(_xsl_rr(state), state, increment)
+            for state, increment in _pcg64_seeded([seed_words + [i] for i in range(n)])]

@@ -190,17 +190,21 @@ def softening_index(pristine, d, step, exponent):
     return math.ceil(pristine * math.sqrt((1.0 - d) ** exponent) / step - GRID_GUARD)
 
 
+def reference_normals(master_seed, n):
+    """numpy's own default_rng((master_seed, i)).standard_normal() for i in range(n): the
+    oracle of the pure-Python port in microfatigue._normal."""
+    return [float(np.random.default_rng((master_seed, i)).standard_normal()) for i in range(n)]
+
+
 def reference_thresholds(master_seed, strength_mean_V, strength_std_V, n_specimens, device,
                          strengths_V=None):
     """Reference of population_thresholds on valid arguments: (threshold, clamped
     threshold) of each specimen, threshold i drawn from its own
-    default_rng((master_seed, i)) stream or the first n_specimens of a non-empty
-    strengths_V, and clamped into [MIN_THRESHOLD_V, 0.99*V_PI]. The draw is numpy's
-    own, the oracle of the pure-Python port in microfatigue._normal."""
+    default_rng((master_seed, i)) stream (reference_normals) or the first n_specimens
+    of a non-empty strengths_V, and clamped into [MIN_THRESHOLD_V, 0.99*V_PI]."""
     if not strengths_V:
-        thresholds = [strength_mean_V + strength_std_V * float(
-            np.random.default_rng((master_seed, i)).standard_normal())
-            for i in range(n_specimens)]
+        thresholds = [strength_mean_V + strength_std_V * z
+                      for z in reference_normals(master_seed, n_specimens)]
     else:
         thresholds = [float(v) for v in strengths_V[:n_specimens]]
     top = 0.99 * pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V

@@ -39,6 +39,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _by_argv(rows):
+    """The rows, each led by its argv, as parameters named by the argv alone, each
+    config dict written as its compact JSON, so a declared byte change keeps a row's id."""
+    return [pytest.param(*row, id=" ".join(
+        json.dumps(arg, separators=(",", ":")) if isinstance(arg, dict) else arg
+        for arg in row[0])) for row in rows]
+
+
 def test_unknown_subcommand_exit_1(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
@@ -176,7 +184,7 @@ def test_fatigue_whole_float_interval_same_bytes(tmp_path, capsys):
 # cycles (2 000 detections to the reference), recorded before the detection
 # loop was written call-free. Run from tmp_path with --out out, so the "csv"
 # path in stdout is the same on every run.
-@pytest.mark.parametrize("argv, outcome, csv_digest, stdout_digest", [
+@pytest.mark.parametrize("argv, outcome, csv_digest, stdout_digest", _by_argv([
     (["--va", "13"], "survived",
      "edd2424a6c9c070cae48d8f3fabafde6467c5e76c5fce2d150b25ed382eac067",
      "d9c09eef18f64a7a96050d0de79b61729bb2642d5886a0eb3553a7ebc6371435"),
@@ -186,7 +194,7 @@ def test_fatigue_whole_float_interval_same_bytes(tmp_path, capsys):
     (["--va", "14", "--strength-v", "12.5"], "failed",
      "35448832ff529415c763e3732b092dc634c89eac854cdd75ca7117fc3d185834",
      "bd8954cd86f4e30ebc6332c92dca501d5449f27869af35cf21f188384c1ae6d3"),
-])
+]))
 def test_long_fatigue_run_bytes_pinned(tmp_path, capsys, monkeypatch, argv, outcome,
                                        csv_digest, stdout_digest):
     monkeypatch.chdir(tmp_path)
@@ -433,14 +441,6 @@ STDOUT_DIGESTS = [
     (["--config", {"model": {"c_k": 1e6}}, "pullin"],
      "a3423793c4f8d970ea0aad9d3a874cb23649f37cd3dc9182d6eec4a74a5dbc02"),
 ]
-
-
-def _by_argv(rows):
-    """The rows as parameters named by their argv alone, each config dict written as
-    its compact JSON, so a declared byte change keeps a row's id."""
-    return [pytest.param(argv, digest, id=" ".join(
-        json.dumps(arg, separators=(",", ":")) if isinstance(arg, dict) else arg
-        for arg in argv)) for argv, digest in rows]
 
 
 @pytest.mark.parametrize("argv, digest", _by_argv(STDOUT_DIGESTS))
@@ -769,16 +769,18 @@ def test_staircase_builder_writes_nothing(monkeypatch, config, digests):
 
 
 def test_staircase_draws_each_threshold_once(monkeypatch):
-    # Each draw seeds its own PCG64 from the uint32 entropy words of (master_seed, i).
-    seeded, draws = [], []
+    # One seeding pass takes the uint32 entropy words of every (master_seed, i), in
+    # order; then each specimen draws once.
+    calls = []
     seed, draw = _normal._pcg64_seeded, _normal._standard_normal
-    monkeypatch.setattr(_normal, "_pcg64_seeded", lambda e: seeded.append(e) or seed(e))
-    monkeypatch.setattr(_normal, "_standard_normal", lambda w: draws.append(1) or draw(w))
+    monkeypatch.setattr(_normal, "_pcg64_seeded", lambda e: calls.append(e) or seed(e))
+    monkeypatch.setattr(_normal, "_standard_normal",
+                        lambda *lane: calls.append("draw") or draw(*lane))
     build_staircase(default_config(), None)
     camp = default_config().campaign
     assert camp.master_seed < 2**32
-    assert seeded == [[camp.master_seed, i] for i in range(camp.n_specimens)]
-    assert len(draws) == camp.n_specimens
+    assert calls == [[[camp.master_seed, i] for i in range(camp.n_specimens)],
+                     *["draw"] * camp.n_specimens]
 
 
 @pytest.mark.parametrize("argv, digest", _by_argv(
