@@ -162,8 +162,8 @@ def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str, lis
     return {path.name: emit_fatigue_run(record)}, dump_json({
         "drive_amplitude_V": record.drive_amplitude_V,
         "outcome": record.outcome,
-        "final_cycles": record.detections[-1][0],
-        "final_pullin_V": record.detections[-1][1],
+        "final_cycles": record.final_cycles,
+        "final_pullin_V": record.readings[-1],
         "csv": str(path),
         "tool": TOOL_STAMP,
     }), []

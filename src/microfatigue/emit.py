@@ -29,12 +29,15 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
     # A run repeats each reading over consecutive rows: format a row's tail only
     # when its reading differs from the row before. Zero is always formatted,
     # since 0.0 == -0.0 but "0" != "-0"; NaN re-formats, since NaN != NaN.
+    interval, readings = record.detection_interval, record.readings
     last = tail = None
-    for cycles, v in record.detections:
+    for cycles, v in zip(range(0, len(readings) * interval, interval), readings):
         if v != last or not v:
             last, tail = v, f",{_num(v)}\n"
         append(str(cycles))
         append(tail)
+    if cycles > record.reference_cycles:  # the reference clipped the last count
+        parts[-2] = str(record.final_cycles)
     return "".join(parts)
 
 
@@ -167,7 +170,7 @@ def wohler_points_from_records(records: list[FatigueRunRecord]) -> list[WohlerPo
     for r in records:
         if r.outcome == OUTCOME_FAILED:
             points.append(WohlerPoint(level_V=r.drive_amplitude_V,
-                                      cycles=r.detections[-1][0], censored=False))
+                                      cycles=r.final_cycles, censored=False))
         elif r.outcome == OUTCOME_SURVIVED:
             points.append(WohlerPoint(level_V=r.drive_amplitude_V,
                                       cycles=r.reference_cycles, censored=True))

@@ -37,10 +37,31 @@ MIN_THRESHOLD_V = 0.1                  # lowest specimen threshold strength
 
 
 class FatigueRunRecord(NamedTuple):
+    """A monitored run: the measured pull-in of each detection, in order, at the load
+    counts of the detection grid. Detection j took place after
+    min(j*detection_interval, reference_cycles) cycles, so a record stores one float
+    per detection and no count."""
+
     drive_amplitude_V: float
-    detections: tuple[tuple[int, float], ...]  # (load cycles, measured pull-in V)
+    readings: tuple[float, ...]  # measured pull-in V, one per detection
+    detection_interval: int
     outcome: str
     reference_cycles: int
+
+    @property
+    def final_cycles(self) -> int:
+        """The load count of the last detection."""
+        return min((len(self.readings) - 1) * self.detection_interval,
+                   int(self.reference_cycles))
+
+    @property
+    def detections(self) -> tuple[tuple[int, float], ...]:
+        """(load cycles, measured pull-in V) of each detection, counts as ints."""
+        counts = [*range(0, (len(self.readings) - 1) * self.detection_interval,
+                         self.detection_interval), self.final_cycles]
+        # From a list, never tuple(zip(...)): a tuple grown by resizing lands in
+        # the interpreter's per-size free lists, which keep the memory.
+        return tuple([*zip(counts, self.readings)])
 
 
 class StairCaseTrial(NamedTuple):
@@ -307,14 +328,18 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     validate_run_settings, and its readings are checked by validate_readings. Its
     loop, ``_monitored_run``, runs each ``run_stair_case`` specimen.
 
+    The record keeps one reading per detection and no count: detection j's count
+    is the grid's min(j*interval, reference), which ``FatigueRunRecord.detections``
+    pairs with each reading on demand.
+
     Most detections repeat the reading before them, and the loop, which walks
     the run's three stretches apart, jumps over those it knows will:
 
     1. An undamaged run (below the endurance) evaluates no reading: at d = 0
        the stiffness factor is exactly 1.0, so every detection reads
        pristine_meas after pristine_meas. The first detection's checks decide
-       whether it fails or is invalid; else it survives, its rows written in
-       one step.
+       whether it fails or is invalid; else it survives, its
+       1 + ceil(reference/interval) readings written in one step.
     2. In the softening stretch d <= hardening_onset, after a detection that
        passes its checks with v == previous, the run of v is extended in one
        step to the last count that ``_softening_run_end`` predicts and
@@ -355,9 +380,9 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     It walks run_fatigue_test's three stretches apart: an undamaged run, with no
     reading evaluated; the softening stretch, whose repeated readings it extends
     over the counts _softening_run_end predicts; and the bump and tail, read at
-    every detection with no skip test.
+    every detection with no skip test. It appends a float per detection and no
+    count, and an extension repeats one float object.
     """
-    detections: list[tuple[int, float]] = [(0, pristine_meas)]
     interval, reference = int(settings.detection_interval), int(settings.reference_cycles)
     keep = 1.0 - settings.drop_fraction
     floor = settings.min_pullin_fraction * pristine_meas
@@ -367,12 +392,9 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         v = pristine_meas
         outcome = (OUTCOME_FAILED if v <= keep * v or v < floor
                    else OUTCOME_INVALID if v <= V_a else OUTCOME_SURVIVED)
-        if outcome == OUTCOME_SURVIVED:
-            detections.extend(zip(range(interval, reference, interval), repeat(v)))
-            detections.append((reference, v))
-        else:
-            detections.append((min(interval, reference), v))
-        return FatigueRunRecord(V_a, tuple(detections), outcome, settings.reference_cycles)
+        detected = 1 - (-reference // interval) if outcome == OUTCOME_SURVIVED else 2
+        return FatigueRunRecord(V_a, (v,) * detected, interval, outcome,
+                                settings.reference_cycles)
     # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
     p, q = params.collapse_threshold.as_integer_ratio()
     collapse_cycles = -(-p * life // q)
@@ -383,7 +405,8 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     onset, collapse = params.hardening_onset, params.collapse_threshold
     span = collapse - onset
     sqrt, ceil, sin, pi, guard = math.sqrt, math.ceil, math.sin, math.pi, GRID_GUARD
-    append = detections.append
+    readings = [pristine_meas]
+    append = readings.append
     outcome = None
     previous = pristine_meas
     eager = False  # the last prediction extended the run
@@ -399,7 +422,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         # also keeps n below the collapse count.
         k = ceil(pristine * sqrt((1.0 - d) ** exponent) / step - guard)
         v = k * step
-        append((n, v))
+        append(v)
         if v <= keep * previous or v < floor:
             outcome = OUTCOME_FAILED
             break
@@ -411,7 +434,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
                                       pristine, step, exponent)
             eager = last > n
             if eager:
-                detections.extend(zip(range(n + interval, last + 1, interval), repeat(v)))
+                readings.extend(repeat(v, (last - n) // interval))
                 n = last
         previous = v
     else:
@@ -425,7 +448,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
             bump = sin(pi * ((d - onset) / span)) ** 2 if d < collapse else 0.0
             v = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
                      / step - guard) * step
-            append((n, v))
+            append(v)
             if n >= collapse_cycles or v <= keep * previous or v < floor:
                 outcome = OUTCOME_FAILED
                 break
@@ -439,7 +462,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
             n += interval
             if n > reference:
                 n = reference
-    return FatigueRunRecord(V_a, tuple(detections), outcome, settings.reference_cycles)
+    return FatigueRunRecord(V_a, tuple(readings), interval, outcome, settings.reference_cycles)
 
 
 def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:

@@ -155,12 +155,14 @@ def random_device(rng):
     return Device.assemble(geom, mat)
 
 
-def reference_fatigue_run(V_a, specimen, device, params, detection_interval,
-                          reference_cycles, detection_step_V, drop_fraction,
-                          min_pullin_fraction):
-    """Reference of run_fatigue_test on valid settings, batch by batch: accumulate
-    each batch with damage.accumulate, then measure with run_pull_in_detection. Readings
-    that could leave the float range are refused first, as validate_readings says."""
+def reference_run(V_a, specimen, device, params, detection_interval, reference_cycles,
+                  detection_step_V, drop_fraction, min_pullin_fraction):
+    """Reference of run_fatigue_test on valid settings, batch by batch: accumulate each
+    batch with damage.accumulate, then measure with run_pull_in_detection. Returns the
+    record and the (state.cycles_applied, reading) pairs it is built from, which state
+    each count as the batches add up, not by the grid rule of FatigueRunRecord.
+    Readings that could leave the float range are refused first, as validate_readings
+    says."""
     sigma_alt = fatigue_parameters(V_a, device.mechanics, device.geometry)[0].sigma_alt_Pa
     problems = protocols.validate_readings(device, detection_step_V, params.hardening_amplitude)
     if problems:
@@ -182,7 +184,14 @@ def reference_fatigue_run(V_a, specimen, device, params, detection_interval,
         if v <= V_a:
             outcome = OUTCOME_INVALID
             break
-    return FatigueRunRecord(V_a, tuple(detections), outcome, reference_cycles)
+    record = FatigueRunRecord(V_a, tuple([v for _, v in detections]), int(detection_interval),
+                              outcome, reference_cycles)
+    return record, detections
+
+
+def reference_fatigue_run(V_a, specimen, device, params, **run_settings):
+    """The record of reference_run."""
+    return reference_run(V_a, specimen, device, params, **run_settings)[0]
 
 
 def softening_index(pristine, d, step, exponent):

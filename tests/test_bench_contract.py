@@ -113,3 +113,37 @@ def test_an_unknown_run_keyword_is_a_type_error_naming_it(nominal_device, calibr
     for call in calls:
         with pytest.raises(TypeError, match="'detection_intervals'"):
             call()
+
+
+def _attributes_read(filename: str, names: set[str], function: str | None = None) -> set[str]:
+    """The attributes read off the given variable names in bench/filename, or in its
+    top-level function of that name."""
+    tree = ast.parse((BENCH / filename).read_text())
+    if function is not None:
+        (tree,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in names}
+
+
+def test_a_fatigue_record_offers_what_the_harness_reads(nominal_device, calibrated_params):
+    # The harness reads a run's detections as (count, reading) pairs, which a record
+    # derives from its readings and detection grid, and three of its fields.
+    protocols, damage = _module("protocols"), _module("damage")
+    read = (_attributes_read("workloads.py", {"record", "r"})
+            | _attributes_read("run_bench.py", {"record"}, "_observe_fatigue_run"))
+    assert read == {"detections", "outcome", "reference_cycles"}
+    specimen = SpecimenStrength(protocols.strength_scale_from_threshold(
+        13.5, nominal_device, calibrated_params))
+    record = protocols.run_fatigue_test(14.0, specimen, nominal_device, calibrated_params,
+                                        detection_interval=1_000, reference_cycles=1_234_567)
+    assert record.outcome in (protocols.OUTCOME_FAILED, protocols.OUTCOME_SURVIVED,
+                              protocols.OUTCOME_INVALID)
+    assert (record.drive_amplitude_V, record.reference_cycles) == (14.0, 1_234_567)
+    detections = record.detections
+    assert len(detections) > 2
+    assert detections[0] == (0, protocols.run_pull_in_detection(
+        damage.DamageState.pristine(), nominal_device, calibrated_params))
+    assert {(type(c), type(v)) for c, v in detections} == {(int, float)}
+    counts = [c for c, _ in detections]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] <= record.reference_cycles

@@ -209,44 +209,44 @@ def test_long_fatigue_run_bytes_pinned(tmp_path, capsys, monkeypatch, argv, outc
 # sha256 of fatigue_run.csv for runs at the edges of the skip over repeated
 # readings, recorded before the skip existed: a device whose pristine pull-in
 # spans more than 2**53 supply steps, and softening exponents whose 2/exponent
-# overflows, underflows or is enormous. One detection per 1 000 cycles.
+# overflows, underflows or is enormous. One detection per 1 000 cycles. Each
+# config is written to the file its argv names, so the ids stay short.
 EXTREME_CONFIGS = {
-    "stiff": {"material": {"E_GPa": 1e22}, "model": {"detection_step_V": 1e-6}},
-    "exp_5e-324": {"damage": {"softening_exponent": 5e-324}},
-    "exp_1e-300": {"damage": {"softening_exponent": 1e-300}},
-    "exp_1.7e308": {"damage": {"softening_exponent": 1.7e308}},
+    "stiff.json": {"material": {"E_GPa": 1e22}, "model": {"detection_step_V": 1e-6}},
+    "exp_5e-324.json": {"damage": {"softening_exponent": 5e-324}},
+    "exp_1e-300.json": {"damage": {"softening_exponent": 1e-300}},
+    "exp_1.7e308.json": {"damage": {"softening_exponent": 1.7e308}},
 }
 
 
-@pytest.mark.parametrize("name, va, outcome, csv_digest", [
-    ("stiff", "14", "failed",
+@pytest.mark.parametrize("argv, outcome, csv_digest", _by_argv([
+    (["--config", "stiff.json", "fatigue", "--va", "14"], "failed",
      "c6a8eae43392482d1e779b39248337444143116cf0f8b99b3ce24da2ea1464ca"),
-    ("stiff", "13.5", "survived",
+    (["--config", "stiff.json", "fatigue", "--va", "13.5"], "survived",
      "5c8ea6a9e9724ffa7ef695d6ef4a114f6310a88d2e447de9805dbad7cddc1530"),
-    ("exp_5e-324", "14", "failed",
+    (["--config", "exp_5e-324.json", "fatigue", "--va", "14"], "failed",
      "0bca3c029a783f08f801bded869dcb0337c95ac2a00932c2606352e9e4fe58e7"),
-    ("exp_5e-324", "13.5", "survived",
+    (["--config", "exp_5e-324.json", "fatigue", "--va", "13.5"], "survived",
      "4904f89a9786bfe1b1d44d172dc1d37f2493ce0b025718660e45a665b99bfc93"),
-    ("exp_1e-300", "14", "failed",
+    (["--config", "exp_1e-300.json", "fatigue", "--va", "14"], "failed",
      "0bca3c029a783f08f801bded869dcb0337c95ac2a00932c2606352e9e4fe58e7"),
-    ("exp_1e-300", "13.5", "survived",
+    (["--config", "exp_1e-300.json", "fatigue", "--va", "13.5"], "survived",
      "4904f89a9786bfe1b1d44d172dc1d37f2493ce0b025718660e45a665b99bfc93"),
-    ("exp_1.7e308", "14", "failed",
+    (["--config", "exp_1.7e308.json", "fatigue", "--va", "14"], "failed",
      "8544543e8abe2d3bcdb50af9061b847844e911fc32f956a60b097c17fe01f9ec"),
-    ("exp_1.7e308", "13.5", "failed",
+    (["--config", "exp_1.7e308.json", "fatigue", "--va", "13.5"], "failed",
      "05e88a037ec84f72c5500422fb81b64e154406a27699cef8aa0c9ac65f19d9c3"),
-])
-def test_extreme_fatigue_run_bytes_pinned(tmp_path, capsys, name, va, outcome, csv_digest):
-    config = EXTREME_CONFIGS[name]
+]))
+def test_extreme_fatigue_run_bytes_pinned(tmp_path, capsys, monkeypatch, argv, outcome,
+                                          csv_digest):
+    monkeypatch.chdir(tmp_path)
+    config = EXTREME_CONFIGS[argv[1]]
     config = {**config, "model": {**config.get("model", {}), "detection_interval_cycles": 1000}}
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    out_dir = tmp_path / "out"
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "--out", str(out_dir),
-                           "fatigue", "--va", va)
+    Path(argv[1]).write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "--out", "out", *argv)
     assert code == 0
     assert json.loads(out)["outcome"] == outcome
-    assert hashlib.sha256((out_dir / "fatigue_run.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(Path("out/fatigue_run.csv").read_bytes()).hexdigest() == csv_digest
 
 
 def test_missing_config_file_exit_2(capsys):

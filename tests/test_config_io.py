@@ -255,7 +255,8 @@ def test_tool_stamp_carries_the_package_version():
 
 RECORD = FatigueRunRecord(
     drive_amplitude_V=14.0,
-    detections=((0, 26.4), (100000, 26.15), (200000, 25.9)),
+    readings=(26.4, 26.15, 25.9),
+    detection_interval=100_000,
     outcome="failed",
     reference_cycles=2_000_000,
 )
@@ -287,9 +288,37 @@ READINGS = st.lists(st.floats(), max_size=4).map(
 @settings(max_examples=200, deadline=None)
 def test_emit_fatigue_run_formats_every_row_as_its_own_reading(data, pool):
     readings = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
-    record = RECORD._replace(detections=tuple((1000 * i, v) for i, v in enumerate(readings)))
+    record = RECORD._replace(readings=tuple(readings), detection_interval=1000)
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{cycles},{_num(v)}" for cycles, v in record.detections] + [""]
+
+
+@given(data=st.data(), pool=READINGS, case=st.sampled_from(["multiple", "clipped", "below"]),
+       as_float=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_emit_fatigue_run_writes_the_counts_the_grid_implies(data, pool, case, as_float):
+    # Detection j of a record took place at min(j*interval, reference) cycles: on the
+    # grid to a reference the interval divides, clipped to one it does not, and at the
+    # reference itself for the one detection after the pristine reading when the
+    # reference lies below the interval. A whole float reference still counts in ints.
+    interval = data.draw(st.integers(1 if case == "multiple" else 2, 10**6))
+    if case == "below":
+        reference, batches = data.draw(st.integers(1, interval - 1)), 1
+    else:
+        batches = data.draw(st.integers(1, 50))
+        reference = batches * interval if case == "multiple" else \
+            (batches - 1) * interval + data.draw(st.integers(1, interval - 1))
+    detected = batches if case == "below" else data.draw(st.integers(1, batches))
+    readings = data.draw(st.lists(st.sampled_from(pool), min_size=detected + 1,
+                                  max_size=detected + 1))
+    record = RECORD._replace(readings=tuple(readings), detection_interval=interval,
+                             reference_cycles=float(reference) if as_float else reference)
+    counts = [min(j * interval, reference) for j in range(detected + 1)]
+    assert [c for c, _ in record.detections] == counts
+    assert {type(c) for c, _ in record.detections} == {int}
+    assert record.final_cycles == counts[-1]
+    lines = emit_fatigue_run(record).split("\n")
+    assert lines[2:] == [f"{c},{_num(v)}" for c, v in record.detections] + [""]
 
 
 def test_emit_conversion_curve(nominal_device):
@@ -337,9 +366,8 @@ def test_wohler_points_round_trip():
 
 
 def test_wohler_points_from_records():
-    survived = FatigueRunRecord(13.0, ((0, 26.4), (2_000_000, 26.4)),
-                                "survived", 2_000_000)
-    invalid = FatigueRunRecord(24.0, ((0, 26.4), (1000, 23.5)), "invalid", 2_000_000)
+    survived = FatigueRunRecord(13.0, (26.4,) * 21, 100_000, "survived", 2_000_000)
+    invalid = FatigueRunRecord(24.0, (26.4, 23.5), 1000, "invalid", 2_000_000)
     points = wohler_points_from_records([RECORD, survived, invalid])
     assert len(points) == 2
     assert points[0] == WohlerPoint(14.0, 200000, censored=False)
@@ -431,7 +459,8 @@ def test_serialize_config_equals_the_asdict_dump(raw):
     (PullInResult, ("pull_in_voltage_V", "deflection_at_instability_m")),
     (FatigueParameters, ("sigma_max_Pa", "sigma_min_Pa", "sigma_mean_Pa", "sigma_alt_Pa",
                          "stress_ratio")),
-    (FatigueRunRecord, ("drive_amplitude_V", "detections", "outcome", "reference_cycles")),
+    (FatigueRunRecord, ("drive_amplitude_V", "readings", "detection_interval", "outcome",
+                        "reference_cycles")),
     (StairCaseTrial, ("specimen_id", "level_V", "failure")),
     (StairCaseSequence, ("trials", "step_V", "levels_V")),
     (StairCaseEstimate, ("mean_V", "std_V", "q10_V", "q90_V", "basis_event",

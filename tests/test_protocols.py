@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import types
 from dataclasses import replace
 from fractions import Fraction
@@ -22,12 +23,19 @@ from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, OUTCOME_FAILE
                                     run_pull_in_detection, run_stair_case,
                                     specimens_from_thresholds, strength_scale_from_threshold)
 from tests.reference import (PAPER_THRESHOLDS_V, dixon_mood_step, reference_fatigue_run,
-                             reference_population, reference_stair_case, reference_thresholds,
-                             result_or_fault, softening_index)
+                             reference_population, reference_run, reference_stair_case,
+                             reference_thresholds, result_or_fault, softening_index)
 
 
 def sigma_alt(device, v):
     return fatigue_parameters(v, device.mechanics, device.geometry)[0].sigma_alt_Pa
+
+
+def assert_detections_are(record, pairs):
+    """The record's detections are the batch-by-batch pairs of reference_run, each count
+    as the batches add it up: int counts and float readings on both sides."""
+    assert record.detections == tuple(pairs)
+    assert {(type(n), type(v)) for n, v in [*record.detections, *pairs]} == {(int, float)}
 
 
 def test_detection_rounds_up_to_grid(nominal_device, calibrated_params):
@@ -234,9 +242,10 @@ def test_run_matches_batch_by_batch_reference(nominal_device, calibrated_params,
                   detection_step_V=step_V, drop_fraction=drop_fraction,
                   min_pullin_fraction=min_pullin_fraction)
     record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
-    want = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+    want, pairs = reference_run(V_a, specimen, d, params, **kwargs)
     assert record == want
-    assert [type(n) for n, _ in record.detections] == [type(n) for n, _ in want.detections]
+    assert_detections_are(record, pairs)
+    assert type(record.detection_interval) is int
     assert type(record.reference_cycles) is type(reference)
 
 
@@ -262,8 +271,9 @@ def test_long_runs_match_batch_by_batch_reference(nominal_device, calibrated_par
     for V_a, threshold, expected in LONG_RUNS:
         specimen = SpecimenStrength(strength_scale_from_threshold(threshold, d, params))
         record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
-        assert record == reference_fatigue_run(V_a, specimen, d, params, **kwargs), \
-            (V_a, threshold)
+        want, pairs = reference_run(V_a, specimen, d, params, **kwargs)
+        assert record == want, (V_a, threshold)
+        assert_detections_are(record, pairs)
         assert record.outcome == expected, (V_a, threshold)
         life = cycles_to_failure(sigma_alt(d, V_a), params, specimen)
         if life is not None and min(record.detections[-1][0], life) / life > params.hardening_onset:
@@ -301,6 +311,47 @@ def test_long_run_makes_no_stiffness_call_per_detection(nominal_device, calibrat
     assert (record.outcome, len(record.detections)) == (OUTCOME_SURVIVED, 2_001)
     assert record.detections[-1][1] != record.detections[0][1]  # damage accrued
     assert calls == []
+
+
+def traced_growth(call):
+    """What call returns, and the bytes of traced memory it leaves allocated."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("V_a, damaged", [(13.0, False), (14.0, True)])
+def test_a_long_run_keeps_one_reading_per_detection(nominal_device, calibrated_params,
+                                                    V_a, damaged):
+    # A record keeps a float per detection and no count: 8 B of pointer plus the
+    # readings' distinct floats. A (count, reading) tuple per row keeps about 100 B.
+    d, params = nominal_device, calibrated_params
+    specimen = SpecimenStrength(strength_scale_from_threshold(V_a, d, params))
+    kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000)
+    record, kept = traced_growth(lambda: run_fatigue_test(V_a, specimen, d, params, **kwargs))
+    assert (record.outcome, len(record.readings)) == (OUTCOME_SURVIVED, 2_001)
+    assert (len(set(record.readings)) > 1) == damaged
+    assert kept <= 32 * len(record.readings), kept / len(record.readings)
+
+
+def test_building_detections_keeps_no_memory(nominal_device, calibrated_params):
+    # A tuple grown by resizing, as tuple(zip(...)) builds one, is freed into the
+    # interpreter's per-size free list (up to 2 000 tuples of each size up to 20)
+    # and keeps its memory; a tuple of a list's size reuses its free-list slot.
+    record = run_fatigue_test(13.0, SpecimenStrength(1.0), nominal_device, calibrated_params,
+                              reference_cycles=1_500_000)
+    assert len(record.detections) == 16
+
+    def build():
+        for _ in range(3_000):
+            record.detections
+
+    _, kept = traced_growth(build)
+    assert kept <= 64 * 1024
 
 
 @given(rnd=st.randoms(use_true_random=True),
@@ -349,10 +400,9 @@ def test_long_fine_run_matches_batch_by_batch_reference(
                   detection_step_V=step_V, drop_fraction=drop_fraction,
                   min_pullin_fraction=min_pullin_fraction)
     record = run_fatigue_test(V_a, specimen, d, params, **kwargs)
-    want = reference_fatigue_run(V_a, specimen, d, params, **kwargs)
+    want, pairs = reference_run(V_a, specimen, d, params, **kwargs)
     assert record == want
-    assert [(type(n), type(v)) for n, v in record.detections] == \
-        [(type(n), type(v)) for n, v in want.detections]
+    assert_detections_are(record, pairs)
 
 
 def count_readings(monkeypatch):
@@ -428,8 +478,10 @@ def test_extreme_runs_match_batch_by_batch_reference(E_GPa, step_V, softening_ex
                      softening_exponent=softening_exponent)
     kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000,
                   detection_step_V=step_V, drop_fraction=0.2, min_pullin_fraction=0.5)
-    assert run_fatigue_test(V_a, SpecimenStrength(1.0), d, params, **kwargs) == \
-        reference_fatigue_run(V_a, SpecimenStrength(1.0), d, params, **kwargs)
+    record = run_fatigue_test(V_a, SpecimenStrength(1.0), d, params, **kwargs)
+    want, pairs = reference_run(V_a, SpecimenStrength(1.0), d, params, **kwargs)
+    assert record == want
+    assert_detections_are(record, pairs)
 
 
 @given(j=st.integers(0, 5_000), life=st.integers(1, 10**12), interval=st.integers(1, 10**6),
@@ -842,10 +894,16 @@ def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_para
         (seq, records), (want_seq, want_records) = got[1], want[1]
         assert [type(t.level_V) for t in seq.trials] == [
             type(t.level_V) for t in want_seq.trials]
-        assert [(type(r.drive_amplitude_V), type(r.reference_cycles),
-                 [type(c) for c, _ in r.detections]) for r in records] == [
-            (type(r.drive_amplitude_V), type(r.reference_cycles),
-             [type(c) for c, _ in r.detections]) for r in want_records]
+        assert [(type(r.drive_amplitude_V), type(r.detection_interval),
+                 type(r.reference_cycles)) for r in records] == [
+            (type(r.drive_amplitude_V), type(r.detection_interval),
+             type(r.reference_cycles)) for r in want_records]
+        # The last run's counts against the batch walk; the records above equal the
+        # per-specimen runs, whose counts the run differentials check.
+        trial = seq.trials[-1]
+        _, pairs = reference_run(trial.level_V, got[0][trial.specimen_id], d, params,
+                                 **protocols.RunSettings(**run_kwargs)._asdict())
+        assert_detections_are(records[-1], pairs)
 
 
 @pytest.mark.parametrize("n_specimens", [2, 6, 60])
