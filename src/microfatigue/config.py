@@ -172,7 +172,7 @@ def _typed(hint, path: str, value, problems: list):
         hint = typing.get_args(hint)[0]
     if typing.get_origin(hint) is tuple and isinstance(value, list):
         item = typing.get_args(hint)[0]
-        return tuple(_typed(item, f"{path}[{i}]", v, problems) for i, v in enumerate(value))
+        return tuple([_typed(item, f"{path}[{i}]", v, problems) for i, v in enumerate(value)])
     # Within the float range, so NaN and +-Infinity fail; bool is not a number here.
     number = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and abs(value) <= sys.float_info.max)

@@ -12,14 +12,14 @@ cycles in several calls is bit-identical to accumulating it in one.
 ``accumulate`` is the primitive for sums whose amplitude varies. At a
 constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
-gets the same damage without calling ``accumulate`` per batch. It evaluates
-the law of ``effective_stiffness_factor`` inline: at each detection of the
-hardening bump and the tail; in the softening stretch at each new reading,
-whose run it extends over the detections known to read the same once the
-reading repeats, or at once while such predictions keep extending; and not
-at all in an undamaged run. That run, and the pristine reading, take the
-factor at d = 0 as exactly 1.0, which holds for every finite hardening
-amplitude. The law's one caller is
+gets the same damage without calling ``accumulate`` per batch. A damaged
+run evaluates the law of ``effective_stiffness_factor`` inline, in one
+expression at each detection it reaches; in the softening stretch, where the
+bump factor is exactly 1.0, it extends a reading's run over the detections
+known to read the same once the reading repeats, or at once while such
+predictions keep extending. An undamaged run evaluates it not at all: that
+run, and the pristine reading, take the factor at d = 0 as exactly 1.0,
+which holds for every finite hardening amplitude. The law's one caller is
 ``degraded_pull_in``, which ``protocols.run_pull_in_detection`` reads. A run's
 record keeps its readings alone, one per detection: the interval and the
 reference count imply the count n of each.
@@ -141,8 +141,9 @@ def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
     unit-height smooth peak sin(pi*u)**2 centred between onset and collapse.
 
     ``protocols.run_fatigue_test`` repeats this expression, in the same float
-    operations, in its detection loop, and reads the pristine device with the
-    factor 1.0 this gives at d = 0; a change to the law changes all three."""
+    operations, in its detection loop and, softening part only, in the confirm of
+    ``_softening_run_end``, and reads the pristine device with the factor 1.0 this
+    gives at d = 0; a change to the law changes all three."""
     d = min(max(d, 0.0), 1.0)
     onset, collapse = params.hardening_onset, params.collapse_threshold
     bump = (0.0 if d <= onset or d >= collapse  # not onset < d < collapse: NaN stays NaN

@@ -146,8 +146,8 @@ def specimens_from_thresholds(strengths_V: Sequence[float], device: Device,
                               params: DamageModelParams) -> tuple[SpecimenStrength, ...]:
     """The specimens of thresholds in [MIN_THRESHOLD_V, 0.99*V_PI], from one batched
     equilibrium solve; each scale equals strength_scale_from_threshold of its threshold."""
-    return tuple(SpecimenStrength(scale)
-                 for scale in _strength_scales(strengths_V, device, params))
+    return tuple([SpecimenStrength(scale)
+                  for scale in _strength_scales(strengths_V, device, params)])
 
 
 def build_population(master_seed: int, strength_mean_V: float, strength_std_V: float,
@@ -332,23 +332,24 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     is the grid's min(j*interval, reference), which ``FatigueRunRecord.detections``
     pairs with each reading on demand.
 
-    Most detections repeat the reading before them, and the loop, which walks
-    the run's three stretches apart, jumps over those it knows will:
+    Most detections repeat the reading before them, and the loop jumps over
+    those it knows will:
 
     1. An undamaged run (below the endurance) evaluates no reading: at d = 0
        the stiffness factor is exactly 1.0, so every detection reads
        pristine_meas after pristine_meas. The first detection's checks decide
        whether it fails or is invalid; else it survives, its
        1 + ceil(reference/interval) readings written in one step.
-    2. In the softening stretch d <= hardening_onset, after a detection that
-       passes its checks with v == previous, the run of v is extended in one
-       step to the last count that ``_softening_run_end`` predicts and
-       confirms still reads v. Once a prediction has extended the run, the
-       next new reading's run is predicted at once too, without waiting for
-       its repeat, if a repeat of it would pass the drop check; a prediction
-       that does not extend ends that until the next repeat.
-    3. The hardening bump and the tail d > hardening_onset are read at every
-       detection, with no skip test.
+    2. A damaged run reads each detection it reaches by one expression and one
+       set of checks. In its softening stretch d <= hardening_onset, where the
+       bump factor is exactly 1.0, after a detection that passes its checks
+       with v == previous, the run of v is extended in one step to the last
+       count that ``_softening_run_end`` predicts and confirms still reads v.
+       Once a prediction has extended the run, the next new reading's run is
+       predicted at once too, without waiting for its repeat, if a repeat of it
+       would pass the drop check; a prediction that does not extend ends that
+       until the next repeat. The hardening bump and the tail d > hardening_onset
+       are read at every detection.
 
     soft_end, the end of every extension, is the last interval multiple
     strictly below both the reference and the collapse count, so the final
@@ -377,10 +378,9 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     life ``life`` (UNBOUNDED below its endurance), on a device of pristine pull-in
     ``pristine`` read as ``pristine_meas``, with checked ``RunSettings``.
 
-    It walks run_fatigue_test's three stretches apart: an undamaged run, with no
-    reading evaluated; the softening stretch, whose repeated readings it extends
-    over the counts _softening_run_end predicts; and the bump and tail, read at
-    every detection with no skip test. It appends a float per detection and no
+    An undamaged run evaluates no reading; a damaged one walks one loop, whose
+    softening stretch extends repeated readings over the counts
+    _softening_run_end predicts. It appends a float per detection and no
     count, and an extension repeats one float object.
     """
     interval, reference = int(settings.detection_interval), int(settings.reference_cycles)
@@ -398,7 +398,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
     p, q = params.collapse_threshold.as_integer_ratio()
     collapse_cycles = -(-p * life // q)
-    # Everything the loops read, bound once.
+    # Everything the loop reads, bound once.
     step = settings.detection_step_V
     soft_end = (min(reference, collapse_cycles) - 1) // interval * interval
     exponent, amplitude = params.softening_exponent, params.hardening_amplitude
@@ -407,29 +407,31 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     sqrt, ceil, sin, pi, guard = math.sqrt, math.ceil, math.sin, math.pi, GRID_GUARD
     readings = [pristine_meas]
     append = readings.append
-    outcome = None
     previous = pristine_meas
     eager = False  # the last prediction extended the run
     n = 0
-    while n < reference:  # the softening stretch
+    while True:
         n += interval
         if n > reference:
             n = reference
-        d = n / life  # from n = life on, d >= 1.0 > onset
-        if d > onset:
-            break
-        # The reading with a bump factor of exactly 1.0; d <= onset < collapse
-        # also keeps n below the collapse count.
-        k = ceil(pristine * sqrt((1.0 - d) ** exponent) / step - guard)
+        d = n / life if n < life else 1.0
+        # run_pull_in_detection's reading, inlined: the stiffness factor of
+        # damage.effective_stiffness_factor, then the step-grid rounding.
+        bump = sin(pi * ((d - onset) / span)) ** 2 if onset < d < collapse else 0.0
+        k = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
+                 / step - guard)
         v = k * step
         append(v)
-        if v <= keep * previous or v < floor:
+        if n >= collapse_cycles or v <= keep * previous or v < floor:
             outcome = OUTCOME_FAILED
             break
         if v <= V_a:
             outcome = OUTCOME_INVALID
             break
-        if v == previous or eager and not v <= keep * v:
+        if n >= reference:
+            outcome = OUTCOME_SURVIVED
+            break
+        if d <= onset and (v == previous or eager and not v <= keep * v):
             last = _softening_run_end(n, k, life, interval, soft_end, onset,
                                       pristine, step, exponent)
             eager = last > n
@@ -437,31 +439,6 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
                 readings.extend(repeat(v, (last - n) // interval))
                 n = last
         previous = v
-    else:
-        outcome = OUTCOME_SURVIVED
-    if outcome is None:  # the bump and the tail, d > onset from here on
-        while True:
-            d = n / life if n < life else 1.0
-            # run_pull_in_detection's reading, inlined: the stiffness factor of
-            # damage.effective_stiffness_factor with its hardening bump, then
-            # the step-grid rounding.
-            bump = sin(pi * ((d - onset) / span)) ** 2 if d < collapse else 0.0
-            v = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
-                     / step - guard) * step
-            append(v)
-            if n >= collapse_cycles or v <= keep * previous or v < floor:
-                outcome = OUTCOME_FAILED
-                break
-            if v <= V_a:
-                outcome = OUTCOME_INVALID
-                break
-            if n >= reference:
-                outcome = OUTCOME_SURVIVED
-                break
-            previous = v
-            n += interval
-            if n > reference:
-                n = reference
     return FatigueRunRecord(V_a, tuple(readings), interval, outcome, settings.reference_cycles)
 
 

@@ -313,7 +313,7 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     if problems:  # raised before the generator is seeded
         raise ValueError("; ".join(problems))
     import numpy as np
-    levels = tuple(round(strength_mean_V) - 1.0 + i for i in range(4))
+    levels = tuple([round(strength_mean_V) - 1.0 + i for i in range(4)])
     start = min(range(4), key=lambda k: abs(levels[k] - strength_mean_V))
     tables = _window_tables(levels)
     next_code = tables[1]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from microfatigue import loading, protocols
+from microfatigue import config, loading, protocols, stats
 from microfatigue.damage import (DamageState, SpecimenStrength, cycles_to_failure,
                                  degraded_pull_in)
 from microfatigue.device import Device, DeviceGeometry, Material
@@ -338,20 +338,47 @@ def test_a_long_run_keeps_one_reading_per_detection(nominal_device, calibrated_p
     assert kept <= 32 * len(record.readings), kept / len(record.readings)
 
 
-def test_building_detections_keeps_no_memory(nominal_device, calibrated_params):
-    # A tuple grown by resizing, as tuple(zip(...)) builds one, is freed into the
-    # interpreter's per-size free list (up to 2 000 tuples of each size up to 20)
-    # and keeps its memory; a tuple of a list's size reuses its free-list slot.
-    record = run_fatigue_test(13.0, SpecimenStrength(1.0), nominal_device, calibrated_params,
+def detections_build(device, params):
+    record = run_fatigue_test(13.0, SpecimenStrength(1.0), device, params,
                               reference_cycles=1_500_000)
     assert len(record.detections) == 16
+    return lambda: record.detections
 
-    def build():
+
+def specimens_build(device, params):
+    return lambda: specimens_from_thresholds(PAPER_THRESHOLDS_V, device, params)
+
+
+def config_build(device, params):
+    return lambda: config.parse_config('{"campaign":{"levels_V":[12,13,14,15]}}')
+
+
+def recovery_build(device, params):
+    return lambda: stats.estimator_recovery_trial(13.0, 0.55, 6, 20, 5)
+
+
+@pytest.mark.parametrize("builder", [detections_build, specimens_build, config_build,
+                                     recovery_build],
+                         ids=["detections", "specimens_from_thresholds", "parse_config",
+                              "estimator_recovery_trial"])
+def test_repeated_builds_keep_no_memory(nominal_device, calibrated_params, builder):
+    # A tuple grown by resizing, as tuple(zip(...)) or tuple(generator) builds one,
+    # is freed into another size's free list than the next build draws from (up to
+    # 2 000 tuples of each size up to 20) and keeps its memory; a tuple of a list's
+    # size reuses its free-list slot. Earlier tests may have filled those free
+    # lists, which would hide the growth: holding 2 000 tuples of each size
+    # empties them first.
+    build = builder(nominal_device, calibrated_params)
+    build()  # first-call caches: the recovery trial's numpy import and tables
+    held = [tuple([None] * size) for size in range(1, 21) for _ in range(2_000)]
+
+    def build_many():
         for _ in range(3_000):
-            record.detections
+            build()
 
-    _, kept = traced_growth(build)
-    assert kept <= 64 * 1024
+    _, kept = traced_growth(build_many)
+    del held
+    assert kept <= 64 * 1024, kept
 
 
 @given(rnd=st.randoms(use_true_random=True),
@@ -482,6 +509,30 @@ def test_extreme_runs_match_batch_by_batch_reference(E_GPa, step_V, softening_ex
     want, pairs = reference_run(V_a, SpecimenStrength(1.0), d, params, **kwargs)
     assert record == want
     assert_detections_are(record, pairs)
+
+
+def test_a_detection_on_the_onset_matches_batch_by_batch_reference(nominal_device,
+                                                                   calibrated_params):
+    # The dyadic onset 0.75 puts detection 3 000 of a 4 000-cycle life exactly on
+    # d == onset, the last count the softening prediction may reach, and the coarse
+    # step makes readings repeat into it. The dyadic collapse 0.875 makes the count
+    # 3 500 collapse, where the reference clips the last detection: the run fails
+    # on the collapse count alone, its readings passing the drop and floor checks.
+    d = nominal_device
+    params = replace(calibrated_params, hardening_onset=0.75, collapse_threshold=0.875)
+    sigma = sigma_alt(d, 14.0)
+    specimen = SpecimenStrength(
+        sigma / (params.basquin_coefficient_Pa * 4_000 ** params.basquin_exponent))
+    assert cycles_to_failure(sigma, params, specimen) == 4_000
+    kwargs = dict(detection_interval=1_000, reference_cycles=3_500, detection_step_V=3.0,
+                  drop_fraction=0.2, min_pullin_fraction=0.5)
+    record = run_fatigue_test(14.0, specimen, d, params, **kwargs)
+    want, pairs = reference_run(14.0, specimen, d, params, **kwargs)
+    assert record == want
+    assert_detections_are(record, pairs)
+    assert record.detections == ((0, 27.0), (1_000, 27.0), (2_000, 27.0), (3_000, 24.0),
+                                 (3_500, 24.0))
+    assert record.outcome == OUTCOME_FAILED
 
 
 @given(j=st.integers(0, 5_000), life=st.integers(1, 10**12), interval=st.integers(1, 10**6),

@@ -270,7 +270,7 @@ LIBM_SITES = {
     "damage.effective_stiffness_factor": (["sin"], 1),
     "electromech._stable_points": (["acos", "cos"], 0),
     "loading.waveform": (["sin"], 0),
-    "protocols._monitored_run": (["sin"], 2),
+    "protocols._monitored_run": (["sin"], 1),
     "protocols._softening_run_end": ([], 2),
     "protocols.calibrate_defaults": (["log"], 1),
     "stats.estimator_recovery_trial": (["erfc"], 0),
