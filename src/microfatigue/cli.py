@@ -215,11 +215,14 @@ def build_wohler(config, out, points_csv) -> tuple[dict[str, str], str, list[str
 
 
 def build_recovery(config, out, replications) -> tuple[dict[str, str], str, list[str]]:
+    config.check_campaign(config.device())
     camp = config.campaign
-    # float(): a config may spell the mean and spread as ints; the summary prints floats.
-    summary = stats.estimator_recovery_trial(
-        float(camp.strength_mean_V), float(camp.strength_std_V), camp.n_specimens,
-        replications, camp.master_seed)
+    try:  # float(): a config may spell the mean and spread as ints; the summary prints floats
+        summary = stats.estimator_recovery_trial(
+            float(camp.strength_mean_V), float(camp.strength_std_V), camp.n_specimens,
+            replications, camp.master_seed, camp.levels_V, camp.step_V, camp.start_level_V)
+    except ValueError as exc:  # the config checks all but the bound on the walk's levels
+        raise ConfigError([("campaign.levels_V", str(exc).partition(": ")[2])]) from exc
     return {}, dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP}), []
 
 

@@ -25,10 +25,11 @@ from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep_steps
 from .emit import dump_json
 from .errors import CalibrationError, ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
-                        DEFAULT_DROP_FRACTION, DEFAULT_MIN_PULLIN_FRACTION,
-                        DEFAULT_REFERENCE_CYCLES, DEFAULT_TARGET_IMMEDIATE_V,
-                        DEFAULT_TARGET_V_D, calibrate_defaults, validate_population,
-                        validate_readings, validate_run_settings, validate_stair_case)
+                        DEFAULT_DROP_FRACTION, DEFAULT_LEVELS_V, DEFAULT_MIN_PULLIN_FRACTION,
+                        DEFAULT_REFERENCE_CYCLES, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V,
+                        DEFAULT_TARGET_IMMEDIATE_V, DEFAULT_TARGET_V_D, calibrate_defaults,
+                        validate_population, validate_readings, validate_run_settings,
+                        validate_stair_case)
 
 
 class ModelConfig(NamedTuple):
@@ -70,9 +71,9 @@ class DamageConfig(NamedTuple):
 
 @dataclass(frozen=True)  # stays a dataclass: bench/workloads.py calls dataclasses.replace on it
 class CampaignConfig:
-    levels_V: tuple[float, ...] = (12.0, 13.0, 14.0, 15.0)
-    step_V: float = 1.0
-    start_level_V: float = 15.0
+    levels_V: tuple[float, ...] = DEFAULT_LEVELS_V
+    step_V: float = DEFAULT_STEP_V
+    start_level_V: float = DEFAULT_START_LEVEL_V
     n_specimens: int = 6
     strength_mean_V: float = 13.0
     strength_std_V: float = 0.55

@@ -34,6 +34,9 @@ MAX_SPECIMENS = 10_000                 # specimens of one population, campaign o
 MIN_DETECTION_STEP_V = 1e-6            # finest DC supply step of a detection
 GRID_GUARD = 1e-9                      # keeps ceil from pushing an exact grid value up one step
 MIN_THRESHOLD_V = 0.1                  # lowest specimen threshold strength
+DEFAULT_LEVELS_V = (12.0, 13.0, 14.0, 15.0)  # stair-case design: its test levels,
+DEFAULT_STEP_V = 1.0                         # its step
+DEFAULT_START_LEVEL_V = 15.0                 # and its first level
 
 
 class FatigueRunRecord(NamedTuple):
@@ -451,20 +454,11 @@ def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
     return None
 
 
-def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
-                        n_specimens: int, device: Device) -> list[str]:
-    """Stair-case argument faults as "name: message" strings. A level at or above
-    pristine pull-in is displacement-imposed; only the top one is solved, as the
-    solve's verdict is monotone in V >= 0. Each distinct level needs its own index on
-    the step_V grid from start_level_V, and in a window of two or more levels step_V
-    must move each level both ways in floats."""
-    problems = validate_population(n_specimens)
-    if not step_V > 0:
-        problems.append(f"step_V: must be > 0, got {step_V}")
-    top = max(levels_V) if levels_V and all(v >= 0.0 for v in levels_V) else -1.0
-    if top < 0.0 or _stable_points((top,), device.mechanics, device.geometry)[0] is None:
-        v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
-        problems.append(f"levels_V: need levels in [0, {v_pi:.3f}) V, the pristine pull-in")
+def validate_design(levels_V: Sequence[float], step_V: float, start_level_V: float) -> list[str]:
+    """Stair-case design faults as "name: message" strings, the device aside: step_V > 0,
+    start_level_V among levels_V, each distinct level on its own index of the step_V grid
+    from start_level_V, and, for two or more levels, a step_V that moves each in floats."""
+    problems = [] if step_V > 0 else [f"step_V: must be > 0, got {step_V}"]
     if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
         problems.append(f"start_level_V: {start_level_V} V not among levels {list(levels_V)}")
     if step_V > 0:
@@ -476,6 +470,19 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
         if stuck and len(set(levels_V)) > 1:
             problems.append(f"step_V: {step_V:g} V is too small to move the walk off "
                             f"the {stuck[0]:g} V level")
+    return problems
+
+
+def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
+                        n_specimens: int, device: Device) -> list[str]:
+    """Stair-case argument faults as "name: message" strings: the population's, the
+    design's, then a level at or above pristine pull-in, which is displacement-imposed;
+    only the top one is solved, as the solve's verdict is monotone in V >= 0."""
+    problems = validate_population(n_specimens) + validate_design(levels_V, step_V, start_level_V)
+    top = max(levels_V) if levels_V and all(v >= 0.0 for v in levels_V) else -1.0
+    if top < 0.0 or _stable_points((top,), device.mechanics, device.geometry)[0] is None:
+        v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
+        problems.append(f"levels_V: need levels in [0, {v_pi:.3f}) V, the pristine pull-in")
     return problems
 
 

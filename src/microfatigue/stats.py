@@ -3,20 +3,10 @@ from a stair-case sequence, Basquin (S-N) curve fitting, and a Monte-Carlo
 harness validating the estimator on synthetic threshold-strength specimens.
 
 ``dixon_mood`` is the scalar estimator for one campaign. The Monte-Carlo
-harness runs all replications of a trial as arrays. On its window of four
-levels a stair-case is a walk over 20 state codes 5*k + m: level k is under
-test and m window levels lie below the specimen's strength, so the specimen
-fails iff k >= m. Each specimen column is one add and one lookup in a 20-entry
-next-state table (from ``protocols.next_level``) across the replication axis.
-One lookup and sum over each replication's codes then gives its failure and
-survival counts and level sums, packed in one integer, and one OR its mask of
-occupied (outcome, level) cells; Dixon-Mood works from those. The tables are
-built once per window and kept (``_window_tables``). A specimen's m is drawn by
-inversion: one raw 64-bit word of ``PCG64(master_seed)``, whose stream NEP 19
-freezes, counts the window levels whose normal cell probabilities, scaled to
-2**64, it exceeds. Replication rep takes the next n_specimens words after those
-of replications 0 to rep - 1, in blocks of at least ``_MIN_BLOCK_ROWS``
-replications whatever n_specimens is.
+harness (``estimator_recovery_trial``) runs all replications of a trial as
+arrays over the campaign's design: a walk over state codes whose tables are
+built once per design and kept (``_window_tables``), and one Dixon-Mood step
+over every replication's packed counts (``_dixon_mood_means``).
 
 ``dixon_mood`` and ``fit_basquin`` (a closed-form least-squares line) work in
 plain floats; numpy is imported inside the recovery trial's array functions,
@@ -31,8 +21,9 @@ import numbers
 from typing import NamedTuple
 
 from .errors import EstimationError
-from .protocols import (StairCaseSequence, StairCaseTrial, _is_whole, grid_index,
-                        next_level, validate_population)
+from .protocols import (DEFAULT_LEVELS_V, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V, MAX_SPECIMENS,
+                        StairCaseSequence, StairCaseTrial, _is_whole, grid_index, next_level,
+                        validate_design, validate_population)
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -45,6 +36,10 @@ _BLOCK_ELEMENTS = 2**16
 _MIN_BLOCK_ROWS = 64
 MIN_REPLICATIONS = 1          # replications of one recovery trial: one at least
 MAX_REPLICATIONS = 1_000_000  # replications of one recovery trial, bounding its work
+MAX_WALK_LEVELS = 210         # distinct floats the walk of one recovery trial may reach
+# Width of the fields packed in a code's weight: no index sum passes (K - 1) * n.
+_FIELD_BITS = ((MAX_WALK_LEVELS - 1) * MAX_SPECIMENS).bit_length()
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 class StairCaseEstimate(NamedTuple):
@@ -160,9 +155,9 @@ def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
     """Stair-case over pure threshold specimens: failure iff level >= strength,
     stepped by ``protocols.next_level``.
 
-    One specimen at a time in plain floats. On a window of four levels 1 V
-    apart, the state-code walk of estimator_recovery_trial (_window_tables)
-    takes the same steps for every replication at once.
+    One specimen at a time in plain floats. The state-code walk of
+    estimator_recovery_trial (_window_tables) takes the same steps for every
+    replication at once.
     """
     levels = sorted(float(v) for v in levels_V)
     level = float(start_level_V)
@@ -175,52 +170,50 @@ def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
 
 
 @functools.lru_cache(maxsize=8)
-def _window_tables(levels: tuple[float, ...]):
-    """The stair-case walk on a window of four sorted levels 1 V apart, and the
-    tables that count it, as read-only arrays built once per window.
+def _window_tables(levels_V: tuple[float, ...], step_V: float, start_level_V: float):
+    """The stair-case walk of a design and the tables that count it, as read-only
+    arrays built once per design; ValueError names a fault of the design
+    (``protocols.validate_design``) or a walk past MAX_WALK_LEVELS levels.
 
-    State code 5*k + m: level k is under test and m window levels lie below
-    the strength, so the trial fails iff k >= m, exactly when level >=
-    strength. Its cell is k for a failure and 4 + k for a survival. Returns,
-    in order:
-
-    - the levels;
-    - the next state 5*k' of each code. Level k' is the first equal to the
-      level ``protocols.next_level`` steps to with a 1 V step, as in
-      synthetic_stair_case, so windows whose levels coincide as floats (means
-      of 2**53 and more) walk as it does;
-    - the weight of each code: its failure count, survival count and their
-      sums of level - levels[0] (whole volts, so exact), as four 16-bit
-      fields of one integer. A sum stays below 3 * MAX_SPECIMENS < 2**16, so
-      adding weights never carries from one field into the next;
-    - the bit of each code's cell, 1 << cell;
-    - for each 8-bit mask of occupied cells, the lowest occupied level of the
-      failures (row 0) and of the survivals (row 1);
-    - for each mask, whether it holds both outcomes;
-    - the shifts of the four fields, and the half steps -1/2 and +1/2 of the
-      failure and survival means, as columns.
+    The walk's levels are the floats that ``protocols.next_level`` reaches from the
+    start, so a step that is not exact in binary drifts as in synthetic_stair_case.
+    With K of them, state code (K+1)*k + m fails iff k >= m. Returns the walk's
+    levels; the next state (K+1)*k' of each code; its weight, 1 for a failure plus
+    its level's grid index (steps above the lowest) in its outcome's sum, in three
+    _FIELD_BITS fields (failure count, survival sum, failure sum); its (k, K) for a
+    failure and (K, k) for a survival, whose minimum over a stair-case is the lowest
+    level of each outcome, or K for none; each level's grid index; the shifts of the
+    failure and survival sums and the half steps -1/2 and +1/2, as columns; the
+    start's code; and the step as a float.
     """
+    problems = validate_design(levels_V, step_V, start_level_V)
+    if problems:
+        raise ValueError("; ".join(problems))
     import numpy as np
-    low, high = levels[0], levels[-1]
-    next_code, weight, cell_bit = [], [], []
+    low, high = min(map(float, levels_V)), max(map(float, levels_V))
+    step_V, start_level_V = float(step_V), float(start_level_V)
+    reached, todo = set(), [start_level_V]
+    while todo and len(reached) <= MAX_WALK_LEVELS:
+        if (level := todo.pop()) not in reached:
+            reached.add(level)
+            todo += [next_level(level, failure, step_V, low, high)[0] for failure in (True, False)]
+    if len(reached) > MAX_WALK_LEVELS:
+        raise ValueError(f"levels_V: the walk from {start_level_V:g} V in steps of {step_V:g} V "
+                         f"reaches more than {MAX_WALK_LEVELS} levels")
+    levels = sorted(reached)
+    width, index = len(levels) + 1, {level: k for k, level in enumerate(levels)}
+    grid = [round((level - levels[0]) / step_V) for level in levels]
+    next_code, weight, lowest = [], [], []
     for k, level in enumerate(levels):
-        down = 5 * levels.index(next_level(level, True, 1.0, low, high)[0])
-        up = 5 * levels.index(next_level(level, False, 1.0, low, high)[0])
-        next_code += [down] * (k + 1) + [up] * (4 - k)
-        above_low = int(level - low)
-        weight += [1 | above_low << 32] * (k + 1) + [1 << 16 | above_low << 48] * (4 - k)
-        cell_bit += [1 << k] * (k + 1) + [1 << 4 + k] * (4 - k)
-
-    def lowest(nibble):  # the level of its lowest set bit; any level for none
-        return levels[(nibble & -nibble).bit_length() - 1]
-
-    masks = range(256)
+        for failure, count in ((True, k + 1), (False, width - k - 1)):
+            next_code += [width * index[next_level(level, failure, step_V, low, high)[0]]] * count
+            weight += [failure + (grid[k] << (2 if failure else 1) * _FIELD_BITS)] * count
+            lowest += [(k, width - 1) if failure else (width - 1, k)] * count
     tables = (np.array(levels), np.array(next_code), np.array(weight, dtype=np.int64),
-              np.array(cell_bit, dtype=np.uint8),
-              np.array([[lowest(mask & 15) for mask in masks], [lowest(mask >> 4) for mask in masks]]),
-              np.array([bool(mask & 15 and mask >> 4) for mask in masks]),
-              np.array([[0], [16], [32], [48]]), np.array([[-0.5], [0.5]]))
-    for table in tables:
+              np.array(lowest, dtype=np.uint8), np.array(grid),
+              np.array([[2 * _FIELD_BITS], [_FIELD_BITS]]), np.array([[-0.5], [0.5]]),
+              width * index[start_level_V], step_V)
+    for table in tables[:-2]:
         table.flags.writeable = False
     return tables
 
@@ -238,69 +231,67 @@ def _stair_case_codes(cells: np.ndarray, next_code: np.ndarray, start_code: int)
 def _dixon_mood_means(codes: np.ndarray, tables: tuple) -> np.ndarray:
     """Dixon-Mood mean of each stair-case column of codes with both outcomes, in order.
 
-    Over the columns of codes at once, one sum of the codes' weights gives each
-    column's counts and level sums and one OR of their cell bits its mask of
-    occupied cells (tables from _window_tables). Columns with a single outcome
-    are dropped before any division, where dixon_mood raises EstimationError.
-    Per outcome, X0 is its lowest occupied level, N its count and A the sum of
-    count * (level - X0), exact as the levels are whole volts; the mean is
-    X0 + d*(A/N +/- 1/2), d = 1 V, over the less frequent outcome (ties to
-    failures), in the float operations of dixon_mood. Each array has one row
-    per outcome or field, so every operation runs along the columns.
+    One sum of the codes' weights gives each column's failure count and index sums,
+    and one minimum per outcome its lowest level (tables from _window_tables). Per
+    outcome, X0 is its lowest level, N its count and A the integer sum of the grid
+    steps above X0; the mean is X0 + d*(A/N +/- 1/2) over the less frequent outcome
+    (ties to failures), in the float operations of dixon_mood. A column with one
+    outcome, where dixon_mood raises EstimationError, divides its absent outcome's 0
+    by 1 and is dropped at the end. Each array has one row per outcome.
     """
     import numpy as np
-    levels, _, weight, cell_bit, lowest, both, shifts, half = tables
+    levels, _, weight, lowest, grid, shifts, half, _, step_V = tables
     packed = np.add.reduce(weight.take(codes), axis=0)
-    masks = np.bitwise_or.reduce(cell_bit.take(codes), axis=0)
-    keep = both.take(masks)
-    fields = (packed[keep] >> shifts) & 0xFFFF  # failures, survivals and their level sums
-    n = fields[:2]
-    x0 = lowest.take(masks[keep], axis=1)
-    a = fields[2:] - n * (x0 - levels[0])
-    means = x0 + (a / n + half)
-    return np.where(n[0] <= n[1], means[0], means[1])
+    counts = abs((packed & _FIELD_MASK) - np.array([[0], [len(codes)]]))  # failures, survivals
+    k0 = np.minimum.reduce(lowest.take(codes, axis=0), axis=0).T  # K for an absent outcome
+    a = ((packed >> shifts) & _FIELD_MASK) - counts * grid.take(k0, mode="clip")
+    means = levels.take(k0, mode="clip") + step_V * (a / np.maximum(counts, 1) + half)
+    return np.where(counts[0] <= counts[1], means[0], means[1]).compress(
+        np.logical_and.reduce(counts))
 
 
 def _bias_summary(biases: np.ndarray) -> tuple[float, float, float]:
     """Mean, ddof-0 spread and largest magnitude of a non-empty 1-D float64 array, as
     float(biases.mean()), float(biases.std()) and float(np.abs(biases).max()) give
-    them: the ufunc reductions those wrappers run, in their order. The mean is numpy's
-    pairwise add.reduce over the size; the spread the square root of the same mean of
-    the squared deviations from it."""
+    them: the ufunc reductions those wrappers run. The mean is numpy's pairwise
+    add.reduce over the size; the spread the square root of the same mean of the
+    squared deviations from it. EstimationError refuses a bias past 2**500 V, whose
+    square, summed over the replications, could overflow."""
     import numpy as np
+    largest = float(np.maximum.reduce(np.abs(biases)))
+    if not largest < 2.0**500:
+        raise EstimationError(f"estimation impossible: a bias of {largest:g} V is past 2**500 V")
     size = biases.size
     mean = float(np.add.reduce(biases)) / size
     deviations = biases - mean
     deviations *= deviations
-    return (mean, math.sqrt(float(np.add.reduce(deviations)) / size),
-            float(np.maximum.reduce(np.abs(biases))))
+    return mean, math.sqrt(float(np.add.reduce(deviations)) / size), largest
 
 
 def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
-                             n_specimens: int, replications: int, master_seed: int) -> dict:
+                             n_specimens: int, replications: int, master_seed: int,
+                             levels_V: tuple = DEFAULT_LEVELS_V, step_V: float = DEFAULT_STEP_V,
+                             start_level_V: float = DEFAULT_START_LEVEL_V) -> dict:
     """Bias/spread summary of the Dixon-Mood estimator on synthetic campaigns.
 
     Each replication draws threshold strengths from Normal(strength_mean_V,
-    strength_std_V) and runs a stair-case over the fixed window of 1 V steps,
-    round(strength_mean_V) - 1 to round(strength_mean_V) + 2 V, from the level
-    nearest the mean. Replications with only one outcome are skipped and counted.
-    The arguments must pass protocols.validate_population, the mean and spread
-    finite.
+    strength_std_V) and runs a stair-case of the design (the campaign's by default)
+    over pure threshold specimens, with no fatigue run. Replications with only one
+    outcome are skipped and counted. The arguments must pass validate_population and
+    validate_design, the mean and spread finite, and the walk may reach at most
+    MAX_WALK_LEVELS levels.
 
-    The walk needs only m, the window levels below a strength, and level L lies
-    below a strength of normal quantile u iff Phi((L - mean)/std) < u. So each
-    specimen reads one raw word of PCG64(master_seed), and m counts the cuts
+    The walk needs only m, the walk levels below a strength, and level L lies below
+    a strength of normal quantile u iff Phi((L - mean)/std) < u. So each specimen
+    reads one raw word of PCG64(master_seed), and m counts the cuts
     min(floor(Phi((L - mean)/std) * 2**64), 2**64 - 1) that the word exceeds (each
     cut is 2**63 when std * sqrt(2) overflows); at a spread of 0, m counts the
-    levels below the mean. All replications take their words row after row and
-    run at once as arrays: each specimen row is one step of a walk over the
-    window's 20 state codes (_window_tables), and Dixon-Mood works from each
-    replication's counts and level sums per outcome. The words come in order, so
-    the block size leaves them unchanged, and the summary equals that of one
-    synthetic_stair_case and dixon_mood per replication on strengths in the same
-    cells. The summary (_bias_summary) is numpy's pairwise add.reduce mean of the
-    biases and their ddof-0 spread: numpy's summation order, which NEP 19 does not
-    freeze.
+    levels below the mean. Each replication takes the n_specimens words after the
+    previous one's, and all run at once as arrays, in blocks of replications, so the
+    summary equals that of one synthetic_stair_case and dixon_mood per replication
+    on strengths in the same cells. The summary (_bias_summary) is numpy's pairwise
+    add.reduce mean of the biases and their ddof-0 spread: numpy's summation order,
+    which NEP 19 does not freeze.
     """
     problems = validate_population(n_specimens, None, strength_mean_V, strength_std_V, master_seed)
     problems += [f"{name}: must be finite, got {value}" for name, value in (
@@ -310,17 +301,15 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
             and MIN_REPLICATIONS <= replications <= MAX_REPLICATIONS):
         problems.append(f"replications: must be an integer in "
                         f"[{MIN_REPLICATIONS}, {MAX_REPLICATIONS}], got {replications!r}")
-    if problems:  # raised before the generator is seeded
+    if problems:
         raise ValueError("; ".join(problems))
+    tables = _window_tables(tuple(levels_V), step_V, start_level_V)
     import numpy as np
-    levels = tuple([round(strength_mean_V) - 1.0 + i for i in range(4)])
-    start = min(range(4), key=lambda k: abs(levels[k] - strength_mean_V))
-    tables = _window_tables(levels)
-    next_code = tables[1]
+    levels, next_code, start_code = tables[0], tables[1], tables[-2]
     if strength_std_V:  # Phi((level - mean)/std) * 2**64 per level, in NormalDist.cdf's floats
         cuts = [np.uint64(min(int(0.5 * math.erfc((strength_mean_V - level)
                                                   / (strength_std_V * math.sqrt(2))) * 2**64),
-                              2**64 - 1)) for level in levels]
+                              2**64 - 1)) for level in levels.tolist()]
 
     words = np.random.PCG64(int(master_seed))
     block = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_specimens)   # replications per pass
@@ -333,8 +322,8 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
             for cut in cuts[1:]:
                 cells += raw > cut
         else:  # every strength is the mean
-            cells = np.full((n_specimens, rows), sum(level < strength_mean_V for level in levels))
-        codes = _stair_case_codes(cells, next_code, 5 * start)
+            cells = np.full((n_specimens, rows), sum(levels < strength_mean_V))
+        codes = _stair_case_codes(cells, next_code, start_code)
         chunks.append(_dixon_mood_means(codes, tables))
     estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if not estimates.size:

@@ -311,20 +311,30 @@ def make_sequence(pairs, step=1.0):
     return StairCaseSequence(trials=trials, step_V=step, levels_V=levels)
 
 
-def recovery_window(base):
-    """The recovery trial's window of four levels 1 V apart around a whole base."""
-    return [base - 1.0 + i for i in range(4)]
+def walk_levels(levels_V, step_V, start_level_V):
+    """The sorted floats that the stair-case rule reaches from start_level_V in the window of
+    levels_V: every level a stair-case of the design can test."""
+    low, high = min(map(float, levels_V)), max(map(float, levels_V))
+    reached, todo = set(), [float(start_level_V)]
+    while todo:
+        level = todo.pop()
+        if level not in reached:
+            reached.add(level)
+            todo += [dixon_mood_step(level, failure, step_V, low, high)[0]
+                     for failure in (True, False)]
+    return sorted(reached)
 
 
 def recovery_by_replication(strength_mean_V, strength_std_V, n_specimens, replications,
-                            master_seed):
+                            master_seed, levels_V=(12.0, 13.0, 14.0, 15.0), step_V=1.0,
+                            start_level_V=15.0):
     """Reference of estimator_recovery_trial: one synthetic_stair_case and one dixon_mood
     (with its grid check) per replication. At a spread of 0 every strength is the mean.
     Otherwise each specimen reads the next raw word of one PCG64(master_seed), and the
-    cut points NormalDist(mean, std).cdf(level) * 2**64 place it in a cell m, the
-    window levels below it; its strength is the first level not below it, or inf."""
-    levels = recovery_window(round(strength_mean_V))
-    start = min(levels, key=lambda v: abs(v - strength_mean_V))
+    cut points NormalDist(mean, std).cdf(level) * 2**64 at the levels the walk can reach
+    place it in a cell m, the walk levels below it; its strength is the first walk
+    level not below it, or inf."""
+    levels = walk_levels(levels_V, step_V, start_level_V)
     if strength_std_V:
         law = statistics.NormalDist(strength_mean_V, strength_std_V)
         cuts = [min(int(law.cdf(level) * 2**64), 2**64 - 1) for level in levels]
@@ -337,7 +347,7 @@ def recovery_by_replication(strength_mean_V, strength_std_V, n_specimens, replic
                          for word in bit_generator.random_raw(n_specimens).tolist()]
         else:
             strengths = [strength_mean_V] * n_specimens
-        seq = synthetic_stair_case(strengths, levels, 1.0, start)
+        seq = synthetic_stair_case(strengths, levels_V, step_V, start_level_V)
         try:
             estimates.append(dixon_mood(seq).mean_V)
         except EstimationError:

@@ -134,8 +134,9 @@ def test_criterion_6_displacement_imposed_guard(nominal_device, calibrated_param
 
 def test_criterion_7_estimator_recovery():
     start = time.perf_counter()
-    summary = estimator_recovery_trial(13.0, 0.55, n_specimens=6,
-                                       replications=200, master_seed=42)
+    # on the design recorded before the trial took the campaign's: 12-15 V from 13 V
+    summary = estimator_recovery_trial(13.0, 0.55, n_specimens=6, replications=200,
+                                       master_seed=42, start_level_V=13.0)
     elapsed = time.perf_counter() - start
     ok = abs(summary["mean_bias_V"]) < 0.3 and elapsed < 10.0
     report(7, ok, f"mean bias {summary['mean_bias_V']:+.3f} V over "

@@ -402,19 +402,35 @@ def test_recovery_spread_past_the_float_range_runs_without_a_warning(tmp_path, c
     code, out, err = run_cli(capsys, "--config", str(cfg), "recovery")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "1aea0c6b4f89c64c07dbcd0a5d005eabe5b5b8d09bb21fb1a1fde95f92e961bb"
+        "00e06ad340754b33b8eb426912bb9e1de54477e1388370afdebe217da5ac3f92"
+
+
+@pytest.mark.parametrize("config, bias", [
+    # a one-level window whose estimates lie half of 1.7e308 V off it, where staircase
+    # finds its quantiles overflow
+    (OVERFLOWING_WINDOW, "8.5e+307"),
+    # strengths of Normal(1e300, 1e300) fail at the default levels about one time in
+    # six, and each estimate lies about 1e300 V below the true mean
+    ({"campaign": {"strength_mean_V": 1e300, "strength_std_V": 1e300}}, "1e+300"),
+])
+def test_recovery_whose_biases_may_overflow_exits_3(tmp_path, capsys, config, bias):
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "recovery")
+    assert (code, out) == (3, "")
+    assert err == f"error: estimation impossible: a bias of {bias} V is past 2**500 V\n"
 
 
 # sha256 of stdout. The recovery rows read one PCG64(master_seed) per trial, each
-# replication's row of raw words in order; --show-defaults is the
+# replication's row of raw words in order, and walk the campaign's design; --show-defaults is the
 # default config_echo.json, and curve's default the benchmark's conversion_curve.csv.
 # A dict in argv is a config, passed as a file.
 STDOUT_DIGESTS = [
     (["--seed", "42", "recovery", "--replications", "2000"],
-     "d0acf882e1bb0ec6b60ee30fb6d8a01b1e6823e24b40e58c2ca4d8ca77d21304"),
+     "d56f758c464356cebe04ab9cb939fc37613cd792e31c753dd4948436303b36b4"),
     (["--config", {"campaign": {"n_specimens": 24, "strength_std_V": 0.8}},
       "--seed", "42", "recovery", "--replications", "2000"],
-     "5c394a6ef8b1ce9e4e4c4ea3636b23a1a774db19bda59e62c658fc967706c9a7"),
+     "ee892f82788109d5dcb581bf06b0f3d10bc14002db21f833076738b33110ff8f"),
     (["--show-defaults"], BENCH_DIGESTS["staircase"]["config_echo.json"]),
     (["pullin"],
      "01fe64191f5d5950d9408a3d9e6b2295815896e6696924cf4c17bd14536e47d0"),
@@ -600,6 +616,10 @@ OVERFLOWING_READINGS = {"model": {"c_k": 1e296, "detection_step_V": 1e-6},
                         "damage": {"hardening_amplitude": 1e308}}
 
 
+# 12-15 V in 0.01 V steps: 301 grid levels, and drifted floats besides.
+WALK_PAST_THE_BOUND = {"step_V": 0.01, "start_level_V": 13.0}
+
+
 @pytest.mark.parametrize("config, argv, path", [
     ({"campaign": {"n_specimens": 0}}, ["recovery"], "campaign.n_specimens"),
     # The step is at fault only outside its range: any finite step above 0 runs.
@@ -616,6 +636,15 @@ OVERFLOWING_READINGS = {"model": {"c_k": 1e296, "detection_step_V": 1e-6},
     ({"campaign": {"n_specimens": 1}}, ["recovery"], "campaign.n_specimens"),
     *[(OVERFLOWING_READINGS, argv, "damage.hardening_amplitude")
       for argv in (["fatigue", "--va", "14"], ["staircase"])],
+    # recovery and staircase refuse one design at one path
+    *[({"campaign": campaign}, argv, path) for campaign, path in (
+        ({"step_V": 0}, "campaign.step_V"),
+        ({"start_level_V": 12.5}, "campaign.start_level_V"),
+        ({"levels_V": [12.0, 13.5, 15.0]}, "campaign.levels_V"),
+        ({"levels_V": [13.0, 28.0]}, "campaign.levels_V"),  # past the 26.4 V pull-in
+    ) for argv in (["recovery"], ["staircase"])],
+    # a walk past stats.MAX_WALK_LEVELS, which staircase runs
+    ({"campaign": WALK_PAST_THE_BOUND}, ["recovery"], "campaign.levels_V"),
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"
@@ -623,6 +652,15 @@ def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, 
     code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
     assert (code, out) == (2, "")
     assert f" {path}: " in err
+
+
+def test_staircase_runs_a_design_whose_walk_passes_the_recovery_bound(tmp_path, capsys):
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({"campaign": WALK_PAST_THE_BOUND}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "staircase")
+    assert code == 0
+    assert [t["level_V"] for t in json.loads(out)["trials"]][:2] in ([13.0, 12.99], [13.0, 13.01])
 
 
 @pytest.mark.parametrize("config", [
@@ -665,20 +703,38 @@ def test_output_directory_faults_exit_2_naming_the_setting(tmp_path, capsys, mon
     assert err.startswith(f"config error: {setting}: ")
 
 
+# Designs besides the default: a wider one with a finer step, and one whose 0.3 V step
+# drifts off its levels in floats.
+RECOVERY_DESIGNS = [
+    {"levels_V": [11.0, 11.5, 12.0, 12.5, 13.0, 13.5, 14.0, 14.5, 15.0, 15.5, 16.0],
+     "step_V": 0.5, "start_level_V": 16.0},
+    {"levels_V": [13.1, 13.4, 14.0, 14.3], "step_V": 0.3, "start_level_V": 14.3},
+]
+
+
 def test_recovery_draws_the_campaign_population(tmp_path, capsys):
     campaign = {"strength_mean_V": 14.0, "strength_std_V": 0.3, "n_specimens": 12,
                 "master_seed": 5}
-    outputs = []
-    for mean in (14.0, 14):  # a whole mean may be spelled as an int
-        cfg = tmp_path / "campaign.json"
-        cfg.write_text(json.dumps({"campaign": {**campaign, "strength_mean_V": mean}}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "recovery", "--replications", "50")
-        assert code == 0
-        outputs.append(out)
-    payload = json.loads(outputs[0])
-    assert [payload[key] for key in ("true_mean_V", "true_std_V", "n_specimens", "seed")] == \
-        [14.0, 0.3, 12, 5]
-    assert outputs[1] == outputs[0]
+    default = default_config().campaign
+    for design in [{}, *RECOVERY_DESIGNS]:
+        outputs = []
+        for mean in (14.0, 14):  # a whole mean may be spelled as an int
+            cfg = tmp_path / "campaign.json"
+            cfg.write_text(json.dumps({"campaign": {**campaign, **design,
+                                                    "strength_mean_V": mean}}))
+            code, out, _ = run_cli(capsys, "--config", str(cfg), "recovery",
+                                   "--replications", "50")
+            assert code == 0
+            outputs.append(out)
+        payload = json.loads(outputs[0])
+        assert [payload[key] for key in ("true_mean_V", "true_std_V", "n_specimens", "seed")] \
+            == [14.0, 0.3, 12, 5]
+        assert outputs[1] == outputs[0]
+        expected = reference.recovery_by_replication(
+            14.0, 0.3, 12, 50, 5, design.get("levels_V", default.levels_V),
+            design.get("step_V", default.step_V),
+            design.get("start_level_V", default.start_level_V))
+        assert {key: payload[key] for key in expected} == expected, design
 
 
 def test_cli_surface_is_pinned():

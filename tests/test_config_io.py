@@ -181,7 +181,8 @@ def _population(d, p, camp):
 
 def _recovery(d, p, camp):
     return estimator_recovery_trial(camp.strength_mean_V, camp.strength_std_V,
-                                    camp.n_specimens, 20, camp.master_seed)
+                                    camp.n_specimens, 20, camp.master_seed, camp.levels_V,
+                                    camp.step_V, camp.start_level_V)
 
 
 # (section, field, the name the entries give the value, entries). The entries name
@@ -199,6 +200,8 @@ BOUNDED_FIELDS = [
     ("campaign", "strength_mean_V", "strength_mean_V", [_population, _recovery]),
     ("campaign", "strength_std_V", "strength_std_V", [_population, _recovery]),
     ("campaign", "master_seed", "master_seed", [_population, _recovery]),
+    ("campaign", "step_V", "step_V", [_recovery]),
+    ("campaign", "start_level_V", "start_level_V", [_recovery]),
 ]
 EDGE_VALUES = [0, -0.0, math.nextafter(0.0, 1.0), 1, math.nextafter(1.0, 0.0)]
 # One past each MAX_* bound, by field.
@@ -231,11 +234,11 @@ def _names(call, name) -> bool:
 ])
 def test_config_and_library_bounds_agree(nominal_device, calibrated_params, section, field,
                                          name, entries, value):
-    # parse_config names section.field exactly when the library entries taking
-    # the value raise naming it. The entries get the value as the config reads
-    # it: a whole float in an int field as an int.
+    # The config (parse_config, then check_campaign on the device) names section.field
+    # exactly when the library entries taking the value raise naming it. The entries
+    # get the value as the config reads it: a whole float in an int field as an int.
     try:
-        parse_config(json.dumps({section: {field: value}}))
+        parse_config(json.dumps({section: {field: value}})).check_campaign(nominal_device)
         config_names = False
     except ConfigError as exc:
         config_names = f"{section}.{field}" in [path for path, _ in exc.problems]

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ from microfatigue.stats import (WohlerPoint, dixon_mood, estimator_recovery_tria
                                 fit_basquin, synthetic_stair_case)
 from tests.reference import (PUBLISHED, float_dixon_mood_means, float_stair_case_levels,
                              make_sequence, polyfit_basquin, recovery_by_replication,
-                             recovery_window, result_or_fault)
+                             result_or_fault, walk_levels)
 
 
 def test_published_sequence_mean():
@@ -218,17 +219,34 @@ def test_basquin_noise_robustness():
     assert np.mean(errors) < 0.05
 
 
+# The design the trial walked before it took the campaign's: 12-15 V from 13 V, the
+# level nearest the mean. The figures recorded on it stay as they were.
+OLD_WINDOW = {"levels_V": (12.0, 13.0, 14.0, 15.0), "step_V": 1.0, "start_level_V": 13.0}
+
+
 def test_recovery_trial_bias_bound():
     summary = estimator_recovery_trial(13.0, 0.55, n_specimens=6,
-                                       replications=200, master_seed=42)
+                                       replications=200, master_seed=42, **OLD_WINDOW)
     assert summary["valid_replications"] > 150
     assert abs(summary["mean_bias_V"]) < 0.3
 
 
 def test_recovery_trial_zero_scatter():
     summary = estimator_recovery_trial(13.0, 0.0, n_specimens=6,
-                                       replications=20, master_seed=1)
+                                       replications=20, master_seed=1, **OLD_WINDOW)
     assert summary["max_abs_bias_V"] <= 1.0  # within one step of the true mean
+
+
+def test_recovery_runs_the_campaign_design_by_default():
+    # 200 000 pure-threshold replications of the default campaign (12-15 V from 15 V,
+    # n 6, Normal(13.0, 0.55)) spread the estimate with an SD of 0.407 V; the old
+    # design's start at 13 V gave 0.325 V. The standard error of an SD over n
+    # replications is about SD / sqrt(2 n).
+    summary = estimator_recovery_trial(13.0, 0.55, 6, 20_000, master_seed=20080409)
+    se = 0.407 / math.sqrt(2 * summary["valid_replications"])
+    assert abs(summary["std_bias_V"] - 0.407) <= 5 * se
+    assert summary == estimator_recovery_trial(13.0, 0.55, 6, 20_000, 20080409,
+                                               (15.0, 14.0, 13.0, 12.0), 1.0, 15.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -259,10 +277,10 @@ def test_recovery_doubling_levels_doubles_estimate():
 
 
 # (master_seed, mean_bias_V, std_bias_V, valid_replications) with 20 000 replications
-# on the recovery benchmark's inputs, each row at its own seed (42 + row index) so
-# that the rows are independent checks, recorded when the trial drew each strength as
-# mean + std * z, z from one default_rng(master_seed) standard_normal stream: an
-# independent sample of the same law.
+# on the recovery benchmark's inputs and OLD_WINDOW, each row at its own seed (42 +
+# row index) so that the rows are independent checks, recorded when the trial drew
+# each strength as mean + std * z, z from one default_rng(master_seed)
+# standard_normal stream: an independent sample of the same law.
 PER_REPLICATION_STREAM_SUMMARY = {
     (13.0, 0.3, 6): (42, -0.005199999999999993, 0.28984318365473244, 20000),
     (13.0, 0.55, 6): (43, 0.007783333333333336, 0.32550896514364824, 20000),
@@ -282,7 +300,8 @@ def test_one_generator_stream_agrees_with_per_replication_streams(trial):
     # the skipped share within 5 binomial standard deviations of the two samples'
     # pooled share.
     seed, parent_mean, parent_std, parent_valid = PER_REPLICATION_STREAM_SUMMARY[trial]
-    summary = estimator_recovery_trial(*trial, replications=20000, master_seed=seed)
+    summary = estimator_recovery_trial(*trial, replications=20000, master_seed=seed,
+                                       **OLD_WINDOW)
     combined_se = math.hypot(summary["std_bias_V"] / math.sqrt(summary["valid_replications"]),
                              parent_std / math.sqrt(parent_valid))
     assert abs(summary["mean_bias_V"] - parent_mean) <= 5 * combined_se
@@ -291,15 +310,27 @@ def test_one_generator_stream_agrees_with_per_replication_streams(trial):
     assert abs(skipped - parent_skipped) / 20000 <= 5 * math.sqrt(pooled * (1 - pooled) * 2 / 20000)
 
 
+# Steps exact in binary, and steps that are not (0.1, 1/3, 0.7, 0.05), whose walk
+# drifts off the design's levels in floats.
+DESIGN_STEPS = st.sampled_from([1.0, 0.5, 0.25, 2.0, 0.1, 1 / 3, 0.7, 0.05])
+
+
+@st.composite
+def designs(draw):
+    """(levels_V, step_V, start_level_V): 1 to 8 levels on the step grid from the
+    start, at times with grid points left out, the start any of them."""
+    step = draw(DESIGN_STEPS)
+    indices = sorted(draw(st.sets(st.integers(0, 11), min_size=1, max_size=8)))
+    start = draw(st.sampled_from(indices))
+    start_level = draw(st.floats(5.0, 20.0))
+    return [start_level + (i - start) * step for i in indices], step, start_level
+
+
 @st.composite
 def recovery_trials(draw):
-    # Means ending in .5 tie the two nearest window levels for the start; far
-    # means keep the window on its grid too. From 2**52 on, window levels 1 V
-    # apart coincide as floats; in [2**53, 2**54) some do and others do not.
-    mean = draw(st.integers(8, 18).map(lambda k: k + 0.5)
-                     | st.floats(8.0, 18.0, allow_subnormal=False)
-                     | st.floats(-1e6, 1e6, allow_subnormal=False)
-                     | st.floats(2.0**51, 2.0**60) | st.floats(2.0**53, 2.0**54))
+    levels, step, start = draw(designs())
+    mean = draw(st.floats(levels[0] - 2 * step, levels[-1] + 2 * step)
+                | st.floats(-1e6, 1e6, allow_subnormal=False) | st.floats(2.0**51, 2.0**60))
     return dict(
         strength_mean_V=mean,
         strength_std_V=draw(st.sampled_from([0.0, 1e-12, 1e-6]) | st.floats(0.0, 2.0)),
@@ -307,6 +338,7 @@ def recovery_trials(draw):
         replications=draw(st.integers(1, 60)),
         # Past 2**64 and 2**96: seeds of three and more 32-bit entropy words.
         master_seed=draw(st.integers(0, 2**32) | st.integers(0, 2**200)),
+        levels_V=levels, step_V=step, start_level_V=start,
     )
 
 
@@ -324,19 +356,20 @@ def test_batched_recovery_equals_replication_loop(trial, block_elements):
 
 
 def test_window_tables_are_read_only():
-    tables = stats._window_tables((12.0, 13.0, 14.0, 15.0))
-    for table in tables:
+    tables = stats._window_tables((12.0, 13.0, 14.0, 15.0), 1.0, 15.0)
+    for table in tables[:-2]:  # the arrays; the start code and the step are numbers
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[1]
 
 
 def test_window_tables_memo_keeps_each_window_apart():
-    # At a mean of 2**60 all four window levels are one float, and at 2**53 + 4 the
-    # lowest two are, so their tables differ from those of a window 1 V apart; the
-    # whole-volt integers round(mean) - 1 + i, equal as keys to the float levels
-    # below 2**53, would walk the 2**53 + 4 window as four distinct levels.
-    trials = [(mean, std, 12, 300, 7) for mean, std in (
-        (13.0, 0.8), (14.2, 0.55), (2.0**60, 1000.0), (2.0**53 + 4, 10.0), (13.0, 0.8))]
+    # The same levels walked from another start or with another step, and the same
+    # start and step over other levels, each make their own walk; a memo keyed on
+    # less than the whole design would hand one of them another's tables.
+    trials = [(13.0, 0.55, 12, 300, 7, *design) for design in (
+        ((12.0, 13.0, 14.0, 15.0), 1.0, 15.0), ((12.0, 13.0, 14.0, 15.0), 1.0, 13.0),
+        ((13.0, 15.0), 1.0, 15.0), ((13.0, 15.0), 2.0, 15.0), ((12, 13, 14, 15), 1, 15),
+        ((12.0, 13.0, 14.0, 15.0), 1.0, 15.0))]
     stats._window_tables.cache_clear()
     interleaved = [estimator_recovery_trial(*trial) for trial in trials]
     assert interleaved == [recovery_by_replication(*trial) for trial in trials]
@@ -357,45 +390,64 @@ def test_wide_trials_pass_at_least_the_row_floor(monkeypatch):
 
 
 def test_a_basis_level_sum_fills_its_packed_field_without_carrying():
-    # From the top level, strengths of 14.5 V (three levels below each) alternate a
-    # failure at 15 V with a survival at 14 V: 5 000 failures 3 V above the lowest
-    # level sum 15 000, the most a basis outcome (at most half the trials) can reach
-    # at MAX_SPECIMENS.
-    tables = stats._window_tables((12.0, 13.0, 14.0, 15.0))
-    codes = stats._stair_case_codes(np.full((MAX_SPECIMENS, 1), 3), tables[1], 5 * 3)
-    assert stats._dixon_mood_means(codes, tables).tolist() == [14.5]
+    # MAX_WALK_LEVELS levels 1 V apart, from the top: MAX_SPECIMENS - 1 strengths above
+    # every level survive there, held by the clamp, and the last specimen fails there.
+    # The survivals' index sum, (MAX_WALK_LEVELS - 1) * (MAX_SPECIMENS - 1), fills its
+    # field; a carry out of it would move the sum of the single failure, the basis.
+    levels = tuple(float(k) for k in range(stats.MAX_WALK_LEVELS))
+    tables = stats._window_tables(levels, 1.0, levels[-1])
+    cells = np.full((MAX_SPECIMENS, 1), len(levels))
+    cells[-1] = 0
+    codes = stats._stair_case_codes(cells, tables[1], tables[-2])
+    assert stats._dixon_mood_means(codes, tables).tolist() == [levels[-1] - 0.5]
 
 
-# Window bases past 2**52 make window levels 1 V apart coincide as floats.
-WINDOW_BASES = st.integers(10, 15) | st.integers(2**51, 2**60)
-STRENGTH_OFFSETS_V = st.floats(-3.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf, 1])
+@pytest.mark.parametrize("levels, step", [
+    (tuple(float(k) for k in range(stats.MAX_WALK_LEVELS + 1)), 1.0),
+    ((12.0, 15.0), 0.001),  # 3 001 grid levels, and about as many again drifted
+])
+def test_a_walk_past_the_level_bound_is_refused_before_any_table(levels, step):
+    with mock.patch("numpy.array", side_effect=AssertionError("built a table")):
+        with pytest.raises(ValueError, match=f"^levels_V: the walk from {levels[-1]:g} V in steps "
+                                             f"of {step:g} V reaches more than 210 levels$"):
+            estimator_recovery_trial(13.0, 0.55, 6, 20, 1, levels, step, levels[-1])
+
+
+# A strength as a float offset in steps above a design's lowest level, or as an int
+# that picks one of its walk's levels, which a tie at a drifted level needs.
+STRENGTHS = (st.floats(-3.0, 15.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+             | st.integers(0, 63))
 
 
 @st.composite
 def window_stair_cases(draw, min_specimens=0):
-    """(rows of strengths, the recovery window's four levels, start index): up to
-    5 rows of min_specimens to 30 strengths around a window of 1 V steps."""
-    base = draw(WINDOW_BASES)
+    """(rows of strengths, a design of designs()): up to 5 rows of min_specimens to 30
+    strengths of STRENGTHS."""
+    design = draw(designs())
+    levels, step, _ = design
+    walk = walk_levels(*design)
     n = draw(st.integers(min_specimens, 30))
-    offsets = draw(st.lists(st.lists(STRENGTH_OFFSETS_V, min_size=n, max_size=n),
-                            min_size=1, max_size=5))
-    rows = [[base + offset for offset in row] for row in offsets]
-    return rows, recovery_window(base), draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(STRENGTHS, min_size=n, max_size=n), min_size=1, max_size=5))
+    return [[walk[v % len(walk)] if type(v) is int else levels[0] + v * step for v in row]
+            for row in rows], design
 
 
 @given(case=window_stair_cases())
 @settings(max_examples=300, deadline=None)
 def test_state_code_walk_steps_as_synthetic_stair_case(case):
-    rows, levels, start = case
-    window, next_code = stats._window_tables(tuple(levels))[:2]
+    rows, design = case
+    tables = stats._window_tables(tuple(design[0]), *design[1:])
+    walk, next_code, width = tables[0], tables[1], len(tables[0]) + 1
+    assert walk.tolist() == walk_levels(*design)
     strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
-    # m, the window levels below each strength; a NaN strength counts 4 and survives,
-    # as level >= NaN is false.
-    codes = stats._stair_case_codes(window.searchsorted(strengths.T), next_code, 5 * start)
+    # m, the walk levels below each strength; a NaN strength counts them all and
+    # survives, as level >= NaN is false.
+    codes = stats._stair_case_codes(walk.searchsorted(strengths.T), next_code, tables[-2])
     for row, row_codes in zip(rows, codes.T.tolist()):
-        trials = synthetic_stair_case(row, levels, 1.0, levels[start]).trials
-        assert [t.level_V for t in trials] == [levels[code // 5] for code in row_codes]
-        assert [t.failure for t in trials] == [code // 5 >= code % 5 for code in row_codes]
+        trials = synthetic_stair_case(row, *design).trials
+        assert [t.level_V for t in trials] == [walk[code // width] for code in row_codes]
+        assert [t.failure for t in trials] == [code // width >= code % width
+                                               for code in row_codes]
         assert all(type(t.level_V) is float and type(t.failure) is bool for t in trials)
 
 
@@ -403,12 +455,12 @@ def test_state_code_walk_steps_as_synthetic_stair_case(case):
 @given(case=window_stair_cases(min_specimens=1))
 @settings(max_examples=300, deadline=None)
 def test_dixon_mood_from_counts_equals_the_float_array_reference(case):
-    rows, levels, start = case
+    rows, (levels, step, start) = case
     strengths = np.array(rows, dtype=float).reshape(len(rows), -1)
-    tested = float_stair_case_levels(strengths, levels[0], levels[-1], 1.0, levels[start])
-    expected = float_dixon_mood_means(tested, tested >= strengths, 1.0)
-    tables = stats._window_tables(tuple(levels))
-    codes = stats._stair_case_codes(tables[0].searchsorted(strengths.T), tables[1], 5 * start)
+    tested = float_stair_case_levels(strengths, levels[0], levels[-1], step, start)
+    expected = float_dixon_mood_means(tested, tested >= strengths, step)
+    tables = stats._window_tables(tuple(levels), step, start)
+    codes = stats._stair_case_codes(tables[0].searchsorted(strengths.T), tables[1], tables[-2])
     assert stats._dixon_mood_means(codes, tables).tolist() == expected.tolist()
 
 
@@ -423,6 +475,15 @@ def test_bias_summary_equals_numpy_mean_std_and_max(size):
     biases = estimates - 12.7
     assert list(map(repr, stats._bias_summary(biases))) == list(map(repr, (
         float(np.mean(biases)), float(np.std(biases)), float(np.max(np.abs(biases))))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("largest", [2.0**500, 1.7e308, math.inf])
+def test_bias_summary_refuses_biases_whose_squares_may_overflow(largest):
+    biases = np.array([0.5, -largest, 2.0**499])
+    with pytest.raises(EstimationError, match=re.escape(f"a bias of {largest:g} V is past")):
+        stats._bias_summary(biases)
+    assert stats._bias_summary(np.array([0.5, -math.nextafter(2.0**500, 0.0)]))[2] < 2.0**500
 
 
 @pytest.mark.parametrize("strength_std_V", [0.55, 0.0])
@@ -455,10 +516,16 @@ def test_recovery_trial_enters_no_numpy_python_reduction(strength_std_V):
     ({"strength_mean_V": -13.0}, "strength_mean_V"),
     ({"master_seed": 1.0}, "master_seed"),
     ({"n_specimens": 1}, "n_specimens"),  # Dixon-Mood needs both outcomes
+    ({"step_V": 0.0}, "step_V"),
+    ({"start_level_V": 12.5}, "start_level_V"),
+    ({"levels_V": (13.5, 15.0)}, "levels_V"),
+    ({"step_V": 1e-300}, "step_V"),
+    ({"step_V": 0.001}, "levels_V"),  # past MAX_WALK_LEVELS
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"strength_mean_V": 13.0, "strength_std_V": 0.55, "n_specimens": 6,
-              "replications": 20, "master_seed": 1, **fault}
+              "replications": 20, "master_seed": 1, "levels_V": (12.0, 15.0), "step_V": 1.0,
+              "start_level_V": 15.0, **fault}
     with mock.patch("numpy.random.PCG64", side_effect=AssertionError("seeded")):
         with pytest.raises(ValueError, match=f"^{name}: "):
             estimator_recovery_trial(**kwargs)
