@@ -2,16 +2,26 @@
 summaries, byte-identical on repeated emission. CSV numbers use
 locale-independent 6-significant-digit formatting (``%.6g``); JSON numbers
 are written as ``json`` writes them, floats by ``repr``.
+
+A run CSV takes its load-count texts from one shared grid: the texts of
+``0, interval, 2*interval, ...`` for the last interval written, as long as the
+longest record written since that interval was set. It holds one interval and
+at most ``protocols.MAX_DETECTIONS + 1`` texts: about 130 KB for a
+2 000-detection run at a 1 000-cycle interval, about 6.5 MB at the bound. A
+longer record, which only a hand-built one can be, converts its own counts
+and leaves the grid as it was.
 """
 
 from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as _quote
+from operator import index
 
 from . import __version__
 from .electromech import EquilibriumPoint
-from .protocols import OUTCOME_FAILED, OUTCOME_SURVIVED, FatigueRunRecord, StairCaseSequence
+from .protocols import (MAX_DETECTIONS, OUTCOME_FAILED, OUTCOME_SURVIVED, FatigueRunRecord,
+                        StairCaseSequence)
 from .stats import BasquinFit, StairCaseEstimate, WohlerPoint
 
 TOOL_STAMP = f"microfatigue {__version__}"
@@ -21,7 +31,23 @@ def _num(x: float) -> str:
     return "%.6g" % x
 
 
+# (interval, texts): texts[j] is str(j * interval) for the last interval written.
+# Replaced whole, never changed in place, so a list once read stays valid.
+_count_texts: tuple[int, list[str]] = (0, [])
+
+
 def emit_fatigue_run(record: FatigueRunRecord) -> str:
+    global _count_texts
+    # index: a float interval equal to the stored one must fail as range fails,
+    # not take that interval's texts.
+    interval, readings = index(record.detection_interval), record.readings
+    if not readings:
+        raise ValueError("readings: a run record holds at least its pristine reading")
+    texts_interval, counts = _count_texts
+    if texts_interval != interval or len(counts) < len(readings):
+        counts = list(map(str, range(0, len(readings) * interval, interval)))
+        if len(counts) <= MAX_DETECTIONS + 1:
+            _count_texts = interval, counts
     parts = [f"# drive_amplitude_V={_num(record.drive_amplitude_V)} "
              f"outcome={record.outcome} reference_cycles={record.reference_cycles}\n"
              "load_cycles,pullin_V\n"]
@@ -29,14 +55,13 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
     # A run repeats each reading over consecutive rows: format a row's tail only
     # when its reading differs from the row before. Zero is always formatted,
     # since 0.0 == -0.0 but "0" != "-0"; NaN re-formats, since NaN != NaN.
-    interval, readings = record.detection_interval, record.readings
     last = tail = None
-    for cycles, v in zip(range(0, len(readings) * interval, interval), readings):
+    for count, v in zip(counts, readings):
         if v != last or not v:
             last, tail = v, f",{_num(v)}\n"
-        append(str(cycles))
+        append(count)
         append(tail)
-    if cycles > record.reference_cycles:  # the reference clipped the last count
+    if (len(readings) - 1) * interval > record.reference_cycles:  # clipped last count
         parts[-2] = str(record.final_cycles)
     return "".join(parts)
 

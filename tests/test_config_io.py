@@ -6,6 +6,8 @@ import json
 import math
 import pkgutil
 import re
+import sys
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import microfatigue
-from microfatigue import config as config_module
+from microfatigue import config as config_module, emit as emit_module
 from microfatigue.config import (CampaignConfig, DamageConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
 from microfatigue.damage import DamageModelParams, SpecimenStrength
@@ -322,6 +324,107 @@ def test_emit_fatigue_run_writes_the_counts_the_grid_implies(data, pool, case, a
     assert record.final_cycles == counts[-1]
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{c},{_num(v)}" for c, v in record.detections] + [""]
+
+
+def _assert_emitted(record):
+    """record's CSV rows are its detections, and the shared count texts still
+    hold one interval's grid within the detection bound."""
+    lines = emit_fatigue_run(record).split("\n")
+    assert lines[2:] == [f"{c},{_num(v)}" for c, v in record.detections] + [""]
+    interval, texts = emit_module._count_texts
+    assert len(texts) <= MAX_DETECTIONS + 1
+    assert texts == [str(j * interval) for j in range(len(texts))]
+
+
+@given(data=st.data(), pool=READINGS)
+@settings(max_examples=100, deadline=None)
+def test_emit_fatigue_run_shares_count_texts_across_records(data, pool):
+    # Records of two intervals in a drawn order. The plan's four records keep their
+    # order among extras inserted at drawn places: at interval a, a short record and
+    # then one longer than any before it; a clipped record at b (a switch); then one
+    # at a again (a switch back) whose reference is a float. The extras draw their
+    # interval, length, clipping and float reference.
+    a = data.draw(st.integers(1, 10**6))
+    b = data.draw(st.integers(2, 10**6).filter(lambda b: b != a))
+
+    def record(interval, n, clipped, as_float):
+        readings = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        if clipped and interval > 1 and n > 1:
+            reference = (n - 2) * interval + data.draw(st.integers(1, interval - 1))
+        else:
+            reference = (n - 1) * interval + data.draw(st.integers(0, interval))
+        return RECORD._replace(readings=tuple(readings), detection_interval=interval,
+                               reference_cycles=float(reference) if as_float else reference)
+
+    plan = [record(a, data.draw(st.integers(1, 30)), False, False),
+            record(a, data.draw(st.integers(31, 60)), False, False),
+            record(b, data.draw(st.integers(2, 60)), True, False),
+            record(a, data.draw(st.integers(1, 60)), data.draw(st.booleans()), True)]
+    extras = data.draw(st.lists(st.tuples(st.sampled_from((a, b)), st.integers(1, 30),
+                                          st.booleans(), st.booleans()), max_size=6))
+    sequence = plan
+    for extra in extras:
+        sequence.insert(data.draw(st.integers(0, len(sequence))), record(*extra))
+    for item in sequence:
+        _assert_emitted(item)
+        interval, texts = emit_module._count_texts
+        assert interval == item.detection_interval and len(texts) >= len(item.readings)
+
+
+def test_an_over_long_record_leaves_the_count_texts_as_they_were():
+    # Only a hand-built record passes MAX_DETECTIONS + 1 readings; it converts its
+    # own counts, at the stored interval and at another one.
+    _assert_emitted(RECORD._replace(detection_interval=1000, reference_cycles=2_000_000))
+    stored = emit_module._count_texts
+    for interval in (1000, 7):
+        long_record = RECORD._replace(readings=(26.4, 26.15) * (MAX_DETECTIONS // 2 + 1),
+                                      detection_interval=interval,
+                                      reference_cycles=interval * (MAX_DETECTIONS + 1))
+        assert len(long_record.readings) == MAX_DETECTIONS + 2
+        _assert_emitted(long_record)
+        assert emit_module._count_texts is stored
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"readings": ()}, ValueError, "^readings: a run record holds at least its pristine reading$"),
+    # Equal to the interval the count texts hold, but no interval a grid can step by.
+    ({"detection_interval": 1000.0}, TypeError, "'float' object cannot be interpreted"),
+])
+def test_emit_fatigue_run_refuses_a_record_it_cannot_write(fields, error, message):
+    emit_fatigue_run(RECORD._replace(detection_interval=1000))
+    with pytest.raises(error, match=message):
+        emit_fatigue_run(RECORD._replace(**fields))
+
+
+def test_threads_emitting_other_intervals_each_write_their_own_counts():
+    # Each thread writes records of its own interval, so each of its calls swaps
+    # the shared count texts from another thread's interval; a thread that read the
+    # texts before another swapped them must keep writing its own counts.
+    wrong = []
+
+    def emit_all(interval):
+        records = [RECORD._replace(readings=(26.4, 26.15) * n, detection_interval=interval,
+                                   reference_cycles=2 * n * interval) for n in (3, 200, 9)]
+        expected = ["".join(f"{c},{_num(v)}\n" for c, v in record.detections)
+                    for record in records]
+        for _ in range(40):
+            for record, rows in zip(records, expected):
+                if not emit_fatigue_run(record).endswith(rows):
+                    wrong.append(record)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=emit_all, args=(interval,))
+                   for interval in (1, 7, 1000, 999_983)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_emit_conversion_curve(nominal_device):
