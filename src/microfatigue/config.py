@@ -23,7 +23,7 @@ from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k
                      validate_geometry, validate_material, validate_stiffness)
 from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep_steps
 from .emit import dump_json
-from .errors import CalibrationError, ConfigError
+from .errors import ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_LEVELS_V, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V,
@@ -129,7 +129,7 @@ class RunConfig:
                                                 d.calibrate_immediate_V, **self.model.run_kwargs())
                 values.update((name, getattr(calibrated, name)) for name in _BASQUIN)
             params = DamageModelParams(**values)
-        except (CalibrationError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(_located("damage", [str(exc)])) from exc
         problems = validate_readings(device, self.model.detection_step_V, d.hardening_amplitude)
         if problems:

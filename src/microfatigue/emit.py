@@ -3,25 +3,24 @@ summaries, byte-identical on repeated emission. CSV numbers use
 locale-independent 6-significant-digit formatting (``%.6g``); JSON numbers
 are written as ``json`` writes them, floats by ``repr``.
 
-A run CSV takes its load-count texts from one shared grid: the texts of
-``0, interval, 2*interval, ...`` for the last interval written, as long as the
-longest record written since that interval was set. It holds one interval and
+A run CSV takes its load-count texts from the grid of its own interval and
+reference: the text of ``min(j*interval, reference)`` for every detection a run
+on that grid can make, the last grid written kept for the next record. It holds
 at most ``protocols.MAX_DETECTIONS + 1`` texts: about 130 KB for a
-2 000-detection run at a 1 000-cycle interval, about 6.5 MB at the bound. A
-longer record, which only a hand-built one can be, converts its own counts
-and leaves the grid as it was.
+2 000-detection run at a 1 000-cycle interval, about 6.5 MB at the bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from json.encoder import encode_basestring_ascii as _quote
 from operator import index
 
 from . import __version__
 from .electromech import EquilibriumPoint
-from .protocols import (MAX_DETECTIONS, OUTCOME_FAILED, OUTCOME_SURVIVED, FatigueRunRecord,
-                        StairCaseSequence)
+from .protocols import (OUTCOME_FAILED, OUTCOME_SURVIVED, FatigueRunRecord, StairCaseSequence,
+                        _checked_settings)
 from .stats import BasquinFit, StairCaseEstimate, WohlerPoint
 
 TOOL_STAMP = f"microfatigue {__version__}"
@@ -31,23 +30,23 @@ def _num(x: float) -> str:
     return "%.6g" % x
 
 
-# (interval, texts): texts[j] is str(j * interval) for the last interval written.
-# Replaced whole, never changed in place, so a list once read stays valid.
-_count_texts: tuple[int, list[str]] = (0, [])
+@functools.lru_cache(maxsize=1)
+def _count_texts(interval: int, reference: int) -> tuple[str, ...]:
+    """str(min(j*interval, reference)) for each detection j a run on this grid can
+    make; a grid that no run can have raises the run-settings ValueError."""
+    _checked_settings(detection_interval=interval, reference_cycles=reference)
+    reference = int(reference)
+    return (*map(str, range(0, reference, interval)), str(reference))
 
 
 def emit_fatigue_run(record: FatigueRunRecord) -> str:
-    global _count_texts
-    # index: a float interval equal to the stored one must fail as range fails,
-    # not take that interval's texts.
-    interval, readings = index(record.detection_interval), record.readings
-    if not readings:
-        raise ValueError("readings: a run record holds at least its pristine reading")
-    texts_interval, counts = _count_texts
-    if texts_interval != interval or len(counts) < len(readings):
-        counts = list(map(str, range(0, len(readings) * interval, interval)))
-        if len(counts) <= MAX_DETECTIONS + 1:
-            _count_texts = interval, counts
+    # index: a float interval must fail as range fails, not take the texts of the
+    # equal int, which the cache would find under the same key.
+    counts = _count_texts(index(record.detection_interval), record.reference_cycles)
+    readings = record.readings
+    if not 0 < len(readings) <= len(counts):
+        raise ValueError(f"readings: a run record holds 1 to {len(counts)} readings on its "
+                         f"grid, got {len(readings)}")
     parts = [f"# drive_amplitude_V={_num(record.drive_amplitude_V)} "
              f"outcome={record.outcome} reference_cycles={record.reference_cycles}\n"
              "load_cycles,pullin_V\n"]
@@ -61,8 +60,6 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
             last, tail = v, f",{_num(v)}\n"
         append(count)
         append(tail)
-    if (len(readings) - 1) * interval > record.reference_cycles:  # clipped last count
-        parts[-2] = str(record.final_cycles)
     return "".join(parts)
 
 

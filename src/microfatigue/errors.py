@@ -1,13 +1,10 @@
 """Exception hierarchy for the microfatigue package. Every class below the base
-is raised somewhere in it."""
+is raised somewhere in it. An argument at fault, a calibration target among them,
+raises ValueError, its message led by the argument's name."""
 
 
 class MicrofatigueError(Exception):
     """Base class for all package-specific errors."""
-
-
-class CalibrationError(MicrofatigueError):
-    """Damage-model calibration targets are infeasible."""
 
 
 class EstimationError(MicrofatigueError):

@@ -15,7 +15,6 @@ from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength
                      cycles_to_failure, degraded_pull_in)
 from .device import Device
 from .electromech import _stable_points, pull_in_voltage_closed_form
-from .errors import CalibrationError
 from .loading import _is_whole, _tension_stresses
 
 OUTCOME_FAILED = "failed"
@@ -54,6 +53,8 @@ class FatigueRunRecord(NamedTuple):
     @property
     def final_cycles(self) -> int:
         """The load count of the last detection."""
+        if not self.readings:
+            raise ValueError("readings: a run record holds at least its pristine reading")
         return min((len(self.readings) - 1) * self.detection_interval,
                    int(self.reference_cycles))
 
@@ -274,8 +275,8 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
     so up to d* = 1 - ((k - 1 + GRID_GUARD)*step/pristine)**(2/exponent). The
     guess is aligned down to the grid and clipped to d <= onset, then
     confirmed with the reading's own float operations (the bump factor is
-    exactly 1.0 there, as the amplitude is finite); on a miss the count one
-    interval lower is tried once.
+    exactly 1.0 there, as the amplitude is finite); a guess that misses
+    predicts nothing, and the run reads its next detection.
     A base outside [0, 1) would give a complex power or an overflow, and
     predicts nothing.
     """
@@ -284,13 +285,10 @@ def _softening_run_end(n: int, k: int, life: int, interval: int, end: int,
         return n
     last = min(int((1.0 - target ** (2.0 / exponent)) * life), int(onset * life),
                end) // interval * interval
-    for last in (last, last - interval):
-        if last <= n:
-            return n
-        d = last / life
-        if d <= onset and math.ceil(
-                pristine * math.sqrt((1.0 - d) ** exponent) / step - GRID_GUARD) == k:
-            return last
+    d = last / life
+    if n < last and d <= onset and math.ceil(
+            pristine * math.sqrt((1.0 - d) ** exponent) / step - GRID_GUARD) == k:
+        return last
     return n
 
 
@@ -333,7 +331,7 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
 
     The record keeps one reading per detection and no count: detection j's count
     is the grid's min(j*interval, reference), which ``FatigueRunRecord.detections``
-    pairs with each reading on demand.
+    pairs with each reading on demand and ``emit.emit_fatigue_run`` reads off its grid.
 
     Most detections repeat the reading before them, and the loop jumps over
     those it knows will:
@@ -346,8 +344,8 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     2. A damaged run reads each detection it reaches by one expression and one
        set of checks. In its softening stretch d <= hardening_onset, where the
        bump factor is exactly 1.0, after a detection that passes its checks
-       with v == previous, the run of v is extended in one step to the last
-       count that ``_softening_run_end`` predicts and confirms still reads v.
+       with v == previous, the run of v is extended in one step to the count
+       that ``_softening_run_end`` guesses, and one reading confirms, still reads v.
        Once a prediction has extended the run, the next new reading's run is
        predicted at once too, without waiting for its repeat, if a repeat of it
        would pass the drop check; a prediction that does not extend ends that
@@ -573,32 +571,33 @@ def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TAR
     two anchors: life of 60% of the reference count one level step above
     the limit, and life of half a detection interval at calibrate_immediate_V,
     the amplitude that collapses immediately, for runs of the ``RunSettings`` run_kwargs
-    give. A CalibrationError message starts with the name of the argument at fault.
+    give. A ValueError message starts with the name of the argument at fault.
     """
     settings = _checked_settings(**run_kwargs)
     step_above_V = calibrate_target_V_D + 1.0
     if not (0 < calibrate_target_V_D and step_above_V < calibrate_immediate_V):
-        raise CalibrationError(
+        raise ValueError(
             f"calibrate_target_V_D: need 0 < calibrate_target_V_D and calibrate_target_V_D "
             f"+ 1 V < calibrate_immediate_V for a well-posed Basquin slope, got "
             f"{calibrate_target_V_D}, {calibrate_immediate_V}")
-    try:  # the solve names the first voltage at fault, so the highest goes first
-        sigma_imm, sigma_limit, sigma_step = (alt for _, alt in _tension_stresses(
-            (calibrate_immediate_V, calibrate_target_V_D, step_above_V), device.mechanics,
-            device.geometry, "calibrate_immediate_V: target"))
-    except ValueError as exc:
-        raise CalibrationError(str(exc)) from exc
+    # The solve names the first voltage at fault, so the highest goes first.
+    sigma_imm, sigma_limit, sigma_step = (alt for _, alt in _tension_stresses(
+        (calibrate_immediate_V, calibrate_target_V_D, step_above_V), device.mechanics,
+        device.geometry, "calibrate_immediate_V: target"))
     if not (sigma_step > 0.0 and sigma_imm < math.inf):  # else the slope is not finite
-        raise CalibrationError(f"calibrate_immediate_V: stress amplitudes {sigma_step:g} and "
-                               f"{sigma_imm:g} Pa at the targets; need finite ones > 0")
+        raise ValueError(f"calibrate_immediate_V: stress amplitudes {sigma_step:g} and "
+                         f"{sigma_imm:g} Pa at the targets; need finite ones > 0")
 
     n_step = 0.6 * settings.reference_cycles   # finite life one step above the limit
     n_imm = 0.5 * settings.detection_interval  # collapse within the first interval
     if not n_imm < n_step:
-        raise CalibrationError(f"detection_interval: half an interval ({n_imm:g} cycles) must "
-                               f"stay below 60% of reference_cycles ({n_step:g})")
+        raise ValueError(f"detection_interval: half an interval ({n_imm:g} cycles) must "
+                         f"stay below 60% of reference_cycles ({n_step:g})")
     b = math.log(sigma_imm / sigma_step) / math.log(n_imm / n_step)
-    coefficient = sigma_step / n_step**b
+    coefficient = sigma_step / power if (power := n_step**b) else math.inf
+    if coefficient == math.inf:  # anchor lives so close that the slope is too steep
+        raise ValueError(f"detection_interval: half an interval ({n_imm:g} cycles) lies too "
+                         f"close to 60% of reference_cycles ({n_step:g}) for a finite coefficient")
 
     params = DamageModelParams(
         basquin_coefficient_Pa=coefficient,
@@ -607,11 +606,12 @@ def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TAR
     )
     # Sanity of the constructed line against the stated targets.
     n_at_step = cycles_to_failure(sigma_step, params)
-    if n_at_step is None or n_at_step >= settings.reference_cycles:
-        raise CalibrationError(
-            f"reference_cycles: need N(sigma({step_above_V} V)) < {settings.reference_cycles}")
+    if n_at_step is UNBOUNDED or n_at_step >= settings.reference_cycles:
+        # Unbounded where the step above stresses no more than the target.
+        name = "calibrate_target_V_D" if n_at_step is UNBOUNDED else "reference_cycles"
+        raise ValueError(f"{name}: need N(sigma({step_above_V} V)) < {settings.reference_cycles}")
     if cycles_to_failure(sigma_imm, params) > settings.detection_interval:
-        raise CalibrationError(
+        raise ValueError(
             f"detection_interval: need N(sigma({calibrate_immediate_V} V)) "
             f"<= {settings.detection_interval}")
     return params

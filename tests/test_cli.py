@@ -553,6 +553,8 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     ({"campaign": {"step_V": 1e-300}}, "campaign.step_V"),
     # One trial has one outcome, so Dixon-Mood could never estimate it.
     ({"campaign": {"n_specimens": 1}}, "campaign.n_specimens"),
+    ([], "<root>"),
+    ({"model": 3}, "model"),
 ])
 def test_config_faults_exit_2_naming_the_field(tmp_path, capsys, config, path):
     cfg = tmp_path / "bad.json"
@@ -645,6 +647,22 @@ WALK_PAST_THE_BOUND = {"step_V": 0.01, "start_level_V": 13.0}
     ) for argv in (["recovery"], ["staircase"])],
     # a walk past stats.MAX_WALK_LEVELS, which staircase runs
     ({"campaign": WALK_PAST_THE_BOUND}, ["recovery"], "campaign.levels_V"),
+    # Calibrations that pass every check made before calibrate_defaults builds its
+    # Basquin line and fail one made on it. Targets this high on a stiff device
+    # move the stress by a few ulps per volt: at 1e16 V, target + 1 V rounds to
+    # the target, so the life one step above is unbounded; a few ulps apart, the
+    # line's rounding puts the life at the immediate target past the interval, or
+    # the life one step above past the reference.
+    *[({"model": {"c_k": 1e30}, "damage": {"calibrate_target_V_D": target,
+                                           "calibrate_immediate_V": immediate}},
+       ["fatigue", "--va", "1"], path) for target, immediate, path in (
+        (1e16, 2e16, "damage.calibrate_target_V_D"),
+        (2323805324657110, 2323805324657112, "model.detection_interval_cycles"),
+        (7903374192332598, 7903374192332600, "model.reference_cycles"))],
+    # Half an interval of 500 000 cycles against 60 % of 833 334: the slope is
+    # about -1e6, so N**b underflows and the coefficient sigma/N**b is not finite.
+    ({"model": {"detection_interval_cycles": 1_000_000, "reference_cycles": 833_334}},
+     ["fatigue", "--va", "1"], "model.detection_interval_cycles"),
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"

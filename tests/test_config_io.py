@@ -327,23 +327,26 @@ def test_emit_fatigue_run_writes_the_counts_the_grid_implies(data, pool, case, a
 
 
 def _assert_emitted(record):
-    """record's CSV rows are its detections, and the shared count texts still
-    hold one interval's grid within the detection bound."""
+    """record's CSV rows are its detections, and the count texts kept for the next
+    record are its own grid's: one text per detection a run on it can make."""
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{c},{_num(v)}" for c, v in record.detections] + [""]
-    interval, texts = emit_module._count_texts
-    assert len(texts) <= MAX_DETECTIONS + 1
-    assert texts == [str(j * interval) for j in range(len(texts))]
+    interval, reference = record.detection_interval, int(record.reference_cycles)
+    hits = emit_module._count_texts.cache_info().hits
+    texts = emit_module._count_texts(interval, reference)
+    assert emit_module._count_texts.cache_info().hits == hits + 1
+    assert texts == tuple(str(min(j * interval, reference))
+                          for j in range(1 - (-reference // interval)))
 
 
 @given(data=st.data(), pool=READINGS)
 @settings(max_examples=100, deadline=None)
 def test_emit_fatigue_run_shares_count_texts_across_records(data, pool):
-    # Records of two intervals in a drawn order. The plan's four records keep their
-    # order among extras inserted at drawn places: at interval a, a short record and
-    # then one longer than any before it; a clipped record at b (a switch); then one
-    # at a again (a switch back) whose reference is a float. The extras draw their
-    # interval, length, clipping and float reference.
+    # Records of two intervals in a drawn order, each on the grid of its own
+    # reference. The plan's four records keep their order among extras inserted at
+    # drawn places: at interval a, a short record and then a longer one; a clipped
+    # record at b (a switch); then one at a again (a switch back) whose reference is
+    # a float. The extras draw their interval, length, clipping and float reference.
     a = data.draw(st.integers(1, 10**6))
     b = data.draw(st.integers(2, 10**6).filter(lambda b: b != a))
 
@@ -352,7 +355,7 @@ def test_emit_fatigue_run_shares_count_texts_across_records(data, pool):
         if clipped and interval > 1 and n > 1:
             reference = (n - 2) * interval + data.draw(st.integers(1, interval - 1))
         else:
-            reference = (n - 1) * interval + data.draw(st.integers(0, interval))
+            reference = (n - 1) * interval + data.draw(st.integers(0 if n > 1 else 1, interval))
         return RECORD._replace(readings=tuple(readings), detection_interval=interval,
                                reference_cycles=float(reference) if as_float else reference)
 
@@ -367,33 +370,38 @@ def test_emit_fatigue_run_shares_count_texts_across_records(data, pool):
         sequence.insert(data.draw(st.integers(0, len(sequence))), record(*extra))
     for item in sequence:
         _assert_emitted(item)
-        interval, texts = emit_module._count_texts
-        assert interval == item.detection_interval and len(texts) >= len(item.readings)
 
 
-def test_an_over_long_record_leaves_the_count_texts_as_they_were():
-    # Only a hand-built record passes MAX_DETECTIONS + 1 readings; it converts its
-    # own counts, at the stored interval and at another one.
-    _assert_emitted(RECORD._replace(detection_interval=1000, reference_cycles=2_000_000))
-    stored = emit_module._count_texts
-    for interval in (1000, 7):
-        long_record = RECORD._replace(readings=(26.4, 26.15) * (MAX_DETECTIONS // 2 + 1),
-                                      detection_interval=interval,
-                                      reference_cycles=interval * (MAX_DETECTIONS + 1))
-        assert len(long_record.readings) == MAX_DETECTIONS + 2
-        _assert_emitted(long_record)
-        assert emit_module._count_texts is stored
+def test_an_over_long_record_is_refused():
+    # Only a hand-built record holds more readings than its grid has detections:
+    # five at a 1 000-cycle interval to 2 500 cycles, whose grid ends at the
+    # clipped count after four, and one reading past the bound of detections.
+    for interval, reference, n in ((1000, 2500, 5), (7, 7 * MAX_DETECTIONS, MAX_DETECTIONS + 2)):
+        record = RECORD._replace(readings=(26.4, 26.15) * (n // 2) + (26.4,) * (n % 2),
+                                 detection_interval=interval, reference_cycles=reference)
+        assert len(record.readings) == n
+        with pytest.raises(ValueError, match=f"^readings: a run record holds 1 to {n - 1} "
+                                             f"readings on its grid, got {n}$"):
+            emit_fatigue_run(record)
+        _assert_emitted(record._replace(readings=record.readings[:-1]))
 
 
 @pytest.mark.parametrize("fields, error, message", [
-    ({"readings": ()}, ValueError, "^readings: a run record holds at least its pristine reading$"),
+    ({"readings": ()}, ValueError, "^readings: a run record holds 1 to 2001 readings on its "
+                                   "grid, got 0$"),
     # Equal to the interval the count texts hold, but no interval a grid can step by.
     ({"detection_interval": 1000.0}, TypeError, "'float' object cannot be interpreted"),
+    ({"detection_interval": 0}, ValueError, "^detection_interval: must be a whole number >= 1"),
+    ({"reference_cycles": 0}, ValueError, "^reference_cycles: must be a whole number >= 1"),
+    ({"reference_cycles": 2_000_000.5}, ValueError,
+     "^reference_cycles: must be a whole number >= 1, got 2000000.5$"),
+    ({"detection_interval": 1, "reference_cycles": MAX_DETECTIONS + 1}, ValueError,
+     f"^reference_cycles: a run may take at most {MAX_DETECTIONS} detections$"),
 ])
 def test_emit_fatigue_run_refuses_a_record_it_cannot_write(fields, error, message):
     emit_fatigue_run(RECORD._replace(detection_interval=1000))
     with pytest.raises(error, match=message):
-        emit_fatigue_run(RECORD._replace(**fields))
+        emit_fatigue_run(RECORD._replace(**{"detection_interval": 1000, **fields}))
 
 
 def test_threads_emitting_other_intervals_each_write_their_own_counts():
@@ -469,6 +477,13 @@ def test_emit_conversion_curve_equals_per_field_format():
 def test_wohler_points_round_trip():
     points = [WohlerPoint(15.0, 700000), WohlerPoint(13.0, 2_000_000, censored=True)]
     assert parse_wohler_points(emit_wohler_points(points)) == points
+
+
+def test_wohler_points_from_records_names_a_record_without_readings():
+    # Its final count would read -interval: the record is at fault, not the point.
+    with pytest.raises(ValueError, match="^readings: a run record holds at least its "
+                                         "pristine reading$"):
+        wohler_points_from_records([RECORD._replace(readings=())])
 
 
 def test_wohler_points_from_records():

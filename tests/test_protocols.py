@@ -14,7 +14,6 @@ from microfatigue.damage import (DamageState, SpecimenStrength, cycles_to_failur
                                  degraded_pull_in)
 from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
-from microfatigue.errors import CalibrationError
 from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, OUTCOME_FAILED,
                                     OUTCOME_INVALID, OUTCOME_SURVIVED, StairCaseSequence,
@@ -90,10 +89,10 @@ def test_calibration_21V_fails_within_interval(nominal_device, calibrated_params
 
 
 def test_calibration_infeasible_targets(nominal_device):
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ValueError):
         calibrate_defaults(nominal_device, calibrate_target_V_D=13.0,
                            calibrate_immediate_V=40.0)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ValueError):
         calibrate_defaults(nominal_device, calibrate_target_V_D=20.0,
                            calibrate_immediate_V=20.5)
 

@@ -95,6 +95,15 @@ def test_dixon_mood_names_a_step_that_is_not_finite_and_positive(step):
         dixon_mood(make_sequence(PUBLISHED, step=step))
 
 
+def test_dixon_mood_names_a_basis_level_off_the_step_grid():
+    # Failures are the basis (two against three survivals); 12.5 V lies half a
+    # step from the lowest failure level.
+    pairs = [(12.0, 1), (13.0, 0), (12.5, 1), (14.0, 0), (15.0, 0)]
+    with pytest.raises(EstimationError, match=r"^level 12\.5 V is not on the step grid "
+                                              r"\(step 1\.0 V from 12\.0 V\)$"):
+        dixon_mood(make_sequence(pairs, step=1.0))
+
+
 def test_dixon_mood_refuses_quantiles_that_overflow():
     # A one-level window at a step near the float maximum: the mean is finite,
     # 13 - step/2, but q10 = mean - Z_90 * 0.53 * step overflows to -inf.
