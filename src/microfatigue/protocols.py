@@ -604,14 +604,15 @@ def calibrate_defaults(device: Device, calibrate_target_V_D: float = DEFAULT_TAR
         basquin_exponent=b,
         endurance_stress_Pa=sigma_limit,
     )
-    # Sanity of the constructed line against the stated targets.
+    # The line passes through both anchors, so only its rounding can fail these checks:
+    # where a volt moves the stress by a few ulps, or not at all. Each names the target
+    # whose anchor moved: the step above the limit, or the immediate target.
     n_at_step = cycles_to_failure(sigma_step, params)
     if n_at_step is UNBOUNDED or n_at_step >= settings.reference_cycles:
-        # Unbounded where the step above stresses no more than the target.
-        name = "calibrate_target_V_D" if n_at_step is UNBOUNDED else "reference_cycles"
-        raise ValueError(f"{name}: need N(sigma({step_above_V} V)) < {settings.reference_cycles}")
+        raise ValueError(f"calibrate_target_V_D: need N(sigma({step_above_V} V)) "
+                         f"< {settings.reference_cycles}")
     if cycles_to_failure(sigma_imm, params) > settings.detection_interval:
         raise ValueError(
-            f"detection_interval: need N(sigma({calibrate_immediate_V} V)) "
+            f"calibrate_immediate_V: need N(sigma({calibrate_immediate_V} V)) "
             f"<= {settings.detection_interval}")
     return params

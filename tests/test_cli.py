@@ -652,13 +652,14 @@ WALK_PAST_THE_BOUND = {"step_V": 0.01, "start_level_V": 13.0}
     # move the stress by a few ulps per volt: at 1e16 V, target + 1 V rounds to
     # the target, so the life one step above is unbounded; a few ulps apart, the
     # line's rounding puts the life at the immediate target past the interval, or
-    # the life one step above past the reference.
+    # the life one step above past the reference. The targets are at fault, not
+    # the interval or the reference the config never set.
     *[({"model": {"c_k": 1e30}, "damage": {"calibrate_target_V_D": target,
                                            "calibrate_immediate_V": immediate}},
        ["fatigue", "--va", "1"], path) for target, immediate, path in (
         (1e16, 2e16, "damage.calibrate_target_V_D"),
-        (2323805324657110, 2323805324657112, "model.detection_interval_cycles"),
-        (7903374192332598, 7903374192332600, "model.reference_cycles"))],
+        (2323805324657110, 2323805324657112, "damage.calibrate_immediate_V"),
+        (7903374192332598, 7903374192332600, "damage.calibrate_target_V_D"))],
     # Half an interval of 500 000 cycles against 60 % of 833 334: the slope is
     # about -1e6, so N**b underflows and the coefficient sigma/N**b is not finite.
     ({"model": {"detection_interval_cycles": 1_000_000, "reference_cycles": 833_334}},

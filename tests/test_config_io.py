@@ -435,6 +435,55 @@ def test_threads_emitting_other_intervals_each_write_their_own_counts():
     assert wrong == []
 
 
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_zero_record_after_one_of_the_other_zero_writes_its_own_sign(zeros):
+    # 0.0 == -0.0, so a memo keyed on the reading would hand the second record the
+    # first one's text; a zero is formatted in place and never becomes a key.
+    emit_module._reading_text.cache_clear()
+    for zero in zeros:
+        text = "-0" if math.copysign(1.0, zero) < 0 else "0"
+        lines = emit_fatigue_run(RECORD._replace(readings=(zero,) * 3)).split("\n")
+        assert lines[2:] == ["0," + text, "100000," + text, "200000," + text, ""]
+    assert emit_module._reading_text.cache_info().currsize == 0
+
+
+def test_distinct_nan_objects_each_write_nan():
+    # A NaN equals nothing, itself included: the memo finds only the entry of the
+    # same object, and each object, whatever its sign, writes nan.
+    nans = [float("nan"), math.nan, -math.nan, float("-nan"), math.inf - math.inf]
+    record = RECORD._replace(readings=tuple(nans * 2), detection_interval=1000)
+    lines = emit_fatigue_run(record).split("\n")
+    assert lines[2:] == [f"{1000 * j},nan" for j in range(len(nans) * 2)] + [""]
+
+
+def test_a_record_of_more_readings_than_the_memo_holds_writes_its_own_rows():
+    maxsize = emit_module._reading_text.cache_info().maxsize
+    readings = tuple(10.0 + j / 1000 for j in range(maxsize + 300))
+    record = RECORD._replace(readings=readings, detection_interval=1,
+                             reference_cycles=len(readings) - 1)
+    lines = emit_fatigue_run(record).split("\n")
+    assert lines[2:] == [f"{j},{_num(v)}" for j, v in enumerate(readings)] + [""]
+    assert emit_module._reading_text.cache_info().currsize <= maxsize
+
+
+def test_a_record_emitted_again_formats_only_its_amplitude_and_zeros(monkeypatch):
+    formatted = []
+
+    def counting_num(x):
+        formatted.append(x)
+        return "%.6g" % x
+
+    monkeypatch.setattr(emit_module, "_num", counting_num)
+    emit_module._reading_text.cache_clear()
+    record = RECORD._replace(readings=(26.4, 26.4, 26.15, 0.0, 0.0, -0.0, 26.15, 25.9, 0.0),
+                             detection_interval=1000)
+    first = emit_fatigue_run(record)
+    assert len(formatted) == 1 + 4 + 3  # the amplitude, the zero rows, each other reading
+    del formatted[:]
+    assert emit_fatigue_run(record) == first
+    assert sorted(map(repr, formatted)) == ["-0.0", "0.0", "0.0", "0.0", "14.0"]
+
+
 def test_emit_conversion_curve(nominal_device):
     from microfatigue.electromech import stress_conversion_curve
     d = nominal_device
