@@ -78,7 +78,7 @@ def _sweep_limit(drive_scale: float, capacity: float) -> float:
 
 def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
                    geom: DeviceGeometry) -> list[EquilibriumPoint | None]:
-    """The stable equilibrium at each voltage (>= 0), or None at/above pull-in.
+    """The stable equilibrium at each voltage, or None below 0 V, at NaN or at/above pull-in.
 
     Solves k*x*(g-x)^2 = eps0*A*V^2/2 for the root on the stable branch
     x < g/3 by the closed-form cubic root with Newton polish. The device
@@ -102,8 +102,8 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
             append(new(EquilibriumPoint, (0.0, 0.0, 0.0)))
             continue
         drive = drive_scale * V * V / 2.0
-        if drive >= capacity:
-            append(None)  # pull-in: no stable equilibrium exists
+        if not (V > 0.0 and drive < capacity):
+            append(None)  # below 0 V, NaN or pull-in: no stable equilibrium exists
             continue
         # With u = x/g the balance is u*(1-u)^2 = q, q in [0, 4/27). Its root on
         # [0, 1/3] is Viete's trigonometric solution; rounding can push the acos
@@ -129,10 +129,12 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
 
 def static_equilibrium(V: float, mech: DerivedMechanics,
                        geom: DeviceGeometry) -> EquilibriumPoint | None:
-    """Stable static deflection under DC voltage V, or None at/above pull-in."""
-    if not V >= 0:
+    """Stable static deflection under DC voltage V, or None at/above pull-in; ValueError
+    where the solve refuses a V below 0 or NaN."""
+    point = _stable_points((V,), mech, geom)[0]
+    if point is None and not V >= 0:
         raise ValueError(f"voltage must be >= 0, got {V}")
-    return _stable_points((V,), mech, geom)[0]
+    return point
 
 
 def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) -> PullInResult:
@@ -199,7 +201,7 @@ def natural_frequency(mech: DerivedMechanics) -> float:
 def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry, V_max: float,
                             n_points: int = DEFAULT_CURVE_POINTS) -> list[EquilibriumPoint]:
     """Tabulate the static (voltage, deflection, stress) curve over [0, V_max] at MIN_ to
-    MAX_CURVE_POINTS points; the curve's own solve rejects a V_max at or above pull-in."""
+    MAX_CURVE_POINTS points; the curve's own solve rejects a NaN V_max or one outside [0, V_PI)."""
     if not MIN_CURVE_POINTS <= n_points <= MAX_CURVE_POINTS:
         raise ValueError(f"need {MIN_CURVE_POINTS} to {MAX_CURVE_POINTS} points, got {n_points}")
     # numpy.linspace(0.0, V_max, n_points) in floats: i*step, or i/div*V_max
@@ -207,7 +209,7 @@ def stress_conversion_curve(mech: DerivedMechanics, geom: DeviceGeometry, V_max:
     div = n_points - 1
     step = V_max / div
     voltages = [i * step if step else i / div * V_max for i in range(div)] + [V_max]
-    points = _stable_points(voltages, mech, geom) if V_max >= 0.0 else [None]
+    points = _stable_points(voltages, mech, geom)
     if None in points:
         v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
         raise ValueError(f"V_max {V_max} V must lie in [0, {v_pi:.3f}) V, below pull-in")

@@ -89,17 +89,16 @@ def _tension_stresses(amplitudes_V: Sequence[float], mech: DerivedMechanics, geo
     batched equilibrium solve.
 
     The quasi-static mapping is used: the cyclic stress peak equals the static peak
-    at DC voltage V_a, and the side pulses from zero, so sigma_alt = peak/2. Each
-    amplitude must be >= 0 and below pull-in; a fault names the amplitude ``name``.
+    at DC voltage V_a, and the side pulses from zero, so sigma_alt = peak/2. The solve
+    refuses a NaN amplitude or one outside [0, V_PI); a fault names the first ``name``.
     """
-    for V_a in amplitudes_V:
-        if not V_a >= 0:
-            raise ValueError(f"{name} must be >= 0, got {V_a}")
     points = _stable_points(amplitudes_V, mech, geom)
     if None in points:
+        V_a = amplitudes_V[points.index(None)]
+        if not V_a >= 0:
+            raise ValueError(f"{name} must be >= 0, got {V_a}")
         v_pi = pull_in_voltage_closed_form(mech, geom).pull_in_voltage_V
-        raise ValueError(f"{name} {amplitudes_V[points.index(None)]} V at or above pull-in "
-                         f"{v_pi:.3f} V")
+        raise ValueError(f"{name} {V_a} V at or above pull-in {v_pi:.3f} V")
     return [(eq.stress_Pa, eq.stress_Pa / 2.0) for eq in points]
 
 

@@ -80,11 +80,6 @@ class StairCaseSequence(NamedTuple):
     levels_V: tuple[float, ...]
 
 
-def _threshold_fault(threshold_V: float) -> str | None:
-    """Why a specimen threshold cannot be converted before its solve, or None."""
-    return None if threshold_V > 0 else f"threshold must be > 0 V, got {threshold_V}"
-
-
 def _strength_scales(strengths_V: list[float], device: Device,
                      params: DamageModelParams) -> list[float]:
     """sigma_alt(v)/sigma_D of each threshold v, from one batched solve."""
@@ -99,13 +94,11 @@ def strength_scale_from_threshold(threshold_V: float, device: Device,
 
     A specimen of scale s has endurance s*sigma_D, so it survives exactly
     the levels whose stress amplitude stays at or below the amplitude at
-    its threshold voltage, which must be > 0 and below pull-in of the pristine device.
+    its threshold voltage. The solve refuses a NaN threshold or one outside [0, V_PI) of
+    the pristine device; a scale of 0 (at 0 V, or from an underflow) is refused here.
     """
-    fault = _threshold_fault(threshold_V)
-    if fault is not None:
-        raise ValueError(fault)
     scale = _strength_scales([threshold_V], device, params)[0]
-    if not scale > 0:  # a threshold so small that its stress underflows
+    if not scale > 0:  # 0 V, or a threshold so small that its stress underflows
         raise ValueError(f"threshold {threshold_V} V gives no stress amplitude")
     return scale
 
@@ -121,8 +114,8 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
     default_rng((master_seed, i)).standard_normal(), which _normal reproduces bit for
     bit without loading numpy. The arguments must pass validate_population.
 
-    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN
-    threshold, which no clamp can place, raises ValueError naming the specimen.
+    A threshold outside [MIN_THRESHOLD_V, 0.99*V_PI] is clamped into it; a NaN threshold,
+    which no clamp can place and the solve refuses, raises ValueError naming the specimen.
     """
     problems = validate_population(n_specimens, strengths_V, strength_mean_V, strength_std_V,
                                    master_seed)
@@ -138,10 +131,8 @@ def population_thresholds(master_seed: int, strength_mean_V: float, strength_std
     pairs = []
     for i, v in enumerate(thresholds):
         clamped = min(max(v, MIN_THRESHOLD_V), 0.99 * pristine)
-        if clamped != v:
-            fault = _threshold_fault(clamped)
-            if fault is not None:
-                raise ValueError(f"specimen {i}: {fault}")
+        if clamped != clamped:  # NaN
+            raise ValueError(f"specimen {i}: threshold must be >= 0, got {clamped}")
         pairs.append((v, clamped))
     return pairs
 
@@ -347,10 +338,11 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
        with v == previous, the run of v is extended in one step to the count
        that ``_softening_run_end`` guesses, and one reading confirms, still reads v.
        Once a prediction has extended the run, the next new reading's run is
-       predicted at once too, without waiting for its repeat, if a repeat of it
-       would pass the drop check; a prediction that does not extend ends that
-       until the next repeat. The hardening bump and the tail d > hardening_onset
-       are read at every detection.
+       predicted at once too, without waiting for its repeat: readings do not
+       rise here, so a new reading that passed the drop check passes it against
+       itself; a prediction that does not extend ends that until the next
+       repeat. The hardening bump and the tail d > hardening_onset are read at
+       every detection.
 
     soft_end, the end of every extension, is the last interval multiple
     strictly below both the reference and the collapse count, so the final
@@ -432,7 +424,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         if n >= reference:
             outcome = OUTCOME_SURVIVED
             break
-        if d <= onset and (v == previous or eager and not v <= keep * v):
+        if d <= onset and (v == previous or eager):
             last = _softening_run_end(n, k, life, interval, soft_end, onset,
                                       pristine, step, exponent)
             eager = last > n
@@ -474,11 +466,12 @@ def validate_design(levels_V: Sequence[float], step_V: float, start_level_V: flo
 def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                         n_specimens: int, device: Device) -> list[str]:
     """Stair-case argument faults as "name: message" strings: the population's, the
-    design's, then a level at or above pristine pull-in, which is displacement-imposed;
-    only the top one is solved, as the solve's verdict is monotone in V >= 0."""
+    design's, then no level, or one outside [0, V_PI) of the pristine device (at or above
+    pull-in a test is displacement-imposed). The solve refuses exactly those voltages, so
+    it reads the lowest and the highest; validate_design's grid check refuses a NaN."""
     problems = validate_population(n_specimens) + validate_design(levels_V, step_V, start_level_V)
-    top = max(levels_V) if levels_V and all(v >= 0.0 for v in levels_V) else -1.0
-    if top < 0.0 or _stable_points((top,), device.mechanics, device.geometry)[0] is None:
+    if not levels_V or None in _stable_points((min(levels_V), max(levels_V)),
+                                              device.mechanics, device.geometry):
         v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
         problems.append(f"levels_V: need levels in [0, {v_pi:.3f}) V, the pristine pull-in")
     return problems

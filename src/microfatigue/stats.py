@@ -314,21 +314,24 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     words = np.random.PCG64(int(master_seed))
     block = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_specimens)   # replications per pass
     chunks = []
-    for first in range(0, replications, block):
-        rows = min(block, replications - first)
-        if strength_std_V:
-            raw = words.random_raw((rows, n_specimens)).T
-            cells = (raw > cuts[0]).astype(np.intp)
-            for cut in cuts[1:]:
-                cells += raw > cut
-        else:  # every strength is the mean
-            cells = np.full((n_specimens, rows), sum(levels < strength_mean_V))
-        codes = _stair_case_codes(cells, next_code, start_code)
-        chunks.append(_dixon_mood_means(codes, tables))
-    estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    # Means or biases past the float range overflow silently: _bias_summary refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, replications, block):
+            rows = min(block, replications - first)
+            if strength_std_V:
+                raw = words.random_raw((rows, n_specimens)).T
+                cells = (raw > cuts[0]).astype(np.intp)
+                for cut in cuts[1:]:
+                    cells += raw > cut
+            else:  # every strength is the mean
+                cells = np.full((n_specimens, rows), sum(levels < strength_mean_V))
+            codes = _stair_case_codes(cells, next_code, start_code)
+            chunks.append(_dixon_mood_means(codes, tables))
+        estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        biases = estimates - strength_mean_V
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")
-    mean_bias, std_bias, max_abs_bias = _bias_summary(estimates - strength_mean_V)
+    mean_bias, std_bias, max_abs_bias = _bias_summary(biases)
     return {
         "true_mean_V": strength_mean_V,
         "true_std_V": strength_std_V,

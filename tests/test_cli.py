@@ -664,6 +664,9 @@ WALK_PAST_THE_BOUND = {"step_V": 0.01, "start_level_V": 13.0}
     # about -1e6, so N**b underflows and the coefficient sigma/N**b is not finite.
     ({"model": {"detection_interval_cycles": 1_000_000, "reference_cycles": 833_334}},
      ["fatigue", "--va", "1"], "model.detection_interval_cycles"),
+    # a negative level that is neither the first nor the top one
+    ({"campaign": {"levels_V": [0, -1, 1], "step_V": 1, "start_level_V": 1}}, ["staircase"],
+     "campaign.levels_V"),
 ])
 def test_command_faults_exit_2_naming_the_field(tmp_path, capsys, config, argv, path):
     cfg = tmp_path / "bad.json"

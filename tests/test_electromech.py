@@ -456,6 +456,19 @@ def test_sweep_limit_is_the_first_float_without_equilibrium(device, steps):
             two_loop_sweep(mech, geom, step_V)
 
 
+@pytest.mark.parametrize("V", [-1.0, -5e-324, math.nan, NOMINAL_LIMIT, 2 * NOMINAL_LIMIT])
+def test_solve_refuses_every_voltage_it_cannot_solve(nominal_device, V):
+    # Below 0 V, NaN, or at or above the first float without equilibrium.
+    d = nominal_device
+    assert electromech._stable_points((V,), d.mechanics, d.geometry) == [None]
+
+
+def test_solve_reads_either_zero_as_the_exact_zero_point(nominal_device):
+    d = nominal_device
+    points = electromech._stable_points((0.0, -0.0), d.mechanics, d.geometry)
+    assert [tuple(map(repr, p)) for p in points] == [("0.0", "0.0", "0.0")] * 2
+
+
 def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
     # Guards the float-only supply read without a clock, at 528 steps to pull-in
     # and at 2.6e10: the sweep binds the device constants once and finds its limit

@@ -709,6 +709,13 @@ def test_staircase_names_a_nan_step_or_count_before_any_run(nominal_device, cali
                        calibrated_params)
 
 
+@pytest.mark.parametrize("levels_V", [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+def test_stair_case_names_a_negative_level_wherever_it_stands(nominal_device, levels_V):
+    # Neither the first nor the top level of the design is its lowest.
+    assert protocols.validate_stair_case(levels_V, 1.0, 1.0, 6, nominal_device) == [
+        "levels_V: need levels in [0, 26.395) V, the pristine pull-in"]
+
+
 def test_a_step_that_moves_no_level_is_refused_in_a_window_of_two_or_more(nominal_device):
     assert protocols.validate_stair_case([13.0], 1e-300, 13.0, 6, nominal_device) == []
     assert protocols.validate_stair_case([12.0, 13.0], 1e-300, 13.0, 6, nominal_device) == [
@@ -791,8 +798,8 @@ def test_nan_input_raises_value_error(call, name, nominal_device, calibrated_par
 
 
 @pytest.mark.parametrize("threshold, message", [
-    (-1.0, "threshold must be > 0 V, got -1.0"),
-    (0.0, "threshold must be > 0 V, got 0.0"),
+    (-1.0, "threshold must be >= 0, got -1.0"),
+    (0.0, "threshold 0.0 V gives no stress amplitude"),
     (1e-200, "threshold 1e-200 V gives no stress amplitude"),
     (30.0, "threshold 30.0 V at or above pull-in "),
 ])
@@ -809,7 +816,7 @@ def test_strength_scale_names_the_threshold(nominal_device, calibrated_params, t
 def test_population_names_a_nan_threshold(nominal_device, calibrated_params, std_V,
                                           thresholds_V, index):
     with pytest.raises(ValueError,
-                       match=f"^specimen {index}: threshold must be > 0 V, got nan$"):
+                       match=f"^specimen {index}: threshold must be >= 0, got nan$"):
         build_population(0, 13.0, std_V, 3, nominal_device, calibrated_params,
                          strengths_V=thresholds_V)
 

@@ -268,6 +268,18 @@ def test_recovery_trial_cuts_every_level_at_one_half_past_the_float_range():
                        "true_std_V": 1.7e308}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_specimens", [2, 3, 6])
+def test_recovery_trial_refuses_a_design_at_the_float_range_without_a_warning(n_specimens):
+    # The Dixon-Mood means and their biases overflow to inf or NaN; the bias summary
+    # refuses them, and numpy's overflow stays silent.
+    for seed in range(5):
+        with pytest.raises(EstimationError, match="is past 2\\*\\*500 V"):
+            estimator_recovery_trial(1e308, 1e308, n_specimens, 20, seed,
+                                     levels_V=(0.0, 1.7e308), step_V=1.7e308,
+                                     start_level_V=0.0)
+
+
 def test_recovery_trial_determinism():
     a = estimator_recovery_trial(13.0, 0.55, 6, 50, master_seed=3)
     b = estimator_recovery_trial(13.0, 0.55, 6, 50, master_seed=3)

@@ -118,8 +118,8 @@ def test_no_function_calls_a_generator_variate():
 
 
 # The functions that read the closed-form pull-in. The equilibrium solve alone decides
-# pull-in, so each of them only reports a value or places a bound; a new one is a
-# declared edit.
+# which voltages it can solve, [0, V_PI) and never NaN, so each of them only reports a
+# value or places a bound; a new one is a declared edit.
 CLOSED_FORM_CALLERS = ["cli.build_pullin", "damage.degraded_pull_in",
                        "device.validate_stiffness", "electromech.stress_conversion_curve",
                        "loading._tension_stresses", "protocols._pristine_readings",
