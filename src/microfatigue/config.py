@@ -22,7 +22,7 @@ from .damage import DamageModelParams
 from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k,
                      validate_geometry, validate_material, validate_stiffness)
 from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep_steps
-from .emit import dump_json
+from .emit import attribute_writer
 from .errors import ConfigError
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_LEVELS_V, DEFAULT_MIN_PULLIN_FRACTION,
@@ -142,9 +142,9 @@ _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 # Field annotations resolved once: the type every supplied value is checked against.
 _HINTS = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
-# The field dict of a section: _asdict of a NamedTuple, the instance dict of a dataclass
-# (dump_json would write a NamedTuple itself as a JSON array).
-_FIELD_DICT = {name: getattr(cls, "_asdict", vars) for name, cls in _SECTIONS.items()}
+# The config echo: each section the object of its fields, read from the config by path.
+_WRITE_CONFIG = attribute_writer({name: {key: f"{name}.{key}" for key in hints}
+                                  for name, hints in _HINTS.items()})
 
 _BASQUIN = ("basquin_coefficient_Pa", "basquin_exponent", "endurance_stress_Pa")
 
@@ -191,7 +191,8 @@ def parse_config(text: str) -> RunConfig:
     problems: list[tuple[str, str]] = []
     try:
         raw = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    # A syntax fault, an int past the digit limit, or nesting past the decoder's recursion.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([("<root>", f"invalid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", "top level must be a JSON object")])
@@ -238,10 +239,11 @@ def _range_check(config: RunConfig) -> list[tuple[str, str]]:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical JSON text; parse(serialize(c)) round-trips exactly. The
-    sections are flat, so each is written as the object of its fields."""
-    return dump_json({name: _FIELD_DICT[name](section)
-                      for name, section in vars(config).items()})
+    """Canonical JSON text, the bytes dump_json writes for the field dict of each
+    section; parse(serialize(c)) round-trips exactly. Every config has the same
+    sections and fields, so their keys are laid out once, at import, and a call
+    writes only the field values."""
+    return _WRITE_CONFIG(config)
 
 
 def default_config() -> RunConfig:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _quote
-from operator import index
+from operator import attrgetter, index
 
 from . import __version__
 from .electromech import EquilibriumPoint
@@ -198,6 +199,40 @@ def dump_json(payload: dict) -> str:
     """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n", written
     here because json's C encoder does not run when indent is set."""
     return _json_text(payload, "") + "\n"
+
+
+# A leaf of a writer's shape while its template is laid out: _quote writes it as
+# "\u0000", which no key of a shape writes.
+_SLOT = "\0"
+
+
+def attribute_writer(shape: dict) -> Callable[[object], str]:
+    """The writer of dump_json's text for objects read into a payload of this shape:
+    each leaf of shape is the dotted attribute path (operator.attrgetter) of its
+    value, two leaves or more. The keys and layout are written once, here, as a
+    %-format template; a call writes each value as _json_text does at its depth."""
+    paths, indents = [], []
+
+    def slotted(node: dict, indent: str) -> dict:  # the leaves in the order dump_json writes them
+        inner = indent + "  "
+        out = {}
+        for key in sorted(node):
+            if isinstance(node[key], dict):
+                out[key] = slotted(node[key], inner)
+            else:
+                paths.append(node[key])
+                indents.append(inner)
+                out[key] = _SLOT
+        return out
+
+    template = dump_json(slotted(shape, "")).replace("%", "%%").replace(_quote(_SLOT), "%s")
+    if len(paths) < 2:
+        raise ValueError(f"a writer reads two leaves or more, got {len(paths)}")
+    read = attrgetter(*paths)
+
+    def write(obj) -> str:
+        return template % tuple(map(_json_text, read(obj), indents))
+    return write
 
 
 def wohler_points_from_records(records: list[FatigueRunRecord]) -> list[WohlerPoint]:

@@ -40,6 +40,10 @@ MAX_WALK_LEVELS = 210         # distinct floats the walk of one recovery trial m
 # Width of the fields packed in a code's weight: no index sum passes (K - 1) * n.
 _FIELD_BITS = ((MAX_WALK_LEVELS - 1) * MAX_SPECIMENS).bit_length()
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
+# The bias magnitude a recovery summary refuses: 2**_BIAS_BITS V. The squares of biases
+# below it, summed over MAX_REPLICATIONS, stay finite.
+_BIAS_BITS = 500
+_MAX_BIAS_V = float(1 << _BIAS_BITS)
 
 
 class StairCaseEstimate(NamedTuple):
@@ -255,12 +259,13 @@ def _bias_summary(biases: np.ndarray) -> tuple[float, float, float]:
     float(biases.mean()), float(biases.std()) and float(np.abs(biases).max()) give
     them: the ufunc reductions those wrappers run. The mean is numpy's pairwise
     add.reduce over the size; the spread the square root of the same mean of the
-    squared deviations from it. EstimationError refuses a bias past 2**500 V, whose
-    square, summed over the replications, could overflow."""
+    squared deviations from it. EstimationError refuses a bias past _MAX_BIAS_V,
+    whose square, summed over the replications, could overflow."""
     import numpy as np
     largest = float(np.maximum.reduce(np.abs(biases)))
-    if not largest < 2.0**500:
-        raise EstimationError(f"estimation impossible: a bias of {largest:g} V is past 2**500 V")
+    if not largest < _MAX_BIAS_V:
+        raise EstimationError(f"estimation impossible: a bias of {largest:g} V is past "
+                              f"2**{_BIAS_BITS} V")
     size = biases.size
     mean = float(np.add.reduce(biases)) / size
     deviations = biases - mean

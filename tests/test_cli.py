@@ -5,7 +5,10 @@ import inspect
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+import microfatigue
 from microfatigue import _normal, stats
 from microfatigue.cli import (build_curve, build_fatigue, build_parser, build_pullin,
                               build_staircase, cli_dispatch)
@@ -252,6 +256,27 @@ def test_extreme_fatigue_run_bytes_pinned(tmp_path, capsys, monkeypatch, argv, o
 def test_missing_config_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "--config", "/nonexistent/config.json", "pullin")
     assert code == 2
+
+
+# Config files that json.loads refuses with an exception other than JSONDecodeError,
+# each run in a fresh interpreter, whose stack is the CLI's own: 100 000 nested arrays
+# pass the decoder's recursion limit on every supported Python (990 already do on 3.11,
+# whose limit counts the CLI's frames too), and an int of 5 000 digits passes the
+# interpreter's digit limit.
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"model": {"c_k": 1' + "0" * 4_999 + "}}"],
+                         ids=["100000-deep", "5000-digit-c_k"])
+def test_a_config_json_cannot_decode_exits_2_without_a_traceback(tmp_path, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    src = Path(microfatigue.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "microfatigue.cli", "--config", str(cfg),
+                             "pullin"], env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("config error: <root>: invalid JSON: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_staircase_published_estimate(tmp_path, capsys):

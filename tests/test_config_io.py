@@ -8,6 +8,7 @@ import pkgutil
 import re
 import sys
 import threading
+import types
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,8 +22,8 @@ from microfatigue.config import (CampaignConfig, DamageConfig, RunConfig, defaul
 from microfatigue.damage import DamageModelParams, SpecimenStrength
 from microfatigue.device import DeviceGeometry, Material, derive_mechanics
 from microfatigue.electromech import EquilibriumPoint, PullInResult, pull_in_voltage_sweep
-from microfatigue.emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
-                               emit_staircase_sequence, emit_wohler_points, _num,
+from microfatigue.emit import (TOOL_STAMP, attribute_writer, dump_json, emit_conversion_curve,
+                               emit_fatigue_run, emit_staircase_sequence, emit_wohler_points, _num,
                                fit_to_dict, parse_wohler_points,
                                wohler_points_from_records)
 from microfatigue.errors import ConfigError, MicrofatigueError
@@ -97,6 +98,21 @@ def test_whole_float_cycle_counts_accepted():
 def test_invalid_json():
     with pytest.raises(ConfigError):
         parse_config("{not json")
+
+
+# Texts that json.loads refuses with an exception other than JSONDecodeError: nesting
+# past the decoder's recursion (on Python 3.10 to 3.13), whole or in a field, and an
+# int past the interpreter's digit limit.
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"campaign": {"levels_V": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+    '{"model": {"c_k": 1' + "0" * 4_999 + "}}",
+], ids=["nested", "nested-levels", "5000-digit-c_k"])
+def test_a_text_json_cannot_decode_is_invalid_json_at_the_root(text):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    [(path, message)] = excinfo.value.problems
+    assert path == "<root>" and message.startswith("invalid JSON: ")
 
 
 def test_round_trip_default():
@@ -646,6 +662,66 @@ def test_serialize_config_writes_every_section_as_an_object():
     written = json.loads(serialize_config(default_config()))
     assert sorted(written) == sorted(f.name for f in dataclasses.fields(RunConfig))
     assert all(isinstance(section, dict) and section for section in written.values())
+
+
+def _with_field(section, name, value):
+    """default_config() with a new section object whose field name holds value."""
+    config = default_config()
+    old = getattr(config, section)
+    new = (dataclasses.replace(old, **{name: value}) if dataclasses.is_dataclass(old)
+           else old._replace(**{name: value}))
+    return dataclasses.replace(config, **{section: new})
+
+
+@pytest.mark.parametrize("section, name, values, texts", [
+    ("model", "c_k", (1, 1.0), ('"c_k": 1,', '"c_k": 1.0,')),
+    ("campaign", "strength_std_V", (0.0, -0.0),
+     ('"strength_std_V": 0.0', '"strength_std_V": -0.0')),
+    ("campaign", "levels_V", ((12.0, 13.0), (12, 13)), ("\n      12.0,", "\n      12,")),
+])
+def test_an_equal_section_of_other_types_writes_its_own_text(section, name, values, texts):
+    # 1 == 1.0 and 0.0 == -0.0: every config shares one layout, but each writes its own values.
+    configs = [_with_field(section, name, value) for value in values]
+    assert getattr(configs[0], section) == getattr(configs[1], section)
+    for _ in range(2):
+        for config, text in zip(configs, texts):
+            written = serialize_config(config)
+            assert written == asdict_dump(config) and text in written
+
+
+@pytest.mark.parametrize("section, name, items", [("campaign", "levels_V", (12.0, 13.0)),
+                                                  ("output", "formats", ("csv",))])
+def test_a_mutated_list_field_is_written_afresh(section, name, items):
+    # A section built directly with a list can change under its own identity.
+    value = list(items)
+    config = _with_field(section, name, value)
+    before = serialize_config(config)
+    value.append(value[-1])
+    assert serialize_config(config) == asdict_dump(config) != before
+    value.clear()
+    assert serialize_config(config) == asdict_dump(config)
+
+
+# Keys that a %-format template must keep as they are, leaves at three depths and an
+# empty object between them.
+WRITER_SHAPE = {"a%": {"%s": "inner.first", "x": "inner.second"}, "b": "top", "c": {},
+                "d": {"e": {"%%": "inner.deep"}}}
+
+
+@given(JSON_TREES, JSON_TREES, JSON_TREES, JSON_TREES)
+@settings(max_examples=200, deadline=None)
+def test_an_attribute_writer_writes_the_bytes_of_dump_json(first, second, top, deep):
+    obj = types.SimpleNamespace(top=top, inner=types.SimpleNamespace(
+        first=first, second=second, deep=deep))
+    payload = {"a%": {"%s": first, "x": second}, "b": top, "c": {},
+               "d": {"e": {"%%": deep}}}
+    assert attribute_writer(WRITER_SHAPE)(obj) == dump_json(payload)
+
+
+@pytest.mark.parametrize("shape", [{}, {"only": "x"}, {"a": {"only": "x"}, "b": {}}])
+def test_an_attribute_writer_reads_two_leaves_or_more(shape):
+    with pytest.raises(ValueError, match="two leaves or more"):
+        attribute_writer(shape)
 
 
 # The package's types that stay dataclasses, each with the call that the benchmark

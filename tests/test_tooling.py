@@ -281,7 +281,6 @@ LIBM_SITES = {
     "protocols._monitored_run": (["sin"], 2),
     "protocols._softening_run_end": ([], 2),
     "protocols.calibrate_defaults": (["log"], 1),
-    "stats._bias_summary": ([], 1),
     "stats.dixon_mood": ([], 1),
     "stats.estimator_recovery_trial": (["erfc"], 0),
     "stats.fit_basquin": (["exp", "log"], 1),
