@@ -23,7 +23,7 @@ from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k
                      validate_geometry, validate_material, validate_stiffness)
 from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep_steps
 from .emit import attribute_writer
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_LEVELS_V, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V,
@@ -155,6 +155,29 @@ _PATHS = {name: f"{section}.{name}" for section, hints in _HINTS.items() for nam
 _PATHS.update(detection_interval="model.detection_interval_cycles")
 
 
+class _Duplicate:
+    """The value of a key that its JSON object gives twice or more."""
+
+    def __repr__(self) -> str:
+        return "<duplicate key>"
+
+
+_DUPLICATE = _Duplicate()
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object as json.loads makes it, but each key given twice or more maps to
+    _DUPLICATE, for the walk over the sections to name it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                obj[key] = _DUPLICATE
+            seen.add(key)
+    return obj
+
+
 def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:
     """(config path, text) pairs of an owner's "name: text" messages; a
     message that names no field is reported whole at the section path."""
@@ -182,7 +205,7 @@ def _typed(hint, path: str, value, problems: list):
     if hint is int and number and float(value).is_integer():
         return int(value)
     expected = {str: "a string", float: "a finite number", int: "a whole number"}
-    problems.append((path, f"expected {expected.get(hint, 'a list')}, got {value!r}"))
+    problems.append((path, f"expected {expected.get(hint, 'a list')}, got {shown(repr(value))}"))
     return None
 
 
@@ -190,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse a JSON config, collecting every problem before raising."""
     problems: list[tuple[str, str]] = []
     try:
-        raw = json.loads(text) if text.strip() else {}
+        raw = json.loads(text, object_pairs_hook=_object) if text.strip() else {}
     # A syntax fault, an int past the digit limit, or nesting past the decoder's recursion.
     except (ValueError, RecursionError) as exc:
         raise ConfigError([("<root>", f"invalid JSON: {exc}")]) from exc
@@ -200,7 +223,11 @@ def parse_config(text: str) -> RunConfig:
     sections = {}
     for key, value in raw.items():
         if key not in _SECTIONS:
-            problems.append((key, f"unknown section (expected one of {sorted(_SECTIONS)})"))
+            problems.append((shown(key),
+                             f"unknown section (expected one of {sorted(_SECTIONS)})"))
+            continue
+        if value is _DUPLICATE:
+            problems.append((key, "duplicate key"))
             continue
         if not isinstance(value, dict):
             problems.append((key, "section must be a JSON object"))
@@ -209,9 +236,11 @@ def parse_config(text: str) -> RunConfig:
         kwargs = {}
         for name, field_value in value.items():
             if name not in hints:
-                problems.append((f"{key}.{name}", "unknown key"))
-                continue
-            kwargs[name] = _typed(hints[name], f"{key}.{name}", field_value, problems)
+                problems.append((f"{key}.{shown(name)}", "unknown key"))
+            elif field_value is _DUPLICATE:
+                problems.append((f"{key}.{name}", "duplicate key"))
+            else:
+                kwargs[name] = _typed(hints[name], f"{key}.{name}", field_value, problems)
         sections[key] = _SECTIONS[key](**kwargs)
 
     if not problems:

@@ -86,6 +86,12 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
     is the conditional min/max evaluate (the first argument unless the other is
     strictly smaller or larger), so NaN and -0.0 pass as under min/max; each
     Newton guard reads "not slope <= 0.1", so a NaN slope still takes its step.
+
+    Up to three Newton steps, stopped at their fixed point: a step is a pure
+    function of (u, q), so a step that returns u returns u at every later step,
+    and the steps not taken would not move u. NaN never equals itself, so a NaN
+    takes all three. No -0.0 reaches the compare: Viete's root of q == 0 is
+    2.0 + (-2.0) = +0.0, and a step from +0.0 at q == 0 gives 0.0 - 0.0 = +0.0.
     """
     drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
     k, g = mech.suspension_stiffness_N_m, geom.gap_m
@@ -116,12 +122,17 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
         q = drive / kg3
         a = 13.5 * q - 1.0
         u = (2.0 + 2.0 * cos(acos(1.0 if 1.0 < a else a) / 3.0 - four_pi_thirds)) / 3.0
-        if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
-            u -= (u * (1.0 - u) ** 2 - q) / slope
-            if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
-                u -= (u * (1.0 - u) ** 2 - q) / slope
-                if not (slope := (1.0 - u) * (1.0 - 3.0 * u)) <= 0.1:
-                    u -= (u * (1.0 - u) ** 2 - q) / slope
+        w = 1.0 - u
+        if not (slope := w * (1.0 - 3.0 * u)) <= 0.1:
+            t = u - (u * w ** 2 - q) / slope
+            if t != u:
+                u, w = t, 1.0 - t
+                if not (slope := w * (1.0 - 3.0 * u)) <= 0.1:
+                    t = u - (u * w ** 2 - q) / slope
+                    if t != u:
+                        u, w = t, 1.0 - t
+                        if not (slope := w * (1.0 - 3.0 * u)) <= 0.1:
+                            u -= (u * w ** 2 - q) / slope
         x = (third if third < u else u) * g
         append(new(EquilibriumPoint, (V, x, stress_scale * x / stress_divisor)))
     return points

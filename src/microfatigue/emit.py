@@ -24,6 +24,7 @@ from operator import attrgetter, index
 
 from . import __version__
 from .electromech import EquilibriumPoint
+from .errors import shown
 from .protocols import (OUTCOME_FAILED, OUTCOME_SURVIVED, FatigueRunRecord, StairCaseSequence,
                         _checked_settings)
 from .stats import BasquinFit, StairCaseEstimate, WohlerPoint
@@ -81,7 +82,10 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
 
 
 def emit_conversion_curve(points: list[EquilibriumPoint]) -> str:
-    flat = [f for v, d, s in points for f in (v, d * 1e6, s * 1e-6)]
+    flat: list[float] = []
+    extend = flat.extend
+    for v, d, s in points:
+        extend((v, d * 1e6, s * 1e-6))
     return ("voltage_V,deflection_um,stress_MPa\n"
             + ("%.6g,%.6g,%.6g\n" * len(points)) % tuple(flat))
 
@@ -134,7 +138,8 @@ def parse_wohler_points(text: str) -> list[WohlerPoint]:
             except ValueError:
                 value = math.nan
             if not ok(value):
-                raise ValueError(f"line {number}, column {name}: expected {rule}, got {field!r}")
+                raise ValueError(f"line {number}, column {name}: expected {rule}, "
+                                 f"got {shown(repr(field))}")
             values.append(value)
         level, cycles, censored = values
         points.append(WohlerPoint(level_V=level, cycles=int(cycles), censored=bool(censored)))

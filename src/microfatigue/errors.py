@@ -2,6 +2,15 @@
 is raised somewhere in it. An argument at fault, a calibration target among them,
 raises ValueError, its message led by the argument's name."""
 
+# The most characters of a key, or of a value's repr, that a fault message shows: a
+# longer one shows its first SHOWN_CHARS characters, then its length.
+SHOWN_CHARS = 60
+
+
+def shown(text: str) -> str:
+    """text as a fault message shows it: whole, or cut to SHOWN_CHARS and its length."""
+    return text if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]}... (length {len(text)})"
+
 
 class MicrofatigueError(Exception):
     """Base class for all package-specific errors."""

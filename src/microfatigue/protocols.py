@@ -15,6 +15,7 @@ from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength
                      cycles_to_failure, degraded_pull_in)
 from .device import Device
 from .electromech import _stable_points, pull_in_voltage_closed_form
+from .errors import shown
 from .loading import _is_whole, _tension_stresses
 
 OUTCOME_FAILED = "failed"
@@ -450,7 +451,8 @@ def validate_design(levels_V: Sequence[float], step_V: float, start_level_V: flo
     from start_level_V, and, for two or more levels, a step_V that moves each in floats."""
     problems = [] if step_V > 0 else [f"step_V: must be > 0, got {step_V}"]
     if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
-        problems.append(f"start_level_V: {start_level_V} V not among levels {list(levels_V)}")
+        problems.append(f"start_level_V: {start_level_V} V not among levels "
+                        f"{shown(repr(list(levels_V)))}")
     if step_V > 0:
         indices = {grid_index(v, start_level_V, step_V) for v in levels_V}
         if None in indices or len(indices) < len(set(levels_V)):

@@ -5,7 +5,9 @@ import bisect
 import dataclasses
 import json
 import math
+import re
 import statistics
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +24,13 @@ from microfatigue.protocols import (GRID_GUARD, MIN_THRESHOLD_V, OUTCOME_FAILED,
                                     StairCaseSequence, StairCaseTrial, run_pull_in_detection,
                                     strength_scale_from_threshold)
 from microfatigue.stats import dixon_mood, synthetic_stair_case
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's requires-python = ">=X.Y"."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject.read_text(), re.M)
+    return int(match[1]), int(match[2])
 
 
 def result_or_fault(call):
@@ -92,6 +101,29 @@ def per_point_equilibrium(V, mech, geom):
               * geom.specimen_thickness_m * x
               / (4.0 * mech.area_moment_m4 * mech.stiffness_calibration))
     return EquilibriumPoint(V, x, stress)
+
+
+def newton_steps_moved(V, mech, geom):
+    """How many of per_point_equilibrium's Newton steps change u at a V it solves,
+    counted up to the first step that returns its own u: 0 means the solve stops after
+    step 1, 1 after step 2, 2 or 3 that it takes step 3. None at 0 V, where no step is
+    taken, and where no equilibrium exists."""
+    if V == 0.0 or not equilibrium_exists(V, mech, geom):
+        return None
+    drive, _ = drive_and_capacity(V, mech, geom)
+    q = drive / (mech.suspension_stiffness_N_m * geom.gap_m**3)
+    u = (2.0 + 2.0 * math.cos(math.acos(min(13.5 * q - 1.0, 1.0)) / 3.0
+                              - 4.0 * math.pi / 3.0)) / 3.0
+    moved = 0
+    for _ in range(3):
+        slope = (1.0 - u) * (1.0 - 3.0 * u)
+        if slope <= 0.1:
+            break
+        t = u - (u * (1.0 - u) ** 2 - q) / slope
+        if t == u:
+            break
+        u, moved = t, moved + 1
+    return moved
 
 
 def per_point_curve(mech, geom, V_max, n_points):

@@ -267,16 +267,55 @@ def test_missing_config_file_exit_2(capsys):
                                   '{"model": {"c_k": 1' + "0" * 4_999 + "}}"],
                          ids=["100000-deep", "5000-digit-c_k"])
 def test_a_config_json_cannot_decode_exits_2_without_a_traceback(tmp_path, text):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(text)
-    src = Path(microfatigue.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-m", "microfatigue.cli", "--config", str(cfg),
-                             "pullin"], env=env, capture_output=True, text=True, timeout=120)
+    result = run_fresh_pullin(tmp_path, text)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("config error: <root>: invalid JSON: ")
     assert result.stderr.count("\n") == 1
+
+
+def run_fresh_pullin(tmp_path, config_text):
+    """`pullin` on a config file of config_text, in a fresh interpreter."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config_text)
+    src = Path(microfatigue.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "microfatigue.cli", "--config", str(cfg),
+                           "pullin"], env=env, capture_output=True, text=True, timeout=120)
+
+
+# A fault once echoed its value or key whole: 1 000 058, 100 034 and 1 865 bytes of
+# stderr for the first three rows. A key given twice ran on its last value, exit 0.
+@pytest.mark.parametrize("text, fault", [
+    ('{"model": {"c_k": "' + "x" * 10**6 + '"}}',
+     "model.c_k: expected a finite number, got '" + "x" * 59 + "... (length 1000002)"),
+    ('{"model": {"' + "k" * 100_000 + '": 1}}',
+     "model." + "k" * 60 + "... (length 100000): unknown key"),
+    ('{"campaign": {"levels_V": ' + "[" * 900 + "]" * 900 + "}}",
+     "campaign.levels_V[0]: expected a finite number, got " + "[" * 60 + "... (length 1798)"),
+    ('{"model": {"c_k": 1.0, "c_k": 2.0}}', "model.c_k: duplicate key"),
+], ids=["1MB-c_k", "100000-char-key", "900-deep-levels", "duplicate-c_k"])
+def test_a_config_fault_shows_a_bounded_value_and_names_a_duplicate_key(tmp_path, text, fault):
+    result = run_fresh_pullin(tmp_path, text)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"config error: {fault}\n")
+
+
+# Library faults that once echoed a value whole: 798 962 and 1 000 089 bytes of stderr.
+@pytest.mark.parametrize("argv, text, fault", [
+    (["--config", "FILE", "staircase"],
+     json.dumps({"campaign": {"levels_V": [round(1.0 + i * 1e-4, 4) for i in range(100_000)],
+                              "step_V": 1e-4, "start_level_V": 0.5}}),
+     "campaign.start_level_V: 0.5 V not among levels [1.0, 1.0001, 1.0002, 1.0003, 1.0004, "
+     "1.0005, 1.0006, 1.0007... (length 798900)"),
+    (["wohler", "--points-csv", "FILE"], "level_V,cycles,censored\n" + "x" * 10**6 + ",1,0\n",
+     "--points-csv: line 2, column level_V: expected a finite number > 0, got '"
+     + "x" * 59 + "... (length 1000002)"),
+], ids=["100000-levels", "1MB-points-field"])
+def test_a_library_fault_shows_a_bounded_value(tmp_path, capsys, argv, text, fault):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"config error: {fault}\n")
 
 
 def test_staircase_published_estimate(tmp_path, capsys):
@@ -847,8 +886,10 @@ def test_wohler_stdout_bytes_pinned(tmp_path, capsys):
     csv.write_bytes(points)
     code, out, _ = run_cli(capsys, "wohler", "--points-csv", str(csv))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a0171097c0837fe5019a1b649c374491ad7d6a160f7c047c0501217347edde71")
+    assert hashlib.sha256(out.encode()).hexdigest() == WOHLER_STDOUT_DIGEST
+
+
+WOHLER_STDOUT_DIGEST = "a0171097c0837fe5019a1b649c374491ad7d6a160f7c047c0501217347edde71"
 
 
 def _refuse(*args, **kwargs):
@@ -902,6 +943,69 @@ def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
         files, stdout, notes = build_curve(config, None, vmax=args.vmax, points=args.points)
     assert files == {} and notes == []
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+# Runs each argv of the JSON list in argv[1] through cli_dispatch, "OUT" standing for a
+# fresh directory, and prints per argv its exit code, the sha256 of its stdout and the
+# sha256 of each file it wrote, by name.
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys, tempfile
+from microfatigue.cli import cli_dispatch
+rows = []
+for argv in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as out:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_dispatch([out if arg == "OUT" else arg for arg in argv])
+        rows.append([code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+                     {name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+                      for name in sorted(os.listdir(out))}])
+print(json.dumps(rows))
+"""
+
+
+def _supported_interpreters():
+    """Each ~/.pyenv/versions/3.*/bin/python at or above the declared Python floor, by
+    path: the pyenv shims answer only for the selected version."""
+    floor = reference.python_floor()
+    found = []
+    for python in sorted(Path.home().glob(".pyenv/versions/3.*/bin/python")):
+        version = tuple(int(part) for part in python.parents[1].name.split(".")[:2]
+                        if part.isdigit())
+        if version >= floor:
+            found.append(pytest.param(python, id=python.parents[1].name))
+    return found or [pytest.param(None, id="none", marks=pytest.mark.skip(
+        reason="no interpreter found at ~/.pyenv/versions/3.*/bin/python"))]
+
+
+@pytest.mark.parametrize("python", _supported_interpreters())
+def test_every_supported_python_writes_the_pinned_bytes(tmp_path, python):
+    # The numpy-free commands whose bytes are pinned above, in one fresh process per
+    # interpreter: repr, json, argparse and the math wrappers are per-interpreter code.
+    (tmp_path / "points.csv").write_text(DEFAULT_WOHLER_POINTS)
+    rows = []
+    for i, (argv, digest) in enumerate(STDOUT_DIGESTS):
+        if "recovery" in argv:  # numpy is not installed for every interpreter
+            continue
+        cfg = tmp_path / f"config_{i}.json"
+        for arg in argv:
+            if isinstance(arg, dict):
+                cfg.write_text(json.dumps(arg))
+        rows.append(([str(cfg) if isinstance(a, dict) else a for a in argv], digest, {}))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(TABLE_CONFIG))
+    rows += [(["--out", "OUT", "staircase"], STAIRCASE_DIGESTS["staircase_estimate.json"],
+              STAIRCASE_DIGESTS),
+             (["--config", str(table), "--out", "OUT", "staircase"],
+              PAPER_STAIRCASE_DIGESTS["staircase_estimate.json"], PAPER_STAIRCASE_DIGESTS),
+             (["wohler", "--points-csv", str(tmp_path / "points.csv")], WOHLER_STDOUT_DIGEST, {})]
+    assert sum("curve" in argv for argv, _, _ in rows) == 5
+    src = Path(microfatigue.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [str(python), "-c", DIGEST_SCRIPT, json.dumps([argv for argv, _, _ in rows])],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, digest, files] for _, digest, files in rows]
 
 
 def test_whole_float_specimen_count_runs(tmp_path, capsys):

@@ -115,6 +115,89 @@ def test_a_text_json_cannot_decode_is_invalid_json_at_the_root(text):
     assert path == "<root>" and message.startswith("invalid JSON: ")
 
 
+# Config text from a JSON-like grammar: keys from the sections and fields or not, so
+# that some are given twice; nesting to 10**5, strings to 10**6 characters, ints to
+# 10**4 digits and the literals json reads beyond JSON; then a BOM, a lone surrogate
+# or a cut anywhere.
+SECTION_KEYS = sorted({section for section, _ in FIELDS})
+FIELD_KEYS = sorted({name for _, name in FIELDS})
+GRAMMAR_KEYS = st.one_of(st.sampled_from(["", *SECTION_KEYS, *FIELD_KEYS]), st.text(max_size=4),
+                         st.integers(1, 10**5).map(lambda n: "k" * n))
+GRAMMAR_SCALARS = st.one_of(
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity", "1e999999",
+                     "-0", "13.5", "2e5"]),
+    st.integers(1, 10**4).map(lambda n: "-" * (n % 2) + "9" * n),
+    st.floats().map(json.dumps),
+    st.text(max_size=6).map(json.dumps),
+    st.tuples(st.characters(), st.integers(0, 10**6)).map(
+        lambda p: '"' + json.dumps(p[0])[1:-1] * p[1] + '"'),
+    st.integers(1, 10**5).map(lambda d: "[" * d + "]" * d),
+)
+
+
+def _json_object(pairs):
+    return "{" + ",".join(f"{json.dumps(key)}:{value}" for key, value in pairs) + "}"
+
+
+GRAMMAR_VALUES = st.recursive(GRAMMAR_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=3).map(lambda items: "[" + ",".join(items) + "]"),
+    st.lists(st.tuples(GRAMMAR_KEYS, children), max_size=3).map(_json_object)), max_leaves=5)
+GRAMMAR_SECTIONS = st.lists(st.tuples(
+    st.one_of(st.sampled_from(SECTION_KEYS), GRAMMAR_KEYS),
+    st.one_of(st.lists(st.tuples(st.one_of(st.sampled_from(FIELD_KEYS), GRAMMAR_KEYS),
+                                 GRAMMAR_VALUES), max_size=3).map(_json_object),
+              GRAMMAR_VALUES)), max_size=3).map(_json_object)
+
+
+@st.composite
+def config_texts(draw):
+    text = draw(st.one_of(GRAMMAR_SECTIONS, GRAMMAR_VALUES))
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["none", "bom", "surrogate", "cut"]))
+    return {"none": text, "bom": "\ufeff" + text, "cut": text[:at],
+            "surrogate": text[:at] + "\udcff" + text[at:]}[edit]
+
+
+# The longest fault a config text can make: a key or a value's repr shows at most
+# errors.SHOWN_CHARS characters, and an int, which only a library check of a whole
+# number within the float range echoes whole, at most 309 digits.
+FAULT_CHARS = 400
+
+
+@given(config_texts())
+@example('{"model": {"c_k": 1.0, "c_k": 2.0}}')
+@example('{"campaign": {"master_seed": -' + "9" * 308 + "}}")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_config_text_parses_or_names_its_faults_briefly(text):
+    try:
+        config = parse_config(text)
+    except ConfigError as exc:
+        faults = [f"{path}: {message}" for path, message in exc.problems]
+        assert faults and max(map(len, faults)) <= FAULT_CHARS
+    else:
+        assert isinstance(config, RunConfig)
+
+
+@pytest.mark.parametrize("text, problems", [
+    ('{"model": {}, "model": {"c_k": 2.0}}', [("model", "duplicate key")]),
+    ('{"model": {"c_k": 1.0, "c_k": 1.0}}', [("model.c_k", "duplicate key")]),
+    ('{"model": {"c_k": {"a": 1, "a": 2}}}',
+     [("model.c_k", "expected a finite number, got {'a': <duplicate key>}")]),
+], ids=["section", "field", "nested"])
+def test_a_key_given_twice_is_refused(text, problems):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.problems == problems
+
+
+def test_a_bom_is_refused_by_name():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("\ufeff{}")
+    assert excinfo.value.problems == [
+        ("<root>", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                   "line 1 column 1 (char 0)")]
+
+
 def test_round_trip_default():
     config = default_config()
     assert parse_config(serialize_config(config)) == config

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -25,8 +26,8 @@ from microfatigue.protocols import (calibrate_defaults, strength_scale_from_thre
                                     validate_stair_case)
 from tests.reference import (PAPER_THRESHOLDS_V, bisect_equilibrium, drive_and_capacity,
                              electrostatic_force, equilibrium_exists, first_supply_level,
-                             per_point_curve, per_point_equilibrium, random_device,
-                             two_loop_sweep)
+                             newton_steps_moved, per_point_curve, per_point_equilibrium,
+                             random_device, two_loop_sweep)
 from tests.strategies import floats_around, floats_below
 
 
@@ -577,11 +578,14 @@ def solve_cases(draw):
 
 
 ACOS_LAST_FLOATS = floats_below(v_pi_of(ACOS_ARGUMENT_PAST_ONE), 60)
+# The benchmark's curve on the nominal device: 200 points to 98% of pull-in.
+NOMINAL_CURVE = (Device.nominal(), [], 0.98 * v_pi_of(Device.nominal()), 200)
 
 
 @given(case=solve_cases())
 @example(case=(ACOS_ARGUMENT_PAST_ONE, [0.0, 5e-324, *ACOS_LAST_FLOATS], ACOS_LAST_FLOATS[0],
                200))
+@example(case=NOMINAL_CURVE)
 @settings(max_examples=200, deadline=None)
 def test_solve_bit_equal_to_per_point_reference(case):
     device, voltages, V_max, n_points = case
@@ -597,6 +601,17 @@ def test_solve_bit_equal_to_per_point_reference(case):
         return
     assert [point_reprs(p) for p in stress_conversion_curve(mech, geom, V_max, n_points)] == \
         [point_reprs(p) for p in expected]
+
+
+def test_the_nominal_curve_reaches_every_newton_exit():
+    # The solve stops Newton after the step that returns its own u, or after step 3:
+    # the bit-equal test's nominal curve holds points that leave at each exit, and
+    # points whose third step still moves u.
+    device, _, V_max, n_points = NOMINAL_CURVE
+    mech, geom = device.mechanics, device.geometry
+    moved = collections.Counter(newton_steps_moved(p.voltage_V, mech, geom)
+                                for p in stress_conversion_curve(mech, geom, V_max, n_points))
+    assert {0, 1, 2, 3} <= set(moved)  # 2, 98, 75 and 24 points with glibc's acos and cos
 
 
 # Its closed-form pull-in is 58.05753654526649 V, and the solve finds no stable
@@ -637,6 +652,19 @@ def test_each_pull_in_check_takes_the_solver_verdict(device):
         assert accepts(lambda: calibrate_defaults(device, calibrate_immediate_V=V)) == stable, V
         faults = validate_stair_case([V], 1.0, V, 2, device)
         assert [fault.partition(":")[0] for fault in faults] == ([] if stable else ["levels_V"])
+
+
+def test_curve_refuses_a_voltage_refused_below_its_end(nominal_device):
+    # With a negative area and stiffness the drive falls as V grows, so the solve
+    # refuses the curve's low voltages and accepts its end: the whole curve is refused.
+    mech = nominal_device.mechanics
+    mech = mech._replace(effective_area_m2=-mech.effective_area_m2,
+                         suspension_stiffness_N_m=-mech.suspension_stiffness_N_m)
+    geom = nominal_device.geometry
+    assert static_equilibrium(40.0, mech, geom) is not None
+    assert static_equilibrium(10.0, mech, geom) is None
+    with pytest.raises(ValueError, match=r"^V_max 40.0 V must lie in \[0, 26.395\) V"):
+        stress_conversion_curve(mech, geom, 40.0, 5)
 
 
 def test_curve_makes_no_per_point_solve_call(nominal_device, monkeypatch):
