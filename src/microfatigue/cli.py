@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import electromech, protocols, stats
 from .config import default_config, parse_config, serialize_config
@@ -17,7 +17,7 @@ from .damage import SpecimenStrength
 from .emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
                    emit_staircase_sequence, emit_wohler_points, estimate_to_dict,
                    fit_to_dict, parse_wohler_points, wohler_points_from_records)
-from .errors import ConfigError, MicrofatigueError
+from .errors import ConfigError, MicrofatigueError, shown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,10 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="microfatigue",
                      description="Virtual MEMS fatigue rig: pull-in physics, "
                                  "fatigue runs and stair-case statistics.")
-    parser.add_argument("--config", type=Path, help="JSON run-config file")
+    parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--seed", type=_number(int, 0),
                         help="campaign master seed (overrides campaign.master_seed)")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--out", help="output directory")
     parser.add_argument("--show-defaults", action="store_true",
                         help="print the fully resolved default config and exit")
 
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("staircase", help="stair-case campaign with estimate JSON")
 
     p_woh = sub.add_parser("wohler", help="Basquin fit from a Wohler points CSV")
-    p_woh.add_argument("--points-csv", type=Path, required=True,
+    p_woh.add_argument("--points-csv", required=True,
                        help="CSV with level_V,cycles,censored (e.g. the staircase output)")
 
     p_rec = sub.add_parser("recovery", help="Dixon-Mood estimator validation trials "
@@ -90,25 +90,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fault(exc: Exception) -> str:
+    """The text of a file fault, an OSError's file name shown bounded."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {shown(repr(exc.filename))}"
+    return str(exc)
+
+
+def _read(path: str, flag: str) -> str:
+    """The text of the file at path, given by flag; a fault is a ConfigError naming flag."""
+    try:
+        with open(path) as file:
+            return file.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes not text
+        raise ConfigError([(flag, _fault(exc))]) from exc
+
+
 def _load_config(args):
-    config = parse_config(args.config.read_text()) if args.config is not None else default_config()
+    config = (parse_config(_read(args.config, "--config")) if args.config is not None
+              else default_config())
     return config if args.seed is None else config.with_seed(args.seed)
 
 
-def _directory(out, config) -> Path:
-    return out if out is not None else Path(config.output.directory)
+def _directory(out, config) -> str:
+    return out if out is not None else config.output.directory
 
 
 def _write(files: dict[str, str], out, config) -> None:
     """Write files under out, else config.output.directory; a fault names that setting."""
     directory = _directory(out, config)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        if directory:  # "" is the cwd, which os.makedirs refuses
+            os.makedirs(directory, exist_ok=True)
         for name, text in files.items():
-            (directory / name).write_text(text)
-    except (OSError, ValueError) as exc:
+            with open(os.path.join(directory, name), "w") as file:
+                file.write(text)
+    # ValueError: a NUL in the path; RecursionError: os.makedirs recurses once per
+    # missing directory, so a path of about 1 000 of them or more runs out of stack.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError([("--out" if out is not None else "output.directory",
-                            str(exc))]) from exc
+                            _fault(exc))]) from exc
 
 
 # Each build_* returns (files, stdout, notes): each file's text by name, in write order,
@@ -138,7 +159,8 @@ def build_curve(config, out, vmax, points) -> tuple[dict[str, str], str, list[st
     text = emit_conversion_curve(curve)
     if out is None:
         return {}, text, []
-    return {"conversion_curve.csv": text}, f"wrote {out / 'conversion_curve.csv'}\n", []
+    return ({"conversion_curve.csv": text},
+            f"wrote {os.path.join(out, 'conversion_curve.csv')}\n", [])
 
 
 def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str, list[str]]:
@@ -158,13 +180,12 @@ def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str, lis
                                             **config.model.run_kwargs())
     except ValueError as exc:  # the config checks every run setting but the amplitude
         raise ValueError(f"--va: {exc}") from exc
-    path = _directory(out, config) / "fatigue_run.csv"
-    return {path.name: emit_fatigue_run(record)}, dump_json({
+    return {"fatigue_run.csv": emit_fatigue_run(record)}, dump_json({
         "drive_amplitude_V": record.drive_amplitude_V,
         "outcome": record.outcome,
         "final_cycles": record.final_cycles,
         "final_pullin_V": record.readings[-1],
-        "csv": str(path),
+        "csv": os.path.join(_directory(out, config), "fatigue_run.csv"),
         "tool": TOOL_STAMP,
     }), []
 
@@ -204,9 +225,10 @@ def build_staircase(config, out) -> tuple[dict[str, str], str, list[str]]:
 
 
 def build_wohler(config, out, points_csv) -> tuple[dict[str, str], str, list[str]]:
+    csv = _read(points_csv, "--points-csv")
     try:
-        points = parse_wohler_points(Path(points_csv).read_text())
-    except (OSError, ValueError) as exc:
+        points = parse_wohler_points(csv)
+    except ValueError as exc:
         raise ConfigError([("--points-csv", str(exc))]) from exc
     fit = stats.fit_basquin(points)
     text = dump_json({**fit_to_dict(fit), "n_points": len(points),
@@ -246,7 +268,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.show_defaults:

@@ -23,7 +23,7 @@ from .device import (DEFAULT_C_K, Device, DeviceGeometry, Material, validate_c_k
                      validate_geometry, validate_material, validate_stiffness)
 from .electromech import DEFAULT_SWEEP_STEP_V, validate_sweep_steps
 from .emit import attribute_writer
-from .errors import ConfigError, shown
+from .errors import SHOWN_FAULTS, ConfigError, shown
 from .protocols import (DEFAULT_DETECTION_INTERVAL, DEFAULT_DETECTION_STEP_V,
                         DEFAULT_DROP_FRACTION, DEFAULT_LEVELS_V, DEFAULT_MIN_PULLIN_FRACTION,
                         DEFAULT_REFERENCE_CYCLES, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V,
@@ -189,14 +189,19 @@ def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:
 def _typed(hint, path: str, value, problems: list):
     """value checked against its field annotation hint, faults added to problems:
     float takes a finite number, int a whole one (a whole float becomes an int),
-    tuple[X, ...] a JSON list, str a string; ``| None`` also takes null."""
+    tuple[X, ...] a JSON list, str a string; ``| None`` also takes null. A list adds its
+    first SHOWN_FAULTS item faults, then one fault that counts the rest."""
     if type(None) in typing.get_args(hint):
         if value is None:
             return None
         hint = typing.get_args(hint)[0]
     if typing.get_origin(hint) is tuple and isinstance(value, list):
-        item = typing.get_args(hint)[0]
-        return tuple([_typed(item, f"{path}[{i}]", v, problems) for i, v in enumerate(value)])
+        item, faults = typing.get_args(hint)[0], []
+        items = tuple([_typed(item, f"{path}[{i}]", v, faults) for i, v in enumerate(value)])
+        problems += faults[:SHOWN_FAULTS]
+        if len(faults) > SHOWN_FAULTS:
+            problems.append((path, f"... and {len(faults) - SHOWN_FAULTS} more item faults"))
+        return items
     # Within the float range, so NaN and +-Infinity fail; bool is not a number here.
     number = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and abs(value) <= sys.float_info.max)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import microfatigue
-from microfatigue import _normal, stats
+from microfatigue import _normal, cli, stats
 from microfatigue.cli import (build_curve, build_fatigue, build_parser, build_pullin,
                               build_staircase, cli_dispatch)
 from microfatigue.config import default_config, parse_config
@@ -254,8 +254,36 @@ def test_extreme_fatigue_run_bytes_pinned(tmp_path, capsys, monkeypatch, argv, o
 
 
 def test_missing_config_file_exit_2(capsys):
-    code, _, _ = run_cli(capsys, "--config", "/nonexistent/config.json", "pullin")
-    assert code == 2
+    assert run_cli(capsys, "--config", "/nonexistent/config.json", "pullin") == (
+        2, "", "config error: --config: [Errno 2] No such file or directory: "
+               "'/nonexistent/config.json'\n")
+
+
+# Runs the CLI's main on its arguments in a fresh interpreter, each "BIG" standing for a
+# path of 10**6 x: Linux passes a new process no argument of more than 128 KiB.
+BIG_ARGUMENT_MAIN = """
+import sys
+from microfatigue.cli import main
+sys.argv[1:] = ["x" * 10**6 if arg == "BIG" else arg for arg in sys.argv[1:]]
+main()
+"""
+
+
+# A path of 1 MB once echoed whole: about 1 000 050 bytes of stderr.
+@pytest.mark.parametrize("argv, flag", [
+    (["--config", "BIG", "pullin"], "--config"),
+    (["wohler", "--points-csv", "BIG"], "--points-csv"),
+    (["--out", "BIG", "curve", "--points", "2"], "--out"),
+], ids=["config", "points-csv", "out"])
+def test_a_1MB_path_is_named_briefly_by_its_flag(tmp_path, argv, flag):
+    src = Path(microfatigue.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", BIG_ARGUMENT_MAIN, *argv],
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (f"config error: {flag}: [Errno 36] File name too long: "
+                             f"'{'x' * 59}... (length 1000002)\n")
+    assert len(result.stderr.encode()) < 300
 
 
 # Config files that json.loads refuses with an exception other than JSONDecodeError,
@@ -285,7 +313,8 @@ def run_fresh_pullin(tmp_path, config_text):
 
 
 # A fault once echoed its value or key whole: 1 000 058, 100 034 and 1 865 bytes of
-# stderr for the first three rows. A key given twice ran on its last value, exit 0.
+# stderr for the first three rows. A key given twice ran on its last value, exit 0. A
+# list once reported each item's fault: 6 088 903 bytes for the last row, now 235.
 @pytest.mark.parametrize("text, fault", [
     ('{"model": {"c_k": "' + "x" * 10**6 + '"}}',
      "model.c_k: expected a finite number, got '" + "x" * 59 + "... (length 1000002)"),
@@ -294,7 +323,10 @@ def run_fresh_pullin(tmp_path, config_text):
     ('{"campaign": {"levels_V": ' + "[" * 900 + "]" * 900 + "}}",
      "campaign.levels_V[0]: expected a finite number, got " + "[" * 60 + "... (length 1798)"),
     ('{"model": {"c_k": 1.0, "c_k": 2.0}}', "model.c_k: duplicate key"),
-], ids=["1MB-c_k", "100000-char-key", "900-deep-levels", "duplicate-c_k"])
+    (json.dumps({"campaign": {"levels_V": ["x"] * 100_000}}),
+     "; ".join([*(f"campaign.levels_V[{i}]: expected a finite number, got 'x'" for i in range(3)),
+                "campaign.levels_V: ... and 99997 more item faults"])),
+], ids=["1MB-c_k", "100000-char-key", "900-deep-levels", "duplicate-c_k", "100000-bad-levels"])
 def test_a_config_fault_shows_a_bounded_value_and_names_a_duplicate_key(tmp_path, text, fault):
     result = run_fresh_pullin(tmp_path, text)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"config error: {fault}\n")
@@ -764,7 +796,8 @@ def test_pullin_reads_a_sweep_of_any_step_count(tmp_path, capsys, config):
     assert abs(payload["sweep_V"] - payload["closed_form_V"]) <= SWEEP_TOL_V
 
 
-# Each command that writes files, run from a directory holding the file "afile".
+# Each command that writes files, run from a directory holding the file "afile". A
+# directory 3 000 deep makes os.makedirs recurse past the interpreter's stack.
 WRITING_COMMANDS = {"staircase": ["staircase"], "fatigue": ["fatigue", "--va", "13"],
                     "curve": ["curve"], "wohler": ["wohler", "--points-csv", "points.csv"]}
 
@@ -772,7 +805,8 @@ WRITING_COMMANDS = {"staircase": ["staircase"], "fatigue": ["fatigue", "--va", "
 @pytest.mark.parametrize("command, directory", [
     *(pytest.param(c, None, id=f"{c}-out-file") for c in WRITING_COMMANDS),
     *(pytest.param(c, d, id=f"{c}-{label}") for c in ("fatigue", "staircase")
-      for d, label in (("afile", "directory-file"), ("a\u0000b", "directory-nul"))),
+      for d, label in (("afile", "directory-file"), ("a\u0000b", "directory-nul"),
+                       ("a/" * 3000, "directory-3000-deep"))),
 ])
 def test_output_directory_faults_exit_2_naming_the_setting(tmp_path, capsys, monkeypatch,
                                                            command, directory):
@@ -787,6 +821,38 @@ def test_output_directory_faults_exit_2_naming_the_setting(tmp_path, capsys, mon
     code, out, err = run_cli(capsys, *argv, *WRITING_COMMANDS[command])
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: {setting}: ")
+
+
+# How a written file's path is spelled on stdout: as given, joined by os.path.join. The
+# first five spellings print what a pathlib.Path printed; pathlib spelled the last four
+# x/f, f, x/y/f and x/y/f. "ABS" stands for the absolute path of the run's directory.
+OUT_SPELLINGS = [("out", "out/{}"), ("x/", "x/{}"), ("../x", "../x/{}"), ("", "{}"),
+                 ("ABS/x/", "ABS/x/{}"), ("./x", "./x/{}"), (".", "./{}"), ("x//y", "x//y/{}"),
+                 ("x/./y", "x/./y/{}")]
+
+
+@pytest.mark.parametrize("out, spelled", OUT_SPELLINGS, ids=[
+    f"out={out!r}" for out, _ in OUT_SPELLINGS])
+def test_a_written_path_is_printed_as_given(tmp_path, capsys, monkeypatch, out, spelled):
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    out, spelled = (text.replace("ABS", str(tmp_path)) for text in (out, spelled))
+    code, stdout, _ = run_cli(capsys, "--out", out, "curve", "--points", "2")
+    assert (code, stdout) == (0, f"wrote {spelled.format('conversion_curve.csv')}\n")
+    code, stdout, _ = run_cli(capsys, "--out", out, "fatigue", "--va", "13")
+    assert code == 0 and json.loads(stdout)["csv"] == spelled.format("fatigue_run.csv")
+    assert os.path.isfile(spelled.format("conversion_curve.csv"))
+    assert os.path.isfile(spelled.format("fatigue_run.csv"))
+
+
+# An empty directory is the working one: os.makedirs refuses "", so it is not made.
+@pytest.mark.parametrize("directory", ["", "./x"])
+def test_output_directory_is_printed_as_given(tmp_path, capsys, monkeypatch, directory):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"output": {"directory": directory}}))
+    code, stdout, _ = run_cli(capsys, "--config", "config.json", "fatigue", "--va", "13")
+    path = os.path.join(directory, "fatigue_run.csv")
+    assert code == 0 and json.loads(stdout)["csv"] == path and os.path.isfile(path)
 
 
 # Designs besides the default: a wider one with a finer step, and one whose 0.3 V step
@@ -896,12 +962,18 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a builder touched the file system")
 
 
+def _refuse_writes(monkeypatch):
+    """Make the calls the CLI writes files with, os.makedirs and open as cli sees them,
+    fail the test."""
+    monkeypatch.setattr(cli.os, "makedirs", _refuse)
+    monkeypatch.setattr(cli, "open", _refuse, raising=False)
+
+
 @pytest.mark.parametrize("config, digests", [(None, STAIRCASE_DIGESTS),
                                              (TABLE_CONFIG, PAPER_STAIRCASE_DIGESTS)],
                          ids=["default", "paper"])
 def test_staircase_builder_writes_nothing(monkeypatch, config, digests):
-    monkeypatch.setattr(Path, "mkdir", _refuse)
-    monkeypatch.setattr(Path, "write_text", _refuse)
+    _refuse_writes(monkeypatch)
     run_config = default_config() if config is None else parse_config(json.dumps(config))
     files, stdout, notes = build_staircase(run_config, None)
     assert {name: hashlib.sha256(text.encode()).hexdigest()
@@ -930,8 +1002,7 @@ def test_staircase_draws_each_threshold_once(monkeypatch):
 @pytest.mark.parametrize("argv, digest", _by_argv(
     row for row in STDOUT_DIGESTS if row[0][-1] == "pullin" or "curve" in row[0]))
 def test_pullin_and_curve_builders_write_nothing(monkeypatch, argv, digest):
-    monkeypatch.setattr(Path, "mkdir", _refuse)
-    monkeypatch.setattr(Path, "write_text", _refuse)
+    _refuse_writes(monkeypatch)
     if argv[0] == "--config":
         config, argv = parse_config(json.dumps(argv[1])), argv[2:]
     else:
@@ -1229,10 +1300,10 @@ def test_builders_equal_their_reference_paths(config, vmax, points, va, strength
               (build_fatigue, {"va": va * v_pi, "strength_v": None if strength_v is None
                                else max(MIN_THRESHOLD_V, strength_v * v_pi)}),
               (build_curve, {"vmax": vmax * v_pi, "points": points})]
-    fast = [reference.result_or_fault(lambda: build(parsed, Path("out"), **flags))
+    fast = [reference.result_or_fault(lambda: build(parsed, "out", **flags))
             for build, flags in builds]
     with contextlib.ExitStack() as stack:
         for name, slow in REFERENCE_PATHS.items():
             stack.enter_context(mock.patch(f"microfatigue.{name}", slow))
-        assert [reference.result_or_fault(lambda: build(parsed, Path("out"), **flags))
+        assert [reference.result_or_fault(lambda: build(parsed, "out", **flags))
                 for build, flags in builds] == fast

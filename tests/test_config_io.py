@@ -4,9 +4,11 @@ import importlib
 import itertools
 import json
 import math
+import os
 import pkgutil
 import re
 import sys
+import tempfile
 import threading
 import types
 from pathlib import Path
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import microfatigue
 from microfatigue import config as config_module, emit as emit_module
+from microfatigue.cli import build_wohler
 from microfatigue.config import (CampaignConfig, DamageConfig, RunConfig, default_config,
                                  parse_config, serialize_config)
 from microfatigue.damage import DamageModelParams, SpecimenStrength
@@ -26,7 +29,8 @@ from microfatigue.emit import (TOOL_STAMP, attribute_writer, dump_json, emit_con
                                emit_fatigue_run, emit_staircase_sequence, emit_wohler_points, _num,
                                fit_to_dict, parse_wohler_points,
                                wohler_points_from_records)
-from microfatigue.errors import ConfigError, MicrofatigueError
+from microfatigue.errors import (SHOWN_CHARS, SHOWN_FAULTS, ConfigError, EstimationError,
+                                 MicrofatigueError)
 from microfatigue.loading import FatigueParameters, LoadCycleSpec
 from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, MAX_SPECIMENS,
                                     FatigueRunRecord, StairCaseSequence, StairCaseTrial,
@@ -117,8 +121,8 @@ def test_a_text_json_cannot_decode_is_invalid_json_at_the_root(text):
 
 # Config text from a JSON-like grammar: keys from the sections and fields or not, so
 # that some are given twice; nesting to 10**5, strings to 10**6 characters, ints to
-# 10**4 digits and the literals json reads beyond JSON; then a BOM, a lone surrogate
-# or a cut anywhere.
+# 10**4 digits, lists of 10**5 strings and the literals json reads beyond JSON; then a
+# BOM, a lone surrogate or a cut anywhere.
 SECTION_KEYS = sorted({section for section, _ in FIELDS})
 FIELD_KEYS = sorted({name for _, name in FIELDS})
 GRAMMAR_KEYS = st.one_of(st.sampled_from(["", *SECTION_KEYS, *FIELD_KEYS]), st.text(max_size=4),
@@ -132,6 +136,7 @@ GRAMMAR_SCALARS = st.one_of(
     st.tuples(st.characters(), st.integers(0, 10**6)).map(
         lambda p: '"' + json.dumps(p[0])[1:-1] * p[1] + '"'),
     st.integers(1, 10**5).map(lambda d: "[" * d + "]" * d),
+    st.integers(1, 10**5).map(lambda n: "[" + ",".join(['"x"'] * n) + "]"),
 )
 
 
@@ -158,10 +163,15 @@ def config_texts(draw):
             "surrogate": text[:at] + "\udcff" + text[at:]}[edit]
 
 
-# The longest fault a config text can make: a key or a value's repr shows at most
-# errors.SHOWN_CHARS characters, and an int, which only a library check of a whole
-# number within the float range echoes whole, at most 309 digits.
-FAULT_CHARS = 400
+# The longest text a fault shows of a key, a value's repr or a whole number: its first
+# errors.SHOWN_CHARS characters, then its length, here of at most 8 digits.
+SHOWN_MAX = SHOWN_CHARS + len("... (length 12345678)")
+# The longest fault: at most two such texts (hole_count's check shows the count and the
+# area it covers) in at most 130 characters of its own.
+FAULT_CHARS = 130 + 2 * SHOWN_MAX
+# The most a grammar text's faults take together: at most three sections of three
+# fields, each field's list reporting at most SHOWN_FAULTS item faults and one count.
+TEXT_CHARS = 3 * 3 * (SHOWN_FAULTS + 1) * (FAULT_CHARS + len("; "))
 
 
 @given(config_texts())
@@ -174,8 +184,86 @@ def test_any_config_text_parses_or_names_its_faults_briefly(text):
     except ConfigError as exc:
         faults = [f"{path}: {message}" for path, message in exc.problems]
         assert faults and max(map(len, faults)) <= FAULT_CHARS
+        assert len(str(exc)) <= TEXT_CHARS
     else:
         assert isinstance(config, RunConfig)
+
+
+# Points-file bytes: rows of fields that parse or not (long ones, NUL bytes, any short
+# text), rows of up to 10**5 columns, a header and comments; then a BOM, a byte that is
+# not UTF-8, or a cut anywhere.
+POINTS_FIELDS = st.one_of(
+    st.sampled_from(["14", "13.5", "1000", "2e6", "0", "1", "nan", "-inf", "level_V", "",
+                     "\x00"]),
+    st.integers(1, 10**6).map(lambda n: "9" * n),
+    st.integers(1, 10**6).map(lambda n: "x" * n),
+    st.text(max_size=4))
+POINTS_ROWS = st.one_of(st.lists(POINTS_FIELDS, max_size=4).map(",".join),
+                        st.integers(4, 10**5).map(lambda n: ",".join(["1"] * n)),
+                        st.sampled_from(["level_V,cycles,censored", "# note"]))
+
+
+@st.composite
+def points_bytes(draw):
+    data = "\n".join(draw(st.lists(POINTS_ROWS, max_size=6))).encode()
+    at = draw(st.integers(0, len(data)))
+    edit = draw(st.sampled_from(["none", "bom", "not-utf-8", "cut"]))
+    return {"none": data, "bom": b"\xef\xbb\xbf" + data, "cut": data[:at],
+            "not-utf-8": data[:at] + b"\xff" + data[at:]}[edit]
+
+
+@given(points_bytes())
+@example(b"level_V,cycles,censored\n14,1000,0\n15,500,0\n")
+@example(b"\xef\xbb\xbflevel_V,cycles,censored\n")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_points_file_fits_or_names_its_fault_briefly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points.csv")
+        with open(path, "wb") as file:
+            file.write(data)
+        try:
+            files, stdout, notes = build_wohler(default_config(), None, points_csv=path)
+        except ConfigError as exc:
+            [(flag, message)] = exc.problems
+            assert flag == "--points-csv" and len(f"{flag}: {message}") <= FAULT_CHARS
+        except EstimationError:  # points that parse but admit no fit: the run's exit 3
+            with open(path) as file:
+                parse_wohler_points(file.read())
+        else:
+            assert (files, notes) == ({}, []) and "exponent" in json.loads(stdout)
+
+
+@pytest.mark.parametrize("n_faults", [SHOWN_FAULTS, SHOWN_FAULTS + 1, 100_000])
+def test_a_list_reports_its_first_item_faults_and_counts_the_rest(n_faults):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"campaign": {"levels_V": [13.0, *["x"] * n_faults]}}))
+    faults = [(f"campaign.levels_V[{i}]", "expected a finite number, got 'x'")
+              for i in range(1, SHOWN_FAULTS + 1)]
+    more = n_faults - SHOWN_FAULTS
+    assert excinfo.value.problems == faults + (
+        [("campaign.levels_V", f"... and {more} more item faults")] if more else [])
+
+
+# A library check echoes a whole number, which a config may give within the float
+# range: 309 digits once printed whole.
+@pytest.mark.parametrize("config, fault", [
+    ({"campaign": {"master_seed": -10**308}},
+     ("campaign.master_seed", "must be an integer >= 0, got -1" + "0" * 59 + "... (length 309)")),
+    ({"campaign": {"n_specimens": 10**308}},
+     ("campaign.n_specimens", "must be an integer <= 10000, got 1" + "0" * 59
+      + "... (length 309)")),
+    ({"geometry": {"hole_count": -10**308}},
+     ("geometry.hole_count", "must be >= 0, got -1" + "0" * 59 + "... (length 309)")),
+    ({"geometry": {"gap_um": 10**308}},
+     ("geometry.gap_um", "must lie in [0.001, 1e+06] um, got 1" + "0" * 59
+      + "... (length 309)")),
+    ({"campaign": {"master_seed": -10**59}},
+     ("campaign.master_seed", "must be an integer >= 0, got -1" + "0" * 59)),
+], ids=["master_seed", "n_specimens", "hole_count", "gap_um", "60-digits-whole"])
+def test_a_whole_number_is_echoed_briefly(config, fault):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(config))
+    assert excinfo.value.problems == [fault]
 
 
 @pytest.mark.parametrize("text, problems", [

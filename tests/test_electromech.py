@@ -283,6 +283,40 @@ def test_cold_commands_load_no_numpy(tmp_path):
         (0, AT_IMPORT), (0, sorted([*AT_IMPORT, "numpy"]))]
 
 
+# The stdlib modules that `import microfatigue.cli` loads beyond `import argparse, json`
+# under python -S, on CPython 3.11: typing, dataclasses with inspect and its parsers,
+# and fractions with decimal. Each module that goes shrinks the pin. PATHLIB_MODULES
+# went with pathlib; no interpreter may load them.
+S_IMPORT_BUDGET = [
+    "__future__", "_ast", "_decimal", "_opcode", "_struct", "_typing", "_weakrefset", "ast",
+    "collections.abc", "contextlib", "copy", "dataclasses", "decimal", "dis", "fractions",
+    "importlib", "importlib._bootstrap", "importlib._bootstrap_external",
+    "importlib.machinery", "inspect", "linecache", "math", "numbers", "opcode", "struct",
+    "token", "tokenize", "typing", "typing.io", "typing.re", "weakref"]
+PATHLIB_MODULES = ["errno", "fnmatch", "ipaddress", "ntpath", "pathlib", "urllib",
+                   "urllib.parse"]
+
+
+def _modules_under_S(code):
+    """The modules loaded after Python code, run under python -S on this source tree."""
+    src = os.path.dirname(os.path.dirname(microfatigue.__file__))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}; import sys; print(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=120)
+    return set(result.stdout.split())
+
+
+def test_the_cli_import_loads_only_the_pinned_stdlib_under_S():
+    # -S runs no site start-up hook, which may preload modules and so hide them.
+    beyond = sorted(name for name in _modules_under_S("import microfatigue.cli")
+                    - _modules_under_S("import argparse, json")
+                    if name.split(".")[0] != "microfatigue")
+    assert not set(PATHLIB_MODULES) & set(beyond)
+    if sys.version_info[:2] == (3, 11):
+        assert beyond == S_IMPORT_BUDGET
+
+
 def test_import_loads_no_scipy():
     assert _run_fresh("import sys, microfatigue.cli; print(sorted(m for m in sys.modules "
                       "if m.split('.')[0] == 'scipy'))").strip() == "[]"
