@@ -91,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fault(exc: Exception) -> str:
-    """The text of a file fault, an OSError's file name shown bounded."""
+    """The text of a file fault: an OSError's file name shown bounded, and the
+    RecursionError of os.makedirs as the depth that caused it."""
+    if isinstance(exc, RecursionError):
+        return "too many missing directories to make"
     if isinstance(exc, OSError) and exc.filename is not None:
         return f"[Errno {exc.errno}] {exc.strerror}: {shown(repr(exc.filename))}"
     return str(exc)

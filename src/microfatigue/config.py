@@ -186,6 +186,11 @@ def _located(section: str, messages: list[str]) -> list[tuple[str, str]]:
             for name, sep, text in parts]
 
 
+def _more(path: str, count: int, what: str) -> list[tuple[str, str]]:
+    """The fault at path that counts the faults past the first SHOWN_FAULTS, if any."""
+    return [(path, f"... and {count - SHOWN_FAULTS} more {what}")] if count > SHOWN_FAULTS else []
+
+
 def _typed(hint, path: str, value, problems: list):
     """value checked against its field annotation hint, faults added to problems:
     float takes a finite number, int a whole one (a whole float becomes an int),
@@ -198,9 +203,7 @@ def _typed(hint, path: str, value, problems: list):
     if typing.get_origin(hint) is tuple and isinstance(value, list):
         item, faults = typing.get_args(hint)[0], []
         items = tuple([_typed(item, f"{path}[{i}]", v, faults) for i, v in enumerate(value)])
-        problems += faults[:SHOWN_FAULTS]
-        if len(faults) > SHOWN_FAULTS:
-            problems.append((path, f"... and {len(faults) - SHOWN_FAULTS} more item faults"))
+        problems += faults[:SHOWN_FAULTS] + _more(path, len(faults), "item faults")
         return items
     # Within the float range, so NaN and +-Infinity fail; bool is not a number here.
     number = (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -215,7 +218,9 @@ def _typed(hint, path: str, value, problems: list):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a JSON config, collecting every problem before raising."""
+    """Parse a JSON config, collecting every problem before raising. Of the unknown
+    sections, and of each section's unknown keys, the first SHOWN_FAULTS are named and
+    one fault counts the rest."""
     problems: list[tuple[str, str]] = []
     try:
         raw = json.loads(text, object_pairs_hook=_object) if text.strip() else {}
@@ -225,11 +230,13 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", "top level must be a JSON object")])
 
-    sections = {}
+    sections, unknown_sections = {}, 0
     for key, value in raw.items():
         if key not in _SECTIONS:
-            problems.append((shown(key),
-                             f"unknown section (expected one of {sorted(_SECTIONS)})"))
+            unknown_sections += 1
+            if unknown_sections <= SHOWN_FAULTS:
+                problems.append((shown(key),
+                                 f"unknown section (expected one of {sorted(_SECTIONS)})"))
             continue
         if value is _DUPLICATE:
             problems.append((key, "duplicate key"))
@@ -237,16 +244,19 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(value, dict):
             problems.append((key, "section must be a JSON object"))
             continue
-        hints = _HINTS[key]
-        kwargs = {}
+        hints, kwargs, unknown_keys = _HINTS[key], {}, 0
         for name, field_value in value.items():
             if name not in hints:
-                problems.append((f"{key}.{shown(name)}", "unknown key"))
+                unknown_keys += 1
+                if unknown_keys <= SHOWN_FAULTS:
+                    problems.append((f"{key}.{shown(name)}", "unknown key"))
             elif field_value is _DUPLICATE:
                 problems.append((f"{key}.{name}", "duplicate key"))
             else:
                 kwargs[name] = _typed(hints[name], f"{key}.{name}", field_value, problems)
+        problems += _more(key, unknown_keys, "unknown keys")
         sections[key] = _SECTIONS[key](**kwargs)
+    problems += _more("<root>", unknown_sections, "unknown sections")
 
     if not problems:
         config = RunConfig(**sections)

@@ -138,7 +138,8 @@ def accumulate(state: DamageState, sigma_alt_Pa: float, delta_cycles: int,
 
 def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
     """k_eff/k at damage level d: power-law softening times the hardening bump, a
-    unit-height smooth peak sin(pi*u)**2 centred between onset and collapse.
+    unit-height smooth peak sin(pi*u)**2 centred between onset and collapse, squared
+    by multiplying: s * s of one sin call, where s ** 2 would call the platform pow.
 
     ``protocols.run_fatigue_test`` repeats this expression, in the same float
     operations, in its detection loop and, softening part only, in the confirm of
@@ -147,7 +148,7 @@ def effective_stiffness_factor(d: float, params: DamageModelParams) -> float:
     d = min(max(d, 0.0), 1.0)
     onset, collapse = params.hardening_onset, params.collapse_threshold
     bump = (0.0 if d <= onset or d >= collapse  # not onset < d < collapse: NaN stays NaN
-            else math.sin(math.pi * ((d - onset) / (collapse - onset))) ** 2)
+            else (s := math.sin(math.pi * ((d - onset) / (collapse - onset)))) * s)
     return (1.0 - d) ** params.softening_exponent * (1.0 + params.hardening_amplitude * bump)
 
 

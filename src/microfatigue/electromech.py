@@ -82,7 +82,8 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
 
     Solves k*x*(g-x)^2 = eps0*A*V^2/2 for the root on the stable branch
     x < g/3 by the closed-form cubic root with Newton polish. The device
-    constants are bound once, and the loop calls only acos and cos. Each clamp
+    constants are bound once, and the loop calls only acos and cos: it squares by
+    multiplying, u * (w * w), where w ** 2 would call the platform pow. Each clamp
     is the conditional min/max evaluate (the first argument unless the other is
     strictly smaller or larger), so NaN and -0.0 pass as under min/max; each
     Newton guard reads "not slope <= 0.1", so a NaN slope still takes its step.
@@ -124,15 +125,15 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
         u = (2.0 + 2.0 * cos(acos(1.0 if 1.0 < a else a) / 3.0 - four_pi_thirds)) / 3.0
         w = 1.0 - u
         if not (slope := w * (1.0 - 3.0 * u)) <= 0.1:
-            t = u - (u * w ** 2 - q) / slope
+            t = u - (u * (w * w) - q) / slope
             if t != u:
                 u, w = t, 1.0 - t
                 if not (slope := w * (1.0 - 3.0 * u)) <= 0.1:
-                    t = u - (u * w ** 2 - q) / slope
+                    t = u - (u * (w * w) - q) / slope
                     if t != u:
                         u, w = t, 1.0 - t
                         if not (slope := w * (1.0 - 3.0 * u)) <= 0.1:
-                            u -= (u * w ** 2 - q) / slope
+                            u -= (u * (w * w) - q) / slope
         x = (third if third < u else u) * g
         append(new(EquilibriumPoint, (V, x, stress_scale * x / stress_divisor)))
     return points

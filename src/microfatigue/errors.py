@@ -8,7 +8,8 @@ import re
 # longer one shows its first SHOWN_CHARS characters, then its length.
 SHOWN_CHARS = 60
 
-# The most item faults that one list field reports; one more fault counts the rest.
+# The most item faults that one list field reports, and the most unknown keys that one
+# config section, or unknown sections that a config, names; one more fault counts the rest.
 SHOWN_FAULTS = 3
 
 # A run of digits, as a check echoes a whole number: within the float range that a

@@ -80,7 +80,8 @@ def waveform(t: float, spec: LoadCycleSpec) -> float:
     """Instantaneous load as a fraction of the peak, sin^2(2*pi*f_V*t)."""
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    return math.sin(2.0 * math.pi * spec.drive_frequency_Hz * t) ** 2
+    s = math.sin(2.0 * math.pi * spec.drive_frequency_Hz * t)
+    return s * s
 
 
 def _tension_stresses(amplitudes_V: Sequence[float], mech: DerivedMechanics, geom: DeviceGeometry,

@@ -411,7 +411,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         d = n / life if n < life else 1.0
         # run_pull_in_detection's reading, inlined: the stiffness factor of
         # damage.effective_stiffness_factor, then the step-grid rounding.
-        bump = sin(pi * ((d - onset) / span)) ** 2 if onset < d < collapse else 0.0
+        bump = (s := sin(pi * ((d - onset) / span))) * s if onset < d < collapse else 0.0
         k = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
                  / step - guard)
         v = k * step

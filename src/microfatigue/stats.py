@@ -108,7 +108,7 @@ def dixon_mood(seq: StairCaseSequence) -> StairCaseEstimate:
         raise EstimationError(f"level {level} V is not on the step grid (step {d} V from {x0} V)")
     n, a, b = len(indices), sum(indices), sum(i * i for i in indices)
     mean = x0 + d * (a / n + half)
-    ratio = (n * b - a * a) / n**2
+    ratio = (n * b - a * a) / (n * n)
     valid = ratio >= DISPERSION_VALIDITY_RATIO
     std = 1.62 * d * (ratio + 0.029) if valid else DISPERSION_FALLBACK_FACTOR * d
     q10, q90 = mean - Z_90 * std, mean + Z_90 * std

@@ -95,7 +95,7 @@ def per_point_equilibrium(V, mech, geom):
         slope = (1.0 - u) * (1.0 - 3.0 * u)
         if slope <= 0.1:
             break
-        u -= (u * (1.0 - u) ** 2 - q) / slope
+        u -= (u * ((1.0 - u) * (1.0 - u)) - q) / slope
     x = min(max(u, 0.0), STABLE_FRACTION) * g
     stress = (mech.suspension_stiffness_N_m * geom.specimen_length_m
               * geom.specimen_thickness_m * x
@@ -119,7 +119,7 @@ def newton_steps_moved(V, mech, geom):
         slope = (1.0 - u) * (1.0 - 3.0 * u)
         if slope <= 0.1:
             break
-        t = u - (u * (1.0 - u) ** 2 - q) / slope
+        t = u - (u * ((1.0 - u) * (1.0 - u)) - q) / slope
         if t == u:
             break
         u, moved = t, moved + 1

@@ -314,7 +314,12 @@ def run_fresh_pullin(tmp_path, config_text):
 
 # A fault once echoed its value or key whole: 1 000 058, 100 034 and 1 865 bytes of
 # stderr for the first three rows. A key given twice ran on its last value, exit 0. A
-# list once reported each item's fault: 6 088 903 bytes for the last row, now 235.
+# list once reported each item's fault: 6 088 903 bytes for the fifth row, now 235. Each
+# unknown key or section was once named: 2 688 903 and 10 888 903 bytes for the last two
+# rows, now 122 and 373 bytes: three are named and one fault counts the rest.
+SECTIONS = "['campaign', 'damage', 'geometry', 'material', 'model', 'output']"
+
+
 @pytest.mark.parametrize("text, fault", [
     ('{"model": {"c_k": "' + "x" * 10**6 + '"}}',
      "model.c_k: expected a finite number, got '" + "x" * 59 + "... (length 1000002)"),
@@ -326,7 +331,14 @@ def run_fresh_pullin(tmp_path, config_text):
     (json.dumps({"campaign": {"levels_V": ["x"] * 100_000}}),
      "; ".join([*(f"campaign.levels_V[{i}]: expected a finite number, got 'x'" for i in range(3)),
                 "campaign.levels_V: ... and 99997 more item faults"])),
-], ids=["1MB-c_k", "100000-char-key", "900-deep-levels", "duplicate-c_k", "100000-bad-levels"])
+    (json.dumps({"model": {f"k{i}": 1 for i in range(100_000)}}),
+     "; ".join([*(f"model.k{i}: unknown key" for i in range(3)),
+                "model: ... and 99997 more unknown keys"])),
+    (json.dumps({f"s{i}": {} for i in range(100_000)}),
+     "; ".join([*(f"s{i}: unknown section (expected one of {SECTIONS})" for i in range(3)),
+                "<root>: ... and 99997 more unknown sections"])),
+], ids=["1MB-c_k", "100000-char-key", "900-deep-levels", "duplicate-c_k", "100000-bad-levels",
+        "100000-unknown-keys", "100000-unknown-sections"])
 def test_a_config_fault_shows_a_bounded_value_and_names_a_duplicate_key(tmp_path, text, fault):
     result = run_fresh_pullin(tmp_path, text)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"config error: {fault}\n")
@@ -797,7 +809,8 @@ def test_pullin_reads_a_sweep_of_any_step_count(tmp_path, capsys, config):
 
 
 # Each command that writes files, run from a directory holding the file "afile". A
-# directory 3 000 deep makes os.makedirs recurse past the interpreter's stack.
+# directory 3 000 deep makes os.makedirs recurse past the interpreter's stack, before
+# it makes any: the fault says so.
 WRITING_COMMANDS = {"staircase": ["staircase"], "fatigue": ["fatigue", "--va", "13"],
                     "curve": ["curve"], "wohler": ["wohler", "--points-csv", "points.csv"]}
 
@@ -821,6 +834,9 @@ def test_output_directory_faults_exit_2_naming_the_setting(tmp_path, capsys, mon
     code, out, err = run_cli(capsys, *argv, *WRITING_COMMANDS[command])
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: {setting}: ")
+    if directory == "a/" * 3000:
+        assert err == f"config error: {setting}: too many missing directories to make\n"
+        assert not os.path.exists("a")
 
 
 # How a written file's path is spelled on stdout: as given, joined by os.path.join. The

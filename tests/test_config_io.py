@@ -121,8 +121,8 @@ def test_a_text_json_cannot_decode_is_invalid_json_at_the_root(text):
 
 # Config text from a JSON-like grammar: keys from the sections and fields or not, so
 # that some are given twice; nesting to 10**5, strings to 10**6 characters, ints to
-# 10**4 digits, lists of 10**5 strings and the literals json reads beyond JSON; then a
-# BOM, a lone surrogate or a cut anywhere.
+# 10**4 digits, lists of 10**5 strings, objects of 10**5 unknown keys or sections and
+# the literals json reads beyond JSON; then a BOM, a lone surrogate or a cut anywhere.
 SECTION_KEYS = sorted({section for section, _ in FIELDS})
 FIELD_KEYS = sorted({name for _, name in FIELDS})
 GRAMMAR_KEYS = st.one_of(st.sampled_from(["", *SECTION_KEYS, *FIELD_KEYS]), st.text(max_size=4),
@@ -147,16 +147,18 @@ def _json_object(pairs):
 GRAMMAR_VALUES = st.recursive(GRAMMAR_SCALARS, lambda children: st.one_of(
     st.lists(children, max_size=3).map(lambda items: "[" + ",".join(items) + "]"),
     st.lists(st.tuples(GRAMMAR_KEYS, children), max_size=3).map(_json_object)), max_leaves=5)
+GRAMMAR_UNKNOWN_KEYS = st.integers(1, 10**5).map(
+    lambda n: _json_object((f"k{i}", "0") for i in range(n)))
 GRAMMAR_SECTIONS = st.lists(st.tuples(
     st.one_of(st.sampled_from(SECTION_KEYS), GRAMMAR_KEYS),
     st.one_of(st.lists(st.tuples(st.one_of(st.sampled_from(FIELD_KEYS), GRAMMAR_KEYS),
                                  GRAMMAR_VALUES), max_size=3).map(_json_object),
-              GRAMMAR_VALUES)), max_size=3).map(_json_object)
+              GRAMMAR_UNKNOWN_KEYS, GRAMMAR_VALUES)), max_size=3).map(_json_object)
 
 
 @st.composite
 def config_texts(draw):
-    text = draw(st.one_of(GRAMMAR_SECTIONS, GRAMMAR_VALUES))
+    text = draw(st.one_of(GRAMMAR_SECTIONS, GRAMMAR_UNKNOWN_KEYS, GRAMMAR_VALUES))
     at = draw(st.integers(0, len(text)))
     edit = draw(st.sampled_from(["none", "bom", "surrogate", "cut"]))
     return {"none": text, "bom": "\ufeff" + text, "cut": text[:at],
@@ -171,12 +173,18 @@ SHOWN_MAX = SHOWN_CHARS + len("... (length 12345678)")
 FAULT_CHARS = 130 + 2 * SHOWN_MAX
 # The most a grammar text's faults take together: at most three sections of three
 # fields, each field's list reporting at most SHOWN_FAULTS item faults and one count.
+# An object of unknown keys, as a section or as the root, reports as many: at most
+# SHOWN_FAULTS unknown keys or sections and one count.
 TEXT_CHARS = 3 * 3 * (SHOWN_FAULTS + 1) * (FAULT_CHARS + len("; "))
+# The grammar's largest object of unknown keys, as the root and as a section.
+UNKNOWN_KEYS = _json_object((f"k{i}", "0") for i in range(10**5))
 
 
 @given(config_texts())
 @example('{"model": {"c_k": 1.0, "c_k": 2.0}}')
 @example('{"campaign": {"master_seed": -' + "9" * 308 + "}}")
+@example(UNKNOWN_KEYS)
+@example('{"model": ' + UNKNOWN_KEYS + "}")
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_config_text_parses_or_names_its_faults_briefly(text):
     try:

@@ -645,7 +645,25 @@ def test_the_nominal_curve_reaches_every_newton_exit():
     mech, geom = device.mechanics, device.geometry
     moved = collections.Counter(newton_steps_moved(p.voltage_V, mech, geom)
                                 for p in stress_conversion_curve(mech, geom, V_max, n_points))
-    assert {0, 1, 2, 3} <= set(moved)  # 2, 98, 75 and 24 points with glibc's acos and cos
+    # 2, 98, 75 and 24 points with glibc's acos and cos, whether a step squares by
+    # multiplying or by pow.
+    assert {0, 1, 2, 3} <= set(moved)
+
+
+# Default-device voltages whose solve depends on how a Newton step squares: the
+# residual u * (w * w) - q gives these points, while u * w ** 2 (the platform pow) and
+# u * w * w (which rounds (u * w) * w) each land one ulp of deflection away at both.
+SQUARED_BY_PRODUCT = [
+    (14.719249867101633, ("1.5352085953376507e-07", "32663098.07440386")),
+    (26.016369822484936, ("8.109500209965467e-07", "172537726.46722528")),
+]
+
+
+@pytest.mark.parametrize("V, expected", SQUARED_BY_PRODUCT, ids=["14.7V", "26.0V"])
+def test_a_newton_step_squares_by_one_product(V, expected):
+    device = Device.nominal()
+    point = static_equilibrium(V, device.mechanics, device.geometry)
+    assert point_reprs(point) == (repr(V), *expected)
 
 
 # Its closed-form pull-in is 58.05753654526649 V, and the solve finds no stable

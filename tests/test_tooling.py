@@ -261,23 +261,23 @@ LIBM_FREE_MATH = {"ceil", "fsum", "inf", "isclose", "isfinite", "nan", "nextafte
 # Per function: the other math names it reads, and its ** or **= other than an int
 # literal to an int literal. CPython hands a float power to the platform pow even at
 # an integer exponent, and pow need not round as x * x does: on glibc x ** 2 != x * x
-# for about 1 in 1 100 uniform x in [0, 1). A power of int names (dixon_mood's n**2)
-# counts too, as the scan cannot tell its types. A new libm dependence is a declared edit.
+# for about 1 in 1 100 uniform x in [0, 1), so a hot loop squares by multiplying. The
+# scan cannot tell types, so an int squares as n * n too, and each count is of float
+# powers. A new libm dependence is a declared edit.
 LIBM_SITES = {
     "_normal": (["exp", "log1p"], 1),
     "damage.cycles_to_failure": ([], 1),
-    "damage.effective_stiffness_factor": (["sin"], 2),
+    "damage.effective_stiffness_factor": (["sin"], 1),
     "device.derive_mechanics": ([], 4),
     "electromech._drive_scale_and_capacity": ([], 1),
-    "electromech._stable_points": (["acos", "cos"], 3),
+    "electromech._stable_points": (["acos", "cos"], 0),
     "electromech._supply_level": ([], 1),
     "electromech.pull_in_voltage_closed_form": ([], 1),
     "electromech.solver_divisors": ([], 1),
-    "loading.waveform": (["sin"], 1),
-    "protocols._monitored_run": (["sin"], 2),
+    "loading.waveform": (["sin"], 0),
+    "protocols._monitored_run": (["sin"], 1),
     "protocols._softening_run_end": ([], 2),
     "protocols.calibrate_defaults": (["log"], 1),
-    "stats.dixon_mood": ([], 1),
     "stats.estimator_recovery_trial": (["erfc"], 0),
     "stats.fit_basquin": (["exp", "log"], 1),
 }
