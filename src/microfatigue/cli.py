@@ -9,15 +9,16 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import electromech, protocols, stats
-from .config import default_config, parse_config, serialize_config
+from .config import _located, default_config, parse_config, serialize_config
 from .damage import SpecimenStrength
 from .emit import (TOOL_STAMP, dump_json, emit_conversion_curve, emit_fatigue_run,
                    emit_staircase_sequence, emit_wohler_points, estimate_to_dict,
                    fit_to_dict, parse_wohler_points, wohler_points_from_records)
-from .errors import ConfigError, MicrofatigueError, shown
+from .errors import SHOWN_CHARS, ConfigError, MicrofatigueError, shown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,9 +27,12 @@ EXIT_RUNTIME = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the contract here is 1.
+    # argparse exits with 2 on usage errors; the contract here is 1. The message may echo
+    # an argument (a flag's value, a subcommand, an unrecognized argument): each run of
+    # more than SHOWN_CHARS characters without whitespace is shown as ``shown`` does.
     def error(self, message):
         self.print_usage(sys.stderr)
+        message = re.sub(rf"\S{{{SHOWN_CHARS + 1},}}", lambda run: shown(run[0]), message)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -246,8 +250,8 @@ def build_recovery(config, out, replications) -> tuple[dict[str, str], str, list
         summary = stats.estimator_recovery_trial(
             float(camp.strength_mean_V), float(camp.strength_std_V), camp.n_specimens,
             replications, camp.master_seed, camp.levels_V, camp.step_V, camp.start_level_V)
-    except ValueError as exc:  # the config checks all but the bound on the walk's levels
-        raise ConfigError([("campaign.levels_V", str(exc).partition(": ")[2])]) from exc
+    except ValueError as exc:  # the config checks all but the walk and float-range bounds
+        raise ConfigError(_located("campaign", str(exc).split("; "))) from exc
     return {}, dump_json({**summary, "seed": camp.master_seed, "tool": TOOL_STAMP}), []
 
 

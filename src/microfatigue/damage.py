@@ -8,7 +8,9 @@ endurance stress no damage accrues at all, which is what makes the
 pull-in-only control test non-damaging.
 
 Damage is stored as an exact Fraction so that accumulating a batch of
-cycles in several calls is bit-identical to accumulating it in one.
+cycles in several calls is bit-identical to accumulating it in one. Its
+two makers, ``DamageState.pristine`` and ``accumulate``, import ``fractions``
+themselves, so importing the package loads neither it nor ``decimal``.
 ``accumulate`` is the primitive for sums whose amplitude varies. At a
 constant amplitude the Miner sum after n cycles is exactly n/life, so a
 fatigue run (``protocols.run_fatigue_test``) computes it in integers and
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .device import DeviceGeometry, DerivedMechanics
@@ -94,6 +95,7 @@ class DamageState(NamedTuple):
 
     @classmethod
     def pristine(cls) -> "DamageState":
+        from fractions import Fraction
         return cls(damage=Fraction(0), cycles_applied=0, hardened=False, failed=False)
 
 
@@ -127,6 +129,7 @@ def accumulate(state: DamageState, sigma_alt_Pa: float, delta_cycles: int,
     cycles = state.cycles_applied + delta_cycles
     if life is UNBOUNDED or delta_cycles == 0:
         return state._replace(cycles_applied=cycles)
+    from fractions import Fraction
     damage = min(state.damage + Fraction(delta_cycles, life), Fraction(1))
     return DamageState(
         damage=damage,

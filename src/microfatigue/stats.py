@@ -40,10 +40,12 @@ MAX_WALK_LEVELS = 210         # distinct floats the walk of one recovery trial m
 # Width of the fields packed in a code's weight: no index sum passes (K - 1) * n.
 _FIELD_BITS = ((MAX_WALK_LEVELS - 1) * MAX_SPECIMENS).bit_length()
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-# The bias magnitude a recovery summary refuses: 2**_BIAS_BITS V. The squares of biases
-# below it, summed over MAX_REPLICATIONS, stay finite.
+# No recovery bias reaches 2**_BIAS_BITS V: the trial's entry keeps the step and the
+# mean's distance to each level below half that, and each estimate X0 + d*(A/N +/- 1/2)
+# lies within d/2 of the window. Their squares, summed over MAX_REPLICATIONS, stay finite.
 _BIAS_BITS = 500
 _MAX_BIAS_V = float(1 << _BIAS_BITS)
+_design_faults = functools.lru_cache(maxsize=8)(validate_design)  # kept per design like the walk
 
 
 class StairCaseEstimate(NamedTuple):
@@ -175,9 +177,9 @@ def synthetic_stair_case(strengths_V: list[float], levels_V: list[float],
 
 @functools.lru_cache(maxsize=8)
 def _window_tables(levels_V: tuple[float, ...], step_V: float, start_level_V: float):
-    """The stair-case walk of a design and the tables that count it, as read-only
-    arrays built once per design; ValueError names a fault of the design
-    (``protocols.validate_design``) or a walk past MAX_WALK_LEVELS levels.
+    """The stair-case walk of a design that ``protocols.validate_design`` passes and the
+    tables that count it, as read-only arrays built once per design; ValueError names a
+    walk past MAX_WALK_LEVELS levels.
 
     The walk's levels are the floats that ``protocols.next_level`` reaches from the
     start, so a step that is not exact in binary drifts as in synthetic_stair_case.
@@ -190,9 +192,6 @@ def _window_tables(levels_V: tuple[float, ...], step_V: float, start_level_V: fl
     failure and survival sums and the half steps -1/2 and +1/2, as columns; the
     start's code; and the step as a float.
     """
-    problems = validate_design(levels_V, step_V, start_level_V)
-    if problems:
-        raise ValueError("; ".join(problems))
     import numpy as np
     low, high = min(map(float, levels_V)), max(map(float, levels_V))
     step_V, start_level_V = float(step_V), float(start_level_V)
@@ -256,16 +255,11 @@ def _dixon_mood_means(codes: np.ndarray, tables: tuple) -> np.ndarray:
 
 def _bias_summary(biases: np.ndarray) -> tuple[float, float, float]:
     """Mean, ddof-0 spread and largest magnitude of a non-empty 1-D float64 array, as
-    float(biases.mean()), float(biases.std()) and float(np.abs(biases).max()) give
-    them: the ufunc reductions those wrappers run. The mean is numpy's pairwise
-    add.reduce over the size; the spread the square root of the same mean of the
-    squared deviations from it. EstimationError refuses a bias past _MAX_BIAS_V,
-    whose square, summed over the replications, could overflow."""
+    float(biases.mean()), float(biases.std()) and float(np.abs(biases).max()) give them:
+    the ufunc reductions those wrappers run. The mean is numpy's pairwise add.reduce over
+    the size; the spread the square root of the same mean of the squared deviations."""
     import numpy as np
     largest = float(np.maximum.reduce(np.abs(biases)))
-    if not largest < _MAX_BIAS_V:
-        raise EstimationError(f"estimation impossible: a bias of {largest:g} V is past "
-                              f"2**{_BIAS_BITS} V")
     size = biases.size
     mean = float(np.add.reduce(biases)) / size
     deviations = biases - mean
@@ -282,9 +276,10 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     Each replication draws threshold strengths from Normal(strength_mean_V,
     strength_std_V) and runs a stair-case of the design (the campaign's by default)
     over pure threshold specimens, with no fatigue run. Replications with only one
-    outcome are skipped and counted. The arguments must pass validate_population and
-    validate_design, the mean and spread finite, and the walk may reach at most
-    MAX_WALK_LEVELS levels.
+    outcome are skipped and counted. Before any draw, ValueError names each fault of
+    validate_population and validate_design, a mean or spread not finite, replications
+    out of range, then a step_V, or a mean as far from a level, of 2**(_BIAS_BITS - 1) V
+    or more (see _BIAS_BITS); and a walk past MAX_WALK_LEVELS levels.
 
     The walk needs only m, the walk levels below a strength, and level L lies below
     a strength of normal quantile u iff Phi((L - mean)/std) < u. So each specimen
@@ -306,6 +301,13 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
             and MIN_REPLICATIONS <= replications <= MAX_REPLICATIONS):
         problems.append(f"replications: must be an integer in "
                         f"[{MIN_REPLICATIONS}, {MAX_REPLICATIONS}], got {replications!r}")
+    problems += _design_faults(tuple(levels_V), step_V, start_level_V)
+    if not problems:  # in Python floats, which overflow to inf without a warning
+        if not float(step_V) < _MAX_BIAS_V / 2:
+            problems.append(f"step_V: must be below 2**{_BIAS_BITS - 1} V, got {step_V!r}")
+        if not max(abs(float(strength_mean_V) - float(v)) for v in levels_V) < _MAX_BIAS_V / 2:
+            problems.append(f"strength_mean_V: must lie within 2**{_BIAS_BITS - 1} V of each "
+                            f"level, got {strength_mean_V!r}")
     if problems:
         raise ValueError("; ".join(problems))
     tables = _window_tables(tuple(levels_V), step_V, start_level_V)
@@ -319,24 +321,21 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     words = np.random.PCG64(int(master_seed))
     block = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_specimens)   # replications per pass
     chunks = []
-    # Means or biases past the float range overflow silently: _bias_summary refuses them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, replications, block):
-            rows = min(block, replications - first)
-            if strength_std_V:
-                raw = words.random_raw((rows, n_specimens)).T
-                cells = (raw > cuts[0]).astype(np.intp)
-                for cut in cuts[1:]:
-                    cells += raw > cut
-            else:  # every strength is the mean
-                cells = np.full((n_specimens, rows), sum(levels < strength_mean_V))
-            codes = _stair_case_codes(cells, next_code, start_code)
-            chunks.append(_dixon_mood_means(codes, tables))
-        estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        biases = estimates - strength_mean_V
+    for first in range(0, replications, block):
+        rows = min(block, replications - first)
+        if strength_std_V:
+            raw = words.random_raw((rows, n_specimens)).T
+            cells = (raw > cuts[0]).astype(np.intp)
+            for cut in cuts[1:]:
+                cells += raw > cut
+        else:  # every strength is the mean
+            cells = np.full((n_specimens, rows), sum(levels < strength_mean_V))
+        codes = _stair_case_codes(cells, next_code, start_code)
+        chunks.append(_dixon_mood_means(codes, tables))
+    estimates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if not estimates.size:
         raise EstimationError("every replication produced a single-outcome sequence")
-    mean_bias, std_bias, max_abs_bias = _bias_summary(biases)
+    mean_bias, std_bias, max_abs_bias = _bias_summary(estimates - strength_mean_V)
     return {
         "true_mean_V": strength_mean_V,
         "true_std_V": strength_std_V,

@@ -513,20 +513,20 @@ def test_recovery_spread_past_the_float_range_runs_without_a_warning(tmp_path, c
         "00e06ad340754b33b8eb426912bb9e1de54477e1388370afdebe217da5ac3f92"
 
 
-@pytest.mark.parametrize("config, bias", [
-    # a one-level window whose estimates lie half of 1.7e308 V off it, where staircase
-    # finds its quantiles overflow
-    (OVERFLOWING_WINDOW, "8.5e+307"),
-    # strengths of Normal(1e300, 1e300) fail at the default levels about one time in
-    # six, and each estimate lies about 1e300 V below the true mean
-    ({"campaign": {"strength_mean_V": 1e300, "strength_std_V": 1e300}}, "1e+300"),
-])
-def test_recovery_whose_biases_may_overflow_exits_3(tmp_path, capsys, config, bias):
+@pytest.mark.parametrize("config, fault", [
+    # a one-level window whose estimates would lie half of 1.7e308 V off it, where
+    # staircase finds its quantiles overflow
+    (OVERFLOWING_WINDOW, "campaign.step_V: must be below 2**499 V, got 1.7e+308"),
+    # strengths of Normal(1e300, 1e300) would fail at the default levels about one time
+    # in six, and each estimate would lie about 1e300 V below the true mean
+    ({"campaign": {"strength_mean_V": 1e300, "strength_std_V": 1e300}},
+     "campaign.strength_mean_V: must lie within 2**499 V of each level, got 1e+300"),
+], ids=["step_V", "strength_mean_V"])
+def test_recovery_whose_biases_may_overflow_exits_2_naming_the_field(tmp_path, capsys, config,
+                                                                     fault):
     cfg = tmp_path / "far.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "--config", str(cfg), "recovery")
-    assert (code, out) == (3, "")
-    assert err == f"error: estimation impossible: a bias of {bias} V is past 2**500 V\n"
+    assert run_cli(capsys, "--config", str(cfg), "recovery") == (2, "", f"config error: {fault}\n")
 
 
 # sha256 of stdout. The recovery rows read one PCG64(master_seed) per trial, each
@@ -607,6 +607,37 @@ def test_bad_flag_values_exit_1_naming_the_flag(capsys, argv, flag):
     assert code == 1
     assert f"argument {flag}: " in err
     assert out == ""
+
+
+# The usages that a usage error prints first, at 80 columns.
+TOP_USAGE = ("usage: microfatigue [-h] [--config CONFIG] [--seed SEED] [--out OUT]\n"
+             "                    [--show-defaults]\n"
+             "                    {pullin,curve,fatigue,staircase,wohler,recovery} ...\n")
+CURVE_USAGE = "usage: microfatigue curve [-h] [--vmax VMAX] [--points POINTS]\n"
+
+
+# A usage error once echoed its argument whole: 100 251 bytes of stderr for a
+# 100 000-digit --seed. Each run of more than 60 characters without whitespace is shown
+# as its first 60 and its length.
+@pytest.mark.parametrize("argv, stderr", [
+    (["--seed", "1" * 100_000, "pullin"],
+     TOP_USAGE + "microfatigue: error: argument --seed: expected an integer >= 0, got '"
+     + "1" * 59 + "... (length 100002)\n"),
+    (["curve", "--vmax", "9" * 100_000],
+     CURVE_USAGE + "microfatigue curve: error: argument --vmax: expected a finite number "
+     ">= 0, got '" + "9" * 59 + "... (length 100002)\n"),
+    (["x" * 100_000],
+     TOP_USAGE + "microfatigue: error: argument command: invalid choice: '" + "x" * 59
+     + "... (length 100002) (choose from 'pullin', 'curve', 'fatigue', 'staircase', "
+     "'wohler', 'recovery')\n"),
+    (["pullin", "--" + "y" * 100_000],
+     TOP_USAGE + "microfatigue: error: unrecognized arguments: --" + "y" * 58
+     + "... (length 100002)\n"),
+], ids=["seed", "curve-vmax", "subcommand", "unknown-flag"])
+def test_a_usage_error_shows_a_long_argument_bounded(capsys, monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (1, "", stderr)
+    assert len(stderr.encode()) < 400
 
 
 @pytest.mark.parametrize("config, path", [

@@ -238,11 +238,11 @@ def test_import_graph(module):
     assert set(loaded) <= {"microfatigue", *LAYERS[1:LAYERS.index(module) + 1]}
 
 
-# The modules whose loading is pinned per command: the array and logging stacks, and
-# what the package import loads of the stdlib beyond its floor (dataclasses, which
-# loads inspect, and fractions, which loads decimal).
+# The modules whose loading is pinned per command: the array and logging stacks, what
+# the package import loads of the stdlib beyond its floor (dataclasses, which loads
+# inspect), and fractions with decimal, which only damage.DamageState's makers import.
 WATCHED = ["numpy", "scipy", "logging", "dataclasses", "inspect", "fractions", "decimal"]
-AT_IMPORT = ["dataclasses", "decimal", "fractions", "inspect"]
+AT_IMPORT = ["dataclasses", "inspect"]
 
 # Runs each argv of the JSON list in sys.argv[1] through cli_dispatch and prints,
 # after the import and after each command, (exit code, the modules of the JSON list
@@ -284,17 +284,18 @@ def test_cold_commands_load_no_numpy(tmp_path):
 
 
 # The stdlib modules that `import microfatigue.cli` loads beyond `import argparse, json`
-# under python -S, on CPython 3.11: typing, dataclasses with inspect and its parsers,
-# and fractions with decimal. Each module that goes shrinks the pin. PATHLIB_MODULES
-# went with pathlib; no interpreter may load them.
+# under python -S, on CPython 3.11: typing, numbers, and dataclasses with inspect and its
+# parsers. Each module that goes shrinks the pin. PATHLIB_MODULES went with pathlib, and
+# fractions with decimal behind damage's lazy import; no interpreter may load them.
 S_IMPORT_BUDGET = [
-    "__future__", "_ast", "_decimal", "_opcode", "_struct", "_typing", "_weakrefset", "ast",
-    "collections.abc", "contextlib", "copy", "dataclasses", "decimal", "dis", "fractions",
-    "importlib", "importlib._bootstrap", "importlib._bootstrap_external",
-    "importlib.machinery", "inspect", "linecache", "math", "numbers", "opcode", "struct",
-    "token", "tokenize", "typing", "typing.io", "typing.re", "weakref"]
+    "__future__", "_ast", "_opcode", "_struct", "_typing", "_weakrefset", "ast",
+    "collections.abc", "contextlib", "copy", "dataclasses", "dis", "importlib",
+    "importlib._bootstrap", "importlib._bootstrap_external", "importlib.machinery",
+    "inspect", "linecache", "math", "numbers", "opcode", "struct", "token", "tokenize",
+    "typing", "typing.io", "typing.re", "weakref"]
 PATHLIB_MODULES = ["errno", "fnmatch", "ipaddress", "ntpath", "pathlib", "urllib",
                    "urllib.parse"]
+FRACTIONS_MODULES = ["_decimal", "decimal", "fractions"]
 
 
 def _modules_under_S(code):
@@ -312,7 +313,7 @@ def test_the_cli_import_loads_only_the_pinned_stdlib_under_S():
     beyond = sorted(name for name in _modules_under_S("import microfatigue.cli")
                     - _modules_under_S("import argparse, json")
                     if name.split(".")[0] != "microfatigue")
-    assert not set(PATHLIB_MODULES) & set(beyond)
+    assert not set(PATHLIB_MODULES + FRACTIONS_MODULES) & set(beyond)
     if sys.version_info[:2] == (3, 11):
         assert beyond == S_IMPORT_BUDGET
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from microfatigue import stats
 from microfatigue.errors import EstimationError
@@ -271,13 +271,96 @@ def test_recovery_trial_cuts_every_level_at_one_half_past_the_float_range():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n_specimens", [2, 3, 6])
 def test_recovery_trial_refuses_a_design_at_the_float_range_without_a_warning(n_specimens):
-    # The Dixon-Mood means and their biases overflow to inf or NaN; the bias summary
-    # refuses them, and numpy's overflow stays silent.
-    for seed in range(5):
-        with pytest.raises(EstimationError, match="is past 2\\*\\*500 V"):
-            estimator_recovery_trial(1e308, 1e308, n_specimens, 20, seed,
-                                     levels_V=(0.0, 1.7e308), step_V=1.7e308,
-                                     start_level_V=0.0)
+    # The Dixon-Mood means and their biases would overflow to inf or NaN; the entry names
+    # the step and the mean's distance to a level before any draw.
+    with pytest.raises(ValueError, match=re.escape(
+            "step_V: must be below 2**499 V, got 1.7e+308; strength_mean_V: must lie within "
+            "2**499 V of each level, got 1e+308")):
+        estimator_recovery_trial(1e308, 1e308, n_specimens, 20, 0, levels_V=(0.0, 1.7e308),
+                                 step_V=1.7e308, start_level_V=0.0)
+
+
+# The float-range bound of the recovery trial's entry: a step, or a distance from the
+# mean to the farther end of the window, of 2**499 V or more is refused.
+BOUND_V = 2.0**499
+BELOW_V = math.nextafter(BOUND_V, 0.0)
+
+
+@st.composite
+def far_trials(draw):
+    """Recovery trials whose step, window ends and mean reach up to and past 2**499 V:
+    one to four levels on the exact grid of a power-of-two step, from j steps off 0 V,
+    or one level anywhere in the float range; the levels in any order, the mean a power
+    of two off one of them, and the spread 0 or about that power of two."""
+    step = 2.0 ** draw(st.integers(-4, 520) | st.integers(497, 501))
+    if draw(st.booleans()):
+        j = draw(st.integers(-2**20, 2**20))
+        levels = [(j + k) * step for k in range(draw(st.integers(1, 4)))]
+    else:
+        levels = [draw(st.floats(-1.7e308, 1.7e308))]
+    levels = draw(st.permutations(levels))
+    offset = draw(st.integers(-4, 1020) | st.integers(496, 502))
+    mean = abs(draw(st.sampled_from(levels)) + draw(st.sampled_from([-1.0, 1.0])) * 2.0**offset)
+    assume(0.0 < mean < math.inf)
+    spread = draw(st.just(None) | st.integers(-2, 2))
+    return dict(strength_mean_V=mean,
+                strength_std_V=0.0 if spread is None else 2.0 ** min(offset + spread, 1023),
+                n_specimens=draw(st.integers(2, 6)), replications=draw(st.integers(1, 8)),
+                master_seed=draw(st.integers(0, 2**32)), levels_V=tuple(levels), step_V=step,
+                start_level_V=draw(st.sampled_from(levels)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(trial=far_trials())
+@settings(max_examples=200, deadline=None)
+def test_a_recovery_trial_runs_finite_or_names_the_term_past_the_float_range_bound(trial):
+    levels, mean = trial["levels_V"], trial["strength_mean_V"]
+    far = max(abs(mean - min(levels)), abs(mean - max(levels)))  # inf past the float range
+    past = [name for name, value in (("step_V", trial["step_V"]), ("strength_mean_V", far))
+            if value >= BOUND_V]
+    result = result_or_fault(lambda: estimator_recovery_trial(**trial))
+    if past:
+        assert result[0] is ValueError
+        assert [fault.partition(":")[0] for fault in result[1].split("; ")] == past
+    else:
+        assert result == result_or_fault(lambda: recovery_by_replication(**trial))
+        assert (all(map(math.isfinite, result.values())) if isinstance(result, dict)
+                else result[0] is EstimationError)
+
+
+# Levels in neither order, so that the farther end is neither the first nor the last.
+FAR_LEVELS_V = (2.0**497, 0.0, 2.0**498)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("design, fault", [
+    ((BELOW_V / 2, (0.0, BELOW_V), BELOW_V, 0.0), None),
+    ((BOUND_V / 2, (0.0, BOUND_V), BOUND_V, 0.0),
+     f"step_V: must be below 2**499 V, got {BOUND_V!r}"),
+    ((BELOW_V, FAR_LEVELS_V, 2.0**497, 0.0), None),
+    ((BOUND_V, FAR_LEVELS_V, 2.0**497, 0.0),
+     f"strength_mean_V: must lie within 2**499 V of each level, got {BOUND_V!r}"),
+    # the distance overflows a float: inf in Python, a RuntimeWarning in numpy scalars
+    ((1.7e308, (-1.7e308,), 1.0, -1.7e308),
+     "strength_mean_V: must lie within 2**499 V of each level, got 1.7e+308"),
+], ids=["step-below", "step-at", "mean-below", "mean-at", "mean-past-the-float-range"])
+def test_the_float_range_bound_refuses_a_step_or_a_distance_at_2_to_the_499(design, fault):
+    mean, levels, step, start = design
+    trial = dict(strength_mean_V=mean, strength_std_V=1e300, n_specimens=6, replications=50,
+                 master_seed=3, levels_V=levels, step_V=step, start_level_V=start)
+    if fault is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            estimator_recovery_trial(**trial)
+        return
+    summary = estimator_recovery_trial(**trial)
+    assert summary == recovery_by_replication(**trial)
+    assert summary["valid_replications"] > 0
+    assert 2.0**498 < summary["max_abs_bias_V"] < 2.0**500
+
+
+def test_the_recovery_trial_names_the_faults_of_population_and_design_at_once():
+    with pytest.raises(ValueError, match="^strength_std_V: .*; replications: .*; levels_V: "):
+        estimator_recovery_trial(13.0, -1.0, 6, 0, 1, (12.5, 15.0), 1.0, 15.0)
 
 
 def test_recovery_trial_determinism():
@@ -499,12 +582,14 @@ def test_bias_summary_equals_numpy_mean_std_and_max(size):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("largest", [2.0**500, 1.7e308, math.inf])
-def test_bias_summary_refuses_biases_whose_squares_may_overflow(largest):
-    biases = np.array([0.5, -largest, 2.0**499])
-    with pytest.raises(EstimationError, match=re.escape(f"a bias of {largest:g} V is past")):
-        stats._bias_summary(biases)
-    assert stats._bias_summary(np.array([0.5, -math.nextafter(2.0**500, 0.0)]))[2] < 2.0**500
+def test_bias_summary_of_a_million_biases_below_2_to_the_500_is_finite():
+    # The trial's entry keeps every bias below 2**500 V; MAX_REPLICATIONS squares of
+    # such biases, about 2**1020 V**2 summed, stay finite.
+    biases = np.full(stats.MAX_REPLICATIONS, math.nextafter(2.0**500, 0.0))
+    biases[::2] *= -1.0
+    summary = stats._bias_summary(biases)
+    assert all(map(math.isfinite, summary))
+    assert summary[2] == math.nextafter(2.0**500, 0.0)
 
 
 @pytest.mark.parametrize("strength_std_V", [0.55, 0.0])
@@ -542,6 +627,8 @@ def test_recovery_trial_enters_no_numpy_python_reduction(strength_std_V):
     ({"levels_V": (13.5, 15.0)}, "levels_V"),
     ({"step_V": 1e-300}, "step_V"),
     ({"step_V": 0.001}, "levels_V"),  # past MAX_WALK_LEVELS
+    ({"levels_V": (15.0,), "step_V": 2.0**499}, "step_V"),  # the float-range bound
+    ({"strength_mean_V": 2.0**499}, "strength_mean_V"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"strength_mean_V": 13.0, "strength_std_V": 0.55, "n_specimens": 6,

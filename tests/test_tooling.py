@@ -84,6 +84,29 @@ def test_numpy_is_imported_only_where_arrays_are_made():
     assert _src_sites(_imports_numpy) == NUMPY_IMPORTERS
 
 
+# numpy's floating-point error state: code that sets it silences an overflow that the
+# arguments' checks should refuse instead, as the recovery trial's float-range bound does.
+FP_STATE_SETTERS = {"errstate", "seterr"}
+
+
+def _names_fp_state(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in FP_STATE_SETTERS
+            or isinstance(node, ast.Attribute) and node.attr in FP_STATE_SETTERS
+            or isinstance(node, ast.alias) and node.name in FP_STATE_SETTERS)
+
+
+def test_the_fp_state_scan_flags_each_spelling(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from numpy import errstate\ndef run(np):\n"
+                    "    with np.errstate(over='ignore'):\n        np.seterr(all='ignore')\n"
+                    "    return errstate, np.geterr()\n")
+    assert _sites(path, _names_fp_state) == ["sample", "sample.run", "sample.run", "sample.run"]
+
+
+def test_no_source_sets_numpy_floating_point_errors():
+    assert _src_sites(_names_fp_state) == []
+
+
 # The functions that call a numpy Generator distribution method. NEP 19 freezes a bit
 # generator's raw words but not the variates a Generator derives from them, so a draw
 # that must keep its bytes across numpy releases reads raw words (the recovery trial)
