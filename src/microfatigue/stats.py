@@ -18,9 +18,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
-from .errors import EstimationError
+from .errors import EstimationError, shown
 from .protocols import (DEFAULT_LEVELS_V, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V, MAX_SPECIMENS,
                         StairCaseSequence, StairCaseTrial, _is_whole, grid_index, next_level,
                         validate_design, validate_population)
@@ -277,9 +278,10 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     strength_std_V) and runs a stair-case of the design (the campaign's by default)
     over pure threshold specimens, with no fatigue run. Replications with only one
     outcome are skipped and counted. Before any draw, ValueError names each fault of
-    validate_population and validate_design, a mean or spread not finite, replications
-    out of range, then a step_V, or a mean as far from a level, of 2**(_BIAS_BITS - 1) V
-    or more (see _BIAS_BITS); and a walk past MAX_WALK_LEVELS levels.
+    validate_population, a mean or spread not finite, replications out of range, the
+    faults of validate_design and no level, then a step_V, or a mean as far from a level,
+    of 2**(_BIAS_BITS - 1) V or more (see _BIAS_BITS); and a walk past MAX_WALK_LEVELS
+    levels.
 
     The walk needs only m, the walk levels below a strength, and level L lies below
     a strength of normal quantile u iff Phi((L - mean)/std) < u. So each specimen
@@ -294,14 +296,17 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
     which NEP 19 does not freeze.
     """
     problems = validate_population(n_specimens, None, strength_mean_V, strength_std_V, master_seed)
-    problems += [f"{name}: must be finite, got {value}" for name, value in (
+    # Finite as config._typed takes it: an int past the float range is refused too.
+    problems += [f"{name}: must be finite, got {shown(str(value))}" for name, value in (
         ("strength_mean_V", strength_mean_V), ("strength_std_V", strength_std_V))
-        if not math.isfinite(value)]
+        if not abs(value) <= sys.float_info.max]
     if not (isinstance(replications, numbers.Integral)
             and MIN_REPLICATIONS <= replications <= MAX_REPLICATIONS):
         problems.append(f"replications: must be an integer in "
                         f"[{MIN_REPLICATIONS}, {MAX_REPLICATIONS}], got {replications!r}")
     problems += _design_faults(tuple(levels_V), step_V, start_level_V)
+    if not levels_V:
+        problems.append("levels_V: need at least one level")
     if not problems:  # in Python floats, which overflow to inf without a warning
         if not float(step_V) < _MAX_BIAS_V / 2:
             problems.append(f"step_V: must be below 2**{_BIAS_BITS - 1} V, got {step_V!r}")

@@ -718,6 +718,17 @@ def test_emit_conversion_curve_equals_per_field_format():
             "\n".join(["voltage_V,deflection_um,stress_MPa", *rows]) + "\n"
 
 
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_emit_conversion_curve_equals_per_field_format_on_drawn_points(drawn):
+    # Arbitrary floats, non-finite ones included: kept apart from the test above, whose
+    # 2 197-point case would rerun with each drawn example.
+    rows = [f"{format(v, '.6g')},{format(d * 1e6, '.6g')},{format(s * 1e-6, '.6g')}\n"
+            for v, d, s in drawn]
+    assert emit_conversion_curve([EquilibriumPoint(*fields) for fields in drawn]) == \
+        "".join(["voltage_V,deflection_um,stress_MPa\n", *rows])
+
+
 def test_wohler_points_round_trip():
     points = [WohlerPoint(15.0, 700000), WohlerPoint(13.0, 2_000_000, censored=True)]
     assert parse_wohler_points(emit_wohler_points(points)) == points

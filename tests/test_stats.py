@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from microfatigue import stats
-from microfatigue.errors import EstimationError
+from microfatigue.errors import SHOWN_CHARS, EstimationError
 from microfatigue.protocols import MAX_SPECIMENS
 from microfatigue.stats import (WohlerPoint, dixon_mood, estimator_recovery_trial,
                                 fit_basquin, synthetic_stair_case)
@@ -629,6 +629,10 @@ def test_recovery_trial_enters_no_numpy_python_reduction(strength_std_V):
     ({"step_V": 0.001}, "levels_V"),  # past MAX_WALK_LEVELS
     ({"levels_V": (15.0,), "step_V": 2.0**499}, "step_V"),  # the float-range bound
     ({"strength_mean_V": 2.0**499}, "strength_mean_V"),
+    ({"levels_V": ()}, "levels_V"),  # the CLI's check_campaign refuses it first
+    ({"strength_mean_V": 10**400}, "strength_mean_V"),  # an int past the float range
+    ({"strength_std_V": 10**400}, "strength_std_V"),
+    ({"strength_mean_V": -10**400}, "strength_mean_V"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"strength_mean_V": 13.0, "strength_std_V": 0.55, "n_specimens": 6,
@@ -637,3 +641,10 @@ def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     with mock.patch("numpy.random.PCG64", side_effect=AssertionError("seeded")):
         with pytest.raises(ValueError, match=f"^{name}: "):
             estimator_recovery_trial(**kwargs)
+
+
+def test_recovery_trial_shows_an_int_past_the_float_range_bounded():
+    with pytest.raises(ValueError) as raised:
+        estimator_recovery_trial(13.0, 10**400, 6, 20, 1)
+    assert str(raised.value) == ("strength_std_V: must be finite, got "
+                                 f"{'1' + '0' * (SHOWN_CHARS - 1)}... (length 401)")
