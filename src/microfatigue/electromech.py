@@ -4,10 +4,20 @@ Parallel-plate force balance, static deflection vs DC voltage (closed-form
 cubic root with Newton polish), pull-in instability (closed form and
 numerical voltage sweep), natural frequency and the drive-voltage ->
 bending-stress conversion curve.
+
+The constants that the solve, the closed form and the sweep read off a device
+are derived once per (mechanics, geometry) pair and kept (``_device_constants``).
+Its key is the pair and the identity of each of its two objects: equal pairs may
+be spelled apart (the closed form of a 0.0 gap is 0.0 V, of a -0.0 gap -0.0 V), so
+each pair of objects has its own entry, which holds the pair alive. It keeps the 8
+pairs last used: about 7 KB, 9 KB with the pairs it holds (``tracemalloc``). A
+campaign or a monitored run reads one device throughout; a new device derives its
+constants on its first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import TYPE_CHECKING, NamedTuple
@@ -58,6 +68,57 @@ def solver_divisors(mech: DerivedMechanics, geom: DeviceGeometry) -> tuple[float
             4.0 * mech.area_moment_m4 * mech.stiffness_calibration)
 
 
+def _solve_scales(mech: DerivedMechanics,
+                  geom: DeviceGeometry) -> tuple[float, float, float, float]:
+    """The gap g, k*g^3, 4*I*c_k and the stress scale k*L*t: the constants the solve
+    reads past its drive scale and capacity."""
+    k, g = mech.suspension_stiffness_N_m, geom.gap_m
+    kg3, stress_divisor = solver_divisors(mech, geom)
+    # Guided-cantilever surface stress at the clamped ends, 3*E*t*x/L^2,
+    # written through the stored stiffness so the calibration factor cancels:
+    # k = c_k*12*E*I/L^3  =>  3*E*t*x/L^2 = k*L*t*x / (4*I*c_k).
+    return g, kg3, stress_divisor, k * geom.specimen_length_m * geom.specimen_thickness_m
+
+
+def _closed_form(mech: DerivedMechanics, geom: DeviceGeometry) -> PullInResult:
+    g = geom.gap_m
+    v = math.sqrt(8.0 * mech.suspension_stiffness_N_m * g**3
+                  / (27.0 * EPSILON_0 * mech.effective_area_m2))
+    return PullInResult(v, g * STABLE_FRACTION)
+
+
+class _DeviceConstants(NamedTuple):
+    """A device's constants, in the groups their readers form them in. A group is None
+    where deriving it raised: its reader derives it afresh, and raises as it would
+    without the memo."""
+
+    drive: tuple[float, float] | None                 # _drive_scale_and_capacity
+    solve: tuple[float, float, float, float] | None   # _solve_scales
+    pull_in: PullInResult | None                      # _closed_form
+
+
+def _or_none(derive, mech: DerivedMechanics, geom: DeviceGeometry):
+    try:
+        return derive(mech, geom)
+    except (ArithmeticError, TypeError, ValueError):  # its reader derives it afresh to raise
+        return None
+
+
+@functools.lru_cache(maxsize=8)
+def _device_constants(mech: DerivedMechanics, geom: DeviceGeometry,
+                      *identity: int) -> _DeviceConstants:
+    """The constants of the pair, kept for the pair of objects that identity,
+    (id(mech), id(geom)), names: the key holds both, so no other object has their ids
+    while the entry lives. Read it through _constants."""
+    return _DeviceConstants(_or_none(_drive_scale_and_capacity, mech, geom),
+                            _or_none(_solve_scales, mech, geom),
+                            _or_none(_closed_form, mech, geom))
+
+
+def _constants(mech: DerivedMechanics, geom: DeviceGeometry) -> _DeviceConstants:
+    return _device_constants(mech, geom, id(mech), id(geom))
+
+
 def _sweep_limit(drive_scale: float, capacity: float) -> float:
     """The least float v >= 0 at which drive_scale*v*v/2.0 < capacity is false: a
     bisection of the bit patterns of [0, inf], from the closed-form guess +-2 floats."""
@@ -82,7 +143,7 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
 
     Solves k*x*(g-x)^2 = eps0*A*V^2/2 for the root on the stable branch
     x < g/3 by the closed-form cubic root with Newton polish. The device
-    constants are bound once, and the loop calls only acos and cos: it squares by
+    constants come from its memo, and the loop calls only acos and cos: it squares by
     multiplying, u * (w * w), where w ** 2 would call the platform pow. Each clamp
     is the conditional min/max evaluate (the first argument unless the other is
     strictly smaller or larger), so NaN and -0.0 pass as under min/max; each
@@ -94,13 +155,9 @@ def _stable_points(voltages: Iterable[float], mech: DerivedMechanics,
     takes all three. No -0.0 reaches the compare: Viete's root of q == 0 is
     2.0 + (-2.0) = +0.0, and a step from +0.0 at q == 0 gives 0.0 - 0.0 = +0.0.
     """
-    drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
-    k, g = mech.suspension_stiffness_N_m, geom.gap_m
-    kg3, stress_divisor = solver_divisors(mech, geom)
-    # Guided-cantilever surface stress at the clamped ends, 3*E*t*x/L^2,
-    # written through the stored stiffness so the calibration factor cancels:
-    # k = c_k*12*E*I/L^3  =>  3*E*t*x/L^2 = k*L*t*x / (4*I*c_k).
-    stress_scale = k * geom.specimen_length_m * geom.specimen_thickness_m
+    constants = _constants(mech, geom)
+    drive_scale, capacity = constants.drive or _drive_scale_and_capacity(mech, geom)
+    g, kg3, stress_divisor, stress_scale = constants.solve or _solve_scales(mech, geom)
     acos, cos, four_pi_thirds = math.acos, math.cos, 4.0 * math.pi / 3.0
     points: list[EquilibriumPoint | None] = []
     append, new, third = points.append, tuple.__new__, STABLE_FRACTION
@@ -150,10 +207,8 @@ def static_equilibrium(V: float, mech: DerivedMechanics,
 
 
 def pull_in_voltage_closed_form(mech: DerivedMechanics, geom: DeviceGeometry) -> PullInResult:
-    g = geom.gap_m
-    v = math.sqrt(8.0 * mech.suspension_stiffness_N_m * g**3
-                  / (27.0 * EPSILON_0 * mech.effective_area_m2))
-    return PullInResult(v, g * STABLE_FRACTION)
+    """sqrt(8*k*g^3 / (27*eps0*A)) and g/3, from the device's memo."""
+    return _constants(mech, geom).pull_in or _closed_form(mech, geom)
 
 
 def validate_sweep_steps(**steps: float) -> list[str]:
@@ -191,7 +246,7 @@ def pull_in_voltage_sweep(mech: DerivedMechanics, geom: DeviceGeometry,
     problems = validate_sweep_steps(step_V=step_V)
     if problems:
         raise ValueError("; ".join(problems))
-    drive_scale, capacity = _drive_scale_and_capacity(mech, geom)
+    drive_scale, capacity = _constants(mech, geom).drive or _drive_scale_and_capacity(mech, geom)
     if drive_scale < 0.0:
         raise ValueError(f"effective_area_m2: must be >= 0, got {mech.effective_area_m2}")
     limit = _sweep_limit(drive_scale, capacity)

@@ -5,8 +5,10 @@ of the damage-model defaults against the published fatigue-limit levels.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from itertools import repeat
 from typing import NamedTuple
@@ -249,9 +251,9 @@ def validate_population(n_specimens: int, strengths_V: Sequence[float] | None = 
         problems.append(f"strengths_V: may give at most {MAX_SPECIMENS} thresholds, "
                         f"got {len(strengths_V)}")
     if strength_mean_V is not None and strength_mean_V <= 0:
-        problems.append(f"strength_mean_V: must be > 0, got {strength_mean_V!r}")
+        problems.append(f"strength_mean_V: must be > 0, got {shown(repr(strength_mean_V))}")
     if strength_std_V is not None and strength_std_V < 0:
-        problems.append(f"strength_std_V: must be >= 0, got {strength_std_V!r}")
+        problems.append(f"strength_std_V: must be >= 0, got {shown(repr(strength_std_V))}")
     if not (master_seed is None or isinstance(master_seed, numbers.Integral) and master_seed >= 0):
         problems.append(f"master_seed: must be an integer >= 0, got {master_seed!r}")
     return problems
@@ -448,7 +450,14 @@ def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
 def validate_design(levels_V: Sequence[float], step_V: float, start_level_V: float) -> list[str]:
     """Stair-case design faults as "name: message" strings, the device aside: step_V > 0,
     start_level_V among levels_V, each distinct level on its own index of the step_V grid
-    from start_level_V, and, for two or more levels, a step_V that moves each in floats."""
+    from start_level_V, and, for two or more levels, a step_V that moves each in floats.
+    A step or start that is an int past the float range, which no check below can read
+    as a float, is named alone."""
+    past = [f"{name}: must be finite, got {shown(str(value))}"
+            for name, value in (("step_V", step_V), ("start_level_V", start_level_V))
+            if isinstance(value, numbers.Integral) and not abs(value) <= sys.float_info.max]
+    if past:
+        return past
     problems = [] if step_V > 0 else [f"step_V: must be > 0, got {step_V}"]
     if levels_V and not any(math.isclose(start_level_V, v) for v in levels_V):
         problems.append(f"start_level_V: {start_level_V} V not among levels "
@@ -465,13 +474,29 @@ def validate_design(levels_V: Sequence[float], step_V: float, start_level_V: flo
     return problems
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _passes_design(step_V: float, start_level_V: float, *levels_V: float) -> bool:
+    return not validate_design(levels_V, step_V, start_level_V)
+
+
+def _design_faults(levels_V: Sequence[float], step_V: float, start_level_V: float) -> list[str]:
+    """validate_design's faults, its verdict kept per design as the walk of
+    stats._window_tables is. The key holds each value's type, as equal values of two
+    types can differ in verdict (Fraction arithmetic does not round). Equal values of
+    one type differ only in a zero's sign, which moves no verdict but does a message,
+    so a design with faults, the rare path, is validated afresh."""
+    if _passes_design(step_V, start_level_V, *levels_V):
+        return []
+    return validate_design(levels_V, step_V, start_level_V)
+
+
 def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
                         n_specimens: int, device: Device) -> list[str]:
     """Stair-case argument faults as "name: message" strings: the population's, the
     design's, then no level, or one outside [0, V_PI) of the pristine device (at or above
     pull-in a test is displacement-imposed). The solve refuses exactly those voltages, so
     it reads the lowest and the highest; validate_design's grid check refuses a NaN."""
-    problems = validate_population(n_specimens) + validate_design(levels_V, step_V, start_level_V)
+    problems = validate_population(n_specimens) + _design_faults(levels_V, step_V, start_level_V)
     if not levels_V or None in _stable_points((min(levels_V), max(levels_V)),
                                               device.mechanics, device.geometry):
         v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
@@ -504,9 +529,10 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     Each record equals run_fatigue_test(level, specimen, device, params, **run_kwargs),
     run_kwargs giving its ``RunSettings``. What stays fixed over the campaign is worked
     out once: the run settings are checked, the pristine pull-in and its reading computed,
-    and each distinct level reached solved for its sigma_alt, before each specimen goes
-    through ``_monitored_run``. A level is kept as the float the walk reached, which
-    drifts from the levels_V values with an off-grid step.
+    and the design's levels solved for their sigma_alt in one batch, before each specimen
+    goes through ``_monitored_run``. A level is kept as the float the walk reached, which
+    drifts from the levels_V values with an off-grid step: such a level is solved when
+    the walk first reaches it.
     """
     levels = sorted(float(v) for v in levels_V)
     problems = validate_stair_case(levels, step_V, start_level_V, n_specimens, device)
@@ -517,15 +543,16 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
         raise ValueError("invalid stair case: " + "; ".join(problems))
     settings = _checked_settings(**run_kwargs)
     pristine, pristine_meas = _pristine_readings(device, settings.detection_step_V, params)
-    sigma_alts: dict[float, float] = {}
+    mech, geom = device.mechanics, device.geometry
+    sigma_alts = {level: alt for level, (_, alt) in zip(levels, _tension_stresses(
+        levels, mech, geom))}
 
     level = float(start_level_V)
     trials: list[StairCaseTrial] = []
     records: list[FatigueRunRecord] = []
     for idx in range(n_specimens):
-        if level not in sigma_alts:
-            ((_, sigma_alts[level]),) = _tension_stresses((level,), device.mechanics,
-                                                          device.geometry)
+        if level not in sigma_alts:  # drifted off the design's levels
+            ((_, sigma_alts[level]),) = _tension_stresses((level,), mech, geom)
         life = cycles_to_failure(sigma_alts[level], params, population[idx])
         record = _monitored_run(level, life, pristine, pristine_meas, params, settings)
         records.append(record)

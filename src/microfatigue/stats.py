@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .errors import EstimationError, shown
 from .protocols import (DEFAULT_LEVELS_V, DEFAULT_START_LEVEL_V, DEFAULT_STEP_V, MAX_SPECIMENS,
-                        StairCaseSequence, StairCaseTrial, _is_whole, grid_index, next_level,
-                        validate_design, validate_population)
+                        StairCaseSequence, StairCaseTrial, _design_faults, _is_whole,
+                        grid_index, next_level, validate_population)
 
 Z_90 = 1.2816  # standard normal 90th percentile
 DISPERSION_VALIDITY_RATIO = 0.3
@@ -46,7 +46,6 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 # lies within d/2 of the window. Their squares, summed over MAX_REPLICATIONS, stay finite.
 _BIAS_BITS = 500
 _MAX_BIAS_V = float(1 << _BIAS_BITS)
-_design_faults = functools.lru_cache(maxsize=8)(validate_design)  # kept per design like the walk
 
 
 class StairCaseEstimate(NamedTuple):
@@ -304,7 +303,7 @@ def estimator_recovery_trial(strength_mean_V: float, strength_std_V: float,
             and MIN_REPLICATIONS <= replications <= MAX_REPLICATIONS):
         problems.append(f"replications: must be an integer in "
                         f"[{MIN_REPLICATIONS}, {MAX_REPLICATIONS}], got {replications!r}")
-    problems += _design_faults(tuple(levels_V), step_V, start_level_V)
+    problems += _design_faults(levels_V, step_V, start_level_V)
     if not levels_V:
         problems.append("levels_V: need at least one level")
     if not problems:  # in Python floats, which overflow to inf without a warning

@@ -27,7 +27,7 @@ from microfatigue.protocols import (calibrate_defaults, strength_scale_from_thre
 from tests.reference import (PAPER_THRESHOLDS_V, bisect_equilibrium, drive_and_capacity,
                              electrostatic_force, equilibrium_exists, first_supply_level,
                              newton_steps_moved, per_point_curve, per_point_equilibrium,
-                             random_device, two_loop_sweep)
+                             random_device, result_or_fault, two_loop_sweep)
 from tests.strategies import floats_around, floats_below
 
 
@@ -505,11 +505,19 @@ def test_solve_reads_either_zero_as_the_exact_zero_point(nominal_device):
     assert [tuple(map(repr, p)) for p in points] == [("0.0", "0.0", "0.0")] * 2
 
 
-def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
+@pytest.fixture
+def cleared_constants():
+    """The device-constant memo, empty before the test and after it."""
+    electromech._device_constants.cache_clear()
+    yield electromech._device_constants
+    electromech._device_constants.cache_clear()
+
+
+def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch, cleared_constants):
     # Guards the float-only supply read without a clock, at 528 steps to pull-in
-    # and at 2.6e10: the sweep binds the device constants once and finds its limit
-    # once; the only other test of equilibrium is the deflection read at the float
-    # below that limit.
+    # and at 2.6e10: the device constants are derived once, on the first sweep's
+    # read of the memo, and each sweep finds its limit once; the only other test of
+    # equilibrium is the deflection read at the float below that limit.
     events = []
     constants, limit_of = electromech._drive_scale_and_capacity, electromech._sweep_limit
 
@@ -525,14 +533,59 @@ def test_sweep_steps_compare_floats_only(nominal_device, monkeypatch):
     monkeypatch.setattr(electromech, "_drive_scale_and_capacity", counted_constants)
     monkeypatch.setattr(electromech, "_sweep_limit", counted_limit)
     d = nominal_device
-    for step_V in (0.05, 1e-9):
+    for step_V, derived in ((0.05, ["constants"]), (1e-9, [])):
         events.clear()
         CountedScale.products = 0
         res = electromech.pull_in_voltage_sweep(d.mechanics, d.geometry, step_V=step_V)
         assert res.pull_in_voltage_V == pytest.approx(26.395, abs=5e-3)
-        # The second "constants" is the equilibrium solve at the end.
-        assert events == ["constants", "limit", "constants"]
+        # The equilibrium solve at the end reads the memo the sweep filled.
+        assert events == [*derived, "limit"]
         assert CountedScale.products <= MAX_LIMIT_EVALUATIONS + 1
+
+
+_NOMINAL = Device.nominal()
+_MECH, _GEOM = _NOMINAL.mechanics, _NOMINAL.geometry
+# Hand-built pairs whose constants hang on a zero's sign, each spelling of it next to
+# the other; a NaN field; copies of the nominal pair, equal to it but other objects,
+# one with the int gap 3 for 3.0; and the nominal pair itself.
+MEMO_PAIRS = [
+    (_MECH, _GEOM._replace(gap_um=0.0)), (_MECH, _GEOM._replace(gap_um=-0.0)),
+    (_MECH._replace(suspension_stiffness_N_m=-0.0), _GEOM),
+    (_MECH._replace(suspension_stiffness_N_m=0.0), _GEOM),
+    (_MECH._replace(effective_area_m2=0.0), _GEOM),
+    (_MECH._replace(effective_area_m2=-0.0), _GEOM),
+    (_MECH, _GEOM._replace(specimen_length_um=-0.0)),
+    (_MECH, _GEOM._replace(specimen_length_um=0.0)),
+    (_MECH._replace(stiffness_calibration=0.0), _GEOM),
+    (_MECH._replace(suspension_stiffness_N_m=math.nan), _GEOM),
+    (_MECH._replace(), _GEOM._replace()), (_MECH, _GEOM._replace(gap_um=3)),
+    (_MECH, _GEOM),
+]
+MEMO_VOLTAGES = (0.0, -0.0, 1.0, 13.0, 26.0, 27.0)
+
+
+def solve_results(mech, geom):
+    """The solve at MEMO_VOLTAGES, the closed form and the sweep of the pair, or the
+    fault each raises, by repr: a zero's sign counts."""
+    return [repr(result_or_fault(call)) for call in (
+        lambda: electromech._stable_points(MEMO_VOLTAGES, mech, geom),
+        lambda: pull_in_voltage_closed_form(mech, geom),
+        lambda: pull_in_voltage_sweep(mech, geom, step_V=1.0))]
+
+
+def test_the_device_memo_returns_what_a_cleared_memo_does(cleared_constants):
+    alone = []
+    for mech, geom in MEMO_PAIRS:
+        cleared_constants.cache_clear()
+        alone.append(solve_results(mech, geom))
+    assert alone[0] != alone[1] and alone[2] != alone[3]  # the signs do show
+    # Each pair after the others, in both orders, the memo kept throughout.
+    cleared_constants.cache_clear()
+    order = [*range(len(MEMO_PAIRS)), *reversed(range(len(MEMO_PAIRS)))]
+    for i in order:
+        assert solve_results(*MEMO_PAIRS[i]) == alone[i], MEMO_PAIRS[i]
+    info = cleared_constants.cache_info()
+    assert info.maxsize == 8 and info.currsize == 8 and info.hits > 3 * info.misses
 
 
 def test_sweep_rejects_negative_effective_area(nominal_device):

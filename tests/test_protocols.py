@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import sys
@@ -9,11 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from microfatigue import config, loading, protocols, stats
+from microfatigue import config, electromech, loading, protocols, stats
 from microfatigue.damage import (DamageState, SpecimenStrength, cycles_to_failure,
                                  degraded_pull_in)
 from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import pull_in_voltage_closed_form, static_equilibrium
+from microfatigue.errors import shown
 from microfatigue.loading import fatigue_parameters
 from microfatigue.protocols import (MAX_DETECTIONS, MAX_SPECIMENS, OUTCOME_FAILED,
                                     OUTCOME_INVALID, OUTCOME_SURVIVED, StairCaseSequence,
@@ -966,8 +968,8 @@ def test_campaign_matches_per_specimen_reference(nominal_device, calibrated_para
 @pytest.mark.parametrize("n_specimens", [2, 6, 60])
 def test_campaign_solves_each_level_once(nominal_device, calibrated_params, monkeypatch,
                                          n_specimens):
-    # Clock-free: one batched solve for the population, then one per distinct
-    # level the walk reaches, however many specimens run.
+    # Clock-free: one batched solve for the population, then one for the design's
+    # levels, however many specimens run.
     sizes = []
     solve = loading._stable_points
 
@@ -978,8 +980,93 @@ def test_campaign_solves_each_level_once(nominal_device, calibrated_params, monk
     monkeypatch.setattr(loading, "_stable_points", counted)
     pop = build_population(7, 13.0, 0.55, n_specimens, nominal_device, calibrated_params)
     assert sizes == [n_specimens]
-    seq, _ = run_stair_case([12, 13, 14, 15], 1.0, 15.0, n_specimens, pop,
-                            nominal_device, calibrated_params)
-    reached = {t.level_V for t in seq.trials}
-    assert sizes[1:] == [1] * len(reached)
-    assert len(sizes) <= 1 + 4
+    run_stair_case([12, 13, 14, 15], 1.0, 15.0, n_specimens, pop, nominal_device,
+                   calibrated_params)
+    assert sizes == [n_specimens, 4]
+
+
+def test_campaign_solves_a_level_off_its_design_when_the_walk_first_reaches_it(
+        nominal_device, calibrated_params, monkeypatch):
+    # 0.1 is not exact in binary, so the walk from 12.3 V drifts off the design's two
+    # levels: each drifted level is solved once, on its first reach.
+    sizes = []
+    solve = loading._stable_points
+
+    def counted(voltages, *args):
+        sizes.append(len(voltages))
+        return solve(voltages, *args)
+
+    pop = build_population(0, 12.15, 0.3, 12, nominal_device, calibrated_params)
+    monkeypatch.setattr(loading, "_stable_points", counted)
+    seq, _ = run_stair_case([12.0, 12.3], 0.1, 12.3, 12, pop, nominal_device,
+                            calibrated_params)
+    drifted = {t.level_V for t in seq.trials} - {12.0, 12.3}
+    assert len(drifted) == 4
+    assert sizes == [2] + [1] * len(drifted)
+
+
+def test_a_device_derives_its_constants_once_across_a_campaign_and_a_run(monkeypatch):
+    # Clock-free: each deriving function of the device-constant memo runs once per
+    # device, though calibration, the population, two campaigns and a run all read it.
+    derived = collections.Counter()
+    for name in ("_drive_scale_and_capacity", "_solve_scales", "_closed_form"):
+        def counted(mech, geom, name=name, derive=getattr(electromech, name)):
+            derived[name] += 1
+            return derive(mech, geom)
+        monkeypatch.setattr(electromech, name, counted)
+    for device in (Device.nominal(), Device.nominal(c_k=1.5), Device.nominal()):
+        derived.clear()
+        params = calibrate_defaults(device)
+        pop = build_population(7, 13.0, 0.55, 6, device, params)
+        for _ in range(2):
+            run_stair_case([12, 13, 14, 15], 1.0, 15.0, 6, pop, device, params)
+        run_fatigue_test(14.0, pop[0], device, params)
+        assert derived == {"_drive_scale_and_capacity": 1, "_solve_scales": 1,
+                           "_closed_form": 1}
+
+
+def test_the_design_memo_answers_each_call_in_its_own_spelling(nominal_device):
+    # -0.0 == 0.0 keys one entry, and a design with faults is validated afresh. The
+    # recovery trial reads the same memo.
+    for step_V in (0.0, -0.0, 0.0, -0.0):
+        assert protocols.validate_stair_case([12.0, 13.0], step_V, 13.0, 6, nominal_device) \
+            == [f"step_V: must be > 0, got {step_V}"]
+        with pytest.raises(ValueError, match=f"^step_V: must be > 0, got {step_V}$"):
+            stats.estimator_recovery_trial(13.0, 0.55, 6, 20, 1, levels_V=(12.0, 13.0),
+                                           step_V=step_V, start_level_V=13.0)
+    for start_V in (13.0, 13):
+        assert protocols.validate_stair_case([12.0, 14.0], 1.0, start_V, 6, nominal_device) \
+            == [f"start_level_V: {start_V} V not among levels [12.0, 14.0]"]
+    # Equal designs of two types: an int step moves Fraction levels exactly, and does
+    # not move the equal floats.
+    exact, rounded = [Fraction(10**20), Fraction(10**20 + 16384)], [1e20, 1e20 + 16384.0]
+    assert exact == rounded
+    above = "levels_V: need levels in [0, 26.395) V, the pristine pull-in"
+    assert protocols.validate_stair_case(exact, 1, exact[0], 6, nominal_device) == [above]
+    assert protocols.validate_stair_case(rounded, 1, rounded[0], 6, nominal_device) == [
+        "step_V: 1 V is too small to move the walk off the 1e+20 V level", above]
+
+
+@pytest.mark.parametrize("step_V, start_V, past", [
+    (10**400, 13.0, ["step_V"]),
+    (-10**400, 13.0, ["step_V"]),
+    (1.0, 10**400, ["start_level_V"]),
+    (10**400, -10**400, ["step_V", "start_level_V"]),
+])
+def test_stair_case_names_a_step_or_start_past_the_float_range(nominal_device, step_V,
+                                                               start_V, past):
+    # Ints past the float range, named alone: no check past this one can read them as
+    # floats. Each value is shown bounded.
+    values = {"step_V": step_V, "start_level_V": start_V}
+    assert protocols.validate_stair_case([12.0, 13.0], step_V, start_V, 6, nominal_device) \
+        == [f"{name}: must be finite, got {shown(str(values[name]))}" for name in past]
+
+
+@pytest.mark.parametrize("field, value", [("strength_mean_V", -10**400),
+                                          ("strength_std_V", -10**400),
+                                          ("strength_mean_V", -1e308)])
+def test_population_shows_a_refused_mean_or_spread_bounded(field, value):
+    # A library call: config values reach it within the float range.
+    bound = "> 0" if field == "strength_mean_V" else ">= 0"
+    assert protocols.validate_population(6, None, **{field: value}) == [
+        f"{field}: must be {bound}, got {shown(repr(value))}"]

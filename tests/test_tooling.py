@@ -185,18 +185,35 @@ def _finite_maxsize(name: str, call: ast.Call | None) -> bool:
             and type(sizes[0].value) is int and sizes[0].value >= 0)
 
 
-def _unbounded_memos(source: str) -> list[str]:
-    """The functions in source memoised by functools.lru_cache or functools.cache
-    without a finite integer maxsize."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+def _memos(source: str) -> list[tuple[str, bool]]:
+    """Each memo that functools.lru_cache or functools.cache makes in source, as a
+    decorator or by a call, in source order: the function it decorates or the name it
+    is assigned to ("<expression>" for neither), and whether it has a finite integer
+    maxsize."""
+    tree = ast.parse(source)
+    owners, calls, decorators = {}, {}, set()
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for decorator in node.decorator_list:
-                call = decorator if isinstance(decorator, ast.Call) else None
-                name = ast.unparse(call.func if call else decorator)
-                if name in MEMO_DECORATORS and not _finite_maxsize(name, call):
-                    found.append(node.name)
-    return found
+            decorators.update(map(id, node.decorator_list))
+            owners.update((id(sub), node.name) for decorator in node.decorator_list
+                          for sub in ast.walk(decorator))
+        elif isinstance(node, ast.Assign):
+            owners.update((id(sub), ast.unparse(node.targets[0])) for sub in ast.walk(node.value))
+        elif isinstance(node, ast.Call):
+            calls[id(node.func)] = node
+    # A memo is made by a decorator or by a call, so a variable named cache is none.
+    found = sorted((node.lineno, owners.get(id(node), "<expression>"),
+                    _finite_maxsize(ast.unparse(node), calls.get(id(node))))
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and ast.unparse(node) in MEMO_DECORATORS
+                   and (id(node) in decorators or id(node) in calls))
+    return [(owner, bounded) for _, owner, bounded in found]
+
+
+def _unbounded_memos(source: str) -> list[str]:
+    """The memos in source (see _memos) without a finite integer maxsize."""
+    return [owner for owner, bounded in _memos(source) if not bounded]
 
 
 def test_the_memo_scan_flags_each_unbounded_form():
@@ -212,6 +229,31 @@ def test_every_memo_has_a_finite_integer_maxsize():
     found = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
              for name in _unbounded_memos(path.read_text())]
     assert found == []
+
+
+def test_the_memo_scan_reads_a_memo_made_by_a_call():
+    source = "\n".join([
+        "import functools", "from functools import cache, lru_cache",
+        "kept = functools.lru_cache(maxsize=8)(len)", "none = functools.lru_cache(maxsize=None)(len)",
+        "whole = functools.cache(len)", "bare = cache(len)", "positional = lru_cache(4)(len)",
+        "functools.lru_cache(None)(len)('x')",
+        "@functools.lru_cache(maxsize=2)\ndef decorated(): pass",
+        "def reads(cache): return cache[0] + len(cache)"])
+    assert _memos(source) == [
+        ("kept", True), ("none", False), ("whole", False), ("bare", False),
+        ("positional", True), ("<expression>", False), ("decorated", True)]
+
+
+# Every memo of the source, each with its int maxsize. A new memo is a declared edit.
+SOURCE_MEMOS = {"electromech._device_constants", "emit._count_texts", "emit._reading_text",
+                "protocols._passes_design", "stats._window_tables"}
+
+
+def test_the_source_makes_only_the_known_memos_each_bounded():
+    found = {(f"{path.stem}.{owner}", bounded)
+             for path in sorted((ROOT / "src" / "microfatigue").glob("*.py"))
+             for owner, bounded in _memos(path.read_text())}
+    assert found == {(name, True) for name in SOURCE_MEMOS}
 
 
 SHARED_TEST_MODULES = {"tests.reference", "tests.strategies"}
@@ -319,10 +361,10 @@ LIBM_SITES = {
     "damage.cycles_to_failure": ([], 1),
     "damage.effective_stiffness_factor": (["sin"], 1),
     "device.derive_mechanics": ([], 4),
+    "electromech._closed_form": ([], 1),
     "electromech._drive_scale_and_capacity": ([], 1),
     "electromech._stable_points": (["acos", "cos"], 0),
     "electromech._supply_level": ([], 1),
-    "electromech.pull_in_voltage_closed_form": ([], 1),
     "electromech.solver_divisors": ([], 1),
     "loading.waveform": (["sin"], 0),
     "protocols._monitored_run": (["sin"], 1),
