@@ -232,7 +232,7 @@ def _pcg64_seeded(entropies: list[list[int]]) -> list[tuple[int, int]]:
              for x, a, b in zip((*words, 0, 0, 0, 0)[:4], pool_hash, pool_hash[1:])]
     cells += words[4:]
     # each pool word mixed into the other three, then each word past the fourth into all four
-    rounds = _ROUNDS + tuple((k, target) for k in range(4, len(words)) for target in range(4))
+    rounds = _ROUNDS + tuple([(k, target) for k in range(4, len(words)) for target in range(4)])
     for (source, target), a, b in zip(rounds, pool_hash[4:], pool_hash[5:]):
         mix = _MIX_L * cells[target] + borrow - _MIX_R * hashed(cells[source], a, b) & m32
         cells[target] = mix ^ mix >> 16 & m16

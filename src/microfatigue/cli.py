@@ -191,7 +191,7 @@ def build_fatigue(config, out, va, strength_v) -> tuple[dict[str, str], str, lis
         "drive_amplitude_V": record.drive_amplitude_V,
         "outcome": record.outcome,
         "final_cycles": record.final_cycles,
-        "final_pullin_V": record.readings[-1],
+        "final_pullin_V": record.values[-1],
         "csv": os.path.join(_directory(out, config), "fatigue_run.csv"),
         "tool": TOOL_STAMP,
     }), []

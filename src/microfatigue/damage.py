@@ -23,8 +23,9 @@ predictions keep extending. An undamaged run evaluates it not at all: that
 run, and the pristine reading, take the factor at d = 0 as exactly 1.0,
 which holds for every finite hardening amplitude. The law's one caller is
 ``degraded_pull_in``, which ``protocols.run_pull_in_detection`` reads. A run's
-record keeps its readings alone, one per detection: the interval and the
-reference count imply the count n of each.
+record keeps its readings alone, each stretch of equal consecutive readings once
+with its number of detections: the interval and the reference count imply the
+count n of each detection.
 
 ``SpecimenStrength`` and ``DamageState`` are ``NamedTuple``s; a
 ``SpecimenStrength`` checks its scale in ``__new__``, which ``_replace`` and

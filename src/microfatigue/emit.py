@@ -10,10 +10,14 @@ reference: the text of ``min(j*interval, reference)`` for every detection a run
 on that grid can make, the last grid written kept for the next record. It holds
 at most ``protocols.MAX_DETECTIONS + 1`` texts: about 130 KB for a
 2 000-detection run at a 1 000-cycle interval, about 6.5 MB at the bound.
-Each non-zero reading's row tail comes from a memo shared across records, as
-runs read the same values of their detection grid: it holds at most 1 024
-texts, about 150 KB when first full and about 190 KB once it evicts
-(``tracemalloc``). Zero is formatted in place, so ``-0.0`` keeps its sign.
+A record keeps its readings as stretches of equal readings, and the CSV writes
+a stretch of m rows with one join: its m count texts joined by the stretch's row
+tail, then the tail once more (a one-row stretch needs no join). A record whose stretches do not pair each value
+with an int repeat >= 1 is refused before a row is formatted. Each non-zero
+value's row tail comes from a memo shared across records, as runs read the same
+values of their detection grid: it holds at most 1 024 texts, about 150 KB when
+first full and about 190 KB once it evicts (``tracemalloc``). Zero is formatted
+in place, so ``-0.0`` keeps its sign.
 """
 
 from __future__ import annotations
@@ -57,29 +61,30 @@ def emit_fatigue_run(record: FatigueRunRecord) -> str:
     # index: a float interval must fail as range fails, not take the texts of the
     # equal int, which the cache would find under the same key.
     counts = _count_texts(index(record.detection_interval), record.reference_cycles)
-    readings = record.readings
-    n = len(readings)
+    values, repeats = record.values, record.repeats
+    # A float, a Fraction or a numpy int among the repeats makes the sum no int.
+    n = sum(repeats)
+    if len(values) != len(repeats) or type(n) is not int or (repeats and min(repeats) < 1):
+        raise ValueError(f"repeats: a run record holds an int >= 1 for each of its "
+                         f"{len(values)} values, got {shown(repr(repeats))}")
     if not 0 < n <= len(counts):
         raise ValueError(f"readings: a run record holds 1 to {len(counts)} readings on its "
                          f"grid, got {n}")
-    # A run repeats each reading over consecutive rows: take a row's tail afresh only
-    # when its reading differs from the row before. Zero is formatted in place, since
-    # 0.0 == -0.0 but "0" != "-0", so no zero is a memo key; NaN != NaN, so a NaN is
-    # looked up each row, and finds only the entry of its own object.
-    tails = []
-    append = tails.append
-    last = tail = None
-    for v in readings:
-        if v != last or not v:
-            last = v
-            tail = _reading_text(v) if v else f",{_num(v)}\n"
-        append(tail)
-    # The header, then each count followed by its row's tail.
+    # The header, then each stretch of m equal readings as its m counts joined by
+    # the stretch's row tail, and the tail once more; a one-row stretch, common in
+    # the hardening bump and at coarse intervals, takes its count without a join.
+    # Zero is formatted in place, since 0.0 == -0.0 but "0" != "-0", so no zero is
+    # a memo key; a NaN finds only the entry of its own object.
     rows = [f"# drive_amplitude_V={_num(record.drive_amplitude_V)} "
             f"outcome={record.outcome} reference_cycles={record.reference_cycles}\n"
-            "load_cycles,pullin_V\n"] * (2 * n + 1)
-    rows[1::2] = counts[:n]
-    rows[2::2] = tails
+            "load_cycles,pullin_V\n"]
+    append = rows.append
+    j = 0
+    for v, m in zip(values, repeats):
+        tail = _reading_text(v) if v else f",{_num(v)}\n"
+        append(counts[j] if m == 1 else tail.join(counts[j:j + m]))
+        append(tail)
+        j += m
     return "".join(rows)
 
 
@@ -238,7 +243,7 @@ def attribute_writer(shape: dict) -> Callable[[object], str]:
     read = attrgetter(*paths)
 
     def write(obj) -> str:
-        return template % tuple(map(_json_text, read(obj), indents))
+        return template % tuple([*map(_json_text, read(obj), indents)])
     return write
 
 

@@ -10,7 +10,7 @@ import math
 import numbers
 import sys
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .damage import (UNBOUNDED, DamageModelParams, DamageState, SpecimenStrength,
@@ -43,31 +43,39 @@ DEFAULT_START_LEVEL_V = 15.0                 # and its first level
 
 class FatigueRunRecord(NamedTuple):
     """A monitored run: the measured pull-in of each detection, in order, at the load
-    counts of the detection grid. Detection j took place after
-    min(j*detection_interval, reference_cycles) cycles, so a record stores one float
-    per detection and no count."""
+    counts of the detection grid, kept as stretches of equal readings: values[i] is
+    the reading of repeats[i] consecutive detections, each repeat an int >= 1.
+    Detection j took place after min(j*detection_interval, reference_cycles) cycles,
+    so a record stores one float and one int per stretch and no count."""
 
     drive_amplitude_V: float
-    readings: tuple[float, ...]  # measured pull-in V, one per detection
+    values: tuple[float, ...]  # measured pull-in V of each stretch, in order
+    repeats: tuple[int, ...]   # detections of each stretch
     detection_interval: int
     outcome: str
     reference_cycles: int
 
     @property
+    def readings(self) -> tuple[float, ...]:
+        """The measured pull-in V of each detection."""
+        # From a list, never tuple(chain(...)): a tuple grown by resizing lands in
+        # the interpreter's per-size free lists, which keep the memory.
+        return tuple([*chain.from_iterable(map(repeat, self.values, self.repeats))])
+
+    @property
     def final_cycles(self) -> int:
         """The load count of the last detection."""
-        if not self.readings:
+        detected = sum(self.repeats)
+        if not detected:
             raise ValueError("readings: a run record holds at least its pristine reading")
-        return min((len(self.readings) - 1) * self.detection_interval,
-                   int(self.reference_cycles))
+        return min((detected - 1) * self.detection_interval, int(self.reference_cycles))
 
     @property
     def detections(self) -> tuple[tuple[int, float], ...]:
         """(load cycles, measured pull-in V) of each detection, counts as ints."""
-        counts = [*range(0, (len(self.readings) - 1) * self.detection_interval,
+        counts = [*range(0, (sum(self.repeats) - 1) * self.detection_interval,
                          self.detection_interval), self.final_cycles]
-        # From a list, never tuple(zip(...)): a tuple grown by resizing lands in
-        # the interpreter's per-size free lists, which keep the memory.
+        # From a list, never tuple(zip(...)), as readings is built.
         return tuple([*zip(counts, self.readings)])
 
 
@@ -323,9 +331,12 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
     validate_run_settings, and its readings are checked by validate_readings. Its
     loop, ``_monitored_run``, runs each ``run_stair_case`` specimen.
 
-    The record keeps one reading per detection and no count: detection j's count
-    is the grid's min(j*interval, reference), which ``FatigueRunRecord.detections``
-    pairs with each reading on demand and ``emit.emit_fatigue_run`` reads off its grid.
+    The record keeps each stretch of equal consecutive readings once, as its value
+    and its number of detections, and no count: detection j's count is the grid's
+    min(j*interval, reference), which ``FatigueRunRecord.detections`` pairs with
+    each reading on demand and ``emit.emit_fatigue_run`` reads off its grid, one
+    join per stretch. An undamaged run is one stretch, and an extension adds to
+    the count of the stretch it extends.
 
     Most detections repeat the reading before them, and the loop jumps over
     those it knows will:
@@ -334,7 +345,7 @@ def run_fatigue_test(V_a: float, specimen: SpecimenStrength, device: Device,
        the stiffness factor is exactly 1.0, so every detection reads
        pristine_meas after pristine_meas. The first detection's checks decide
        whether it fails or is invalid; else it survives, its
-       1 + ceil(reference/interval) readings written in one step.
+       1 + ceil(reference/interval) readings one stretch.
     2. A damaged run reads each detection it reaches by one expression and one
        set of checks. In its softening stretch d <= hardening_onset, where the
        bump factor is exactly 1.0, after a detection that passes its checks
@@ -374,10 +385,13 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     life ``life`` (UNBOUNDED below its endurance), on a device of pristine pull-in
     ``pristine`` read as ``pristine_meas``, with checked ``RunSettings``.
 
-    An undamaged run evaluates no reading; a damaged one walks one loop, whose
-    softening stretch extends repeated readings over the counts
-    _softening_run_end predicts. It appends a float per detection and no
-    count, and an extension repeats one float object.
+    An undamaged run evaluates no reading and is one stretch; a damaged one walks
+    one loop, whose softening stretch extends repeated readings over the counts
+    _softening_run_end predicts. The loop counts the detections of the current
+    stretch in an int, and keeps a stretch's value and count when a new reading
+    ends it: an extension only adds to the count. A reading joins the stretch on
+    v == previous, which holds only for bit-identical readings: every reading is
+    k * step for an int k >= 0 and a finite step > 0, so it is never NaN or -0.0.
     """
     interval, reference = int(settings.detection_interval), int(settings.reference_cycles)
     keep = 1.0 - settings.drop_fraction
@@ -389,7 +403,7 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         outcome = (OUTCOME_FAILED if v <= keep * v or v < floor
                    else OUTCOME_INVALID if v <= V_a else OUTCOME_SURVIVED)
         detected = 1 - (-reference // interval) if outcome == OUTCOME_SURVIVED else 2
-        return FatigueRunRecord(V_a, (v,) * detected, interval, outcome,
+        return FatigueRunRecord(V_a, (v,), (detected,), interval, outcome,
                                 settings.reference_cycles)
     # Damage n/life reaches the threshold p/q exactly when n >= ceil(p*life/q).
     p, q = params.collapse_threshold.as_integer_ratio()
@@ -401,9 +415,10 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
     onset, collapse = params.hardening_onset, params.collapse_threshold
     span = collapse - onset
     sqrt, ceil, sin, pi, guard = math.sqrt, math.ceil, math.sin, math.pi, GRID_GUARD
-    readings = [pristine_meas]
-    append = readings.append
+    values, repeats = [pristine_meas], []
+    add_value, add_repeat = values.append, repeats.append
     previous = pristine_meas
+    run = 1  # detections of the stretch of previous
     eager = False  # the last prediction extended the run
     n = 0
     while True:
@@ -417,7 +432,12 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
         k = ceil(pristine * sqrt((1.0 - d) ** exponent * (1.0 + amplitude * bump))
                  / step - guard)
         v = k * step
-        append(v)
+        if v == previous:
+            run += 1
+        else:
+            add_value(v)
+            add_repeat(run)
+            run = 1
         if n >= collapse_cycles or v <= keep * previous or v < floor:
             outcome = OUTCOME_FAILED
             break
@@ -432,10 +452,12 @@ def _monitored_run(V_a: float, life: int | None, pristine: float, pristine_meas:
                                       pristine, step, exponent)
             eager = last > n
             if eager:
-                readings.extend(repeat(v, (last - n) // interval))
+                run += (last - n) // interval
                 n = last
         previous = v
-    return FatigueRunRecord(V_a, tuple(readings), interval, outcome, settings.reference_cycles)
+    add_repeat(run)
+    return FatigueRunRecord(V_a, tuple(values), tuple(repeats), interval, outcome,
+                            settings.reference_cycles)
 
 
 def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
@@ -447,15 +469,21 @@ def grid_index(level_V: float, origin_V: float, step_V: float) -> int | None:
     return None
 
 
+def _past_float_range(value) -> bool:
+    """Whether value is an int that no float holds, which no float check can read."""
+    return isinstance(value, numbers.Integral) and not abs(value) <= sys.float_info.max
+
+
 def validate_design(levels_V: Sequence[float], step_V: float, start_level_V: float) -> list[str]:
     """Stair-case design faults as "name: message" strings, the device aside: step_V > 0,
     start_level_V among levels_V, each distinct level on its own index of the step_V grid
     from start_level_V, and, for two or more levels, a step_V that moves each in floats.
-    A step or start that is an int past the float range, which no check below can read
-    as a float, is named alone."""
+    A step, a start or the first level that is an int past the float range, which no
+    check below can read as a float, is named alone."""
     past = [f"{name}: must be finite, got {shown(str(value))}"
-            for name, value in (("step_V", step_V), ("start_level_V", start_level_V))
-            if isinstance(value, numbers.Integral) and not abs(value) <= sys.float_info.max]
+            for name, value in (("step_V", step_V), ("start_level_V", start_level_V),
+                                ("levels_V", next(filter(_past_float_range, levels_V), None)))
+            if _past_float_range(value)]
     if past:
         return past
     problems = [] if step_V > 0 else [f"step_V: must be > 0, got {step_V}"]
@@ -495,10 +523,14 @@ def validate_stair_case(levels_V: list[float], step_V: float, start_level_V: flo
     """Stair-case argument faults as "name: message" strings: the population's, the
     design's, then no level, or one outside [0, V_PI) of the pristine device (at or above
     pull-in a test is displacement-imposed). The solve refuses exactly those voltages, so
-    it reads the lowest and the highest; validate_design's grid check refuses a NaN."""
-    problems = validate_population(n_specimens) + _design_faults(levels_V, step_V, start_level_V)
-    if not levels_V or None in _stable_points((min(levels_V), max(levels_V)),
-                                              device.mechanics, device.geometry):
+    it reads the lowest and the highest; validate_design's grid check refuses a NaN, and
+    names alone a level past the float range, which the solve cannot read."""
+    design = _design_faults(levels_V, step_V, start_level_V)
+    problems = validate_population(n_specimens) + design
+    ends = (min(levels_V), max(levels_V)) if levels_V else ()
+    if design and any(map(_past_float_range, ends)):
+        return problems
+    if not ends or None in _stable_points(ends, device.mechanics, device.geometry):
         v_pi = pull_in_voltage_closed_form(device.mechanics, device.geometry).pull_in_voltage_V
         problems.append(f"levels_V: need levels in [0, {v_pi:.3f}) V, the pristine pull-in")
     return problems
@@ -534,13 +566,13 @@ def run_stair_case(levels_V: list[float], step_V: float, start_level_V: float,
     drifts from the levels_V values with an off-grid step: such a level is solved when
     the walk first reaches it.
     """
-    levels = sorted(float(v) for v in levels_V)
-    problems = validate_stair_case(levels, step_V, start_level_V, n_specimens, device)
+    problems = validate_stair_case(levels_V, step_V, start_level_V, n_specimens, device)
     if n_specimens > len(population):
         problems.append(f"population: holds {len(population)} specimens, "
                         f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
+    levels = sorted(float(v) for v in levels_V)
     settings = _checked_settings(**run_kwargs)
     pristine, pristine_meas = _pristine_readings(device, settings.detection_step_V, params)
     mech, geom = device.mechanics, device.geometry

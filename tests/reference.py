@@ -5,13 +5,14 @@ import bisect
 import dataclasses
 import json
 import math
+import operator
 import re
 import statistics
 from pathlib import Path
 
 import numpy as np
 
-from microfatigue import protocols
+from microfatigue import emit, protocols
 from microfatigue.damage import DamageState, SpecimenStrength, accumulate
 from microfatigue.device import Device, DeviceGeometry, Material
 from microfatigue.electromech import (EPSILON_0, STABLE_FRACTION, SWEEP_TOL_V, EquilibriumPoint,
@@ -187,6 +188,48 @@ def random_device(rng):
     return Device.assemble(geom, mat)
 
 
+def run_record(readings, **fields):
+    """The FatigueRunRecord of fields whose per-detection readings are these, grouped
+    into stretches by a rule of their own: a reading joins the stretch before it when
+    it equals that stretch's value and has its sign, so 0.0 and -0.0 part and each
+    NaN stands alone."""
+    values, repeats = [], []
+    for v in readings:
+        if values and v == values[-1] and math.copysign(1.0, v) == math.copysign(1.0, values[-1]):
+            repeats[-1] += 1
+        else:
+            values.append(v)
+            repeats.append(1)
+    return FatigueRunRecord(values=tuple(values), repeats=tuple(repeats), **fields)
+
+
+def reference_emit_fatigue_run(record):
+    """Reference of emit.emit_fatigue_run, row by row over the record's per-detection
+    readings: each row's count text, then the tail of its reading, taken afresh only
+    when the reading differs from the row before, with a zero formatted in place and
+    a NaN looked up at each row."""
+    counts = emit._count_texts(operator.index(record.detection_interval),
+                               record.reference_cycles)
+    readings = record.readings
+    n = len(readings)
+    if not 0 < n <= len(counts):
+        raise ValueError(f"readings: a run record holds 1 to {len(counts)} readings on its "
+                         f"grid, got {n}")
+    tails = []
+    last = tail = None
+    for v in readings:
+        if v != last or not v:
+            last = v
+            tail = emit._reading_text(v) if v else f",{emit._num(v)}\n"
+        tails.append(tail)
+    rows = [f"# drive_amplitude_V={emit._num(record.drive_amplitude_V)} "
+            f"outcome={record.outcome} reference_cycles={record.reference_cycles}\n"
+            "load_cycles,pullin_V\n"] * (2 * n + 1)
+    rows[1::2] = counts[:n]
+    rows[2::2] = tails
+    return "".join(rows)
+
+
 def reference_run(V_a, specimen, device, params, detection_interval, reference_cycles,
                   detection_step_V, drop_fraction, min_pullin_fraction):
     """Reference of run_fatigue_test on valid settings, batch by batch: accumulate each
@@ -216,8 +259,9 @@ def reference_run(V_a, specimen, device, params, detection_interval, reference_c
         if v <= V_a:
             outcome = OUTCOME_INVALID
             break
-    record = FatigueRunRecord(V_a, tuple([v for _, v in detections]), int(detection_interval),
-                              outcome, reference_cycles)
+    record = run_record([v for _, v in detections], drive_amplitude_V=V_a,
+                        detection_interval=int(detection_interval), outcome=outcome,
+                        reference_cycles=reference_cycles)
     return record, detections
 
 
@@ -290,13 +334,14 @@ def reference_stair_case(levels_V, step_V, start_level_V, n_specimens, populatio
                          params, **run_kwargs):
     """Reference of run_stair_case: one protocols.run_fatigue_test per specimen, looked up
     at each call, at the level the walk reached."""
-    levels = sorted(float(v) for v in levels_V)
-    problems = protocols.validate_stair_case(levels, step_V, start_level_V, n_specimens, device)
+    problems = protocols.validate_stair_case(levels_V, step_V, start_level_V, n_specimens,
+                                             device)
     if n_specimens > len(population):
         problems.append(f"population: holds {len(population)} specimens, "
                         f"{n_specimens} requested")
     if problems:
         raise ValueError("invalid stair case: " + "; ".join(problems))
+    levels = sorted(float(v) for v in levels_V)
     level, trials, records = float(start_level_V), [], []
     for idx in range(n_specimens):
         records.append(protocols.run_fatigue_test(level, population[idx], device, params,

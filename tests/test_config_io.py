@@ -37,7 +37,8 @@ from microfatigue.protocols import (DEFAULT_DETECTION_INTERVAL, MAX_DETECTIONS, 
                                     build_population, run_fatigue_test)
 from microfatigue.stats import (BasquinFit, StairCaseEstimate, WohlerPoint,
                                 estimator_recovery_trial)
-from tests.reference import PAPER_THRESHOLDS_V, asdict_dump, json_text
+from tests.reference import (PAPER_THRESHOLDS_V, asdict_dump, json_text,
+                             reference_emit_fatigue_run, run_record)
 from tests.strategies import FIELDS, valid_json_configs
 
 
@@ -453,13 +454,15 @@ def test_tool_stamp_carries_the_package_version():
     assert TOOL_STAMP == f"microfatigue {microfatigue.__version__}" == "microfatigue 0.1.0"
 
 
-RECORD = FatigueRunRecord(
-    drive_amplitude_V=14.0,
-    readings=(26.4, 26.15, 25.9),
-    detection_interval=100_000,
-    outcome="failed",
-    reference_cycles=2_000_000,
-)
+def make_record(readings=(26.4, 26.15, 25.9), **fields):
+    """A failed 14 V run at a 100 000-cycle interval to 2 000 000 cycles, built through
+    run_record, with these per-detection readings and fields."""
+    return run_record(readings, **{"drive_amplitude_V": 14.0, "detection_interval": 100_000,
+                                   "outcome": "failed", "reference_cycles": 2_000_000,
+                                   **fields})
+
+
+RECORD = make_record()
 
 
 def test_emit_fatigue_run_layout():
@@ -488,9 +491,57 @@ READINGS = st.lists(st.floats(), max_size=4).map(
 @settings(max_examples=200, deadline=None)
 def test_emit_fatigue_run_formats_every_row_as_its_own_reading(data, pool):
     readings = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
-    record = RECORD._replace(readings=tuple(readings), detection_interval=1000)
+    record = make_record(readings, detection_interval=1000)
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{cycles},{_num(v)}" for cycles, v in record.detections] + [""]
+
+
+@given(data=st.data(), pool=READINGS)
+@settings(max_examples=200, deadline=None)
+def test_stretch_emission_equals_the_row_by_row_oracle(data, pool):
+    # Readings drawn per detection and grouped by the oracle's rule, which keeps the
+    # zeros of two signs and each NaN apart; and stretches drawn as they stand, which
+    # may split equal readings or join 0.0 with a -0.0 after it. Both read back their
+    # rows, and write what the row-by-row reference emitter writes of those rows.
+    readings = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    grouped = make_record(readings, detection_interval=1000)
+    assert grouped.readings == tuple(readings)
+    assert [*map(repr, grouped.readings)] == [*map(repr, readings)]
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    repeats = data.draw(st.lists(st.integers(1, 5), min_size=len(values),
+                                 max_size=len(values)))
+    drawn = RECORD._replace(values=tuple(values), repeats=tuple(repeats),
+                            detection_interval=1000)
+    assert [*map(repr, drawn.readings)] == [
+        repr(v) for v, m in zip(values, repeats) for _ in range(m)]
+    for record in (grouped, drawn):
+        assert emit_fatigue_run(record) == reference_emit_fatigue_run(record)
+
+
+@given(data=st.data(), pool=READINGS,
+       fault=st.sampled_from(["value", "repeat", 0, -1, 2.5]))
+@settings(max_examples=200, deadline=None)
+def test_a_record_of_malformed_stretches_is_refused_before_a_row_is_written(data, pool, fault):
+    # One value or one repeat too many, or a repeat that counts no detection, or not
+    # a whole one: the emitter formats no row of such a record.
+    readings = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    record = make_record(readings, detection_interval=1000)
+    values, repeats = [*record.values], [*record.repeats]
+    if fault == "value":
+        values.insert(data.draw(st.integers(0, len(values))), 26.4)
+    elif fault == "repeat":
+        repeats.insert(data.draw(st.integers(0, len(repeats))), 1)
+    else:
+        repeats[data.draw(st.integers(0, len(repeats) - 1))] = fault
+    record = record._replace(values=tuple(values), repeats=tuple(repeats))
+    formatted = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emit_module, "_num", formatted.append)
+        patch.setattr(emit_module, "_reading_text", formatted.append)
+        with pytest.raises(ValueError, match=rf"^repeats: a run record holds an int >= 1 for "
+                                             rf"each of its {len(values)} values, got \("):
+            emit_fatigue_run(record)
+    assert formatted == []
 
 
 @given(data=st.data(), pool=READINGS, case=st.sampled_from(["multiple", "clipped", "below"]),
@@ -511,8 +562,8 @@ def test_emit_fatigue_run_writes_the_counts_the_grid_implies(data, pool, case, a
     detected = batches if case == "below" else data.draw(st.integers(1, batches))
     readings = data.draw(st.lists(st.sampled_from(pool), min_size=detected + 1,
                                   max_size=detected + 1))
-    record = RECORD._replace(readings=tuple(readings), detection_interval=interval,
-                             reference_cycles=float(reference) if as_float else reference)
+    record = make_record(readings, detection_interval=interval,
+                         reference_cycles=float(reference) if as_float else reference)
     counts = [min(j * interval, reference) for j in range(detected + 1)]
     assert [c for c, _ in record.detections] == counts
     assert {type(c) for c, _ in record.detections} == {int}
@@ -551,8 +602,8 @@ def test_emit_fatigue_run_shares_count_texts_across_records(data, pool):
             reference = (n - 2) * interval + data.draw(st.integers(1, interval - 1))
         else:
             reference = (n - 1) * interval + data.draw(st.integers(0 if n > 1 else 1, interval))
-        return RECORD._replace(readings=tuple(readings), detection_interval=interval,
-                               reference_cycles=float(reference) if as_float else reference)
+        return make_record(readings, detection_interval=interval,
+                           reference_cycles=float(reference) if as_float else reference)
 
     plan = [record(a, data.draw(st.integers(1, 30)), False, False),
             record(a, data.draw(st.integers(31, 60)), False, False),
@@ -572,18 +623,19 @@ def test_an_over_long_record_is_refused():
     # five at a 1 000-cycle interval to 2 500 cycles, whose grid ends at the
     # clipped count after four, and one reading past the bound of detections.
     for interval, reference, n in ((1000, 2500, 5), (7, 7 * MAX_DETECTIONS, MAX_DETECTIONS + 2)):
-        record = RECORD._replace(readings=(26.4, 26.15) * (n // 2) + (26.4,) * (n % 2),
-                                 detection_interval=interval, reference_cycles=reference)
+        record = make_record((26.4, 26.15) * (n // 2) + (26.4,) * (n % 2),
+                             detection_interval=interval, reference_cycles=reference)
         assert len(record.readings) == n
         with pytest.raises(ValueError, match=f"^readings: a run record holds 1 to {n - 1} "
                                              f"readings on its grid, got {n}$"):
             emit_fatigue_run(record)
-        _assert_emitted(record._replace(readings=record.readings[:-1]))
+        _assert_emitted(make_record(record.readings[:-1], detection_interval=interval,
+                                    reference_cycles=reference))
 
 
 @pytest.mark.parametrize("fields, error, message", [
-    ({"readings": ()}, ValueError, "^readings: a run record holds 1 to 2001 readings on its "
-                                   "grid, got 0$"),
+    ({"values": (), "repeats": ()}, ValueError,
+     "^readings: a run record holds 1 to 2001 readings on its grid, got 0$"),
     # Equal to the interval the count texts hold, but no interval a grid can step by.
     ({"detection_interval": 1000.0}, TypeError, "'float' object cannot be interpreted"),
     ({"detection_interval": 0}, ValueError, "^detection_interval: must be a whole number >= 1"),
@@ -606,8 +658,8 @@ def test_threads_emitting_other_intervals_each_write_their_own_counts():
     wrong = []
 
     def emit_all(interval):
-        records = [RECORD._replace(readings=(26.4, 26.15) * n, detection_interval=interval,
-                                   reference_cycles=2 * n * interval) for n in (3, 200, 9)]
+        records = [make_record((26.4, 26.15) * n, detection_interval=interval,
+                               reference_cycles=2 * n * interval) for n in (3, 200, 9)]
         expected = ["".join(f"{c},{_num(v)}\n" for c, v in record.detections)
                     for record in records]
         for _ in range(40):
@@ -637,7 +689,7 @@ def test_a_zero_record_after_one_of_the_other_zero_writes_its_own_sign(zeros):
     emit_module._reading_text.cache_clear()
     for zero in zeros:
         text = "-0" if math.copysign(1.0, zero) < 0 else "0"
-        lines = emit_fatigue_run(RECORD._replace(readings=(zero,) * 3)).split("\n")
+        lines = emit_fatigue_run(make_record((zero,) * 3)).split("\n")
         assert lines[2:] == ["0," + text, "100000," + text, "200000," + text, ""]
     assert emit_module._reading_text.cache_info().currsize == 0
 
@@ -646,7 +698,7 @@ def test_distinct_nan_objects_each_write_nan():
     # A NaN equals nothing, itself included: the memo finds only the entry of the
     # same object, and each object, whatever its sign, writes nan.
     nans = [float("nan"), math.nan, -math.nan, float("-nan"), math.inf - math.inf]
-    record = RECORD._replace(readings=tuple(nans * 2), detection_interval=1000)
+    record = make_record(nans * 2, detection_interval=1000)
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{1000 * j},nan" for j in range(len(nans) * 2)] + [""]
 
@@ -654,8 +706,8 @@ def test_distinct_nan_objects_each_write_nan():
 def test_a_record_of_more_readings_than_the_memo_holds_writes_its_own_rows():
     maxsize = emit_module._reading_text.cache_info().maxsize
     readings = tuple(10.0 + j / 1000 for j in range(maxsize + 300))
-    record = RECORD._replace(readings=readings, detection_interval=1,
-                             reference_cycles=len(readings) - 1)
+    record = make_record(readings, detection_interval=1,
+                         reference_cycles=len(readings) - 1)
     lines = emit_fatigue_run(record).split("\n")
     assert lines[2:] == [f"{j},{_num(v)}" for j, v in enumerate(readings)] + [""]
     assert emit_module._reading_text.cache_info().currsize <= maxsize
@@ -670,13 +722,14 @@ def test_a_record_emitted_again_formats_only_its_amplitude_and_zeros(monkeypatch
 
     monkeypatch.setattr(emit_module, "_num", counting_num)
     emit_module._reading_text.cache_clear()
-    record = RECORD._replace(readings=(26.4, 26.4, 26.15, 0.0, 0.0, -0.0, 26.15, 25.9, 0.0),
-                             detection_interval=1000)
+    record = make_record((26.4, 26.4, 26.15, 0.0, 0.0, -0.0, 26.15, 25.9, 0.0),
+                         detection_interval=1000)
     first = emit_fatigue_run(record)
-    assert len(formatted) == 1 + 4 + 3  # the amplitude, the zero rows, each other reading
+    # The amplitude, each stretch of zeros, each other reading.
+    assert record.repeats == (2, 1, 2, 1, 1, 1, 1) and len(formatted) == 1 + 3 + 3
     del formatted[:]
     assert emit_fatigue_run(record) == first
-    assert sorted(map(repr, formatted)) == ["-0.0", "0.0", "0.0", "0.0", "14.0"]
+    assert sorted(map(repr, formatted)) == ["-0.0", "0.0", "0.0", "14.0"]
 
 
 def test_emit_conversion_curve(nominal_device):
@@ -738,12 +791,13 @@ def test_wohler_points_from_records_names_a_record_without_readings():
     # Its final count would read -interval: the record is at fault, not the point.
     with pytest.raises(ValueError, match="^readings: a run record holds at least its "
                                          "pristine reading$"):
-        wohler_points_from_records([RECORD._replace(readings=())])
+        wohler_points_from_records([make_record(())])
 
 
 def test_wohler_points_from_records():
-    survived = FatigueRunRecord(13.0, (26.4,) * 21, 100_000, "survived", 2_000_000)
-    invalid = FatigueRunRecord(24.0, (26.4, 23.5), 1000, "invalid", 2_000_000)
+    survived = make_record((26.4,) * 21, drive_amplitude_V=13.0, outcome="survived")
+    invalid = make_record((26.4, 23.5), drive_amplitude_V=24.0, detection_interval=1000,
+                          outcome="invalid")
     points = wohler_points_from_records([RECORD, survived, invalid])
     assert len(points) == 2
     assert points[0] == WohlerPoint(14.0, 200000, censored=False)
@@ -835,8 +889,8 @@ def test_serialize_config_equals_the_asdict_dump(raw):
     (PullInResult, ("pull_in_voltage_V", "deflection_at_instability_m")),
     (FatigueParameters, ("sigma_max_Pa", "sigma_min_Pa", "sigma_mean_Pa", "sigma_alt_Pa",
                          "stress_ratio")),
-    (FatigueRunRecord, ("drive_amplitude_V", "readings", "detection_interval", "outcome",
-                        "reference_cycles")),
+    (FatigueRunRecord, ("drive_amplitude_V", "values", "repeats", "detection_interval",
+                        "outcome", "reference_cycles")),
     (StairCaseTrial, ("specimen_id", "level_V", "failure")),
     (StairCaseSequence, ("trials", "step_V", "levels_V")),
     (StairCaseEstimate, ("mean_V", "std_V", "q10_V", "q90_V", "basis_event",

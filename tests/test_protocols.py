@@ -326,17 +326,21 @@ def traced_growth(call):
 
 
 @pytest.mark.parametrize("V_a, damaged", [(13.0, False), (14.0, True)])
-def test_a_long_run_keeps_one_reading_per_detection(nominal_device, calibrated_params,
-                                                    V_a, damaged):
-    # A record keeps a float per detection and no count: 8 B of pointer plus the
-    # readings' distinct floats. A (count, reading) tuple per row keeps about 100 B.
+def test_a_long_run_keeps_one_reading_per_stretch(nominal_device, calibrated_params,
+                                                  V_a, damaged):
+    # A record keeps a float and an int per stretch of equal readings and no count:
+    # two pointers and the stretch's float, about 33 B a stretch. The 2 001 readings
+    # are one stretch undamaged and about 240 damaged; a pointer per detection alone
+    # would keep 16 KB.
     d, params = nominal_device, calibrated_params
     specimen = SpecimenStrength(strength_scale_from_threshold(V_a, d, params))
     kwargs = dict(detection_interval=1_000, reference_cycles=2_000_000)
     record, kept = traced_growth(lambda: run_fatigue_test(V_a, specimen, d, params, **kwargs))
-    assert (record.outcome, len(record.readings)) == (OUTCOME_SURVIVED, 2_001)
-    assert (len(set(record.readings)) > 1) == damaged
-    assert kept <= 32 * len(record.readings), kept / len(record.readings)
+    assert (record.outcome, sum(record.repeats), len(record.readings)) == (
+        OUTCOME_SURVIVED, 2_001, 2_001)
+    assert (len(record.values) > 1) == damaged
+    assert len(record.values) <= 300
+    assert kept <= 48 * len(record.values) + 1024, (kept, len(record.values))
 
 
 def detections_build(device, params):
@@ -1060,6 +1064,18 @@ def test_stair_case_names_a_step_or_start_past_the_float_range(nominal_device, s
     values = {"step_V": step_V, "start_level_V": start_V}
     assert protocols.validate_stair_case([12.0, 13.0], step_V, start_V, 6, nominal_device) \
         == [f"{name}: must be finite, got {shown(str(values[name]))}" for name in past]
+
+
+@pytest.mark.parametrize("levels_V", [[10**400, 15.0], [15.0, -10**400], [-10**400, 10**401]])
+def test_stair_case_names_a_level_past_the_float_range(nominal_device, calibrated_params,
+                                                       levels_V):
+    # Named alone, by the first such level, before the campaign reads a level as a float.
+    first = next(v for v in levels_V if type(v) is int)
+    fault = f"levels_V: must be finite, got {shown(str(first))}"
+    assert protocols.validate_stair_case(levels_V, 1.0, 15.0, 6, nominal_device) == [fault]
+    population = (SpecimenStrength(),) * 6
+    with pytest.raises(ValueError, match=f"^invalid stair case: {re.escape(fault)}$"):
+        run_stair_case(levels_V, 1.0, 15.0, 6, population, nominal_device, calibrated_params)
 
 
 @pytest.mark.parametrize("field, value", [("strength_mean_V", -10**400),

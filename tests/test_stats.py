@@ -635,6 +635,8 @@ def test_recovery_trial_enters_no_numpy_python_reduction(strength_std_V):
     ({"strength_mean_V": -10**400}, "strength_mean_V"),
     ({"step_V": 10**400}, "step_V"),  # an int step or start past the float range
     ({"start_level_V": 10**400}, "start_level_V"),
+    ({"levels_V": (10**400, 15.0)}, "levels_V"),  # an int level past the float range
+    ({"levels_V": (-10**400, 15.0)}, "levels_V"),
 ])
 def test_recovery_trial_rejects_arguments_before_seeding(fault, name):
     kwargs = {"strength_mean_V": 13.0, "strength_std_V": 0.55, "n_specimens": 6,

@@ -107,6 +107,41 @@ def test_no_source_sets_numpy_floating_point_errors():
     assert _src_sites(_names_fp_state) == []
 
 
+# A tuple built straight from an iterator of no length, a generator expression, map,
+# zip or itertools.chain, grows by resizing: the interpreter frees it into the free
+# list of another size than the next build of its size draws from, which keeps the
+# memory (test_protocols::test_repeated_builds_keep_no_memory). A function builds such
+# a tuple from a list, tuple([*...]), whose size is known. Module-level code, which
+# runs once, is left out.
+LENGTHLESS = {"map", "zip", "chain", "chain.from_iterable", "itertools.chain",
+              "itertools.chain.from_iterable"}
+
+
+def _tuple_of_an_iterator(node) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple" and node.args):
+        return False
+    arg = node.args[0]
+    return isinstance(arg, ast.GeneratorExp) or (
+        isinstance(arg, ast.Call) and ast.unparse(arg.func) in LENGTHLESS)
+
+
+def test_the_iterator_tuple_scan_flags_each_spelling(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import itertools\nfrom itertools import chain\n"
+                    "TOP = tuple(x for x in 'ab')\n"
+                    "def build(xs, ys):\n"
+                    "    a = tuple(x for x in xs) + tuple(map(str, xs)) + tuple(zip(xs, ys))\n"
+                    "    b = tuple(chain(xs, ys)) + tuple(itertools.chain.from_iterable(xs))\n"
+                    "    c = tuple([*map(str, xs)]) + tuple(xs) + tuple([x for x in xs])\n"
+                    "    return a + b + c + (*zip(xs, ys),) + tuple(sorted(xs))\n")
+    assert _sites(path, _tuple_of_an_iterator) == ["sample"] + ["sample.build"] * 5
+
+
+def test_no_function_builds_a_tuple_straight_from_an_iterator():
+    assert [scope for scope in _src_sites(_tuple_of_an_iterator) if "." in scope] == []
+
+
 # The functions that call a numpy Generator distribution method. NEP 19 freezes a bit
 # generator's raw words but not the variates a Generator derives from them, so a draw
 # that must keep its bytes across numpy releases reads raw words (the recovery trial)
